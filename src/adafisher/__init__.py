@@ -5,13 +5,12 @@ from .errors import (AdaFisherError, ConfigError, DataError, DimensionError,
                      FormatError, InputError, NumericError, SizeError,
                      StateError, UnsupportedError)
 from .kfactor import (FactoredEFIM, KFState, efim_assemble, ema_update,
-                      kf_conv, kf_dense, kf_identity, kf_norm,
                       minmax_normalize, precondition)
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerCapture,
                  LayerNorm, MaxPool2d, Model, cross_entropy, finite_diff_grad,
                  mse, softmax)
 from .optim import (AblationToggles, Adam, AdaFisher, Optimizer, Schedule, SGD,
-                    ablation_toggles, adafisherw, adamw, build_optimizer)
-from .tensor import Rng, as_tensor, im2col, kron_diag, matmul, rng_normal
+                    adafisherw, adamw, build_optimizer)
+from .tensor import Rng, as_tensor, im2col, kron_diag
 
 __version__ = "0.1.0"

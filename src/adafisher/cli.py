@@ -18,9 +18,9 @@ from .config import RunConfig, build_model, resolve_dataset
 from .diagnostics import fft2, fim_hist_stats, gershgorin, snr
 from .distributed import train_step
 from .errors import ConfigError, DataError, NumericError
-from .fisher import approximation_mae, exact_fisher_diag, kf_product_diag, mc_fisher_diag
+from .fisher import approximation_mae, exact_fisher_diag, mc_fisher_diag
 from .kfactor import fresh_factors
-from .tensor import Rng
+from .tensor import Rng, kron_diag
 from .training import run_training
 
 
@@ -114,7 +114,7 @@ def cmd_oracle(args) -> int:
         for i in sorted(oracle.layers):
             entry = oracle.layers[i]
             if "WB" in entry and "h" in factors.get(i, {}):
-                approx = kf_product_diag(factors[i]["h"], factors[i]["s"])
+                approx = kron_diag(factors[i]["h"], factors[i]["s"])
                 mae = approximation_mae(oracle.layers[i]["WB"], approx)
                 w.writerow([0, i, repr(mae)])
     print(path)

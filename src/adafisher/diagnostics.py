@@ -2,8 +2,7 @@
 under off-diagonal Gaussian noise, 2-D DFT and SNR, factored-curvature
 diagonal summaries, PCA and the training-trajectory recorder.
 
-The symmetric eigensolver is a cyclic Jacobi iteration (off-diagonal norm
-tolerance 1e-12), adequate for the diagnostic matrix sizes used here.
+Symmetric eigenproblems are solved with LAPACK ``eigh`` (via numpy).
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from .errors import DimensionError, InputError
 from .tensor import Rng
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eigh(a: np.ndarray):
+    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns (eigenvalues ascending, eigenvectors as columns).
     """
@@ -28,32 +27,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
         raise DimensionError("expected a square matrix")
     if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
         raise InputError("matrix must be symmetric")
-    n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n)
-    scale = max(1.0, np.abs(a).max())
-    for _ in range(max_sweeps):
-        off = math.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals)
-    return eigvals[order], v[:, order]
+    return np.linalg.eigh(a)
 
 
 @dataclass
@@ -82,7 +56,7 @@ def gershgorin(matrix: np.ndarray, eig_tol: float = 1e-9) -> DiscSet:
     with np.errstate(divide="ignore"):
         dominance = np.where(radii > 0, np.abs(centers) / np.where(radii > 0, radii, 1.0), np.inf)
     if np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
-        eigvals, _ = jacobi_eigh(a)
+        eigvals, _ = sym_eigh(a)
     else:
         eigvals = np.sort(np.linalg.eigvals(a).real)  # non-symmetric fallback
     contained = all(
@@ -117,8 +91,8 @@ def perturb_offdiag(matrix: np.ndarray, sigma: float, seed: int) -> PerturbResul
         iu = np.triu_indices(n, 1)
         noise[iu] = upper[iu]
         noise = noise + noise.T  # keep the perturbed matrix symmetric
-    before, _ = jacobi_eigh(a)
-    after, _ = jacobi_eigh(a + noise)
+    before, _ = sym_eigh(a)
+    after, _ = sym_eigh(a + noise)
     mags_b = np.sort(np.abs(before))[::-1]
     mags_a = np.sort(np.abs(after))[::-1]
     return PerturbResult(mags_b, mags_a, kaiser_count(before), kaiser_count(after))
@@ -180,7 +154,7 @@ def pca2(dataset: np.ndarray) -> np.ndarray:
         raise DimensionError("expected an N x d matrix with N, d >= 2")
     xc = x - x.mean(axis=0)
     cov = xc.T @ xc / (x.shape[0] - 1)
-    eigvals, eigvecs = jacobi_eigh(cov)
+    eigvals, eigvecs = sym_eigh(cov)
     top = eigvecs[:, np.argsort(eigvals)[::-1][:2]]
     for j in range(top.shape[1]):
         k = np.argmax(np.abs(top[:, j]))
@@ -210,7 +184,3 @@ class TrajectoryLog:
             w.writerow(["epoch", "w1", "w2", "loss"])
             for row in self.rows:
                 w.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
-
-
-def record_trajectory(log: TrajectoryLog, epoch: int, w1, loss: float) -> TrajectoryLog:
-    return log.record(epoch, w1, loss)

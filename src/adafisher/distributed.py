@@ -6,7 +6,8 @@ Both are averaged coordinatewise in fixed worker order, the EMA is applied to
 the aggregated factors (one state for the whole cluster), and a single
 synchronized optimizer step is taken. Workers run sequentially; the result is
 defined to be independent of physical parallelism because aggregation happens
-after a full barrier in fixed order.
+after a full barrier in fixed order. One worker is the plain single-trainer
+step, run through the same loop.
 """
 
 from __future__ import annotations
@@ -35,85 +36,51 @@ def shard_batch(x: np.ndarray, y: np.ndarray, workers: int):
     return [(x[k * size:(k + 1) * size], y[k * size:(k + 1) * size]) for k in range(workers)]
 
 
-def aggregate_kfs(shard_factors: list[dict[int, dict[str, np.ndarray]]]):
-    """Coordinatewise mean of factor diagonals across workers, in worker order."""
-    if not shard_factors:
-        raise ConfigError("no shards to aggregate")
-    first = shard_factors[0]
-    agg: dict[int, dict[str, np.ndarray]] = {}
-    for i, factors in first.items():
-        agg[i] = {name: vec.copy() for name, vec in factors.items()}
-    for other in shard_factors[1:]:
-        if set(other) != set(first):
-            raise ConfigError("shard factor layouts disagree")
-        for i, factors in other.items():
-            if set(factors) != set(first[i]):
-                raise ConfigError("shard factor layouts disagree")
-            for name, vec in factors.items():
-                if vec.shape != agg[i][name].shape:
-                    raise ConfigError("shard factor shapes disagree")
-                agg[i][name] += vec
-    k = float(len(shard_factors))
-    for factors in agg.values():
-        for name in factors:
-            factors[name] /= k
-    return agg
+def _worker_mean(parts: list):
+    """Coordinatewise mean of equally laid-out (nested) dicts of arrays.
 
-
-def aggregate_grads(shard_grads: list[dict[tuple[int, str], np.ndarray]]):
-    """Mean of per-shard mean gradients (equals the full-batch mean for equal shards)."""
-    if not shard_grads:
+    Sums in fixed worker order and divides once into new arrays, so one
+    worker yields an exact copy of its values.
+    """
+    if not parts:
         raise ConfigError("no shards to aggregate")
-    agg = {key: g.copy() for key, g in shard_grads[0].items()}
-    for other in shard_grads[1:]:
-        if set(other) != set(agg):
-            raise ConfigError("shard gradient layouts disagree")
-        for key, g in other.items():
-            agg[key] += g
-    k = float(len(shard_grads))
-    for key in agg:
-        agg[key] /= k
-    return agg
+    first = parts[0]
+    if isinstance(first, dict):
+        if any(set(p) != set(first) for p in parts):
+            raise ConfigError("shard layouts disagree")
+        return {key: _worker_mean([p[key] for p in parts]) for key in first}
+    if any(p.shape != first.shape for p in parts):
+        raise ConfigError("shard shapes disagree")
+    return sum(parts[1:], first) / len(parts)
 
 
 def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
                kf_state: KFState | None = None,
                toggles: AblationToggles | None = None,
                workers: int = 1) -> float:
-    """One synchronized training step over `workers` equal shards.
+    """One synchronized step: shard -> per-worker pass -> mean -> EMA -> assemble -> update.
 
-    With workers=1 this is the plain single-trainer step; the same code path
-    is used so the K=1 simulation is bit-identical by construction.
+    Every worker count runs the same loop; with workers=1 the means are exact
+    copies, so the step equals the plain single-trainer sequence.
     """
     toggles = toggles or AblationToggles()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    if workers == 1:
-        # single trainer: grads/factors already are the one-shard aggregates
-        if x.shape[0] < 1:
-            raise ConfigError("empty batch")
-        losses = [model.train_batch(x, y)]
-        agg = fresh_factors(model) if opt.needs_efim else None
-    else:
-        shards = shard_batch(x, y, workers)
-        losses = []
-        shard_grads = []
-        shard_factors = []
-        for xs, ys in shards:
-            losses.append(model.train_batch(xs, ys))
-            shard_grads.append({(i, name): layer.grads[name].copy()
-                                for i, layer in model.param_layers()
-                                for name in layer.grads})
-            if opt.needs_efim:
-                shard_factors.append(fresh_factors(model))
-        grads = aggregate_grads(shard_grads)
-        for (i, name), g in grads.items():
-            model.layers[i].grads[name] = g
-        agg = aggregate_kfs(shard_factors) if opt.needs_efim else None
+    losses, shard_grads, shard_factors = [], [], []
+    for xs, ys in shard_batch(x, y, workers):
+        losses.append(model.train_batch(xs, ys))
+        shard_grads.append({(i, name): g for i, layer in model.param_layers()
+                            for name, g in layer.grads.items()})
+        if opt.needs_efim:
+            shard_factors.append(fresh_factors(model))
+    for (i, name), g in _worker_mean(shard_grads).items():
+        model.layers[i].grads[name] = g
+    del shard_grads  # release the per-worker gradients before the optimizer allocates
     efim = None
     if opt.needs_efim:
         if kf_state is None:
             raise ConfigError("AdaFisher training requires a KFState")
+        agg = _worker_mean(shard_factors)
         if toggles.ema_off:
             transient = KFState(gamma=kf_state.gamma, lam=kf_state.lam, factors=agg)
             efim = efim_assemble(transient, norm_fisher_off=toggles.norm_fisher_off)
@@ -122,10 +89,3 @@ def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
             efim = efim_assemble(kf_state, norm_fisher_off=toggles.norm_fisher_off)
     opt.step(model, efim)
     return float(np.mean(losses))
-
-
-def distributed_step(model: Model, x, y, workers: int, opt: Optimizer,
-                     kf_state: KFState | None = None,
-                     toggles: AblationToggles | None = None) -> float:
-    """Shard -> per-worker pass -> aggregate -> EMA -> assemble -> one update."""
-    return train_step(model, x, y, opt, kf_state, toggles, workers=workers)

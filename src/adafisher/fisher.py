@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, SizeError, UnsupportedError
-from .nn import LayerCapture, Model, softmax
-from .tensor import Rng, kron_diag
+from .nn import Dense, Model, softmax
+from .tensor import Rng
 
 MAX_CLASSES = 64
 MAX_BLOCK_DIM = 9  # dense-oracle guard (includes the bias row)
@@ -115,20 +115,19 @@ def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int, seed: int) -
     return FisherDiag(layers=total, n_samples=n_samples)
 
 
-def kfac_block_dense(capture: LayerCapture) -> np.ndarray:
-    """Full Kronecker product of the dense empirical factors (test-scale only)."""
-    h_bar, s = capture.h_bar, capture.s
-    if h_bar.shape[0] > MAX_BLOCK_DIM or s.shape[0] > MAX_BLOCK_DIM:
+def kfac_block_dense(layer: Dense) -> np.ndarray:
+    """Full Kronecker product of a dense layer's empirical factors (test-scale only).
+
+    Rebuilt from the layer's last forward input and backward signal, with the
+    same per-sample-loss scale and homogeneous bias column as its capture.
+    """
+    x, dout = layer._x, layer._dout
+    m = x.shape[0]
+    x_hom = np.hstack([x, np.ones((m, 1))]) if layer.bias else x
+    s = dout * m
+    if x_hom.shape[1] > MAX_BLOCK_DIM or s.shape[1] > MAX_BLOCK_DIM:
         raise SizeError(f"dense block guard: factor dims must be <= {MAX_BLOCK_DIM}")
-    ncols = h_bar.shape[1]
-    h_mat = h_bar @ h_bar.T / ncols
-    s_mat = s @ s.T / ncols
-    return np.kron(h_mat, s_mat)
-
-
-def kf_product_diag(h_diag: np.ndarray, s_diag: np.ndarray) -> np.ndarray:
-    """Raw (pre-normalization, undamped) diagonal Kronecker product."""
-    return kron_diag(h_diag, s_diag)
+    return np.kron(x_hom.T @ x_hom / m, s.T @ s / m)
 
 
 def approximation_mae(a: np.ndarray, b: np.ndarray) -> float:

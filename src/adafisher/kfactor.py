@@ -1,7 +1,8 @@
 """Diagonal Kronecker-factor engine.
 
 Per parameterized layer we keep the diagonals of the activation second-moment
-factor (h) and the pre-activation-gradient second-moment factor (s), smooth
+factor (h) and the pre-activation-gradient second-moment factor (s), which the
+layer's backward pass captures directly (see nn.LayerCapture), smooth
 them with an EMA in which the *fresh* factor carries weight gamma, min-max
 normalize each diagonal, and assemble the damped factored curvature used to
 precondition gradients:
@@ -21,56 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError, StateError
-from .nn import LayerCapture, Model
+from .nn import Model
 from .tensor import kron_diag
 
 DEFAULT_GAMMA = 0.8
 DEFAULT_LAMBDA = 0.001
 MINMAX_EPS = 1e-12
-
-
-def _row_mean_sq(mat: np.ndarray) -> np.ndarray:
-    # einsum avoids materializing the squared matrix
-    return np.einsum("ij,ij->i", mat, mat) / mat.shape[1]
-
-
-def kf_dense(capture: LayerCapture):
-    """Dense-layer factor diagonals: row means of squared capture columns."""
-    if capture is None or capture.h_bar is None or capture.s is None:
-        raise StateError("capture not populated")
-    if capture.h_bar.shape[1] == 0:
-        raise InputError("empty batch")
-    h_diag = _row_mean_sq(capture.h_bar)
-    s_diag = _row_mean_sq(capture.s)
-    return h_diag, s_diag
-
-
-def kf_conv(capture: LayerCapture):
-    """Convolution factor diagonals over batch * spatial-position columns."""
-    if capture is None or capture.h_bar is None or capture.s is None:
-        raise StateError("capture not populated")
-    if capture.spatial_count is None or capture.spatial_count < 1:
-        raise StateError("capture missing spatial_count")
-    h_diag = _row_mean_sq(capture.h_bar)
-    s_diag = _row_mean_sq(capture.s)
-    return h_diag, s_diag
-
-
-def kf_norm(capture: LayerCapture):
-    """Normalization-layer factors: (h_scale, h_shift=ones, s)."""
-    if capture is None or capture.h_bar is None or capture.s is None:
-        raise StateError("capture not populated")
-    if capture.h_bar.shape[1] == 0:
-        raise InputError("empty normalization window")
-    h_scale = _row_mean_sq(capture.h_bar)
-    h_shift = np.ones_like(h_scale)
-    s_diag = _row_mean_sq(capture.s)
-    return h_scale, h_shift, s_diag
-
-
-def kf_identity(h_dim: int, s_dim: int):
-    """Identity factors for layers with no dedicated formula."""
-    return np.ones(h_dim), np.ones(s_dim)
 
 
 def ema_update(old: np.ndarray, fresh: np.ndarray, gamma: float) -> np.ndarray:
@@ -101,12 +58,14 @@ def fresh_factors(model: Model) -> dict[int, dict[str, np.ndarray]]:
     """Per-batch factor diagonals for every parameterized layer of a model."""
     factors: dict[int, dict[str, np.ndarray]] = {}
     for i, layer in model.param_layers():
+        cap = layer.capture
+        if cap is None:
+            raise StateError(f"layer {i} ({type(layer).__name__}) has no capture; "
+                             "run a backward pass first")
         if layer.kf_kind == "kron":
-            h, s = kf_conv(layer.capture) if layer.capture.spatial_count > 1 else kf_dense(layer.capture)
-            factors[i] = {"h": h, "s": s}
+            factors[i] = {"h": cap.h, "s": cap.s}
         elif layer.kf_kind == "norm":
-            h_scale, h_shift, s = kf_norm(layer.capture)
-            factors[i] = {"h_scale": h_scale, "h_shift": h_shift, "s": s}
+            factors[i] = {"h_scale": cap.h, "h_shift": np.ones_like(cap.h), "s": cap.s}
         else:
             raise StateError(f"parameterized layer {i} has no factor formula")
     return factors

@@ -1,10 +1,12 @@
 """Layered feed-forward networks with reverse-mode differentiation.
 
 Layer inputs are batch-first. A paired forward+backward additionally fills,
-for every parameterized layer, a LayerCapture holding the homogeneous input
-activations and the per-sample pre-activation gradients needed by the
-Kronecker-factor engine. Gradients returned by backward are mini-batch means;
-captures store per-sample-loss quantities (the batch-mean factor undone).
+for every parameterized layer, a LayerCapture holding the diagonals of its two
+Kronecker factors: the mean squares of the homogeneous input activations (h,
+exactly 1.0 in the bias slot) and of the per-sample pre-activation gradients
+(s), taken over the sample and, for convolutions and 4-D batch norm, spatial
+axes (the KFC convention). Gradients returned by backward are mini-batch
+means; s is at per-sample-loss scale (the batch-mean factor undone).
 """
 
 from __future__ import annotations
@@ -19,10 +21,14 @@ from .tensor import Rng, col2im_batch, conv_out_size, im2col_batch
 
 @dataclass
 class LayerCapture:
-    h_bar: np.ndarray | None  # features x columns (homogeneous 1 row where biased)
-    s: np.ndarray | None  # out-features x columns, per-sample-loss scale
-    spatial_count: int = 1
-    # normalization layers use h (pre-scale normalized activations) instead of h_bar
+    h: np.ndarray  # activation factor diagonal (of the normalized input for norm layers)
+    s: np.ndarray  # backprop-signal factor diagonal, per-sample-loss scale
+
+
+def _mean_sq(a: np.ndarray) -> np.ndarray:
+    """Mean of squares per axis-1 feature over all other axes."""
+    cols = a.reshape(a.shape[0], a.shape[1], -1)
+    return np.einsum("mft,mft->f", cols, cols) / (a.size // a.shape[1])
 
 
 class Layer:
@@ -76,12 +82,12 @@ class Dense(Layer):
         x = self._x
         m = x.shape[0]
         self.grads["W"] = dout.T @ x
+        h = _mean_sq(x)
         if self.bias:
             self.grads["b"] = dout.sum(axis=0)
-        h_bar = x.T
-        if self.bias:
-            h_bar = np.vstack([h_bar, np.ones((1, m))])
-        self.capture = LayerCapture(h_bar=h_bar, s=dout.T * m, spatial_count=1)
+            h = np.append(h, 1.0)
+        self._dout = dout  # kept for the full-factor reference in fisher
+        self.capture = LayerCapture(h=h, s=_mean_sq(dout * m))
         return dout @ self.params["W"]
 
 
@@ -129,10 +135,11 @@ class Conv2d(Layer):
         g_mat = g.transpose(1, 0, 2).reshape(self.out_ch, m * t)
         p_mat = self._patches.transpose(1, 0, 2).reshape(ckk, m * t)
         self.grads["W"] = (g_mat @ p_mat.T).reshape(self.params["W"].shape)
+        h = _mean_sq(self._patches)
         if self.bias:
             self.grads["b"] = g_mat.sum(axis=1)
-        h_bar = np.vstack([p_mat, np.ones((1, m * t))]) if self.bias else p_mat
-        self.capture = LayerCapture(h_bar=h_bar, s=g_mat * m, spatial_count=t)
+            h = np.append(h, 1.0)
+        self.capture = LayerCapture(h=h, s=_mean_sq(g * m))
         w_mat = self.params["W"].reshape(self.out_ch, -1)
         dcols = np.einsum("ok,mot->mkt", w_mat, g)
         return col2im_batch(dcols, self._x_shape, self.kernel, self.stride, self.pad)
@@ -185,7 +192,6 @@ class BatchNorm(Layer):
         axes = self._axes(dout)
         shape = (1, self.dim) + (1,) * (dout.ndim - 2)
         xhat = self._xhat
-        m_total = dout.shape[0]
         self.grads["scale"] = (dout * xhat).sum(axis=axes)
         self.grads["shift"] = dout.sum(axis=axes)
         dxhat = dout * self.params["scale"].reshape(shape)
@@ -194,9 +200,7 @@ class BatchNorm(Layer):
                   - xhat * (dxhat * xhat).mean(axis=axes).reshape(shape)) / self._std
         else:
             dx = dxhat / self._std
-        cols = np.moveaxis(xhat, 1, 0).reshape(self.dim, -1)
-        s_cols = np.moveaxis(dout, 1, 0).reshape(self.dim, -1) * m_total
-        self.capture = LayerCapture(h_bar=cols, s=s_cols, spatial_count=cols.shape[1] // m_total)
+        self.capture = LayerCapture(h=_mean_sq(xhat), s=_mean_sq(dout * dout.shape[0]))
         return dx
 
 
@@ -229,7 +233,7 @@ class LayerNorm(Layer):
         dxhat = dout * self.params["scale"]
         dx = (dxhat - dxhat.mean(axis=1, keepdims=True)
               - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) / self._std
-        self.capture = LayerCapture(h_bar=xhat.T, s=dout.T * m, spatial_count=1)
+        self.capture = LayerCapture(h=_mean_sq(xhat), s=_mean_sq(dout * m))
         return dx
 
 
@@ -373,6 +377,8 @@ class Model:
 
     def train_batch(self, x, y) -> float:
         """Forward + backward on one batch; fills grads and captures."""
+        if np.shape(x)[0] == 0:
+            raise InputError("empty batch")
         out = self.forward(x, training=True)
         loss, dout = self.loss_and_grad(out, y)
         self.backward(dout)

@@ -35,10 +35,6 @@ class AblationToggles:
         return cls(**{k: bool(v) for k, v in cfg.items()})
 
 
-def ablation_toggles(config: dict | None) -> AblationToggles:
-    return AblationToggles.from_config(config)
-
-
 class Schedule:
     """Learning-rate multiplier as a function of the epoch index."""
 

@@ -1,5 +1,5 @@
-"""Dense tensor kernels: checked construction, deterministic RNG, matmul,
-diagonal Kronecker product and im2col patch expansion.
+"""Dense tensor kernels: checked construction, deterministic RNG, diagonal
+Kronecker product and im2col patch expansion.
 
 All arrays are float64, row-major (C order). Operations are pure and
 single-threaded; determinism is run-to-run on a given platform.
@@ -65,22 +65,6 @@ class Rng:
         return Rng((self.seed * 1_000_003 + offset) % (2**63))
 
 
-def rng_normal(rng: Rng, shape) -> np.ndarray:
-    """I.i.d. standard normal tensor from a deterministic stream."""
-    return rng.normal(shape)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with shape validation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def kron_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Diagonal of Diag(a) (x) Diag(b): out[j*q + k] = a[j] * b[k]."""
     a = np.asarray(a, dtype=np.float64)
@@ -97,7 +81,7 @@ def conv_out_size(size: int, k: int, s: int, p: int) -> int:
 def im2col(x: np.ndarray, kernel, stride=(1, 1), pad=(0, 0)):
     """Unroll receptive fields of a single C x H x W image into columns.
 
-    Returns (patches, spatial_count) where patches has shape
+    Returns (patches, positions) where patches has shape
     (C*kh*kw, out_h*out_w); column t is the flattened receptive field at
     output position t (row-major over output positions). Zero padding only.
     """

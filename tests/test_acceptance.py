@@ -14,7 +14,7 @@ from adafisher.diagnostics import fft2, gershgorin, perturb_offdiag, snr
 from adafisher.distributed import train_step
 from adafisher.fisher import exact_fisher_diag, mc_fisher_diag
 from adafisher.kfactor import (KFState, efim_assemble, fresh_factors,
-                               kf_dense, minmax_normalize, precondition)
+                               minmax_normalize, precondition)
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, MaxPool2d, Model, finite_diff_grad, softmax)
 from adafisher.optim import AblationToggles, AdaFisher, adafisherw
@@ -98,9 +98,8 @@ def test_03_fisher_validity(capsys):
         grad_out = p.copy()[None, :]
         grad_out[0, cls] -= 1.0
         model.backward(grad_out)
-        cap = model.layers[0].capture
-        s_sq += p[cls] * cap.s[:, 0] ** 2
-    h_diag, _ = kf_dense(model.layers[0].capture)
+        s_sq += p[cls] * fresh_factors(model)[0]["s"]
+    h_diag = fresh_factors(model)[0]["h"]
     product = kron_diag(h_diag, s_sq)
     err_exact = float(np.max(np.abs(product - exact)))
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from adafisher.distributed import (aggregate_grads, aggregate_kfs,
-                                   distributed_step, shard_batch, train_step)
+from adafisher.distributed import _worker_mean, shard_batch, train_step
 from adafisher.errors import ConfigError
-from adafisher.kfactor import KFState
+from adafisher.kfactor import KFState, efim_assemble, fresh_factors
 from adafisher.nn import Activation, Dense, Model
 from adafisher.optim import AblationToggles, AdaFisher, SGD
 from adafisher.tensor import Rng
@@ -44,33 +43,33 @@ class TestAggregation:
     def test_kfs_mean(self):
         a = {0: {"h": np.array([1.0, 3.0]), "s": np.array([2.0])}}
         b = {0: {"h": np.array([3.0, 1.0]), "s": np.array([4.0])}}
-        agg = aggregate_kfs([a, b])
+        agg = _worker_mean([a, b])
         assert np.array_equal(agg[0]["h"], [2.0, 2.0])
         assert np.array_equal(agg[0]["s"], [3.0])
 
     def test_kfs_single_worker_identity(self):
         a = {0: {"h": np.array([1.5])}}
-        agg = aggregate_kfs([a])
+        agg = _worker_mean([a])
         assert np.array_equal(agg[0]["h"], a[0]["h"])
         agg[0]["h"][0] = 9.0  # aggregation must not alias worker buffers
         assert a[0]["h"][0] == 1.5
 
     def test_kfs_layout_mismatch(self):
         with pytest.raises(ConfigError):
-            aggregate_kfs([{0: {"h": np.zeros(2)}}, {1: {"h": np.zeros(2)}}])
+            _worker_mean([{0: {"h": np.zeros(2)}}, {1: {"h": np.zeros(2)}}])
         with pytest.raises(ConfigError):
-            aggregate_kfs([{0: {"h": np.zeros(2)}}, {0: {"h": np.zeros(3)}}])
+            _worker_mean([{0: {"h": np.zeros(2)}}, {0: {"h": np.zeros(3)}}])
+        with pytest.raises(ConfigError):
+            _worker_mean([{0: {"h": np.zeros(2)}}, {0: {"s": np.zeros(2)}}])
 
     def test_grads_mean(self):
         a = {(0, "W"): np.full((2, 2), 1.0)}
         b = {(0, "W"): np.full((2, 2), 3.0)}
-        assert np.array_equal(aggregate_grads([a, b])[(0, "W")], np.full((2, 2), 2.0))
+        assert np.array_equal(_worker_mean([a, b])[(0, "W")], np.full((2, 2), 2.0))
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            aggregate_kfs([])
-        with pytest.raises(ConfigError):
-            aggregate_grads([])
+            _worker_mean([])
 
 
 class TestTrainStep:
@@ -98,7 +97,7 @@ class TestTrainStep:
             for _ in range(20):
                 x = rng.normal((8, 6))
                 y = rng.integers(0, 4, size=8)
-                distributed_step(model, x, y, workers, opt, state)
+                train_step(model, x, y, opt, state, workers=workers)
             results[workers] = np.concatenate(
                 [p.ravel() for _, _, p in model.parameters()])
         for workers in (2, 4):
@@ -110,9 +109,14 @@ class TestTrainStep:
         m2 = mlp(seed=2)
         o1, o2 = AdaFisher(), AdaFisher()
         s1, s2 = KFState.for_model(m1), KFState.for_model(m2)
-        l1 = train_step(m1, x, y, o1, s1)
-        l2 = distributed_step(m2, x, y, 1, o2, s2)
+        l1 = m1.train_batch(x, y)
+        s1.update(fresh_factors(m1))
+        o1.step(m1, efim_assemble(s1))
+        l2 = train_step(m2, x, y, o2, s2, workers=1)
         assert l1 == l2
+        for i, factors in s1.factors.items():
+            for name, vec in factors.items():
+                assert np.array_equal(vec, s2.factors[i][name])
         for (_, _, pa), (_, _, pb) in zip(m1.parameters(), m2.parameters()):
             assert np.array_equal(pa, pb)
 

@@ -3,9 +3,10 @@ import pytest
 
 from adafisher.errors import InputError, SizeError, UnsupportedError
 from adafisher.fisher import (FisherDiag, approximation_mae, exact_fisher_diag,
-                              kf_product_diag, kfac_block_dense, mc_fisher_diag)
+                              kfac_block_dense, mc_fisher_diag)
+from adafisher.kfactor import fresh_factors
 from adafisher.nn import Activation, Dense, LayerNorm, Model, softmax
-from adafisher.tensor import Rng
+from adafisher.tensor import Rng, kron_diag
 
 
 def softmax_regression(in_dim, n_classes, seed=0, bias=False):
@@ -116,7 +117,7 @@ class TestDenseKroneckerBlock:
         y = np.array([1])
         model.train_batch(x, y)
         layer = model.layers[0]
-        block = kfac_block_dense(layer.capture)
+        block = kfac_block_dense(layer)
         g = np.hstack([layer.grads["W"], layer.grads["b"][:, None]])
         v = g.T.ravel()  # input index slow, output index fast
         assert np.max(np.abs(block - np.outer(v, v))) < 1e-12
@@ -125,17 +126,15 @@ class TestDenseKroneckerBlock:
         model = Model([Dense(2, 3)]).init(Rng(22))
         x = Rng(23).normal((5, 2))
         model.train_batch(x, Rng(24).integers(0, 3, size=5))
-        cap = model.layers[0].capture
-        block = kfac_block_dense(cap)
-        h_diag = np.diag(cap.h_bar @ cap.h_bar.T) / cap.h_bar.shape[1]
-        s_diag = np.diag(cap.s @ cap.s.T) / cap.s.shape[1]
-        assert np.max(np.abs(np.diag(block) - kf_product_diag(h_diag, s_diag))) < 1e-10
+        block = kfac_block_dense(model.layers[0])
+        fresh = fresh_factors(model)[0]
+        assert np.max(np.abs(np.diag(block) - kron_diag(fresh["h"], fresh["s"]))) < 1e-10
 
     def test_size_guard(self):
         model = Model([Dense(16, 4)]).init(Rng(25))
         model.train_batch(Rng(26).normal((2, 16)), np.array([0, 1]))
         with pytest.raises(SizeError):
-            kfac_block_dense(model.layers[0].capture)
+            kfac_block_dense(model.layers[0])
 
 
 class TestHelpers:

@@ -3,107 +3,25 @@ import pytest
 
 from adafisher.errors import ConfigError, DimensionError, InputError, StateError
 from adafisher.kfactor import (FactoredEFIM, KFState, efim_assemble, ema_update,
-                               fresh_factors, kf_conv, kf_dense, kf_identity,
-                               kf_norm, minmax_normalize, precondition)
+                               fresh_factors, identity_like, minmax_normalize,
+                               precondition)
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
-                          LayerCapture, LayerNorm, Model)
+                          LayerNorm, Model)
 from adafisher.tensor import Rng, kron_diag
 
 
-class TestKfDense:
-    def test_forced_arithmetic(self):
-        cap = LayerCapture(h_bar=np.array([[1.0], [2.0], [1.0]]), s=np.array([[0.5]]))
-        h, s = kf_dense(cap)
-        assert np.array_equal(h, [1.0, 4.0, 1.0])
-        assert np.array_equal(s, [0.25])
-
-    def test_zero_gradients(self):
-        cap = LayerCapture(h_bar=np.ones((2, 4)), s=np.zeros((3, 4)))
-        _, s = kf_dense(cap)
-        assert np.all(s == 0.0)
-
-    def test_matches_dense_gram(self):
-        rng = Rng(0)
-        h_bar = np.vstack([rng.normal((5, 16)), np.ones((1, 16))])
-        s = rng.normal((3, 16))
-        h, sd = kf_dense(LayerCapture(h_bar=h_bar, s=s))
-        assert np.max(np.abs(h - np.diag(h_bar @ h_bar.T) / 16)) < 1e-12
-        assert np.max(np.abs(sd - np.diag(s @ s.T) / 16)) < 1e-12
-        assert abs(h[-1] - 1.0) < 1e-15  # homogeneous bias coordinate
-
-    def test_empty_batch(self):
-        with pytest.raises(InputError):
-            kf_dense(LayerCapture(h_bar=np.zeros((2, 0)), s=np.zeros((1, 0))))
-
-    def test_unpopulated(self):
-        with pytest.raises(StateError):
-            kf_dense(LayerCapture(h_bar=None, s=None))
-
-
-class TestKfConv:
-    def test_reduces_to_dense_on_1x1(self):
-        cap = LayerCapture(h_bar=np.array([[2.0], [1.0]]), s=np.array([[3.0]]),
-                           spatial_count=1)
-        assert np.array_equal(kf_conv(cap)[0], kf_dense(cap)[0])
-
-    def test_constant_input(self):
-        cap = LayerCapture(h_bar=np.ones((5, 4)), s=np.ones((2, 4)), spatial_count=4)
-        h, s = kf_conv(cap)
-        assert np.all(h == 1.0)
-        assert np.all(s == 1.0)
-
-    def test_matches_dense_gram_with_spatial_scaling(self):
-        # columns = M * |T|; diag(HH^T) / (M*|T|) convention
-        rng = Rng(1)
-        m, t = 3, 4
-        h_bar = np.vstack([rng.normal((6, m * t)), np.ones((1, m * t))])
-        s = rng.normal((2, m * t))
-        cap = LayerCapture(h_bar=h_bar, s=s, spatial_count=t)
-        h, sd = kf_conv(cap)
-        assert np.max(np.abs(h - np.diag(h_bar @ h_bar.T) / (m * t))) < 1e-12
-        assert np.max(np.abs(sd - np.diag(s @ s.T) / (m * t))) < 1e-12
-
-    def test_missing_spatial_count(self):
-        with pytest.raises(StateError):
-            kf_conv(LayerCapture(h_bar=np.ones((2, 2)), s=np.ones((1, 2)),
-                                 spatial_count=0))
-
-
-class TestKfNorm:
-    def test_exactly_normalized_input(self):
-        h = np.array([[1.0, -1.0], [1.0, -1.0]])  # zero mean, unit variance rows
-        cap = LayerCapture(h_bar=h, s=np.zeros((2, 2)))
-        h_scale, h_shift, _ = kf_norm(cap)
-        assert np.array_equal(h_scale, [1.0, 1.0])
-        assert np.array_equal(h_shift, [1.0, 1.0])
-
-    def test_shift_factor_always_ones(self):
-        rng = Rng(2)
-        cap = LayerCapture(h_bar=rng.normal((3, 10)), s=rng.normal((3, 10)))
-        _, h_shift, _ = kf_norm(cap)
-        assert np.array_equal(h_shift, np.ones(3))
-
-    def test_matches_dense_gram(self):
-        rng = Rng(3)
-        h = rng.normal((4, 12))
-        cap = LayerCapture(h_bar=h, s=rng.normal((4, 12)))
-        h_scale, _, _ = kf_norm(cap)
-        assert np.max(np.abs(h_scale - np.diag(h @ h.T) / 12)) < 1e-12
-
-    def test_empty_window(self):
-        with pytest.raises(InputError):
-            kf_norm(LayerCapture(h_bar=np.zeros((2, 0)), s=np.zeros((2, 0))))
-
-
 class TestKfIdentity:
+    """All-ones (identity) factors carry no curvature after min-max."""
+
     def test_definition(self):
-        h, s = kf_identity(4, 4)
-        assert np.array_equal(h, np.ones(4))
-        assert np.array_equal(s, np.ones(4))
+        ident = identity_like({"h": np.arange(4.0), "s": np.full(3, 7.0)})
+        assert set(ident) == {"h", "s"}
+        assert np.array_equal(ident["h"], np.ones(4))
+        assert np.array_equal(ident["s"], np.ones(3))
 
     def test_minmax_of_identity_is_degenerate(self):
-        h, _ = kf_identity(4, 4)
-        assert np.array_equal(minmax_normalize(h), np.zeros(4))
+        ident = identity_like({"h": np.arange(4.0)})
+        assert np.array_equal(minmax_normalize(ident["h"]), np.zeros(4))
 
     def test_assembled_divisor_is_pure_damping(self):
         state = KFState(lam=0.001, factors={0: {"h": np.ones(2), "s": np.ones(2)}})
@@ -268,6 +186,10 @@ class TestStateLifecycle:
         for entry in fresh.values():
             for vec in entry.values():
                 assert np.all(vec >= 0.0)
+
+    def test_fresh_factors_before_backward_rejected(self):
+        with pytest.raises(StateError, match="layer 0"):
+            fresh_factors(self.make_model())
 
     def test_csv_export_roundtrip(self, tmp_path):
         model = self.make_model()

@@ -105,20 +105,29 @@ class TestBackward:
             Model([Dense(2, 2)]).backward(np.zeros((1, 2)))
 
     def test_capture_consistency(self):
-        # (1/M) * s @ h_bar.T reconstructs the returned mean gradient
-        model = mixed_net()
+        # Gradient entries are (1/M) sums over M*T columns of the captured
+        # signals, so Cauchy-Schwarz bounds them by the factor diagonals:
+        # G_ij^2 <= T^2 * s_i * h_j, with equality for one sample and T = 1.
+        def check(model, x, y, exact):
+            model.train_batch(x, y)
+            for _, layer in model.param_layers():
+                if not isinstance(layer, (Dense, Conv2d)):
+                    continue
+                cap = layer.capture
+                t = layer._oh * layer._ow if isinstance(layer, Conv2d) else 1
+                combined = layer.grads["W"].reshape(cap.s.size, -1)
+                if "b" in layer.grads:
+                    combined = np.hstack([combined, layer.grads["b"][:, None]])
+                bound = t * t * np.outer(cap.s, cap.h)
+                if exact:
+                    assert max_rel_err(combined**2, bound) <= 1e-12
+                else:
+                    assert np.all(combined**2 <= bound * (1 + 1e-12))
+
         rng = Rng(3)
-        x = rng.normal((6, 2, 3, 3))
-        model.train_batch(x, rng.integers(0, 4, size=6))
-        for _, layer in model.param_layers():
-            if not isinstance(layer, (Dense, Conv2d)):
-                continue
-            cap = layer.capture
-            recon = (cap.s @ cap.h_bar.T) / 6
-            combined = layer.grads["W"].reshape(cap.s.shape[0], -1)
-            if "b" in layer.grads:
-                combined = np.hstack([combined, layer.grads["b"][:, None]])
-            assert np.max(np.abs(recon - combined)) < 1e-12
+        check(mixed_net(), rng.normal((6, 2, 3, 3)), rng.integers(0, 4, size=6), False)
+        single = Model([Dense(3, 4), Activation("tanh"), Dense(4, 2)]).init(Rng(5))
+        check(single, rng.normal((1, 3)), rng.integers(0, 2, size=1), True)
 
     def test_determinism(self):
         rng = Rng(4)
@@ -134,6 +143,64 @@ class TestBackward:
                     store[(i, name)] = g.copy()
         for key in g1:
             assert np.array_equal(g1[key], g2[key])
+
+
+def _explicit_capture(layer, x, dout):
+    """Row mean-squares of the explicit features x (M*T) capture matrices."""
+    m = x.shape[0]
+    if isinstance(layer, Dense):
+        h_cols, s_cols = x.T, dout.T
+    elif isinstance(layer, Conv2d):
+        (kh, kw), (sh, sw), (ph, pw) = layer.kernel, layer.stride, layer.pad
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        cols = [(n, i, j) for n in range(m) for i in range(dout.shape[2])
+                for j in range(dout.shape[3])]
+        h_cols = np.array([xp[n, :, i * sh:i * sh + kh, j * sw:j * sw + kw].ravel()
+                           for n, i, j in cols]).T
+        s_cols = np.array([dout[n, :, i, j] for n, i, j in cols]).T
+    else:  # normalization layers capture the normalized input
+        axes = (1,) if isinstance(layer, LayerNorm) else (0,) + tuple(range(2, x.ndim))
+        mu = x.mean(axis=axes, keepdims=True)
+        xhat = (x - mu) / np.sqrt(((x - mu) ** 2).mean(axis=axes, keepdims=True) + layer.eps)
+        h_cols = np.moveaxis(xhat, 1, 0).reshape(x.shape[1], -1)
+        s_cols = np.moveaxis(dout, 1, 0).reshape(dout.shape[1], -1)
+    if getattr(layer, "bias", False):
+        h_cols = np.vstack([h_cols, np.ones((1, h_cols.shape[1]))])
+    s_cols = s_cols * m  # per-sample-loss scale
+    return (np.sum(h_cols**2, axis=1) / h_cols.shape[1],
+            np.sum(s_cols**2, axis=1) / s_cols.shape[1])
+
+
+@pytest.mark.parametrize("make_layer, in_shape", [
+    (lambda: Dense(4, 3), (6, 4)),
+    (lambda: Dense(4, 3, bias=False), (6, 4)),
+    (lambda: Conv2d(2, 3, (3, 2), stride=(2, 1), pad=(1, 2)), (5, 2, 6, 5)),
+    (lambda: BatchNorm(3), (6, 3)),
+    (lambda: BatchNorm(3), (6, 3, 4, 5)),
+    (lambda: LayerNorm(4), (6, 4)),
+], ids=["dense", "dense-nobias", "conv-pad-stride", "batchnorm-2d", "batchnorm-4d",
+        "layernorm"])
+def test_capture_is_factor_diagonals(make_layer, in_shape):
+    layer = make_layer()
+    layer.init(Rng(12))
+    rng = Rng(13)
+    x = rng.normal(in_shape) * 2.0 + 0.5
+    out = layer.forward(x)
+    dout = rng.normal(out.shape)
+    layer.backward(dout)
+    h_ref, s_ref = _explicit_capture(layer, x, dout)
+    assert max_rel_err(layer.capture.h, h_ref) <= 1e-12
+    assert max_rel_err(layer.capture.s, s_ref) <= 1e-12
+    if getattr(layer, "bias", False):
+        assert layer.capture.h[-1] == 1.0
+
+
+@pytest.mark.parametrize("loss, y", [("cross_entropy", np.zeros(0, dtype=int)),
+                                     ("mse", np.zeros((0, 2)))])
+def test_empty_batch_rejected(loss, y):
+    model = Model([Dense(3, 2)], loss=loss).init(Rng(14))
+    with pytest.raises(InputError):
+        model.train_batch(np.zeros((0, 3)), y)
 
 
 class TestCrossEntropy:

@@ -2,49 +2,7 @@ import numpy as np
 import pytest
 
 from adafisher.errors import DimensionError, InputError
-from adafisher.tensor import (Rng, as_tensor, im2col, im2col_batch, kron_diag,
-                              matmul, rng_normal)
-
-
-def naive_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for p in range(k):
-                acc += a[i, p] * b[p, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_forced_arithmetic(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_against_triple_loop(self):
-        rng = Rng(11)
-        a, b = rng.normal((8, 8)), rng.normal((8, 8))
-        assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity(self):
-        rng = Rng(7)
-        for _ in range(5):
-            a, b, c = rng.normal((4, 5)), rng.normal((5, 6)), rng.normal((6, 3))
-            lhs = matmul(matmul(a, b), c)
-            rhs = matmul(a, matmul(b, c))
-            assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)) < 1e-10
+from adafisher.tensor import Rng, as_tensor, im2col, im2col_batch, kron_diag
 
 
 class TestKronDiag:
@@ -143,18 +101,18 @@ class TestIm2col:
 
 class TestRng:
     def test_same_seed_identical(self):
-        assert np.array_equal(rng_normal(Rng(42), (4, 5)), rng_normal(Rng(42), (4, 5)))
+        assert np.array_equal(Rng(42).normal((4, 5)), Rng(42).normal((4, 5)))
 
     def test_moments(self):
-        samples = rng_normal(Rng(0), (100_000,))
+        samples = Rng(0).normal((100_000,))
         assert abs(samples.mean()) < 0.02
         assert abs(samples.std() - 1.0) < 0.02
 
     def test_degenerate_shape_rejected(self):
         with pytest.raises(DimensionError):
-            rng_normal(Rng(1), ())
+            Rng(1).normal(())
         with pytest.raises(DimensionError):
-            rng_normal(Rng(1), (0, 3))
+            Rng(1).normal((0, 3))
 
     def test_spawn_independent(self):
         base = Rng(7)

@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error (and every other AdaFisherError: a
+config the model or data cannot run), 3 data error, 4 numeric failure.
 The output root can be set with the ADAFISHER_OUT_ROOT environment variable.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 from .config import RunConfig, build_model, resolve_dataset
 from .diagnostics import fft2, fim_hist_stats, gershgorin, snr
 from .distributed import train_step
-from .errors import ConfigError, DataError, NumericError
+from .errors import AdaFisherError, ConfigError, DataError, NumericError
 from .fisher import approximation_mae, exact_fisher_diag, mc_fisher_diag
 from .kfactor import fresh_factors
 from .tensor import Rng, kron_diag
@@ -167,6 +168,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    except AdaFisherError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

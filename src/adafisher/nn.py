@@ -7,6 +7,9 @@ exactly 1.0 in the bias slot) and of the per-sample pre-activation gradients
 (s), taken over the sample and, for convolutions and 4-D batch norm, spatial
 axes (the KFC convention). Gradients returned by backward are mini-batch
 means; s is at per-sample-loss scale (the batch-mean factor undone).
+
+Conv2d multiplies its weights with im2col patches as a broadcast batched
+matmul, so the products of its forward pass and of both gradients run on BLAS.
 """
 
 from __future__ import annotations
@@ -25,10 +28,15 @@ class LayerCapture:
     s: np.ndarray  # backprop-signal factor diagonal, per-sample-loss scale
 
 
+def _feature_sum(*arrays: np.ndarray) -> np.ndarray:
+    """Sum per axis-1 feature, over all other axes, of the arrays' elementwise product."""
+    cols = [a.reshape(a.shape[0], a.shape[1], -1) for a in arrays]
+    return np.einsum(",".join(["mft"] * len(cols)) + "->f", *cols)
+
+
 def _mean_sq(a: np.ndarray) -> np.ndarray:
     """Mean of squares per axis-1 feature over all other axes."""
-    cols = a.reshape(a.shape[0], a.shape[1], -1)
-    return np.einsum("mft,mft->f", cols, cols) / (a.size // a.shape[1])
+    return _feature_sum(a, a) / (a.size // a.shape[1])
 
 
 class Layer:
@@ -121,28 +129,23 @@ class Conv2d(Layer):
         self._oh = conv_out_size(h, self.kernel[0], self.stride[0], self.pad[0])
         self._ow = conv_out_size(w, self.kernel[1], self.stride[1], self.pad[1])
         self._patches = im2col_batch(x, self.kernel, self.stride, self.pad)  # (M, CKK, T)
-        w_mat = self.params["W"].reshape(self.out_ch, -1)
-        a = np.einsum("ok,mkt->mot", w_mat, self._patches)
+        a = self.params["W"].reshape(self.out_ch, -1) @ self._patches  # (M, O, T)
         if self.bias:
-            a = a + self.params["b"][None, :, None]
+            a += self.params["b"][:, None]
         return a.reshape(m, self.out_ch, self._oh, self._ow)
 
     def backward(self, dout):
         m = self._x_shape[0]
-        t = self._oh * self._ow
-        g = dout.reshape(m, self.out_ch, t)  # dJ/da per position
-        ckk = self._patches.shape[1]
-        g_mat = g.transpose(1, 0, 2).reshape(self.out_ch, m * t)
-        p_mat = self._patches.transpose(1, 0, 2).reshape(ckk, m * t)
-        self.grads["W"] = (g_mat @ p_mat.T).reshape(self.params["W"].shape)
+        g = dout.reshape(m, self.out_ch, self._oh * self._ow)  # dJ/da per position
+        w_mat = self.params["W"].reshape(self.out_ch, -1)
+        self.grads["W"] = (g @ self._patches.transpose(0, 2, 1)).sum(axis=0).reshape(
+            self.params["W"].shape)
         h = _mean_sq(self._patches)
         if self.bias:
-            self.grads["b"] = g_mat.sum(axis=1)
+            self.grads["b"] = g.sum(axis=(0, 2))
             h = np.append(h, 1.0)
-        self.capture = LayerCapture(h=h, s=_mean_sq(g * m))
-        w_mat = self.params["W"].reshape(self.out_ch, -1)
-        dcols = np.einsum("ok,mot->mkt", w_mat, g)
-        return col2im_batch(dcols, self._x_shape, self.kernel, self.stride, self.pad)
+        self.capture = LayerCapture(h=h, s=_mean_sq(g) * (m * m))
+        return col2im_batch(w_mat.T @ g, self._x_shape, self.kernel, self.stride, self.pad)
 
 
 class BatchNorm(Layer):
@@ -162,45 +165,51 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def _axes(self, x):
-        if x.ndim == 2:
-            return (0,)
-        if x.ndim == 4:
-            return (0, 2, 3)
-        raise DimensionError("BatchNorm expects 2-D or 4-D input")
+    def _shape(self, x):
+        """Broadcast shape of a per-channel vector against x."""
+        if x.ndim not in (2, 4):
+            raise DimensionError("BatchNorm expects 2-D or 4-D input")
+        return (1, self.dim) + (1,) * (x.ndim - 2)
 
     def forward(self, x, training=True):
         if x.shape[1] != self.dim:
             raise DimensionError(f"BatchNorm expects {self.dim} channels, got {x.shape}")
-        axes = self._axes(x)
+        shape = self._shape(x)
         if training:
             if x.shape[0] < 2:
                 raise InputError("BatchNorm needs batch size >= 2 in training mode")
-            mu = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            mu = _feature_sum(x) / (x.size // self.dim)
+            xhat = x - mu.reshape(shape)
+            var = _mean_sq(xhat)
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
-            mu, var = self.running_mean, self.running_var
-        shape = (1, self.dim) + (1,) * (x.ndim - 2)
-        self._std = np.sqrt(var + self.eps).reshape(shape)
-        self._xhat = (x - mu.reshape(shape)) / self._std
+            xhat = x - self.running_mean.reshape(shape)
+            var = self.running_var
+        self._std = np.sqrt(var + self.eps)
+        xhat /= self._std.reshape(shape)
+        self._xhat = xhat
         self._training = training
-        return self.params["scale"].reshape(shape) * self._xhat + self.params["shift"].reshape(shape)
+        out = xhat * self.params["scale"].reshape(shape)
+        out += self.params["shift"].reshape(shape)
+        return out
 
     def backward(self, dout):
-        axes = self._axes(dout)
-        shape = (1, self.dim) + (1,) * (dout.ndim - 2)
+        shape = self._shape(dout)
         xhat = self._xhat
-        self.grads["scale"] = (dout * xhat).sum(axis=axes)
-        self.grads["shift"] = dout.sum(axis=axes)
-        dxhat = dout * self.params["scale"].reshape(shape)
+        m = dout.shape[0]
+        self.grads["shift"] = _feature_sum(dout)
+        self.grads["scale"] = _feature_sum(dout, xhat)
+        gain = (self.params["scale"] / self._std).reshape(shape)
         if self._training:
-            dx = (dxhat - dxhat.mean(axis=axes).reshape(shape)
-                  - xhat * (dxhat * xhat).mean(axis=axes).reshape(shape)) / self._std
+            n = dout.size // self.dim
+            dx = xhat * (self.grads["scale"] / -n).reshape(shape)
+            dx += dout
+            dx -= (self.grads["shift"] / n).reshape(shape)
+            dx *= gain
         else:
-            dx = dxhat / self._std
-        self.capture = LayerCapture(h=_mean_sq(xhat), s=_mean_sq(dout * dout.shape[0]))
+            dx = dout * gain
+        self.capture = LayerCapture(h=_mean_sq(xhat), s=_mean_sq(dout) * (m * m))
         return dx
 
 
@@ -286,19 +295,24 @@ class MaxPool2d(Layer):
         ow = conv_out_size(w, kw, self.stride[1], 0)
         cols = im2col_batch(x.reshape(m * c, 1, h, w), self.kernel, self.stride, (0, 0))
         cols = cols.reshape(m, c, kh * kw, oh * ow)
-        self._argmax = cols.argmax(axis=2)
+        out = cols.max(axis=2)
+        # Index of each window's first maximum, as argmax picks it for finite
+        # inputs. argmax along the short, strided window axis is slow; these
+        # kh*kw whole-array comparisons (descending, so the first maximum wins
+        # ties) took under half its time at the benchmark's pool shapes.
+        self._argmax = np.full(out.shape, kh * kw - 1)
+        for k in range(kh * kw - 2, -1, -1):
+            self._argmax = np.where(cols[:, :, k] == out, k, self._argmax)
         self._oh, self._ow = oh, ow
-        return cols.max(axis=2).reshape(m, c, oh, ow)
+        return out.reshape(m, c, oh, ow)
 
     def backward(self, dout):
         m, c, h, w = self._x_shape
         kh, kw = self.kernel
         t = self._oh * self._ow
-        dcols = np.zeros((m, c, kh * kw, t))
-        g = dout.reshape(m, c, t)
-        mi, ci, ti = np.meshgrid(np.arange(m), np.arange(c), np.arange(t), indexing="ij")
-        dcols[mi, ci, self._argmax, ti] = g
-        dcols = dcols.reshape(m * c, kh * kw, t)
+        dcols = np.zeros((m * c, kh * kw, t))
+        np.put_along_axis(dcols, self._argmax.reshape(m * c, 1, t),
+                          dout.reshape(m * c, 1, t), axis=1)
         return col2im_batch(dcols, (m * c, 1, h, w), self.kernel, self.stride, (0, 0)).reshape(
             m, c, h, w
         )

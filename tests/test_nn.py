@@ -195,6 +195,99 @@ def test_capture_is_factor_diagonals(make_layer, in_shape):
         assert layer.capture.h[-1] == 1.0
 
 
+def _central_diff(f, arr, eps=1e-6):
+    """Central-difference gradient of the scalar f() w.r.t. every entry of arr."""
+    grad = np.zeros_like(arr)
+    flat, gflat = arr.reshape(-1), grad.reshape(-1)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + eps
+        fp = f()
+        flat[k] = orig - eps
+        fm = f()
+        flat[k] = orig
+        gflat[k] = (fp - fm) / (2 * eps)
+    return grad
+
+
+def _eval_mode_batchnorm():
+    bn = BatchNorm(3)
+    bn.forward(Rng(17).normal((8, 3, 3, 3)) * 2.0 + 0.5)  # running stats away from 0/1
+    bn.params["scale"] = np.array([0.5, -1.5, 2.0])
+    bn.params["shift"] = np.array([0.1, 0.0, -0.3])
+    return bn
+
+
+@pytest.mark.parametrize("make_layer, in_shape, training", [
+    (lambda: Conv2d(2, 3, (3, 2), stride=(2, 1), pad=(1, 2), bias=False), (3, 2, 6, 5), True),
+    (lambda: Conv2d(2, 3, (2, 2), pad=(1, 1)), (1, 2, 4, 4), True),
+    (lambda: MaxPool2d((3, 3), stride=(2, 2)), (2, 2, 7, 7), True),
+    (_eval_mode_batchnorm, (4, 3, 3, 3), False),
+], ids=["conv-stride-pad-nobias", "conv-batch1", "maxpool-overlapping", "batchnorm-eval"])
+def test_layer_backward_vs_finite_difference(make_layer, in_shape, training):
+    # Probe loss L = sum(out * r): backward(r) must give dL/dx and dL/dparams.
+    layer = make_layer()
+    if isinstance(layer, Conv2d):
+        layer.init(Rng(15))
+    rng = Rng(16)
+    x = rng.normal(in_shape)
+    r = rng.normal(layer.forward(x, training).shape)
+    dx = layer.backward(r)
+
+    def loss():
+        return float(np.sum(layer.forward(x, training) * r))
+
+    assert max_rel_err(dx, _central_diff(loss, x)) <= 1e-6
+    for name, arr in layer.params.items():
+        assert max_rel_err(layer.grads[name], _central_diff(loss, arr)) <= 1e-6, name
+
+
+def _conv_loop(x, w, b, stride, pad, dout):
+    """Conv2d forward, input gradient and weight gradient by explicit loops."""
+    (sh, sw), (ph, pw) = stride, pad
+    m, _, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    oh, ow = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    out = np.zeros((m, o, oh, ow))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for n in range(m):
+        for f in range(o):
+            for i in range(oh):
+                for j in range(ow):
+                    win = (n, slice(None), slice(i * sh, i * sh + kh), slice(j * sw, j * sw + kw))
+                    out[n, f, i, j] = np.sum(xp[win] * w[f]) + b[f]
+                    dxp[win] += dout[n, f, i, j] * w[f]
+                    dw[f] += dout[n, f, i, j] * xp[win]
+    return out, dxp[:, :, ph:ph + h, pw:pw + wd], dw
+
+
+def test_conv_and_maxpool_match_direct_loops():
+    conv = Conv2d(3, 4, (3, 2), stride=(2, 1), pad=(1, 1))
+    conv.init(Rng(18))
+    conv.params["b"] = Rng(19).normal((4,))
+    rng = Rng(20)
+    x = rng.normal((3, 3, 7, 6))
+    out = conv.forward(x)
+    dout = rng.normal(out.shape)
+    dx = conv.backward(dout)
+    ref_out, ref_dx, ref_dw = _conv_loop(x, conv.params["W"], conv.params["b"], conv.stride,
+                                         conv.pad, dout)
+    assert max_rel_err(out, ref_out) <= 1e-12
+    assert max_rel_err(dx, ref_dx) <= 1e-12
+    assert max_rel_err(conv.grads["W"], ref_dw) <= 1e-12
+
+    # Tied windows route the gradient to their first element in row-major order.
+    pool = MaxPool2d((2, 2))
+    x = np.array([[[[3.0, 3.0, 1.0, 2.0],
+                    [3.0, 3.0, 2.0, 0.0]]]])
+    assert np.array_equal(pool.forward(x), [[[[3.0, 2.0]]]])
+    dx = pool.backward(np.array([[[[5.0, 7.0]]]]))
+    assert np.array_equal(dx, [[[[5.0, 0.0, 0.0, 7.0],
+                                  [0.0, 0.0, 0.0, 0.0]]]])
+
+
 @pytest.mark.parametrize("loss, y", [("cross_entropy", np.zeros(0, dtype=int)),
                                      ("mse", np.zeros((0, 2)))])
 def test_empty_batch_rejected(loss, y):

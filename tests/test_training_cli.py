@@ -243,6 +243,18 @@ class TestCli:
         bad.write_text(json.dumps(base_config(typo_key=1)))
         assert main(["train", "--config", str(bad)]) == 2
 
+    def test_other_package_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        # The first Dense expects 49 features but blobs has 50: the model raises
+        # DimensionError, which is not a ConfigError, DataError or NumericError.
+        layers = [{"kind": "dense", "in": 49, "out": 8}, {"kind": "relu"},
+                  {"kind": "dense", "in": 8, "out": 3}]
+        bad = self.write_config(tmp_path, model={"layers": layers},
+                                dataset={"source": "blobs", "n": 120, "classes": 3, "dim": 50})
+        assert main(["train", "--config", bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Dense expects") and "Traceback" not in err
+
     def test_data_error_exit_code(self, tmp_path):
         assert main(["diagnose", "--snapshot", str(tmp_path / "missing.npy"),
                      "--analysis", "fft"]) == 3

@@ -9,8 +9,8 @@ from .kfactor import (FactoredEFIM, KFState, efim_assemble, ema_update,
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerCapture,
                  LayerNorm, MaxPool2d, Model, cross_entropy, finite_diff_grad,
                  mse, softmax)
-from .optim import (AblationToggles, Adam, AdaFisher, Optimizer, Schedule, SGD,
-                    adafisherw, adamw, build_optimizer)
+from .optim import (Adam, AdaFisher, Optimizer, Schedule, SGD, adafisherw, adamw,
+                    build_optimizer)
 from .tensor import Rng, as_tensor, im2col, kron_diag
 
 __version__ = "0.1.0"

@@ -4,10 +4,11 @@ A global batch is split into K equal shards; each virtual worker runs its own
 forward/backward pass and contributes fresh factor diagonals and gradients.
 Both are averaged coordinatewise in fixed worker order, the EMA is applied to
 the aggregated factors (one state for the whole cluster), and a single
-synchronized optimizer step is taken. Workers run sequentially; the result is
-defined to be independent of physical parallelism because aggregation happens
-after a full barrier in fixed order. One worker is the plain single-trainer
-step, run through the same loop.
+synchronized optimizer step is taken. A non-finite loss, gradient or factor
+raises NumericError after aggregation, before the EMA state or the optimizer
+changes. Workers run sequentially; the result is defined to be independent of
+physical parallelism because aggregation happens after a full barrier in fixed
+order. One worker is the plain single-trainer step, run through the same loop.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import logging
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .kfactor import KFState, efim_assemble, fresh_factors
 from .nn import Model
-from .optim import AblationToggles, Optimizer
+from .optim import Optimizer
 
 log = logging.getLogger(__name__)
 
@@ -54,18 +55,27 @@ def _worker_mean(parts: list):
     return sum(parts[1:], first) / len(parts)
 
 
+def _check_finite(step: int, quantity: str, arrays: dict) -> None:
+    """Raise NumericError naming the step, the layer and the quantity of the
+    first array in {(layer, name): array} that holds a non-finite entry."""
+    for (i, name), arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise NumericError(f"step {step}: non-finite {quantity} {name} of layer {i}")
+
+
 def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
-               kf_state: KFState | None = None,
-               toggles: AblationToggles | None = None,
+               kf_state: KFState | None = None, norm_fisher_off: bool = False,
                workers: int = 1) -> float:
-    """One synchronized step: shard -> per-worker pass -> mean -> EMA -> assemble -> update.
+    """One synchronized step: shard -> per-worker pass -> mean -> check -> EMA
+    -> assemble -> update.
 
     Every worker count runs the same loop; with workers=1 the means are exact
-    copies, so the step equals the plain single-trainer sequence.
+    copies, so the step equals the plain single-trainer sequence. With
+    norm_fisher_off the normalization layers' factors are replaced by ones.
     """
-    toggles = toggles or AblationToggles()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
+    step = opt.t + 1
     losses, shard_grads, shard_factors = [], [], []
     for xs, ys in shard_batch(x, y, workers):
         losses.append(model.train_batch(xs, ys))
@@ -73,19 +83,21 @@ def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
                             for name, g in layer.grads.items()})
         if opt.needs_efim:
             shard_factors.append(fresh_factors(model))
-    for (i, name), g in _worker_mean(shard_grads).items():
-        model.layers[i].grads[name] = g
+    if not np.isfinite(losses).all():
+        raise NumericError(f"step {step}: non-finite training loss")
+    grads = _worker_mean(shard_grads)
     del shard_grads  # release the per-worker gradients before the optimizer allocates
+    _check_finite(step, "gradient", grads)
+    for (i, name), g in grads.items():
+        model.layers[i].grads[name] = g
     efim = None
     if opt.needs_efim:
         if kf_state is None:
             raise ConfigError("AdaFisher training requires a KFState")
         agg = _worker_mean(shard_factors)
-        if toggles.ema_off:
-            transient = KFState(gamma=kf_state.gamma, lam=kf_state.lam, factors=agg)
-            efim = efim_assemble(transient, norm_fisher_off=toggles.norm_fisher_off)
-        else:
-            kf_state.update(agg)
-            efim = efim_assemble(kf_state, norm_fisher_off=toggles.norm_fisher_off)
+        _check_finite(step, "factor", {(i, name): vec for i, factors in agg.items()
+                                       for name, vec in factors.items()})
+        kf_state.update(agg)
+        efim = efim_assemble(kf_state, norm_fisher_off=norm_fisher_off)
     opt.step(model, efim)
     return float(np.mean(losses))

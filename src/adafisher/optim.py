@@ -1,38 +1,20 @@
 """Parameter-update rules: AdaFisher / AdaFisherW plus SGD, Adam and AdamW
-baselines, learning-rate schedules and the ablation switches.
+baselines, and learning-rate schedules.
 
-AdaFisher keeps a single bias-corrected first moment; there is no second
-moment and (by default) no square root on the curvature divisor: the factored
-curvature supplies its own smoothing through the factor EMA.
+AdaFisher keeps a single bias-corrected first moment per parameter and divides
+it elementwise by that parameter's curvature divisor; there is no second
+moment and (unless sqrt_divisor=True) no square root on the divisor: the
+factored curvature supplies its own smoothing through the factor EMA. Every
+layer kind takes the same per-parameter update, shaped like Adam's.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .kfactor import FactoredEFIM
 from .nn import Model
-
-
-@dataclass
-class AblationToggles:
-    """Behavior switches; all off reproduces the default update rule."""
-
-    sqrt_divisor: bool = False
-    ema_off: bool = False
-    norm_fisher_off: bool = False
-
-    @classmethod
-    def from_config(cls, cfg: dict | None) -> "AblationToggles":
-        cfg = dict(cfg or {})
-        known = {"sqrt_divisor", "ema_off", "norm_fisher_off"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ConfigError(f"unknown ablation keys: {sorted(unknown)}")
-        return cls(**{k: bool(v) for k, v in cfg.items()})
 
 
 class Schedule:
@@ -73,21 +55,23 @@ class Optimizer:
         return self.alpha * self.lr_scale
 
 
-def _combined_grad(layer) -> np.ndarray:
-    """Flattened (out, in[+1]) gradient of a dense/conv layer."""
-    g = layer.grads["W"].reshape(layer.grads["W"].shape[0], -1)
-    if "b" in layer.grads:
-        g = np.hstack([g, layer.grads["b"][:, None]])
-    return g
+def _param_divisors(divisors: dict, params: dict) -> dict:
+    """Per-parameter divisors of one layer.
 
-
-def _apply_combined(layer, delta: np.ndarray) -> None:
-    w = layer.params["W"]
-    if "b" in layer.params:
-        w -= delta[:, :-1].reshape(w.shape)
-        layer.params["b"] -= delta[:, -1]
-    else:
-        w -= delta.reshape(w.shape)
+    A kron layer's (out, in[+1]) 'WB' matrix splits into a view for W (its
+    leading columns) and one for b (its last column); norm layers' divisors
+    are already keyed by parameter.
+    """
+    wb = divisors.pop("WB", None)
+    if wb is not None:
+        w = params["W"]
+        layout = (w.shape[0], w[0].size + ("b" in params))
+        if wb.shape != layout:
+            raise DimensionError(f"divisor {wb.shape} does not fit W {w.shape} "
+                                 f"{'with' if 'b' in params else 'without'} bias")
+        divisors["W"] = wb[:, :w[0].size].reshape(w.shape)
+        divisors["b"] = wb[:, -1]
+    return divisors
 
 
 class AdaFisher(Optimizer):
@@ -116,33 +100,25 @@ class AdaFisher(Optimizer):
         correction = 1.0 - self.beta**self.t
         lr = self.lr
         for i, layer in model.param_layers():
-            divisors = efim.divisors(i, sqrt=self.sqrt_divisor)
-            if layer.kf_kind == "kron":
-                blocks = {"WB": _combined_grad(layer)}
-            else:
-                blocks = {"scale": layer.grads["scale"], "shift": layer.grads["shift"]}
-            for name, g in blocks.items():
+            divisors = _param_divisors(efim.divisors(i, sqrt=self.sqrt_divisor),
+                                       layer.params)
+            for name, p in layer.params.items():
+                g, div = layer.grads[name], divisors[name]
+                if g.shape != div.shape:
+                    raise DimensionError(f"layer {i} parameter {name}: gradient "
+                                         f"{g.shape} vs divisor {div.shape}")
                 key = (i, name)
                 if key not in self.m:
-                    self.m[key] = np.zeros_like(g)
-                if g.shape != divisors[name].shape:
-                    raise DimensionError(
-                        f"layer {i} block {name}: gradient {g.shape} vs divisor "
-                        f"{divisors[name].shape}")
-                self.m[key] = self.beta * self.m[key] + (1.0 - self.beta) * g
-                m_hat = self.m[key] / correction  # bias correction applied on read
-                delta = m_hat / divisors[name]
-                if name == "WB":
-                    if self.decoupled and self.kappa:
-                        theta = layer.params["W"].reshape(g.shape[0], -1)
-                        if "b" in layer.params:
-                            theta = np.hstack([theta, layer.params["b"][:, None]])
-                        delta = delta + self.kappa * theta
-                    _apply_combined(layer, lr * delta)
-                else:
-                    if self.decoupled and self.kappa:
-                        delta = delta + self.kappa * layer.params[name]
-                    layer.params[name] -= lr * delta
+                    self.m[key] = np.zeros_like(p)
+                m = self.m[key]
+                m *= self.beta
+                m += (1.0 - self.beta) * g
+                delta = m / correction  # bias correction applied on read
+                delta /= div
+                if self.decoupled and self.kappa:
+                    delta += self.kappa * p
+                delta *= lr
+                p -= delta
 
 
 def adafisherw(alpha: float = 0.001, beta: float = 0.9, kappa: float = 0.0,

@@ -21,11 +21,13 @@ from .distributed import train_step
 from .errors import ConfigError, InputError, NumericError
 from .kfactor import DEFAULT_GAMMA, DEFAULT_LAMBDA, KFState
 from .nn import softmax
-from .optim import AblationToggles, Schedule, build_optimizer
+from .optim import Schedule, build_optimizer
 from .tensor import Rng
 
 METRIC_KEYS = ("epoch", "step", "train_loss", "eval_loss", "accuracy",
                "optimizer", "seed")
+# Former ablation switches and the settings that replace them.
+REMOVED_ABLATIONS = {"sqrt_divisor": "optimizer.sqrt_divisor", "ema_off": "kf.gamma: 1"}
 
 
 def emit_metrics(record: dict, fh) -> None:
@@ -57,6 +59,10 @@ def run_training(config: RunConfig, out_dir=None, seed: int | None = None) -> Pa
 
     rng = Rng(seed)
     model = build_model(config.model, rng)
+    if config.track_first_layer:
+        first = model.param_layers()[0][1].params if model.param_layers() else {}
+        if "W" not in first or first["W"].size != 2:
+            raise ConfigError("track_first_layer needs a 2-parameter first layer")
     x, y = resolve_dataset(config.dataset, seed)
     if config.workers > config.batch_size:
         raise ConfigError("workers cannot exceed the batch size")
@@ -66,9 +72,12 @@ def run_training(config: RunConfig, out_dir=None, seed: int | None = None) -> Pa
 
     opt_spec = dict(config.optimizer)
     name = opt_spec.pop("name")
-    toggles = AblationToggles.from_config(config.ablations)
-    if name.lower() in ("adafisher", "adafisherw"):
-        opt_spec.setdefault("sqrt_divisor", toggles.sqrt_divisor)
+    ablations = dict(config.ablations)
+    norm_fisher_off = bool(ablations.pop("norm_fisher_off", False))
+    if ablations:
+        key = min(ablations)
+        hint = REMOVED_ABLATIONS.get(key, "norm_fisher_off, the only ablation")
+        raise ConfigError(f"unsupported ablation key {key!r}: use {hint}")
     opt = build_optimizer(name, opt_spec)
     kf_state = None
     if opt.needs_efim:
@@ -103,13 +112,13 @@ def run_training(config: RunConfig, out_dir=None, seed: int | None = None) -> Pa
                 idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
                 t0 = time.perf_counter()
                 loss = train_step(model, x_tr[idx], y_tr[idx], opt, kf_state,
-                                  toggles, workers=config.workers)
+                                  norm_fisher_off, workers=config.workers)
                 times.append((time.perf_counter() - t0) * 1000.0)
                 step += 1
-                if not math.isfinite(loss):
-                    raise NumericError(f"non-finite training loss at step {step}")
                 losses.append(loss)
             eval_loss, acc = evaluate(model, x_ev, y_ev)
+            if not math.isfinite(eval_loss):  # the epoch's last update diverged
+                raise NumericError(f"step {step}: non-finite eval loss")
             emit_metrics({"epoch": epoch, "step": step,
                           "train_loss": float(np.mean(losses)),
                           "eval_loss": eval_loss, "accuracy": acc,
@@ -118,11 +127,7 @@ def run_training(config: RunConfig, out_dir=None, seed: int | None = None) -> Pa
                                   "mean_step_ms": float(np.mean(times)),
                                   "total_ms": float(np.sum(times))}) + "\n")
             if trajectory is not None:
-                first = model.param_layers()[0][1]
-                w = first.params["W"]
-                if w.size != 2:
-                    raise ConfigError("track_first_layer needs a 2-parameter first layer")
-                trajectory.record(epoch + 1, w.ravel(),
+                trajectory.record(epoch + 1, first["W"].ravel(),
                                   float(np.mean(losses)))
     if trajectory is not None:
         trajectory.to_csv(out / "trajectory.csv")

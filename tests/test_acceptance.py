@@ -17,7 +17,7 @@ from adafisher.kfactor import (KFState, efim_assemble, fresh_factors,
                                minmax_normalize, precondition)
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, MaxPool2d, Model, finite_diff_grad, softmax)
-from adafisher.optim import AblationToggles, AdaFisher, adafisherw
+from adafisher.optim import AdaFisher, adafisherw
 from adafisher.tensor import Rng, kron_diag
 from adafisher.config import RunConfig
 from adafisher.datasets import synth_dataset

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from adafisher.distributed import _worker_mean, shard_batch, train_step
-from adafisher.errors import ConfigError
+from adafisher.errors import ConfigError, NumericError
 from adafisher.kfactor import KFState, efim_assemble, fresh_factors
 from adafisher.nn import Activation, Dense, Model
-from adafisher.optim import AblationToggles, AdaFisher, SGD
+from adafisher.optim import AdaFisher, SGD
 from adafisher.tensor import Rng
 
 
@@ -132,18 +132,23 @@ class TestTrainStep:
         with pytest.raises(ConfigError):
             train_step(mlp(), x, y, AdaFisher(), kf_state=None)
 
-    def test_ema_off_leaves_state_untouched(self):
-        x, y = make_batch(9, m=8)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gamma_one_state_is_batch_factors(self, workers):
+        # kf.gamma = 1 turns the EMA off: after each step the state is the
+        # worker mean of that batch's fresh factors, whatever came before
         model = mlp(seed=4)
-        state = KFState.for_model(model)
-        before = {i: {n: v.copy() for n, v in f.items()}
-                  for i, f in state.factors.items()}
-        train_step(model, x, y, AdaFisher(), state,
-                   toggles=AblationToggles(ema_off=True))
-        assert state.step == 0
-        for i, factors in state.factors.items():
-            for name, vec in factors.items():
-                assert np.array_equal(vec, before[i][name])
+        state = KFState.for_model(model, gamma=1.0)
+        for seed in (9, 11):
+            x, y = make_batch(seed, m=8)
+            probe, shards = model.copy(), []
+            for xs, ys in shard_batch(x, y, workers):
+                probe.train_batch(xs, ys)
+                shards.append(fresh_factors(probe))
+            expected = _worker_mean(shards)
+            train_step(model, x, y, AdaFisher(), state, workers=workers)
+            for i, factors in expected.items():
+                for name, vec in factors.items():
+                    assert np.array_equal(state.factors[i][name], vec)
 
     def test_loss_is_shard_mean(self):
         x, y = make_batch(10, m=8)
@@ -154,3 +159,64 @@ class TestTrainStep:
             per_shard.append(probe.train_batch(xs, ys))
         loss = train_step(model, x, y, SGD(alpha=1e-9), workers=2)
         assert loss == pytest.approx(np.mean(per_shard), abs=1e-12)
+
+
+class TestFiniteGuard:
+    def started(self, workers):
+        """A model, optimizer and EMA state after one good step, plus copies."""
+        model = mlp(seed=8)
+        opt, state = AdaFisher(), KFState.for_model(model)
+        train_step(model, *make_batch(12, m=8), opt, state, workers=workers)
+        snapshot = ({i: {n: v.copy() for n, v in f.items()} for i, f in state.factors.items()},
+                    {k: v.copy() for k, v in opt.m.items()},
+                    [p.copy() for _, _, p in model.parameters()])
+        return model, opt, state, snapshot
+
+    def assert_unchanged(self, model, opt, state, snapshot):
+        factors, moments, params = snapshot
+        assert state.step == 1 and opt.t == 1
+        for i, f in factors.items():
+            for name, vec in f.items():
+                assert np.array_equal(state.factors[i][name], vec)
+        assert opt.m.keys() == moments.keys()
+        assert all(np.array_equal(opt.m[k], v) for k, v in moments.items())
+        assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), params))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_batch_leaves_state_unchanged(self, workers):
+        model, opt, state, snapshot = self.started(workers)
+        x, y = make_batch(13, m=8)
+        x[5, 2] = np.nan
+        with pytest.raises(NumericError, match="step 2: non-finite training loss"):
+            train_step(model, x, y, opt, state, workers=workers)
+        self.assert_unchanged(model, opt, state, snapshot)
+
+    @pytest.mark.parametrize("quantity, corrupt", [
+        ("gradient b of layer 2", lambda layer: layer.grads["b"].__setitem__(1, np.inf)),
+        ("factor h of layer 2", lambda layer: layer.capture.h.__setitem__(0, np.nan)),
+    ], ids=["gradient", "factor"])
+    def test_named_layer_and_quantity(self, quantity, corrupt, monkeypatch):
+        model, opt, state, snapshot = self.started(workers=2)
+        train_batch = model.train_batch
+
+        def corrupted(xs, ys):
+            loss = train_batch(xs, ys)
+            corrupt(model.layers[2])
+            return loss
+
+        monkeypatch.setattr(model, "train_batch", corrupted)
+        with pytest.raises(NumericError, match=f"step 2: non-finite {quantity}$"):
+            train_step(model, *make_batch(14, m=8), opt, state, workers=2)
+        self.assert_unchanged(model, opt, state, snapshot)
+
+    def test_divergence_stops_before_the_state_takes_it(self):
+        model = Model([Dense(4, 16), Activation("relu"), Dense(16, 3)]).init(Rng(0))
+        opt, state = AdaFisher(alpha=1e6), KFState.for_model(model)
+        rng = Rng(15)
+        with pytest.raises(NumericError), np.errstate(all="ignore"):
+            for _ in range(200):
+                train_step(model, rng.normal((16, 4)) * 3.0, rng.integers(0, 3, size=16),
+                           opt, state)
+        assert state.step == opt.t > 0
+        assert all(np.isfinite(vec).all() for f in state.factors.values() for vec in f.values())
+        assert all(np.isfinite(m).all() for m in opt.m.values())

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adafisher.errors import ConfigError
+from adafisher.errors import ConfigError, DimensionError
 from adafisher.kfactor import FactoredEFIM
-from adafisher.nn import Dense, LayerNorm, Model
-from adafisher.optim import (AblationToggles, Adam, AdaFisher, SGD, Schedule,
-                             adafisherw, adamw, build_optimizer)
+from adafisher.nn import BatchNorm, Conv2d, Dense, LayerNorm, Model
+from adafisher.optim import (Adam, AdaFisher, SGD, Schedule, adafisherw, adamw,
+                             build_optimizer)
 from adafisher.tensor import Rng
+
+# Derandomized and bounded, so the suite stays deterministic and fast.
+DETERMINISTIC = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 
 def scalar_model(w0=1.0):
@@ -81,6 +85,18 @@ class TestAdaFisher:
         # scale divisors h_scale*s + lam = [1, 1]; shift divisors s + lam = [1, 2]
         assert np.allclose(ln.params["scale"], [1.0 - 0.001, 2.0 - 0.001])
         assert np.allclose(ln.params["shift"], [-0.002, 0.0])
+
+    def test_divisor_shape_mismatch_rejected(self):
+        model, _ = scalar_model()  # a bias-free 1x1 Dense cannot take a 1x2 'WB' divisor
+        efim = FactoredEFIM(lam=1.0, layers={0: {"h": np.zeros(2), "s": np.zeros(1)}})
+        with pytest.raises(DimensionError):
+            AdaFisher().step(model, efim)
+        ln = LayerNorm(2)
+        ln.grads = {"scale": np.zeros(2), "shift": np.zeros(2)}
+        efim = FactoredEFIM(lam=1.0, layers={0: {"h_scale": np.zeros(3),
+                                                 "h_shift": np.zeros(3), "s": np.zeros(3)}})
+        with pytest.raises(DimensionError):
+            AdaFisher().step(Model([ln]), efim)
 
     def test_bad_hyperparameters(self):
         with pytest.raises(ConfigError):
@@ -226,9 +242,90 @@ class TestBuildAndToggles:
         with pytest.raises(ConfigError):
             build_optimizer("sgd", {"beta": 0.9})
 
-    def test_toggle_parsing(self):
-        t = AblationToggles.from_config({"sqrt_divisor": True})
-        assert t.sqrt_divisor and not t.ema_off and not t.norm_fisher_off
-        assert AblationToggles.from_config(None) == AblationToggles()
-        with pytest.raises(ConfigError):
-            AblationToggles.from_config({"sqrtdivisor": True})
+
+layer_specs = st.one_of(
+    st.tuples(st.just("dense"), st.integers(1, 5), st.integers(1, 5), st.booleans()),
+    st.tuples(st.just("conv"), st.integers(1, 3), st.integers(1, 3), st.booleans(),
+              st.integers(1, 3), st.integers(1, 3)),
+    st.tuples(st.just("layernorm"), st.integers(1, 5)),
+    st.tuples(st.just("batchnorm"), st.integers(1, 5)),
+)
+
+
+def _make_layer(spec):
+    kind, *args = spec
+    if kind == "dense":
+        return Dense(args[0], args[1], bias=args[2])
+    if kind == "conv":
+        return Conv2d(args[0], args[1], (args[3], args[4]), bias=args[2])
+    return LayerNorm(args[0]) if kind == "layernorm" else BatchNorm(args[0])
+
+
+def _random_efim(model, rng, lam):
+    layers = {}
+    for i, layer in model.param_layers():
+        if layer.kf_kind == "kron":
+            w = layer.params["W"]
+            layers[i] = {"h": rng.uniform(size=w[0].size + ("b" in layer.params)),
+                         "s": rng.uniform(size=w.shape[0])}
+        else:
+            c = layer.params["scale"].size
+            layers[i] = {name: rng.uniform(size=c) for name in ("h_scale", "h_shift", "s")}
+    return FactoredEFIM(lam=lam, layers=layers)
+
+
+def _combined_reference_step(model, efim, opt, moments):
+    """The update on hstacked (out, in[+1]) [W | b] blocks, split back afterwards."""
+    correction = 1.0 - opt.beta**opt.t
+    for i, layer in model.param_layers():
+        div = efim.divisors(i, sqrt=opt.sqrt_divisor)
+        p, g = layer.params, layer.grads
+        if "WB" in div:
+            names = [n for n in ("W", "b") if n in p]
+            out = p["W"].shape[0]
+            blocks = {"WB": (np.hstack([g[n].reshape(out, -1) for n in names]),
+                             np.hstack([p[n].reshape(out, -1) for n in names]))}
+        else:
+            blocks = {n: (g[n], p[n]) for n in ("scale", "shift")}
+        for name, (grad, theta) in blocks.items():
+            m = moments.get((i, name), np.zeros_like(grad))
+            m = opt.beta * m + (1.0 - opt.beta) * grad
+            moments[(i, name)] = m
+            delta = m / correction / div[name]
+            if opt.decoupled and opt.kappa:
+                delta = delta + opt.kappa * theta
+            theta = theta - opt.lr * delta
+            if name == "WB":
+                p["W"][...] = theta[:, :p["W"][0].size].reshape(p["W"].shape)
+                if "b" in p:
+                    p["b"][...] = theta[:, -1]
+            else:
+                p[name][...] = theta
+
+
+@DETERMINISTIC
+@given(specs=st.lists(layer_specs, min_size=1, max_size=3),
+       variant=st.sampled_from(["adafisher", "adafisherw"]),
+       kappa=st.sampled_from([0.0, 0.05]), sqrt=st.booleans(),
+       steps=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_per_parameter_update_matches_combined_blocks(specs, variant, kappa, sqrt,
+                                                      steps, seed):
+    rng = np.random.default_rng(seed)
+    model = Model([_make_layer(spec) for spec in specs]).init(Rng(seed))
+    for _, layer in model.param_layers():
+        for name, p in layer.params.items():
+            p[...] = rng.normal(size=p.shape)
+    ref = model.copy()
+    opt = build_optimizer(variant, {"alpha": 0.01, "kappa": kappa, "sqrt_divisor": sqrt})
+    ref_opt = build_optimizer(variant, {"alpha": 0.01, "kappa": kappa, "sqrt_divisor": sqrt})
+    moments = {}
+    for _ in range(steps):
+        efim = _random_efim(model, rng, lam=float(rng.uniform(1e-3, 1.0)))
+        for (_, layer), (_, ref_layer) in zip(model.param_layers(), ref.param_layers()):
+            layer.grads = {n: rng.normal(size=p.shape) for n, p in layer.params.items()}
+            ref_layer.grads = {n: g.copy() for n, g in layer.grads.items()}
+        opt.step(model, efim)
+        ref_opt.t += 1
+        _combined_reference_step(ref, efim, ref_opt, moments)
+    for (_, name, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
+        assert np.array_equal(p, q), name

@@ -206,6 +206,33 @@ class TestRunTraining:
         assert lines[0] == "epoch,w1,w2,loss"
         assert len(lines) == 1 + cfg.epochs
 
+    def test_trajectory_needs_two_parameter_first_layer(self, tmp_path):
+        # rejected before training starts: no epoch runs, no metrics line is written
+        cfg = RunConfig.from_dict(base_config(track_first_layer=True,
+                                              optimizer={"name": "adam"}))
+        with pytest.raises(ConfigError, match="track_first_layer"):
+            run_training(cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+    def test_norm_fisher_off_ablation_runs(self, tmp_path):
+        raw = base_config(ablations={"norm_fisher_off": True})
+        raw["model"]["layers"].insert(1, {"kind": "layernorm", "dim": 8})
+        ablated = run_training(RunConfig.from_dict(raw), out_dir=tmp_path / "a").read_text()
+        raw["ablations"] = {}
+        default = run_training(RunConfig.from_dict(raw), out_dir=tmp_path / "b").read_text()
+        assert len(ablated.splitlines()) == 2 and ablated != default
+
+    @pytest.mark.parametrize("ablations, hint", [
+        ({"sqrt_divisor": True}, "optimizer.sqrt_divisor"),
+        ({"ema_off": True}, "kf.gamma: 1"),
+        ({"norm_fisher_of": True}, "norm_fisher_off"),
+    ], ids=["sqrt_divisor", "ema_off", "typo"])
+    def test_unsupported_ablation_rejected(self, tmp_path, ablations, hint):
+        cfg = RunConfig.from_dict(base_config(ablations=ablations))
+        with pytest.raises(ConfigError, match=hint):
+            run_training(cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
     def test_evaluate_accuracy(self):
         model = build_model({"layers": [{"kind": "dense", "in": 2, "out": 2}]}, Rng(3))
         x = np.array([[5.0, 0.0], [-5.0, 0.0]])
@@ -254,6 +281,23 @@ class TestCli:
         assert main(["train", "--config", bad]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: Dense expects") and "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha, seed, quantity", [
+        (1e6, 0, "training loss"),
+        (1e4, 9, "eval loss"),  # diverges on the last step of an epoch
+    ], ids=["step", "eval"])
+    def test_divergence_exit_code(self, tmp_path, capsys, monkeypatch, alpha, seed, quantity):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        layers = [{"kind": "dense", "in": 4, "out": 16}, {"kind": "relu"},
+                  {"kind": "dense", "in": 16, "out": 3}]
+        cfg = self.write_config(tmp_path, model={"layers": layers}, epochs=3, seed=seed,
+                                dataset={"source": "blobs", "n": 200, "classes": 3, "dim": 4},
+                                optimizer={"name": "adafisher", "alpha": alpha})
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", cfg]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: step ")
+        assert err[0].endswith(f"non-finite {quantity}")
 
     def test_data_error_exit_code(self, tmp_path):
         assert main(["diagnose", "--snapshot", str(tmp_path / "missing.npy"),

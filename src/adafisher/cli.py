@@ -17,7 +17,6 @@ import numpy as np
 
 from .config import RunConfig, build_model, resolve_dataset
 from .diagnostics import fft2, fim_hist_stats, gershgorin, snr
-from .distributed import train_step
 from .errors import AdaFisherError, ConfigError, DataError, NumericError
 from .fisher import approximation_mae, exact_fisher_diag, mc_fisher_diag
 from .kfactor import fresh_factors
@@ -30,21 +29,25 @@ def _out_dir(arg_out: str | None, default: str) -> Path:
     return Path(root) / (arg_out if arg_out else default)
 
 
-def cmd_train(args) -> int:
-    config = RunConfig.from_json(args.config)
-    path = run_training(config, out_dir=_out_dir(args.out, config.out_dir),
-                        seed=args.seed)
+def _train(config: RunConfig, args) -> int:
+    # A diverging run ends in one NumericError naming the step, layer and
+    # quantity; numpy's overflow warnings on the way would add stray lines.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        path = run_training(config, out_dir=_out_dir(args.out, config.out_dir),
+                            seed=args.seed)
     print(path)
     return 0
+
+
+def cmd_train(args) -> int:
+    config = RunConfig.from_json(args.config)
+    return _train(config, args)
 
 
 def cmd_distributed(args) -> int:
     config = RunConfig.from_json(args.config)
     config.workers = args.workers
-    path = run_training(config, out_dir=_out_dir(args.out, config.out_dir),
-                        seed=args.seed)
-    print(path)
-    return 0
+    return _train(config, args)
 
 
 def _load_snapshot(path: str):

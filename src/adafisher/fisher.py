@@ -5,6 +5,13 @@ gradients by the predictive probabilities; the Monte-Carlo estimator samples
 labels from the predictive distribution instead. Diagonal entries are ordered
 to match vec(g) indexing with the activation index slow and the output index
 fast, so they line up with the Kronecker product of the factor diagonals.
+
+Both run one eval-mode forward over the batch, then one batched backward per
+class c from the output gradient p - e_c (BackPACK). In eval mode no layer
+couples samples (batch norm uses running statistics), so row n of a layer's
+incoming gradient is sample n's own signal, from which the layer squares sample
+n's gradient: s_n x_n (dense), sum_t s_t h_t (conv, KFC), or the per-sample
+sums of dout * xhat and dout (norm).
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, SizeError, UnsupportedError
-from .nn import Dense, Model, softmax
+from .nn import Conv2d, Dense, Model, softmax
 from .tensor import Rng
 
 MAX_CLASSES = 64
@@ -36,83 +43,78 @@ class FisherDiag:
         return np.concatenate(chunks) if chunks else np.zeros(0)
 
 
-def _grad_blocks(model: Model) -> dict[int, dict[str, np.ndarray]]:
-    """Current layer gradients rearranged into Fisher ordering."""
-    blocks: dict[int, dict[str, np.ndarray]] = {}
-    for i, layer in model.param_layers():
-        if layer.kf_kind == "kron":
-            g = layer.grads["W"].reshape(layer.grads["W"].shape[0], -1)
-            if "b" in layer.grads:
-                g = np.hstack([g, layer.grads["b"][:, None]])
-            blocks[i] = {"WB": g.T.ravel()}  # h index slow, s index fast
-        else:
-            blocks[i] = {"scale": layer.grads["scale"].copy(),
-                         "shift": layer.grads["shift"].copy()}
-    return blocks
+def _sample_sq(layer, dout: np.ndarray, w: np.ndarray) -> dict[str, np.ndarray]:
+    """Sum over samples n of w[n] * (sample n's parameter gradient)**2, where row n
+    of dout is sample n's signal into the layer, in Fisher ordering."""
+    m = dout.shape[0]
+    if layer.kf_kind == "norm":
+        d = dout.reshape(m, layer.dim, -1)
+        xhat = layer._xhat.reshape(d.shape)
+        return {"scale": w @ (d * xhat).sum(axis=2) ** 2, "shift": w @ d.sum(axis=2) ** 2}
+    if isinstance(layer, Conv2d):
+        g = dout.reshape(m, layer.out_ch, -1)
+        grad = g @ layer._patches.transpose(0, 2, 1)  # (M, O, CKK) per-sample [W]
+        if layer.bias:
+            grad = np.concatenate([grad, g.sum(axis=2, keepdims=True)], axis=2)
+        return {"WB": (w @ (grad**2).reshape(m, -1)).reshape(grad.shape[1:]).T.ravel()}
+    x_sq = layer._x**2
+    if layer.bias:
+        x_sq = np.hstack([x_sq, np.ones((m, 1))])
+    return {"WB": (x_sq.T @ (w[:, None] * dout**2)).ravel()}
 
 
-def _accumulate(total, blocks, weight):
-    for i, entry in blocks.items():
-        dest = total.setdefault(i, {})
-        for name, vec in entry.items():
-            if name in dest:
-                dest[name] += weight * vec**2
-            else:
-                dest[name] = weight * vec**2
+def _class_weighted_diag(model: Model, batch: np.ndarray, class_weights) -> dict:
+    """Batch mean over samples n of sum_c w[n, c] * (gradient of -log p_c(x_n))**2,
+    with w = class_weights(p) for the (M, C) predictive probabilities p."""
+    if model.loss != "cross_entropy":
+        raise UnsupportedError("Fisher estimation requires a categorical model")
+    batch = np.asarray(batch, dtype=np.float64)
+    m = batch.shape[0]
+    if m == 0:
+        raise InputError("empty batch")
+    # Drop the layers' batch-sized state first, so the batch pass reuses its memory.
+    model.forward(batch[:1], training=False)
+    p = softmax(model.forward(batch, training=False))
+    w = class_weights(p) / m
+    total: dict[int, dict[str, np.ndarray]] = {i: {} for i, _ in model.param_layers()}
+    for cls in np.flatnonzero(w.any(axis=0)):
+        grad = p.copy()
+        grad[:, cls] -= 1.0
+        for i in range(len(model.layers) - 1, -1, -1):
+            layer = model.layers[i]
+            if layer.params:
+                for name, sq in _sample_sq(layer, grad, w[:, cls]).items():
+                    total[i][name] = total[i].get(name, 0.0) + sq
+            if i:  # the input gradient of layer 0 is unused
+                grad = layer.backward(grad)
+    return total
 
 
-def _predictive(model: Model, x_one: np.ndarray) -> np.ndarray:
-    out = model.forward(x_one, training=False)
-    return softmax(out)[0]
+def _label_counts(p: np.ndarray, n_samples: int, rng: Rng) -> np.ndarray:
+    """(M, C) counts of n_samples labels drawn per row of p by inverse CDF, one
+    uniform per draw in sample-major order."""
+    m, c = p.shape
+    cdf, u = np.cumsum(p, axis=1), rng.uniform((m, n_samples))
+    return np.array([np.bincount(np.searchsorted(cdf[n], u[n], side="right").clip(0, c - 1),
+                                 minlength=c) for n in range(m)])
 
 
 def exact_fisher_diag(model: Model, batch: np.ndarray) -> FisherDiag:
     """Class-enumeration Fisher diagonal, averaged over the batch."""
-    if model.loss != "cross_entropy":
-        raise UnsupportedError("exact Fisher requires a categorical model")
-    batch = np.asarray(batch, dtype=np.float64)
-    m = batch.shape[0]
-    total: dict[int, dict[str, np.ndarray]] = {}
-    for n in range(m):
-        x_one = batch[n : n + 1]
-        p = _predictive(model, x_one)
-        c = p.size
-        if c > MAX_CLASSES:
-            raise UnsupportedError(f"class enumeration capped at {MAX_CLASSES}, got {c}")
-        for cls in range(c):
-            grad_out = p.copy()[None, :]
-            grad_out[0, cls] -= 1.0
-            model.backward(grad_out)
-            _accumulate(total, _grad_blocks(model), p[cls])
-    for entry in total.values():
-        for name in entry:
-            entry[name] /= m
-    return FisherDiag(layers=total, n_samples=0)
+    def enumerate_classes(p):
+        if p.shape[1] > MAX_CLASSES:
+            raise UnsupportedError(f"class enumeration capped at {MAX_CLASSES}, got {p.shape[1]}")
+        return p
+    return FisherDiag(layers=_class_weighted_diag(model, batch, enumerate_classes))
 
 
 def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int, seed: int) -> FisherDiag:
     """Monte-Carlo Fisher diagonal with labels sampled from the model."""
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    if model.loss != "cross_entropy":
-        raise UnsupportedError("Fisher estimation requires a categorical model")
-    batch = np.asarray(batch, dtype=np.float64)
-    rng = Rng(seed)
-    m = batch.shape[0]
-    total: dict[int, dict[str, np.ndarray]] = {}
-    for n in range(m):
-        x_one = batch[n : n + 1]
-        p = _predictive(model, x_one)
-        for _ in range(n_samples):
-            y = rng.choice_weighted(p)
-            grad_out = p.copy()[None, :]
-            grad_out[0, y] -= 1.0
-            model.backward(grad_out)
-            _accumulate(total, _grad_blocks(model), 1.0 / n_samples)
-    for entry in total.values():
-        for name in entry:
-            entry[name] /= m
-    return FisherDiag(layers=total, n_samples=n_samples)
+    layers = _class_weighted_diag(
+        model, batch, lambda p: _label_counts(p, n_samples, Rng(seed)) / n_samples)
+    return FisherDiag(layers=layers, n_samples=n_samples)
 
 
 def kfac_block_dense(layer: Dense) -> np.ndarray:

@@ -55,11 +55,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice_weighted(self, p: np.ndarray) -> int:
-        """Draw one index with probabilities p (inverse-CDF on one uniform)."""
-        u = self._gen.uniform()
-        return int(np.searchsorted(np.cumsum(p), u, side="right").clip(0, len(p) - 1))
-
     def spawn(self, offset: int) -> "Rng":
         """Independent stream derived from (seed, offset)."""
         return Rng((self.seed * 1_000_003 + offset) % (2**63))

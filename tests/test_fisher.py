@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from adafisher.errors import InputError, SizeError, UnsupportedError
-from adafisher.fisher import (FisherDiag, approximation_mae, exact_fisher_diag,
-                              kfac_block_dense, mc_fisher_diag)
+from adafisher.fisher import (FisherDiag, _label_counts, approximation_mae,
+                              exact_fisher_diag, kfac_block_dense, mc_fisher_diag)
 from adafisher.kfactor import fresh_factors
-from adafisher.nn import Activation, Dense, LayerNorm, Model, softmax
+from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
+                          MaxPool2d, Model, softmax)
 from adafisher.tensor import Rng, kron_diag
 
 
@@ -107,6 +108,117 @@ class TestMcFisher:
         model = softmax_regression(2, 2)
         with pytest.raises(InputError):
             mc_fisher_diag(model, np.zeros((1, 2)), n_samples=0, seed=0)
+
+
+def scalar_labels(p, n_samples, gen):
+    """Inverse-CDF label draws, one scalar uniform each."""
+    return [int(np.searchsorted(np.cumsum(p), gen.uniform(), side="right").clip(0, p.size - 1))
+            for _ in range(n_samples)]
+
+
+def reference_fisher(model, x, n_samples=None, seed=0):
+    """Per-sample, per-label loop: a batch-1 eval forward, Model.backward for each
+    class (exact) or each drawn label (MC), and the squared [W | b] or
+    scale/shift gradient blocks, averaged over the batch."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    total = {}
+    for x_one in x:
+        p = softmax(model.forward(x_one[None], training=False))[0]
+        if n_samples is None:
+            labels, weights = range(p.size), p
+        else:
+            labels = scalar_labels(p, n_samples, gen)
+            weights = np.full(n_samples, 1.0 / n_samples)
+        for y, weight in zip(labels, weights):
+            grad_out = p.copy()[None, :]
+            grad_out[0, y] -= 1.0
+            model.backward(grad_out)
+            for i, layer in model.param_layers():
+                if layer.kf_kind == "kron":
+                    g = layer.grads["W"].reshape(layer.grads["W"].shape[0], -1)
+                    if "b" in layer.grads:
+                        g = np.hstack([g, layer.grads["b"][:, None]])
+                    blocks = {"WB": g.T.ravel()}
+                else:
+                    blocks = {name: layer.grads[name] for name in ("scale", "shift")}
+                dest = total.setdefault(i, {})
+                for name, vec in blocks.items():
+                    dest[name] = dest.get(name, 0.0) + weight * vec**2 / len(x)
+    return FisherDiag(layers=total)
+
+
+def trained_net(layers, x, seed):
+    """A model with random norm parameters and running statistics moved off
+    their initial values by a few training passes."""
+    model = Model(layers).init(Rng(seed))
+    rng = Rng(seed + 1)
+    for _, layer in model.param_layers():
+        if layer.kf_kind == "norm":
+            layer.params["scale"] = 1.0 + 0.5 * rng.normal((layer.dim,))
+            layer.params["shift"] = 0.5 * rng.normal((layer.dim,))
+    n_classes = model.forward(x[:2], training=False).shape[1]
+    for _ in range(3):
+        model.train_batch(x, rng.integers(0, n_classes, size=len(x)))
+    return model
+
+
+EQUIVALENCE_NETS = {
+    "dense_tanh": (lambda: [Dense(3, 5), Activation("tanh"), Dense(5, 4, bias=False)], (5, 3)),
+    "dense_layernorm": (lambda: [Dense(3, 5), LayerNorm(5), Activation("relu"), Dense(5, 3)],
+                        (5, 3)),
+    "dense_batchnorm": (lambda: [Dense(3, 5), BatchNorm(5), Activation("relu"), Dense(5, 3)],
+                        (5, 3)),
+    "conv_batchnorm_pool": (lambda: [
+        Conv2d(2, 3, (3, 3), stride=(2, 2), pad=(1, 1), bias=False), Activation("relu"),
+        BatchNorm(3), MaxPool2d((2, 2), stride=(1, 1)), Flatten(), Dense(12, 4)], (4, 2, 6, 6)),
+    "conv_bias": (lambda: [
+        Conv2d(2, 3, (2, 2), stride=(1, 2)), Activation("tanh"), Flatten(), Dense(27, 3)],
+        (4, 2, 4, 6)),
+}
+
+
+def assert_same_diag(got, ref):
+    assert sorted(got.layers) == sorted(ref.layers)
+    for i in ref.layers:
+        assert sorted(got.layers[i]) == sorted(ref.layers[i])
+    scale = np.max(np.abs(ref.flat()))
+    assert scale > 0
+    assert np.max(np.abs(got.flat() - ref.flat())) <= 1e-12 * scale
+
+
+class TestBatchedOracleEquivalence:
+    """The class-batched oracles against the per-sample loop, per layer kind."""
+
+    @pytest.mark.parametrize("net", sorted(EQUIVALENCE_NETS))
+    def test_exact_matches_per_sample_loop(self, net):
+        layers, shape = EQUIVALENCE_NETS[net]
+        x = Rng(30).normal(shape)
+        model = trained_net(layers(), x, seed=31)
+        assert_same_diag(exact_fisher_diag(model, x), reference_fisher(model, x))
+
+    @pytest.mark.parametrize("net", sorted(EQUIVALENCE_NETS))
+    def test_mc_matches_per_sample_loop(self, net):
+        layers, shape = EQUIVALENCE_NETS[net]
+        x = Rng(32).normal(shape)
+        model = trained_net(layers(), x, seed=33)
+        got = mc_fisher_diag(model, x, n_samples=30, seed=5)
+        assert got.n_samples == 30
+        assert_same_diag(got, reference_fisher(model, x, n_samples=30, seed=5))
+
+    def test_label_counts_match_scalar_draws(self):
+        p = softmax(Rng(34).normal((6, 5)) * 2.0)
+        counts = _label_counts(p, 200, Rng(7))
+        gen = np.random.Generator(np.random.PCG64(7))
+        expected = [np.bincount(scalar_labels(row, 200, gen), minlength=5) for row in p]
+        assert np.array_equal(counts, expected)
+        assert np.all(counts.sum(axis=1) == 200)
+
+    def test_empty_batch_rejected(self):
+        model = Model([Dense(3, 4), Activation("relu"), Dense(4, 3)]).init(Rng(35))
+        with pytest.raises(InputError):
+            exact_fisher_diag(model, np.zeros((0, 3)))
+        with pytest.raises(InputError):
+            mc_fisher_diag(model, np.zeros((0, 3)), n_samples=5, seed=0)
 
 
 class TestDenseKroneckerBlock:

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adafisher
 from adafisher.cli import main
 from adafisher.config import RunConfig, build_model, resolve_dataset
 from adafisher.errors import ConfigError, InputError
@@ -299,6 +304,22 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("numeric failure: step ")
         assert err[0].endswith(f"non-finite {quantity}")
 
+    def test_divergence_prints_one_stderr_line(self, tmp_path):
+        # In a fresh interpreter, where pytest does not capture numpy's warnings.
+        layers = [{"kind": "dense", "in": 4, "out": 16}, {"kind": "relu"},
+                  {"kind": "dense", "in": 16, "out": 3}]
+        cfg = self.write_config(tmp_path, model={"layers": layers}, epochs=3,
+                                dataset={"source": "blobs", "n": 200, "classes": 3, "dim": 4},
+                                optimizer={"name": "adafisher", "alpha": 1e6})
+        src = str(Path(adafisher.__file__).resolve().parents[1])
+        env = {**os.environ, "ADAFISHER_OUT_ROOT": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "adafisher.cli", "train", "--config", cfg],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: step ")
+
     def test_data_error_exit_code(self, tmp_path):
         assert main(["diagnose", "--snapshot", str(tmp_path / "missing.npy"),
                      "--analysis", "fft"]) == 3
@@ -329,3 +350,16 @@ class TestCli:
         text = (tmp_path / "orc" / "fisher_mae.csv").read_text()
         assert text.startswith("epoch,layer,mae")
         assert len(text.strip().splitlines()) >= 2
+
+    def test_oracle_mc_subcommand(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        cfg = self.write_config(tmp_path)
+        texts = []
+        for out in ("mc1", "mc2"):
+            assert main(["oracle", "--config", cfg, "--mode", "mc", "--out", out]) == 0
+            texts.append((tmp_path / out / "fisher_mae.csv").read_bytes())
+        assert texts[0] == texts[1]
+        header, *rows = texts[0].decode().strip().splitlines()
+        assert header == "epoch,layer,mae"
+        assert [row.split(",")[1] for row in rows] == ["0", "2"]  # the two dense layers
+        assert all(np.isfinite(float(row.split(",")[2])) for row in rows)

@@ -11,6 +11,6 @@ from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerCapture,
                  mse, softmax)
 from .optim import (Adam, AdaFisher, Optimizer, Schedule, SGD, adafisherw, adamw,
                     build_optimizer)
-from .tensor import Rng, as_tensor, im2col, kron_diag
+from .tensor import Rng, kron_diag
 
 __version__ = "0.1.0"

@@ -6,12 +6,13 @@ labels from the predictive distribution instead. Diagonal entries are ordered
 to match vec(g) indexing with the activation index slow and the output index
 fast, so they line up with the Kronecker product of the factor diagonals.
 
-Both run one eval-mode forward over the batch, then one batched backward per
-class c from the output gradient p - e_c (BackPACK). In eval mode no layer
-couples samples (batch norm uses running statistics), so row n of a layer's
-incoming gradient is sample n's own signal, from which the layer squares sample
-n's gradient: s_n x_n (dense), sum_t s_t h_t (conv, KFC), or the per-sample
-sums of dout * xhat and dout (norm).
+Both run one eval-mode forward over the batch, then, per class c, one reverse
+walk (nn.Model.reverse_walk) from the output gradient p - e_c (BackPACK). In
+eval mode no layer couples samples (batch norm uses running statistics), so
+row n of a layer's incoming gradient is sample n's own signal, and each
+parameterized layer's sample_sq squares sample n's gradient from it: s_n x_n
+(dense), sum_t s_t h_t (conv, KFC), or the per-sample sums of dout * xhat and
+dout (norm). The walk forms no parameter gradients or captures.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, SizeError, UnsupportedError
-from .nn import Conv2d, Dense, Model, softmax
+from .nn import Dense, Model, softmax
 from .tensor import Rng
 
 MAX_CLASSES = 64
@@ -43,26 +44,6 @@ class FisherDiag:
         return np.concatenate(chunks) if chunks else np.zeros(0)
 
 
-def _sample_sq(layer, dout: np.ndarray, w: np.ndarray) -> dict[str, np.ndarray]:
-    """Sum over samples n of w[n] * (sample n's parameter gradient)**2, where row n
-    of dout is sample n's signal into the layer, in Fisher ordering."""
-    m = dout.shape[0]
-    if layer.kf_kind == "norm":
-        d = dout.reshape(m, layer.dim, -1)
-        xhat = layer._xhat.reshape(d.shape)
-        return {"scale": w @ (d * xhat).sum(axis=2) ** 2, "shift": w @ d.sum(axis=2) ** 2}
-    if isinstance(layer, Conv2d):
-        g = dout.reshape(m, layer.out_ch, -1)
-        grad = g @ layer._patches.transpose(0, 2, 1)  # (M, O, CKK) per-sample [W]
-        if layer.bias:
-            grad = np.concatenate([grad, g.sum(axis=2, keepdims=True)], axis=2)
-        return {"WB": (w @ (grad**2).reshape(m, -1)).reshape(grad.shape[1:]).T.ravel()}
-    x_sq = layer._x**2
-    if layer.bias:
-        x_sq = np.hstack([x_sq, np.ones((m, 1))])
-    return {"WB": (x_sq.T @ (w[:, None] * dout**2)).ravel()}
-
-
 def _class_weighted_diag(model: Model, batch: np.ndarray, class_weights) -> dict:
     """Batch mean over samples n of sum_c w[n, c] * (gradient of -log p_c(x_n))**2,
     with w = class_weights(p) for the (M, C) predictive probabilities p."""
@@ -80,13 +61,9 @@ def _class_weighted_diag(model: Model, batch: np.ndarray, class_weights) -> dict
     for cls in np.flatnonzero(w.any(axis=0)):
         grad = p.copy()
         grad[:, cls] -= 1.0
-        for i in range(len(model.layers) - 1, -1, -1):
-            layer = model.layers[i]
-            if layer.params:
-                for name, sq in _sample_sq(layer, grad, w[:, cls]).items():
-                    total[i][name] = total[i].get(name, 0.0) + sq
-            if i:  # the input gradient of layer 0 is unused
-                grad = layer.backward(grad)
+        for i, layer, dout in model.reverse_walk(grad):
+            for name, sq in layer.sample_sq(dout, w[:, cls]).items():
+                total[i][name] = total[i].get(name, 0.0) + sq
     return total
 
 

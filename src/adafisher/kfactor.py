@@ -2,28 +2,27 @@
 
 Per parameterized layer we keep the diagonals of the activation second-moment
 factor (h) and the pre-activation-gradient second-moment factor (s), which the
-layer's backward pass captures directly (see nn.LayerCapture), smooth
-them with an EMA in which the *fresh* factor carries weight gamma, min-max
-normalize each diagonal, and assemble the damped factored curvature used to
-precondition gradients:
+layer's param_stats captures directly (see nn.LayerCapture), smooth them with
+an EMA in which the *fresh* factor carries weight gamma, min-max normalize each
+diagonal, and assemble the damped factored curvature used to precondition
+gradients:
 
     divisor(k, j) = h'[j] * s'[k] + lambda
 
-Normalization layers degenerate to elementwise (Hadamard) structure: the
-scale-parameter divisor is h_scale' * s' + lambda and the shift-parameter
-divisor is s' + lambda (its h factor diagonal is all ones).
+Normalization layers degenerate to elementwise (Hadamard) structure and keep
+two diagonals, h_scale and s: the scale-parameter divisor is
+h_scale' * s' + lambda and the shift-parameter divisor is s' + lambda (its
+activation factor is the constant 1, so it keeps no h diagonal).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError, StateError
 from .nn import Model
-from .tensor import kron_diag
 
 DEFAULT_GAMMA = 0.8
 DEFAULT_LAMBDA = 0.001
@@ -65,7 +64,7 @@ def fresh_factors(model: Model) -> dict[int, dict[str, np.ndarray]]:
         if layer.kf_kind == "kron":
             factors[i] = {"h": cap.h, "s": cap.s}
         elif layer.kf_kind == "norm":
-            factors[i] = {"h_scale": cap.h, "h_shift": np.ones_like(cap.h), "s": cap.s}
+            factors[i] = {"h_scale": cap.h, "s": cap.s}
         else:
             raise StateError(f"parameterized layer {i} has no factor formula")
     return factors
@@ -100,11 +99,7 @@ class KFState:
                 state.factors[i] = {"h": np.ones(in_dim), "s": np.ones(out_dim)}
             elif layer.kf_kind == "norm":
                 c = layer.params["scale"].size
-                state.factors[i] = {
-                    "h_scale": np.ones(c),
-                    "h_shift": np.ones(c),
-                    "s": np.ones(c),
-                }
+                state.factors[i] = {"h_scale": np.ones(c), "s": np.ones(c)}
         return state
 
     def update(self, fresh: dict[int, dict[str, np.ndarray]]) -> "KFState":
@@ -115,15 +110,6 @@ class KFState:
                 self.factors[i][name] = ema_update(self.factors[i][name], vec, self.gamma)
         self.step += 1
         return self
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "factor", "index", "value"])
-            for i in sorted(self.factors):
-                for name in sorted(self.factors[i]):
-                    for k, val in enumerate(self.factors[i][name]):
-                        writer.writerow([i, name, k, repr(float(val))])
 
 
 @dataclass
@@ -150,13 +136,6 @@ class FactoredEFIM:
         if sqrt:
             div = {k: np.sqrt(v) for k, v in div.items()}
         return div
-
-    def implied_diagonal(self, layer_id: int) -> np.ndarray:
-        """Full damped diagonal in vec ordering (h index slow, s index fast)."""
-        entry = self.layers[layer_id]
-        if "h" not in entry:
-            raise StateError("implied diagonal is only defined for kron layers")
-        return kron_diag(entry["h"], entry["s"]) + self.lam
 
 
 def efim_assemble(state: KFState, norm_fisher_off: bool = False) -> FactoredEFIM:

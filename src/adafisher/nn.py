@@ -1,12 +1,16 @@
 """Layered feed-forward networks with reverse-mode differentiation.
 
-Layer inputs are batch-first. A paired forward+backward additionally fills,
-for every parameterized layer, a LayerCapture holding the diagonals of its two
-Kronecker factors: the mean squares of the homogeneous input activations (h,
-exactly 1.0 in the bias slot) and of the per-sample pre-activation gradients
-(s), taken over the sample and, for convolutions and 4-D batch norm, spatial
-axes (the KFC convention). Gradients returned by backward are mini-batch
-means; s is at per-sample-loss scale (the batch-mean factor undone).
+Layer inputs are batch-first. Backpropagation is one reverse walk
+(Model.reverse_walk) that hands each parameterized layer the gradient dout at
+its output, then forms the layer's input gradient with input_grad (never for
+layer 0). From dout, param_stats fills the mini-batch-mean grads and a
+LayerCapture holding the diagonals of the two Kronecker factors: the mean
+squares of the homogeneous input activations (h, exactly 1.0 in the bias slot)
+and of the per-sample pre-activation gradients (s, at per-sample-loss scale),
+over the sample and, for convolutions and 4-D batch norm, spatial axes (KFC).
+For the Fisher oracle's eval-mode walk, where row n of dout is sample n's own
+signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's parameter
+gradient)**2 in Fisher ordering instead.
 
 Conv2d multiplies its weights with im2col patches as a broadcast batched
 matmul, so the products of its forward pass and of both gradients run on BLAS.
@@ -55,7 +59,7 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def input_grad(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -86,7 +90,7 @@ class Dense(Layer):
             a = a + self.params["b"]
         return a
 
-    def backward(self, dout):
+    def param_stats(self, dout):
         x = self._x
         m = x.shape[0]
         self.grads["W"] = dout.T @ x
@@ -96,6 +100,14 @@ class Dense(Layer):
             h = np.append(h, 1.0)
         self._dout = dout  # kept for the full-factor reference in fisher
         self.capture = LayerCapture(h=h, s=_mean_sq(dout * m))
+
+    def sample_sq(self, dout, w):
+        x_sq = self._x**2
+        if self.bias:
+            x_sq = np.hstack([x_sq, np.ones((dout.shape[0], 1))])
+        return {"WB": (x_sq.T @ (w[:, None] * dout**2)).ravel()}
+
+    def input_grad(self, dout):
         return dout @ self.params["W"]
 
 
@@ -134,10 +146,9 @@ class Conv2d(Layer):
             a += self.params["b"][:, None]
         return a.reshape(m, self.out_ch, self._oh, self._ow)
 
-    def backward(self, dout):
+    def param_stats(self, dout):
         m = self._x_shape[0]
         g = dout.reshape(m, self.out_ch, self._oh * self._ow)  # dJ/da per position
-        w_mat = self.params["W"].reshape(self.out_ch, -1)
         self.grads["W"] = (g @ self._patches.transpose(0, 2, 1)).sum(axis=0).reshape(
             self.params["W"].shape)
         h = _mean_sq(self._patches)
@@ -145,23 +156,48 @@ class Conv2d(Layer):
             self.grads["b"] = g.sum(axis=(0, 2))
             h = np.append(h, 1.0)
         self.capture = LayerCapture(h=h, s=_mean_sq(g) * (m * m))
+
+    def sample_sq(self, dout, w):
+        m = dout.shape[0]
+        g = dout.reshape(m, self.out_ch, -1)
+        grad = g @ self._patches.transpose(0, 2, 1)  # (M, O, CKK) per-sample [W]
+        if self.bias:
+            grad = np.concatenate([grad, g.sum(axis=2, keepdims=True)], axis=2)
+        return {"WB": (w @ (grad**2).reshape(m, -1)).reshape(grad.shape[1:]).T.ravel()}
+
+    def input_grad(self, dout):
+        g = dout.reshape(self._x_shape[0], self.out_ch, self._oh * self._ow)
+        w_mat = self.params["W"].reshape(self.out_ch, -1)
         return col2im_batch(w_mat.T @ g, self._x_shape, self.kernel, self.stride, self.pad)
 
 
-class BatchNorm(Layer):
-    """Per-channel batch normalization for (M, C) or (M, C, H, W) inputs."""
+class _Norm(Layer):
+    """Normalization with a per-feature scale and shift of the normalized input."""
 
     kf_kind = "norm"
 
-    def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
-        if eps < 0:
-            raise InputError("eps must be non-negative")
         self.dim = dim
         self.eps = eps
-        self.momentum = momentum
         self.params["scale"] = np.ones(dim)
         self.params["shift"] = np.zeros(dim)
+
+    def sample_sq(self, dout, w):
+        m = dout.shape[0]
+        d = dout.reshape(m, self.dim, -1)
+        xhat = self._xhat.reshape(d.shape)
+        return {"scale": w @ (d * xhat).sum(axis=2) ** 2, "shift": w @ d.sum(axis=2) ** 2}
+
+
+class BatchNorm(_Norm):
+    """Per-channel batch normalization for (M, C) or (M, C, H, W) inputs."""
+
+    def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
+        if eps < 0:
+            raise InputError("eps must be non-negative")
+        super().__init__(dim, eps)
+        self.momentum = momentum
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
@@ -194,36 +230,29 @@ class BatchNorm(Layer):
         out += self.params["shift"].reshape(shape)
         return out
 
-    def backward(self, dout):
-        shape = self._shape(dout)
-        xhat = self._xhat
+    def param_stats(self, dout):
         m = dout.shape[0]
         self.grads["shift"] = _feature_sum(dout)
-        self.grads["scale"] = _feature_sum(dout, xhat)
+        self.grads["scale"] = _feature_sum(dout, self._xhat)
+        self.capture = LayerCapture(h=_mean_sq(self._xhat), s=_mean_sq(dout) * (m * m))
+
+    def input_grad(self, dout):
+        shape = self._shape(dout)
         gain = (self.params["scale"] / self._std).reshape(shape)
-        if self._training:
-            n = dout.size // self.dim
-            dx = xhat * (self.grads["scale"] / -n).reshape(shape)
-            dx += dout
-            dx -= (self.grads["shift"] / n).reshape(shape)
-            dx *= gain
-        else:
-            dx = dout * gain
-        self.capture = LayerCapture(h=_mean_sq(xhat), s=_mean_sq(dout) * (m * m))
+        if not self._training:
+            return dout * gain
+        # The batch statistics couple the samples. The reverse walk runs
+        # param_stats on this dout first, so grads holds its per-channel sums.
+        n = dout.size // self.dim
+        dx = self._xhat * (self.grads["scale"] / -n).reshape(shape)
+        dx += dout
+        dx -= (self.grads["shift"] / n).reshape(shape)
+        dx *= gain
         return dx
 
 
-class LayerNorm(Layer):
+class LayerNorm(_Norm):
     """Per-sample normalization over the feature axis of (M, C) inputs."""
-
-    kf_kind = "norm"
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        super().__init__()
-        self.dim = dim
-        self.eps = eps
-        self.params["scale"] = np.ones(dim)
-        self.params["shift"] = np.zeros(dim)
 
     def forward(self, x, training=True):
         if x.ndim != 2 or x.shape[1] != self.dim:
@@ -234,16 +263,17 @@ class LayerNorm(Layer):
         self._xhat = (x - mu) / self._std
         return self.params["scale"] * self._xhat + self.params["shift"]
 
-    def backward(self, dout):
-        xhat = self._xhat
+    def param_stats(self, dout):
         m = dout.shape[0]
-        self.grads["scale"] = (dout * xhat).sum(axis=0)
+        self.grads["scale"] = (dout * self._xhat).sum(axis=0)
         self.grads["shift"] = dout.sum(axis=0)
+        self.capture = LayerCapture(h=_mean_sq(self._xhat), s=_mean_sq(dout * m))
+
+    def input_grad(self, dout):
+        xhat = self._xhat
         dxhat = dout * self.params["scale"]
-        dx = (dxhat - dxhat.mean(axis=1, keepdims=True)
-              - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) / self._std
-        self.capture = LayerCapture(h=_mean_sq(xhat), s=_mean_sq(dout * m))
-        return dx
+        return (dxhat - dxhat.mean(axis=1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) / self._std
 
 
 class Activation(Layer):
@@ -264,7 +294,7 @@ class Activation(Layer):
             return self._out
         return x
 
-    def backward(self, dout):
+    def input_grad(self, dout):
         if self.name == "relu":
             return dout * (self._x > 0)  # subgradient 0 at the kink
         if self.name == "tanh":
@@ -277,7 +307,7 @@ class Flatten(Layer):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dout):
+    def input_grad(self, dout):
         return dout.reshape(self._shape)
 
 
@@ -306,7 +336,7 @@ class MaxPool2d(Layer):
         self._oh, self._ow = oh, ow
         return out.reshape(m, c, oh, ow)
 
-    def backward(self, dout):
+    def input_grad(self, dout):
         m, c, h, w = self._x_shape
         kh, kw = self.kernel
         t = self._oh * self._ow
@@ -377,12 +407,24 @@ class Model:
             return mse(output, np.asarray(targets, dtype=np.float64))
         raise UnsupportedError(f"unknown loss {self.loss!r}")
 
+    def reverse_walk(self, loss_grad: np.ndarray):
+        """Yield (i, layer, dout) for each parameterized layer, last first, with
+        dout the gradient at layer i's output. A layer's input gradient is formed
+        after the consumer has handled its yield; layer 0's is never formed."""
+        grad = loss_grad
+        for i in range(len(self.layers) - 1, -1, -1):
+            layer = self.layers[i]
+            if layer.params:
+                yield i, layer, grad
+            if i:
+                grad = layer.input_grad(grad)
+
     def backward(self, loss_grad: np.ndarray) -> None:
+        """Fill every parameterized layer's grads and capture."""
         if not getattr(self, "_ran_forward", False):
             raise StateError("backward called before forward")
-        grad = loss_grad
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        for _, layer, dout in self.reverse_walk(loss_grad):
+            layer.param_stats(dout)
 
     def loss_on(self, x, y, training: bool = True) -> float:
         out = self.forward(x, training)

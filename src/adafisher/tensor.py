@@ -1,5 +1,5 @@
-"""Dense tensor kernels: checked construction, deterministic RNG, diagonal
-Kronecker product and im2col patch expansion.
+"""Dense tensor kernels: shape checks, deterministic RNG, diagonal Kronecker
+product and batched im2col patch expansion with its adjoint.
 
 All arrays are float64, row-major (C order). Operations are pure and
 single-threaded; determinism is run-to-run on a given platform.
@@ -9,15 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, InputError
-
-
-def as_tensor(data, checked: bool = True) -> np.ndarray:
-    """Construct a float64 tensor, rejecting NaN/Inf when checked."""
-    arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-    if checked and not np.all(np.isfinite(arr)):
-        raise InputError("tensor contains non-finite entries")
-    return arr
+from .errors import DimensionError
 
 
 def check_shape(shape) -> tuple[int, ...]:
@@ -71,20 +63,6 @@ def kron_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def conv_out_size(size: int, k: int, s: int, p: int) -> int:
     return (size + 2 * p - k) // s + 1
-
-
-def im2col(x: np.ndarray, kernel, stride=(1, 1), pad=(0, 0)):
-    """Unroll receptive fields of a single C x H x W image into columns.
-
-    Returns (patches, positions) where patches has shape
-    (C*kh*kw, out_h*out_w); column t is the flattened receptive field at
-    output position t (row-major over output positions). Zero padding only.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise DimensionError("im2col expects a C x H x W input")
-    patches = im2col_batch(x[None], kernel, stride, pad)
-    return patches[0], patches.shape[2]
 
 
 def im2col_batch(x: np.ndarray, kernel, stride=(1, 1), pad=(0, 0)) -> np.ndarray:

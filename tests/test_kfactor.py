@@ -26,7 +26,7 @@ class TestKfIdentity:
     def test_assembled_divisor_is_pure_damping(self):
         state = KFState(lam=0.001, factors={0: {"h": np.ones(2), "s": np.ones(2)}})
         efim = efim_assemble(state)
-        assert np.max(np.abs(efim.implied_diagonal(0) - 0.001)) < 1e-18
+        assert np.max(np.abs(efim.divisors(0)["WB"].T.ravel() - 0.001)) < 1e-18
 
 
 class TestEmaUpdate:
@@ -82,12 +82,12 @@ class TestEfimAssemble:
         # already-normalized factors pass through min-max unchanged
         state = KFState(lam=0.001, factors={0: {"h": np.array([0.0, 1.0]),
                                                 "s": np.array([0.0, 1.0])}})
-        diag = efim_assemble(state).implied_diagonal(0)
+        diag = efim_assemble(state).divisors(0)["WB"].T.ravel()
         assert np.allclose(diag, [0.001, 0.001, 0.001, 1.001], atol=1e-15)
 
     def test_degenerate_factors_pure_damping(self):
         state = KFState(lam=0.5, factors={0: {"h": np.full(3, 2.0), "s": np.full(2, 7.0)}})
-        assert np.max(np.abs(efim_assemble(state).implied_diagonal(0) - 0.5)) == 0.0
+        assert np.max(np.abs(efim_assemble(state).divisors(0)["WB"].T.ravel() - 0.5)) == 0.0
 
     def test_matches_dense_kron_oracle(self):
         rng = Rng(6)
@@ -98,13 +98,13 @@ class TestEfimAssemble:
             efim = efim_assemble(state)
             dense = np.diag(np.kron(np.diag(minmax_normalize(h)),
                                     np.diag(minmax_normalize(s)))) + 0.001
-            assert np.max(np.abs(efim.implied_diagonal(0) - dense)) < 1e-15
+            assert np.max(np.abs(efim.divisors(0)["WB"].T.ravel() - dense)) < 1e-15
 
     def test_range_invariant(self):
         rng = Rng(7)
         state = KFState(lam=0.001, factors={0: {"h": np.abs(rng.normal((6,))),
                                                 "s": np.abs(rng.normal((3,)))}})
-        diag = efim_assemble(state).implied_diagonal(0)
+        diag = efim_assemble(state).divisors(0)["WB"].T.ravel()
         assert np.all(diag >= 0.001 - 1e-15)
         assert np.all(diag <= 1.001 + 1e-15)
 
@@ -145,7 +145,6 @@ class TestPrecondition:
 
     def test_norm_layer_divisors(self):
         efim = FactoredEFIM(lam=0.001, layers={0: {"h_scale": np.array([0.0, 1.0]),
-                                                   "h_shift": np.array([0.0, 0.0]),
                                                    "s": np.array([0.5, 1.0])}})
         div = efim.divisors(0)
         assert np.allclose(div["scale"], [0.001, 1.001])
@@ -169,7 +168,7 @@ class TestStateLifecycle:
         assert np.array_equal(state.factors[0]["h"], np.ones(5))  # 1*2*2 + bias
         assert np.array_equal(state.factors[0]["s"], np.ones(2))
         assert np.array_equal(state.factors[4]["h"], np.ones(9))
-        assert set(state.factors[2]) == {"h_scale", "h_shift", "s"}
+        assert set(state.factors[2]) == {"h_scale", "s"}
 
     def test_fresh_factors_and_update(self):
         model = self.make_model()
@@ -190,16 +189,6 @@ class TestStateLifecycle:
     def test_fresh_factors_before_backward_rejected(self):
         with pytest.raises(StateError, match="layer 0"):
             fresh_factors(self.make_model())
-
-    def test_csv_export_roundtrip(self, tmp_path):
-        model = self.make_model()
-        state = KFState.for_model(model)
-        path = tmp_path / "kf.csv"
-        state.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "layer,factor,index,value"
-        n_values = sum(vec.size for entry in state.factors.values() for vec in entry.values())
-        assert len(lines) == 1 + n_values
 
     def test_norm_fisher_off_uses_identity(self):
         model = self.make_model()

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from adafisher import nn
 from adafisher.errors import DimensionError, InputError, StateError
+from adafisher.fisher import exact_fisher_diag
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, MaxPool2d, Model, cross_entropy,
                           finite_diff_grad, mse)
-from adafisher.tensor import Rng
+from adafisher.tensor import Rng, col2im_batch
 
 
 def mixed_net(seed=0):
@@ -187,7 +189,7 @@ def test_capture_is_factor_diagonals(make_layer, in_shape):
     x = rng.normal(in_shape) * 2.0 + 0.5
     out = layer.forward(x)
     dout = rng.normal(out.shape)
-    layer.backward(dout)
+    layer.param_stats(dout)
     h_ref, s_ref = _explicit_capture(layer, x, dout)
     assert max_rel_err(layer.capture.h, h_ref) <= 1e-12
     assert max_rel_err(layer.capture.s, s_ref) <= 1e-12
@@ -208,6 +210,13 @@ def _central_diff(f, arr, eps=1e-6):
         flat[k] = orig
         gflat[k] = (fp - fm) / (2 * eps)
     return grad
+
+
+def _backward(layer, dout):
+    """A layer's part of Model.backward, plus the input gradient it skips for layer 0."""
+    if layer.params:
+        layer.param_stats(dout)
+    return layer.input_grad(dout)
 
 
 def _eval_mode_batchnorm():
@@ -232,7 +241,7 @@ def test_layer_backward_vs_finite_difference(make_layer, in_shape, training):
     rng = Rng(16)
     x = rng.normal(in_shape)
     r = rng.normal(layer.forward(x, training).shape)
-    dx = layer.backward(r)
+    dx = _backward(layer, r)
 
     def loss():
         return float(np.sum(layer.forward(x, training) * r))
@@ -271,7 +280,7 @@ def test_conv_and_maxpool_match_direct_loops():
     x = rng.normal((3, 3, 7, 6))
     out = conv.forward(x)
     dout = rng.normal(out.shape)
-    dx = conv.backward(dout)
+    dx = _backward(conv, dout)
     ref_out, ref_dx, ref_dw = _conv_loop(x, conv.params["W"], conv.params["b"], conv.stride,
                                          conv.pad, dout)
     assert max_rel_err(out, ref_out) <= 1e-12
@@ -283,9 +292,27 @@ def test_conv_and_maxpool_match_direct_loops():
     x = np.array([[[[3.0, 3.0, 1.0, 2.0],
                     [3.0, 3.0, 2.0, 0.0]]]])
     assert np.array_equal(pool.forward(x), [[[[3.0, 2.0]]]])
-    dx = pool.backward(np.array([[[[5.0, 7.0]]]]))
+    dx = pool.input_grad(np.array([[[[5.0, 7.0]]]]))
     assert np.array_equal(dx, [[[[5.0, 0.0, 0.0, 7.0],
                                   [0.0, 0.0, 0.0, 0.0]]]])
+
+
+def test_first_layer_input_gradient_never_formed(monkeypatch):
+    # conv1's input gradient would be its col2im scatter; nothing reads it.
+    calls = []
+
+    def counting_col2im(*args, **kwargs):
+        calls.append(1)
+        return col2im_batch(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "col2im_batch", counting_col2im)
+    model = Model([Conv2d(1, 2, (2, 2)), Activation("relu"), Flatten(),
+                   Dense(18, 3)]).init(Rng(21))
+    rng = Rng(22)
+    x, y = rng.normal((4, 1, 4, 4)), rng.integers(0, 3, size=4)
+    model.train_batch(x, y)
+    exact_fisher_diag(model, x)
+    assert calls == []
 
 
 @pytest.mark.parametrize("loss, y", [("cross_entropy", np.zeros(0, dtype=int)),

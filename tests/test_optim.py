@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adafisher.errors import ConfigError, DimensionError
-from adafisher.kfactor import FactoredEFIM
+from adafisher.kfactor import FactoredEFIM, KFState, efim_assemble, minmax_normalize
 from adafisher.nn import BatchNorm, Conv2d, Dense, LayerNorm, Model
 from adafisher.optim import (Adam, AdaFisher, SGD, Schedule, adafisherw, adamw,
                              build_optimizer)
-from adafisher.tensor import Rng
+from adafisher.tensor import Rng, kron_diag
 
 # Derandomized and bounded, so the suite stays deterministic and fast.
 DETERMINISTIC = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -78,7 +78,6 @@ class TestAdaFisher:
         ln.grads["shift"] = np.array([2.0, 0.0])
         model = Model([ln])
         efim = FactoredEFIM(lam=1.0, layers={0: {"h_scale": np.zeros(2),
-                                                 "h_shift": np.zeros(2),
                                                  "s": np.array([0.0, 1.0])}})
         opt = AdaFisher(alpha=0.001, beta=0.9)
         opt.step(model, efim)
@@ -93,8 +92,7 @@ class TestAdaFisher:
             AdaFisher().step(model, efim)
         ln = LayerNorm(2)
         ln.grads = {"scale": np.zeros(2), "shift": np.zeros(2)}
-        efim = FactoredEFIM(lam=1.0, layers={0: {"h_scale": np.zeros(3),
-                                                 "h_shift": np.zeros(3), "s": np.zeros(3)}})
+        efim = FactoredEFIM(lam=1.0, layers={0: {"h_scale": np.zeros(3), "s": np.zeros(3)}})
         with pytest.raises(DimensionError):
             AdaFisher().step(Model([ln]), efim)
 
@@ -270,7 +268,7 @@ def _random_efim(model, rng, lam):
                          "s": rng.uniform(size=w.shape[0])}
         else:
             c = layer.params["scale"].size
-            layers[i] = {name: rng.uniform(size=c) for name in ("h_scale", "h_shift", "s")}
+            layers[i] = {name: rng.uniform(size=c) for name in ("h_scale", "s")}
     return FactoredEFIM(lam=lam, layers=layers)
 
 
@@ -329,3 +327,28 @@ def test_per_parameter_update_matches_combined_blocks(specs, variant, kappa, sqr
         _combined_reference_step(ref, efim, ref_opt, moments)
     for (_, name, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
         assert np.array_equal(p, q), name
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.9])
+@pytest.mark.parametrize("make_layer", [
+    lambda: Dense(4, 3),
+    lambda: Dense(4, 3, bias=False),
+    lambda: Conv2d(2, 3, (2, 2)),
+], ids=["dense", "dense-nobias", "conv"])
+def test_first_step_matches_dense_inverse(make_layer, beta):
+    # The first update is lr * solve(diag(kron_diag(h', s') + lam), vec(g)) for the
+    # [W | b] gradient g (input index slow) and the min-max-normalized h', s'.
+    layer = make_layer()
+    model = Model([layer])
+    rng = Rng(40)
+    layer.grads = {n: rng.normal(p.shape) for n, p in layer.params.items()}
+    out = layer.params["W"].shape[0]
+    h, s = rng.uniform((layer.params["W"][0].size + layer.bias,)), rng.uniform((out,))
+    lam, lr = 0.001, 0.01
+    efim = efim_assemble(KFState(lam=lam, factors={0: {"h": h, "s": s}}))
+    g = np.hstack([layer.grads[n].reshape(out, -1) for n in ("W", "b") if n in layer.grads])
+    dense = np.diag(kron_diag(minmax_normalize(h), minmax_normalize(s)) + lam)
+    expected = lr * np.linalg.solve(dense, g.T.ravel()).reshape(-1, out).T
+    AdaFisher(alpha=lr, beta=beta).step(model, efim)  # from zero parameters
+    step = -np.hstack([layer.params[n].reshape(out, -1) for n in ("W", "b") if n in layer.params])
+    assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from adafisher.errors import DimensionError, InputError
-from adafisher.tensor import Rng, as_tensor, im2col, im2col_batch, kron_diag
+from adafisher.errors import DimensionError
+from adafisher.tensor import Rng, im2col_batch, kron_diag
 
 
 class TestKronDiag:
@@ -50,6 +50,12 @@ def direct_conv(x, w, stride, pad):
     return out
 
 
+def im2col(x, kernel, stride=(1, 1), pad=(0, 0)):
+    """Patches of one C x H x W image and their count, through the batched kernel."""
+    patches = im2col_batch(x[None], kernel, stride, pad)
+    return patches[0], patches.shape[2]
+
+
 class TestIm2col:
     def test_1x1_kernel(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
@@ -90,14 +96,6 @@ class TestIm2col:
         with pytest.raises(DimensionError):
             im2col(np.zeros((1, 2, 2)), (3, 3))
 
-    def test_batched_consistent(self):
-        rng = Rng(9)
-        x = rng.normal((3, 2, 5, 5))
-        batched = im2col_batch(x, (2, 2), (1, 1), (1, 1))
-        for n in range(3):
-            single, _ = im2col(x[n], (2, 2), (1, 1), (1, 1))
-            assert np.array_equal(batched[n], single)
-
 
 class TestRng:
     def test_same_seed_identical(self):
@@ -117,13 +115,3 @@ class TestRng:
     def test_spawn_independent(self):
         base = Rng(7)
         assert not np.array_equal(base.spawn(1).normal((10,)), base.spawn(2).normal((10,)))
-
-
-class TestAsTensor:
-    def test_rejects_nan(self):
-        with pytest.raises(InputError):
-            as_tensor([1.0, float("nan")])
-
-    def test_unchecked_passes(self):
-        arr = as_tensor([1.0, float("inf")], checked=False)
-        assert np.isinf(arr[1])

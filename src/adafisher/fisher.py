@@ -97,10 +97,11 @@ def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int, seed: int) -
 def kfac_block_dense(layer: Dense) -> np.ndarray:
     """Full Kronecker product of a dense layer's empirical factors (test-scale only).
 
-    Rebuilt from the layer's last forward input and backward signal, with the
-    same per-sample-loss scale and homogeneous bias column as its capture.
+    Rebuilt from the input and backward signal of the layer's last param_stats,
+    both of one pass, with the same per-sample-loss scale and homogeneous bias
+    column as its capture.
     """
-    x, dout = layer._x, layer._dout
+    x, dout = layer._stats_pair
     m = x.shape[0]
     x_hom = np.hstack([x, np.ones((m, 1))]) if layer.bias else x
     s = dout * m

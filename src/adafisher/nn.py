@@ -2,18 +2,21 @@
 
 Layer inputs are batch-first. Backpropagation is one reverse walk
 (Model.reverse_walk) that hands each parameterized layer the gradient dout at
-its output, then forms the layer's input gradient with input_grad (never for
-layer 0). From dout, param_stats fills the mini-batch-mean grads and a
-LayerCapture holding the diagonals of the two Kronecker factors: the mean
-squares of the homogeneous input activations (h, exactly 1.0 in the bias slot)
-and of the per-sample pre-activation gradients (s, at per-sample-loss scale),
-over the sample and, for convolutions and 4-D batch norm, spatial axes (KFC).
+its output, then forms the layer's input gradient with input_grad (never at
+or below the first parameterized layer). From dout, param_stats fills the
+mini-batch-mean grads and a LayerCapture holding the diagonals of the two
+Kronecker factors: the mean squares of the homogeneous input activations (h,
+exactly 1.0 in the bias slot) and of the per-sample pre-activation gradients
+(s, at per-sample-loss scale), over the sample and, for convolutions and 4-D
+batch norm, spatial axes (KFC).
 For the Fisher oracle's eval-mode walk, where row n of dout is sample n's own
 signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's parameter
 gradient)**2 in Fisher ordering instead.
 
 Conv2d multiplies its weights with im2col patches as a broadcast batched
 matmul, so the products of its forward pass and of both gradients run on BLAS.
+MaxPool2d works on the kh*kw strided views of its input, one per window
+offset, and so copies no windows and scatters no indices.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError, StateError, UnsupportedError
-from .tensor import Rng, col2im_batch, conv_out_size, im2col_batch
+from .tensor import Rng, col2im_batch, conv_out_size, im2col_batch, window_slices
 
 
 @dataclass
@@ -98,7 +101,7 @@ class Dense(Layer):
         if self.bias:
             self.grads["b"] = dout.sum(axis=0)
             h = np.append(h, 1.0)
-        self._dout = dout  # kept for the full-factor reference in fisher
+        self._stats_pair = (x, dout)  # one pass's input and signal, for fisher.kfac_block_dense
         self.capture = LayerCapture(h=h, s=_mean_sq(dout * m))
 
     def sample_sq(self, dout, w):
@@ -312,40 +315,42 @@ class Flatten(Layer):
 
 
 class MaxPool2d(Layer):
+    """Max over kh*kw windows, taken on the input's strided view per window offset."""
+
     def __init__(self, kernel, stride=None):
         super().__init__()
         self.kernel = tuple(kernel)
         self.stride = tuple(stride) if stride is not None else self.kernel
 
+    def _views(self, x):
+        """x's strided (M, C, oh, ow) view per window offset, row-major."""
+        _, offsets = window_slices(x.shape[2:], self.kernel, self.stride, (0, 0))
+        return [x[src] for _, _, _, src in offsets]
+
     def forward(self, x, training=True):
-        m, c, h, w = x.shape
-        kh, kw = self.kernel
+        if x.ndim != 4:
+            raise DimensionError(f"MaxPool2d expects (M, C, H, W), got {x.shape}")
         self._x_shape = x.shape
-        oh = conv_out_size(h, kh, self.stride[0], 0)
-        ow = conv_out_size(w, kw, self.stride[1], 0)
-        cols = im2col_batch(x.reshape(m * c, 1, h, w), self.kernel, self.stride, (0, 0))
-        cols = cols.reshape(m, c, kh * kw, oh * ow)
-        out = cols.max(axis=2)
-        # Index of each window's first maximum, as argmax picks it for finite
-        # inputs. argmax along the short, strided window axis is slow; these
-        # kh*kw whole-array comparisons (descending, so the first maximum wins
-        # ties) took under half its time at the benchmark's pool shapes.
-        self._argmax = np.full(out.shape, kh * kw - 1)
-        for k in range(kh * kw - 2, -1, -1):
-            self._argmax = np.where(cols[:, :, k] == out, k, self._argmax)
-        self._oh, self._ow = oh, ow
-        return out.reshape(m, c, oh, ow)
+        views = self._views(x)
+        out = views[0].copy()
+        for view in views[1:]:
+            np.maximum(out, view, out=out)
+        # One mask per offset marks the windows whose first maximum sits there;
+        # a window with no match (its maximum is NaN) goes to its last element.
+        self._masks = masks = np.empty((len(views),) + out.shape, dtype=bool)
+        free = masks[-1]
+        free[...] = True
+        for view, mask in zip(views[:-1], masks):
+            np.equal(view, out, out=mask)
+            mask &= free
+            free ^= mask
+        return out
 
     def input_grad(self, dout):
-        m, c, h, w = self._x_shape
-        kh, kw = self.kernel
-        t = self._oh * self._ow
-        dcols = np.zeros((m * c, kh * kw, t))
-        np.put_along_axis(dcols, self._argmax.reshape(m * c, 1, t),
-                          dout.reshape(m * c, 1, t), axis=1)
-        return col2im_batch(dcols, (m * c, 1, h, w), self.kernel, self.stride, (0, 0)).reshape(
-            m, c, h, w
-        )
+        dx = np.zeros(self._x_shape)
+        for view, mask in zip(self._views(dx), self._masks):
+            view += dout * mask
+        return dx
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -410,13 +415,15 @@ class Model:
     def reverse_walk(self, loss_grad: np.ndarray):
         """Yield (i, layer, dout) for each parameterized layer, last first, with
         dout the gradient at layer i's output. A layer's input gradient is formed
-        after the consumer has handled its yield; layer 0's is never formed."""
+        after the consumer has handled its yield, and only above the first
+        parameterized layer: nothing below it reads one."""
+        first = next((i for i, _ in self.param_layers()), len(self.layers))
         grad = loss_grad
-        for i in range(len(self.layers) - 1, -1, -1):
+        for i in range(len(self.layers) - 1, first - 1, -1):
             layer = self.layers[i]
             if layer.params:
                 yield i, layer, grad
-            if i:
+            if i > first:
                 grad = layer.input_grad(grad)
 
     def backward(self, loss_grad: np.ndarray) -> None:

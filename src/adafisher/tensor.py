@@ -1,5 +1,7 @@
 """Dense tensor kernels: shape checks, deterministic RNG, diagonal Kronecker
-product and batched im2col patch expansion with its adjoint.
+product and batched im2col patch expansion with its adjoint. Both sweep the
+kernel offsets with window_slices, which clips each offset's window grid to
+the unpadded input, so neither forms a zero-padded copy.
 
 All arrays are float64, row-major (C order). Operations are pure and
 single-threaded; determinism is run-to-run on a given platform.
@@ -65,41 +67,57 @@ def conv_out_size(size: int, k: int, s: int, p: int) -> int:
     return (size + 2 * p - k) // s + 1
 
 
+def window_slices(size, kernel, stride, pad) -> tuple[tuple[int, int], list]:
+    """Output size (out_h, out_w) and (i, j, out, src) per kernel offset (i, j),
+    row-major, of a window sweep over inputs of spatial size (H, W) with zero
+    padding pad.
+
+    src indexes the unpadded input entries that offset reads, out the
+    output-grid positions that read them (both over the last two axes).
+    Windows that put this offset in the padding are left out of both, so no
+    padded copy is ever formed.
+    """
+    (h, w), (kh, kw), (sh, sw), (ph, pw) = size, kernel, stride, pad
+    oh, ow = conv_out_size(h, kh, sh, ph), conv_out_size(w, kw, sw, pw)
+    if oh <= 0 or ow <= 0:
+        raise DimensionError("kernel larger than padded input")
+    offsets = []
+    for i in range(kh):
+        rows_out, rows_in = _axis_slices(h, oh, i - ph, sh)
+        for j in range(kw):
+            cols_out, cols_in = _axis_slices(w, ow, j - pw, sw)
+            offsets.append((i, j, (..., rows_out, cols_out), (..., rows_in, cols_in)))
+    return (oh, ow), offsets
+
+
+def _axis_slices(n: int, n_out: int, start: int, step: int) -> tuple[slice, slice]:
+    """Output positions o < n_out whose input index start + o * step lies in
+    [0, n), and those input indices, as two slices of equal length."""
+    lo = max(0, -(start // step))  # ceil(-start / step), clipped at 0
+    hi = max(lo, min(n_out, (n - 1 - start) // step + 1))
+    first = start + lo * step
+    return slice(lo, hi), slice(first, first + (hi - lo) * step, step)
+
+
 def im2col_batch(x: np.ndarray, kernel, stride=(1, 1), pad=(0, 0)) -> np.ndarray:
     """Batched im2col: (M, C, H, W) -> (M, C*kh*kw, out_h*out_w)."""
     x = np.asarray(x, dtype=np.float64)
     m, c, h, w = x.shape
     kh, kw = kernel
-    sh, sw = stride
-    ph, pw = pad
-    if kh > h + 2 * ph or kw > w + 2 * pw:
-        raise DimensionError("kernel larger than padded input")
-    oh = conv_out_size(h, kh, sh, ph)
-    ow = conv_out_size(w, kw, sw, pw)
-    if oh <= 0 or ow <= 0:
-        raise DimensionError("non-positive output spatial size")
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((m, c, kh, kw, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+    (oh, ow), offsets = window_slices((h, w), kernel, stride, pad)
+    cols = np.zeros((m, c, kh, kw, oh, ow), dtype=np.float64)
+    for i, j, out, src in offsets:
+        cols[:, :, i, j][out] = x[src]
     return cols.reshape(m, c * kh * kw, oh * ow)
 
 
 def col2im_batch(cols: np.ndarray, x_shape, kernel, stride=(1, 1), pad=(0, 0)) -> np.ndarray:
-    """Adjoint of im2col_batch: scatter-add columns back to (M, C, H, W)."""
+    """Adjoint of im2col_batch: scatter-add columns back to a contiguous (M, C, H, W)."""
     m, c, h, w = x_shape
     kh, kw = kernel
-    sh, sw = stride
-    ph, pw = pad
-    oh = conv_out_size(h, kh, sh, ph)
-    ow = conv_out_size(w, kw, sw, pw)
+    (oh, ow), offsets = window_slices((h, w), kernel, stride, pad)
     cols = cols.reshape(m, c, kh, kw, oh, ow)
-    xp = np.zeros((m, c, h + 2 * ph, w + 2 * pw), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, i, j]
-    if ph or pw:
-        xp = xp[:, :, ph : ph + h, pw : pw + w]
-    return xp
+    dx = np.zeros((m, c, h, w), dtype=np.float64)
+    for i, j, out, src in offsets:
+        dx[src] += cols[:, :, i, j][out]
+    return dx

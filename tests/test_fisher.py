@@ -242,6 +242,17 @@ class TestDenseKroneckerBlock:
         fresh = fresh_factors(model)[0]
         assert np.max(np.abs(np.diag(block) - kron_diag(fresh["h"], fresh["s"]))) < 1e-10
 
+    def test_block_unchanged_by_oracle_call(self):
+        # The oracle's eval-mode forward replaces the head's input; the block
+        # must stay the one of the last training pass.
+        model = Model([Dense(3, 4), BatchNorm(4), Dense(4, 3)]).init(Rng(27))
+        rng = Rng(28)
+        x = rng.normal((6, 3))
+        model.train_batch(x, rng.integers(0, 3, size=6))
+        before = kfac_block_dense(model.layers[2])
+        exact_fisher_diag(model, x)
+        assert np.array_equal(kfac_block_dense(model.layers[2]), before)
+
     def test_size_guard(self):
         model = Model([Dense(16, 4)]).init(Rng(25))
         model.train_batch(Rng(26).normal((2, 16)), np.array([0, 1]))

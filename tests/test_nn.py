@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adafisher import nn
+from adafisher import nn, tensor
 from adafisher.errors import DimensionError, InputError, StateError
 from adafisher.fisher import exact_fisher_diag
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
@@ -312,6 +312,98 @@ def test_first_layer_input_gradient_never_formed(monkeypatch):
     x, y = rng.normal((4, 1, 4, 4)), rng.integers(0, 3, size=4)
     model.train_batch(x, y)
     exact_fisher_diag(model, x)
+    assert calls == []
+
+
+@pytest.mark.parametrize("make_layers, counted", [
+    (lambda: [Flatten(), Dense(12, 3)], set()),
+    (lambda: [Activation("tanh"), Dense(12, 5), Activation("relu"), Dense(5, 3)], {2, 3}),
+], ids=["flatten-dense", "activation-dense-relu-dense"])
+def test_no_input_gradient_at_or_below_first_parameter_layer(monkeypatch, make_layers,
+                                                             counted):
+    model = Model(make_layers()).init(Rng(23))
+    calls = []
+    for i, layer in enumerate(model.layers):
+        def counting(dout, i=i, inner=layer.input_grad):
+            calls.append(i)
+            return inner(dout)
+        monkeypatch.setattr(layer, "input_grad", counting)
+    rng = Rng(24)
+    x, y = rng.normal((4, 12)), rng.integers(0, 3, size=4)
+    model.train_batch(x, y)
+    assert set(calls) == counted and len(calls) == len(counted)
+    calls.clear()
+    exact_fisher_diag(model, x)  # one walk per class, each forming the same gradients
+    assert set(calls) == counted
+
+
+def _pool_loop(x, kernel, stride, dout):
+    """MaxPool2d forward and input gradient by explicit loops; ties and NaN
+    windows go to the first maximum and the last element, in row-major order."""
+    (kh, kw), (sh, sw) = kernel, stride
+    m, c, h, w = x.shape
+    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
+    out = np.zeros((m, c, oh, ow))
+    dx = np.zeros_like(x)
+    for n in range(m):
+        for f in range(c):
+            for i in range(oh):
+                for j in range(ow):
+                    win = x[n, f, i * sh:i * sh + kh, j * sw:j * sw + kw].ravel()
+                    k = kh * kw - 1 if np.isnan(win).any() else np.argmax(win)
+                    out[n, f, i, j] = win.max()
+                    dx[n, f, i * sh + k // kw, j * sw + k % kw] += dout[n, f, i, j]
+    return out, dx
+
+
+@pytest.mark.parametrize("kernel, stride, in_hw", [
+    ((3, 2), (2, 1), (8, 7)),  # stride < kernel: overlapping windows
+    ((2, 3), (2, 3), (7, 8)),  # stride = kernel, sizes that do not divide
+    ((2, 2), (3, 4), (8, 11)),  # stride > kernel: some entries in no window
+], ids=["overlapping", "tiling", "gapped"])
+def test_maxpool_matches_direct_loop(kernel, stride, in_hw):
+    rng = Rng(25)
+    x = np.round(rng.normal((2, 3) + in_hw), 1)  # rounding makes ties
+    pool = MaxPool2d(kernel, stride)
+    out = pool.forward(x)
+    dout = rng.normal(out.shape)
+    dx = pool.input_grad(dout)
+    ref_out, ref_dx = _pool_loop(x, kernel, stride, dout)
+    assert np.array_equal(out, ref_out)
+    assert max_rel_err(dx, ref_dx) <= 1e-12
+    covered_h = (out.shape[2] - 1) * stride[0] + kernel[0]
+    covered_w = (out.shape[3] - 1) * stride[1] + kernel[1]
+    assert covered_h < in_hw[0] or covered_w < in_hw[1]
+    assert not dx[:, :, covered_h:].any() and not dx[:, :, :, covered_w:].any()
+
+
+def test_maxpool_nan_window_routes_to_last_element():
+    x = np.array([[[[1.0, np.nan, 4.0, 0.0],
+                    [2.0, 0.0, np.nan, 3.0]]]])
+    pool = MaxPool2d((2, 2))
+    out = pool.forward(x)
+    assert np.isnan(out).all()
+    dx = pool.input_grad(np.array([[[[5.0, 7.0]]]]))
+    assert np.array_equal(dx, [[[[0.0, 0.0, 0.0, 0.0],
+                                  [0.0, 5.0, 0.0, 7.0]]]])
+
+
+def test_maxpool_rejects_non_image_input():
+    with pytest.raises(DimensionError):
+        MaxPool2d((2, 2)).forward(np.zeros((2, 16)))
+
+
+def test_maxpool_uses_no_im2col_or_col2im(monkeypatch):
+    calls = []
+    for module in (nn, tensor):
+        for name in ("im2col_batch", "col2im_batch"):
+            def counting(*args, name=name, inner=getattr(module, name), **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+    pool = MaxPool2d((3, 3), stride=(2, 2))
+    out = pool.forward(Rng(26).normal((2, 2, 7, 7)))
+    pool.input_grad(np.ones(out.shape))
     assert calls == []
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from adafisher.errors import DimensionError
-from adafisher.tensor import Rng, im2col_batch, kron_diag
+from adafisher.tensor import Rng, col2im_batch, conv_out_size, im2col_batch, kron_diag
 
 
 class TestKronDiag:
@@ -95,6 +96,63 @@ class TestIm2col:
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
             im2col(np.zeros((1, 2, 2)), (3, 3))
+
+
+def padded_im2col(x, kernel, stride, pad):
+    """im2col through an explicitly zero-padded copy of x: the reference layout."""
+    m, c, h, w = x.shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
+    oh, ow = conv_out_size(h, kh, sh, ph), conv_out_size(w, kw, sw, pw)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((m, c, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+    return cols.reshape(m, c * kh * kw, oh * ow)
+
+
+def padded_col2im(cols, x_shape, kernel, stride, pad):
+    """col2im through a zero-padded scratch image, cropped at the end."""
+    m, c, h, w = x_shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
+    oh, ow = conv_out_size(h, kh, sh, ph), conv_out_size(w, kw, sw, pw)
+    cols = cols.reshape(m, c, kh, kw, oh, ow)
+    xp = np.zeros((m, c, h + 2 * ph, w + 2 * pw))
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, i, j]
+    return xp[:, :, ph : ph + h, pw : pw + w]
+
+
+# Strides up to 4 exceed kernels up to 3, and pads up to 4 put whole windows in
+# the padding; sizes 1..8 rarely divide evenly.
+window_cases = st.tuples(
+    st.integers(1, 2), st.integers(1, 3),  # M, C
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),  # H, W
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),  # kernel
+    st.tuples(st.integers(1, 4), st.integers(1, 4)),  # stride
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),  # pad
+    st.integers(0, 2**16))  # seed
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(case=window_cases)
+@example(case=(2, 2, (5, 4), (2, 2), (3, 4), (3, 2), 1))  # stride > kernel, pad > kernel
+@example(case=(1, 3, (7, 6), (3, 2), (2, 1), (1, 2), 2))  # overlapping, non-dividing
+def test_im2col_col2im_adjoint_and_match_padded_reference(case):
+    m, c, (h, w), kernel, stride, pad, seed = case
+    assume(all(k <= n + 2 * p for k, n, p in zip(kernel, (h, w), pad)))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(m, c, h, w))
+    cols = im2col_batch(x, kernel, stride, pad)
+    g = rng.normal(size=cols.shape)
+    dx = col2im_batch(g, x.shape, kernel, stride, pad)
+    assert dx.shape == x.shape and dx.flags.c_contiguous
+    assert np.array_equal(cols, padded_im2col(x, kernel, stride, pad))
+    assert np.array_equal(dx, padded_col2im(g, x.shape, kernel, stride, pad))
+    # <im2col(x), g> == <x, col2im(g)>, relative to the sum of |terms|
+    lhs, rhs = np.vdot(cols, g), np.vdot(x, dx)
+    assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(cols), np.abs(g))
 
 
 class TestRng:

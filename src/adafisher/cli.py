@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -50,17 +51,27 @@ def cmd_distributed(args) -> int:
     return _train(config, args)
 
 
-def _load_snapshot(path: str):
+# Arrays each analysis reads from its snapshot (a bare .npy is 'matrix').
+_SNAPSHOT_KEYS = {"gershgorin": ("matrix",), "fft": ("matrix",), "fim": ("matrix",),
+                  "snr": ("clean", "noisy")}
+
+
+def _load_snapshot(path: str, analysis: str):
     p = Path(path)
     if not p.exists():
         raise DataError(f"snapshot not found: {path}")
-    if p.suffix == ".npz":
-        return dict(np.load(p))
-    return {"matrix": np.load(p)}
+    try:
+        snap = dict(np.load(p)) if p.suffix == ".npz" else {"matrix": np.load(p)}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot load snapshot {path}: {exc}") from exc
+    missing = [key for key in _SNAPSHOT_KEYS[analysis] if key not in snap]
+    if missing:
+        raise DataError(f"{analysis} snapshot is missing {', '.join(map(repr, missing))}")
+    return snap
 
 
 def cmd_diagnose(args) -> int:
-    snap = _load_snapshot(args.snapshot)
+    snap = _load_snapshot(args.snapshot, args.analysis)
     out = _out_dir(args.out, "diagnostics")
     out.mkdir(parents=True, exist_ok=True)
     if args.analysis == "gershgorin":
@@ -78,8 +89,6 @@ def cmd_diagnose(args) -> int:
                     w.writerow([i, j, repr(z.real), repr(z.imag), repr(abs(z))])
         print(out / "spectra.csv")
     elif args.analysis == "snr":
-        if "clean" not in snap or "noisy" not in snap:
-            raise DataError("snr snapshot must be an .npz with 'clean' and 'noisy'")
         res = snr(snap["clean"], snap["noisy"])
         with open(out / "snr.csv", "w", newline="") as fh:
             w = csv.writer(fh)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,37 @@ from .tensor import Rng
 _TOP_KEYS = {"model", "dataset", "optimizer", "kf", "schedule", "epochs",
              "batch_size", "seed", "workers", "ablations", "out_dir",
              "track_first_layer"}
+_OBJECT, _STRING, _BOOLEAN = (dict, "object"), (str, "string"), (bool, "boolean")
+_TOP_TYPES = {"model": _OBJECT, "dataset": _OBJECT, "optimizer": _OBJECT, "kf": _OBJECT,
+              "schedule": _OBJECT, "ablations": _OBJECT, "out_dir": _STRING,
+              "track_first_layer": _BOOLEAN}  # key: (Python type, JSON type name)
+_TOP_COUNTS = {"epochs": 1, "batch_size": 1, "workers": 1, "seed": 0}  # key: minimum
+
+
+def _count(value, what: str, low: int = 1) -> int:
+    """value if it is an integer >= low (bools excluded), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _pair(value, what: str, low: int = 1) -> tuple[int, int]:
+    """value as a pair of integers >= low, else ConfigError."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{what} must be a pair of integers >= {low}, got {value!r}")
+    return _count(value[0], what, low), _count(value[1], what, low)
+
+
+def _real(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 @dataclass
@@ -44,13 +76,13 @@ class RunConfig:
         for required in ("model", "dataset", "optimizer"):
             if required not in raw:
                 raise ConfigError(f"missing config key {required!r}")
+        for key, (kind, json_name) in _TOP_TYPES.items():
+            if key in raw and not isinstance(raw[key], kind):
+                raise ConfigError(f"{key} must be a JSON {json_name}, got {raw[key]!r}")
+        for key, low in _TOP_COUNTS.items():
+            if key in raw:
+                _count(raw[key], key, low)
         cfg = cls(**raw)
-        if cfg.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if cfg.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
-        if cfg.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if "name" not in cfg.optimizer:
             raise ConfigError("optimizer config needs a 'name'")
         src = cfg.dataset.get("source")
@@ -77,26 +109,34 @@ def build_model(model_spec: dict, rng: Rng) -> Model:
     loss = spec.pop("loss", "cross_entropy")
     if spec:
         raise ConfigError(f"unknown model keys: {sorted(spec)}")
-    if not layer_specs:
+    if not isinstance(layer_specs, list) or not layer_specs:
         raise ConfigError("model needs a non-empty 'layers' list")
     layers = []
     for ls in layer_specs:
+        if not isinstance(ls, dict):
+            raise ConfigError(f"each layer must be a JSON object, got {ls!r}")
         ls = dict(ls)
         kind = ls.pop("kind", None)
         try:
             if kind == "dense":
-                layers.append(Dense(ls.pop("in"), ls.pop("out"), bias=ls.pop("bias", True)))
+                layers.append(Dense(_count(ls.pop("in"), "dense in"),
+                                    _count(ls.pop("out"), "dense out"),
+                                    bias=_flag(ls.pop("bias", True), "dense bias")))
             elif kind == "conv2d":
-                layers.append(Conv2d(ls.pop("in"), ls.pop("out"),
-                                     tuple(ls.pop("kernel")),
-                                     tuple(ls.pop("stride", (1, 1))),
-                                     tuple(ls.pop("pad", (0, 0))),
-                                     bias=ls.pop("bias", True)))
+                layers.append(Conv2d(_count(ls.pop("in"), "conv2d in"),
+                                     _count(ls.pop("out"), "conv2d out"),
+                                     _pair(ls.pop("kernel"), "conv2d kernel"),
+                                     _pair(ls.pop("stride", (1, 1)), "conv2d stride"),
+                                     _pair(ls.pop("pad", (0, 0)), "conv2d pad", low=0),
+                                     bias=_flag(ls.pop("bias", True), "conv2d bias")))
             elif kind == "batchnorm":
-                layers.append(BatchNorm(ls.pop("dim"), eps=ls.pop("eps", 1e-5),
-                                        momentum=ls.pop("momentum", 0.1)))
+                layers.append(BatchNorm(_count(ls.pop("dim"), "batchnorm dim"),
+                                        eps=_real(ls.pop("eps", 1e-5), "batchnorm eps"),
+                                        momentum=_real(ls.pop("momentum", 0.1),
+                                                       "batchnorm momentum")))
             elif kind == "layernorm":
-                layers.append(LayerNorm(ls.pop("dim"), eps=ls.pop("eps", 1e-5)))
+                layers.append(LayerNorm(_count(ls.pop("dim"), "layernorm dim"),
+                                        eps=_real(ls.pop("eps", 1e-5), "layernorm eps")))
             elif kind == "activation":
                 layers.append(Activation(ls.pop("name")))
             elif kind in ("relu", "tanh", "identity"):
@@ -104,8 +144,8 @@ def build_model(model_spec: dict, rng: Rng) -> Model:
             elif kind == "flatten":
                 layers.append(Flatten())
             elif kind == "maxpool":
-                layers.append(MaxPool2d(tuple(ls.pop("kernel")),
-                                        tuple(ls.pop("stride")) if "stride" in ls else None))
+                kernel = _pair(ls.pop("kernel"), "maxpool kernel")
+                layers.append(MaxPool2d(kernel, _pair(ls.pop("stride", kernel), "maxpool stride")))
             else:
                 raise ConfigError(f"unknown layer kind {kind!r}")
         except KeyError as exc:
@@ -135,9 +175,10 @@ def resolve_dataset(dataset_spec: dict, seed: int):
         n = spec.pop("n", None)
         if n is None:
             raise ConfigError("synthetic dataset needs 'n'")
-        x, y = synth_dataset(source, int(n), seed=spec.pop("seed", seed), **spec)
+        x, y = synth_dataset(source, _count(n, "dataset n"), seed=spec.pop("seed", seed), **spec)
     else:
         raise ConfigError(f"unknown dataset source {source!r}")
     if limit is not None:
-        x, y = x[: int(limit)], y[: int(limit)]
+        limit = _count(limit, "dataset limit")
+        x, y = x[:limit], y[:limit]
     return np.asarray(x, dtype=np.float64), y

@@ -16,7 +16,10 @@ gradient)**2 in Fisher ordering instead.
 Conv2d multiplies its weights with im2col patches as a broadcast batched
 matmul, so the products of its forward pass and of both gradients run on BLAS.
 MaxPool2d works on the kh*kw strided views of its input, one per window
-offset, and so copies no windows and scatters no indices.
+offset, and so copies no windows and scatters no indices. Its input gradient,
+like Conv2d's (tensor.col2im_batch), assigns at each offset that touches an
+input entry first and adds only where windows overlap. Layers keep only what
+their backward reads: Activation its derivative, not its input.
 """
 
 from __future__ import annotations
@@ -190,7 +193,8 @@ class _Norm(Layer):
         m = dout.shape[0]
         d = dout.reshape(m, self.dim, -1)
         xhat = self._xhat.reshape(d.shape)
-        return {"scale": w @ (d * xhat).sum(axis=2) ** 2, "shift": w @ d.sum(axis=2) ** 2}
+        return {"scale": w @ np.einsum("mft,mft->mf", d, xhat) ** 2,
+                "shift": w @ d.sum(axis=2) ** 2}
 
 
 class BatchNorm(_Norm):
@@ -280,6 +284,9 @@ class LayerNorm(_Norm):
 
 
 class Activation(Layer):
+    """Elementwise nonlinearity; forward keeps only its derivative (a bool mask
+    for relu, 1 - tanh**2 for tanh, nothing for identity), not its input."""
+
     SUPPORTED = ("relu", "tanh", "identity")
 
     def __init__(self, name: str):
@@ -289,20 +296,18 @@ class Activation(Layer):
         self.name = name
 
     def forward(self, x, training=True):
-        self._x = x
+        self._deriv = None
         if self.name == "relu":
+            self._deriv = x > 0  # subgradient 0 at the kink
             return np.maximum(x, 0.0)
         if self.name == "tanh":
-            self._out = np.tanh(x)
-            return self._out
+            out = np.tanh(x)
+            self._deriv = 1.0 - out**2
+            return out
         return x
 
     def input_grad(self, dout):
-        if self.name == "relu":
-            return dout * (self._x > 0)  # subgradient 0 at the kink
-        if self.name == "tanh":
-            return dout * (1.0 - self._out**2)
-        return dout
+        return dout if self._deriv is None else dout * self._deriv
 
 
 class Flatten(Layer):
@@ -322,16 +327,12 @@ class MaxPool2d(Layer):
         self.kernel = tuple(kernel)
         self.stride = tuple(stride) if stride is not None else self.kernel
 
-    def _views(self, x):
-        """x's strided (M, C, oh, ow) view per window offset, row-major."""
-        _, offsets = window_slices(x.shape[2:], self.kernel, self.stride, (0, 0))
-        return [x[src] for _, _, _, src in offsets]
-
     def forward(self, x, training=True):
         if x.ndim != 4:
             raise DimensionError(f"MaxPool2d expects (M, C, H, W), got {x.shape}")
         self._x_shape = x.shape
-        views = self._views(x)
+        _, self._offsets = window_slices(x.shape[2:], self.kernel, self.stride, (0, 0))
+        views = [x[src] for _, _, _, src, _ in self._offsets]  # strided (M, C, oh, ow) each
         out = views[0].copy()
         for view in views[1:]:
             np.maximum(out, view, out=out)
@@ -347,9 +348,14 @@ class MaxPool2d(Layer):
         return out
 
     def input_grad(self, dout):
+        # Assign where an offset touches dx first (every offset unless windows
+        # overlap), add elsewhere; entries in no window stay zero.
         dx = np.zeros(self._x_shape)
-        for view, mask in zip(self._views(dx), self._masks):
-            view += dout * mask
+        for (_, _, _, src, first), mask in zip(self._offsets, self._masks):
+            if first:
+                np.multiply(dout, mask, out=dx[src])
+            else:
+                dx[src] += dout * mask
         return dx
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adafisher.errors import ConfigError, DimensionError, InputError, StateError
-from adafisher.kfactor import (FactoredEFIM, KFState, efim_assemble, ema_update,
-                               fresh_factors, identity_like, minmax_normalize,
+from adafisher.kfactor import (MINMAX_EPS, FactoredEFIM, KFState, efim_assemble,
+                               ema_update, fresh_factors, identity_like, minmax_normalize,
                                precondition)
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, Model)
@@ -202,3 +203,50 @@ class TestStateLifecycle:
             div = efim.divisors(layer_id)
             assert np.allclose(div["scale"], state.lam)
             assert np.allclose(div["shift"], state.lam)
+
+
+# Invariants of the factor engine, as derandomized property tests.
+props = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+factor_vecs = st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8).map(np.array)
+
+
+@props
+@given(unit=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20),
+       scale=st.sampled_from([0.0, 1e-15, 1e-12, 2e-12, 1e-9, 1.0, 1e6]),
+       shift=st.floats(-1e3, 1e3))
+def test_minmax_in_unit_range_hitting_both_ends_or_all_zero(unit, scale, shift):
+    # Scales around MINMAX_EPS put the range on both sides of the cut.
+    v = shift + scale * np.array(unit)
+    out = minmax_normalize(v)
+    if v.max() - v.min() >= MINMAX_EPS:
+        assert out.min() == 0.0 and out.max() == 1.0
+        assert out[np.argmin(v)] == 0.0 and out[np.argmax(v)] == 1.0
+    else:
+        assert np.array_equal(out, np.zeros_like(v))
+
+
+@props
+@given(h=factor_vecs, s=factor_vecs, h_scale=factor_vecs, lam=st.floats(1e-8, 10.0),
+       sqrt=st.booleans())
+def test_divisors_never_below_damping(h, s, h_scale, lam, sqrt):
+    state = KFState(lam=lam, factors={0: {"h": h, "s": s},
+                                      1: {"h_scale": h_scale, "s": h_scale[::-1]}})
+    efim = efim_assemble(state)
+    floor = np.sqrt(lam) if sqrt else lam
+    for layer_id in (0, 1):
+        for div in efim.divisors(layer_id, sqrt=sqrt).values():
+            assert np.all(div >= floor)
+
+
+@props
+@given(old=st.tuples(factor_vecs, factor_vecs), fresh=st.tuples(factor_vecs, factor_vecs),
+       steps=st.integers(0, 3))
+def test_gamma_one_update_keeps_exactly_the_fresh_factors(old, fresh, steps):
+    n_h, n_s = min(len(old[0]), len(fresh[0])), min(len(old[1]), len(fresh[1]))
+    state = KFState(gamma=1.0, step=steps,
+                    factors={0: {"h": old[0][:n_h], "s": old[1][:n_s]}})
+    new = {0: {"h": fresh[0][:n_h], "s": fresh[1][:n_s]}}
+    state.update(new)
+    assert state.step == steps + 1
+    for name in ("h", "s"):
+        assert np.array_equal(state.factors[0][name], new[0][name])

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -375,6 +377,21 @@ def test_maxpool_matches_direct_loop(kernel, stride, in_hw):
     covered_w = (out.shape[3] - 1) * stride[1] + kernel[1]
     assert covered_h < in_hw[0] or covered_w < in_hw[1]
     assert not dx[:, :, covered_h:].any() and not dx[:, :, :, covered_w:].any()
+
+
+@pytest.mark.parametrize("name", Activation.SUPPORTED)
+def test_activation_keeps_no_reference_to_its_input(name):
+    act = Activation(name)
+    x = Rng(27).normal((3, 4))
+    out = act.forward(x)
+    assert not any(v is x for v in vars(act).values())
+    dout = Rng(28).normal(out.shape)
+    ref = {"relu": dout * (x > 0), "tanh": dout * (1.0 - np.tanh(x) ** 2), "identity": dout}
+    assert np.array_equal(act.input_grad(dout), ref[name])
+    if name != "identity":  # forward's result is x itself for identity
+        x_ref = weakref.ref(x)
+        del x
+        assert x_ref() is None
 
 
 def test_maxpool_nan_window_routes_to_last_element():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from adafisher.errors import DimensionError
-from adafisher.tensor import Rng, col2im_batch, conv_out_size, im2col_batch, kron_diag
+from adafisher.tensor import (Rng, col2im_batch, conv_out_size, im2col_batch, kron_diag,
+                              window_slices)
 
 
 class TestKronDiag:
@@ -153,6 +154,28 @@ def test_im2col_col2im_adjoint_and_match_padded_reference(case):
     # <im2col(x), g> == <x, col2im(g)>, relative to the sum of |terms|
     lhs, rhs = np.vdot(cols, g), np.vdot(x, dx)
     assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(cols), np.abs(g))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(size=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       kernel=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       stride=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       pad=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+@example(size=(6, 6), kernel=(3, 3), stride=(1, 1), pad=(1, 1))  # overlapping, padded
+@example(size=(6, 7), kernel=(2, 2), stride=(2, 2), pad=(0, 1))  # tiling
+@example(size=(7, 8), kernel=(2, 2), stride=(3, 4), pad=(1, 0))  # gapped
+@example(size=(3, 5), kernel=(3, 2), stride=(1, 1), pad=(0, 0))  # one output row
+def test_window_slices_flag_offsets_that_touch_their_entries_first(size, kernel, stride, pad):
+    assume(all(k <= n + 2 * p for k, n, p in zip(kernel, size, pad)))
+    _, offsets = window_slices(size, kernel, stride, pad)
+    index = np.arange(size[0] * size[1]).reshape(size)
+    seen = set()
+    for i, j, _, src, first in offsets:
+        read = set(index[src].ravel())
+        assert first == seen.isdisjoint(read), (i, j)
+        if i < stride[0] and j < stride[1]:
+            assert first
+        seen |= read
 
 
 class TestRng:

@@ -11,6 +11,7 @@ import pytest
 import adafisher
 from adafisher.cli import main
 from adafisher.config import RunConfig, build_model, resolve_dataset
+from adafisher.datasets import write_idx
 from adafisher.errors import ConfigError, InputError
 from adafisher.nn import BatchNorm, Conv2d, Dense
 from adafisher.tensor import Rng
@@ -30,6 +31,24 @@ def base_config(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def image_model(conv=(), pool=()):
+    """conv3x3(pad 1)-relu-pool2x2-flatten-dense for 1x6x6 images, with field overrides."""
+    return {"layers": [{"kind": "conv2d", "in": 1, "out": 2, "kernel": [3, 3], "pad": [1, 1],
+                        **dict(conv)},
+                       {"kind": "relu"},
+                       {"kind": "maxpool", "kernel": [2, 2], **dict(pool)},
+                       {"kind": "flatten"},
+                       {"kind": "dense", "in": 18, "out": 2}]}
+
+
+def write_images(tmp_path, n=24):
+    rng = np.random.default_rng(0)
+    write_idx(tmp_path / "images.idx", rng.integers(0, 256, (n, 6, 6)), "images")
+    write_idx(tmp_path / "labels.idx", rng.integers(0, 2, n), "labels")
+    return {"source": "idx", "images": str(tmp_path / "images.idx"),
+            "labels": str(tmp_path / "labels.idx")}
 
 
 class TestRunConfig:
@@ -320,9 +339,60 @@ class TestCli:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric failure: step ")
 
+    def test_image_config_trains(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        cfg = self.write_config(tmp_path, model=image_model(), dataset=write_images(tmp_path),
+                                batch_size=4, epochs=1)
+        assert main(["train", "--config", cfg, "--out", "img"]) == 0
+
+    @pytest.mark.parametrize("overrides", [
+        lambda data: {"epochs": "2"},
+        lambda data: {"batch_size": 2.5},
+        lambda data: {"dataset": "blobs"},
+        lambda data: {"model": {"layers": ["dense"]}},
+        lambda data: {"dataset": {**data, "limit": "x"}},
+        lambda data: {"model": image_model(pool={"stride": [0, 0]})},
+        lambda data: {"model": image_model(pool={"kernel": [0, 2]})},
+        lambda data: {"model": image_model(conv={"stride": [0, 1]})},
+        lambda data: {"model": image_model(conv={"pad": [-1, 0]})},
+        lambda data: {"model": {"layers": [{"kind": "flatten"},
+                                           {"kind": "dense", "in": "36", "out": 2}]}},
+    ], ids=["epochs-string", "batch-size-float", "dataset-string", "layer-string",
+            "limit-string", "pool-stride-zero", "pool-kernel-zero", "conv-stride-zero",
+            "conv-pad-negative", "dense-in-string"])
+    def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, overrides):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        data = write_images(tmp_path)
+        cfg = self.write_config(tmp_path, **{"model": image_model(), "dataset": data,
+                                             "batch_size": 4, "epochs": 1, **overrides(data)})
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
     def test_data_error_exit_code(self, tmp_path):
         assert main(["diagnose", "--snapshot", str(tmp_path / "missing.npy"),
                      "--analysis", "fft"]) == 3
+
+    @pytest.mark.parametrize("name, content, analysis", [
+        ("garbage.npy", b"not an array", "gershgorin"),
+        ("garbage.npz", b"not a zip archive", "fft"),
+        ("other.npz", {"other": np.eye(2)}, "gershgorin"),
+        ("other.npz", {"other": np.eye(2)}, "fft"),
+        ("other.npz", {"other": np.eye(2)}, "fim"),
+        ("clean.npz", {"clean": np.eye(2)}, "snr"),
+    ], ids=["npy-unreadable", "npz-unreadable", "gershgorin-no-matrix", "fft-no-matrix",
+            "fim-no-matrix", "snr-no-noisy"])
+    def test_bad_snapshot_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, name,
+                                                content, analysis):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        snap = tmp_path / name
+        if isinstance(content, bytes):
+            snap.write_bytes(content)
+        else:
+            np.savez(snap, **content)
+        assert main(["diagnose", "--snapshot", str(snap), "--analysis", analysis]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ")
 
     def test_diagnose_gershgorin(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))

@@ -1,11 +1,11 @@
-"""AdaFisher training engine: diagonal block-Kronecker Fisher preconditioning
-with verification oracles, diagnostics and a distributed-training simulator."""
+"""AdaFisher training engine: gradient steps divided by a damped diagonal
+block-Kronecker Fisher, with verification oracles, diagnostics and a
+distributed-training simulator."""
 
 from .errors import (AdaFisherError, ConfigError, DataError, DimensionError,
                      FormatError, InputError, NumericError, SizeError,
                      StateError, UnsupportedError)
-from .kfactor import (FactoredEFIM, KFState, efim_assemble, ema_update,
-                      minmax_normalize, precondition)
+from .kfactor import KFState, ema_update, minmax_normalize
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerCapture,
                  LayerNorm, MaxPool2d, Model, cross_entropy, finite_diff_grad,
                  mse, softmax)

@@ -126,9 +126,9 @@ def cmd_oracle(args) -> int:
         w.writerow(["epoch", "layer", "mae"])
         for i in sorted(oracle.layers):
             entry = oracle.layers[i]
-            if "WB" in entry and "h" in factors.get(i, {}):
+            if "WB" in entry:  # weight layers; norm layers' entries are per parameter
                 approx = kron_diag(factors[i]["h"], factors[i]["s"])
-                mae = approximation_mae(oracle.layers[i]["WB"], approx)
+                mae = approximation_mae(entry["WB"], approx)
                 w.writerow([0, i, repr(mae)])
     print(path)
     return 0

@@ -25,10 +25,13 @@ _TOP_TYPES = {"model": _OBJECT, "dataset": _OBJECT, "optimizer": _OBJECT, "kf": 
 _TOP_COUNTS = {"epochs": 1, "batch_size": 1, "workers": 1, "seed": 0}  # key: minimum
 
 
-def _count(value, what: str, low: int = 1) -> int:
-    """value if it is an integer >= low (bools excluded), else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
+def _count(value, what: str, low: int | None = 1) -> int:
+    """value if it is an integer (bools excluded) >= low, or any integer when
+    low is None; else ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
@@ -155,6 +158,12 @@ def build_model(model_spec: dict, rng: Rng) -> Model:
     return Model(layers, loss=loss).init(rng)
 
 
+# Checks of the synthetic datasets' options (datasets.synth_dataset rejects
+# options its kind does not take).
+_SYNTH_OPTIONS = {"classes": _count, "dim": _count, "out_dim": _count,
+                  "sep": _real, "noise": _real, "scale": _real}
+
+
 def resolve_dataset(dataset_spec: dict, seed: int):
     """Materialize (x, y) from a dataset config block."""
     spec = dict(dataset_spec)
@@ -167,15 +176,25 @@ def resolve_dataset(dataset_spec: dict, seed: int):
         x = load_idx(images, expect="images")
         y = load_idx(labels, expect="labels")
     elif source == "csv":
-        path, schema = spec.pop("path"), spec.pop("schema", None)
+        path, schema = spec.pop("path"), spec.pop("schema", {})
         if spec:
             raise ConfigError(f"unknown dataset keys: {sorted(spec)}")
+        if not isinstance(schema, dict):
+            raise ConfigError(f"dataset schema must be a JSON object, got {schema!r}")
+        if "has_header" in schema:
+            _flag(schema["has_header"], "csv has_header")
+        if "label_col" in schema:
+            _count(schema["label_col"], "csv label_col", low=None)
         x, y = load_csv(path, schema)
     elif source in ("blobs", "moons", "quadratic"):
         n = spec.pop("n", None)
         if n is None:
             raise ConfigError("synthetic dataset needs 'n'")
-        x, y = synth_dataset(source, _count(n, "dataset n"), seed=spec.pop("seed", seed), **spec)
+        seed = _count(spec.pop("seed", seed), "dataset seed", low=0)
+        for key, value in spec.items():
+            if key in _SYNTH_OPTIONS:
+                _SYNTH_OPTIONS[key](value, f"dataset {key}")
+        x, y = synth_dataset(source, _count(n, "dataset n"), seed=seed, **spec)
     else:
         raise ConfigError(f"unknown dataset source {source!r}")
     if limit is not None:

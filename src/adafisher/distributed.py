@@ -9,6 +9,8 @@ raises NumericError after aggregation, before the EMA state or the optimizer
 changes. Workers run sequentially; the result is defined to be independent of
 physical parallelism because aggregation happens after a full barrier in fixed
 order. One worker is the plain single-trainer step, run through the same loop.
+The optimizer receives the curvature as KFState.divisors: one divisor per
+parameter, keyed like the aggregated gradients.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import logging
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .kfactor import KFState, efim_assemble, fresh_factors
+from .kfactor import KFState, fresh_factors
 from .nn import Model
 from .optim import Optimizer
 
@@ -64,14 +66,12 @@ def _check_finite(step: int, quantity: str, arrays: dict) -> None:
 
 
 def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
-               kf_state: KFState | None = None, norm_fisher_off: bool = False,
-               workers: int = 1) -> float:
+               kf_state: KFState | None = None, workers: int = 1) -> float:
     """One synchronized step: shard -> per-worker pass -> mean -> check -> EMA
-    -> assemble -> update.
+    -> divisors -> update.
 
     Every worker count runs the same loop; with workers=1 the means are exact
-    copies, so the step equals the plain single-trainer sequence. With
-    norm_fisher_off the normalization layers' factors are replaced by ones.
+    copies, so the step equals the plain single-trainer sequence.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -81,7 +81,7 @@ def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
         losses.append(model.train_batch(xs, ys))
         shard_grads.append({(i, name): g for i, layer in model.param_layers()
                             for name, g in layer.grads.items()})
-        if opt.needs_efim:
+        if opt.needs_divisors:
             shard_factors.append(fresh_factors(model))
     if not np.isfinite(losses).all():
         raise NumericError(f"step {step}: non-finite training loss")
@@ -90,14 +90,14 @@ def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
     _check_finite(step, "gradient", grads)
     for (i, name), g in grads.items():
         model.layers[i].grads[name] = g
-    efim = None
-    if opt.needs_efim:
+    divisors = None
+    if opt.needs_divisors:
         if kf_state is None:
             raise ConfigError("AdaFisher training requires a KFState")
         agg = _worker_mean(shard_factors)
         _check_finite(step, "factor", {(i, name): vec for i, factors in agg.items()
                                        for name, vec in factors.items()})
         kf_state.update(agg)
-        efim = efim_assemble(kf_state, norm_fisher_off=norm_fisher_off)
-    opt.step(model, efim)
+        divisors = kf_state.divisors(model)
+    opt.step(model, divisors)
     return float(np.mean(losses))

@@ -2,17 +2,18 @@
 
 Per parameterized layer we keep the diagonals of the activation second-moment
 factor (h) and the pre-activation-gradient second-moment factor (s), which the
-layer's param_stats captures directly (see nn.LayerCapture), smooth them with
-an EMA in which the *fresh* factor carries weight gamma, min-max normalize each
-diagonal, and assemble the damped factored curvature used to precondition
-gradients:
+layer's param_stats captures directly (see nn.LayerCapture), and smooth them
+with an EMA in which the *fresh* factor carries weight gamma. KFState.divisors
+min-max normalizes each diagonal and hands back one damped curvature divisor
+per parameter, shaped like it:
 
-    divisor(k, j) = h'[j] * s'[k] + lambda
+    weight of output k, flattened input j:  h'[j] * s'[k] + lambda
+    bias of output k (h's last, unit slot):  h'[-1] * s'[k] + lambda
 
-Normalization layers degenerate to elementwise (Hadamard) structure and keep
-two diagonals, h_scale and s: the scale-parameter divisor is
-h_scale' * s' + lambda and the shift-parameter divisor is s' + lambda (its
-activation factor is the constant 1, so it keeps no h diagonal).
+Normalization layers degenerate to elementwise (Hadamard) structure: the scale
+divisor is h' * s' + lambda and the shift divisor s' + lambda (its activation
+factor is the constant 1). With norm_fisher_off every normalization divisor
+is lambda.
 """
 
 from __future__ import annotations
@@ -53,25 +54,23 @@ def minmax_normalize(v: np.ndarray) -> np.ndarray:
     return (v - lo) / (hi - lo)
 
 
+def _factor_sizes(params: dict) -> tuple[int, int]:
+    """Lengths of the h and s diagonals that fit a layer's parameters."""
+    if "W" in params:
+        return params["W"][0].size + ("b" in params), params["W"].shape[0]
+    return params["scale"].size, params["scale"].size
+
+
 def fresh_factors(model: Model) -> dict[int, dict[str, np.ndarray]]:
-    """Per-batch factor diagonals for every parameterized layer of a model."""
+    """Per-batch factor diagonals {"h", "s"} for every parameterized layer."""
     factors: dict[int, dict[str, np.ndarray]] = {}
     for i, layer in model.param_layers():
         cap = layer.capture
         if cap is None:
             raise StateError(f"layer {i} ({type(layer).__name__}) has no capture; "
                              "run a backward pass first")
-        if layer.kf_kind == "kron":
-            factors[i] = {"h": cap.h, "s": cap.s}
-        elif layer.kf_kind == "norm":
-            factors[i] = {"h_scale": cap.h, "s": cap.s}
-        else:
-            raise StateError(f"parameterized layer {i} has no factor formula")
+        factors[i] = {"h": cap.h, "s": cap.s}
     return factors
-
-
-def identity_like(factors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {name: np.ones_like(v) for name, v in factors.items()}
 
 
 @dataclass
@@ -82,24 +81,22 @@ class KFState:
     lam: float = DEFAULT_LAMBDA
     step: int = 0
     factors: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
+    norm_fisher_off: bool = False
+
+    def __post_init__(self):
+        if not 0.0 < self.gamma <= 1.0:
+            raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
+        if self.lam <= 0:
+            raise ConfigError(f"lambda must be positive, got {self.lam}")
 
     @classmethod
-    def for_model(cls, model: Model, gamma: float = DEFAULT_GAMMA, lam: float = DEFAULT_LAMBDA):
+    def for_model(cls, model: Model, gamma: float = DEFAULT_GAMMA, lam: float = DEFAULT_LAMBDA,
+                  norm_fisher_off: bool = False):
         """All-ones initialization (identity curvature at t=0)."""
-        if not 0.0 < gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
-        if lam <= 0:
-            raise ConfigError(f"lambda must be positive, got {lam}")
-        state = cls(gamma=gamma, lam=lam)
+        state = cls(gamma=gamma, lam=lam, norm_fisher_off=norm_fisher_off)
         for i, layer in model.param_layers():
-            if layer.kf_kind == "kron":
-                w = layer.params["W"]
-                out_dim = w.shape[0]
-                in_dim = int(np.prod(w.shape[1:])) + (1 if "b" in layer.params else 0)
-                state.factors[i] = {"h": np.ones(in_dim), "s": np.ones(out_dim)}
-            elif layer.kf_kind == "norm":
-                c = layer.params["scale"].size
-                state.factors[i] = {"h_scale": np.ones(c), "s": np.ones(c)}
+            h, s = _factor_sizes(layer.params)
+            state.factors[i] = {"h": np.ones(h), "s": np.ones(s)}
         return state
 
     def update(self, fresh: dict[int, dict[str, np.ndarray]]) -> "KFState":
@@ -111,50 +108,24 @@ class KFState:
         self.step += 1
         return self
 
-
-@dataclass
-class FactoredEFIM:
-    """Min-max-normalized factor diagonals plus damping, per layer."""
-
-    lam: float
-    layers: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
-
-    def divisors(self, layer_id: int, sqrt: bool = False) -> dict[str, np.ndarray]:
-        """Preconditioning divisors per parameter block of one layer.
-
-        'kron' layers get a single (out, in[+1]) matrix under key 'WB';
-        'norm' layers get vectors under 'scale' and 'shift'.
-        """
-        entry = self.layers[layer_id]
-        if "h" in entry:
-            div = {"WB": np.outer(entry["s"], entry["h"]) + self.lam}
-        else:
-            div = {
-                "scale": entry["h_scale"] * entry["s"] + self.lam,
-                "shift": entry["s"] + self.lam,
-            }
-        if sqrt:
-            div = {k: np.sqrt(v) for k, v in div.items()}
-        return div
-
-
-def efim_assemble(state: KFState, norm_fisher_off: bool = False) -> FactoredEFIM:
-    """Min-max normalize the (EMA-smoothed) diagonals and attach damping."""
-    if state.lam <= 0:
-        raise ConfigError(f"lambda must be positive, got {state.lam}")
-    efim = FactoredEFIM(lam=state.lam)
-    for i, factors in state.factors.items():
-        if norm_fisher_off and "h_scale" in factors:
-            factors = identity_like(factors)
-        efim.layers[i] = {name: minmax_normalize(vec) for name, vec in factors.items()}
-    return efim
-
-
-def precondition(grad: np.ndarray, efim: FactoredEFIM, layer_id: int, sqrt: bool = False):
-    """Divide a combined (out, in[+1]) gradient by the layer's divisor matrix."""
-    div = efim.divisors(layer_id, sqrt=sqrt)
-    if "WB" in div:
-        if grad.shape != div["WB"].shape:
-            raise DimensionError(f"gradient shape {grad.shape} != divisor {div['WB'].shape}")
-        return grad / div["WB"]
-    raise StateError("use divisors() for normalization layers")
+    def divisors(self, model: Model) -> dict[tuple[int, str], np.ndarray]:
+        """{(layer id, parameter name): divisor}, each shaped like its parameter."""
+        out = {}
+        for i, layer in model.param_layers():
+            h, s = (minmax_normalize(self.factors[i][k]) for k in ("h", "s"))
+            p = layer.params
+            if (h.size, s.size) != _factor_sizes(p):
+                raise DimensionError(f"layer {i}: factors h {h.size}, s {s.size} do not fit "
+                                     f"its parameters {({n: v.shape for n, v in p.items()})}")
+            if "W" in p:
+                fan_in = p["W"][0].size
+                div = np.outer(s, h) + self.lam
+                out[i, "W"] = div[:, :fan_in].reshape(p["W"].shape)
+                if "b" in p:
+                    out[i, "b"] = div[:, -1]
+            else:
+                if self.norm_fisher_off:  # identity factors: all zero after min-max
+                    h = s = np.zeros_like(s)
+                out[i, "scale"] = h * s + self.lam
+                out[i, "shift"] = s + self.lam
+        return out

@@ -52,8 +52,6 @@ def _mean_sq(a: np.ndarray) -> np.ndarray:
 class Layer:
     """Base layer: stateless unless it carries parameters."""
 
-    kf_kind: str | None = None  # 'kron' | 'norm' | None (no params)
-
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
@@ -70,8 +68,6 @@ class Layer:
 
 
 class Dense(Layer):
-    kf_kind = "kron"
-
     def __init__(self, in_dim: int, out_dim: int, bias: bool = True):
         super().__init__()
         self.in_dim = in_dim
@@ -118,8 +114,6 @@ class Dense(Layer):
 
 
 class Conv2d(Layer):
-    kf_kind = "kron"
-
     def __init__(self, in_ch, out_ch, kernel, stride=(1, 1), pad=(0, 0), bias=True):
         super().__init__()
         self.in_ch, self.out_ch = in_ch, out_ch
@@ -179,8 +173,6 @@ class Conv2d(Layer):
 
 class _Norm(Layer):
     """Normalization with a per-feature scale and shift of the normalized input."""
-
-    kf_kind = "norm"
 
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()

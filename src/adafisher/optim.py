@@ -2,10 +2,11 @@
 baselines, and learning-rate schedules.
 
 AdaFisher keeps a single bias-corrected first moment per parameter and divides
-it elementwise by that parameter's curvature divisor; there is no second
-moment and (unless sqrt_divisor=True) no square root on the divisor: the
-factored curvature supplies its own smoothing through the factor EMA. Every
-layer kind takes the same per-parameter update, shaped like Adam's.
+it elementwise by that parameter's curvature divisor, which KFState.divisors
+hands over keyed by (layer id, parameter name); there is no second moment and
+(unless sqrt_divisor=True) no square root on the divisor: the factored
+curvature supplies its own smoothing through the factor EMA. Every parameter
+takes the same update, looped like Adam's.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .kfactor import FactoredEFIM
 from .nn import Model
 
 
@@ -38,7 +38,7 @@ class Schedule:
 
 
 class Optimizer:
-    needs_efim = False
+    needs_divisors = False
 
     def __init__(self, alpha: float = 0.001):
         if alpha <= 0:
@@ -47,7 +47,7 @@ class Optimizer:
         self.lr_scale = 1.0
         self.t = 0
 
-    def step(self, model: Model, efim: FactoredEFIM | None = None) -> None:
+    def step(self, model: Model, divisors: dict | None = None) -> None:
         raise NotImplementedError
 
     @property
@@ -55,30 +55,11 @@ class Optimizer:
         return self.alpha * self.lr_scale
 
 
-def _param_divisors(divisors: dict, params: dict) -> dict:
-    """Per-parameter divisors of one layer.
-
-    A kron layer's (out, in[+1]) 'WB' matrix splits into a view for W (its
-    leading columns) and one for b (its last column); norm layers' divisors
-    are already keyed by parameter.
-    """
-    wb = divisors.pop("WB", None)
-    if wb is not None:
-        w = params["W"]
-        layout = (w.shape[0], w[0].size + ("b" in params))
-        if wb.shape != layout:
-            raise DimensionError(f"divisor {wb.shape} does not fit W {w.shape} "
-                                 f"{'with' if 'b' in params else 'without'} bias")
-        divisors["W"] = wb[:, :w[0].size].reshape(w.shape)
-        divisors["b"] = wb[:, -1]
-    return divisors
-
-
 class AdaFisher(Optimizer):
-    """Preconditioned first-moment descent (decoupled decay when kappa > 0
-    and decoupled=True, i.e. the AdaFisherW variant)."""
+    """First-moment descent divided by the curvature divisors (decoupled
+    decay when kappa > 0 and decoupled=True, i.e. the AdaFisherW variant)."""
 
-    needs_efim = True
+    needs_divisors = True
 
     def __init__(self, alpha: float = 0.001, beta: float = 0.9, kappa: float = 0.0,
                  decoupled: bool = False, sqrt_divisor: bool = False):
@@ -93,32 +74,31 @@ class AdaFisher(Optimizer):
         self.sqrt_divisor = sqrt_divisor
         self.m: dict[tuple[int, str], np.ndarray] = {}
 
-    def step(self, model: Model, efim: FactoredEFIM | None = None) -> None:
-        if efim is None:
-            raise ConfigError("AdaFisher requires an assembled curvature")
+    def step(self, model: Model, divisors: dict | None = None) -> None:
+        if divisors is None:
+            raise ConfigError("AdaFisher requires curvature divisors")
         self.t += 1
         correction = 1.0 - self.beta**self.t
         lr = self.lr
-        for i, layer in model.param_layers():
-            divisors = _param_divisors(efim.divisors(i, sqrt=self.sqrt_divisor),
-                                       layer.params)
-            for name, p in layer.params.items():
-                g, div = layer.grads[name], divisors[name]
-                if g.shape != div.shape:
-                    raise DimensionError(f"layer {i} parameter {name}: gradient "
-                                         f"{g.shape} vs divisor {div.shape}")
-                key = (i, name)
-                if key not in self.m:
-                    self.m[key] = np.zeros_like(p)
-                m = self.m[key]
-                m *= self.beta
-                m += (1.0 - self.beta) * g
-                delta = m / correction  # bias correction applied on read
-                delta /= div
-                if self.decoupled and self.kappa:
-                    delta += self.kappa * p
-                delta *= lr
-                p -= delta
+        for i, name, p in model.parameters():
+            g, div = model.layers[i].grads[name], divisors[i, name]
+            if g.shape != div.shape:
+                raise DimensionError(f"layer {i} parameter {name}: gradient "
+                                     f"{g.shape} vs divisor {div.shape}")
+            if self.sqrt_divisor:
+                div = np.sqrt(div)
+            key = (i, name)
+            if key not in self.m:
+                self.m[key] = np.zeros_like(p)
+            m = self.m[key]
+            m *= self.beta
+            m += (1.0 - self.beta) * g
+            delta = m / correction  # bias correction applied on read
+            delta /= div
+            if self.decoupled and self.kappa:
+                delta += self.kappa * p
+            delta *= lr
+            p -= delta
 
 
 def adafisherw(alpha: float = 0.001, beta: float = 0.9, kappa: float = 0.0,
@@ -139,7 +119,7 @@ class Adam(Optimizer):
         self.m: dict[tuple[int, str], np.ndarray] = {}
         self.v: dict[tuple[int, str], np.ndarray] = {}
 
-    def step(self, model: Model, efim=None) -> None:
+    def step(self, model: Model, divisors=None) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
@@ -175,7 +155,7 @@ class SGD(Optimizer):
         self.momentum = momentum
         self.buf: dict[tuple[int, str], np.ndarray] = {}
 
-    def step(self, model: Model, efim=None) -> None:
+    def step(self, model: Model, divisors=None) -> None:
         self.t += 1
         lr = self.lr
         for i, name, p in model.parameters():

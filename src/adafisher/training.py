@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, build_model, resolve_dataset
+from .config import RunConfig, _count, build_model, resolve_dataset
 from .datasets import train_eval_split
 from .diagnostics import TrajectoryLog
 from .distributed import train_step
@@ -53,7 +53,7 @@ def evaluate(model, x, y):
 
 def run_training(config: RunConfig, out_dir=None, seed: int | None = None) -> Path:
     """Execute one training run; returns the metrics file path."""
-    seed = config.seed if seed is None else seed
+    seed = config.seed if seed is None else _count(seed, "seed", low=0)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -80,13 +80,14 @@ def run_training(config: RunConfig, out_dir=None, seed: int | None = None) -> Pa
         raise ConfigError(f"unsupported ablation key {key!r}: use {hint}")
     opt = build_optimizer(name, opt_spec)
     kf_state = None
-    if opt.needs_efim:
+    if opt.needs_divisors:
         kf_cfg = dict(config.kf)
         gamma = kf_cfg.pop("gamma", DEFAULT_GAMMA)
         lam = kf_cfg.pop("lambda", DEFAULT_LAMBDA)
         if kf_cfg:
             raise ConfigError(f"unknown kf keys: {sorted(kf_cfg)}")
-        kf_state = KFState.for_model(model, gamma=gamma, lam=lam)
+        kf_state = KFState.for_model(model, gamma=gamma, lam=lam,
+                                     norm_fisher_off=norm_fisher_off)
 
     sched_cfg = dict(config.schedule)
     schedule = Schedule(kind=sched_cfg.pop("type", "constant"),
@@ -112,7 +113,7 @@ def run_training(config: RunConfig, out_dir=None, seed: int | None = None) -> Pa
                 idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
                 t0 = time.perf_counter()
                 loss = train_step(model, x_tr[idx], y_tr[idx], opt, kf_state,
-                                  norm_fisher_off, workers=config.workers)
+                                  workers=config.workers)
                 times.append((time.perf_counter() - t0) * 1000.0)
                 step += 1
                 losses.append(loss)

@@ -13,8 +13,7 @@ import pytest
 from adafisher.diagnostics import fft2, gershgorin, perturb_offdiag, snr
 from adafisher.distributed import train_step
 from adafisher.fisher import exact_fisher_diag, mc_fisher_diag
-from adafisher.kfactor import (KFState, efim_assemble, fresh_factors,
-                               minmax_normalize, precondition)
+from adafisher.kfactor import KFState, fresh_factors, minmax_normalize
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, MaxPool2d, Model, finite_diff_grad, softmax)
 from adafisher.optim import AdaFisher, adafisherw
@@ -68,7 +67,7 @@ def test_02_factored_efim_equivalence(capsys):
         h_raw = np.abs(rng.normal((p_in,)))
         s_raw = np.abs(rng.normal((p_out,)))
         state = KFState(lam=lam, factors={0: {"h": h_raw, "s": s_raw}})
-        efim = efim_assemble(state)
+        divisor = state.divisors(Model([Dense(p_in, p_out, bias=False)]))[0, "W"]
         g = rng.normal((p_out, p_in))
 
         def norm(v):
@@ -79,7 +78,7 @@ def test_02_factored_efim_equivalence(capsys):
 
         dense = np.diag(kron_diag(norm(h_raw), norm(s_raw)) + lam)
         oracle = np.linalg.solve(dense, g.T.ravel()).reshape(p_in, p_out).T
-        worst = max(worst, float(np.max(np.abs(precondition(g, efim, 0) - oracle))))
+        worst = max(worst, float(np.max(np.abs(g / divisor - oracle))))
     report(capsys, 2, f"200 random blocks vs dense inverse oracle, worst abs err {worst:.2e}",
            worst <= 1e-12)
 
@@ -224,33 +223,34 @@ def _ablation_model():
 def test_08_ablation_behavior(capsys):
     # EMA off: the curvature is a pure function of the batch
     model, x, y = _ablation_model()
-    efims = []
+    divs = []
     for _ in range(2):
         model.train_batch(x, y)
         transient = KFState(factors=fresh_factors(model))
-        efims.append(efim_assemble(transient))
-    ema_ok = all(
-        np.array_equal(efims[0].divisors(i)[name], efims[1].divisors(i)[name])
-        for i, _ in model.param_layers()
-        for name in efims[0].divisors(i))
+        divs.append(transient.divisors(model))
+    ema_ok = set(divs[0]) == set(divs[1]) and all(
+        np.array_equal(divs[0][key], divs[1][key]) for key in divs[0])
 
-    # sqrt toggle: every divisor is the square root of the default one
+    # sqrt toggle: with beta=0 and alpha=1 each step is the gradient divided
+    # by the square root of the default divisor
     state = KFState.for_model(model)
     state.update(fresh_factors(model))
-    efim = efim_assemble(state)
+    divisors = state.divisors(model)
+    stepped = model.copy()
+    AdaFisher(alpha=1.0, beta=0.0, sqrt_divisor=True).step(stepped, divisors)
     sqrt_err = max(
-        float(np.max(np.abs(efim.divisors(i, sqrt=True)[name]
-                            - np.sqrt(efim.divisors(i)[name]))))
-        for i, _ in model.param_layers()
-        for name in efim.divisors(i))
+        float(np.max(np.abs((p0 - p) - stepped.layers[i].grads[name]
+                            / np.sqrt(divisors[i, name]))))
+        for (i, name, p0), (_, _, p) in zip(model.parameters(), stepped.parameters()))
 
     # normalization-Fisher off: identity factors collapse to the damping floor
-    efim_off = efim_assemble(state, norm_fisher_off=True)
-    norm_div = efim_off.divisors(1)
-    norm_ok = (np.array_equal(norm_div["scale"], np.full(8, state.lam))
-               and np.array_equal(norm_div["shift"], np.full(8, state.lam)))
+    state_off = KFState.for_model(model, norm_fisher_off=True)
+    state_off.update(fresh_factors(model))
+    div_off = state_off.divisors(model)
+    norm_ok = (np.array_equal(div_off[1, "scale"], np.full(8, state.lam))
+               and np.array_equal(div_off[1, "shift"], np.full(8, state.lam)))
 
-    report(capsys, 8, f"ema-off identical EFIMs={ema_ok}, sqrt spot-check {sqrt_err:.1e}, "
+    report(capsys, 8, f"ema-off identical divisors={ema_ok}, sqrt spot-check {sqrt_err:.1e}, "
               f"norm-off divisors==lambda={norm_ok}",
            ema_ok and sqrt_err <= 1e-12 and norm_ok)
 
@@ -265,7 +265,7 @@ def test_09_decoupled_decay(capsys):
     state = KFState.for_model(model)
     state.update(fresh_factors(model))
     opt = adafisherw(alpha=0.01, kappa=0.1)
-    opt.step(model, efim_assemble(state))
+    opt.step(model, state.divisors(model))
     worst = 0.0
     for i, name, p in model.parameters():
         expected = before[(i, name)] * (1.0 - 0.001)

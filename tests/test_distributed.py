@@ -3,7 +3,7 @@ import pytest
 
 from adafisher.distributed import _worker_mean, shard_batch, train_step
 from adafisher.errors import ConfigError, NumericError
-from adafisher.kfactor import KFState, efim_assemble, fresh_factors
+from adafisher.kfactor import KFState, fresh_factors
 from adafisher.nn import Activation, Dense, Model
 from adafisher.optim import AdaFisher, SGD
 from adafisher.tensor import Rng
@@ -111,7 +111,7 @@ class TestTrainStep:
         s1, s2 = KFState.for_model(m1), KFState.for_model(m2)
         l1 = m1.train_batch(x, y)
         s1.update(fresh_factors(m1))
-        o1.step(m1, efim_assemble(s1))
+        o1.step(m1, s1.divisors(m1))
         l2 = train_step(m2, x, y, o2, s2, workers=1)
         assert l1 == l2
         for i, factors in s1.factors.items():

@@ -134,7 +134,7 @@ def reference_fisher(model, x, n_samples=None, seed=0):
             grad_out[0, y] -= 1.0
             model.backward(grad_out)
             for i, layer in model.param_layers():
-                if layer.kf_kind == "kron":
+                if "W" in layer.params:
                     g = layer.grads["W"].reshape(layer.grads["W"].shape[0], -1)
                     if "b" in layer.grads:
                         g = np.hstack([g, layer.grads["b"][:, None]])
@@ -153,7 +153,7 @@ def trained_net(layers, x, seed):
     model = Model(layers).init(Rng(seed))
     rng = Rng(seed + 1)
     for _, layer in model.param_layers():
-        if layer.kf_kind == "norm":
+        if "W" not in layer.params:
             layer.params["scale"] = 1.0 + 0.5 * rng.normal((layer.dim,))
             layer.params["shift"] = 0.5 * rng.normal((layer.dim,))
     n_classes = model.forward(x[:2], training=False).shape[1]

@@ -3,31 +3,41 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adafisher.errors import ConfigError, DimensionError, InputError, StateError
-from adafisher.kfactor import (MINMAX_EPS, FactoredEFIM, KFState, efim_assemble,
-                               ema_update, fresh_factors, identity_like, minmax_normalize,
-                               precondition)
+from adafisher.kfactor import (MINMAX_EPS, KFState, ema_update, fresh_factors,
+                               minmax_normalize)
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, Model)
 from adafisher.tensor import Rng, kron_diag
+
+
+def weight_only(h, s):
+    """A bias-free Dense whose W divisor is the whole (len(s), len(h)) outer grid."""
+    return Model([Dense(len(h), len(s), bias=False)])
+
+
+def divisor_grid(state, h, s):
+    """The divisors of a bias-free Dense layer 0 fitting h and s, in vec order
+    (input index slow, output index fast)."""
+    return state.divisors(weight_only(h, s))[0, "W"].T.ravel()
 
 
 class TestKfIdentity:
     """All-ones (identity) factors carry no curvature after min-max."""
 
     def test_definition(self):
-        ident = identity_like({"h": np.arange(4.0), "s": np.full(3, 7.0)})
+        ident = KFState.for_model(Model([Dense(3, 3)])).factors[0]
         assert set(ident) == {"h", "s"}
         assert np.array_equal(ident["h"], np.ones(4))
         assert np.array_equal(ident["s"], np.ones(3))
 
     def test_minmax_of_identity_is_degenerate(self):
-        ident = identity_like({"h": np.arange(4.0)})
+        ident = KFState.for_model(Model([Dense(3, 3)])).factors[0]
         assert np.array_equal(minmax_normalize(ident["h"]), np.zeros(4))
 
     def test_assembled_divisor_is_pure_damping(self):
-        state = KFState(lam=0.001, factors={0: {"h": np.ones(2), "s": np.ones(2)}})
-        efim = efim_assemble(state)
-        assert np.max(np.abs(efim.divisors(0)["WB"].T.ravel() - 0.001)) < 1e-18
+        h, s = np.ones(2), np.ones(2)
+        state = KFState(lam=0.001, factors={0: {"h": h, "s": s}})
+        assert np.max(np.abs(divisor_grid(state, h, s) - 0.001)) < 1e-18
 
 
 class TestEmaUpdate:
@@ -79,16 +89,19 @@ class TestMinMax:
 
 
 class TestEfimAssemble:
+    """KFState.divisors: min-max normalized factors plus damping."""
+
     def test_forced_arithmetic(self):
         # already-normalized factors pass through min-max unchanged
-        state = KFState(lam=0.001, factors={0: {"h": np.array([0.0, 1.0]),
-                                                "s": np.array([0.0, 1.0])}})
-        diag = efim_assemble(state).divisors(0)["WB"].T.ravel()
+        h, s = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+        state = KFState(lam=0.001, factors={0: {"h": h, "s": s}})
+        diag = divisor_grid(state, h, s)
         assert np.allclose(diag, [0.001, 0.001, 0.001, 1.001], atol=1e-15)
 
     def test_degenerate_factors_pure_damping(self):
-        state = KFState(lam=0.5, factors={0: {"h": np.full(3, 2.0), "s": np.full(2, 7.0)}})
-        assert np.max(np.abs(efim_assemble(state).divisors(0)["WB"].T.ravel() - 0.5)) == 0.0
+        h, s = np.full(3, 2.0), np.full(2, 7.0)
+        state = KFState(lam=0.5, factors={0: {"h": h, "s": s}})
+        assert np.max(np.abs(divisor_grid(state, h, s) - 0.5)) == 0.0
 
     def test_matches_dense_kron_oracle(self):
         rng = Rng(6)
@@ -96,35 +109,42 @@ class TestEfimAssemble:
             h = np.abs(rng.normal((5,)))
             s = np.abs(rng.normal((4,)))
             state = KFState(lam=0.001, factors={0: {"h": h, "s": s}})
-            efim = efim_assemble(state)
             dense = np.diag(np.kron(np.diag(minmax_normalize(h)),
                                     np.diag(minmax_normalize(s)))) + 0.001
-            assert np.max(np.abs(efim.divisors(0)["WB"].T.ravel() - dense)) < 1e-15
+            assert np.max(np.abs(divisor_grid(state, h, s) - dense)) < 1e-15
 
     def test_range_invariant(self):
         rng = Rng(7)
-        state = KFState(lam=0.001, factors={0: {"h": np.abs(rng.normal((6,))),
-                                                "s": np.abs(rng.normal((3,)))}})
-        diag = efim_assemble(state).divisors(0)["WB"].T.ravel()
+        h, s = np.abs(rng.normal((6,))), np.abs(rng.normal((3,)))
+        state = KFState(lam=0.001, factors={0: {"h": h, "s": s}})
+        diag = divisor_grid(state, h, s)
         assert np.all(diag >= 0.001 - 1e-15)
         assert np.all(diag <= 1.001 + 1e-15)
 
     def test_bad_lambda(self):
-        state = KFState(lam=0.0, factors={})
         with pytest.raises(ConfigError):
-            efim_assemble(state)
+            KFState(lam=0.0, factors={})
+
+
+def precondition(g, h, s, lam):
+    """A (len(s), len(h)) gradient divided by its divisors from KFState.divisors."""
+    state = KFState(lam=lam, factors={0: {"h": h, "s": s}})
+    return g / state.divisors(weight_only(h, s))[0, "W"]
 
 
 class TestPrecondition:
+    """A gradient divided elementwise by its parameter's divisor."""
+
     def test_forced_arithmetic(self):
-        efim = FactoredEFIM(lam=1.0, layers={0: {"h": np.array([1.0]), "s": np.array([1.0])}})
-        out = precondition(np.array([[4.0]]), efim, 0)
+        # raw factors [1, 0] min-max normalize to themselves: divisor[0, 0] = 1*1 + 1
+        out = precondition(np.full((2, 2), 4.0), np.array([1.0, 0.0]), np.array([1.0, 0.0]),
+                           lam=1.0)
         assert out[0, 0] == 2.0
 
     def test_pure_damping(self):
-        efim = FactoredEFIM(lam=0.001, layers={0: {"h": np.zeros(3), "s": np.zeros(2)}})
         g = np.arange(6.0).reshape(2, 3)
-        assert np.max(np.abs(precondition(g, efim, 0) - g / 0.001)) < 1e-9
+        out = precondition(g, np.zeros(3), np.zeros(2), lam=0.001)
+        assert np.max(np.abs(out - g / 0.001)) < 1e-9
 
     def test_matches_dense_inverse_times_vec(self):
         rng = Rng(8)
@@ -133,23 +153,23 @@ class TestPrecondition:
             h = minmax_normalize(np.abs(rng.normal((p_in,)))) if p_in > 1 else np.zeros(1)
             s = minmax_normalize(np.abs(rng.normal((p_out,)))) if p_out > 1 else np.zeros(1)
             lam = 0.001
-            efim = FactoredEFIM(lam=lam, layers={0: {"h": h, "s": s}})
             g = rng.normal((p_out, p_in))
             dense = np.diag(kron_diag(h, s) + lam)  # vec order: h slow, s fast
             oracle = np.linalg.solve(dense, g.T.ravel()).reshape(p_in, p_out).T
-            assert np.max(np.abs(precondition(g, efim, 0) - oracle)) < 1e-12
+            assert np.max(np.abs(precondition(g, h, s, lam) - oracle)) < 1e-12
 
     def test_dimension_mismatch(self):
-        efim = FactoredEFIM(lam=1.0, layers={0: {"h": np.zeros(2), "s": np.zeros(2)}})
+        state = KFState(lam=1.0, factors={0: {"h": np.zeros(2), "s": np.zeros(2)}})
         with pytest.raises(DimensionError):
-            precondition(np.zeros((3, 3)), efim, 0)
+            state.divisors(Model([Dense(3, 3, bias=False)]))
 
     def test_norm_layer_divisors(self):
-        efim = FactoredEFIM(lam=0.001, layers={0: {"h_scale": np.array([0.0, 1.0]),
-                                                   "s": np.array([0.5, 1.0])}})
-        div = efim.divisors(0)
-        assert np.allclose(div["scale"], [0.001, 1.001])
-        assert np.allclose(div["shift"], [0.501, 1.001])
+        # raw factors holding both 0 and 1 min-max normalize to themselves
+        state = KFState(lam=0.001, factors={0: {"h": np.array([0.0, 1.0, 0.0]),
+                                                "s": np.array([0.5, 1.0, 0.0])}})
+        div = state.divisors(Model([LayerNorm(3)]))
+        assert np.allclose(div[0, "scale"], [0.001, 1.001, 0.001])
+        assert np.allclose(div[0, "shift"], [0.501, 1.001, 0.001])
 
 
 class TestStateLifecycle:
@@ -169,7 +189,7 @@ class TestStateLifecycle:
         assert np.array_equal(state.factors[0]["h"], np.ones(5))  # 1*2*2 + bias
         assert np.array_equal(state.factors[0]["s"], np.ones(2))
         assert np.array_equal(state.factors[4]["h"], np.ones(9))
-        assert set(state.factors[2]) == {"h_scale", "s"}
+        assert set(state.factors[2]) == {"h", "s"}
 
     def test_fresh_factors_and_update(self):
         model = self.make_model()
@@ -196,13 +216,33 @@ class TestStateLifecycle:
         rng = Rng(11)
         x = rng.normal((4, 1, 3, 3))
         model.train_batch(x, rng.integers(0, 4, size=4))
-        state = KFState.for_model(model)
+        state = KFState.for_model(model, norm_fisher_off=True)
         state.update(fresh_factors(model))
-        efim = efim_assemble(state, norm_fisher_off=True)
+        div = state.divisors(model)
         for layer_id in (2, 5):  # BatchNorm / LayerNorm layers
-            div = efim.divisors(layer_id)
-            assert np.allclose(div["scale"], state.lam)
-            assert np.allclose(div["shift"], state.lam)
+            assert np.allclose(div[layer_id, "scale"], state.lam)
+            assert np.allclose(div[layer_id, "shift"], state.lam)
+
+    @pytest.mark.parametrize("layer", [
+        Dense(3, 2), Dense(3, 2, bias=False), Conv2d(2, 3, (2, 2)),
+        Conv2d(2, 3, (2, 2), bias=False), BatchNorm(4), LayerNorm(4),
+    ], ids=["dense", "dense-nobias", "conv", "conv-nobias", "batchnorm", "layernorm"])
+    def test_divisors_fit_every_parameter(self, layer):
+        model = Model([layer])
+        state = KFState.for_model(model)
+        rng = Rng(12)
+        for name, vec in state.factors[0].items():
+            state.factors[0][name] = rng.uniform(vec.shape)
+        div = state.divisors(model)
+        assert set(div) == {(0, name) for name in layer.params}
+        for name, p in layer.params.items():
+            assert div[0, name].shape == p.shape
+            assert np.all(div[0, name] >= state.lam)
+        for name in ("h", "s"):  # one entry too many in either factor
+            bad = KFState.for_model(model)
+            bad.factors[0][name] = np.ones(bad.factors[0][name].size + 1)
+            with pytest.raises(DimensionError, match="layer 0"):
+                bad.divisors(model)
 
 
 # Invariants of the factor engine, as derandomized property tests.
@@ -229,13 +269,13 @@ def test_minmax_in_unit_range_hitting_both_ends_or_all_zero(unit, scale, shift):
 @given(h=factor_vecs, s=factor_vecs, h_scale=factor_vecs, lam=st.floats(1e-8, 10.0),
        sqrt=st.booleans())
 def test_divisors_never_below_damping(h, s, h_scale, lam, sqrt):
+    # Layer shapes only; the two layers need not chain for KFState.divisors.
+    model = Model([Dense(len(h), len(s), bias=False), LayerNorm(len(h_scale))])
     state = KFState(lam=lam, factors={0: {"h": h, "s": s},
-                                      1: {"h_scale": h_scale, "s": h_scale[::-1]}})
-    efim = efim_assemble(state)
+                                      1: {"h": h_scale, "s": h_scale[::-1]}})
     floor = np.sqrt(lam) if sqrt else lam
-    for layer_id in (0, 1):
-        for div in efim.divisors(layer_id, sqrt=sqrt).values():
-            assert np.all(div >= floor)
+    for div in state.divisors(model).values():
+        assert np.all((np.sqrt(div) if sqrt else div) >= floor)
 
 
 @props

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adafisher.errors import ConfigError, DimensionError
-from adafisher.kfactor import FactoredEFIM, KFState, efim_assemble, minmax_normalize
+from adafisher.kfactor import KFState, minmax_normalize
 from adafisher.nn import BatchNorm, Conv2d, Dense, LayerNorm, Model
 from adafisher.optim import (Adam, AdaFisher, SGD, Schedule, adafisherw, adamw,
                              build_optimizer)
@@ -20,9 +20,9 @@ def scalar_model(w0=1.0):
     return Model([layer]), layer
 
 
-def unit_efim(lam=1.0):
+def unit_divisors(model, lam=1.0):
     # degenerate normalized factors: divisor is the damping constant alone
-    return FactoredEFIM(lam=lam, layers={0: {"h": np.zeros(1), "s": np.zeros(1)}})
+    return KFState(lam=lam, factors={0: {"h": np.zeros(1), "s": np.zeros(1)}}).divisors(model)
 
 
 class TestAdaFisher:
@@ -30,20 +30,20 @@ class TestAdaFisher:
         model, layer = scalar_model(w0=0.0)
         layer.grads["W"][:] = 1.0
         opt = AdaFisher(alpha=0.001, beta=0.9)
-        opt.step(model, unit_efim())
+        opt.step(model, unit_divisors(model))
         # m = 0.1, corrected by (1 - 0.9) -> 1.0, unit divisor
         assert layer.params["W"][0, 0] == pytest.approx(-0.001, abs=1e-15)
 
     def test_scalar_recurrence_oracle(self):
         model, layer = scalar_model(w0=0.5)
         opt = AdaFisher(alpha=0.01, beta=0.9)
-        efim = unit_efim(lam=0.25)
+        divisors = unit_divisors(model, lam=0.25)
         rng = Rng(0)
         grads = rng.normal((30,))
         theta, m = 0.5, 0.0
         for t, g in enumerate(grads, start=1):
             layer.grads["W"][:] = g
-            opt.step(model, efim)
+            opt.step(model, divisors)
             m = 0.9 * m + 0.1 * g
             theta -= 0.01 * (m / (1 - 0.9**t)) / 0.25
             assert abs(layer.params["W"][0, 0] - theta) < 1e-14
@@ -54,7 +54,7 @@ class TestAdaFisher:
         opt = AdaFisher(alpha=0.001, beta=0.9)
         for t in range(1, 6):
             layer.grads["W"][:] = 2.0
-            opt.step(model, unit_efim())
+            opt.step(model, unit_divisors(model))
             assert layer.params["W"][0, 0] == pytest.approx(-0.001 * 2.0 * t, abs=1e-14)
 
     def test_sqrt_divisor(self):
@@ -62,7 +62,7 @@ class TestAdaFisher:
             model, layer = scalar_model(w0=0.0)
             layer.grads["W"][:] = 1.0
             opt = AdaFisher(alpha=0.001, beta=0.9, sqrt_divisor=use_sqrt)
-            opt.step(model, unit_efim(lam=4.0))
+            opt.step(model, unit_divisors(model, lam=4.0))
             assert layer.params["W"][0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_requires_curvature(self):
@@ -77,24 +77,25 @@ class TestAdaFisher:
         ln.grads["scale"] = np.array([1.0, 1.0])
         ln.grads["shift"] = np.array([2.0, 0.0])
         model = Model([ln])
-        efim = FactoredEFIM(lam=1.0, layers={0: {"h_scale": np.zeros(2),
-                                                 "s": np.array([0.0, 1.0])}})
+        state = KFState(lam=1.0, factors={0: {"h": np.zeros(2), "s": np.array([0.0, 1.0])}})
         opt = AdaFisher(alpha=0.001, beta=0.9)
-        opt.step(model, efim)
-        # scale divisors h_scale*s + lam = [1, 1]; shift divisors s + lam = [1, 2]
+        opt.step(model, state.divisors(model))
+        # scale divisors h*s + lam = [1, 1]; shift divisors s + lam = [1, 2]
         assert np.allclose(ln.params["scale"], [1.0 - 0.001, 2.0 - 0.001])
         assert np.allclose(ln.params["shift"], [-0.002, 0.0])
 
     def test_divisor_shape_mismatch_rejected(self):
-        model, _ = scalar_model()  # a bias-free 1x1 Dense cannot take a 1x2 'WB' divisor
-        efim = FactoredEFIM(lam=1.0, layers={0: {"h": np.zeros(2), "s": np.zeros(1)}})
+        model, _ = scalar_model()  # a bias-free 1x1 Dense cannot take a 1x2 divisor grid
+        state = KFState(lam=1.0, factors={0: {"h": np.zeros(2), "s": np.zeros(1)}})
         with pytest.raises(DimensionError):
-            AdaFisher().step(model, efim)
+            AdaFisher().step(model, state.divisors(model))
+        with pytest.raises(DimensionError):
+            AdaFisher().step(model, {(0, "W"): np.ones((1, 2))})
         ln = LayerNorm(2)
         ln.grads = {"scale": np.zeros(2), "shift": np.zeros(2)}
-        efim = FactoredEFIM(lam=1.0, layers={0: {"h_scale": np.zeros(3), "s": np.zeros(3)}})
+        state = KFState(lam=1.0, factors={0: {"h": np.zeros(3), "s": np.zeros(3)}})
         with pytest.raises(DimensionError):
-            AdaFisher().step(Model([ln]), efim)
+            AdaFisher().step(Model([ln]), state.divisors(Model([ln])))
 
     def test_bad_hyperparameters(self):
         with pytest.raises(ConfigError):
@@ -109,14 +110,14 @@ class TestAdaFisherW:
     def test_zero_gradient_pure_decay(self):
         model, layer = scalar_model(w0=3.0)
         opt = adafisherw(alpha=0.01, kappa=0.1)
-        opt.step(model, unit_efim())
+        opt.step(model, unit_divisors(model))
         assert layer.params["W"][0, 0] == 3.0 * (1.0 - 0.01 * 0.1)
 
     def test_decay_is_decoupled_from_divisor(self):
         # decay term must not be divided by the curvature
         model, layer = scalar_model(w0=1.0)
         opt = adafisherw(alpha=0.01, kappa=0.1)
-        opt.step(model, unit_efim(lam=100.0))
+        opt.step(model, unit_divisors(model, lam=100.0))
         assert layer.params["W"][0, 0] == pytest.approx(1.0 - 0.001, abs=1e-15)
 
     def test_matches_adafisher_when_kappa_zero(self):
@@ -128,8 +129,8 @@ class TestAdaFisherW:
         for g in rng.normal((10,)):
             la.grads["W"][:] = g
             lw.grads["W"][:] = g
-            oa.step(ma, unit_efim())
-            ow.step(mw, unit_efim())
+            oa.step(ma, unit_divisors(ma))
+            ow.step(mw, unit_divisors(mw))
             assert la.params["W"][0, 0] == lw.params["W"][0, 0]
 
 
@@ -259,32 +260,37 @@ def _make_layer(spec):
     return LayerNorm(args[0]) if kind == "layernorm" else BatchNorm(args[0])
 
 
-def _random_efim(model, rng, lam):
-    layers = {}
+def _random_state(model, rng, lam):
+    factors = {}
     for i, layer in model.param_layers():
-        if layer.kf_kind == "kron":
+        if "W" in layer.params:
             w = layer.params["W"]
-            layers[i] = {"h": rng.uniform(size=w[0].size + ("b" in layer.params)),
-                         "s": rng.uniform(size=w.shape[0])}
+            factors[i] = {"h": rng.uniform(size=w[0].size + ("b" in layer.params)),
+                          "s": rng.uniform(size=w.shape[0])}
         else:
             c = layer.params["scale"].size
-            layers[i] = {name: rng.uniform(size=c) for name in ("h_scale", "s")}
-    return FactoredEFIM(lam=lam, layers=layers)
+            factors[i] = {name: rng.uniform(size=c) for name in ("h", "s")}
+    return KFState(lam=lam, factors=factors)
 
 
-def _combined_reference_step(model, efim, opt, moments):
-    """The update on hstacked (out, in[+1]) [W | b] blocks, split back afterwards."""
+def _combined_reference_step(model, state, opt, moments):
+    """The update on hstacked (out, in[+1]) [W | b] blocks, split back afterwards,
+    with divisors formed here from the min-max-normalized factors."""
     correction = 1.0 - opt.beta**opt.t
     for i, layer in model.param_layers():
-        div = efim.divisors(i, sqrt=opt.sqrt_divisor)
+        h, s = (minmax_normalize(state.factors[i][k]) for k in ("h", "s"))
         p, g = layer.params, layer.grads
-        if "WB" in div:
+        if "W" in p:
             names = [n for n in ("W", "b") if n in p]
             out = p["W"].shape[0]
             blocks = {"WB": (np.hstack([g[n].reshape(out, -1) for n in names]),
                              np.hstack([p[n].reshape(out, -1) for n in names]))}
+            div = {"WB": np.outer(s, h) + state.lam}
         else:
             blocks = {n: (g[n], p[n]) for n in ("scale", "shift")}
+            div = {"scale": h * s + state.lam, "shift": s + state.lam}
+        if opt.sqrt_divisor:
+            div = {name: np.sqrt(d) for name, d in div.items()}
         for name, (grad, theta) in blocks.items():
             m = moments.get((i, name), np.zeros_like(grad))
             m = opt.beta * m + (1.0 - opt.beta) * grad
@@ -318,13 +324,13 @@ def test_per_parameter_update_matches_combined_blocks(specs, variant, kappa, sqr
     ref_opt = build_optimizer(variant, {"alpha": 0.01, "kappa": kappa, "sqrt_divisor": sqrt})
     moments = {}
     for _ in range(steps):
-        efim = _random_efim(model, rng, lam=float(rng.uniform(1e-3, 1.0)))
+        state = _random_state(model, rng, lam=float(rng.uniform(1e-3, 1.0)))
         for (_, layer), (_, ref_layer) in zip(model.param_layers(), ref.param_layers()):
             layer.grads = {n: rng.normal(size=p.shape) for n, p in layer.params.items()}
             ref_layer.grads = {n: g.copy() for n, g in layer.grads.items()}
-        opt.step(model, efim)
+        opt.step(model, state.divisors(model))
         ref_opt.t += 1
-        _combined_reference_step(ref, efim, ref_opt, moments)
+        _combined_reference_step(ref, state, ref_opt, moments)
     for (_, name, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
         assert np.array_equal(p, q), name
 
@@ -345,10 +351,10 @@ def test_first_step_matches_dense_inverse(make_layer, beta):
     out = layer.params["W"].shape[0]
     h, s = rng.uniform((layer.params["W"][0].size + layer.bias,)), rng.uniform((out,))
     lam, lr = 0.001, 0.01
-    efim = efim_assemble(KFState(lam=lam, factors={0: {"h": h, "s": s}}))
+    divisors = KFState(lam=lam, factors={0: {"h": h, "s": s}}).divisors(model)
     g = np.hstack([layer.grads[n].reshape(out, -1) for n in ("W", "b") if n in layer.grads])
     dense = np.diag(kron_diag(minmax_normalize(h), minmax_normalize(s)) + lam)
     expected = lr * np.linalg.solve(dense, g.T.ravel()).reshape(-1, out).T
-    AdaFisher(alpha=lr, beta=beta).step(model, efim)  # from zero parameters
+    AdaFisher(alpha=lr, beta=beta).step(model, divisors)  # from zero parameters
     step = -np.hstack([layer.params[n].reshape(out, -1) for n in ("W", "b") if n in layer.params])
     assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))

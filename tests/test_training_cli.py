@@ -357,9 +357,24 @@ class TestCli:
         lambda data: {"model": image_model(conv={"pad": [-1, 0]})},
         lambda data: {"model": {"layers": [{"kind": "flatten"},
                                            {"kind": "dense", "in": "36", "out": 2}]}},
+        lambda data: {"dataset": {"source": "blobs", "n": 40, "classes": "x"}},
+        lambda data: {"dataset": {"source": "blobs", "n": 40, "dim": 2.5}},
+        lambda data: {"dataset": {"source": "blobs", "n": 40, "sep": "far"}},
+        lambda data: {"dataset": {"source": "moons", "n": 40, "noise": [1]}},
+        lambda data: {"dataset": {"source": "quadratic", "n": 40, "out_dim": "2"}},
+        lambda data: {"dataset": {"source": "quadratic", "n": 40, "scale": None}},
+        lambda data: {"dataset": {"source": "blobs", "n": 40, "seed": -2}},
+        lambda data: {"dataset": {"source": "csv", "path": data["images"],
+                                  "schema": {"label_col": "x"}}},
+        lambda data: {"dataset": {"source": "csv", "path": data["images"],
+                                  "schema": {"has_header": 1}}},
+        lambda data: {"dataset": {"source": "csv", "path": data["images"], "schema": []}},
     ], ids=["epochs-string", "batch-size-float", "dataset-string", "layer-string",
             "limit-string", "pool-stride-zero", "pool-kernel-zero", "conv-stride-zero",
-            "conv-pad-negative", "dense-in-string"])
+            "conv-pad-negative", "dense-in-string", "classes-string", "dim-float",
+            "sep-string", "noise-list", "out-dim-string", "scale-null",
+            "dataset-seed-negative", "label-col-string", "has-header-int",
+            "schema-list"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, overrides):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
         data = write_images(tmp_path)
@@ -368,6 +383,13 @@ class TestCli:
         assert main(["train", "--config", cfg]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        assert main(["train", "--config", self.write_config(tmp_path), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: seed must be an integer >= 0, got -1"]
+        assert not (tmp_path / "runs" / "metrics.jsonl").exists()
 
     def test_data_error_exit_code(self, tmp_path):
         assert main(["diagnose", "--snapshot", str(tmp_path / "missing.npy"),

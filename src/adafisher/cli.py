@@ -34,21 +34,17 @@ def _train(config: RunConfig, args) -> int:
     # A diverging run ends in one NumericError naming the step, layer and
     # quantity; numpy's overflow warnings on the way would add stray lines.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        path = run_training(config, out_dir=_out_dir(args.out, config.out_dir),
-                            seed=args.seed)
+        path = run_training(config, out_dir=_out_dir(args.out, config.out_dir))
     print(path)
     return 0
 
 
 def cmd_train(args) -> int:
-    config = RunConfig.from_json(args.config)
-    return _train(config, args)
+    return _train(RunConfig.from_json(args.config, seed=args.seed), args)
 
 
 def cmd_distributed(args) -> int:
-    config = RunConfig.from_json(args.config)
-    config.workers = args.workers
-    return _train(config, args)
+    return _train(RunConfig.from_json(args.config, seed=args.seed, workers=args.workers), args)
 
 
 # Arrays each analysis reads from its snapshot (a bare .npy is 'matrix').

@@ -1,9 +1,17 @@
-"""Run configuration: strict JSON schema, model building, dataset resolution."""
+"""Run configuration: one schema table per config block, checked once.
+
+RunConfig.from_dict walks a raw config against the tables: unknown and missing
+keys and every present value (reals must be finite), with messages naming the
+field's dotted path. A table gives each field's type and bound, not its
+default: an absent optional field is left out, so its constructor's default
+applies. build_model and resolve_dataset read blocks already checked."""
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -15,43 +23,144 @@ from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                  MaxPool2d, Model)
 from .tensor import Rng
 
-_TOP_KEYS = {"model", "dataset", "optimizer", "kf", "schedule", "epochs",
-             "batch_size", "seed", "workers", "ablations", "out_dir",
-             "track_first_layer"}
-_OBJECT, _STRING, _BOOLEAN = (dict, "object"), (str, "string"), (bool, "boolean")
-_TOP_TYPES = {"model": _OBJECT, "dataset": _OBJECT, "optimizer": _OBJECT, "kf": _OBJECT,
-              "schedule": _OBJECT, "ablations": _OBJECT, "out_dir": _STRING,
-              "track_first_layer": _BOOLEAN}  # key: (Python type, JSON type name)
-_TOP_COUNTS = {"epochs": 1, "batch_size": 1, "workers": 1, "seed": 0}  # key: minimum
+
+def _check(ok, what: str):
+    """A field check: check(value, dotted path) raises a ConfigError naming
+    the path unless ok(value)."""
+    def check(value, path):
+        if not ok(value):
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+    return check
 
 
-def _count(value, what: str, low: int | None = 1) -> int:
-    """value if it is an integer (bools excluded) >= low, or any integer when
-    low is None; else ConfigError."""
-    if (isinstance(value, bool) or not isinstance(value, Integral)
-            or (low is not None and value < low)):
-        bound = "" if low is None else f" >= {low}"
-        raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
-    return int(value)
+def _is_int(value, low) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
 
 
-def _pair(value, what: str, low: int = 1) -> tuple[int, int]:
-    """value as a pair of integers >= low, else ConfigError."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{what} must be a pair of integers >= {low}, got {value!r}")
-    return _count(value[0], what, low), _count(value[1], what, low)
+def _integer(low: int = 1):
+    return _check(lambda v: _is_int(v, low), f"an integer >= {low}")
 
 
-def _real(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
+def _pair(low: int = 1):
+    return _check(lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                  and all(_is_int(i, low) for i in v), f"a pair of integers >= {low}")
 
 
-def _flag(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{what} must be true or false, got {value!r}")
-    return value
+def _real(bound: str = "", within=lambda x: True):
+    return _check(lambda v: isinstance(v, Real) and not isinstance(v, bool)
+                  and abs(v) <= sys.float_info.max and within(v), f"a finite number{bound}")
+
+
+def _choice(*options: str):
+    return _check(lambda v: isinstance(v, str) and v in options, f"one of {list(options)}")
+
+
+_COUNT, _FINITE = _integer(), _real()
+_FLAG = _check(lambda v: isinstance(v, bool), "true or false")
+_FILE = _check(lambda v: isinstance(v, str) and Path(v).is_file(), "an existing file")
+_POSITIVE = _real(" > 0", lambda x: x > 0)
+_NONNEGATIVE = _real(" >= 0", lambda x: x >= 0)
+_BELOW_ONE = _real(" in [0, 1)", lambda x: 0 <= x < 1)
+
+# Keys that moved elsewhere, with where to set them now.
+_MOVED = {"ablations.sqrt_divisor": "use optimizer.sqrt_divisor",
+          "ablations.ema_off": "use kf.gamma: 1"}
+
+
+def _walk(value, required: dict, optional: dict, path: str, tag: str | None = None):
+    """Check a JSON object's keys and values against a table (tag: a union's key)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or 'config root'} must be a JSON object, got {value!r}")
+    prefix = f"{path}." if path else ""
+    for key in value:
+        if key not in required and key not in optional and key != tag:
+            expected = f"expected one of {sorted([*required, *optional])}"
+            raise ConfigError(f"unknown key {prefix}{key}: {_MOVED.get(prefix + key, expected)}")
+    for table in (required, optional):
+        for key, check in table.items():
+            if key in value:
+                check(value[key], prefix + key)
+            elif table is required:
+                raise ConfigError(f"missing key {prefix}{key}")
+
+
+def _block(required: dict, optional: dict | None = None):
+    return lambda value, path: _walk(value, required, optional or {}, path)
+
+
+def _union(tag: str, tables: dict, fold=lambda name: name):
+    """A JSON object whose tag field picks its (required, optional) table."""
+    def check(value, path):
+        if not isinstance(value, dict) or tag not in value:
+            raise ConfigError(f"{path} must be a JSON object with a {tag!r}, got {value!r}")
+        name = value[tag]
+        if not isinstance(name, str) or fold(name) not in tables:
+            raise ConfigError(f"{path}.{tag} must be one of {sorted(tables)}, got {name!r}")
+        _walk(value, *tables[fold(name)], path, tag)
+    return check
+
+
+def _nonempty_list(item):
+    def check(value, path):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path} must be a non-empty list, got {value!r}")
+        for i, entry in enumerate(value):
+            item(entry, f"{path}[{i}]")
+    return check
+
+
+# kind: (layer class, required fields in argument order, optional keywords)
+_LAYERS = {
+    "dense": (Dense, {"in": _COUNT, "out": _COUNT}, {"bias": _FLAG}),
+    "conv2d": (Conv2d, {"in": _COUNT, "out": _COUNT, "kernel": _pair()},
+               {"stride": _pair(), "pad": _pair(0), "bias": _FLAG}),
+    "batchnorm": (BatchNorm, {"dim": _COUNT},
+                  {"eps": _NONNEGATIVE, "momentum": _real(" in [0, 1]", lambda x: 0 <= x <= 1)}),
+    "layernorm": (LayerNorm, {"dim": _COUNT}, {"eps": _NONNEGATIVE}),
+    "activation": (Activation, {"name": _choice(*Activation.SUPPORTED)}, {}),
+    **{name: (partial(Activation, name), {}, {}) for name in Activation.SUPPORTED},
+    "flatten": (Flatten, {}, {}),
+    "maxpool": (MaxPool2d, {"kernel": _pair()}, {"stride": _pair()}),
+}
+_MODEL = _block({"layers": _nonempty_list(_union(
+    "kind", {kind: tables for kind, (_, *tables) in _LAYERS.items()}))},
+    {"loss": _choice("cross_entropy", "mse")})
+
+_CSV_SCHEMA = _block({}, {"has_header": _FLAG,
+                          "label_col": _check(lambda v: _is_int(v, float("-inf")), "an integer")})
+_SOURCE = {"limit": _COUNT}  # fields every source takes
+_SYNTHETIC = {**_SOURCE, "seed": _integer(0)}
+_DATASET = _union("source", {
+    "idx": ({"images": _FILE, "labels": _FILE}, _SOURCE),
+    "csv": ({"path": _FILE}, {**_SOURCE, "schema": _CSV_SCHEMA}),
+    "blobs": ({"n": _COUNT}, {**_SYNTHETIC, "classes": _COUNT, "dim": _COUNT,
+                              "sep": _FINITE, "noise": _FINITE}),
+    "moons": ({"n": _COUNT}, {**_SYNTHETIC, "noise": _FINITE}),
+    "quadratic": ({"n": _COUNT}, {**_SYNTHETIC, "dim": _COUNT, "out_dim": _COUNT,
+                                  "scale": _FINITE}),
+})
+
+# Hyperparameters per optimizer name (optim.build_optimizer's names, any case).
+_ADAFISHER = {"alpha": _POSITIVE, "beta": _BELOW_ONE, "sqrt_divisor": _FLAG}
+_ADAM = {"alpha": _POSITIVE, "beta1": _BELOW_ONE, "beta2": _BELOW_ONE, "eps": _POSITIVE,
+         "weight_decay": _NONNEGATIVE}
+_OPTIMIZER = _union("name", {
+    "adafisher": ({}, _ADAFISHER),
+    "adafisherw": ({}, {**_ADAFISHER, "kappa": _NONNEGATIVE}),
+    "adam": ({}, _ADAM),
+    "adamw": ({}, _ADAM),
+    "sgd": ({}, {"alpha": _POSITIVE, "momentum": _BELOW_ONE}),
+}, fold=str.lower)
+
+_TOP = _block({"model": _MODEL, "dataset": _DATASET, "optimizer": _OPTIMIZER}, {
+    "kf": _block({}, {"gamma": _real(" in (0, 1]", lambda x: 0 < x <= 1),
+                      "lambda": _POSITIVE}),
+    "schedule": _block({}, {"type": _choice("constant", "step", "cosine"),
+                            "step_size": _COUNT, "factor": _POSITIVE}),
+    "ablations": _block({}, {"norm_fisher_off": _FLAG}),
+    "epochs": _COUNT, "batch_size": _COUNT, "seed": _integer(0), "workers": _COUNT,
+    "out_dir": _check(lambda v: isinstance(v, str), "a string"), "track_first_layer": _FLAG,
+})
 
 
 @dataclass
@@ -60,7 +169,7 @@ class RunConfig:
     dataset: dict
     optimizer: dict
     kf: dict = field(default_factory=dict)
-    schedule: dict = field(default_factory=lambda: {"type": "constant"})
+    schedule: dict = field(default_factory=dict)
     epochs: int = 1
     batch_size: int = 32
     seed: int = 0
@@ -71,133 +180,45 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        unknown = set(raw) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for required in ("model", "dataset", "optimizer"):
-            if required not in raw:
-                raise ConfigError(f"missing config key {required!r}")
-        for key, (kind, json_name) in _TOP_TYPES.items():
-            if key in raw and not isinstance(raw[key], kind):
-                raise ConfigError(f"{key} must be a JSON {json_name}, got {raw[key]!r}")
-        for key, low in _TOP_COUNTS.items():
-            if key in raw:
-                _count(raw[key], key, low)
+        _TOP(raw, "")
         cfg = cls(**raw)
-        if "name" not in cfg.optimizer:
-            raise ConfigError("optimizer config needs a 'name'")
-        src = cfg.dataset.get("source")
-        if src is None:
-            raise ConfigError("dataset config needs a 'source'")
-        for key in ("images", "labels", "path"):
-            p = cfg.dataset.get(key)
-            if p is not None and not Path(p).exists():
-                raise ConfigError(f"dataset file does not exist: {p}")
+        if cfg.workers > cfg.batch_size:
+            raise ConfigError(f"workers {cfg.workers} exceed batch_size {cfg.batch_size}")
         return cfg
 
     @classmethod
-    def from_json(cls, path) -> "RunConfig":
+    def from_json(cls, path, **overrides) -> "RunConfig":
+        """Read a JSON config; overrides not None (CLI flags) replace fields before the check."""
         try:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if isinstance(raw, dict):
+            raw.update((key, value) for key, value in overrides.items() if value is not None)
         return cls.from_dict(raw)
 
 
 def build_model(model_spec: dict, rng: Rng) -> Model:
-    spec = dict(model_spec)
-    layer_specs = spec.pop("layers", None)
-    loss = spec.pop("loss", "cross_entropy")
-    if spec:
-        raise ConfigError(f"unknown model keys: {sorted(spec)}")
-    if not isinstance(layer_specs, list) or not layer_specs:
-        raise ConfigError("model needs a non-empty 'layers' list")
+    """Build and initialize the model of a checked model block."""
     layers = []
-    for ls in layer_specs:
-        if not isinstance(ls, dict):
-            raise ConfigError(f"each layer must be a JSON object, got {ls!r}")
-        ls = dict(ls)
-        kind = ls.pop("kind", None)
-        try:
-            if kind == "dense":
-                layers.append(Dense(_count(ls.pop("in"), "dense in"),
-                                    _count(ls.pop("out"), "dense out"),
-                                    bias=_flag(ls.pop("bias", True), "dense bias")))
-            elif kind == "conv2d":
-                layers.append(Conv2d(_count(ls.pop("in"), "conv2d in"),
-                                     _count(ls.pop("out"), "conv2d out"),
-                                     _pair(ls.pop("kernel"), "conv2d kernel"),
-                                     _pair(ls.pop("stride", (1, 1)), "conv2d stride"),
-                                     _pair(ls.pop("pad", (0, 0)), "conv2d pad", low=0),
-                                     bias=_flag(ls.pop("bias", True), "conv2d bias")))
-            elif kind == "batchnorm":
-                layers.append(BatchNorm(_count(ls.pop("dim"), "batchnorm dim"),
-                                        eps=_real(ls.pop("eps", 1e-5), "batchnorm eps"),
-                                        momentum=_real(ls.pop("momentum", 0.1),
-                                                       "batchnorm momentum")))
-            elif kind == "layernorm":
-                layers.append(LayerNorm(_count(ls.pop("dim"), "layernorm dim"),
-                                        eps=_real(ls.pop("eps", 1e-5), "layernorm eps")))
-            elif kind == "activation":
-                layers.append(Activation(ls.pop("name")))
-            elif kind in ("relu", "tanh", "identity"):
-                layers.append(Activation(kind))
-            elif kind == "flatten":
-                layers.append(Flatten())
-            elif kind == "maxpool":
-                kernel = _pair(ls.pop("kernel"), "maxpool kernel")
-                layers.append(MaxPool2d(kernel, _pair(ls.pop("stride", kernel), "maxpool stride")))
-            else:
-                raise ConfigError(f"unknown layer kind {kind!r}")
-        except KeyError as exc:
-            raise ConfigError(f"layer {kind!r} missing field {exc}") from exc
-        if ls:
-            raise ConfigError(f"unknown fields for layer {kind!r}: {sorted(ls)}")
-    return Model(layers, loss=loss).init(rng)
-
-
-# Checks of the synthetic datasets' options (datasets.synth_dataset rejects
-# options its kind does not take).
-_SYNTH_OPTIONS = {"classes": _count, "dim": _count, "out_dim": _count,
-                  "sep": _real, "noise": _real, "scale": _real}
+    for spec in model_spec["layers"]:
+        cls, required, optional = _LAYERS[spec["kind"]]
+        layers.append(cls(*(spec[key] for key in required),
+                          **{key: spec[key] for key in optional if key in spec}))
+    # the block's other fields (loss) are Model keywords
+    return Model(layers, **{k: v for k, v in model_spec.items() if k != "layers"}).init(rng)
 
 
 def resolve_dataset(dataset_spec: dict, seed: int):
-    """Materialize (x, y) from a dataset config block."""
+    """Materialize (x, y) from a checked dataset block; seed is the run's."""
     spec = dict(dataset_spec)
-    source = spec.pop("source")
-    limit = spec.pop("limit", None)
+    source, limit = spec.pop("source"), spec.pop("limit", None)
     if source == "idx":
-        images, labels = spec.pop("images"), spec.pop("labels")
-        if spec:
-            raise ConfigError(f"unknown dataset keys: {sorted(spec)}")
-        x = load_idx(images, expect="images")
-        y = load_idx(labels, expect="labels")
+        x, y = load_idx(spec["images"], expect="images"), load_idx(spec["labels"], expect="labels")
     elif source == "csv":
-        path, schema = spec.pop("path"), spec.pop("schema", {})
-        if spec:
-            raise ConfigError(f"unknown dataset keys: {sorted(spec)}")
-        if not isinstance(schema, dict):
-            raise ConfigError(f"dataset schema must be a JSON object, got {schema!r}")
-        if "has_header" in schema:
-            _flag(schema["has_header"], "csv has_header")
-        if "label_col" in schema:
-            _count(schema["label_col"], "csv label_col", low=None)
-        x, y = load_csv(path, schema)
-    elif source in ("blobs", "moons", "quadratic"):
-        n = spec.pop("n", None)
-        if n is None:
-            raise ConfigError("synthetic dataset needs 'n'")
-        seed = _count(spec.pop("seed", seed), "dataset seed", low=0)
-        for key, value in spec.items():
-            if key in _SYNTH_OPTIONS:
-                _SYNTH_OPTIONS[key](value, f"dataset {key}")
-        x, y = synth_dataset(source, _count(n, "dataset n"), seed=seed, **spec)
+        x, y = load_csv(spec["path"], spec.get("schema"))
     else:
-        raise ConfigError(f"unknown dataset source {source!r}")
+        x, y = synth_dataset(source, spec.pop("n"), seed=spec.pop("seed", seed), **spec)
     if limit is not None:
-        limit = _count(limit, "dataset limit")
         x, y = x[:limit], y[:limit]
     return np.asarray(x, dtype=np.float64), y

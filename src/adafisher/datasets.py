@@ -77,9 +77,11 @@ def load_csv(path, schema: dict | None = None):
         lines = lines[1:]
     if not lines:
         raise DataError(f"{path}: no data rows")
-    features, labels = [], []
+    features, labels, width = [], [], lines[0].count(",") + 1
     for r, line in enumerate(lines):
         cells = [c.strip() for c in line.split(",")]
+        if len(cells) != width:
+            raise DataError(f"{path}: row {r} has {len(cells)} cells, row 0 has {width}")
         lc = label_col if label_col >= 0 else len(cells) + label_col
         if lc < 0 or lc >= len(cells):
             raise DataError(f"{path}: label column {label_col} out of range at row {r}")
@@ -91,7 +93,7 @@ def load_csv(path, schema: dict | None = None):
                     label = int(float(cell))
                 else:
                     row.append(float(cell))
-            except ValueError:
+            except (ValueError, OverflowError):  # int() of a nan or infinite label
                 raise DataError(f"{path}: non-numeric cell at row {r}, column {c}") from None
         features.append(row)
         labels.append(label)
@@ -144,6 +146,8 @@ def _reject_extras(kw: dict) -> None:
 def train_eval_split(x, y, seed: int, eval_frac: float = 0.2):
     """Deterministic 80/20 split by seeded shuffle."""
     n = x.shape[0]
+    if len(y) != n:
+        raise DataError(f"{n} inputs but {len(y)} labels")
     perm = Rng(seed).permutation(n)
     n_eval = max(1, int(round(n * eval_frac))) if n > 1 else 0
     eval_idx = perm[:n_eval]

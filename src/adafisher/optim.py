@@ -1,5 +1,7 @@
 """Parameter-update rules: AdaFisher / AdaFisherW plus SGD, Adam and AdamW
-baselines, and learning-rate schedules.
+baselines, learning-rate schedules, and build_optimizer, which maps an
+optimizer name (any case) to its constructor. The constructors check their
+arguments for library callers; run configs are checked in adafisher.config.
 
 AdaFisher keeps a single bias-corrected first moment per parameter and divides
 it elementwise by that parameter's curvature divisor, which KFState.divisors
@@ -169,20 +171,13 @@ class SGD(Optimizer):
             p -= lr * g
 
 
+_FACTORIES = {"adafisher": AdaFisher, "adafisherw": adafisherw, "adam": Adam,
+              "adamw": adamw, "sgd": SGD}
+
+
 def build_optimizer(name: str, hyper: dict | None = None) -> Optimizer:
-    hyper = dict(hyper or {})
-    name = name.lower()
-    try:
-        if name == "adafisher":
-            return AdaFisher(**hyper)
-        if name == "adafisherw":
-            return adafisherw(**hyper)
-        if name == "adam":
-            return Adam(**hyper)
-        if name == "adamw":
-            return adamw(**hyper)
-        if name == "sgd":
-            return SGD(**hyper)
-    except TypeError as exc:
-        raise ConfigError(f"bad hyperparameters for {name}: {exc}") from exc
-    raise ConfigError(f"unknown optimizer {name!r}")
+    """The optimizer called name, in any case, built with the keywords hyper."""
+    factory = _FACTORIES.get(name.lower())
+    if factory is None:
+        raise ConfigError(f"unknown optimizer {name!r}")
+    return factory(**(hyper or {}))

@@ -141,7 +141,7 @@ def _comparative_config(optimizer, seed, tmp_path):
     }
     cfg = RunConfig.from_dict(raw)
     out = tmp_path / f"{optimizer['name']}-{seed}"
-    metrics = run_training(cfg, out_dir=out, seed=seed)
+    metrics = run_training(cfg, out_dir=out)
     final = json.loads(metrics.read_text().strip().splitlines()[-1])
     times = [json.loads(l)["mean_step_ms"]
              for l in (out / "timings.jsonl").read_text().splitlines()]

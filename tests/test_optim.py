@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adafisher.config import RunConfig
 from adafisher.errors import ConfigError, DimensionError
 from adafisher.kfactor import KFState, minmax_normalize
 from adafisher.nn import BatchNorm, Conv2d, Dense, LayerNorm, Model
@@ -238,8 +239,11 @@ class TestBuildAndToggles:
             build_optimizer("rmsprop")
 
     def test_bad_hyper(self):
+        raw = {"model": {"layers": [{"kind": "dense", "in": 2, "out": 2}]},
+               "dataset": {"source": "moons", "n": 40},
+               "optimizer": {"name": "sgd", "beta": 0.9}}
         with pytest.raises(ConfigError):
-            build_optimizer("sgd", {"beta": 0.9})
+            RunConfig.from_dict(raw)
 
 
 layer_specs = st.one_of(

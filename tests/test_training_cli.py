@@ -43,6 +43,11 @@ def image_model(conv=(), pool=()):
                        {"kind": "dense", "in": 18, "out": 2}]}
 
 
+def with_first_layer(layer):
+    """image_model() with layer in front of it."""
+    return {"layers": [layer, *image_model()["layers"]]}
+
+
 def write_images(tmp_path, n=24):
     rng = np.random.default_rng(0)
     write_idx(tmp_path / "images.idx", rng.integers(0, 256, (n, 6, 6)), "images")
@@ -74,6 +79,21 @@ class TestRunConfig:
             RunConfig.from_dict(base_config(batch_size=0))
         with pytest.raises(ConfigError):
             RunConfig.from_dict(base_config(workers=0))
+
+    @pytest.mark.parametrize("optimizer, accepted", [
+        ({"name": "AdaFisherW", "kappa": 0.1, "sqrt_divisor": True}, True),
+        ({"name": "adamw", "weight_decay": 0.1}, True),
+        ({"name": "SGD", "momentum": 0.5}, True),
+        ({"name": "adafisher", "kappa": 0.1}, False),  # kappa is adafisherw's
+        ({"name": "adafisher", "decoupled": True}, False),  # that is adafisherw
+        ({"name": "adam", "decoupled": True}, False),  # that is adamw
+    ])
+    def test_one_config_name_per_optimizer_variant(self, optimizer, accepted):
+        if accepted:
+            assert RunConfig.from_dict(base_config(optimizer=optimizer)).optimizer == optimizer
+        else:
+            with pytest.raises(ConfigError, match="unknown key optimizer"):
+                RunConfig.from_dict(base_config(optimizer=optimizer))
 
     def test_missing_dataset_file(self):
         raw = base_config(dataset={"source": "csv", "path": "/nonexistent/x.csv"})
@@ -109,20 +129,20 @@ class TestBuildModel:
 
     def test_unknown_layer_kind(self):
         with pytest.raises(ConfigError):
-            build_model({"layers": [{"kind": "dropout"}]}, Rng(0))
+            RunConfig.from_dict(base_config(model={"layers": [{"kind": "dropout"}]}))
 
     def test_unknown_layer_field(self):
         with pytest.raises(ConfigError):
-            build_model({"layers": [{"kind": "dense", "in": 2, "out": 2,
-                                     "rate": 0.5}]}, Rng(0))
+            RunConfig.from_dict(base_config(model={"layers": [{"kind": "dense", "in": 2, "out": 2,
+                                                               "rate": 0.5}]}))
 
     def test_missing_layer_field(self):
         with pytest.raises(ConfigError):
-            build_model({"layers": [{"kind": "dense", "in": 2}]}, Rng(0))
+            RunConfig.from_dict(base_config(model={"layers": [{"kind": "dense", "in": 2}]}))
 
     def test_empty_layers(self):
         with pytest.raises(ConfigError):
-            build_model({"layers": []}, Rng(0))
+            RunConfig.from_dict(base_config(model={"layers": []}))
 
 
 class TestResolveDataset:
@@ -142,11 +162,12 @@ class TestResolveDataset:
 
     def test_unknown_source(self):
         with pytest.raises(ConfigError):
-            resolve_dataset({"source": "imagenet"}, seed=0)
+            RunConfig.from_dict(base_config(dataset={"source": "imagenet"}))
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
-            resolve_dataset({"source": "csv", "path": "x", "shuffle": True}, seed=0)
+            RunConfig.from_dict(base_config(dataset={"source": "csv", "path": "x",
+                                                     "shuffle": True}))
 
 
 class TestEmitMetrics:
@@ -198,9 +219,8 @@ class TestRunTraining:
         assert "mean_step_ms" in timing
 
     def test_seed_changes_trajectory(self, tmp_path):
-        cfg = RunConfig.from_dict(base_config())
-        a = run_training(cfg, out_dir=tmp_path / "a", seed=1).read_text()
-        b = run_training(cfg, out_dir=tmp_path / "b", seed=2).read_text()
+        a, b = (run_training(RunConfig.from_dict(base_config(seed=seed)),
+                             out_dir=tmp_path / str(seed)).read_text() for seed in (1, 2))
         assert a != b
 
     def test_batch_size_exceeds_split(self, tmp_path):
@@ -252,9 +272,9 @@ class TestRunTraining:
         ({"norm_fisher_of": True}, "norm_fisher_off"),
     ], ids=["sqrt_divisor", "ema_off", "typo"])
     def test_unsupported_ablation_rejected(self, tmp_path, ablations, hint):
-        cfg = RunConfig.from_dict(base_config(ablations=ablations))
         with pytest.raises(ConfigError, match=hint):
-            run_training(cfg, out_dir=tmp_path / "run")
+            run_training(RunConfig.from_dict(base_config(ablations=ablations)),
+                         out_dir=tmp_path / "run")
         assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
     def test_evaluate_accuracy(self):
@@ -369,12 +389,41 @@ class TestCli:
         lambda data: {"dataset": {"source": "csv", "path": data["images"],
                                   "schema": {"has_header": 1}}},
         lambda data: {"dataset": {"source": "csv", "path": data["images"], "schema": []}},
+        lambda data: {"kf": {"lambda": "x"}},
+        lambda data: {"kf": {"gamma": "x"}},
+        lambda data: {"kf": {"lambda": float("nan")}},
+        lambda data: {"dataset": {"source": "csv", "path": 5}},
+        lambda data: {"dataset": {**data, "images": 5}},
+        lambda data: {"schedule": {"type": "step", "step_size": "x"}},
+        lambda data: {"schedule": {"type": "step", "step_size": 0}},
+        lambda data: {"schedule": {"type": "step", "factor": "x"}},
+        lambda data: {"optimizer": {"name": 5}},
+        lambda data: {"optimizer": {"name": "adafisher", "alpha": float("inf")}},
+        lambda data: {"optimizer": {"name": "adafisher", "sqrt_divisor": "no"}},
+        lambda data: {"optimizer": {"name": "adam", "decoupled": "no"}},
+        lambda data: {"optimizer": {"name": "adam", "eps": "x"}},
+        lambda data: {"optimizer": {"name": "adam", "weight_decay": -1}},
+        lambda data: {"optimizer": {"name": "adafisher", "kappa": float("nan")}},
+        lambda data: {"ablations": {"norm_fisher_off": "no"}},
+        lambda data: {"model": with_first_layer({"kind": "batchnorm", "dim": 1, "eps": -1})},
+        lambda data: {"model": with_first_layer({"kind": "batchnorm", "dim": 1,
+                                                 "momentum": float("nan")})},
+        lambda data: {"model": with_first_layer({"kind": "activation", "name": 5})},
+        lambda data: {"model": {**image_model(), "loss": 5}},
+        lambda data: {"dataset": {"source": "blobs", "n": 40, "sep": float("nan")}},
+        lambda data: {"dataset": {"source": "moons", "n": 40, "classes": 3}},
     ], ids=["epochs-string", "batch-size-float", "dataset-string", "layer-string",
             "limit-string", "pool-stride-zero", "pool-kernel-zero", "conv-stride-zero",
             "conv-pad-negative", "dense-in-string", "classes-string", "dim-float",
             "sep-string", "noise-list", "out-dim-string", "scale-null",
             "dataset-seed-negative", "label-col-string", "has-header-int",
-            "schema-list"])
+            "schema-list", "kf-lambda-string", "kf-gamma-string", "kf-lambda-nan",
+            "csv-path-int", "idx-images-int", "step-size-string", "step-size-zero",
+            "factor-string", "optimizer-name-int", "alpha-inf", "sqrt-divisor-string",
+            "adam-decoupled", "adam-eps-string", "adam-weight-decay-negative",
+            "adafisher-kappa-nan", "norm-fisher-off-string", "batchnorm-eps-negative",
+            "batchnorm-momentum-nan", "activation-name-int", "loss-int", "sep-nan",
+            "moons-classes"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, overrides):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
         data = write_images(tmp_path)
@@ -383,6 +432,31 @@ class TestCli:
         assert main(["train", "--config", cfg]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
+
+    def test_zero_workers_override_exits_2_before_writing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        assert main(["distributed", "--config", self.write_config(tmp_path), "--workers", "0",
+                     "--out", "dist"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: workers must be an integer >= 1, got 0"]
+        assert not (tmp_path / "dist" / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("case", ["idx-count-mismatch", "csv-ragged-row"])
+    def test_bad_data_file_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        if case == "idx-count-mismatch":
+            data = write_images(tmp_path)
+            write_idx(tmp_path / "labels.idx", np.zeros(20, dtype=np.uint8), "labels")
+            layers, expected = [{"kind": "flatten"}, {"kind": "dense", "in": 36, "out": 2}], \
+                "24 inputs but 20 labels"
+        else:
+            (tmp_path / "d.csv").write_text("1,2,0\n1,0\n" * 10)
+            data = {"source": "csv", "path": str(tmp_path / "d.csv")}
+            layers, expected = [{"kind": "dense", "in": 2, "out": 2}], "row 1 has 2 cells"
+        cfg = self.write_config(tmp_path, model={"layers": layers}, dataset=data, batch_size=4)
+        assert main(["train", "--config", cfg]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ") and expected in err[0]
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))

@@ -5,12 +5,11 @@ distributed-training simulator."""
 from .errors import (AdaFisherError, ConfigError, DataError, DimensionError,
                      FormatError, InputError, NumericError, SizeError,
                      StateError, UnsupportedError)
-from .kfactor import KFState, ema_update, minmax_normalize
+from .kfactor import KFState, ema_update, kronecker_diagonal, minmax_normalize
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerCapture,
                  LayerNorm, MaxPool2d, Model, cross_entropy, finite_diff_grad,
                  mse, softmax)
-from .optim import (Adam, AdaFisher, Optimizer, Schedule, SGD, adafisherw, adamw,
-                    build_optimizer)
-from .tensor import Rng, kron_diag
+from .optim import Adam, AdaFisher, Optimizer, Schedule, SGD, adamw, build_optimizer
+from .tensor import Rng
 
 __version__ = "0.1.0"

@@ -19,9 +19,9 @@ import numpy as np
 from .config import RunConfig, build_model, resolve_dataset
 from .diagnostics import fft2, fim_hist_stats, gershgorin, snr
 from .errors import AdaFisherError, ConfigError, DataError, NumericError
-from .fisher import approximation_mae, exact_fisher_diag, mc_fisher_diag
-from .kfactor import fresh_factors
-from .tensor import Rng, kron_diag
+from .fisher import FisherDiag, approximation_mae, exact_fisher_diag, mc_fisher_diag
+from .kfactor import fresh_factors, kronecker_diagonal
+from .tensor import Rng
 from .training import run_training
 
 
@@ -120,12 +120,11 @@ def cmd_oracle(args) -> int:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "layer", "mae"])
-        for i in sorted(oracle.layers):
-            entry = oracle.layers[i]
-            if "WB" in entry:  # weight layers; norm layers' entries are per parameter
-                approx = kron_diag(factors[i]["h"], factors[i]["s"])
-                mae = approximation_mae(entry["WB"], approx)
-                w.writerow([0, i, repr(mae)])
+        for i, layer in model.param_layers():
+            h, s = factors[i]["h"], factors[i]["s"]
+            approx = FisherDiag({i: kronecker_diagonal(h, s, layer.params)})
+            mae = approximation_mae(FisherDiag({i: oracle.layers[i]}).flat(), approx.flat())
+            w.writerow([0, i, repr(mae)])
     print(path)
     return 0
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import load_csv, load_idx, synth_dataset
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                  MaxPool2d, Model)
 from .tensor import Rng
@@ -219,6 +219,8 @@ def resolve_dataset(dataset_spec: dict, seed: int):
         x, y = load_csv(spec["path"], spec.get("schema"))
     else:
         x, y = synth_dataset(source, spec.pop("n"), seed=spec.pop("seed", seed), **spec)
+    if len(x) != len(y):
+        raise DataError(f"{len(x)} inputs but {len(y)} labels")
     if limit is not None:
         x, y = x[:limit], y[:limit]
     return np.asarray(x, dtype=np.float64), y

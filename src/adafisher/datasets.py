@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, InputError
+from .errors import DataError, FormatError, InputError, SizeError
 from .tensor import Rng
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+MAX_SYNTH_VALUES = 10**7  # desk-scale guard on a synthetic dataset's size
 
 
 def load_idx(path, expect: str):
@@ -110,14 +111,14 @@ def synth_dataset(kind: str, n: int, seed: int, **kw):
         dim = int(kw.pop("dim", 2))
         sep = float(kw.pop("sep", 6.0))
         noise = float(kw.pop("noise", 1.0))
-        _reject_extras(kw)
+        _check_options(kw, n * (dim + 1) + classes * dim)
         centers = rng.normal((classes, dim)) * sep
         labels = rng.integers(0, classes, size=n)
         x = centers[labels] + rng.normal((n, dim)) * noise
         return x, labels
     if kind == "moons":
         noise = float(kw.pop("noise", 0.1))
-        _reject_extras(kw)
+        _check_options(kw, n * 3)
         half = n // 2
         t1 = rng.uniform((half,), 0, np.pi)
         t2 = rng.uniform((n - half,), 0, np.pi)
@@ -130,7 +131,7 @@ def synth_dataset(kind: str, n: int, seed: int, **kw):
         dim = int(kw.pop("dim", 20))
         out_dim = int(kw.pop("out_dim", dim))
         scale = float(kw.pop("scale", 1.0))
-        _reject_extras(kw)
+        _check_options(kw, n * (dim + out_dim) + out_dim * dim)
         a = rng.normal((out_dim, dim)) * scale
         x = rng.normal((n, dim))
         y = x @ a.T
@@ -138,9 +139,14 @@ def synth_dataset(kind: str, n: int, seed: int, **kw):
     raise InputError(f"unknown synthetic dataset kind {kind!r}")
 
 
-def _reject_extras(kw: dict) -> None:
+def _check_options(kw: dict, values: int) -> None:
+    """Before anything is drawn: reject unread options, and more values in the
+    dataset and its generator's centers or map than MAX_SYNTH_VALUES."""
     if kw:
         raise InputError(f"unknown dataset options: {sorted(kw)}")
+    if values > MAX_SYNTH_VALUES:
+        raise SizeError(f"synthetic dataset of {values} values exceeds the guard "
+                        f"of {MAX_SYNTH_VALUES}")
 
 
 def train_eval_split(x, y, seed: int, eval_frac: float = 0.2):

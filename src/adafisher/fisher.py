@@ -2,9 +2,9 @@
 
 The exact oracle enumerates every class label and weights squared per-sample
 gradients by the predictive probabilities; the Monte-Carlo estimator samples
-labels from the predictive distribution instead. Diagonal entries are ordered
-to match vec(g) indexing with the activation index slow and the output index
-fast, so they line up with the Kronecker product of the factor diagonals.
+labels from the predictive distribution instead. Each layer's diagonal is one
+array per parameter, keyed by its name and shaped like it, the layout of
+kfactor.kronecker_diagonal.
 
 Both run one eval-mode forward over the batch, then, per class c, one reverse
 walk (nn.Model.reverse_walk) from the output gradient p - e_c (BackPACK). In
@@ -37,11 +37,9 @@ class FisherDiag:
     n_samples: int = 0
 
     def flat(self) -> np.ndarray:
-        chunks = []
-        for i in sorted(self.layers):
-            for name in sorted(self.layers[i]):
-                chunks.append(self.layers[i][name].ravel())
-        return np.concatenate(chunks) if chunks else np.zeros(0)
+        """Every entry, ordered by layer id, then parameter name."""
+        return np.concatenate([np.zeros(0)] + [self.layers[i][name].ravel()
+                              for i in sorted(self.layers) for name in sorted(self.layers[i])])
 
 
 def _class_weighted_diag(model: Model, batch: np.ndarray, class_weights) -> dict:

@@ -3,17 +3,18 @@
 Per parameterized layer we keep the diagonals of the activation second-moment
 factor (h) and the pre-activation-gradient second-moment factor (s), which the
 layer's param_stats captures directly (see nn.LayerCapture), and smooth them
-with an EMA in which the *fresh* factor carries weight gamma. KFState.divisors
-min-max normalizes each diagonal and hands back one damped curvature divisor
-per parameter, shaped like it:
+with an EMA in which the *fresh* factor carries weight gamma.
 
-    weight of output k, flattened input j:  h'[j] * s'[k] + lambda
-    bias of output k (h's last, unit slot):  h'[-1] * s'[k] + lambda
+kronecker_diagonal is the one map from factor entries to parameter entries. It
+lays the diagonal of H (x) S out like a layer's parameters:
 
-Normalization layers degenerate to elementwise (Hadamard) structure: the scale
-divisor is h' * s' + lambda and the shift divisor s' + lambda (its activation
-factor is the constant 1). With norm_fisher_off every normalization divisor
-is lambda.
+    weight of output k, flattened input j:  h[j] * s[k]
+    bias of output k (h's last, unit slot):  h[-1] * s[k]
+
+and h * s and s for a normalization layer's scale and shift (Hadamard
+structure; the shift's activation factor is the constant 1). KFState.divisors
+adds lambda to it on the min-max normalized factors (all zero for norm layers
+under norm_fisher_off); the Fisher oracle compares with it on fresh factors.
 """
 
 from __future__ import annotations
@@ -59,6 +60,20 @@ def _factor_sizes(params: dict) -> tuple[int, int]:
     if "W" in params:
         return params["W"][0].size + ("b" in params), params["W"].shape[0]
     return params["scale"].size, params["scale"].size
+
+
+def kronecker_diagonal(h: np.ndarray, s: np.ndarray, params: dict) -> dict[str, np.ndarray]:
+    """{parameter name: diagonal of H (x) S at its entries}, shaped like params."""
+    if (h.size, s.size) != _factor_sizes(params):
+        raise DimensionError(f"factors h {h.size}, s {s.size} do not fit the parameters "
+                             f"{({n: v.shape for n, v in params.items()})}")
+    if "W" not in params:
+        return {"scale": h * s, "shift": s}
+    grid = np.outer(s, h)
+    out = {"W": grid[:, :params["W"][0].size].reshape(params["W"].shape)}
+    if "b" in params:
+        out["b"] = grid[:, -1]
+    return out
 
 
 def fresh_factors(model: Model) -> dict[int, dict[str, np.ndarray]]:
@@ -113,19 +128,12 @@ class KFState:
         out = {}
         for i, layer in model.param_layers():
             h, s = (minmax_normalize(self.factors[i][k]) for k in ("h", "s"))
-            p = layer.params
-            if (h.size, s.size) != _factor_sizes(p):
-                raise DimensionError(f"layer {i}: factors h {h.size}, s {s.size} do not fit "
-                                     f"its parameters {({n: v.shape for n, v in p.items()})}")
-            if "W" in p:
-                fan_in = p["W"][0].size
-                div = np.outer(s, h) + self.lam
-                out[i, "W"] = div[:, :fan_in].reshape(p["W"].shape)
-                if "b" in p:
-                    out[i, "b"] = div[:, -1]
-            else:
-                if self.norm_fisher_off:  # identity factors: all zero after min-max
-                    h = s = np.zeros_like(s)
-                out[i, "scale"] = h * s + self.lam
-                out[i, "shift"] = s + self.lam
+            if self.norm_fisher_off and "W" not in layer.params:
+                h, s = np.zeros_like(h), np.zeros_like(s)  # identity factors, min-maxed
+            try:
+                diags = kronecker_diagonal(h, s, layer.params)
+            except DimensionError as exc:
+                raise DimensionError(f"layer {i}: {exc}") from None
+            for name, diag in diags.items():
+                out[i, name] = diag + self.lam
         return out

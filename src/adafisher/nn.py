@@ -11,7 +11,7 @@ exactly 1.0 in the bias slot) and of the per-sample pre-activation gradients
 batch norm, spatial axes (KFC).
 For the Fisher oracle's eval-mode walk, where row n of dout is sample n's own
 signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's parameter
-gradient)**2 in Fisher ordering instead.
+gradient)**2 instead, one array per parameter, shaped like it.
 
 Conv2d multiplies its weights with im2col patches as a broadcast batched
 matmul, so the products of its forward pass and of both gradients run on BLAS.
@@ -104,10 +104,11 @@ class Dense(Layer):
         self.capture = LayerCapture(h=h, s=_mean_sq(dout * m))
 
     def sample_sq(self, dout, w):
-        x_sq = self._x**2
+        d_sq = w[:, None] * dout**2
+        out = {"W": d_sq.T @ self._x**2}
         if self.bias:
-            x_sq = np.hstack([x_sq, np.ones((dout.shape[0], 1))])
-        return {"WB": (x_sq.T @ (w[:, None] * dout**2)).ravel()}
+            out["b"] = d_sq.sum(axis=0)
+        return out
 
     def input_grad(self, dout):
         return dout @ self.params["W"]
@@ -160,10 +161,11 @@ class Conv2d(Layer):
     def sample_sq(self, dout, w):
         m = dout.shape[0]
         g = dout.reshape(m, self.out_ch, -1)
-        grad = g @ self._patches.transpose(0, 2, 1)  # (M, O, CKK) per-sample [W]
+        grad = g @ self._patches.transpose(0, 2, 1)  # (M, O, CKK) per-sample W gradients
+        out = {"W": (w @ (grad**2).reshape(m, -1)).reshape(self.params["W"].shape)}
         if self.bias:
-            grad = np.concatenate([grad, g.sum(axis=2, keepdims=True)], axis=2)
-        return {"WB": (w @ (grad**2).reshape(m, -1)).reshape(grad.shape[1:]).T.ravel()}
+            out["b"] = w @ g.sum(axis=2) ** 2
+        return out
 
     def input_grad(self, dout):
         g = dout.reshape(self._x_shape[0], self.out_ch, self._oh * self._ow)

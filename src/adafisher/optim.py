@@ -8,7 +8,8 @@ it elementwise by that parameter's curvature divisor, which KFState.divisors
 hands over keyed by (layer id, parameter name); there is no second moment and
 (unless sqrt_divisor=True) no square root on the divisor: the factored
 curvature supplies its own smoothing through the factor EMA. Every parameter
-takes the same update, looped like Adam's.
+takes the same update, looped like Adam's. AdaFisherW is AdaFisher with a
+decoupled weight decay kappa > 0, so both names build an AdaFisher.
 """
 
 from __future__ import annotations
@@ -58,13 +59,13 @@ class Optimizer:
 
 
 class AdaFisher(Optimizer):
-    """First-moment descent divided by the curvature divisors (decoupled
-    decay when kappa > 0 and decoupled=True, i.e. the AdaFisherW variant)."""
+    """First-moment descent divided by the curvature divisors; kappa > 0 adds
+    decoupled weight decay, undivided (the AdaFisherW variant)."""
 
     needs_divisors = True
 
     def __init__(self, alpha: float = 0.001, beta: float = 0.9, kappa: float = 0.0,
-                 decoupled: bool = False, sqrt_divisor: bool = False):
+                 sqrt_divisor: bool = False):
         super().__init__(alpha)
         if not 0.0 <= beta < 1.0:
             raise ConfigError("beta must lie in [0, 1)")
@@ -72,7 +73,6 @@ class AdaFisher(Optimizer):
             raise ConfigError("weight decay kappa must be non-negative")
         self.beta = beta
         self.kappa = kappa
-        self.decoupled = decoupled
         self.sqrt_divisor = sqrt_divisor
         self.m: dict[tuple[int, str], np.ndarray] = {}
 
@@ -97,16 +97,10 @@ class AdaFisher(Optimizer):
             m += (1.0 - self.beta) * g
             delta = m / correction  # bias correction applied on read
             delta /= div
-            if self.decoupled and self.kappa:
+            if self.kappa:
                 delta += self.kappa * p
             delta *= lr
             p -= delta
-
-
-def adafisherw(alpha: float = 0.001, beta: float = 0.9, kappa: float = 0.0,
-               sqrt_divisor: bool = False) -> AdaFisher:
-    return AdaFisher(alpha=alpha, beta=beta, kappa=kappa, decoupled=True,
-                     sqrt_divisor=sqrt_divisor)
 
 
 class Adam(Optimizer):
@@ -171,7 +165,7 @@ class SGD(Optimizer):
             p -= lr * g
 
 
-_FACTORIES = {"adafisher": AdaFisher, "adafisherw": adafisherw, "adam": Adam,
+_FACTORIES = {"adafisher": AdaFisher, "adafisherw": AdaFisher, "adam": Adam,
               "adamw": adamw, "sgd": SGD}
 
 

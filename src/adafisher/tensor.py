@@ -1,9 +1,8 @@
-"""Dense tensor kernels: shape checks, deterministic RNG, diagonal Kronecker
-product and batched im2col patch expansion with its adjoint. Both sweep the
-kernel offsets with window_slices, which clips each offset's window grid to
-the unpadded input, so neither forms a zero-padded copy, and flags the offsets
-that touch their input entries first, where the adjoint assigns instead of
-adding.
+"""Dense tensor kernels: shape checks, deterministic RNG and batched im2col
+patch expansion with its adjoint. Both sweep the kernel offsets with
+window_slices, which clips each offset's window grid to the unpadded input, so
+neither forms a zero-padded copy, and flags the offsets that touch their input
+entries first, where the adjoint assigns instead of adding.
 
 All arrays are float64, row-major (C order). Operations are pure and
 single-threaded; determinism is run-to-run on a given platform.
@@ -54,15 +53,6 @@ class Rng:
     def spawn(self, offset: int) -> "Rng":
         """Independent stream derived from (seed, offset)."""
         return Rng((self.seed * 1_000_003 + offset) % (2**63))
-
-
-def kron_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Diagonal of Diag(a) (x) Diag(b): out[j*q + k] = a[j] * b[k]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
-        raise DimensionError("kron_diag expects non-empty vectors")
-    return np.outer(a, b).ravel()
 
 
 def conv_out_size(size: int, k: int, s: int, p: int) -> int:

@@ -3,9 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+from adafisher import datasets
 from adafisher.datasets import (load_csv, load_idx, synth_dataset,
                                 train_eval_split, write_idx)
-from adafisher.errors import DataError, FormatError, InputError
+from adafisher.errors import DataError, FormatError, InputError, SizeError
 
 
 class TestIdx:
@@ -134,6 +135,17 @@ class TestSynth:
             synth_dataset("spiral", 10, seed=0)
         with pytest.raises(InputError):
             synth_dataset("moons", 10, seed=0, classes=3)
+
+    @pytest.mark.parametrize("n", [10**20, 10**9])
+    def test_size_guard_rejects_before_drawing(self, monkeypatch, n):
+        class NoDraws:  # a draw would try to allocate the whole dataset
+            def __init__(self, seed):
+                pass
+
+        monkeypatch.setattr(datasets, "Rng", NoDraws)
+        for kind in ("blobs", "moons", "quadratic"):
+            with pytest.raises(SizeError):
+                synth_dataset(kind, n, seed=0)
 
 
 class TestSplit:

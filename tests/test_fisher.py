@@ -7,7 +7,7 @@ from adafisher.fisher import (FisherDiag, _label_counts, approximation_mae,
 from adafisher.kfactor import fresh_factors
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                           MaxPool2d, Model, softmax)
-from adafisher.tensor import Rng, kron_diag
+from adafisher.tensor import Rng
 
 
 def softmax_regression(in_dim, n_classes, seed=0, bias=False):
@@ -19,17 +19,18 @@ def analytic_softmax_fisher(model, x):
     """Closed-form Fisher diagonal of a bias-free softmax-linear model.
 
     For W[c, j] the per-sample gradient is (p_c - 1{y=c}) * x_j, so the
-    label-averaged squared gradient is x_j^2 * p_c * (1 - p_c).
+    label-averaged squared gradient is x_j^2 * p_c * (1 - p_c), laid out
+    (class, input) like W.
     """
     w = model.layers[0].params["W"]
     n_classes, in_dim = w.shape
-    total = np.zeros(in_dim * n_classes)
+    total = np.zeros((n_classes, in_dim))
     for x_one in x:
         p = softmax((w @ x_one)[None, :])[0]
-        contrib = np.empty(in_dim * n_classes)
-        for j in range(in_dim):
-            for c in range(n_classes):
-                contrib[j * n_classes + c] = x_one[j] ** 2 * p[c] * (1 - p[c])
+        contrib = np.empty((n_classes, in_dim))
+        for c in range(n_classes):
+            for j in range(in_dim):
+                contrib[c, j] = x_one[j] ** 2 * p[c] * (1 - p[c])
         total += contrib
     return total / x.shape[0]
 
@@ -40,15 +41,16 @@ class TestExactFisher:
         x = Rng(10).normal((1, 3))
         diag = exact_fisher_diag(model, x)
         expected = analytic_softmax_fisher(model, x)
-        # bias-free layer: the homogeneous coordinate is absent
-        assert np.max(np.abs(diag.layers[0]["WB"] - expected)) < 1e-12
+        # bias-free layer: no homogeneous coordinate, so no "b" entry
+        assert set(diag.layers[0]) == {"W"}
+        assert np.max(np.abs(diag.layers[0]["W"] - expected)) < 1e-12
 
     def test_matches_closed_form_batched(self):
         model = softmax_regression(4, 3, seed=2)
         x = Rng(11).normal((6, 4))
         diag = exact_fisher_diag(model, x)
         expected = analytic_softmax_fisher(model, x)
-        assert np.max(np.abs(diag.layers[0]["WB"] - expected)) < 1e-12
+        assert np.max(np.abs(diag.layers[0]["W"] - expected)) < 1e-12
 
     def test_batch_average_of_per_sample_fishers(self):
         model = Model([Dense(3, 5), Activation("tanh"), Dense(5, 3)]).init(Rng(3))
@@ -118,8 +120,8 @@ def scalar_labels(p, n_samples, gen):
 
 def reference_fisher(model, x, n_samples=None, seed=0):
     """Per-sample, per-label loop: a batch-1 eval forward, Model.backward for each
-    class (exact) or each drawn label (MC), and the squared [W | b] or
-    scale/shift gradient blocks, averaged over the batch."""
+    class (exact) or each drawn label (MC), and every parameter's squared
+    gradient, averaged over the batch."""
     gen = np.random.Generator(np.random.PCG64(seed))
     total = {}
     for x_one in x:
@@ -134,16 +136,9 @@ def reference_fisher(model, x, n_samples=None, seed=0):
             grad_out[0, y] -= 1.0
             model.backward(grad_out)
             for i, layer in model.param_layers():
-                if "W" in layer.params:
-                    g = layer.grads["W"].reshape(layer.grads["W"].shape[0], -1)
-                    if "b" in layer.grads:
-                        g = np.hstack([g, layer.grads["b"][:, None]])
-                    blocks = {"WB": g.T.ravel()}
-                else:
-                    blocks = {name: layer.grads[name] for name in ("scale", "shift")}
                 dest = total.setdefault(i, {})
-                for name, vec in blocks.items():
-                    dest[name] = dest.get(name, 0.0) + weight * vec**2 / len(x)
+                for name, g in layer.grads.items():
+                    dest[name] = dest.get(name, 0.0) + weight * g**2 / len(x)
     return FisherDiag(layers=total)
 
 
@@ -240,7 +235,7 @@ class TestDenseKroneckerBlock:
         model.train_batch(x, Rng(24).integers(0, 3, size=5))
         block = kfac_block_dense(model.layers[0])
         fresh = fresh_factors(model)[0]
-        assert np.max(np.abs(np.diag(block) - kron_diag(fresh["h"], fresh["s"]))) < 1e-10
+        assert np.max(np.abs(np.diag(block) - np.kron(fresh["h"], fresh["s"]))) < 1e-10
 
     def test_block_unchanged_by_oracle_call(self):
         # The oracle's eval-mode forward replaces the head's input; the block
@@ -270,5 +265,5 @@ class TestHelpers:
 
     def test_flat_ordering_stable(self):
         diag = FisherDiag(layers={1: {"scale": np.array([3.0]), "shift": np.array([4.0])},
-                                  0: {"WB": np.array([1.0, 2.0])}})
+                                  0: {"W": np.array([[1.0, 2.0]])}})
         assert np.array_equal(diag.flat(), [1.0, 2.0, 3.0, 4.0])

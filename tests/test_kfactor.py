@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from adafisher.errors import ConfigError, DimensionError, InputError, StateError
 from adafisher.kfactor import (MINMAX_EPS, KFState, ema_update, fresh_factors,
-                               minmax_normalize)
+                               kronecker_diagonal, minmax_normalize)
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, Model)
-from adafisher.tensor import Rng, kron_diag
+from adafisher.tensor import Rng
 
 
 def weight_only(h, s):
@@ -126,6 +126,66 @@ class TestEfimAssemble:
             KFState(lam=0.0, factors={})
 
 
+def vec(diag):
+    """A weight layer's [W | b] diagonal with the input index slow and the
+    output index fast, the order of np.kron(h, s)."""
+    w = diag["W"].reshape(len(diag["W"]), -1)
+    return np.hstack([w, diag["b"][:, None]] if "b" in diag else [w]).T.ravel()
+
+
+class TestKroneckerDiagonal:
+    """The diagonal of H (x) S laid out like a layer's parameters."""
+
+    def test_ones(self):
+        diag = kronecker_diagonal(np.ones(3), np.ones(2), Dense(2, 2).params)
+        assert set(diag) == {"W", "b"}
+        assert np.array_equal(diag["W"], np.ones((2, 2)))
+        assert np.array_equal(diag["b"], np.ones(2))
+
+    def test_forced_arithmetic(self):
+        h, s = np.array([2.0, 3.0]), np.array([5.0, 7.0])
+        assert np.array_equal(kronecker_diagonal(h, s, Dense(2, 2, bias=False).params)["W"],
+                              [[10.0, 15.0], [14.0, 21.0]])
+        with_bias = kronecker_diagonal(h, s, Dense(1, 2).params)  # h[-1] is the bias slot
+        assert np.array_equal(with_bias["W"], [[10.0], [14.0]])
+        assert np.array_equal(with_bias["b"], [15.0, 21.0])
+        norm = kronecker_diagonal(h, s, LayerNorm(2).params)
+        assert np.array_equal(norm["scale"], [10.0, 21.0])
+        assert np.array_equal(norm["shift"], [5.0, 7.0])
+
+    def test_matches_dense_kron(self):
+        rng = Rng(3)
+        for layer in (Dense(2, 4), Dense(3, 4, bias=False), Conv2d(2, 3, (2, 2)),
+                      Conv2d(2, 3, (1, 2), bias=False)):
+            w = layer.params["W"]
+            h, s = rng.normal((w[0].size + layer.bias,)), rng.normal((w.shape[0],))
+            diag = kronecker_diagonal(h, s, layer.params)
+            assert {n: d.shape for n, d in diag.items()} == {
+                n: p.shape for n, p in layer.params.items()}
+            dense = np.diag(np.kron(np.diag(h), np.diag(s)))
+            assert np.max(np.abs(vec(diag) - dense)) < 1e-15
+
+    def test_exhaustive_small_dims(self):
+        rng = Rng(5)
+        for p in range(1, 9):
+            for q in range(1, 9):
+                a, b = rng.normal((p,)), rng.normal((q,))
+                dense = np.diag(np.kron(np.diag(a), np.diag(b)))
+                no_bias = kronecker_diagonal(a, b, Dense(p, q, bias=False).params)
+                assert np.array_equal(vec(no_bias), dense)
+                if p > 1:  # a's last entry is the bias slot
+                    with_bias = kronecker_diagonal(a, b, Dense(p - 1, q).params)
+                    assert np.array_equal(vec(with_bias), dense)
+
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionError):
+            kronecker_diagonal(np.zeros(0), np.ones(2), Dense(1, 2, bias=False).params)
+        with pytest.raises(DimensionError):
+            kronecker_diagonal(np.ones(2), np.ones(2), Dense(2, 2).params)  # no bias slot
+        with pytest.raises(DimensionError):
+            kronecker_diagonal(np.ones(3), np.ones(2), LayerNorm(2).params)
+
+
 def precondition(g, h, s, lam):
     """A (len(s), len(h)) gradient divided by its divisors from KFState.divisors."""
     state = KFState(lam=lam, factors={0: {"h": h, "s": s}})
@@ -154,7 +214,7 @@ class TestPrecondition:
             s = minmax_normalize(np.abs(rng.normal((p_out,)))) if p_out > 1 else np.zeros(1)
             lam = 0.001
             g = rng.normal((p_out, p_in))
-            dense = np.diag(kron_diag(h, s) + lam)  # vec order: h slow, s fast
+            dense = np.diag(np.kron(h, s) + lam)  # vec order: h slow, s fast
             oracle = np.linalg.solve(dense, g.T.ravel()).reshape(p_in, p_out).T
             assert np.max(np.abs(precondition(g, h, s, lam) - oracle)) < 1e-12
 

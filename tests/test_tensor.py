@@ -3,35 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from adafisher.errors import DimensionError
-from adafisher.tensor import (Rng, col2im_batch, conv_out_size, im2col_batch, kron_diag,
-                              window_slices)
-
-
-class TestKronDiag:
-    def test_ones(self):
-        assert np.array_equal(kron_diag(np.ones(2), np.ones(3)), np.ones(6))
-
-    def test_forced_arithmetic(self):
-        assert np.array_equal(kron_diag(np.array([2.0, 3.0]), np.array([5.0, 7.0])),
-                              [10.0, 14.0, 15.0, 21.0])
-
-    def test_matches_dense_kron(self):
-        rng = Rng(3)
-        a, b = rng.normal((3,)), rng.normal((4,))
-        dense = np.diag(np.kron(np.diag(a), np.diag(b)))
-        assert np.max(np.abs(kron_diag(a, b) - dense)) < 1e-15
-
-    def test_exhaustive_small_dims(self):
-        rng = Rng(5)
-        for p in range(1, 9):
-            for q in range(1, 9):
-                a, b = rng.normal((p,)), rng.normal((q,))
-                dense = np.diag(np.kron(np.diag(a), np.diag(b)))
-                assert np.array_equal(kron_diag(a, b), dense)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionError):
-            kron_diag(np.zeros(0), np.ones(2))
+from adafisher.tensor import Rng, col2im_batch, conv_out_size, im2col_batch, window_slices
 
 
 def direct_conv(x, w, stride, pad):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import adafisher
+from adafisher import datasets
 from adafisher.cli import main
 from adafisher.config import RunConfig, build_model, resolve_dataset
 from adafisher.datasets import write_idx
@@ -529,3 +530,38 @@ class TestCli:
         assert header == "epoch,layer,mae"
         assert [row.split(",")[1] for row in rows] == ["0", "2"]  # the two dense layers
         assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
+
+    def test_oracle_checks_every_parameterized_layer(self, tmp_path, monkeypatch):
+        # dense -> batchnorm -> dense: the norm layer gets its own row
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        model = {"layers": [{"kind": "dense", "in": 4, "out": 6}, {"kind": "batchnorm", "dim": 6},
+                            {"kind": "relu"}, {"kind": "dense", "in": 6, "out": 3}]}
+        cfg = self.write_config(tmp_path, model=model, batch_size=8)
+        assert main(["oracle", "--config", cfg, "--mode", "exact", "--out", "orc"]) == 0
+        header, *rows = (tmp_path / "orc" / "fisher_mae.csv").read_text().strip().splitlines()
+        assert header == "epoch,layer,mae"
+        assert [row.split(",")[1] for row in rows] == ["0", "1", "3"]
+        assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
+
+    def test_oracle_count_mismatch_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        data = write_images(tmp_path)
+        write_idx(tmp_path / "labels.idx", np.zeros(20, dtype=np.uint8), "labels")
+        cfg = self.write_config(tmp_path, dataset=data, batch_size=24, model={
+            "layers": [{"kind": "flatten"}, {"kind": "dense", "in": 36, "out": 2}]})
+        assert main(["oracle", "--config", cfg, "--mode", "exact"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data error: 24 inputs but 20 labels"]
+
+    @pytest.mark.parametrize("n", [10**20, 10**9])
+    def test_oversized_synthetic_dataset_exits_2(self, tmp_path, capsys, monkeypatch, n):
+        class NoDraws:  # a draw would try to allocate the whole dataset
+            def __init__(self, seed):
+                pass
+
+        monkeypatch.setattr(datasets, "Rng", NoDraws)
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        cfg = self.write_config(tmp_path, dataset={"source": "blobs", "n": n, "dim": 4})
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: synthetic dataset of ")

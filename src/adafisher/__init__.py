@@ -6,9 +6,8 @@ from .errors import (AdaFisherError, ConfigError, DataError, DimensionError,
                      FormatError, InputError, NumericError, SizeError,
                      StateError, UnsupportedError)
 from .kfactor import KFState, ema_update, kronecker_diagonal, minmax_normalize
-from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerCapture,
-                 LayerNorm, MaxPool2d, Model, cross_entropy, finite_diff_grad,
-                 mse, softmax)
+from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
+                 MaxPool2d, Model, cross_entropy, finite_diff_grad, mse, softmax)
 from .optim import Adam, AdaFisher, Optimizer, Schedule, SGD, adamw, build_optimizer
 from .tensor import Rng
 

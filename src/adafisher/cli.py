@@ -20,7 +20,7 @@ from .config import RunConfig, build_model, resolve_dataset
 from .diagnostics import fft2, fim_hist_stats, gershgorin, snr
 from .errors import AdaFisherError, ConfigError, DataError, NumericError
 from .fisher import FisherDiag, approximation_mae, exact_fisher_diag, mc_fisher_diag
-from .kfactor import fresh_factors, kronecker_diagonal
+from .kfactor import kronecker_diagonal
 from .tensor import Rng
 from .training import run_training
 
@@ -30,21 +30,15 @@ def _out_dir(arg_out: str | None, default: str) -> Path:
     return Path(root) / (arg_out if arg_out else default)
 
 
-def _train(config: RunConfig, args) -> int:
+def cmd_train(args) -> int:
+    """`train` and `distributed` (which only adds --workers)."""
+    config = RunConfig.from_json(args.config, seed=args.seed, workers=args.workers)
     # A diverging run ends in one NumericError naming the step, layer and
     # quantity; numpy's overflow warnings on the way would add stray lines.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         path = run_training(config, out_dir=_out_dir(args.out, config.out_dir))
     print(path)
     return 0
-
-
-def cmd_train(args) -> int:
-    return _train(RunConfig.from_json(args.config, seed=args.seed), args)
-
-
-def cmd_distributed(args) -> int:
-    return _train(RunConfig.from_json(args.config, seed=args.seed, workers=args.workers), args)
 
 
 # Arrays each analysis reads from its snapshot (a bare .npy is 'matrix').
@@ -63,6 +57,11 @@ def _load_snapshot(path: str, analysis: str):
     missing = [key for key in _SNAPSHOT_KEYS[analysis] if key not in snap]
     if missing:
         raise DataError(f"{analysis} snapshot is missing {', '.join(map(repr, missing))}")
+    for key in _SNAPSHOT_KEYS[analysis]:
+        arr = snap[key]
+        if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+            raise DataError(f"{analysis} snapshot {key!r} must hold finite real numbers "
+                            f"(dtype {arr.dtype})")
     return snap
 
 
@@ -109,7 +108,6 @@ def cmd_oracle(args) -> int:
     batch = x[: config.batch_size]
     labels = np.asarray(y)[: config.batch_size]
     model.train_batch(batch, labels)
-    factors = fresh_factors(model)
     if args.mode == "exact":
         oracle = exact_fisher_diag(model, batch)
     else:
@@ -121,8 +119,8 @@ def cmd_oracle(args) -> int:
         w = csv.writer(fh)
         w.writerow(["epoch", "layer", "mae"])
         for i, layer in model.param_layers():
-            h, s = factors[i]["h"], factors[i]["s"]
-            approx = FisherDiag({i: kronecker_diagonal(h, s, layer.params)})
+            approx = FisherDiag({i: kronecker_diagonal(layer.capture["h"], layer.capture["s"],
+                                                       layer.params)})
             mae = approximation_mae(FisherDiag({i: oracle.layers[i]}).flat(), approx.flat())
             w.writerow([0, i, repr(mae)])
     print(path)
@@ -133,18 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adafisher")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="run a training config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("distributed", help="simulated multi-worker training")
-    p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_distributed)
+    for name, help_text in (("train", "run a training config"),
+                            ("distributed", "simulated multi-worker training")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        if name == "distributed":
+            p.add_argument("--workers", type=int, required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=cmd_train, workers=None)
 
     p = sub.add_parser("diagnose", help="matrix diagnostics on a snapshot")
     p.add_argument("--snapshot", required=True)

@@ -182,8 +182,8 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         _TOP(raw, "")
         cfg = cls(**raw)
-        if cfg.workers > cfg.batch_size:
-            raise ConfigError(f"workers {cfg.workers} exceed batch_size {cfg.batch_size}")
+        if cfg.batch_size % cfg.workers:
+            raise ConfigError(f"workers {cfg.workers} do not divide batch_size {cfg.batch_size}")
         return cfg
 
     @classmethod

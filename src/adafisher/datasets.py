@@ -154,8 +154,10 @@ def train_eval_split(x, y, seed: int, eval_frac: float = 0.2):
     n = x.shape[0]
     if len(y) != n:
         raise DataError(f"{n} inputs but {len(y)} labels")
+    if n < 2:
+        raise DataError(f"need at least 2 samples for a training and an eval split; got {n}")
     perm = Rng(seed).permutation(n)
-    n_eval = max(1, int(round(n * eval_frac))) if n > 1 else 0
+    n_eval = max(1, int(round(n * eval_frac)))
     eval_idx = perm[:n_eval]
     train_idx = perm[n_eval:]
     return x[train_idx], y[train_idx], x[eval_idx], y[eval_idx]

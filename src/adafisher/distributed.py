@@ -1,7 +1,8 @@
 """In-process simulation of data-parallel training with factor aggregation.
 
-A global batch is split into K equal shards; each virtual worker runs its own
-forward/backward pass and contributes fresh factor diagonals and gradients.
+A global batch is split into K equal shards (K must divide the batch); each
+virtual worker runs its own forward/backward pass and contributes gradients
+and fresh factor diagonals, both keyed (layer id, name) like the divisors.
 Both are averaged coordinatewise in fixed worker order, the EMA is applied to
 the aggregated factors (one state for the whole cluster), and a single
 synchronized optimizer step is taken. A non-finite loss, gradient or factor
@@ -15,32 +16,30 @@ parameter, keyed like the aggregated gradients.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .kfactor import KFState, fresh_factors
+from .kfactor import KFState
 from .nn import Model
 from .optim import Optimizer
 
-log = logging.getLogger(__name__)
-
 
 def shard_batch(x: np.ndarray, y: np.ndarray, workers: int):
-    """Split a batch into equal shards, dropping the remainder."""
+    """Split a batch into `workers` equal shards, in order."""
     m = x.shape[0]
-    if workers < 1 or workers > m:
-        raise ConfigError(f"workers must lie in [1, batch size]; got {workers} for M={m}")
-    size = m // workers
-    if size * workers != m:
-        log.warning("dropping %d remainder samples (batch %d, %d workers)",
-                    m - size * workers, m, workers)
-    return [(x[k * size:(k + 1) * size], y[k * size:(k + 1) * size]) for k in range(workers)]
+    if workers < 1 or m % workers:
+        raise ConfigError(f"workers must divide the batch size; got {workers} for M={m}")
+    return list(zip(np.split(x, workers), np.split(y, workers)))
 
 
-def _worker_mean(parts: list):
-    """Coordinatewise mean of equally laid-out (nested) dicts of arrays.
+def keyed(model: Model, attr: str) -> dict[tuple[int, str], np.ndarray]:
+    """{(layer id, name): array} of every parameterized layer's grads or capture."""
+    return {(i, name): arr for i, layer in model.param_layers()
+            for name, arr in getattr(layer, attr).items()}
+
+
+def _worker_mean(parts: list[dict]) -> dict:
+    """Coordinatewise mean of equally laid-out {key: array} dicts.
 
     Sums in fixed worker order and divides once into new arrays, so one
     worker yields an exact copy of its values.
@@ -48,13 +47,12 @@ def _worker_mean(parts: list):
     if not parts:
         raise ConfigError("no shards to aggregate")
     first = parts[0]
-    if isinstance(first, dict):
-        if any(set(p) != set(first) for p in parts):
-            raise ConfigError("shard layouts disagree")
-        return {key: _worker_mean([p[key] for p in parts]) for key in first}
-    if any(p.shape != first.shape for p in parts):
+    if any(p.keys() != first.keys() for p in parts):
+        raise ConfigError("shard layouts disagree")
+    if any(p[key].shape != arr.shape for p in parts for key, arr in first.items()):
         raise ConfigError("shard shapes disagree")
-    return sum(parts[1:], first) / len(parts)
+    return {key: sum((p[key] for p in parts[1:]), arr) / len(parts)
+            for key, arr in first.items()}
 
 
 def _check_finite(step: int, quantity: str, arrays: dict) -> None:
@@ -79,10 +77,9 @@ def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
     losses, shard_grads, shard_factors = [], [], []
     for xs, ys in shard_batch(x, y, workers):
         losses.append(model.train_batch(xs, ys))
-        shard_grads.append({(i, name): g for i, layer in model.param_layers()
-                            for name, g in layer.grads.items()})
+        shard_grads.append(keyed(model, "grads"))
         if opt.needs_divisors:
-            shard_factors.append(fresh_factors(model))
+            shard_factors.append(keyed(model, "capture"))
     if not np.isfinite(losses).all():
         raise NumericError(f"step {step}: non-finite training loss")
     grads = _worker_mean(shard_grads)
@@ -94,10 +91,9 @@ def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
     if opt.needs_divisors:
         if kf_state is None:
             raise ConfigError("AdaFisher training requires a KFState")
-        agg = _worker_mean(shard_factors)
-        _check_finite(step, "factor", {(i, name): vec for i, factors in agg.items()
-                                       for name, vec in factors.items()})
-        kf_state.update(agg)
+        factors = _worker_mean(shard_factors)
+        _check_finite(step, "factor", factors)
+        kf_state.update(factors)
         divisors = kf_state.divisors(model)
     opt.step(model, divisors)
     return float(np.mean(losses))

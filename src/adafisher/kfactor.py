@@ -2,8 +2,9 @@
 
 Per parameterized layer we keep the diagonals of the activation second-moment
 factor (h) and the pre-activation-gradient second-moment factor (s), which the
-layer's param_stats captures directly (see nn.LayerCapture), and smooth them
-with an EMA in which the *fresh* factor carries weight gamma.
+layer's param_stats captures directly (layer.capture), and smooth them with an
+EMA in which the *fresh* factor carries weight gamma. KFState.factors is keyed
+(layer id, "h" | "s"), like the gradients and divisors.
 
 kronecker_diagonal is the one map from factor entries to parameter entries. It
 lays the diagonal of H (x) S out like a layer's parameters:
@@ -76,18 +77,6 @@ def kronecker_diagonal(h: np.ndarray, s: np.ndarray, params: dict) -> dict[str, 
     return out
 
 
-def fresh_factors(model: Model) -> dict[int, dict[str, np.ndarray]]:
-    """Per-batch factor diagonals {"h", "s"} for every parameterized layer."""
-    factors: dict[int, dict[str, np.ndarray]] = {}
-    for i, layer in model.param_layers():
-        cap = layer.capture
-        if cap is None:
-            raise StateError(f"layer {i} ({type(layer).__name__}) has no capture; "
-                             "run a backward pass first")
-        factors[i] = {"h": cap.h, "s": cap.s}
-    return factors
-
-
 @dataclass
 class KFState:
     """EMA-smoothed factor diagonals for every parameterized layer."""
@@ -95,7 +84,7 @@ class KFState:
     gamma: float = DEFAULT_GAMMA
     lam: float = DEFAULT_LAMBDA
     step: int = 0
-    factors: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
+    factors: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
     norm_fisher_off: bool = False
 
     def __post_init__(self):
@@ -111,15 +100,18 @@ class KFState:
         state = cls(gamma=gamma, lam=lam, norm_fisher_off=norm_fisher_off)
         for i, layer in model.param_layers():
             h, s = _factor_sizes(layer.params)
-            state.factors[i] = {"h": np.ones(h), "s": np.ones(s)}
+            state.factors[i, "h"], state.factors[i, "s"] = np.ones(h), np.ones(s)
         return state
 
-    def update(self, fresh: dict[int, dict[str, np.ndarray]]) -> "KFState":
-        for i, layer_factors in fresh.items():
-            if i not in self.factors:
-                raise StateError(f"unknown layer id {i} in fresh factors")
-            for name, vec in layer_factors.items():
-                self.factors[i][name] = ema_update(self.factors[i][name], vec, self.gamma)
+    def update(self, fresh: dict[tuple[int, str], np.ndarray]) -> "KFState":
+        """EMA every factor with its fresh diagonal; fresh must hold exactly the
+        state's keys (a layer that ran no backward pass has captured none)."""
+        if fresh.keys() != self.factors.keys():
+            i, name = min(fresh.keys() ^ self.factors.keys())
+            why = "missing; run a backward pass first" if (i, name) in self.factors else "unknown"
+            raise StateError(f"fresh factor {name} of layer {i} is {why}")
+        for key, vec in fresh.items():
+            self.factors[key] = ema_update(self.factors[key], vec, self.gamma)
         self.step += 1
         return self
 
@@ -127,7 +119,7 @@ class KFState:
         """{(layer id, parameter name): divisor}, each shaped like its parameter."""
         out = {}
         for i, layer in model.param_layers():
-            h, s = (minmax_normalize(self.factors[i][k]) for k in ("h", "s"))
+            h, s = (minmax_normalize(self.factors[i, k]) for k in ("h", "s"))
             if self.norm_fisher_off and "W" not in layer.params:
                 h, s = np.zeros_like(h), np.zeros_like(s)  # identity factors, min-maxed
             try:

@@ -3,12 +3,13 @@
 Layer inputs are batch-first. Backpropagation is one reverse walk
 (Model.reverse_walk) that hands each parameterized layer the gradient dout at
 its output, then forms the layer's input gradient with input_grad (never at
-or below the first parameterized layer). From dout, param_stats fills the
-mini-batch-mean grads and a LayerCapture holding the diagonals of the two
-Kronecker factors: the mean squares of the homogeneous input activations (h,
-exactly 1.0 in the bias slot) and of the per-sample pre-activation gradients
-(s, at per-sample-loss scale), over the sample and, for convolutions and 4-D
-batch norm, spatial axes (KFC).
+or below the first parameterized layer). From dout, param_stats fills two
+dicts of arrays: grads, the mini-batch-mean gradient per parameter name, and
+capture, the diagonals of the two Kronecker factors. Those are "h", the mean
+squares of the homogeneous input activations (exactly 1.0 in the bias slot;
+the normalized input for norm layers), and "s", those of the per-sample
+pre-activation gradients (at per-sample-loss scale), over the sample and, for
+convolutions and 4-D batch norm, spatial axes (KFC).
 For the Fisher oracle's eval-mode walk, where row n of dout is sample n's own
 signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's parameter
 gradient)**2 instead, one array per parameter, shaped like it.
@@ -32,12 +33,6 @@ from .errors import DimensionError, InputError, StateError, UnsupportedError
 from .tensor import Rng, col2im_batch, conv_out_size, im2col_batch, window_slices
 
 
-@dataclass
-class LayerCapture:
-    h: np.ndarray  # activation factor diagonal (of the normalized input for norm layers)
-    s: np.ndarray  # backprop-signal factor diagonal, per-sample-loss scale
-
-
 def _feature_sum(*arrays: np.ndarray) -> np.ndarray:
     """Sum per axis-1 feature, over all other axes, of the arrays' elementwise product."""
     cols = [a.reshape(a.shape[0], a.shape[1], -1) for a in arrays]
@@ -55,7 +50,7 @@ class Layer:
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self.capture: LayerCapture | None = None
+        self.capture: dict[str, np.ndarray] = {}
 
     def init(self, rng: Rng):
         pass
@@ -101,7 +96,7 @@ class Dense(Layer):
             self.grads["b"] = dout.sum(axis=0)
             h = np.append(h, 1.0)
         self._stats_pair = (x, dout)  # one pass's input and signal, for fisher.kfac_block_dense
-        self.capture = LayerCapture(h=h, s=_mean_sq(dout * m))
+        self.capture = {"h": h, "s": _mean_sq(dout * m)}
 
     def sample_sq(self, dout, w):
         d_sq = w[:, None] * dout**2
@@ -156,7 +151,7 @@ class Conv2d(Layer):
         if self.bias:
             self.grads["b"] = g.sum(axis=(0, 2))
             h = np.append(h, 1.0)
-        self.capture = LayerCapture(h=h, s=_mean_sq(g) * (m * m))
+        self.capture = {"h": h, "s": _mean_sq(g) * (m * m)}
 
     def sample_sq(self, dout, w):
         m = dout.shape[0]
@@ -235,7 +230,7 @@ class BatchNorm(_Norm):
         m = dout.shape[0]
         self.grads["shift"] = _feature_sum(dout)
         self.grads["scale"] = _feature_sum(dout, self._xhat)
-        self.capture = LayerCapture(h=_mean_sq(self._xhat), s=_mean_sq(dout) * (m * m))
+        self.capture = {"h": _mean_sq(self._xhat), "s": _mean_sq(dout) * (m * m)}
 
     def input_grad(self, dout):
         shape = self._shape(dout)
@@ -268,7 +263,7 @@ class LayerNorm(_Norm):
         m = dout.shape[0]
         self.grads["scale"] = (dout * self._xhat).sum(axis=0)
         self.grads["shift"] = dout.sum(axis=0)
-        self.capture = LayerCapture(h=_mean_sq(self._xhat), s=_mean_sq(dout * m))
+        self.capture = {"h": _mean_sq(self._xhat), "s": _mean_sq(dout * m)}
 
     def input_grad(self, dout):
         xhat = self._xhat

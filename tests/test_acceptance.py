@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from adafisher.diagnostics import fft2, gershgorin, perturb_offdiag, snr
-from adafisher.distributed import train_step
+from adafisher.distributed import keyed, train_step
 from adafisher.fisher import exact_fisher_diag, mc_fisher_diag
-from adafisher.kfactor import KFState, fresh_factors, kronecker_diagonal
+from adafisher.kfactor import KFState, kronecker_diagonal
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, MaxPool2d, Model, finite_diff_grad, softmax)
 from adafisher.optim import AdaFisher
@@ -66,7 +66,7 @@ def test_02_factored_efim_equivalence(capsys):
         p_out = int(rng.integers(1, 9))
         h_raw = np.abs(rng.normal((p_in,)))
         s_raw = np.abs(rng.normal((p_out,)))
-        state = KFState(lam=lam, factors={0: {"h": h_raw, "s": s_raw}})
+        state = KFState(lam=lam, factors={(0, "h"): h_raw, (0, "s"): s_raw})
         divisor = state.divisors(Model([Dense(p_in, p_out, bias=False)]))[0, "W"]
         g = rng.normal((p_out, p_in))
 
@@ -97,8 +97,8 @@ def test_03_fisher_validity(capsys):
         grad_out = p.copy()[None, :]
         grad_out[0, cls] -= 1.0
         model.backward(grad_out)
-        s_sq += p[cls] * fresh_factors(model)[0]["s"]
-    h_diag = fresh_factors(model)[0]["h"]
+        s_sq += p[cls] * model.layers[0].capture["s"]
+    h_diag = model.layers[0].capture["h"]
     product = kronecker_diagonal(h_diag, s_sq, model.layers[0].params)["W"]
     err_exact = float(np.max(np.abs(product - exact)))
 
@@ -226,7 +226,7 @@ def test_08_ablation_behavior(capsys):
     divs = []
     for _ in range(2):
         model.train_batch(x, y)
-        transient = KFState(factors=fresh_factors(model))
+        transient = KFState(factors=keyed(model, "capture"))
         divs.append(transient.divisors(model))
     ema_ok = set(divs[0]) == set(divs[1]) and all(
         np.array_equal(divs[0][key], divs[1][key]) for key in divs[0])
@@ -234,7 +234,7 @@ def test_08_ablation_behavior(capsys):
     # sqrt toggle: with beta=0 and alpha=1 each step is the gradient divided
     # by the square root of the default divisor
     state = KFState.for_model(model)
-    state.update(fresh_factors(model))
+    state.update(keyed(model, "capture"))
     divisors = state.divisors(model)
     stepped = model.copy()
     AdaFisher(alpha=1.0, beta=0.0, sqrt_divisor=True).step(stepped, divisors)
@@ -245,7 +245,7 @@ def test_08_ablation_behavior(capsys):
 
     # normalization-Fisher off: identity factors collapse to the damping floor
     state_off = KFState.for_model(model, norm_fisher_off=True)
-    state_off.update(fresh_factors(model))
+    state_off.update(keyed(model, "capture"))
     div_off = state_off.divisors(model)
     norm_ok = (np.array_equal(div_off[1, "scale"], np.full(8, state.lam))
                and np.array_equal(div_off[1, "shift"], np.full(8, state.lam)))
@@ -263,7 +263,7 @@ def test_09_decoupled_decay(capsys):
         for name in layer.grads:
             layer.grads[name][:] = 0.0
     state = KFState.for_model(model)
-    state.update(fresh_factors(model))
+    state.update(keyed(model, "capture"))
     opt = AdaFisher(alpha=0.01, kappa=0.1)
     opt.step(model, state.divisors(model))
     worst = 0.0

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from adafisher.distributed import _worker_mean, shard_batch, train_step
+from adafisher.distributed import _worker_mean, keyed, shard_batch, train_step
 from adafisher.errors import ConfigError, NumericError
-from adafisher.kfactor import KFState, fresh_factors
+from adafisher.kfactor import KFState
 from adafisher.nn import Activation, Dense, Model
 from adafisher.optim import AdaFisher, SGD
 from adafisher.tensor import Rng
@@ -26,10 +26,10 @@ class TestShardBatch:
         assert all(xs.shape[0] == 2 for xs, _ in shards)
         assert np.array_equal(np.vstack([xs for xs, _ in shards]), x)
 
-    def test_remainder_dropped(self):
+    def test_uneven_shards_rejected(self):
         x, y = make_batch(1, m=10)
-        shards = shard_batch(x, y, 3)
-        assert sum(xs.shape[0] for xs, _ in shards) == 9
+        with pytest.raises(ConfigError, match="workers must divide the batch size; got 3"):
+            shard_batch(x, y, 3)
 
     def test_bad_worker_count(self):
         x, y = make_batch(2, m=4)
@@ -41,26 +41,26 @@ class TestShardBatch:
 
 class TestAggregation:
     def test_kfs_mean(self):
-        a = {0: {"h": np.array([1.0, 3.0]), "s": np.array([2.0])}}
-        b = {0: {"h": np.array([3.0, 1.0]), "s": np.array([4.0])}}
+        a = {(0, "h"): np.array([1.0, 3.0]), (0, "s"): np.array([2.0])}
+        b = {(0, "h"): np.array([3.0, 1.0]), (0, "s"): np.array([4.0])}
         agg = _worker_mean([a, b])
-        assert np.array_equal(agg[0]["h"], [2.0, 2.0])
-        assert np.array_equal(agg[0]["s"], [3.0])
+        assert np.array_equal(agg[0, "h"], [2.0, 2.0])
+        assert np.array_equal(agg[0, "s"], [3.0])
 
     def test_kfs_single_worker_identity(self):
-        a = {0: {"h": np.array([1.5])}}
+        a = {(0, "h"): np.array([1.5])}
         agg = _worker_mean([a])
-        assert np.array_equal(agg[0]["h"], a[0]["h"])
-        agg[0]["h"][0] = 9.0  # aggregation must not alias worker buffers
-        assert a[0]["h"][0] == 1.5
+        assert np.array_equal(agg[0, "h"], a[0, "h"])
+        agg[0, "h"][0] = 9.0  # aggregation must not alias worker buffers
+        assert a[0, "h"][0] == 1.5
 
     def test_kfs_layout_mismatch(self):
         with pytest.raises(ConfigError):
-            _worker_mean([{0: {"h": np.zeros(2)}}, {1: {"h": np.zeros(2)}}])
+            _worker_mean([{(0, "h"): np.zeros(2)}, {(1, "h"): np.zeros(2)}])
         with pytest.raises(ConfigError):
-            _worker_mean([{0: {"h": np.zeros(2)}}, {0: {"h": np.zeros(3)}}])
+            _worker_mean([{(0, "h"): np.zeros(2)}, {(0, "h"): np.zeros(3)}])
         with pytest.raises(ConfigError):
-            _worker_mean([{0: {"h": np.zeros(2)}}, {0: {"s": np.zeros(2)}}])
+            _worker_mean([{(0, "h"): np.zeros(2)}, {(0, "s"): np.zeros(2)}])
 
     def test_grads_mean(self):
         a = {(0, "W"): np.full((2, 2), 1.0)}
@@ -110,13 +110,12 @@ class TestTrainStep:
         o1, o2 = AdaFisher(), AdaFisher()
         s1, s2 = KFState.for_model(m1), KFState.for_model(m2)
         l1 = m1.train_batch(x, y)
-        s1.update(fresh_factors(m1))
+        s1.update(keyed(m1, "capture"))
         o1.step(m1, s1.divisors(m1))
         l2 = train_step(m2, x, y, o2, s2, workers=1)
         assert l1 == l2
-        for i, factors in s1.factors.items():
-            for name, vec in factors.items():
-                assert np.array_equal(vec, s2.factors[i][name])
+        for key, vec in s1.factors.items():
+            assert np.array_equal(vec, s2.factors[key])
         for (_, _, pa), (_, _, pb) in zip(m1.parameters(), m2.parameters()):
             assert np.array_equal(pa, pb)
 
@@ -143,12 +142,11 @@ class TestTrainStep:
             probe, shards = model.copy(), []
             for xs, ys in shard_batch(x, y, workers):
                 probe.train_batch(xs, ys)
-                shards.append(fresh_factors(probe))
+                shards.append(keyed(probe, "capture"))
             expected = _worker_mean(shards)
             train_step(model, x, y, AdaFisher(), state, workers=workers)
-            for i, factors in expected.items():
-                for name, vec in factors.items():
-                    assert np.array_equal(state.factors[i][name], vec)
+            for key, vec in expected.items():
+                assert np.array_equal(state.factors[key], vec)
 
     def test_loss_is_shard_mean(self):
         x, y = make_batch(10, m=8)
@@ -167,7 +165,7 @@ class TestFiniteGuard:
         model = mlp(seed=8)
         opt, state = AdaFisher(), KFState.for_model(model)
         train_step(model, *make_batch(12, m=8), opt, state, workers=workers)
-        snapshot = ({i: {n: v.copy() for n, v in f.items()} for i, f in state.factors.items()},
+        snapshot = ({k: v.copy() for k, v in state.factors.items()},
                     {k: v.copy() for k, v in opt.m.items()},
                     [p.copy() for _, _, p in model.parameters()])
         return model, opt, state, snapshot
@@ -175,9 +173,8 @@ class TestFiniteGuard:
     def assert_unchanged(self, model, opt, state, snapshot):
         factors, moments, params = snapshot
         assert state.step == 1 and opt.t == 1
-        for i, f in factors.items():
-            for name, vec in f.items():
-                assert np.array_equal(state.factors[i][name], vec)
+        assert state.factors.keys() == factors.keys()
+        assert all(np.array_equal(state.factors[k], v) for k, v in factors.items())
         assert opt.m.keys() == moments.keys()
         assert all(np.array_equal(opt.m[k], v) for k, v in moments.items())
         assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), params))
@@ -193,7 +190,7 @@ class TestFiniteGuard:
 
     @pytest.mark.parametrize("quantity, corrupt", [
         ("gradient b of layer 2", lambda layer: layer.grads["b"].__setitem__(1, np.inf)),
-        ("factor h of layer 2", lambda layer: layer.capture.h.__setitem__(0, np.nan)),
+        ("factor h of layer 2", lambda layer: layer.capture["h"].__setitem__(0, np.nan)),
     ], ids=["gradient", "factor"])
     def test_named_layer_and_quantity(self, quantity, corrupt, monkeypatch):
         model, opt, state, snapshot = self.started(workers=2)
@@ -218,5 +215,5 @@ class TestFiniteGuard:
                 train_step(model, rng.normal((16, 4)) * 3.0, rng.integers(0, 3, size=16),
                            opt, state)
         assert state.step == opt.t > 0
-        assert all(np.isfinite(vec).all() for f in state.factors.values() for vec in f.values())
+        assert all(np.isfinite(vec).all() for vec in state.factors.values())
         assert all(np.isfinite(m).all() for m in opt.m.values())

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adafisher.errors import ConfigError, DimensionError, InputError, StateError
-from adafisher.kfactor import (MINMAX_EPS, KFState, ema_update, fresh_factors,
-                               kronecker_diagonal, minmax_normalize)
+from adafisher.distributed import keyed
+from adafisher.kfactor import (MINMAX_EPS, KFState, ema_update, kronecker_diagonal,
+                               minmax_normalize)
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, Model)
 from adafisher.tensor import Rng
@@ -25,18 +26,18 @@ class TestKfIdentity:
     """All-ones (identity) factors carry no curvature after min-max."""
 
     def test_definition(self):
-        ident = KFState.for_model(Model([Dense(3, 3)])).factors[0]
-        assert set(ident) == {"h", "s"}
-        assert np.array_equal(ident["h"], np.ones(4))
-        assert np.array_equal(ident["s"], np.ones(3))
+        ident = KFState.for_model(Model([Dense(3, 3)])).factors
+        assert set(ident) == {(0, "h"), (0, "s")}
+        assert np.array_equal(ident[0, "h"], np.ones(4))
+        assert np.array_equal(ident[0, "s"], np.ones(3))
 
     def test_minmax_of_identity_is_degenerate(self):
-        ident = KFState.for_model(Model([Dense(3, 3)])).factors[0]
-        assert np.array_equal(minmax_normalize(ident["h"]), np.zeros(4))
+        ident = KFState.for_model(Model([Dense(3, 3)])).factors
+        assert np.array_equal(minmax_normalize(ident[0, "h"]), np.zeros(4))
 
     def test_assembled_divisor_is_pure_damping(self):
         h, s = np.ones(2), np.ones(2)
-        state = KFState(lam=0.001, factors={0: {"h": h, "s": s}})
+        state = KFState(lam=0.001, factors={(0, "h"): h, (0, "s"): s})
         assert np.max(np.abs(divisor_grid(state, h, s) - 0.001)) < 1e-18
 
 
@@ -94,13 +95,13 @@ class TestEfimAssemble:
     def test_forced_arithmetic(self):
         # already-normalized factors pass through min-max unchanged
         h, s = np.array([0.0, 1.0]), np.array([0.0, 1.0])
-        state = KFState(lam=0.001, factors={0: {"h": h, "s": s}})
+        state = KFState(lam=0.001, factors={(0, "h"): h, (0, "s"): s})
         diag = divisor_grid(state, h, s)
         assert np.allclose(diag, [0.001, 0.001, 0.001, 1.001], atol=1e-15)
 
     def test_degenerate_factors_pure_damping(self):
         h, s = np.full(3, 2.0), np.full(2, 7.0)
-        state = KFState(lam=0.5, factors={0: {"h": h, "s": s}})
+        state = KFState(lam=0.5, factors={(0, "h"): h, (0, "s"): s})
         assert np.max(np.abs(divisor_grid(state, h, s) - 0.5)) == 0.0
 
     def test_matches_dense_kron_oracle(self):
@@ -108,7 +109,7 @@ class TestEfimAssemble:
         for trial in range(10):
             h = np.abs(rng.normal((5,)))
             s = np.abs(rng.normal((4,)))
-            state = KFState(lam=0.001, factors={0: {"h": h, "s": s}})
+            state = KFState(lam=0.001, factors={(0, "h"): h, (0, "s"): s})
             dense = np.diag(np.kron(np.diag(minmax_normalize(h)),
                                     np.diag(minmax_normalize(s)))) + 0.001
             assert np.max(np.abs(divisor_grid(state, h, s) - dense)) < 1e-15
@@ -116,7 +117,7 @@ class TestEfimAssemble:
     def test_range_invariant(self):
         rng = Rng(7)
         h, s = np.abs(rng.normal((6,))), np.abs(rng.normal((3,)))
-        state = KFState(lam=0.001, factors={0: {"h": h, "s": s}})
+        state = KFState(lam=0.001, factors={(0, "h"): h, (0, "s"): s})
         diag = divisor_grid(state, h, s)
         assert np.all(diag >= 0.001 - 1e-15)
         assert np.all(diag <= 1.001 + 1e-15)
@@ -188,7 +189,7 @@ class TestKroneckerDiagonal:
 
 def precondition(g, h, s, lam):
     """A (len(s), len(h)) gradient divided by its divisors from KFState.divisors."""
-    state = KFState(lam=lam, factors={0: {"h": h, "s": s}})
+    state = KFState(lam=lam, factors={(0, "h"): h, (0, "s"): s})
     return g / state.divisors(weight_only(h, s))[0, "W"]
 
 
@@ -219,14 +220,14 @@ class TestPrecondition:
             assert np.max(np.abs(precondition(g, h, s, lam) - oracle)) < 1e-12
 
     def test_dimension_mismatch(self):
-        state = KFState(lam=1.0, factors={0: {"h": np.zeros(2), "s": np.zeros(2)}})
+        state = KFState(lam=1.0, factors={(0, "h"): np.zeros(2), (0, "s"): np.zeros(2)})
         with pytest.raises(DimensionError):
             state.divisors(Model([Dense(3, 3, bias=False)]))
 
     def test_norm_layer_divisors(self):
         # raw factors holding both 0 and 1 min-max normalize to themselves
-        state = KFState(lam=0.001, factors={0: {"h": np.array([0.0, 1.0, 0.0]),
-                                                "s": np.array([0.5, 1.0, 0.0])}})
+        state = KFState(lam=0.001, factors={(0, "h"): np.array([0.0, 1.0, 0.0]),
+                                            (0, "s"): np.array([0.5, 1.0, 0.0])})
         div = state.divisors(Model([LayerNorm(3)]))
         assert np.allclose(div[0, "scale"], [0.001, 1.001, 0.001])
         assert np.allclose(div[0, "shift"], [0.501, 1.001, 0.001])
@@ -246,30 +247,39 @@ class TestStateLifecycle:
     def test_for_model_shapes(self):
         model = self.make_model()
         state = KFState.for_model(model)
-        assert np.array_equal(state.factors[0]["h"], np.ones(5))  # 1*2*2 + bias
-        assert np.array_equal(state.factors[0]["s"], np.ones(2))
-        assert np.array_equal(state.factors[4]["h"], np.ones(9))
-        assert set(state.factors[2]) == {"h", "s"}
+        assert np.array_equal(state.factors[0, "h"], np.ones(5))  # 1*2*2 + bias
+        assert np.array_equal(state.factors[0, "s"], np.ones(2))
+        assert np.array_equal(state.factors[4, "h"], np.ones(9))
+        assert {name for i, name in state.factors if i == 2} == {"h", "s"}
 
     def test_fresh_factors_and_update(self):
         model = self.make_model()
         rng = Rng(10)
         x = rng.normal((4, 1, 3, 3))
         model.train_batch(x, rng.integers(0, 4, size=4))
-        fresh = fresh_factors(model)
+        fresh = keyed(model, "capture")
         state = KFState.for_model(model, gamma=0.8)
         state.update(fresh)
         assert state.step == 1
-        expected = 0.8 * fresh[0]["h"] + 0.2 * np.ones(5)
-        assert np.max(np.abs(state.factors[0]["h"] - expected)) < 1e-15
+        expected = 0.8 * fresh[0, "h"] + 0.2 * np.ones(5)
+        assert np.max(np.abs(state.factors[0, "h"] - expected)) < 1e-15
         # factors are Gram diagonals: nonnegative throughout
-        for entry in fresh.values():
-            for vec in entry.values():
-                assert np.all(vec >= 0.0)
+        for vec in fresh.values():
+            assert np.all(vec >= 0.0)
 
-    def test_fresh_factors_before_backward_rejected(self):
-        with pytest.raises(StateError, match="layer 0"):
-            fresh_factors(self.make_model())
+    def test_update_rejects_missing_or_unknown_factors(self):
+        model = self.make_model()
+        state = KFState.for_model(model)
+        with pytest.raises(StateError, match="h of layer 0 is missing; run a backward pass"):
+            state.update(keyed(model, "capture"))  # no backward pass: nothing captured
+        rng = Rng(10)
+        model.train_batch(rng.normal((4, 1, 3, 3)), rng.integers(0, 4, size=4))
+        fresh = keyed(model, "capture")
+        with pytest.raises(StateError, match="s of layer 5 is missing"):
+            state.update({key: vec for key, vec in fresh.items() if key != (5, "s")})
+        with pytest.raises(StateError, match="h of layer 1 is unknown"):
+            state.update({**fresh, (1, "h"): np.ones(2)})
+        assert state.step == 0
 
     def test_norm_fisher_off_uses_identity(self):
         model = self.make_model()
@@ -277,7 +287,7 @@ class TestStateLifecycle:
         x = rng.normal((4, 1, 3, 3))
         model.train_batch(x, rng.integers(0, 4, size=4))
         state = KFState.for_model(model, norm_fisher_off=True)
-        state.update(fresh_factors(model))
+        state.update(keyed(model, "capture"))
         div = state.divisors(model)
         for layer_id in (2, 5):  # BatchNorm / LayerNorm layers
             assert np.allclose(div[layer_id, "scale"], state.lam)
@@ -291,8 +301,8 @@ class TestStateLifecycle:
         model = Model([layer])
         state = KFState.for_model(model)
         rng = Rng(12)
-        for name, vec in state.factors[0].items():
-            state.factors[0][name] = rng.uniform(vec.shape)
+        for key, vec in state.factors.items():
+            state.factors[key] = rng.uniform(vec.shape)
         div = state.divisors(model)
         assert set(div) == {(0, name) for name in layer.params}
         for name, p in layer.params.items():
@@ -300,7 +310,7 @@ class TestStateLifecycle:
             assert np.all(div[0, name] >= state.lam)
         for name in ("h", "s"):  # one entry too many in either factor
             bad = KFState.for_model(model)
-            bad.factors[0][name] = np.ones(bad.factors[0][name].size + 1)
+            bad.factors[0, name] = np.ones(bad.factors[0, name].size + 1)
             with pytest.raises(DimensionError, match="layer 0"):
                 bad.divisors(model)
 
@@ -331,8 +341,8 @@ def test_minmax_in_unit_range_hitting_both_ends_or_all_zero(unit, scale, shift):
 def test_divisors_never_below_damping(h, s, h_scale, lam, sqrt):
     # Layer shapes only; the two layers need not chain for KFState.divisors.
     model = Model([Dense(len(h), len(s), bias=False), LayerNorm(len(h_scale))])
-    state = KFState(lam=lam, factors={0: {"h": h, "s": s},
-                                      1: {"h": h_scale, "s": h_scale[::-1]}})
+    state = KFState(lam=lam, factors={(0, "h"): h, (0, "s"): s,
+                                      (1, "h"): h_scale, (1, "s"): h_scale[::-1]})
     floor = np.sqrt(lam) if sqrt else lam
     for div in state.divisors(model).values():
         assert np.all((np.sqrt(div) if sqrt else div) >= floor)
@@ -344,9 +354,9 @@ def test_divisors_never_below_damping(h, s, h_scale, lam, sqrt):
 def test_gamma_one_update_keeps_exactly_the_fresh_factors(old, fresh, steps):
     n_h, n_s = min(len(old[0]), len(fresh[0])), min(len(old[1]), len(fresh[1]))
     state = KFState(gamma=1.0, step=steps,
-                    factors={0: {"h": old[0][:n_h], "s": old[1][:n_s]}})
-    new = {0: {"h": fresh[0][:n_h], "s": fresh[1][:n_s]}}
+                    factors={(0, "h"): old[0][:n_h], (0, "s"): old[1][:n_s]})
+    new = {(0, "h"): fresh[0][:n_h], (0, "s"): fresh[1][:n_s]}
     state.update(new)
     assert state.step == steps + 1
     for name in ("h", "s"):
-        assert np.array_equal(state.factors[0][name], new[0][name])
+        assert np.array_equal(state.factors[0, name], new[0, name])

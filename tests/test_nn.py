@@ -119,10 +119,10 @@ class TestBackward:
                     continue
                 cap = layer.capture
                 t = layer._oh * layer._ow if isinstance(layer, Conv2d) else 1
-                combined = layer.grads["W"].reshape(cap.s.size, -1)
+                combined = layer.grads["W"].reshape(cap["s"].size, -1)
                 if "b" in layer.grads:
                     combined = np.hstack([combined, layer.grads["b"][:, None]])
-                bound = t * t * np.outer(cap.s, cap.h)
+                bound = t * t * np.outer(cap["s"], cap["h"])
                 if exact:
                     assert max_rel_err(combined**2, bound) <= 1e-12
                 else:
@@ -193,10 +193,10 @@ def test_capture_is_factor_diagonals(make_layer, in_shape):
     dout = rng.normal(out.shape)
     layer.param_stats(dout)
     h_ref, s_ref = _explicit_capture(layer, x, dout)
-    assert max_rel_err(layer.capture.h, h_ref) <= 1e-12
-    assert max_rel_err(layer.capture.s, s_ref) <= 1e-12
+    assert max_rel_err(layer.capture["h"], h_ref) <= 1e-12
+    assert max_rel_err(layer.capture["s"], s_ref) <= 1e-12
     if getattr(layer, "bias", False):
-        assert layer.capture.h[-1] == 1.0
+        assert layer.capture["h"][-1] == 1.0
 
 
 def _central_diff(f, arr, eps=1e-6):

@@ -22,7 +22,7 @@ def scalar_model(w0=1.0):
 
 def unit_divisors(model, lam=1.0):
     # degenerate normalized factors: divisor is the damping constant alone
-    return KFState(lam=lam, factors={0: {"h": np.zeros(1), "s": np.zeros(1)}}).divisors(model)
+    return KFState(lam=lam, factors={(0, "h"): np.zeros(1), (0, "s"): np.zeros(1)}).divisors(model)
 
 
 class TestAdaFisher:
@@ -77,7 +77,7 @@ class TestAdaFisher:
         ln.grads["scale"] = np.array([1.0, 1.0])
         ln.grads["shift"] = np.array([2.0, 0.0])
         model = Model([ln])
-        state = KFState(lam=1.0, factors={0: {"h": np.zeros(2), "s": np.array([0.0, 1.0])}})
+        state = KFState(lam=1.0, factors={(0, "h"): np.zeros(2), (0, "s"): np.array([0.0, 1.0])})
         opt = AdaFisher(alpha=0.001, beta=0.9)
         opt.step(model, state.divisors(model))
         # scale divisors h*s + lam = [1, 1]; shift divisors s + lam = [1, 2]
@@ -86,14 +86,14 @@ class TestAdaFisher:
 
     def test_divisor_shape_mismatch_rejected(self):
         model, _ = scalar_model()  # a bias-free 1x1 Dense cannot take a 1x2 divisor grid
-        state = KFState(lam=1.0, factors={0: {"h": np.zeros(2), "s": np.zeros(1)}})
+        state = KFState(lam=1.0, factors={(0, "h"): np.zeros(2), (0, "s"): np.zeros(1)})
         with pytest.raises(DimensionError):
             AdaFisher().step(model, state.divisors(model))
         with pytest.raises(DimensionError):
             AdaFisher().step(model, {(0, "W"): np.ones((1, 2))})
         ln = LayerNorm(2)
         ln.grads = {"scale": np.zeros(2), "shift": np.zeros(2)}
-        state = KFState(lam=1.0, factors={0: {"h": np.zeros(3), "s": np.zeros(3)}})
+        state = KFState(lam=1.0, factors={(0, "h"): np.zeros(3), (0, "s"): np.zeros(3)})
         with pytest.raises(DimensionError):
             AdaFisher().step(Model([ln]), state.divisors(Model([ln])))
 
@@ -268,11 +268,11 @@ def _random_state(model, rng, lam):
     for i, layer in model.param_layers():
         if "W" in layer.params:
             w = layer.params["W"]
-            factors[i] = {"h": rng.uniform(size=w[0].size + ("b" in layer.params)),
-                          "s": rng.uniform(size=w.shape[0])}
+            factors[i, "h"] = rng.uniform(size=w[0].size + ("b" in layer.params))
+            factors[i, "s"] = rng.uniform(size=w.shape[0])
         else:
             c = layer.params["scale"].size
-            factors[i] = {name: rng.uniform(size=c) for name in ("h", "s")}
+            factors.update({(i, name): rng.uniform(size=c) for name in ("h", "s")})
     return KFState(lam=lam, factors=factors)
 
 
@@ -281,7 +281,7 @@ def _combined_reference_step(model, state, opt, moments):
     with divisors formed here from the min-max-normalized factors."""
     correction = 1.0 - opt.beta**opt.t
     for i, layer in model.param_layers():
-        h, s = (minmax_normalize(state.factors[i][k]) for k in ("h", "s"))
+        h, s = (minmax_normalize(state.factors[i, k]) for k in ("h", "s"))
         p, g = layer.params, layer.grads
         if "W" in p:
             names = [n for n in ("W", "b") if n in p]
@@ -354,7 +354,7 @@ def test_first_step_matches_dense_inverse(make_layer, beta):
     out = layer.params["W"].shape[0]
     h, s = rng.uniform((layer.params["W"][0].size + layer.bias,)), rng.uniform((out,))
     lam, lr = 0.001, 0.01
-    divisors = KFState(lam=lam, factors={0: {"h": h, "s": s}}).divisors(model)
+    divisors = KFState(lam=lam, factors={(0, "h"): h, (0, "s"): s}).divisors(model)
     g = np.hstack([layer.grads[n].reshape(out, -1) for n in ("W", "b") if n in layer.grads])
     dense = np.diag(np.kron(minmax_normalize(h), minmax_normalize(s)) + lam)
     expected = lr * np.linalg.solve(dense, g.T.ravel()).reshape(-1, out).T

@@ -413,6 +413,7 @@ class TestCli:
         lambda data: {"model": {**image_model(), "loss": 5}},
         lambda data: {"dataset": {"source": "blobs", "n": 40, "sep": float("nan")}},
         lambda data: {"dataset": {"source": "moons", "n": 40, "classes": 3}},
+        lambda data: {"workers": 3},
     ], ids=["epochs-string", "batch-size-float", "dataset-string", "layer-string",
             "limit-string", "pool-stride-zero", "pool-kernel-zero", "conv-stride-zero",
             "conv-pad-negative", "dense-in-string", "classes-string", "dim-float",
@@ -424,7 +425,7 @@ class TestCli:
             "adam-decoupled", "adam-eps-string", "adam-weight-decay-negative",
             "adafisher-kappa-nan", "norm-fisher-off-string", "batchnorm-eps-negative",
             "batchnorm-momentum-nan", "activation-name-int", "loss-int", "sep-nan",
-            "moons-classes"])
+            "moons-classes", "workers-not-dividing-batch"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, overrides):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
         data = write_images(tmp_path)
@@ -459,6 +460,18 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error: ") and expected in err[0]
 
+    @pytest.mark.parametrize("dataset", [
+        {"source": "blobs", "n": 1, "classes": 3, "dim": 4},
+        {"source": "blobs", "n": 120, "classes": 3, "dim": 4, "limit": 1},
+    ], ids=["blobs-n-1", "limit-1"])
+    def test_one_sample_dataset_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                      dataset):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        cfg = self.write_config(tmp_path, dataset=dataset, batch_size=1)
+        assert main(["train", "--config", cfg]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: ")
+
     def test_negative_seed_override_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
         assert main(["train", "--config", self.write_config(tmp_path), "--seed", "-1"]) == 2
@@ -477,8 +490,13 @@ class TestCli:
         ("other.npz", {"other": np.eye(2)}, "fft"),
         ("other.npz", {"other": np.eye(2)}, "fim"),
         ("clean.npz", {"clean": np.eye(2)}, "snr"),
+        ("nan.npz", {"matrix": np.array([[1.0, np.nan], [0.0, 1.0]])}, "gershgorin"),
+        ("str.npz", {"matrix": np.array([["1", "0"], ["0", "1"]])}, "fft"),
+        ("inf.npz", {"matrix": np.array([[1.0, np.inf], [0.0, 1.0]])}, "fim"),
+        ("complex.npz", {"matrix": np.eye(2) * (1 + 1j)}, "gershgorin"),
     ], ids=["npy-unreadable", "npz-unreadable", "gershgorin-no-matrix", "fft-no-matrix",
-            "fim-no-matrix", "snr-no-noisy"])
+            "fim-no-matrix", "snr-no-noisy", "gershgorin-nan", "fft-string", "fim-inf",
+            "gershgorin-complex"])
     def test_bad_snapshot_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, name,
                                                 content, analysis):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))

@@ -62,41 +62,59 @@ def _load_snapshot(path: str, analysis: str):
         if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
             raise DataError(f"{analysis} snapshot {key!r} must hold finite real numbers "
                             f"(dtype {arr.dtype})")
+        if arr.size == 0:
+            raise DataError(f"{analysis} snapshot {key!r} is empty (shape {arr.shape})")
     return snap
+
+
+def _require_finite(analysis: str, *values) -> None:
+    """NumericError unless every value an analysis writes is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NumericError(f"{analysis} result is not finite: the snapshot's values "
+                           f"overflow float64")
 
 
 def cmd_diagnose(args) -> int:
     snap = _load_snapshot(args.snapshot, args.analysis)
     out = _out_dir(args.out, "diagnostics")
     out.mkdir(parents=True, exist_ok=True)
-    if args.analysis == "gershgorin":
-        discs = gershgorin(snap["matrix"])
-        discs.to_csv(out / "discs.csv")
-        print(f"contained={discs.contained} -> {out / 'discs.csv'}")
-    elif args.analysis == "fft":
-        spec = fft2(snap["matrix"])
-        with open(out / "spectra.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["row", "col", "re", "im", "mag"])
-            for i in range(spec.shape[0]):
-                for j in range(spec.shape[1]):
-                    z = spec[i, j]
-                    w.writerow([i, j, repr(z.real), repr(z.imag), repr(abs(z))])
-        print(out / "spectra.csv")
-    elif args.analysis == "snr":
-        res = snr(snap["clean"], snap["noisy"])
-        with open(out / "snr.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["snr_db", "infinite"])
-            w.writerow([repr(res.db), int(res.infinite)])
-        print(f"snr={res.db:.6f} dB -> {out / 'snr.csv'}")
-    else:  # fim
-        stats = fim_hist_stats(snap["matrix"].ravel())
-        with open(out / "fim_stats.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["step", "layer"] + list(stats))
-            w.writerow([0, ""] + [repr(v) for v in stats.values()])
-        print(out / "fim_stats.csv")
+    # Overflow inside an analysis shows as a non-finite result, which ends in
+    # one NumericError; numpy's warnings on the way would add stray lines.
+    analysis = args.analysis
+    with np.errstate(over="ignore", invalid="ignore"):
+        if analysis == "gershgorin":
+            discs = gershgorin(snap["matrix"])
+            _require_finite(analysis, discs.centers, discs.radii, discs.eigenvalues)
+            discs.to_csv(out / "discs.csv")
+            print(f"contained={discs.contained} -> {out / 'discs.csv'}")
+        elif analysis == "fft":
+            spec = fft2(snap["matrix"])
+            _require_finite(analysis, spec)
+            with open(out / "spectra.csv", "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["row", "col", "re", "im", "mag"])
+                for i in range(spec.shape[0]):
+                    for j in range(spec.shape[1]):
+                        z = spec[i, j]
+                        w.writerow([i, j, repr(z.real), repr(z.imag), repr(abs(z))])
+            print(out / "spectra.csv")
+        elif analysis == "snr":
+            res = snr(snap["clean"], snap["noisy"])
+            if not res.infinite:
+                _require_finite(analysis, res.db)
+            with open(out / "snr.csv", "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["snr_db", "infinite"])
+                w.writerow([repr(res.db), int(res.infinite)])
+            print(f"snr={res.db:.6f} dB -> {out / 'snr.csv'}")
+        else:  # fim
+            stats = fim_hist_stats(snap["matrix"].ravel())
+            _require_finite(analysis, *stats.values())
+            with open(out / "fim_stats.csv", "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["step", "layer"] + list(stats))
+                w.writerow([0, ""] + [repr(v) for v in stats.values()])
+            print(out / "fim_stats.csv")
     return 0
 
 
@@ -105,6 +123,9 @@ def cmd_oracle(args) -> int:
     rng = Rng(config.seed)
     model = build_model(config.model, rng)
     x, y = resolve_dataset(config.dataset, config.seed)
+    if x.shape[0] < config.batch_size:
+        raise ConfigError(f"batch size {config.batch_size} exceeds the dataset's "
+                          f"{x.shape[0]} samples")
     batch = x[: config.batch_size]
     labels = np.asarray(y)[: config.batch_size]
     model.train_batch(batch, labels)

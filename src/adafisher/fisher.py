@@ -95,14 +95,13 @@ def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int, seed: int) -
 def kfac_block_dense(layer: Dense) -> np.ndarray:
     """Full Kronecker product of a dense layer's empirical factors (test-scale only).
 
-    Rebuilt from the input and backward signal of the layer's last param_stats,
-    both of one pass, with the same per-sample-loss scale and homogeneous bias
-    column as its capture.
+    Rebuilt from the input and per-sample-loss-scale signal of the layer's last
+    param_stats, both of one pass, with the homogeneous bias column of its
+    capture; the means run over the whole batch.
     """
-    x, dout = layer._stats_pair
+    x, s = layer._stats_pair
     m = x.shape[0]
     x_hom = np.hstack([x, np.ones((m, 1))]) if layer.bias else x
-    s = dout * m
     if x_hom.shape[1] > MAX_BLOCK_DIM or s.shape[1] > MAX_BLOCK_DIM:
         raise SizeError(f"dense block guard: factor dims must be <= {MAX_BLOCK_DIM}")
     return np.kron(x_hom.T @ x_hom / m, s.T @ s / m)

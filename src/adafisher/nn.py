@@ -14,6 +14,19 @@ For the Fisher oracle's eval-mode walk, where row n of dout is sample n's own
 signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's parameter
 gradient)**2 instead, one array per parameter, shaped like it.
 
+A training pass can run K simulated workers at once (Model.train_batch(x, y,
+workers=K)): worker k's shard is the k-th block of M/K consecutive rows.
+What depends on which samples share a shard runs per worker, on the
+(K, M/K, ...) view of the batch: Dense's forward, input-gradient and
+weight-gradient matmuls as batched matmuls, every param_stats's batch sums
+and capture means, BatchNorm's training statistics and its coupled input
+gradient, and the loss's per-shard mean and 1/m scale (m = M/K). Per-sample
+work (convolution, pooling, activations, LayerNorm's forward) runs once on
+the whole batch. Each layer writes the worker means of its grads and
+capture, summed in worker order, so they equal K separate shard passes
+averaged in order bit for bit. The matmuls stay per worker: one full-batch
+gemm sums in another order, and its bits differ.
+
 Conv2d multiplies its weights with im2col patches as a broadcast batched
 matmul, so the products of its forward pass and of both gradients run on BLAS.
 MaxPool2d works on the kh*kw strided views of its input, one per window
@@ -29,19 +42,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError, StateError, UnsupportedError
+from .errors import ConfigError, DimensionError, InputError, StateError, UnsupportedError
 from .tensor import Rng, col2im_batch, conv_out_size, im2col_batch, window_slices
 
 
-def _feature_sum(*arrays: np.ndarray) -> np.ndarray:
-    """Sum per axis-1 feature, over all other axes, of the arrays' elementwise product."""
-    cols = [a.reshape(a.shape[0], a.shape[1], -1) for a in arrays]
-    return np.einsum(",".join(["mft"] * len(cols)) + "->f", *cols)
+def _per_worker(a: np.ndarray, workers: int) -> np.ndarray:
+    """The (K, M/K, ...) view of a batch-first array: worker k's shard is its
+    k-th block of M/K consecutive rows."""
+    return a.reshape((workers, a.shape[0] // workers) + a.shape[1:])
 
 
-def _mean_sq(a: np.ndarray) -> np.ndarray:
-    """Mean of squares per axis-1 feature over all other axes."""
-    return _feature_sum(a, a) / (a.size // a.shape[1])
+def _worker_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the leading worker axis into a new array, summed in worker
+    order, ((a0 + a1) + a2) + ..., then divided once. (A numpy sum over the
+    axis can sum pairwise instead, e.g. for K >= 8 one-feature arrays.)"""
+    total = a[0]
+    for part in a[1:]:
+        total = total + part
+    return total / a.shape[0]
+
+
+def _feature_sum(workers: int, *arrays: np.ndarray) -> np.ndarray:
+    """(K, F): per worker, the sum per axis-1 feature, over all other axes,
+    of the arrays' elementwise product."""
+    cols = [a.reshape(workers, a.shape[0] // workers, a.shape[1], -1) for a in arrays]
+    return np.einsum(",".join(["kmft"] * len(cols)) + "->kf", *cols)
+
+
+def _mean_sq(a: np.ndarray, workers: int) -> np.ndarray:
+    """(K, F): per worker, the mean of squares per axis-1 feature over all other axes."""
+    return _feature_sum(workers, a, a) / (a.size // (workers * a.shape[1]))
 
 
 class Layer:
@@ -55,7 +85,7 @@ class Layer:
     def init(self, rng: Rng):
         pass
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = True, workers: int = 1) -> np.ndarray:
         raise NotImplementedError
 
     def input_grad(self, dout: np.ndarray) -> np.ndarray:
@@ -78,25 +108,26 @@ class Dense(Layer):
         if self.bias:
             self.params["b"] = np.zeros(self.out_dim)
 
-    def forward(self, x, training=True):
+    def forward(self, x, training=True, workers=1):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(f"Dense expects (M, {self.in_dim}), got {x.shape}")
-        self._x = x
-        a = x @ self.params["W"].T
+        self._x, self._workers = x, workers
+        a = (_per_worker(x, workers) @ self.params["W"].T).reshape(x.shape[0], self.out_dim)
         if self.bias:
             a = a + self.params["b"]
         return a
 
     def param_stats(self, dout):
-        x = self._x
-        m = x.shape[0]
-        self.grads["W"] = dout.T @ x
-        h = _mean_sq(x)
+        k = self._workers
+        x, d = _per_worker(self._x, k), _per_worker(dout, k)
+        self.grads["W"] = _worker_mean(d.swapaxes(1, 2) @ x)
+        h = _worker_mean(_mean_sq(self._x, k))
         if self.bias:
-            self.grads["b"] = dout.sum(axis=0)
+            self.grads["b"] = _worker_mean(d.sum(axis=1))
             h = np.append(h, 1.0)
-        self._stats_pair = (x, dout)  # one pass's input and signal, for fisher.kfac_block_dense
-        self.capture = {"h": h, "s": _mean_sq(dout * m)}
+        s = dout * x.shape[1]  # per-sample-loss scale: m = M/K rows per shard
+        self._stats_pair = (self._x, s)  # one pass's input and signal, for fisher.kfac_block_dense
+        self.capture = {"h": h, "s": _worker_mean(_mean_sq(s, k))}
 
     def sample_sq(self, dout, w):
         d_sq = w[:, None] * dout**2
@@ -106,7 +137,7 @@ class Dense(Layer):
         return out
 
     def input_grad(self, dout):
-        return dout @ self.params["W"]
+        return (_per_worker(dout, self._workers) @ self.params["W"]).reshape(self._x.shape)
 
 
 class Conv2d(Layer):
@@ -129,11 +160,11 @@ class Conv2d(Layer):
         if self.bias:
             self.params["b"] = np.zeros(self.out_ch)
 
-    def forward(self, x, training=True):
+    def forward(self, x, training=True, workers=1):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise DimensionError(f"Conv2d expects (M, {self.in_ch}, H, W), got {x.shape}")
         m, _, h, w = x.shape
-        self._x_shape = x.shape
+        self._x_shape, self._workers = x.shape, workers
         self._oh = conv_out_size(h, self.kernel[0], self.stride[0], self.pad[0])
         self._ow = conv_out_size(w, self.kernel[1], self.stride[1], self.pad[1])
         self._patches = im2col_batch(x, self.kernel, self.stride, self.pad)  # (M, CKK, T)
@@ -143,15 +174,16 @@ class Conv2d(Layer):
         return a.reshape(m, self.out_ch, self._oh, self._ow)
 
     def param_stats(self, dout):
-        m = self._x_shape[0]
-        g = dout.reshape(m, self.out_ch, self._oh * self._ow)  # dJ/da per position
-        self.grads["W"] = (g @ self._patches.transpose(0, 2, 1)).sum(axis=0).reshape(
-            self.params["W"].shape)
-        h = _mean_sq(self._patches)
+        k = self._workers
+        g = dout.reshape(self._x_shape[0], self.out_ch, self._oh * self._ow)  # dJ/da per position
+        per_sample = _per_worker(g @ self._patches.transpose(0, 2, 1), k)
+        self.grads["W"] = _worker_mean(per_sample.sum(axis=1)).reshape(self.params["W"].shape)
+        h = _worker_mean(_mean_sq(self._patches, k))
         if self.bias:
-            self.grads["b"] = g.sum(axis=(0, 2))
+            self.grads["b"] = _worker_mean(_per_worker(g, k).sum(axis=(1, 3)))
             h = np.append(h, 1.0)
-        self.capture = {"h": h, "s": _mean_sq(g) * (m * m)}
+        m = per_sample.shape[1]
+        self.capture = {"h": h, "s": _worker_mean(_mean_sq(g, k) * (m * m))}
 
     def sample_sq(self, dout, w):
         m = dout.shape[0]
@@ -198,61 +230,73 @@ class BatchNorm(_Norm):
         self.running_var = np.ones(dim)
 
     def _shape(self, x):
-        """Broadcast shape of a per-channel vector against x."""
+        """Broadcast shape of per-worker per-channel (K, C) vectors against
+        the (K, M/K, C, ...) view of x."""
         if x.ndim not in (2, 4):
             raise DimensionError("BatchNorm expects 2-D or 4-D input")
-        return (1, self.dim) + (1,) * (x.ndim - 2)
+        return (-1, 1, self.dim) + (1,) * (x.ndim - 2)
 
-    def forward(self, x, training=True):
+    def forward(self, x, training=True, workers=1):
         if x.shape[1] != self.dim:
             raise DimensionError(f"BatchNorm expects {self.dim} channels, got {x.shape}")
         shape = self._shape(x)
+        # Training normalizes each worker's shard by its own statistics; eval
+        # uses the running ones, as one worker.
+        k = self._workers = workers if training else 1
         if training:
-            if x.shape[0] < 2:
-                raise InputError("BatchNorm needs batch size >= 2 in training mode")
-            mu = _feature_sum(x) / (x.size // self.dim)
-            xhat = x - mu.reshape(shape)
-            var = _mean_sq(xhat)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            if x.shape[0] // k < 2:
+                raise InputError("BatchNorm needs batch size >= 2 per worker in training mode")
+            mu = _feature_sum(k, x) / (x.size // (k * self.dim))
+            xhat = _per_worker(x, k) - mu.reshape(shape)
+            var = _mean_sq(xhat.reshape(x.shape), k)
+            for mu_k, var_k in zip(mu, var):  # the shards' updates, in worker order
+                self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu_k
+                self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var_k
         else:
-            xhat = x - self.running_mean.reshape(shape)
-            var = self.running_var
+            xhat = _per_worker(x, k) - self.running_mean.reshape(shape)
+            var = self.running_var[None]
         self._std = np.sqrt(var + self.eps)
         xhat /= self._std.reshape(shape)
-        self._xhat = xhat
+        self._xhat = xhat = xhat.reshape(x.shape)
         self._training = training
-        out = xhat * self.params["scale"].reshape(shape)
-        out += self.params["shift"].reshape(shape)
+        out = xhat * self.params["scale"].reshape(shape[1:])
+        out += self.params["shift"].reshape(shape[1:])
         return out
 
     def param_stats(self, dout):
-        m = dout.shape[0]
-        self.grads["shift"] = _feature_sum(dout)
-        self.grads["scale"] = _feature_sum(dout, self._xhat)
-        self.capture = {"h": _mean_sq(self._xhat), "s": _mean_sq(dout) * (m * m)}
+        k = self._workers
+        # Per-worker channel sums of dout and dout * xhat; input_grad reads them.
+        self._sums = _feature_sum(k, dout), _feature_sum(k, dout, self._xhat)
+        self.grads["shift"], self.grads["scale"] = map(_worker_mean, self._sums)
+        m = dout.shape[0] // k
+        self.capture = {"h": _worker_mean(_mean_sq(self._xhat, k)),
+                        "s": _worker_mean(_mean_sq(dout, k) * (m * m))}
 
     def input_grad(self, dout):
         shape = self._shape(dout)
+        d = _per_worker(dout, self._workers)
         gain = (self.params["scale"] / self._std).reshape(shape)
         if not self._training:
-            return dout * gain
-        # The batch statistics couple the samples. The reverse walk runs
-        # param_stats on this dout first, so grads holds its per-channel sums.
-        n = dout.size // self.dim
-        dx = self._xhat * (self.grads["scale"] / -n).reshape(shape)
-        dx += dout
-        dx -= (self.grads["shift"] / n).reshape(shape)
+            return (d * gain).reshape(dout.shape)
+        # The batch statistics couple the samples of each shard. The reverse
+        # walk runs param_stats on this dout first, so _sums holds each
+        # worker's channel sums.
+        shift_sum, scale_sum = self._sums
+        n = dout.size // (self._workers * self.dim)
+        dx = _per_worker(self._xhat, self._workers) * (scale_sum / -n).reshape(shape)
+        dx += d
+        dx -= (shift_sum / n).reshape(shape)
         dx *= gain
-        return dx
+        return dx.reshape(dout.shape)
 
 
 class LayerNorm(_Norm):
     """Per-sample normalization over the feature axis of (M, C) inputs."""
 
-    def forward(self, x, training=True):
+    def forward(self, x, training=True, workers=1):
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DimensionError(f"LayerNorm expects (M, {self.dim}), got {x.shape}")
+        self._workers = workers
         mu = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         self._std = np.sqrt(var + self.eps)
@@ -260,10 +304,12 @@ class LayerNorm(_Norm):
         return self.params["scale"] * self._xhat + self.params["shift"]
 
     def param_stats(self, dout):
-        m = dout.shape[0]
-        self.grads["scale"] = (dout * self._xhat).sum(axis=0)
-        self.grads["shift"] = dout.sum(axis=0)
-        self.capture = {"h": _mean_sq(self._xhat), "s": _mean_sq(dout * m)}
+        k = self._workers
+        d = _per_worker(dout, k)
+        self.grads["scale"] = _worker_mean((d * _per_worker(self._xhat, k)).sum(axis=1))
+        self.grads["shift"] = _worker_mean(d.sum(axis=1))
+        self.capture = {"h": _worker_mean(_mean_sq(self._xhat, k)),
+                        "s": _worker_mean(_mean_sq(dout * d.shape[1], k))}
 
     def input_grad(self, dout):
         xhat = self._xhat
@@ -284,7 +330,7 @@ class Activation(Layer):
             raise UnsupportedError(f"unsupported activation {name!r}")
         self.name = name
 
-    def forward(self, x, training=True):
+    def forward(self, x, training=True, workers=1):
         self._deriv = None
         if self.name == "relu":
             self._deriv = x > 0  # subgradient 0 at the kink
@@ -300,7 +346,7 @@ class Activation(Layer):
 
 
 class Flatten(Layer):
-    def forward(self, x, training=True):
+    def forward(self, x, training=True, workers=1):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -316,7 +362,7 @@ class MaxPool2d(Layer):
         self.kernel = tuple(kernel)
         self.stride = tuple(stride) if stride is not None else self.kernel
 
-    def forward(self, x, training=True):
+    def forward(self, x, training=True, workers=1):
         if x.ndim != 4:
             raise DimensionError(f"MaxPool2d expects (M, C, H, W), got {x.shape}")
         self._x_shape = x.shape
@@ -354,11 +400,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean negative log-softmax of the true class.
+def cross_entropy(logits: np.ndarray, labels: np.ndarray, workers: int = 1):
+    """Mean negative log-softmax of the true class, per worker's shard of
+    m = M/K rows, then averaged over the workers.
 
-    Returns (loss, grad) with grad = (softmax - onehot) / M, the gradient of
-    the batch-mean loss w.r.t. the logits.
+    Returns (loss, grad) with grad = (softmax - onehot) / m, the gradient of
+    each worker's shard-mean loss w.r.t. its logits.
     """
     labels = np.asarray(labels)
     m, c = logits.shape
@@ -368,19 +415,20 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise InputError(f"labels must lie in [0, {c})")
     p = softmax(logits)
     idx = np.arange(m)
-    loss = -np.mean(np.log(np.clip(p[idx, labels], 1e-300, None)))
+    log_p = _per_worker(np.log(np.clip(p[idx, labels], 1e-300, None)), workers)
     grad = p.copy()
     grad[idx, labels] -= 1.0
-    return loss, grad / m
+    return np.mean(-np.mean(log_p, axis=1)), grad / log_p.shape[1]
 
 
-def mse(pred: np.ndarray, target: np.ndarray):
-    """Half squared error, batch mean: loss = sum((p-t)^2) / (2M)."""
+def mse(pred: np.ndarray, target: np.ndarray, workers: int = 1):
+    """Half squared error, sum((p-t)^2) / (2m) per worker's shard of m = M/K
+    rows, then averaged over the workers; the gradient is (p-t) / m."""
     if pred.shape != target.shape:
         raise DimensionError("prediction/target shape mismatch")
-    m = pred.shape[0]
     diff = pred - target
-    return 0.5 * np.sum(diff**2) / m, diff / m
+    m = pred.shape[0] // workers
+    return np.mean(0.5 * np.sum(diff.reshape(workers, -1) ** 2, axis=1) / m), diff / m
 
 
 @dataclass
@@ -393,18 +441,18 @@ class Model:
             layer.init(rng)
         return self
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = True, workers: int = 1) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
-            out = layer.forward(out, training)
+            out = layer.forward(out, training, workers)
         self._ran_forward = True
         return out
 
-    def loss_and_grad(self, output: np.ndarray, targets):
+    def loss_and_grad(self, output: np.ndarray, targets, workers: int = 1):
         if self.loss == "cross_entropy":
-            return cross_entropy(output, targets)
+            return cross_entropy(output, targets, workers)
         if self.loss == "mse":
-            return mse(output, np.asarray(targets, dtype=np.float64))
+            return mse(output, np.asarray(targets, dtype=np.float64), workers)
         raise UnsupportedError(f"unknown loss {self.loss!r}")
 
     def reverse_walk(self, loss_grad: np.ndarray):
@@ -433,12 +481,17 @@ class Model:
         loss, _ = self.loss_and_grad(out, y)
         return loss
 
-    def train_batch(self, x, y) -> float:
-        """Forward + backward on one batch; fills grads and captures."""
-        if np.shape(x)[0] == 0:
+    def train_batch(self, x, y, workers: int = 1) -> float:
+        """Forward + backward on one batch split into `workers` equal shards of
+        consecutive rows; fills grads and captures with their worker means and
+        returns the mean of the shards' losses."""
+        m = np.shape(x)[0]
+        if m == 0:
             raise InputError("empty batch")
-        out = self.forward(x, training=True)
-        loss, dout = self.loss_and_grad(out, y)
+        if workers < 1 or m % workers:
+            raise ConfigError(f"workers must divide the batch size; got {workers} for M={m}")
+        out = self.forward(x, training=True, workers=workers)
+        loss, dout = self.loss_and_grad(out, y, workers)
         self.backward(dout)
         return loss
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from adafisher.distributed import _worker_mean, keyed, shard_batch, train_step
+from adafisher.distributed import keyed, train_step
 from adafisher.errors import ConfigError, NumericError
 from adafisher.kfactor import KFState
-from adafisher.nn import Activation, Dense, Model
+from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
+                          MaxPool2d, Model, _per_worker, _worker_mean)
 from adafisher.optim import AdaFisher, SGD
 from adafisher.tensor import Rng
 
@@ -20,56 +21,43 @@ def make_batch(seed, m=16):
 
 class TestShardBatch:
     def test_even_split(self):
-        x, y = make_batch(0, m=8)
-        shards = shard_batch(x, y, 4)
-        assert len(shards) == 4
-        assert all(xs.shape[0] == 2 for xs, _ in shards)
-        assert np.array_equal(np.vstack([xs for xs, _ in shards]), x)
+        # worker k's shard is the k-th block of consecutive rows, as a view
+        x, _ = make_batch(0, m=8)
+        shards = _per_worker(x, 4)
+        assert shards.shape == (4, 2, 6)
+        assert all(np.array_equal(view, xs) for view, xs in zip(shards, np.split(x, 4)))
+        assert np.shares_memory(shards, x)
 
     def test_uneven_shards_rejected(self):
         x, y = make_batch(1, m=10)
         with pytest.raises(ConfigError, match="workers must divide the batch size; got 3"):
-            shard_batch(x, y, 3)
+            train_step(mlp(), x, y, SGD(), workers=3)
 
     def test_bad_worker_count(self):
         x, y = make_batch(2, m=4)
         with pytest.raises(ConfigError):
-            shard_batch(x, y, 0)
+            train_step(mlp(), x, y, SGD(), workers=0)
         with pytest.raises(ConfigError):
-            shard_batch(x, y, 5)
+            train_step(mlp(), x, y, SGD(), workers=5)
 
 
 class TestAggregation:
     def test_kfs_mean(self):
-        a = {(0, "h"): np.array([1.0, 3.0]), (0, "s"): np.array([2.0])}
-        b = {(0, "h"): np.array([3.0, 1.0]), (0, "s"): np.array([4.0])}
-        agg = _worker_mean([a, b])
-        assert np.array_equal(agg[0, "h"], [2.0, 2.0])
-        assert np.array_equal(agg[0, "s"], [3.0])
+        assert np.array_equal(_worker_mean(np.array([[1.0, 3.0], [3.0, 1.0]])), [2.0, 2.0])
+        assert np.array_equal(_worker_mean(np.array([[2.0], [4.0]])), [3.0])
+        # summed in worker order: (1e16 + 1) - 1e16 rounds to 0, not to 1
+        assert np.array_equal(_worker_mean(np.array([[1e16], [1.0], [-1e16]])), [0.0])
 
     def test_kfs_single_worker_identity(self):
-        a = {(0, "h"): np.array([1.5])}
-        agg = _worker_mean([a])
-        assert np.array_equal(agg[0, "h"], a[0, "h"])
-        agg[0, "h"][0] = 9.0  # aggregation must not alias worker buffers
-        assert a[0, "h"][0] == 1.5
-
-    def test_kfs_layout_mismatch(self):
-        with pytest.raises(ConfigError):
-            _worker_mean([{(0, "h"): np.zeros(2)}, {(1, "h"): np.zeros(2)}])
-        with pytest.raises(ConfigError):
-            _worker_mean([{(0, "h"): np.zeros(2)}, {(0, "h"): np.zeros(3)}])
-        with pytest.raises(ConfigError):
-            _worker_mean([{(0, "h"): np.zeros(2)}, {(0, "s"): np.zeros(2)}])
+        a = np.array([[1.5]])
+        agg = _worker_mean(a)
+        assert np.array_equal(agg, a[0])
+        agg[0] = 9.0  # aggregation must not alias worker buffers
+        assert a[0, 0] == 1.5
 
     def test_grads_mean(self):
-        a = {(0, "W"): np.full((2, 2), 1.0)}
-        b = {(0, "W"): np.full((2, 2), 3.0)}
-        assert np.array_equal(_worker_mean([a, b])[(0, "W")], np.full((2, 2), 2.0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            _worker_mean([])
+        a = np.stack([np.full((2, 2), 1.0), np.full((2, 2), 3.0)])
+        assert np.array_equal(_worker_mean(a), np.full((2, 2), 2.0))
 
 
 class TestTrainStep:
@@ -119,6 +107,18 @@ class TestTrainStep:
         for (_, _, pa), (_, _, pb) in zip(m1.parameters(), m2.parameters()):
             assert np.array_equal(pa, pb)
 
+    def test_one_pass_per_cluster_step(self, monkeypatch):
+        model, calls = mlp(seed=3), []
+        train_batch = model.train_batch
+
+        def counted(*args):
+            calls.append(args[2:])
+            return train_batch(*args)
+
+        monkeypatch.setattr(model, "train_batch", counted)
+        train_step(model, *make_batch(7, m=8), SGD(), workers=4)
+        assert calls == [(4,)]
+
     def test_one_ema_update_per_cluster_step(self):
         x, y = make_batch(7, m=8)
         model = mlp(seed=3)
@@ -140,10 +140,11 @@ class TestTrainStep:
         for seed in (9, 11):
             x, y = make_batch(seed, m=8)
             probe, shards = model.copy(), []
-            for xs, ys in shard_batch(x, y, workers):
+            for xs, ys in zip(np.split(x, workers), np.split(y, workers)):
                 probe.train_batch(xs, ys)
                 shards.append(keyed(probe, "capture"))
-            expected = _worker_mean(shards)
+            expected = {key: sum((p[key] for p in shards[1:]), vec) / workers
+                        for key, vec in shards[0].items()}
             train_step(model, x, y, AdaFisher(), state, workers=workers)
             for key, vec in expected.items():
                 assert np.array_equal(state.factors[key], vec)
@@ -153,7 +154,7 @@ class TestTrainStep:
         model = mlp(seed=6)
         per_shard = []
         probe = model.copy()
-        for xs, ys in shard_batch(x, y, 2):
+        for xs, ys in zip(np.split(x, 2), np.split(y, 2)):
             per_shard.append(probe.train_batch(xs, ys))
         loss = train_step(model, x, y, SGD(alpha=1e-9), workers=2)
         assert loss == pytest.approx(np.mean(per_shard), abs=1e-12)
@@ -196,8 +197,8 @@ class TestFiniteGuard:
         model, opt, state, snapshot = self.started(workers=2)
         train_batch = model.train_batch
 
-        def corrupted(xs, ys):
-            loss = train_batch(xs, ys)
+        def corrupted(*args):
+            loss = train_batch(*args)
             corrupt(model.layers[2])
             return loss
 
@@ -217,3 +218,83 @@ class TestFiniteGuard:
         assert state.step == opt.t > 0
         assert all(np.isfinite(vec).all() for vec in state.factors.values())
         assert all(np.isfinite(m).all() for m in opt.m.values())
+
+
+def every_kind(seed=0):
+    """Conv, relu, 4-D batch norm, pool, flatten, dense, 2-D batch norm, layer norm, tanh."""
+    return Model([
+        Conv2d(1, 2, (3, 3), pad=(1, 1)), Activation("relu"), BatchNorm(2),
+        MaxPool2d((2, 2)), Flatten(), Dense(18, 5), BatchNorm(5), LayerNorm(5),
+        Activation("tanh"), Dense(5, 3),
+    ]).init(Rng(seed))
+
+
+def regression(seed=0):
+    return Model([Dense(4, 6), Activation("tanh"), Dense(6, 2)], loss="mse").init(Rng(seed))
+
+
+def one_feature(seed=0):
+    """One-wide gradients and factors: numpy would sum K >= 8 of them pairwise."""
+    return Model([Dense(4, 1), BatchNorm(1), Dense(1, 2)]).init(Rng(seed))
+
+
+def every_kind_batch(seed):
+    rng = Rng(seed)
+    return rng.normal((16, 1, 6, 6)), rng.integers(0, 3, size=16)
+
+
+def regression_batch(seed):
+    rng = Rng(seed)
+    return rng.normal((16, 4)), rng.normal((16, 2))
+
+
+def one_feature_batch(seed):
+    rng = Rng(seed)
+    return rng.normal((16, 4)) * 100.0, rng.integers(0, 2, size=16)
+
+
+class TestExactWorkers:
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    @pytest.mark.parametrize("make_model, make_data", [
+        (every_kind, every_kind_batch), (regression, regression_batch),
+        (one_feature, one_feature_batch),
+    ], ids=["every-kind", "mse", "one-feature"])
+    def test_step_equals_ordered_mean_of_shard_passes(self, make_model, make_data, workers):
+        # The reference runs each np.split shard through its own pass and
+        # averages in worker order; the K-worker step must match it bit for bit.
+        x, y = make_data(20 + workers)
+        model = make_model(seed=workers)
+        ref = model.copy()
+        opt, ref_opt = AdaFisher(alpha=0.01), AdaFisher(alpha=0.01)
+        state, ref_state = KFState.for_model(model, gamma=1.0), KFState.for_model(ref, gamma=1.0)
+
+        losses, grads, captures = [], [], []
+        for xs, ys in zip(np.split(x, workers), np.split(y, workers)):
+            losses.append(ref.train_batch(xs, ys))
+            grads.append(keyed(ref, "grads"))
+            captures.append(keyed(ref, "capture"))
+
+        def ordered_mean(parts):
+            return {key: sum((p[key] for p in parts[1:]), arr) / len(parts)
+                    for key, arr in parts[0].items()}
+
+        mean_grads = ordered_mean(grads)
+        for (i, name), g in mean_grads.items():
+            ref.layers[i].grads[name] = g
+        ref_state.update(ordered_mean(captures))
+        ref_opt.step(ref, ref_state.divisors(ref))
+
+        loss = train_step(model, x, y, opt, state, workers=workers)
+        assert loss == float(np.mean(losses))
+        got = keyed(model, "grads")
+        assert got.keys() == mean_grads.keys()
+        assert all(np.array_equal(got[key], g) for key, g in mean_grads.items())
+        assert state.factors.keys() == ref_state.factors.keys()
+        assert all(np.array_equal(state.factors[key], vec)
+                   for key, vec in ref_state.factors.items())
+        for (_, _, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
+            assert np.array_equal(p, q)
+        for layer, ref_layer in zip(model.layers, ref.layers):
+            if isinstance(layer, BatchNorm):
+                assert np.array_equal(layer.running_mean, ref_layer.running_mean)
+                assert np.array_equal(layer.running_var, ref_layer.running_var)

@@ -494,20 +494,38 @@ class TestCli:
         ("str.npz", {"matrix": np.array([["1", "0"], ["0", "1"]])}, "fft"),
         ("inf.npz", {"matrix": np.array([[1.0, np.inf], [0.0, 1.0]])}, "fim"),
         ("complex.npz", {"matrix": np.eye(2) * (1 + 1j)}, "gershgorin"),
+        ("empty.npy", np.ones((0, 0)), "gershgorin"),
+        ("empty.npy", np.ones((0, 0)), "fft"),
+        ("empty.npy", np.ones((0, 0)), "fim"),
+        ("empty.npz", {"clean": np.ones((0, 0)), "noisy": np.ones((0, 0))}, "snr"),
     ], ids=["npy-unreadable", "npz-unreadable", "gershgorin-no-matrix", "fft-no-matrix",
             "fim-no-matrix", "snr-no-noisy", "gershgorin-nan", "fft-string", "fim-inf",
-            "gershgorin-complex"])
+            "gershgorin-complex", "gershgorin-empty", "fft-empty", "fim-empty", "snr-empty"])
     def test_bad_snapshot_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, name,
                                                 content, analysis):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
         snap = tmp_path / name
         if isinstance(content, bytes):
             snap.write_bytes(content)
+        elif isinstance(content, np.ndarray):
+            np.save(snap, content)
         else:
             np.savez(snap, **content)
         assert main(["diagnose", "--snapshot", str(snap), "--analysis", analysis]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error: ")
+
+    @pytest.mark.parametrize("analysis", ["gershgorin", "fft", "fim"])
+    def test_overflowing_snapshot_exits_4_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                        analysis):
+        # finite entries whose sums overflow: no numpy warning, no inf in a CSV
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        np.save(tmp_path / "huge.npy", np.full((2, 2), 1e308))
+        assert main(["diagnose", "--snapshot", str(tmp_path / "huge.npy"),
+                     "--analysis", analysis, "--out", "diag"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: ")
+        assert not any((tmp_path / "diag").glob("*.csv"))
 
     def test_diagnose_gershgorin(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
@@ -570,6 +588,15 @@ class TestCli:
         assert main(["oracle", "--config", cfg, "--mode", "exact"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["data error: 24 inputs but 20 labels"]
+
+    def test_oracle_batch_larger_than_data_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        cfg = self.write_config(tmp_path, batch_size=80,
+                                dataset={"source": "blobs", "n": 40, "classes": 3, "dim": 4})
+        assert main(["oracle", "--config", cfg, "--mode", "exact", "--out", "orc"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: batch size 80 exceeds the dataset's 40 samples"]
+        assert not (tmp_path / "orc" / "fisher_mae.csv").exists()
 
     @pytest.mark.parametrize("n", [10**20, 10**9])
     def test_oversized_synthetic_dataset_exits_2(self, tmp_path, capsys, monkeypatch, n):

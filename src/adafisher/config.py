@@ -184,6 +184,10 @@ class RunConfig:
         cfg = cls(**raw)
         if cfg.batch_size % cfg.workers:
             raise ConfigError(f"workers {cfg.workers} do not divide batch_size {cfg.batch_size}")
+        shard = cfg.batch_size // cfg.workers
+        if shard < 2 and any(spec["kind"] == "batchnorm" for spec in cfg.model["layers"]):
+            raise ConfigError(f"batchnorm needs >= 2 samples per worker, got batch_size "
+                              f"{cfg.batch_size} over {cfg.workers} workers")
         return cfg
 
     @classmethod

@@ -113,7 +113,8 @@ class SnrResult:
 
 
 def snr(m: np.ndarray, m_hat: np.ndarray) -> SnrResult:
-    """10*log10( sum_i |m_ii|^2 / sum_{j>i} |m_hat_ij|^2 )."""
+    """10*log10( sum_i |m_ii|^2 / sum_{j>i} |m_hat_ij|^2 ), flagged infinite
+    as +inf for zero noise energy and as -inf for zero signal energy."""
     m = np.asarray(m)
     m_hat = np.asarray(m_hat)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m_hat.shape != m.shape:
@@ -123,7 +124,10 @@ def snr(m: np.ndarray, m_hat: np.ndarray) -> SnrResult:
     den = float(np.sum(np.abs(m_hat[iu]) ** 2))
     if den == 0.0:
         return SnrResult(math.inf, infinite=True)
-    return SnrResult(10.0 * math.log10(num / den), infinite=False)
+    if num == 0.0:
+        return SnrResult(-math.inf, infinite=True)
+    # a difference of logs: the quotient itself can leave float64's range
+    return SnrResult(10.0 * (math.log10(num) - math.log10(den)), infinite=False)
 
 
 def fim_hist_stats(diag: np.ndarray) -> dict[str, float]:

@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, SizeError, UnsupportedError
-from .nn import Dense, Model, softmax
+from .errors import InputError, UnsupportedError
+from .nn import Model, softmax
 from .tensor import Rng
 
 MAX_CLASSES = 64
-MAX_BLOCK_DIM = 9  # dense-oracle guard (includes the bias row)
 
 
 @dataclass
@@ -90,21 +89,6 @@ def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int, seed: int) -
     layers = _class_weighted_diag(
         model, batch, lambda p: _label_counts(p, n_samples, Rng(seed)) / n_samples)
     return FisherDiag(layers=layers, n_samples=n_samples)
-
-
-def kfac_block_dense(layer: Dense) -> np.ndarray:
-    """Full Kronecker product of a dense layer's empirical factors (test-scale only).
-
-    Rebuilt from the input and per-sample-loss-scale signal of the layer's last
-    param_stats, both of one pass, with the homogeneous bias column of its
-    capture; the means run over the whole batch.
-    """
-    x, s = layer._stats_pair
-    m = x.shape[0]
-    x_hom = np.hstack([x, np.ones((m, 1))]) if layer.bias else x
-    if x_hom.shape[1] > MAX_BLOCK_DIM or s.shape[1] > MAX_BLOCK_DIM:
-        raise SizeError(f"dense block guard: factor dims must be <= {MAX_BLOCK_DIM}")
-    return np.kron(x_hom.T @ x_hom / m, s.T @ s / m)
 
 
 def approximation_mae(a: np.ndarray, b: np.ndarray) -> float:

@@ -3,13 +3,15 @@
 Layer inputs are batch-first. Backpropagation is one reverse walk
 (Model.reverse_walk) that hands each parameterized layer the gradient dout at
 its output, then forms the layer's input gradient with input_grad (never at
-or below the first parameterized layer). From dout, param_stats fills two
-dicts of arrays: grads, the mini-batch-mean gradient per parameter name, and
-capture, the diagonals of the two Kronecker factors. Those are "h", the mean
-squares of the homogeneous input activations (exactly 1.0 in the bias slot;
-the normalized input for norm layers), and "s", those of the per-sample
-pre-activation gradients (at per-sample-loss scale), over the sample and, for
-convolutions and 4-D batch norm, spatial axes (KFC).
+or below the first parameterized layer). From dout, param_stats forms the
+layer's per-worker gradient arrays and ends in Layer._keep, the one capture
+recipe (KFC) for every layer kind. It takes those arrays, the activation-side
+array a (input, im2col patches or normalized input) and the signal g (dout,
+or conv's (M, O, T) view of it), and fills grads, the mini-batch-mean gradient
+per parameter name, and capture, the diagonals of the two Kronecker factors:
+"h", the mean squares of a (exactly 1.0 in the bias slot), and "s", those of g
+at per-sample-loss scale (squared, then times m * m for shards of m rows),
+over the sample and, for convolutions and 4-D batch norm, spatial axes.
 For the Fisher oracle's eval-mode walk, where row n of dout is sample n's own
 signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's parameter
 gradient)**2 instead, one array per parameter, shaped like it.
@@ -18,13 +20,13 @@ A training pass can run K simulated workers at once (Model.train_batch(x, y,
 workers=K)): worker k's shard is the k-th block of M/K consecutive rows.
 What depends on which samples share a shard runs per worker, on the
 (K, M/K, ...) view of the batch: Dense's forward, input-gradient and
-weight-gradient matmuls as batched matmuls, every param_stats's batch sums
-and capture means, BatchNorm's training statistics and its coupled input
+weight-gradient matmuls as batched matmuls, every param_stats's batch sums,
+_keep's capture means, BatchNorm's training statistics and its coupled input
 gradient, and the loss's per-shard mean and 1/m scale (m = M/K). Per-sample
 work (convolution, pooling, activations, LayerNorm's forward) runs once on
-the whole batch. Each layer writes the worker means of its grads and
-capture, summed in worker order, so they equal K separate shard passes
-averaged in order bit for bit. The matmuls stay per worker: one full-batch
+the whole batch. _keep writes the worker means of the grads and capture,
+summed in worker order, so they equal K separate shard passes averaged in
+order bit for bit. The matmuls stay per worker: one full-batch
 gemm sums in another order, and its bits differ.
 
 Conv2d multiplies its weights with im2col patches as a broadcast batched
@@ -91,6 +93,18 @@ class Layer:
     def input_grad(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _keep(self, grads: dict[str, np.ndarray], a: np.ndarray, g: np.ndarray):
+        """The end of every param_stats: store the worker means of the (K, ...)
+        gradient arrays in grads, and the capture of activation-side array a
+        and signal g, each (M, F, ...) with features on axis 1."""
+        k = self._workers
+        self.grads = {name: _worker_mean(grad) for name, grad in grads.items()}
+        h = _worker_mean(_mean_sq(a, k))
+        if "b" in self.params:
+            h = np.append(h, 1.0)
+        m = g.shape[0] // k  # per-sample-loss scale: m rows per shard
+        self.capture = {"h": h, "s": _worker_mean(_mean_sq(g, k) * (m * m))}
+
 
 class Dense(Layer):
     def __init__(self, in_dim: int, out_dim: int, bias: bool = True):
@@ -120,14 +134,10 @@ class Dense(Layer):
     def param_stats(self, dout):
         k = self._workers
         x, d = _per_worker(self._x, k), _per_worker(dout, k)
-        self.grads["W"] = _worker_mean(d.swapaxes(1, 2) @ x)
-        h = _worker_mean(_mean_sq(self._x, k))
+        grads = {"W": d.swapaxes(1, 2) @ x}
         if self.bias:
-            self.grads["b"] = _worker_mean(d.sum(axis=1))
-            h = np.append(h, 1.0)
-        s = dout * x.shape[1]  # per-sample-loss scale: m = M/K rows per shard
-        self._stats_pair = (self._x, s)  # one pass's input and signal, for fisher.kfac_block_dense
-        self.capture = {"h": h, "s": _worker_mean(_mean_sq(s, k))}
+            grads["b"] = d.sum(axis=1)
+        self._keep(grads, self._x, dout)
 
     def sample_sq(self, dout, w):
         d_sq = w[:, None] * dout**2
@@ -177,13 +187,10 @@ class Conv2d(Layer):
         k = self._workers
         g = dout.reshape(self._x_shape[0], self.out_ch, self._oh * self._ow)  # dJ/da per position
         per_sample = _per_worker(g @ self._patches.transpose(0, 2, 1), k)
-        self.grads["W"] = _worker_mean(per_sample.sum(axis=1)).reshape(self.params["W"].shape)
-        h = _worker_mean(_mean_sq(self._patches, k))
+        grads = {"W": per_sample.sum(axis=1).reshape((k,) + self.params["W"].shape)}
         if self.bias:
-            self.grads["b"] = _worker_mean(_per_worker(g, k).sum(axis=(1, 3)))
-            h = np.append(h, 1.0)
-        m = per_sample.shape[1]
-        self.capture = {"h": h, "s": _worker_mean(_mean_sq(g, k) * (m * m))}
+            grads["b"] = _per_worker(g, k).sum(axis=(1, 3))
+        self._keep(grads, self._patches, g)
 
     def sample_sq(self, dout, w):
         m = dout.shape[0]
@@ -266,11 +273,8 @@ class BatchNorm(_Norm):
     def param_stats(self, dout):
         k = self._workers
         # Per-worker channel sums of dout and dout * xhat; input_grad reads them.
-        self._sums = _feature_sum(k, dout), _feature_sum(k, dout, self._xhat)
-        self.grads["shift"], self.grads["scale"] = map(_worker_mean, self._sums)
-        m = dout.shape[0] // k
-        self.capture = {"h": _worker_mean(_mean_sq(self._xhat, k)),
-                        "s": _worker_mean(_mean_sq(dout, k) * (m * m))}
+        shift, scale = self._sums = _feature_sum(k, dout), _feature_sum(k, dout, self._xhat)
+        self._keep({"shift": shift, "scale": scale}, self._xhat, dout)
 
     def input_grad(self, dout):
         shape = self._shape(dout)
@@ -306,10 +310,8 @@ class LayerNorm(_Norm):
     def param_stats(self, dout):
         k = self._workers
         d = _per_worker(dout, k)
-        self.grads["scale"] = _worker_mean((d * _per_worker(self._xhat, k)).sum(axis=1))
-        self.grads["shift"] = _worker_mean(d.sum(axis=1))
-        self.capture = {"h": _worker_mean(_mean_sq(self._xhat, k)),
-                        "s": _worker_mean(_mean_sq(dout * d.shape[1], k))}
+        self._keep({"scale": (d * _per_worker(self._xhat, k)).sum(axis=1), "shift": d.sum(axis=1)},
+                   self._xhat, dout)
 
     def input_grad(self, dout):
         xhat = self._xhat

@@ -160,6 +160,21 @@ class TestSnr:
         assert res.infinite
         assert math.isinf(res.db)
 
+    def test_zero_signal_is_minus_infinite(self):
+        res = snr(np.zeros((2, 2)), np.ones((2, 2)))
+        assert res.infinite
+        assert res.db == -math.inf
+
+    def test_energies_far_apart(self):
+        # the energies' quotient (2e-600) underflows float64; its logarithm does not
+        res = snr(np.eye(2) * 1e-150, np.ones((2, 2)) * 1e150)
+        assert abs(res.db - (10.0 * math.log10(2.0) - 6000.0)) < 1e-9
+        # the noise energy itself overflows: a non-finite result, not a domain error
+        with np.errstate(over="ignore"):
+            res = snr(np.eye(2) * 1e-160, np.ones((2, 2)) * 1e160)
+        assert not res.infinite
+        assert res.db == -math.inf
+
     def test_only_upper_triangle_counts(self):
         m = np.eye(2)
         lower_only = np.array([[1.0, 0.0], [5.0, 1.0]])

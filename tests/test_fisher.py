@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from adafisher.errors import InputError, SizeError, UnsupportedError
+from adafisher.errors import InputError, UnsupportedError
 from adafisher.fisher import (FisherDiag, _label_counts, approximation_mae,
-                              exact_fisher_diag, kfac_block_dense, mc_fisher_diag)
-from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
+                              exact_fisher_diag, mc_fisher_diag)
+from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, Layer, LayerNorm,
                           MaxPool2d, Model, softmax)
 from adafisher.tensor import Rng
 
@@ -215,43 +215,44 @@ class TestBatchedOracleEquivalence:
             mc_fisher_diag(model, np.zeros((0, 3)), n_samples=5, seed=0)
 
 
+def dense_block(monkeypatch, model, x, y, index):
+    """Full Kronecker product of dense layer `index`'s empirical factors, built
+    from the activation-side input and signal its param_stats hands to
+    Layer._keep on one training pass, with the homogeneous bias column."""
+    kept = {}
+    keep = Layer._keep
+
+    def spy(layer, grads, a, g):
+        kept[layer] = a, g
+        keep(layer, grads, a, g)
+
+    monkeypatch.setattr(Layer, "_keep", spy)
+    model.train_batch(x, y)
+    layer = model.layers[index]
+    a, g = kept[layer]
+    m = a.shape[0]
+    h = np.hstack([a, np.ones((m, 1))]) if layer.bias else a
+    s = g * m  # per-sample-loss scale
+    return np.kron(h.T @ h / m, s.T @ s / m)
+
+
 class TestDenseKroneckerBlock:
-    def test_single_sample_rank_one_exact(self):
+    def test_single_sample_rank_one_exact(self, monkeypatch):
         # with one sample the factored block is exactly the gradient outer product
         model = Model([Dense(3, 2), Activation("tanh"), Dense(2, 3)]).init(Rng(20))
         x = Rng(21).normal((1, 3))
-        y = np.array([1])
-        model.train_batch(x, y)
+        block = dense_block(monkeypatch, model, x, np.array([1]), 0)
         layer = model.layers[0]
-        block = kfac_block_dense(layer)
         g = np.hstack([layer.grads["W"], layer.grads["b"][:, None]])
         v = g.T.ravel()  # input index slow, output index fast
         assert np.max(np.abs(block - np.outer(v, v))) < 1e-12
 
-    def test_diag_matches_factor_diag_product(self):
+    def test_diag_matches_factor_diag_product(self, monkeypatch):
         model = Model([Dense(2, 3)]).init(Rng(22))
         x = Rng(23).normal((5, 2))
-        model.train_batch(x, Rng(24).integers(0, 3, size=5))
-        block = kfac_block_dense(model.layers[0])
+        block = dense_block(monkeypatch, model, x, Rng(24).integers(0, 3, size=5), 0)
         fresh = model.layers[0].capture
         assert np.max(np.abs(np.diag(block) - np.kron(fresh["h"], fresh["s"]))) < 1e-10
-
-    def test_block_unchanged_by_oracle_call(self):
-        # The oracle's eval-mode forward replaces the head's input; the block
-        # must stay the one of the last training pass.
-        model = Model([Dense(3, 4), BatchNorm(4), Dense(4, 3)]).init(Rng(27))
-        rng = Rng(28)
-        x = rng.normal((6, 3))
-        model.train_batch(x, rng.integers(0, 3, size=6))
-        before = kfac_block_dense(model.layers[2])
-        exact_fisher_diag(model, x)
-        assert np.array_equal(kfac_block_dense(model.layers[2]), before)
-
-    def test_size_guard(self):
-        model = Model([Dense(16, 4)]).init(Rng(25))
-        model.train_batch(Rng(26).normal((2, 16)), np.array([0, 1]))
-        with pytest.raises(SizeError):
-            kfac_block_dense(model.layers[0])
 
 
 class TestHelpers:

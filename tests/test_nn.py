@@ -175,24 +175,34 @@ def _explicit_capture(layer, x, dout):
             np.sum(s_cols**2, axis=1) / s_cols.shape[1])
 
 
-@pytest.mark.parametrize("make_layer, in_shape", [
-    (lambda: Dense(4, 3), (6, 4)),
-    (lambda: Dense(4, 3, bias=False), (6, 4)),
-    (lambda: Conv2d(2, 3, (3, 2), stride=(2, 1), pad=(1, 2)), (5, 2, 6, 5)),
-    (lambda: BatchNorm(3), (6, 3)),
-    (lambda: BatchNorm(3), (6, 3, 4, 5)),
-    (lambda: LayerNorm(4), (6, 4)),
-], ids=["dense", "dense-nobias", "conv-pad-stride", "batchnorm-2d", "batchnorm-4d",
-        "layernorm"])
-def test_capture_is_factor_diagonals(make_layer, in_shape):
+_CAPTURE_CASES = {
+    "dense": (lambda: Dense(4, 3), (6, 4)),
+    "dense-nobias": (lambda: Dense(4, 3, bias=False), (6, 4)),
+    "conv-pad-stride": (lambda: Conv2d(2, 3, (3, 2), stride=(2, 1), pad=(1, 2)), (5, 2, 6, 5)),
+    "batchnorm-2d": (lambda: BatchNorm(3), (6, 3)),
+    "batchnorm-4d": (lambda: BatchNorm(3), (6, 3, 4, 5)),
+    "layernorm": (lambda: LayerNorm(4), (6, 4)),
+}
+
+
+# Each case at K=1, then at K=2 on M=6 rows: shards of m=3, not a power of
+# two, so the per-sample-loss scale by m is inexact.
+@pytest.mark.parametrize("make_layer, in_shape, workers", [
+    *((make, shape, 1) for make, shape in _CAPTURE_CASES.values()),
+    *((make, (6,) + shape[1:], 2) for make, shape in _CAPTURE_CASES.values()),
+], ids=[*_CAPTURE_CASES, *(f"{name}-workers2" for name in _CAPTURE_CASES)])
+def test_capture_is_factor_diagonals(make_layer, in_shape, workers):
     layer = make_layer()
     layer.init(Rng(12))
     rng = Rng(13)
     x = rng.normal(in_shape) * 2.0 + 0.5
-    out = layer.forward(x)
+    out = layer.forward(x, workers=workers)
     dout = rng.normal(out.shape)
     layer.param_stats(dout)
-    h_ref, s_ref = _explicit_capture(layer, x, dout)
+    m = x.shape[0] // workers
+    shards = [_explicit_capture(layer, x[k * m:(k + 1) * m], dout[k * m:(k + 1) * m])
+              for k in range(workers)]
+    h_ref, s_ref = (sum(refs[1:], refs[0]) / workers for refs in zip(*shards))
     assert max_rel_err(layer.capture["h"], h_ref) <= 1e-12
     assert max_rel_err(layer.capture["s"], s_ref) <= 1e-12
     if getattr(layer, "bias", False):

@@ -443,6 +443,19 @@ class TestCli:
         assert err == ["config error: workers must be an integer >= 1, got 0"]
         assert not (tmp_path / "dist" / "metrics.jsonl").exists()
 
+    def test_batchnorm_shard_of_one_exits_2_before_writing(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # batch 8 over 8 workers leaves each BatchNorm shard one sample
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        layers = [{"kind": "dense", "in": 4, "out": 8}, {"kind": "batchnorm", "dim": 8},
+                  {"kind": "dense", "in": 8, "out": 3}]
+        cfg = self.write_config(tmp_path, model={"layers": layers}, batch_size=8)
+        assert main(["distributed", "--config", cfg, "--workers", "8", "--out", "dist"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: batchnorm needs >= 2 samples per worker, "
+                       "got batch_size 8 over 8 workers"]
+        assert not (tmp_path / "dist").exists()
+
     @pytest.mark.parametrize("case", ["idx-count-mismatch", "csv-ragged-row"])
     def test_bad_data_file_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, case):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
@@ -515,13 +528,15 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error: ")
 
-    @pytest.mark.parametrize("analysis", ["gershgorin", "fft", "fim"])
+    @pytest.mark.parametrize("analysis", ["gershgorin", "fft", "fim", "snr"])
     def test_overflowing_snapshot_exits_4_with_one_line(self, tmp_path, capsys, monkeypatch,
                                                         analysis):
         # finite entries whose sums overflow: no numpy warning, no inf in a CSV
+        # (for snr, the noise energy overflows under a tiny signal)
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
-        np.save(tmp_path / "huge.npy", np.full((2, 2), 1e308))
-        assert main(["diagnose", "--snapshot", str(tmp_path / "huge.npy"),
+        np.savez(tmp_path / "huge.npz", matrix=np.full((2, 2), 1e308),
+                 clean=np.eye(2) * 1e-160, noisy=np.ones((2, 2)) * 1e160)
+        assert main(["diagnose", "--snapshot", str(tmp_path / "huge.npz"),
                      "--analysis", analysis, "--out", "diag"]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric failure: ")
@@ -544,6 +559,16 @@ class TestCli:
                      "--analysis", "snr", "--out", "diag"]) == 0
         text = (tmp_path / "diag" / "snr.csv").read_text()
         assert "snr_db" in text
+
+    def test_diagnose_snr_zero_signal(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        snap = tmp_path / "pair.npz"
+        np.savez(snap, clean=np.zeros((2, 2)), noisy=np.ones((2, 2)))
+        assert main(["diagnose", "--snapshot", str(snap),
+                     "--analysis", "snr", "--out", "diag"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "diag" / "snr.csv").read_text().splitlines() == ["snr_db,infinite",
+                                                                            "-inf,1"]
 
     def test_oracle_subcommand(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))

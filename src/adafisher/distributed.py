@@ -15,7 +15,8 @@ of its gradients and captures, so the step reads them as for one worker, and
 the result equals K separate shard passes averaged in worker order bit for
 bit. One worker is the plain single-trainer step, run through the same code.
 The optimizer receives the curvature as KFState.divisors: one divisor per
-parameter, keyed like the gradients.
+parameter, keyed like the gradients. An optimizer that reads none (Adam, SGD:
+needs_divisors is False) gets a pass that forms no factors at all.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
     """One synchronized step: stacked K-worker pass -> check -> EMA ->
     divisors -> update. Returns the mean of the workers' losses."""
     step = opt.t + 1
-    loss = model.train_batch(np.asarray(x, dtype=np.float64), np.asarray(y), workers)
+    loss = model.train_batch(np.asarray(x, dtype=np.float64), np.asarray(y), workers,
+                             capture=opt.needs_divisors)
     if not np.isfinite(loss):
         raise NumericError(f"step {step}: non-finite training loss")
     _check_finite(step, "gradient", keyed(model, "grads"))

@@ -12,6 +12,9 @@ per parameter name, and capture, the diagonals of the two Kronecker factors:
 "h", the mean squares of a (exactly 1.0 in the bias slot), and "s", those of g
 at per-sample-loss scale (squared, then times m * m for shards of m rows),
 over the sample and, for convolutions and 4-D batch norm, spatial axes.
+The capture is formed only when the caller reads it: train_batch(x, y,
+capture=False), which the training step passes for the optimizers that read
+no curvature (Adam, SGD), fills grads alone and leaves every capture {}.
 For the Fisher oracle's eval-mode walk, where row n of dout is sample n's own
 signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's parameter
 gradient)**2 instead, one array per parameter, shaped like it.
@@ -93,12 +96,17 @@ class Layer:
     def input_grad(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _keep(self, grads: dict[str, np.ndarray], a: np.ndarray, g: np.ndarray):
+    def _keep(self, grads: dict[str, np.ndarray], a: np.ndarray, g: np.ndarray,
+              capture: bool = True):
         """The end of every param_stats: store the worker means of the (K, ...)
-        gradient arrays in grads, and the capture of activation-side array a
-        and signal g, each (M, F, ...) with features on axis 1."""
+        gradient arrays in grads and, if capture, the capture of activation-side
+        array a and signal g, each (M, F, ...) with features on axis 1; else
+        an empty capture."""
         k = self._workers
         self.grads = {name: _worker_mean(grad) for name, grad in grads.items()}
+        if not capture:
+            self.capture = {}
+            return
         h = _worker_mean(_mean_sq(a, k))
         if "b" in self.params:
             h = np.append(h, 1.0)
@@ -131,13 +139,13 @@ class Dense(Layer):
             a = a + self.params["b"]
         return a
 
-    def param_stats(self, dout):
+    def param_stats(self, dout, capture=True):
         k = self._workers
         x, d = _per_worker(self._x, k), _per_worker(dout, k)
         grads = {"W": d.swapaxes(1, 2) @ x}
         if self.bias:
             grads["b"] = d.sum(axis=1)
-        self._keep(grads, self._x, dout)
+        self._keep(grads, self._x, dout, capture)
 
     def sample_sq(self, dout, w):
         d_sq = w[:, None] * dout**2
@@ -183,14 +191,14 @@ class Conv2d(Layer):
             a += self.params["b"][:, None]
         return a.reshape(m, self.out_ch, self._oh, self._ow)
 
-    def param_stats(self, dout):
+    def param_stats(self, dout, capture=True):
         k = self._workers
         g = dout.reshape(self._x_shape[0], self.out_ch, self._oh * self._ow)  # dJ/da per position
         per_sample = _per_worker(g @ self._patches.transpose(0, 2, 1), k)
         grads = {"W": per_sample.sum(axis=1).reshape((k,) + self.params["W"].shape)}
         if self.bias:
             grads["b"] = _per_worker(g, k).sum(axis=(1, 3))
-        self._keep(grads, self._patches, g)
+        self._keep(grads, self._patches, g, capture)
 
     def sample_sq(self, dout, w):
         m = dout.shape[0]
@@ -270,11 +278,11 @@ class BatchNorm(_Norm):
         out += self.params["shift"].reshape(shape[1:])
         return out
 
-    def param_stats(self, dout):
+    def param_stats(self, dout, capture=True):
         k = self._workers
         # Per-worker channel sums of dout and dout * xhat; input_grad reads them.
         shift, scale = self._sums = _feature_sum(k, dout), _feature_sum(k, dout, self._xhat)
-        self._keep({"shift": shift, "scale": scale}, self._xhat, dout)
+        self._keep({"shift": shift, "scale": scale}, self._xhat, dout, capture)
 
     def input_grad(self, dout):
         shape = self._shape(dout)
@@ -307,11 +315,11 @@ class LayerNorm(_Norm):
         self._xhat = (x - mu) / self._std
         return self.params["scale"] * self._xhat + self.params["shift"]
 
-    def param_stats(self, dout):
+    def param_stats(self, dout, capture=True):
         k = self._workers
         d = _per_worker(dout, k)
         self._keep({"scale": (d * _per_worker(self._xhat, k)).sum(axis=1), "shift": d.sum(axis=1)},
-                   self._xhat, dout)
+                   self._xhat, dout, capture)
 
     def input_grad(self, dout):
         xhat = self._xhat
@@ -471,22 +479,23 @@ class Model:
             if i > first:
                 grad = layer.input_grad(grad)
 
-    def backward(self, loss_grad: np.ndarray) -> None:
-        """Fill every parameterized layer's grads and capture."""
+    def backward(self, loss_grad: np.ndarray, capture: bool = True) -> None:
+        """Fill every parameterized layer's grads and, if capture, its capture
+        (else leave it empty)."""
         if not getattr(self, "_ran_forward", False):
             raise StateError("backward called before forward")
         for _, layer, dout in self.reverse_walk(loss_grad):
-            layer.param_stats(dout)
+            layer.param_stats(dout, capture)
 
     def loss_on(self, x, y, training: bool = True) -> float:
         out = self.forward(x, training)
         loss, _ = self.loss_and_grad(out, y)
         return loss
 
-    def train_batch(self, x, y, workers: int = 1) -> float:
+    def train_batch(self, x, y, workers: int = 1, capture: bool = True) -> float:
         """Forward + backward on one batch split into `workers` equal shards of
-        consecutive rows; fills grads and captures with their worker means and
-        returns the mean of the shards' losses."""
+        consecutive rows; fills grads and (if capture, else empties) captures
+        with their worker means and returns the mean of the shards' losses."""
         m = np.shape(x)[0]
         if m == 0:
             raise InputError("empty batch")
@@ -494,7 +503,7 @@ class Model:
             raise ConfigError(f"workers must divide the batch size; got {workers} for M={m}")
         out = self.forward(x, training=True, workers=workers)
         loss, dout = self.loss_and_grad(out, y, workers)
-        self.backward(dout)
+        self.backward(dout, capture)
         return loss
 
     def param_layers(self):

@@ -10,6 +10,13 @@ hands over keyed by (layer id, parameter name); there is no second moment and
 curvature supplies its own smoothing through the factor EMA. Every parameter
 takes the same update, looped like Adam's. AdaFisherW is AdaFisher with a
 decoupled weight decay kappa > 0, so both names build an AdaFisher.
+
+The Adam and SGD baselines read no curvature (needs_divisors is False), so
+their training step forms no factor capture. Every optimizer updates its
+moments and parameters in place, with the float operations of the textbook
+formulas in their order (m *= b1; m += (1 - b1) * g rounds as
+b1 * m + (1 - b1) * g), so an Adam step allocates only its update and one
+scratch array per parameter (plus the decayed gradient under coupled decay).
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ class Optimizer:
     needs_divisors = False
 
     def __init__(self, alpha: float = 0.001):
-        if alpha <= 0:
+        if not alpha > 0:
             raise ConfigError("learning rate must be positive")
         self.alpha = alpha
         self.lr_scale = 1.0
@@ -69,7 +76,7 @@ class AdaFisher(Optimizer):
         super().__init__(alpha)
         if not 0.0 <= beta < 1.0:
             raise ConfigError("beta must lie in [0, 1)")
-        if kappa < 0:
+        if not kappa >= 0:
             raise ConfigError("weight decay kappa must be non-negative")
         self.beta = beta
         self.kappa = kappa
@@ -109,6 +116,10 @@ class Adam(Optimizer):
         super().__init__(alpha)
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ConfigError("betas must lie in [0, 1)")
+        if not eps > 0:
+            raise ConfigError("eps must be positive")
+        if not weight_decay >= 0:
+            raise ConfigError("weight decay must be non-negative")
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.decoupled = decoupled
@@ -128,12 +139,24 @@ class Adam(Optimizer):
             if key not in self.m:
                 self.m[key] = np.zeros_like(p)
                 self.v[key] = np.zeros_like(p)
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
-            update = (self.m[key] / c1) / (np.sqrt(self.v[key] / c2) + self.eps)
+            m, v = self.m[key], self.v[key]
+            tmp = (1.0 - self.beta1) * g
+            m *= self.beta1
+            m += tmp  # m = b1 * m + (1 - b1) * g
+            np.multiply(1.0 - self.beta2, g, out=tmp)
+            tmp *= g
+            v *= self.beta2
+            v += tmp  # v = b2 * v + (1 - b2) * g * g
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            update = m / c1
+            update /= tmp  # (m / c1) / (sqrt(v / c2) + eps)
             if self.weight_decay and self.decoupled:
-                update = update + self.weight_decay * p
-            p -= lr * update
+                np.multiply(self.weight_decay, p, out=tmp)
+                update += tmp
+            update *= lr
+            p -= update
 
 
 def adamw(alpha: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
@@ -160,8 +183,10 @@ class SGD(Optimizer):
             if self.momentum:
                 if key not in self.buf:
                     self.buf[key] = np.zeros_like(p)
-                self.buf[key] = self.momentum * self.buf[key] + g
-                g = self.buf[key]
+                buf = self.buf[key]
+                buf *= self.momentum
+                buf += g  # buf = mu * buf + g
+                g = buf
             p -= lr * g
 
 

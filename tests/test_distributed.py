@@ -6,7 +6,7 @@ from adafisher.errors import ConfigError, NumericError
 from adafisher.kfactor import KFState
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                           MaxPool2d, Model, _per_worker, _worker_mean)
-from adafisher.optim import AdaFisher, SGD
+from adafisher.optim import Adam, AdaFisher, SGD
 from adafisher.tensor import Rng
 
 
@@ -111,9 +111,9 @@ class TestTrainStep:
         model, calls = mlp(seed=3), []
         train_batch = model.train_batch
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[2:])
-            return train_batch(*args)
+            return train_batch(*args, **kwargs)
 
         monkeypatch.setattr(model, "train_batch", counted)
         train_step(model, *make_batch(7, m=8), SGD(), workers=4)
@@ -197,8 +197,8 @@ class TestFiniteGuard:
         model, opt, state, snapshot = self.started(workers=2)
         train_batch = model.train_batch
 
-        def corrupted(*args):
-            loss = train_batch(*args)
+        def corrupted(*args, **kwargs):
+            loss = train_batch(*args, **kwargs)
             corrupt(model.layers[2])
             return loss
 
@@ -298,3 +298,45 @@ class TestExactWorkers:
             if isinstance(layer, BatchNorm):
                 assert np.array_equal(layer.running_mean, ref_layer.running_mean)
                 assert np.array_equal(layer.running_var, ref_layer.running_var)
+
+
+class TestCaptureOnlyWhenRead:
+    """A step forms the factor capture only for an optimizer that reads it."""
+
+    @staticmethod
+    def assert_same(model, ref, attr):
+        got, expected = keyed(model, attr), keyed(ref, attr)
+        assert got.keys() == expected.keys()
+        assert all(np.array_equal(got[key], arr) for key, arr in expected.items())
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("make_opt", [Adam, lambda: SGD(momentum=0.9)], ids=["adam", "sgd"])
+    def test_baseline_step_leaves_every_capture_empty(self, make_opt, workers):
+        x, y = every_kind_batch(30)
+        model = every_kind(seed=30)
+        ref = model.copy()
+        model.train_batch(x, y)  # the default fills every capture first
+        assert all(set(layer.capture) == {"h", "s"} for _, layer in model.param_layers())
+        train_step(model, x, y, make_opt(), workers=workers)
+        assert all(layer.capture == {} for layer in model.layers)
+        ref.train_batch(x, y, workers)  # the gradients are a capturing pass's, bit for bit
+        self.assert_same(model, ref, "grads")
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_capturing_pass_after_a_capture_off_pass_is_unchanged(self, workers):
+        x, y = every_kind_batch(31)
+        model = every_kind(seed=31)
+        ref = model.copy()
+        model.train_batch(x, y, workers, capture=False)
+        model.train_batch(x, y, workers)
+        ref.train_batch(x, y, workers)
+        assert len(keyed(model, "capture")) == 2 * len(model.param_layers())
+        self.assert_same(model, ref, "capture")
+
+    def test_adafisher_step_reads_a_capturing_pass(self):
+        x, y = every_kind_batch(32)
+        model = every_kind(seed=32)
+        ref = model.copy()
+        train_step(model, x, y, AdaFisher(), KFState.for_model(model), workers=4)
+        ref.train_batch(x, y, 4)
+        self.assert_same(model, ref, "capture")

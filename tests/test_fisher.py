@@ -222,9 +222,9 @@ def dense_block(monkeypatch, model, x, y, index):
     kept = {}
     keep = Layer._keep
 
-    def spy(layer, grads, a, g):
+    def spy(layer, grads, a, g, *rest):
         kept[layer] = a, g
-        keep(layer, grads, a, g)
+        keep(layer, grads, a, g, *rest)
 
     monkeypatch.setattr(Layer, "_keep", spy)
     model.train_batch(x, y)

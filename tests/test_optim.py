@@ -98,12 +98,10 @@ class TestAdaFisher:
             AdaFisher().step(Model([ln]), state.divisors(Model([ln])))
 
     def test_bad_hyperparameters(self):
-        with pytest.raises(ConfigError):
-            AdaFisher(alpha=0.0)
-        with pytest.raises(ConfigError):
-            AdaFisher(beta=1.0)
-        with pytest.raises(ConfigError):
-            AdaFisher(kappa=-0.1)
+        for hyper in ({"alpha": 0.0}, {"alpha": float("nan")}, {"beta": 1.0},
+                      {"kappa": -0.1}, {"kappa": float("nan")}):
+            with pytest.raises(ConfigError):
+                AdaFisher(**hyper)
 
 
 class TestAdaFisherW:
@@ -162,6 +160,15 @@ class TestAdam:
         opt.step(model)
         assert layer.params["W"][0, 0] == 2.0 * (1.0 - 0.01 * 0.1)
 
+    @pytest.mark.parametrize("hyper", [{"eps": 0.0}, {"eps": -1e-8}, {"eps": float("nan")},
+                                       {"weight_decay": -1.0}, {"alpha": float("nan")}])
+    @pytest.mark.parametrize("name", ["adam", "adamw"])
+    def test_bad_hyperparameters(self, name, hyper):
+        # eps = 0 would turn every zero-gradient entry into 0 / 0 = NaN; a NaN
+        # learning rate passes a bare `alpha <= 0` test
+        with pytest.raises(ConfigError):
+            build_optimizer(name, hyper)
+
     def test_coupled_vs_decoupled_differ(self):
         mc, lc = scalar_model(w0=1.0)
         md, ld = scalar_model(w0=1.0)
@@ -195,6 +202,60 @@ class TestSGD:
     def test_bad_momentum(self):
         with pytest.raises(ConfigError):
             SGD(momentum=1.0)
+
+
+def _allocating_step(name, hyper, t, p, g, state):
+    """One parameter's baseline update written with new arrays, as the
+    formulas read; state holds its moments between steps."""
+    lr = hyper["alpha"]
+    if name == "sgd":
+        mu = hyper.get("momentum", 0.0)
+        if mu:
+            state["buf"] = mu * state.get("buf", np.zeros_like(p)) + g
+            g = state["buf"]
+        return p - lr * g
+    b1, b2, eps, wd = 0.9, 0.999, 1e-8, hyper.get("weight_decay", 0.0)
+    decoupled = name == "adamw"
+    if wd and not decoupled:
+        g = g + wd * p
+    state["m"] = b1 * state.get("m", np.zeros_like(p)) + (1.0 - b1) * g
+    state["v"] = b2 * state.get("v", np.zeros_like(p)) + (1.0 - b2) * g * g
+    update = (state["m"] / (1.0 - b1**t)) / (np.sqrt(state["v"] / (1.0 - b2**t)) + eps)
+    if wd and decoupled:
+        update = update + wd * p
+    return p - lr * update
+
+
+@pytest.mark.parametrize("name, hyper", [
+    ("adam", {"alpha": 0.01}),
+    ("adam", {"alpha": 0.01, "weight_decay": 0.1}),
+    ("adamw", {"alpha": 0.01, "weight_decay": 0.1}),
+    ("sgd", {"alpha": 0.05}),
+    ("sgd", {"alpha": 0.05, "momentum": 0.9}),
+], ids=["adam", "adam-coupled-decay", "adamw", "sgd", "sgd-momentum"])
+def test_in_place_baseline_matches_allocating_formulas(name, hyper):
+    model = Model([Dense(5, 4), LayerNorm(4), Dense(4, 3, bias=False)]).init(Rng(21))
+    opt = build_optimizer(name, hyper)
+    ref = {(i, n): p.copy() for i, n, p in model.parameters()}
+    states = {key: {} for key in ref}
+    rng = Rng(22)
+    for t in range(1, 21):
+        scale = 10.0 ** float(rng.integers(-9, 3))  # from far below eps to large
+        for _, layer in model.param_layers():
+            layer.grads = {n: rng.normal(p.shape) * scale for n, p in layer.params.items()}
+        grads = {(i, n): g for i, layer in model.param_layers() for n, g in layer.grads.items()}
+        before = {key: g.copy() for key, g in grads.items()}
+        opt.step(model)
+        for key, g in grads.items():
+            ref[key] = _allocating_step(name, hyper, t, ref[key], before[key], states[key])
+            assert np.array_equal(g, before[key])  # the gradient is read, never written
+        for i, n, p in model.parameters():
+            assert np.array_equal(p, ref[i, n]), (t, i, n)
+        kept = [buf for moments in (getattr(opt, a, {}) for a in ("m", "v", "buf"))
+                for buf in moments.values()]
+        per_param = 2 if name != "sgd" else int(bool(hyper.get("momentum")))
+        assert len(kept) == per_param * len(grads)
+        assert not any(np.shares_memory(buf, g) for buf in kept for g in grads.values())
 
 
 class TestSchedule:

@@ -14,6 +14,8 @@ from adafisher.cli import main
 from adafisher.config import RunConfig, build_model, resolve_dataset
 from adafisher.datasets import write_idx
 from adafisher.errors import ConfigError, InputError
+from adafisher.fisher import FisherDiag, approximation_mae, exact_fisher_diag
+from adafisher.kfactor import kronecker_diagonal
 from adafisher.nn import BatchNorm, Conv2d, Dense
 from adafisher.tensor import Rng
 from adafisher.training import emit_metrics, evaluate, run_training
@@ -603,6 +605,27 @@ class TestCli:
         assert header == "epoch,layer,mae"
         assert [row.split(",")[1] for row in rows] == ["0", "1", "3"]
         assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
+
+    def test_oracle_reads_a_capturing_pass(self, tmp_path, monkeypatch):
+        # The oracle's training pass keeps the default capture: its rows are
+        # the MAEs against the factors of train_batch with capture on.
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        model = {"layers": [{"kind": "dense", "in": 4, "out": 6}, {"kind": "batchnorm", "dim": 6},
+                            {"kind": "relu"}, {"kind": "dense", "in": 6, "out": 3}]}
+        cfg = self.write_config(tmp_path, model=model, batch_size=8)
+        assert main(["oracle", "--config", cfg, "--mode", "exact", "--out", "orc"]) == 0
+        config = RunConfig.from_json(cfg)
+        net = build_model(config.model, Rng(config.seed))
+        x, y = resolve_dataset(config.dataset, config.seed)
+        net.train_batch(x[:8], y[:8])
+        oracle = exact_fisher_diag(net, x[:8])
+        rows = ["epoch,layer,mae"]
+        for i, layer in net.param_layers():
+            approx = kronecker_diagonal(layer.capture["h"], layer.capture["s"], layer.params)
+            mae = approximation_mae(FisherDiag({i: oracle.layers[i]}).flat(),
+                                    FisherDiag({i: approx}).flat())
+            rows.append(f"0,{i},{mae!r}")
+        assert (tmp_path / "orc" / "fisher_mae.csv").read_text().splitlines() == rows
 
     def test_oracle_count_mismatch_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))

@@ -126,8 +126,10 @@ def cmd_oracle(args) -> int:
     if x.shape[0] < config.batch_size:
         raise ConfigError(f"batch size {config.batch_size} exceeds the dataset's "
                           f"{x.shape[0]} samples")
-    batch = x[: config.batch_size]
-    labels = np.asarray(y)[: config.batch_size]
+    # Copies, so that dropping x and y frees the rest of the dataset.
+    batch = x[: config.batch_size].copy()
+    labels = np.asarray(y)[: config.batch_size].copy()
+    del x, y
     model.train_batch(batch, labels)
     if args.mode == "exact":
         oracle = exact_fisher_diag(model, batch)

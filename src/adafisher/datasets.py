@@ -43,7 +43,9 @@ def load_idx(path, expect: str):
     data = np.frombuffer(body, dtype=np.uint8)
     if expect == "images":
         n, h, w = dims
-        return data.reshape(n, 1, h, w).astype(np.float64) / 255.0
+        images = data.reshape(n, 1, h, w).astype(np.float64)
+        images /= 255.0  # in place: one float64 copy of the images, not two
+        return images
     return data.astype(np.int64)
 
 

@@ -50,8 +50,6 @@ def _class_weighted_diag(model: Model, batch: np.ndarray, class_weights) -> dict
     m = batch.shape[0]
     if m == 0:
         raise InputError("empty batch")
-    # Drop the layers' batch-sized state first, so the batch pass reuses its memory.
-    model.forward(batch[:1], training=False)
     p = softmax(model.forward(batch, training=False))
     w = class_weights(p) / m
     total: dict[int, dict[str, np.ndarray]] = {i: {} for i, _ in model.param_layers()}

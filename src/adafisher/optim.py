@@ -21,6 +21,9 @@ scratch array per parameter (plus the decayed gradient under coupled decay).
 
 from __future__ import annotations
 
+import math
+from numbers import Integral
+
 import numpy as np
 
 from .errors import ConfigError, DimensionError
@@ -34,10 +37,17 @@ class Schedule:
                  total_epochs: int = 1):
         if kind not in ("constant", "step", "cosine"):
             raise ConfigError(f"unknown schedule {kind!r}")
+        if not (isinstance(step_size, Integral) and not isinstance(step_size, bool)
+                and step_size >= 1):
+            raise ConfigError(f"step_size must be an integer >= 1, got {step_size!r}")
+        if not (factor > 0 and math.isfinite(factor)):
+            raise ConfigError(f"factor must be a finite number > 0, got {factor!r}")
+        if not total_epochs >= 1:
+            raise ConfigError(f"total_epochs must be >= 1, got {total_epochs!r}")
         self.kind = kind
         self.step_size = step_size
         self.factor = factor
-        self.total_epochs = max(1, total_epochs)
+        self.total_epochs = total_epochs
 
     def scale(self, epoch: int) -> float:
         if self.kind == "constant":

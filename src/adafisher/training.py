@@ -40,8 +40,16 @@ def emit_metrics(record: dict, fh) -> None:
     fh.flush()
 
 
-def evaluate(model, x, y):
-    out = model.forward(x, training=False)
+def evaluate(model, x, y, batch_size: int):
+    """Eval-mode loss and accuracy (None for an MSE model) over x, y.
+
+    The forward runs on chunks of batch_size rows, the last one partial, so
+    its activations never exceed one training batch's; the loss and accuracy
+    reduce the concatenated logits once."""
+    if batch_size < 1:
+        raise InputError("evaluation batch size must be >= 1")
+    out = np.concatenate([model.forward(x[i:i + batch_size], training=False)
+                          for i in range(0, x.shape[0], batch_size)])
     loss, _ = model.loss_and_grad(out, y)
     if model.loss == "cross_entropy":
         acc = float(np.mean(softmax(out).argmax(axis=1) == np.asarray(y)))
@@ -67,8 +75,11 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
         if "W" not in first or first["W"].size != 2:
             raise ConfigError("track_first_layer needs a 2-parameter first layer")
     x, y = resolve_dataset(config.dataset, config.seed)
-    x_tr, y_tr, x_ev, y_ev = train_eval_split(x, y, seed=config.seed)
-    if x_tr.shape[0] < config.batch_size:
+    # Split row numbers, not rows: the data stays one array, from which each
+    # batch gathers its rows, and only the eval rows are copied.
+    rows, _, rows_ev, y_ev = train_eval_split(np.arange(x.shape[0]), y, seed=config.seed)
+    x_ev = x[rows_ev]
+    if rows.shape[0] < config.batch_size:
         raise ConfigError("batch size exceeds the training split")
 
     opt_spec = dict(config.optimizer)
@@ -90,18 +101,18 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
     with open(metrics_path, "w") as mfh, open(timings_path, "w") as tfh:
         for epoch in range(config.epochs):
             opt.lr_scale = schedule.scale(epoch)
-            perm = shuffle_rng.permutation(x_tr.shape[0])
+            perm = shuffle_rng.permutation(rows.shape[0])
             losses, times = [], []
-            n_batches = x_tr.shape[0] // config.batch_size
+            n_batches = rows.shape[0] // config.batch_size
             for b in range(n_batches):
-                idx = perm[b * config.batch_size:(b + 1) * config.batch_size]
+                batch = rows[perm[b * config.batch_size:(b + 1) * config.batch_size]]
                 t0 = time.perf_counter()
-                loss = train_step(model, x_tr[idx], y_tr[idx], opt, kf_state,
+                loss = train_step(model, x[batch], y[batch], opt, kf_state,
                                   workers=config.workers)
                 times.append((time.perf_counter() - t0) * 1000.0)
                 step += 1
                 losses.append(loss)
-            eval_loss, acc = evaluate(model, x_ev, y_ev)
+            eval_loss, acc = evaluate(model, x_ev, y_ev, config.batch_size)
             if not math.isfinite(eval_loss):  # the epoch's last update diverged
                 raise NumericError(f"step {step}: non-finite eval loss")
             emit_metrics({"epoch": epoch, "step": step,

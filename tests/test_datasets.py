@@ -19,6 +19,13 @@ class TestIdx:
         assert loaded.max() <= 1.0
         assert np.max(np.abs(loaded[:, 0] - images / 255.0)) < 1e-15
 
+    def test_images_scaled_bit_for_bit(self, tmp_path):
+        # every byte value scales to exactly the float64 of raw / 255
+        raw = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        write_idx(tmp_path / "all.idx", raw, "images")
+        assert np.array_equal(load_idx(tmp_path / "all.idx", expect="images"),
+                              raw.astype(np.float64)[:, None] / 255.0)
+
     def test_labels_roundtrip(self, tmp_path):
         labels = np.array([0, 3, 9, 1], dtype=np.uint8)
         path = tmp_path / "lbls.idx"

@@ -285,6 +285,16 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             Schedule("linear")
 
+    def test_bad_arguments(self):
+        # step_size 0 divides by zero in scale; a negative or NaN factor gives
+        # a negative or NaN learning-rate scale
+        for args in ({"step_size": 0}, {"step_size": -2}, {"step_size": 2.5},
+                     {"step_size": True}, {"factor": -1.0}, {"factor": 0.0},
+                     {"factor": float("nan")}, {"factor": float("inf")},
+                     {"total_epochs": 0}, {"total_epochs": float("nan")}):
+            with pytest.raises(ConfigError):
+                Schedule("step", **args)
+
 
 class TestBuildAndToggles:
     def test_dispatch(self):

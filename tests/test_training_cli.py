@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from adafisher.datasets import write_idx
 from adafisher.errors import ConfigError, InputError
 from adafisher.fisher import FisherDiag, approximation_mae, exact_fisher_diag
 from adafisher.kfactor import kronecker_diagonal
-from adafisher.nn import BatchNorm, Conv2d, Dense
+from adafisher.nn import BatchNorm, Conv2d, Dense, softmax
 from adafisher.tensor import Rng
 from adafisher.training import emit_metrics, evaluate, run_training
 
@@ -286,8 +287,103 @@ class TestRunTraining:
         w = model.layers[0].params["W"]
         w[:] = np.array([[1.0, 0.0], [-1.0, 0.0]])
         model.layers[0].params["b"][:] = 0.0
-        loss, acc = evaluate(model, x, np.array([0, 1]))
+        loss, acc = evaluate(model, x, np.array([0, 1]), batch_size=1)
         assert acc == 1.0
+
+
+def bn_image_net(n, seed=0):
+    """image_model() with a BatchNorm after the conv, its running statistics
+    moved off their initial values by one training step, and n 1x6x6 images
+    with labels."""
+    layers = image_model()["layers"]
+    model = build_model({"layers": [layers[0], {"kind": "batchnorm", "dim": 2}, *layers[1:]]},
+                        Rng(seed))
+    rng = np.random.default_rng(seed)
+    x, y = rng.random((n, 1, 6, 6)), rng.integers(0, 2, n)
+    model.train_batch(x[:4], y[:4])
+    return model, x, y
+
+
+def one_pass(model, x, y):
+    """evaluate's result from a single eval-mode forward over all of x."""
+    out = model.forward(x, training=False)
+    loss, _ = model.loss_and_grad(out, y)
+    return float(loss), float(np.mean(softmax(out).argmax(axis=1) == y))
+
+
+class TestEvaluate:
+    def test_one_chunk_is_one_pass(self):
+        model, x, y = bn_image_net(10)
+        expected = one_pass(model, x, y)
+        for batch_size in (10, 64):
+            assert evaluate(model, x, y, batch_size) == expected
+
+    def test_partial_last_chunk(self):
+        """Chunks of 4, 4 and 2 rows give the one-pass accuracy, and its loss
+        within what float64 rounding allows.
+
+        Chunking changes only which rows share a matmul, and BLAS may sum a
+        row's dot products in a different order for a different row count.
+        With u = 2**-53 and gamma(k) = k*u / (1 - k*u), two float64
+        evaluations of a k-term sum differ by at most 2*gamma(k) times the sum
+        of the terms' magnitudes. Run the net on |x| with |W|, |b|, |scale|,
+        |shift| and a running mean of -|mean|: every activation of that
+        absolute net bounds the magnitude sum behind the same activation of
+        the real one, and M, its largest logit, bounds them at the output. A
+        relative error of e introduced at any layer reaches the logits as at
+        most e*M, because the rest of the absolute net is monotone and bounds
+        the real net's sensitivity. The conv sums 9 taps and adds its bias
+        (10 roundings), batch norm makes 4 (subtract, divide, scale, shift),
+        ReLU and max-pool are exact, and the dense sums 18 terms and adds its
+        bias (19), so to first order in u each logit moves by at most
+        dz = 2*(gamma(10) + gamma(4) + gamma(19))*M. A row's cross entropy
+        changes by at most sum_c |p_c - [c = y]| <= 2 times the largest
+        logit change, and each side rounds its softmax over C = 2 classes,
+        log and mean over n = 10 rows within gamma(n + C + 4) of the loss,
+        of magnitude at most 2*M + log(C), so the losses differ by at most
+        2*dz + 2*gamma(n + C + 4)*(2*M + log(C)).
+        """
+        n, c = 10, 2
+        model, x, y = bn_image_net(n)
+        absolute = model.copy()
+        for layer in absolute.layers:
+            for arr in layer.params.values():
+                np.abs(arr, out=arr)
+            if isinstance(layer, BatchNorm):
+                layer.running_mean = -np.abs(layer.running_mean)
+        big = float(absolute.forward(np.abs(x), training=False).max())
+        u = 2.0**-53
+
+        def gamma(k):
+            return k * u / (1 - k * u)
+
+        dz = 2 * (gamma(10) + gamma(4) + gamma(19)) * big
+        tol = 2 * dz + 2 * gamma(n + c + 4) * (2 * big + np.log(c))
+        loss, acc = evaluate(model, x, y, batch_size=4)
+        ref_loss, ref_acc = one_pass(model, x, y)
+        assert acc == ref_acc
+        assert abs(loss - ref_loss) <= tol
+
+    def test_peak_memory_follows_the_chunk(self):
+        # numpy reports its buffers to tracemalloc, so the traced peak is the
+        # forward's activations: one chunk's, not the whole split's.
+        batch_size = 16
+        model, x, y = bn_image_net(8 * batch_size)
+        peaks = {}
+        for chunk in (x.shape[0], batch_size):
+            evaluate(model, x, y, chunk)  # leave the layers holding this chunk size
+            tracemalloc.start()
+            try:
+                evaluate(model, x, y, chunk)
+                peaks[chunk] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[batch_size] < peaks[x.shape[0]] / 2
+
+    def test_bad_batch_size(self):
+        model, x, y = bn_image_net(4)
+        with pytest.raises(InputError):
+            evaluate(model, x, y, 0)
 
 
 class TestCli:

@@ -1,6 +1,6 @@
 """Curvature diagnostics: Gershgorin disc statistics, eigenvalue perturbation
 under off-diagonal Gaussian noise, 2-D DFT and SNR, factored-curvature
-diagonal summaries, PCA and the training-trajectory recorder.
+diagonal summaries and the training-trajectory recorder.
 
 Symmetric eigenproblems are solved with LAPACK ``eigh`` (via numpy).
 """
@@ -145,26 +145,6 @@ def fim_hist_stats(diag: np.ndarray) -> dict[str, float]:
         "q75": float(q[3]),
         "q99": float(q[4]),
     }
-
-
-def pca2(dataset: np.ndarray) -> np.ndarray:
-    """Project N x d data onto the top-2 principal components.
-
-    Columns are centered; component sign is fixed by making each eigenvector's
-    largest-magnitude entry positive.
-    """
-    x = np.asarray(dataset, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
-        raise DimensionError("expected an N x d matrix with N, d >= 2")
-    xc = x - x.mean(axis=0)
-    cov = xc.T @ xc / (x.shape[0] - 1)
-    eigvals, eigvecs = sym_eigh(cov)
-    top = eigvecs[:, np.argsort(eigvals)[::-1][:2]]
-    for j in range(top.shape[1]):
-        k = np.argmax(np.abs(top[:, j]))
-        if top[k, j] < 0:
-            top[:, j] = -top[:, j]
-    return xc @ top
 
 
 @dataclass

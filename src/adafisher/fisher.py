@@ -6,13 +6,20 @@ labels from the predictive distribution instead. Each layer's diagonal is one
 array per parameter, keyed by its name and shaped like it, the layout of
 kfactor.kronecker_diagonal.
 
-Both run one eval-mode forward over the batch, then, per class c, one reverse
-walk (nn.Model.reverse_walk) from the output gradient p - e_c (BackPACK). In
-eval mode no layer couples samples (batch norm uses running statistics), so
-row n of a layer's incoming gradient is sample n's own signal, and each
-parameterized layer's sample_sq squares sample n's gradient from it: s_n x_n
-(dense), sum_t s_t h_t (conv, KFC), or the per-sample sums of dout * xhat and
-dout (norm). The walk forms no parameter gradients or captures.
+Both walk the batch in chunks of consecutive rows, sized so that a chunk's
+input fits CACHE_BUDGET bytes (at least one row; a batch that fits is one
+chunk). Per chunk they run one eval-mode forward, then, per class c, one
+reverse walk (nn.Model.reverse_walk) from the output gradient p - e_c
+(BackPACK). In eval mode no layer couples samples (batch norm uses running
+statistics), so row n of a layer's incoming gradient is sample n's own
+signal, and each parameterized layer's sample_sq squares sample n's gradient
+from it: s_n x_n (dense), sum_t s_t h_t (conv, KFC), or the per-sample sums
+of dout * xhat and dout (norm). The totals add each chunk's sums in chunk
+order, so reruns are bit-identical. The walk forms no parameter gradients or
+captures: afterwards a model's grads and captures are as they were, and its
+layers' forward state is the last chunk's. The Monte-Carlo estimator draws
+all of its uniforms for the whole batch before the first chunk, so the labels
+do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -21,11 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError
+from .datasets import MAX_SYNTH_VALUES
+from .errors import InputError, SizeError, UnsupportedError
 from .nn import Model, softmax
 from .tensor import Rng
 
 MAX_CLASSES = 64
+CACHE_BUDGET = 128 * 1024  # bytes of input rows per chunk of the oracle's walk
 
 
 @dataclass
@@ -41,51 +50,75 @@ class FisherDiag:
                               for i in sorted(self.layers) for name in sorted(self.layers[i])])
 
 
-def _class_weighted_diag(model: Model, batch: np.ndarray, class_weights) -> dict:
-    """Batch mean over samples n of sum_c w[n, c] * (gradient of -log p_c(x_n))**2,
-    with w = class_weights(p) for the (M, C) predictive probabilities p."""
+def _checked_batch(model: Model, batch: np.ndarray) -> np.ndarray:
+    """The batch as float64, once the model is categorical and the batch non-empty."""
     if model.loss != "cross_entropy":
         raise UnsupportedError("Fisher estimation requires a categorical model")
     batch = np.asarray(batch, dtype=np.float64)
-    m = batch.shape[0]
-    if m == 0:
+    if batch.shape[0] == 0:
         raise InputError("empty batch")
-    p = softmax(model.forward(batch, training=False))
-    w = class_weights(p) / m
+    return batch
+
+
+def _class_weighted_diag(model: Model, batch: np.ndarray, class_weights) -> dict:
+    """Batch mean over samples n of sum_c w[n, c] * (gradient of -log p_c(x_n))**2,
+    with w = class_weights(p, rows) for the (m, C) predictive probabilities p
+    of the batch's rows `rows`.
+
+    Runs the eval-mode forward and the class walks one chunk of consecutive
+    rows at a time, max(1, CACHE_BUDGET // bytes per input row) rows, so the
+    layer state that every class walk reads again is one chunk's, not the
+    whole batch's. The sums add up in chunk order. Afterwards the layers'
+    forward state is the last chunk's; grads and captures are untouched."""
+    m = batch.shape[0]
+    step = max(1, CACHE_BUDGET // max(batch[0].nbytes, 1))
     total: dict[int, dict[str, np.ndarray]] = {i: {} for i, _ in model.param_layers()}
-    for cls in np.flatnonzero(w.any(axis=0)):
-        grad = p.copy()
-        grad[:, cls] -= 1.0
-        for i, layer, dout in model.reverse_walk(grad):
-            for name, sq in layer.sample_sq(dout, w[:, cls]).items():
-                total[i][name] = total[i].get(name, 0.0) + sq
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        p = softmax(model.forward(batch[rows], training=False))
+        w = class_weights(p, rows) / m
+        for cls in np.flatnonzero(w.any(axis=0)):
+            grad = p.copy()
+            grad[:, cls] -= 1.0
+            for i, layer, dout in model.reverse_walk(grad):
+                for name, sq in layer.sample_sq(dout, w[:, cls]).items():
+                    total[i][name] = total[i].get(name, 0.0) + sq
     return total
 
 
-def _label_counts(p: np.ndarray, n_samples: int, rng: Rng) -> np.ndarray:
-    """(M, C) counts of n_samples labels drawn per row of p by inverse CDF, one
-    uniform per draw in sample-major order."""
+def _label_counts(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(m, C) counts of the labels drawn per row of p by inverse CDF, one
+    uniform of the same row of u per draw."""
     m, c = p.shape
-    cdf, u = np.cumsum(p, axis=1), rng.uniform((m, n_samples))
+    cdf = np.cumsum(p, axis=1)
     return np.array([np.bincount(np.searchsorted(cdf[n], u[n], side="right").clip(0, c - 1),
                                  minlength=c) for n in range(m)])
 
 
 def exact_fisher_diag(model: Model, batch: np.ndarray) -> FisherDiag:
     """Class-enumeration Fisher diagonal, averaged over the batch."""
-    def enumerate_classes(p):
+    def enumerate_classes(p, rows):
         if p.shape[1] > MAX_CLASSES:
             raise UnsupportedError(f"class enumeration capped at {MAX_CLASSES}, got {p.shape[1]}")
         return p
-    return FisherDiag(layers=_class_weighted_diag(model, batch, enumerate_classes))
+    return FisherDiag(layers=_class_weighted_diag(model, _checked_batch(model, batch),
+                                                  enumerate_classes))
 
 
 def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int, seed: int) -> FisherDiag:
-    """Monte-Carlo Fisher diagonal with labels sampled from the model."""
+    """Monte-Carlo Fisher diagonal with labels sampled from the model: the
+    (M, n_samples) uniforms are drawn from Rng(seed) in sample-major order
+    before the first chunk."""
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
+    batch = _checked_batch(model, batch)
+    draws = batch.shape[0] * int(n_samples)
+    if draws > MAX_SYNTH_VALUES:
+        raise SizeError(f"{batch.shape[0]} rows x {n_samples} samples = {draws} label draws "
+                        f"exceed the guard of {MAX_SYNTH_VALUES}")
+    u = Rng(seed).uniform((batch.shape[0], n_samples))
     layers = _class_weighted_diag(
-        model, batch, lambda p: _label_counts(p, n_samples, Rng(seed)) / n_samples)
+        model, batch, lambda p, rows: _label_counts(p, u[rows]) / n_samples)
     return FisherDiag(layers=layers, n_samples=n_samples)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from adafisher.diagnostics import (DiscSet, TrajectoryLog, fft2, fim_hist_stats,
-                                   gershgorin, kaiser_count, pca2,
-                                   perturb_offdiag, snr, sym_eigh)
+                                   gershgorin, kaiser_count, perturb_offdiag, snr,
+                                   sym_eigh)
 from adafisher.errors import DimensionError, InputError
 from adafisher.tensor import Rng
 
@@ -201,34 +201,6 @@ class TestFimStats:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             fim_hist_stats(np.zeros(0))
-
-
-class TestPca2:
-    def test_planar_data_exact(self):
-        # data on a 2-D subspace of R^4: projection preserves pairwise distances
-        rng = Rng(11)
-        coords = rng.normal((40, 2))
-        basis, _ = np.linalg.qr(rng.normal((4, 2)))
-        x = coords @ basis.T
-        proj = pca2(x)
-        d_orig = np.linalg.norm(x[:, None] - x[None, :], axis=-1)
-        d_proj = np.linalg.norm(proj[:, None] - proj[None, :], axis=-1)
-        assert np.max(np.abs(d_orig - d_proj)) < 1e-8
-
-    def test_centered_output(self):
-        proj = pca2(Rng(12).normal((30, 5)))
-        assert np.max(np.abs(proj.mean(axis=0))) < 1e-10
-
-    def test_variance_ordering_and_sign_determinism(self):
-        x = Rng(13).normal((50, 6)) * np.array([5.0, 1.0, 0.5, 0.2, 0.1, 0.1])
-        p1 = pca2(x)
-        p2 = pca2(x.copy())
-        assert np.array_equal(p1, p2)
-        assert p1[:, 0].var() >= p1[:, 1].var()
-
-    def test_too_small(self):
-        with pytest.raises(DimensionError):
-            pca2(np.zeros((1, 4)))
 
 
 class TestTrajectory:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from adafisher.errors import InputError, UnsupportedError
+from adafisher import fisher
+from adafisher.errors import InputError, SizeError, UnsupportedError
 from adafisher.fisher import (FisherDiag, _label_counts, approximation_mae,
                               exact_fisher_diag, mc_fisher_diag)
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, Layer, LayerNorm,
@@ -171,13 +172,13 @@ EQUIVALENCE_NETS = {
 }
 
 
-def assert_same_diag(got, ref):
+def assert_same_diag(got, ref, rtol=1e-12):
     assert sorted(got.layers) == sorted(ref.layers)
     for i in ref.layers:
         assert sorted(got.layers[i]) == sorted(ref.layers[i])
     scale = np.max(np.abs(ref.flat()))
     assert scale > 0
-    assert np.max(np.abs(got.flat() - ref.flat())) <= 1e-12 * scale
+    assert np.max(np.abs(got.flat() - ref.flat())) <= rtol * scale
 
 
 class TestBatchedOracleEquivalence:
@@ -199,9 +200,59 @@ class TestBatchedOracleEquivalence:
         assert got.n_samples == 30
         assert_same_diag(got, reference_fisher(model, x, n_samples=30, seed=5))
 
+    @pytest.mark.parametrize("net", sorted(EQUIVALENCE_NETS))
+    def test_one_row_chunks_match_per_sample_loop(self, net, monkeypatch):
+        # Every row its own chunk: the sums cross every chunk boundary, and the
+        # MC labels must continue one uniform stream rather than restart it.
+        layers, shape = EQUIVALENCE_NETS[net]
+        x = Rng(36).normal(shape)
+        model = trained_net(layers(), x, seed=37)
+        monkeypatch.setattr(fisher, "CACHE_BUDGET", 1)
+        n_classes, n_samples = model.forward(x, training=False).shape[1], 30
+        eps = np.finfo(np.float64).eps
+        # Each entry sums len(x) * n_classes (exact) or len(x) * n_samples (MC)
+        # non-negative terms, each within a few eps, in another order.
+        assert_same_diag(exact_fisher_diag(model, x), reference_fisher(model, x),
+                         rtol=len(x) * n_classes * eps)
+
+        counts = []
+
+        def spy(p, u):
+            counts.append(_label_counts(p, u))
+            return counts[-1]
+
+        monkeypatch.setattr(fisher, "_label_counts", spy)
+        got = mc_fisher_diag(model, x, n_samples=n_samples, seed=5)
+        assert len(counts) == len(x)
+        gen = np.random.Generator(np.random.PCG64(5))
+        expected = [np.bincount(scalar_labels(softmax(model.forward(row[None], training=False))[0],
+                                              n_samples, gen), minlength=n_classes)
+                    for row in x]
+        assert np.array_equal(np.concatenate(counts), expected)
+        assert_same_diag(got, reference_fisher(model, x, n_samples=n_samples, seed=5),
+                         rtol=len(x) * n_samples * eps)
+
+    @pytest.mark.parametrize("shape, chunks", [((64, 1, 28, 28), [20, 20, 20, 4]),
+                                               ((128, 50), [128])])
+    def test_chunk_rows_follow_row_bytes(self, shape, chunks, monkeypatch):
+        # 28 * 28 float64 inputs are 6272 bytes a row, so 20 rows fit the
+        # budget; a batch that fits is one chunk.
+        head = [Conv2d(1, 2, (3, 3)), Flatten()] if len(shape) == 4 else []
+        width = 2 * 26 * 26 if head else shape[1]
+        model = Model(head + [Dense(width, 3)]).init(Rng(38))
+        rows, forward = [], Model.forward
+
+        def spy(self, x, *args, **kwargs):
+            rows.append(len(x))
+            return forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", spy)
+        exact_fisher_diag(model, Rng(39).normal(shape))
+        assert rows == chunks
+
     def test_label_counts_match_scalar_draws(self):
         p = softmax(Rng(34).normal((6, 5)) * 2.0)
-        counts = _label_counts(p, 200, Rng(7))
+        counts = _label_counts(p, Rng(7).uniform((6, 200)))
         gen = np.random.Generator(np.random.PCG64(7))
         expected = [np.bincount(scalar_labels(row, 200, gen), minlength=5) for row in p]
         assert np.array_equal(counts, expected)
@@ -213,6 +264,17 @@ class TestBatchedOracleEquivalence:
             exact_fisher_diag(model, np.zeros((0, 3)))
         with pytest.raises(InputError):
             mc_fisher_diag(model, np.zeros((0, 3)), n_samples=5, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [2**62, 10**9, fisher.MAX_SYNTH_VALUES // 2 + 1])
+    def test_oversized_draw_rejected_before_drawing(self, n_samples, monkeypatch):
+        class NoDraws:  # a draw would try to allocate every uniform
+            def __init__(self, seed):
+                raise AssertionError("drew before the size check")
+
+        monkeypatch.setattr(fisher, "Rng", NoDraws)
+        model = Model([Dense(3, 4), Activation("relu"), Dense(4, 3)]).init(Rng(35))
+        with pytest.raises(SizeError):
+            mc_fisher_diag(model, np.zeros((2, 3)), n_samples=n_samples, seed=0)
 
 
 def dense_block(monkeypatch, model, x, y, index):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import adafisher
-from adafisher import datasets
+from adafisher import datasets, fisher
 from adafisher.cli import main
 from adafisher.config import RunConfig, build_model, resolve_dataset
 from adafisher.datasets import write_idx
@@ -741,6 +741,21 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: batch size 80 exceeds the dataset's 40 samples"]
         assert not (tmp_path / "orc" / "fisher_mae.csv").exists()
+
+    @pytest.mark.parametrize("samples", [2**62, 10**9])
+    def test_oversized_mc_draw_exits_2(self, tmp_path, capsys, monkeypatch, samples):
+        class NoDraws:  # a draw would try to allocate every uniform
+            def __init__(self, seed):
+                raise AssertionError("drew before the size check")
+
+        monkeypatch.setattr(fisher, "Rng", NoDraws)
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        cfg = self.write_config(tmp_path)
+        assert main(["oracle", "--config", cfg, "--mode", "mc", "--samples", str(samples),
+                     "--out", "orc"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "label draws" in err[0]
+        assert not (tmp_path / "orc").exists()
 
     @pytest.mark.parametrize("n", [10**20, 10**9])
     def test_oversized_synthetic_dataset_exits_2(self, tmp_path, capsys, monkeypatch, n):

@@ -1,19 +1,16 @@
-"""In-process simulation of data-parallel training with factor aggregation.
+"""In-process simulation of data-parallel training.
 
 A global batch is split into K equal shards of consecutive rows (K must
-divide the batch); each virtual worker contributes its shard's gradients and
-fresh factor diagonals, which are averaged coordinatewise in fixed worker
-order. The EMA is applied to the aggregated factors (one state for the whole
-cluster), and a single synchronized optimizer step is taken. A non-finite
-loss, gradient or factor raises NumericError after aggregation, before the EMA
-state or the optimizer changes.
+divide the batch). With equal shards, the worker mean of the shards' mean
+losses, gradients and fresh factor diagonals is the full-batch value, so a
+step runs one pass over the whole batch, Model.train_batch(x, y, workers=K).
+Workers shape only BatchNorm's ghost batches: in training it normalizes each
+shard by the shard's own statistics (see nn). A net without BatchNorm gives
+the one-worker step bit for bit at every K. The EMA is applied to the
+batch's factors (one state for the whole cluster), and a single synchronized
+optimizer step is taken. A non-finite loss, gradient or factor raises
+NumericError before the EMA state or the optimizer changes.
 
-The K workers run as one stacked pass, Model.train_batch(x, y, workers=K):
-only what depends on which samples share a shard runs per worker, on the
-(K, M/K, ...) view of the batch (see nn). Each layer writes the worker means
-of its gradients and captures, so the step reads them as for one worker, and
-the result equals K separate shard passes averaged in worker order bit for
-bit. One worker is the plain single-trainer step, run through the same code.
 The optimizer receives the curvature as KFState.divisors: one divisor per
 parameter, keyed like the gradients. An optimizer that reads none (Adam, SGD:
 needs_divisors is False) gets a pass that forms no factors at all.
@@ -45,8 +42,8 @@ def _check_finite(step: int, quantity: str, arrays: dict) -> None:
 
 def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
                kf_state: KFState | None = None, workers: int = 1) -> float:
-    """One synchronized step: stacked K-worker pass -> check -> EMA ->
-    divisors -> update. Returns the mean of the workers' losses."""
+    """One synchronized step: K-worker pass -> check -> EMA -> divisors ->
+    update. Returns the batch's mean loss, the mean of the workers' losses."""
     step = opt.t + 1
     loss = model.train_batch(np.asarray(x, dtype=np.float64), np.asarray(y), workers,
                              capture=opt.needs_divisors)

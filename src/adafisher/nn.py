@@ -4,13 +4,13 @@ Layer inputs are batch-first. Backpropagation is one reverse walk
 (Model.reverse_walk) that hands each parameterized layer the gradient dout at
 its output, then forms the layer's input gradient with input_grad (never at
 or below the first parameterized layer). From dout, param_stats forms the
-layer's per-worker gradient arrays and ends in Layer._keep, the one capture
-recipe (KFC) for every layer kind. It takes those arrays, the activation-side
-array a (input, im2col patches or normalized input) and the signal g (dout,
-or conv's (M, O, T) view of it), and fills grads, the mini-batch-mean gradient
-per parameter name, and capture, the diagonals of the two Kronecker factors:
+layer's mini-batch-mean gradient per parameter name and ends in Layer._keep,
+the one capture recipe (KFC) for every layer kind. It takes those gradients,
+the activation-side array a (input, im2col patches or normalized input) and
+the signal g (dout, or conv's (M, O, T) view of it), and fills grads with the
+gradients and capture with the diagonals of the two Kronecker factors:
 "h", the mean squares of a (exactly 1.0 in the bias slot), and "s", those of g
-at per-sample-loss scale (squared, then times m * m for shards of m rows),
+at per-sample-loss scale (squared, then times M * M for a batch of M rows),
 over the sample and, for convolutions and 4-D batch norm, spatial axes.
 The capture is formed only when the caller reads it: train_batch(x, y,
 capture=False), which the training step passes for the optimizers that read
@@ -19,18 +19,15 @@ For the Fisher oracle's eval-mode walk, where row n of dout is sample n's own
 signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's parameter
 gradient)**2 instead, one array per parameter, shaped like it.
 
-A training pass can run K simulated workers at once (Model.train_batch(x, y,
-workers=K)): worker k's shard is the k-th block of M/K consecutive rows.
-What depends on which samples share a shard runs per worker, on the
-(K, M/K, ...) view of the batch: Dense's forward, input-gradient and
-weight-gradient matmuls as batched matmuls, every param_stats's batch sums,
-_keep's capture means, BatchNorm's training statistics and its coupled input
-gradient, and the loss's per-shard mean and 1/m scale (m = M/K). Per-sample
-work (convolution, pooling, activations, LayerNorm's forward) runs once on
-the whole batch. _keep writes the worker means of the grads and capture,
-summed in worker order, so they equal K separate shard passes averaged in
-order bit for bit. The matmuls stay per worker: one full-batch
-gemm sums in another order, and its bits differ.
+A training pass can simulate K workers (Model.train_batch(x, y, workers=K)):
+worker k's shard is the k-th block of M/K consecutive rows. With equal
+shards, the worker mean of the shards' mean losses, gradients and captures
+is the full-batch value, so every layer, _keep and the loss run once on the
+whole batch at the 1/M per-sample-loss scale. Only BatchNorm reads workers:
+in training it normalizes each shard by the shard's own statistics (ghost
+batch normalization), updates its running statistics once per shard in
+worker order, and couples its input gradient within each shard. A net
+without BatchNorm gives the one-worker step bit for bit at every K.
 
 Conv2d multiplies its weights with im2col patches as a broadcast batched
 matmul, so the products of its forward pass and of both gradients run on BLAS.
@@ -43,6 +40,7 @@ their backward reads: Activation its derivative, not its input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,26 +55,19 @@ def _per_worker(a: np.ndarray, workers: int) -> np.ndarray:
     return a.reshape((workers, a.shape[0] // workers) + a.shape[1:])
 
 
-def _worker_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over the leading worker axis into a new array, summed in worker
-    order, ((a0 + a1) + a2) + ..., then divided once. (A numpy sum over the
-    axis can sum pairwise instead, e.g. for K >= 8 one-feature arrays.)"""
-    total = a[0]
-    for part in a[1:]:
-        total = total + part
-    return total / a.shape[0]
+def _feature_sum(*arrays: np.ndarray, workers: int | None = None) -> np.ndarray:
+    """Per axis-1 feature, the sum over all other axes of the arrays'
+    elementwise product: (F,), or with workers=K one row per shard, (K, F)."""
+    lead = () if workers is None else (workers,)
+    cols = [a.reshape(lead + (-1, a.shape[1], math.prod(a.shape[2:]))) for a in arrays]
+    return np.einsum(",".join(["...mft"] * len(cols)) + "->...f", *cols)
 
 
-def _feature_sum(workers: int, *arrays: np.ndarray) -> np.ndarray:
-    """(K, F): per worker, the sum per axis-1 feature, over all other axes,
-    of the arrays' elementwise product."""
-    cols = [a.reshape(workers, a.shape[0] // workers, a.shape[1], -1) for a in arrays]
-    return np.einsum(",".join(["kmft"] * len(cols)) + "->kf", *cols)
-
-
-def _mean_sq(a: np.ndarray, workers: int) -> np.ndarray:
-    """(K, F): per worker, the mean of squares per axis-1 feature over all other axes."""
-    return _feature_sum(workers, a, a) / (a.size // (workers * a.shape[1]))
+def _mean_sq(a: np.ndarray, workers: int | None = None) -> np.ndarray:
+    """Per axis-1 feature, the mean of squares over all other axes: (F,), or
+    with workers=K one row per shard, (K, F)."""
+    total = _feature_sum(a, a, workers=workers)
+    return total / (a.size // total.size)
 
 
 class Layer:
@@ -98,20 +89,18 @@ class Layer:
 
     def _keep(self, grads: dict[str, np.ndarray], a: np.ndarray, g: np.ndarray,
               capture: bool = True):
-        """The end of every param_stats: store the worker means of the (K, ...)
-        gradient arrays in grads and, if capture, the capture of activation-side
-        array a and signal g, each (M, F, ...) with features on axis 1; else
-        an empty capture."""
-        k = self._workers
-        self.grads = {name: _worker_mean(grad) for name, grad in grads.items()}
+        """The end of every param_stats: store the batch gradients in grads
+        and, if capture, the capture of activation-side array a and signal g,
+        each (M, F, ...) with features on axis 1; else an empty capture."""
+        self.grads = grads
         if not capture:
             self.capture = {}
             return
-        h = _worker_mean(_mean_sq(a, k))
+        h = _mean_sq(a)
         if "b" in self.params:
             h = np.append(h, 1.0)
-        m = g.shape[0] // k  # per-sample-loss scale: m rows per shard
-        self.capture = {"h": h, "s": _worker_mean(_mean_sq(g, k) * (m * m))}
+        m = g.shape[0]  # per-sample-loss scale: the loss is a mean over m rows
+        self.capture = {"h": h, "s": _mean_sq(g) * (m * m)}
 
 
 class Dense(Layer):
@@ -133,18 +122,16 @@ class Dense(Layer):
     def forward(self, x, training=True, workers=1):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(f"Dense expects (M, {self.in_dim}), got {x.shape}")
-        self._x, self._workers = x, workers
-        a = (_per_worker(x, workers) @ self.params["W"].T).reshape(x.shape[0], self.out_dim)
+        self._x = x
+        a = x @ self.params["W"].T
         if self.bias:
             a = a + self.params["b"]
         return a
 
     def param_stats(self, dout, capture=True):
-        k = self._workers
-        x, d = _per_worker(self._x, k), _per_worker(dout, k)
-        grads = {"W": d.swapaxes(1, 2) @ x}
+        grads = {"W": dout.T @ self._x}
         if self.bias:
-            grads["b"] = d.sum(axis=1)
+            grads["b"] = dout.sum(axis=0)
         self._keep(grads, self._x, dout, capture)
 
     def sample_sq(self, dout, w):
@@ -155,7 +142,7 @@ class Dense(Layer):
         return out
 
     def input_grad(self, dout):
-        return (_per_worker(dout, self._workers) @ self.params["W"]).reshape(self._x.shape)
+        return dout @ self.params["W"]
 
 
 class Conv2d(Layer):
@@ -182,7 +169,7 @@ class Conv2d(Layer):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise DimensionError(f"Conv2d expects (M, {self.in_ch}, H, W), got {x.shape}")
         m, _, h, w = x.shape
-        self._x_shape, self._workers = x.shape, workers
+        self._x_shape = x.shape
         self._oh = conv_out_size(h, self.kernel[0], self.stride[0], self.pad[0])
         self._ow = conv_out_size(w, self.kernel[1], self.stride[1], self.pad[1])
         self._patches = im2col_batch(x, self.kernel, self.stride, self.pad)  # (M, CKK, T)
@@ -192,12 +179,11 @@ class Conv2d(Layer):
         return a.reshape(m, self.out_ch, self._oh, self._ow)
 
     def param_stats(self, dout, capture=True):
-        k = self._workers
         g = dout.reshape(self._x_shape[0], self.out_ch, self._oh * self._ow)  # dJ/da per position
-        per_sample = _per_worker(g @ self._patches.transpose(0, 2, 1), k)
-        grads = {"W": per_sample.sum(axis=1).reshape((k,) + self.params["W"].shape)}
+        per_sample = g @ self._patches.transpose(0, 2, 1)
+        grads = {"W": per_sample.sum(axis=0).reshape(self.params["W"].shape)}
         if self.bias:
-            grads["b"] = _per_worker(g, k).sum(axis=(1, 3))
+            grads["b"] = g.sum(axis=(0, 2))
         self._keep(grads, self._patches, g, capture)
 
     def sample_sq(self, dout, w):
@@ -261,7 +247,7 @@ class BatchNorm(_Norm):
         if training:
             if x.shape[0] // k < 2:
                 raise InputError("BatchNorm needs batch size >= 2 per worker in training mode")
-            mu = _feature_sum(k, x) / (x.size // (k * self.dim))
+            mu = _feature_sum(x, workers=k) / (x.size // (k * self.dim))
             xhat = _per_worker(x, k) - mu.reshape(shape)
             var = _mean_sq(xhat.reshape(x.shape), k)
             for mu_k, var_k in zip(mu, var):  # the shards' updates, in worker order
@@ -280,9 +266,12 @@ class BatchNorm(_Norm):
 
     def param_stats(self, dout, capture=True):
         k = self._workers
-        # Per-worker channel sums of dout and dout * xhat; input_grad reads them.
-        shift, scale = self._sums = _feature_sum(k, dout), _feature_sum(k, dout, self._xhat)
-        self._keep({"shift": shift, "scale": scale}, self._xhat, dout, capture)
+        # Per-worker channel sums of dout and dout * xhat: input_grad reads
+        # them, and their sums over the workers are the parameter gradients.
+        shift, scale = self._sums = (_feature_sum(dout, workers=k),
+                                     _feature_sum(dout, self._xhat, workers=k))
+        self._keep({"shift": shift.sum(axis=0), "scale": scale.sum(axis=0)},
+                   self._xhat, dout, capture)
 
     def input_grad(self, dout):
         shape = self._shape(dout)
@@ -308,7 +297,6 @@ class LayerNorm(_Norm):
     def forward(self, x, training=True, workers=1):
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DimensionError(f"LayerNorm expects (M, {self.dim}), got {x.shape}")
-        self._workers = workers
         mu = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         self._std = np.sqrt(var + self.eps)
@@ -316,9 +304,7 @@ class LayerNorm(_Norm):
         return self.params["scale"] * self._xhat + self.params["shift"]
 
     def param_stats(self, dout, capture=True):
-        k = self._workers
-        d = _per_worker(dout, k)
-        self._keep({"scale": (d * _per_worker(self._xhat, k)).sum(axis=1), "shift": d.sum(axis=1)},
+        self._keep({"scale": (dout * self._xhat).sum(axis=0), "shift": dout.sum(axis=0)},
                    self._xhat, dout, capture)
 
     def input_grad(self, dout):
@@ -410,35 +396,36 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray, workers: int = 1):
-    """Mean negative log-softmax of the true class, per worker's shard of
-    m = M/K rows, then averaged over the workers.
+def cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean negative log-softmax of the true class over the M rows.
 
-    Returns (loss, grad) with grad = (softmax - onehot) / m, the gradient of
-    each worker's shard-mean loss w.r.t. its logits.
+    Returns (loss, grad) with grad = (softmax - onehot) / M, the gradient of
+    the mean loss w.r.t. the logits. Labels must be integers in [0, C).
     """
     labels = np.asarray(labels)
     m, c = logits.shape
     if labels.shape != (m,):
         raise DimensionError(f"labels must have shape ({m},)")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise InputError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= c:
         raise InputError(f"labels must lie in [0, {c})")
     p = softmax(logits)
     idx = np.arange(m)
-    log_p = _per_worker(np.log(np.clip(p[idx, labels], 1e-300, None)), workers)
+    log_p = np.log(np.clip(p[idx, labels], 1e-300, None))
     grad = p.copy()
     grad[idx, labels] -= 1.0
-    return np.mean(-np.mean(log_p, axis=1)), grad / log_p.shape[1]
+    return -np.mean(log_p), grad / m
 
 
-def mse(pred: np.ndarray, target: np.ndarray, workers: int = 1):
-    """Half squared error, sum((p-t)^2) / (2m) per worker's shard of m = M/K
-    rows, then averaged over the workers; the gradient is (p-t) / m."""
+def mse(pred: np.ndarray, target: np.ndarray):
+    """Half squared error over the M rows, sum((p-t)^2) / (2M); the gradient
+    is (p-t) / M."""
     if pred.shape != target.shape:
         raise DimensionError("prediction/target shape mismatch")
     diff = pred - target
-    m = pred.shape[0] // workers
-    return np.mean(0.5 * np.sum(diff.reshape(workers, -1) ** 2, axis=1) / m), diff / m
+    m = pred.shape[0]
+    return 0.5 * np.sum(diff**2) / m, diff / m
 
 
 @dataclass
@@ -458,11 +445,11 @@ class Model:
         self._ran_forward = True
         return out
 
-    def loss_and_grad(self, output: np.ndarray, targets, workers: int = 1):
+    def loss_and_grad(self, output: np.ndarray, targets):
         if self.loss == "cross_entropy":
-            return cross_entropy(output, targets, workers)
+            return cross_entropy(output, targets)
         if self.loss == "mse":
-            return mse(output, np.asarray(targets, dtype=np.float64), workers)
+            return mse(output, np.asarray(targets, dtype=np.float64))
         raise UnsupportedError(f"unknown loss {self.loss!r}")
 
     def reverse_walk(self, loss_grad: np.ndarray):
@@ -487,22 +474,17 @@ class Model:
         for _, layer, dout in self.reverse_walk(loss_grad):
             layer.param_stats(dout, capture)
 
-    def loss_on(self, x, y, training: bool = True) -> float:
-        out = self.forward(x, training)
-        loss, _ = self.loss_and_grad(out, y)
-        return loss
-
     def train_batch(self, x, y, workers: int = 1, capture: bool = True) -> float:
-        """Forward + backward on one batch split into `workers` equal shards of
-        consecutive rows; fills grads and (if capture, else empties) captures
-        with their worker means and returns the mean of the shards' losses."""
+        """Forward + backward on one batch; fills grads and (if capture, else
+        empties) captures and returns the mean loss. BatchNorm normalizes each
+        of `workers` equal shards of consecutive rows by its own statistics."""
         m = np.shape(x)[0]
         if m == 0:
             raise InputError("empty batch")
         if workers < 1 or m % workers:
             raise ConfigError(f"workers must divide the batch size; got {workers} for M={m}")
         out = self.forward(x, training=True, workers=workers)
-        loss, dout = self.loss_and_grad(out, y, workers)
+        loss, dout = self.loss_and_grad(out, y)
         self.backward(dout, capture)
         return loss
 
@@ -535,9 +517,9 @@ def finite_diff_grad(model: Model, x, y, epsilon: float = 1e-5):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + epsilon
-            lp = model.loss_on(x, y, training=True)
+            lp, _ = model.loss_and_grad(model.forward(x), y)
             flat[k] = orig - epsilon
-            lm = model.loss_on(x, y, training=True)
+            lm, _ = model.loss_and_grad(model.forward(x), y)
             flat[k] = orig
             gflat[k] = (lp - lm) / (2 * epsilon)
         grads[(i, name)] = g

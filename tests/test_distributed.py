@@ -3,9 +3,9 @@ import pytest
 
 from adafisher.distributed import keyed, train_step
 from adafisher.errors import ConfigError, NumericError
-from adafisher.kfactor import KFState
+from adafisher.kfactor import MINMAX_EPS, KFState
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
-                          MaxPool2d, Model, _per_worker, _worker_mean)
+                          MaxPool2d, Model, _per_worker)
 from adafisher.optim import Adam, AdaFisher, SGD
 from adafisher.tensor import Rng
 
@@ -39,25 +39,6 @@ class TestShardBatch:
             train_step(mlp(), x, y, SGD(), workers=0)
         with pytest.raises(ConfigError):
             train_step(mlp(), x, y, SGD(), workers=5)
-
-
-class TestAggregation:
-    def test_kfs_mean(self):
-        assert np.array_equal(_worker_mean(np.array([[1.0, 3.0], [3.0, 1.0]])), [2.0, 2.0])
-        assert np.array_equal(_worker_mean(np.array([[2.0], [4.0]])), [3.0])
-        # summed in worker order: (1e16 + 1) - 1e16 rounds to 0, not to 1
-        assert np.array_equal(_worker_mean(np.array([[1e16], [1.0], [-1e16]])), [0.0])
-
-    def test_kfs_single_worker_identity(self):
-        a = np.array([[1.5]])
-        agg = _worker_mean(a)
-        assert np.array_equal(agg, a[0])
-        agg[0] = 9.0  # aggregation must not alias worker buffers
-        assert a[0, 0] == 1.5
-
-    def test_grads_mean(self):
-        a = np.stack([np.full((2, 2), 1.0), np.full((2, 2), 3.0)])
-        assert np.array_equal(_worker_mean(a), np.full((2, 2), 2.0))
 
 
 class TestTrainStep:
@@ -133,18 +114,16 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_gamma_one_state_is_batch_factors(self, workers):
-        # kf.gamma = 1 turns the EMA off: after each step the state is the
-        # worker mean of that batch's fresh factors, whatever came before
+        # kf.gamma = 1 turns the EMA off: after each step the state is that
+        # batch's fresh factors, whatever came before; in a net without
+        # BatchNorm, K workers capture exactly what one worker does
         model = mlp(seed=4)
         state = KFState.for_model(model, gamma=1.0)
         for seed in (9, 11):
             x, y = make_batch(seed, m=8)
-            probe, shards = model.copy(), []
-            for xs, ys in zip(np.split(x, workers), np.split(y, workers)):
-                probe.train_batch(xs, ys)
-                shards.append(keyed(probe, "capture"))
-            expected = {key: sum((p[key] for p in shards[1:]), vec) / workers
-                        for key, vec in shards[0].items()}
+            probe = model.copy()
+            probe.train_batch(x, y)
+            expected = keyed(probe, "capture")
             train_step(model, x, y, AdaFisher(), state, workers=workers)
             for key, vec in expected.items():
                 assert np.array_equal(state.factors[key], vec)
@@ -229,12 +208,24 @@ def every_kind(seed=0):
     ]).init(Rng(seed))
 
 
+def no_batchnorm(seed=0):
+    """every_kind without its two BatchNorms."""
+    return Model([
+        Conv2d(1, 2, (3, 3), pad=(1, 1)), Activation("relu"), MaxPool2d((2, 2)), Flatten(),
+        Dense(18, 5), LayerNorm(5), Activation("tanh"), Dense(5, 3),
+    ]).init(Rng(seed))
+
+
 def regression(seed=0):
     return Model([Dense(4, 6), Activation("tanh"), Dense(6, 2)], loss="mse").init(Rng(seed))
 
 
+def dense_only(seed=0):
+    return Model([Dense(6, 5), Dense(5, 4)]).init(Rng(seed))
+
+
 def one_feature(seed=0):
-    """One-wide gradients and factors: numpy would sum K >= 8 of them pairwise."""
+    """A one-channel BatchNorm between one-wide gradients and factors."""
     return Model([Dense(4, 1), BatchNorm(1), Dense(1, 2)]).init(Rng(seed))
 
 
@@ -253,6 +244,13 @@ def one_feature_batch(seed):
     return rng.normal((16, 4)) * 100.0, rng.integers(0, 2, size=16)
 
 
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def largest(arrays) -> float:
+    return max(float(np.abs(a).max()) for a in arrays)
+
+
 class TestExactWorkers:
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     @pytest.mark.parametrize("make_model, make_data", [
@@ -260,12 +258,34 @@ class TestExactWorkers:
         (one_feature, one_feature_batch),
     ], ids=["every-kind", "mse", "one-feature"])
     def test_step_equals_ordered_mean_of_shard_passes(self, make_model, make_data, workers):
-        # The reference runs each np.split shard through its own pass and
-        # averages in worker order; the K-worker step must match it bit for bit.
+        """The K-worker step against each np.split shard run through its own
+        pass and averaged in worker order.
+
+        The bound. Both sides form the same M-term sums (a gradient or factor
+        entry sums M per-sample terms, the loss M losses) in two orders: the
+        K-worker step over the whole batch, the reference per shard and then
+        over the shards. Each order is within (M - 1) u sum|terms| of the exact
+        sum (to first order, u the unit roundoff), so the sides differ by at
+        most eps = 2 (M - 1) u times the sum's scale. The scale is the model's
+        largest gradient G for every gradient (not each array's own largest
+        entry: a bias that feeds a BatchNorm has the exact gradient 0, where
+        both sides read noise of order eps G), the largest entry V_h or V_s of
+        that factor kind for the factors, and the loss itself for the loss,
+        whose terms are non-negative. A first AdaFisher step moves a parameter
+        entry by alpha g / D with D = n_h n_s + lambda, for min-max normalized
+        factors n in [0, 1]. So, to first order, an entry differs by at most
+        alpha (eps G / D + |g| |dD| / D**2), with g and D the reference's,
+        |dD| <= |dn_h| + |dn_s| and |dn| <= 4 eps V / (max - min) for the
+        layer's factor with range [min, max] (0 below MINMAX_EPS, where both
+        sides normalize to 0). BatchNorm's running statistics are updated
+        from the same per-shard statistics in the same order on both sides,
+        so they match exactly.
+        """
         x, y = make_data(20 + workers)
         model = make_model(seed=workers)
         ref = model.copy()
-        opt, ref_opt = AdaFisher(alpha=0.01), AdaFisher(alpha=0.01)
+        alpha = 0.01
+        opt, ref_opt = AdaFisher(alpha=alpha), AdaFisher(alpha=alpha)
         state, ref_state = KFState.for_model(model, gamma=1.0), KFState.for_model(ref, gamma=1.0)
 
         losses, grads, captures = [], [], []
@@ -285,19 +305,51 @@ class TestExactWorkers:
         ref_opt.step(ref, ref_state.divisors(ref))
 
         loss = train_step(model, x, y, opt, state, workers=workers)
-        assert loss == float(np.mean(losses))
+        eps = 2 * (len(x) - 1) * UNIT_ROUNDOFF
+        ref_loss = float(np.mean(losses))
+        assert abs(loss - ref_loss) <= eps * ref_loss
         got = keyed(model, "grads")
         assert got.keys() == mean_grads.keys()
-        assert all(np.array_equal(got[key], g) for key, g in mean_grads.items())
-        assert state.factors.keys() == ref_state.factors.keys()
-        assert all(np.array_equal(state.factors[key], vec)
-                   for key, vec in ref_state.factors.items())
-        for (_, _, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
-            assert np.array_equal(p, q)
+        g_max = largest(mean_grads.values())
+        assert all(np.abs(got[key] - g).max() <= eps * g_max for key, g in mean_grads.items())
+        factors = ref_state.factors
+        assert state.factors.keys() == factors.keys()
+        v_max = {kind: largest(v for (_, k), v in factors.items() if k == kind) for kind in "hs"}
+        assert all(np.abs(state.factors[key] - vec).max() <= eps * v_max[key[1]]
+                   for key, vec in factors.items())
+        divisors = ref_state.divisors(ref)
+        for (i, name, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
+            d, g = divisors[i, name], mean_grads[i, name]
+            dd = sum(4 * eps * v_max[kind] / np.ptp(factors[i, kind])
+                     for kind in "hs" if np.ptp(factors[i, kind]) >= MINMAX_EPS)
+            assert np.all(np.abs(p - q) <= alpha * (eps * g_max / d + np.abs(g) * dd / d**2))
         for layer, ref_layer in zip(model.layers, ref.layers):
             if isinstance(layer, BatchNorm):
                 assert np.array_equal(layer.running_mean, ref_layer.running_mean)
                 assert np.array_equal(layer.running_var, ref_layer.running_var)
+
+    @pytest.mark.parametrize("workers", [2, 4, 8])
+    @pytest.mark.parametrize("make_model, make_data", [
+        (regression, regression_batch), (dense_only, make_batch),
+        (no_batchnorm, every_kind_batch),
+    ], ids=["mse", "dense", "no-batchnorm"])
+    def test_batchnorm_free_step_equals_one_worker(self, make_model, make_data, workers):
+        # Only BatchNorm reads workers, so without it the K-worker step is the
+        # one-worker step bit for bit: loss, gradients, factors and parameters.
+        x, y = make_data(40 + workers)
+        model = make_model(seed=workers)
+        ref = model.copy()
+        state, ref_state = KFState.for_model(model, gamma=1.0), KFState.for_model(ref, gamma=1.0)
+        loss = train_step(model, x, y, AdaFisher(alpha=0.01), state, workers=workers)
+        assert loss == train_step(ref, x, y, AdaFisher(alpha=0.01), ref_state)
+        for attr in ("grads", "capture"):
+            got, expected = keyed(model, attr), keyed(ref, attr)
+            assert got.keys() == expected.keys()
+            assert all(np.array_equal(got[key], arr) for key, arr in expected.items())
+        assert all(np.array_equal(state.factors[key], vec)
+                   for key, vec in ref_state.factors.items())
+        for (_, _, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
+            assert np.array_equal(p, q)
 
 
 class TestCaptureOnlyWhenRead:

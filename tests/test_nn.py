@@ -185,8 +185,10 @@ _CAPTURE_CASES = {
 }
 
 
-# Each case at K=1, then at K=2 on M=6 rows: shards of m=3, not a power of
-# two, so the per-sample-loss scale by m is inexact.
+# Each case at K=1, then at K=2 on M=6 rows. Only BatchNorm reads workers: it
+# normalizes each shard of m=3 rows by the shard's own statistics. With the
+# loss a mean over all M rows, dout * K is a shard's dout at its own 1/m
+# scale, so every kind's capture is the mean of the shards' captures.
 @pytest.mark.parametrize("make_layer, in_shape, workers", [
     *((make, shape, 1) for make, shape in _CAPTURE_CASES.values()),
     *((make, (6,) + shape[1:], 2) for make, shape in _CAPTURE_CASES.values()),
@@ -200,13 +202,33 @@ def test_capture_is_factor_diagonals(make_layer, in_shape, workers):
     dout = rng.normal(out.shape)
     layer.param_stats(dout)
     m = x.shape[0] // workers
-    shards = [_explicit_capture(layer, x[k * m:(k + 1) * m], dout[k * m:(k + 1) * m])
+    shards = [_explicit_capture(layer, x[k * m:(k + 1) * m], dout[k * m:(k + 1) * m] * workers)
               for k in range(workers)]
     h_ref, s_ref = (sum(refs[1:], refs[0]) / workers for refs in zip(*shards))
     assert max_rel_err(layer.capture["h"], h_ref) <= 1e-12
     assert max_rel_err(layer.capture["s"], s_ref) <= 1e-12
     if getattr(layer, "bias", False):
         assert layer.capture["h"][-1] == 1.0
+
+
+@pytest.mark.parametrize("shape", [(8, 3), (8, 3, 2, 2)], ids=["2d", "4d"])
+def test_batchnorm_ghost_batches(shape):
+    # In training, workers=2 normalizes each half of the batch by the half's
+    # own statistics, as two separate forwards do, and the running statistics
+    # take the halves' updates in order.
+    x = Rng(27).normal(shape)
+    x[4:] += 3.0  # the halves' means differ
+    bn, ref = BatchNorm(3), BatchNorm(3)
+    for layer in (bn, ref):
+        layer.params["scale"] = np.array([0.5, -1.5, 2.0])
+        layer.params["shift"] = np.array([0.1, 0.0, -0.3])
+    out = bn.forward(x, workers=2)
+    assert np.array_equal(out, np.concatenate([ref.forward(half) for half in np.split(x, 2)]))
+    assert np.array_equal(bn.running_mean, ref.running_mean)
+    assert np.array_equal(bn.running_var, ref.running_var)
+    one = BatchNorm(3)
+    one.params = ref.params
+    assert not np.allclose(out, one.forward(x))
 
 
 def _central_diff(f, arr, eps=1e-6):
@@ -470,6 +492,14 @@ class TestCrossEntropy:
     def test_out_of_range_label(self):
         with pytest.raises(InputError):
             cross_entropy(np.zeros((1, 3)), np.array([3]))
+
+    # Float labels cannot index, strings cannot be range-checked, and bool
+    # labels would select rows as a mask: [True, False] would read log 2.
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], ["0", "1"], [True, False]],
+                             ids=["float", "str", "bool"])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(InputError, match="labels must be integers"):
+            cross_entropy(np.zeros((2, 2)), np.array(labels))
 
 
 class TestFiniteDiff:

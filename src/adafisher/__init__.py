@@ -1,11 +1,11 @@
 """AdaFisher training engine: gradient steps divided by a damped diagonal
-block-Kronecker Fisher, with verification oracles, diagnostics and a
-distributed-training simulator."""
+block-Kronecker Fisher, with verification oracles and diagnostics; K workers
+are BatchNorm's ghost batches within one training step."""
 
 from .errors import (AdaFisherError, ConfigError, DataError, DimensionError,
                      FormatError, InputError, NumericError, SizeError,
                      StateError, UnsupportedError)
-from .kfactor import KFState, ema_update, kronecker_diagonal, minmax_normalize
+from .kfactor import KFState, kronecker_diagonal, minmax_normalize
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                  MaxPool2d, Model, cross_entropy, finite_diff_grad, mse, softmax)
 from .optim import Adam, AdaFisher, Optimizer, Schedule, SGD, adamw, build_optimizer

@@ -117,7 +117,6 @@ _LAYERS = {
     "batchnorm": (BatchNorm, {"dim": _COUNT},
                   {"eps": _NONNEGATIVE, "momentum": _real(" in [0, 1]", lambda x: 0 <= x <= 1)}),
     "layernorm": (LayerNorm, {"dim": _COUNT}, {"eps": _NONNEGATIVE}),
-    "activation": (Activation, {"name": _choice(*Activation.SUPPORTED)}, {}),
     **{name: (partial(Activation, name), {}, {}) for name in Activation.SUPPORTED},
     "flatten": (Flatten, {}, {}),
     "maxpool": (MaxPool2d, {"kernel": _pair()}, {"stride": _pair()}),

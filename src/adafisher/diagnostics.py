@@ -17,14 +17,22 @@ from .errors import DimensionError, InputError
 from .tensor import Rng
 
 
+def _matrix(matrix, square: bool = True) -> np.ndarray:
+    """matrix as float64, once it is a non-empty 2-D matrix, square unless
+    square is False."""
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or square and a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionError(f"expected a non-empty {'square' if square else '2-D'} matrix, "
+                             f"got shape {a.shape}")
+    return a
+
+
 def sym_eigh(a: np.ndarray):
     """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns (eigenvalues ascending, eigenvectors as columns).
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError("expected a square matrix")
+    a = _matrix(a)
     if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
         raise InputError("matrix must be symmetric")
     return np.linalg.eigh(a)
@@ -48,15 +56,13 @@ class DiscSet:
 
 def gershgorin(matrix: np.ndarray, eig_tol: float = 1e-9) -> DiscSet:
     """Disc centers/radii plus an eigensolver-backed containment check."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError("expected a square matrix")
+    a = _matrix(matrix)
     centers = np.diag(a).copy()
     radii = np.sum(np.abs(a), axis=1) - np.abs(centers)
     with np.errstate(divide="ignore"):
         dominance = np.where(radii > 0, np.abs(centers) / np.where(radii > 0, radii, 1.0), np.inf)
     if np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
-        eigvals, _ = sym_eigh(a)
+        eigvals, _ = np.linalg.eigh(a)
     else:
         eigvals = np.sort(np.linalg.eigvals(a).real)  # non-symmetric fallback
     contained = all(
@@ -80,9 +86,7 @@ class PerturbResult:
 
 def perturb_offdiag(matrix: np.ndarray, sigma: float, seed: int) -> PerturbResult:
     """Add symmetric N(0, sigma^2) noise off-diagonal and compare spectra."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError("expected a square matrix")
+    a = _matrix(matrix)
     n = a.shape[0]
     noise = np.zeros_like(a)
     if sigma > 0:
@@ -100,10 +104,7 @@ def perturb_offdiag(matrix: np.ndarray, sigma: float, seed: int) -> PerturbResul
 
 def fft2(matrix: np.ndarray) -> np.ndarray:
     """Unnormalized 2-D DFT: F[k,l] = sum_pq A[p,q] e^{-2*pi*i(pk/m + ql/n)}."""
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError("expected a 2-D matrix")
-    return np.fft.fft2(a)
+    return np.fft.fft2(_matrix(matrix, square=False))
 
 
 @dataclass

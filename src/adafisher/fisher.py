@@ -24,8 +24,6 @@ do not depend on the chunk size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .datasets import MAX_SYNTH_VALUES
@@ -35,19 +33,6 @@ from .tensor import Rng
 
 MAX_CLASSES = 64
 CACHE_BUDGET = 128 * 1024  # bytes of input rows per chunk of the oracle's walk
-
-
-@dataclass
-class FisherDiag:
-    """Per-layer diagonal FIM estimates; n_samples == 0 means exact."""
-
-    layers: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
-    n_samples: int = 0
-
-    def flat(self) -> np.ndarray:
-        """Every entry, ordered by layer id, then parameter name."""
-        return np.concatenate([np.zeros(0)] + [self.layers[i][name].ravel()
-                              for i in sorted(self.layers) for name in sorted(self.layers[i])])
 
 
 def _checked_batch(model: Model, batch: np.ndarray) -> np.ndarray:
@@ -95,20 +80,20 @@ def _label_counts(p: np.ndarray, u: np.ndarray) -> np.ndarray:
                                  minlength=c) for n in range(m)])
 
 
-def exact_fisher_diag(model: Model, batch: np.ndarray) -> FisherDiag:
-    """Class-enumeration Fisher diagonal, averaged over the batch."""
+def exact_fisher_diag(model: Model, batch: np.ndarray) -> dict:
+    """Class-enumeration Fisher diagonal, averaged over the batch:
+    {layer id: {parameter name: array}}."""
     def enumerate_classes(p, rows):
         if p.shape[1] > MAX_CLASSES:
             raise UnsupportedError(f"class enumeration capped at {MAX_CLASSES}, got {p.shape[1]}")
         return p
-    return FisherDiag(layers=_class_weighted_diag(model, _checked_batch(model, batch),
-                                                  enumerate_classes))
+    return _class_weighted_diag(model, _checked_batch(model, batch), enumerate_classes)
 
 
-def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int, seed: int) -> FisherDiag:
-    """Monte-Carlo Fisher diagonal with labels sampled from the model: the
-    (M, n_samples) uniforms are drawn from Rng(seed) in sample-major order
-    before the first chunk."""
+def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int, seed: int) -> dict:
+    """Monte-Carlo Fisher diagonal with labels sampled from the model, laid
+    out like exact_fisher_diag's: the (M, n_samples) uniforms are drawn from
+    Rng(seed) in sample-major order before the first chunk."""
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
     batch = _checked_batch(model, batch)
@@ -117,9 +102,8 @@ def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int, seed: int) -
         raise SizeError(f"{batch.shape[0]} rows x {n_samples} samples = {draws} label draws "
                         f"exceed the guard of {MAX_SYNTH_VALUES}")
     u = Rng(seed).uniform((batch.shape[0], n_samples))
-    layers = _class_weighted_diag(
+    return _class_weighted_diag(
         model, batch, lambda p, rows: _label_counts(p, u[rows]) / n_samples)
-    return FisherDiag(layers=layers, n_samples=n_samples)
 
 
 def approximation_mae(a: np.ndarray, b: np.ndarray) -> float:

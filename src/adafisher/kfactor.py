@@ -32,17 +32,6 @@ DEFAULT_LAMBDA = 0.001
 MINMAX_EPS = 1e-12
 
 
-def ema_update(old: np.ndarray, fresh: np.ndarray, gamma: float) -> np.ndarray:
-    """EMA with the fresh factor weighted by gamma: gamma*fresh + (1-gamma)*old."""
-    if not 0.0 < gamma <= 1.0:
-        raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
-    old = np.asarray(old, dtype=np.float64)
-    fresh = np.asarray(fresh, dtype=np.float64)
-    if old.shape != fresh.shape:
-        raise DimensionError("EMA operand shapes disagree")
-    return gamma * fresh + (1.0 - gamma) * old
-
-
 def minmax_normalize(v: np.ndarray) -> np.ndarray:
     """(v - min) / (max - min); all zeros when the range is degenerate."""
     v = np.asarray(v, dtype=np.float64)
@@ -104,14 +93,19 @@ class KFState:
         return state
 
     def update(self, fresh: dict[tuple[int, str], np.ndarray]) -> "KFState":
-        """EMA every factor with its fresh diagonal; fresh must hold exactly the
-        state's keys (a layer that ran no backward pass has captured none)."""
+        """EMA every factor with its fresh diagonal, gamma*fresh + (1-gamma)*old;
+        fresh must hold exactly the state's keys (a layer that ran no backward
+        pass has captured none), each shaped like the state's factor."""
         if fresh.keys() != self.factors.keys():
             i, name = min(fresh.keys() ^ self.factors.keys())
             why = "missing; run a backward pass first" if (i, name) in self.factors else "unknown"
             raise StateError(f"fresh factor {name} of layer {i} is {why}")
-        for key, vec in fresh.items():
-            self.factors[key] = ema_update(self.factors[key], vec, self.gamma)
+        for (i, name), vec in fresh.items():
+            old, vec = self.factors[i, name], np.asarray(vec, dtype=np.float64)
+            if vec.shape != old.shape:
+                raise DimensionError(f"fresh factor {name} of layer {i} has shape {vec.shape}, "
+                                     f"the state's {old.shape}")
+            self.factors[i, name] = self.gamma * vec + (1.0 - self.gamma) * old
         self.step += 1
         return self
 

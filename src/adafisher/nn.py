@@ -404,6 +404,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """
     labels = np.asarray(labels)
     m, c = logits.shape
+    if m == 0:
+        raise InputError("cross-entropy of an empty batch")
     if labels.shape != (m,):
         raise DimensionError(f"labels must have shape ({m},)")
     if not np.issubdtype(labels.dtype, np.integer):
@@ -423,6 +425,8 @@ def mse(pred: np.ndarray, target: np.ndarray):
     is (p-t) / M."""
     if pred.shape != target.shape:
         raise DimensionError("prediction/target shape mismatch")
+    if pred.size == 0:
+        raise InputError("squared error of an empty batch")
     diff = pred - target
     m = pred.shape[0]
     return 0.5 * np.sum(diff**2) / m, diff / m

@@ -1,4 +1,4 @@
-"""Dense tensor kernels: shape checks, deterministic RNG and batched im2col
+"""Dense tensor kernels: deterministic RNG and batched im2col
 patch expansion with its adjoint. Both sweep the kernel offsets with
 window_slices, which clips each offset's window grid to the unpadded input, so
 neither forms a zero-padded copy, and flags the offsets that touch their input
@@ -15,15 +15,6 @@ import numpy as np
 from .errors import DimensionError
 
 
-def check_shape(shape) -> tuple[int, ...]:
-    shape = tuple(int(d) for d in shape)
-    if len(shape) == 0:
-        raise DimensionError("shape must have at least one dimension")
-    if any(d <= 0 for d in shape):
-        raise DimensionError(f"shape entries must be positive, got {shape}")
-    return shape
-
-
 class Rng:
     """Deterministic random stream.
 
@@ -37,11 +28,9 @@ class Rng:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape) -> np.ndarray:
-        shape = check_shape(shape)
         return self._gen.standard_normal(shape)
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        shape = check_shape(shape)
         return self._gen.uniform(low, high, shape)
 
     def integers(self, low: int, high: int, size=None) -> np.ndarray:

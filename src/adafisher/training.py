@@ -1,9 +1,20 @@
-"""Configuration-driven training runs with deterministic metrics logging.
+"""The training step and configuration-driven training runs.
+
+train_step is the one step for 1..K workers. K must divide the batch, and
+worker k's shard is the k-th block of M/K consecutive rows. With equal shards,
+the worker mean of the shards' mean losses, gradients and fresh factor
+diagonals is the full-batch value, so a step runs one pass over the whole
+batch, Model.train_batch(x, y, workers=K). Workers shape only BatchNorm's ghost
+batches (see nn), so a net without BatchNorm gives the one-worker step bit for
+bit at every K. A non-finite loss, gradient or factor raises NumericError
+before the EMA state or the optimizer changes. An optimizer that reads no
+divisors (Adam, SGD) gets a pass that forms no factors at all.
 
 run_training reads a RunConfig that RunConfig.from_dict has checked; it checks
-only what needs the data or the model. Metrics are one JSON object per line.
-Wall-clock timings go to a separate timings file so that the metrics file is
-byte-identical across repeated runs with the same config and seed.
+only what needs the data or the model, and calls train_step through the
+module global. Metrics are one JSON object per line. Wall-clock timings go to
+a separate timings file so that the metrics file is byte-identical across
+repeated runs with the same config and seed.
 """
 
 from __future__ import annotations
@@ -18,15 +29,50 @@ import numpy as np
 from .config import RunConfig, build_model, resolve_dataset
 from .datasets import train_eval_split
 from .diagnostics import TrajectoryLog
-from .distributed import train_step
 from .errors import ConfigError, InputError, NumericError
 from .kfactor import KFState
-from .nn import softmax
-from .optim import Schedule, build_optimizer
+from .nn import Model, softmax
+from .optim import Optimizer, Schedule, build_optimizer
 from .tensor import Rng
 
 METRIC_KEYS = ("epoch", "step", "train_loss", "eval_loss", "accuracy",
                "optimizer", "seed")
+
+
+def keyed(model: Model, attr: str) -> dict[tuple[int, str], np.ndarray]:
+    """{(layer id, name): array} of every parameterized layer's grads or capture."""
+    return {(i, name): arr for i, layer in model.param_layers()
+            for name, arr in getattr(layer, attr).items()}
+
+
+def _check_finite(step: int, quantity: str, arrays: dict) -> None:
+    """Raise NumericError naming the step, the layer and the quantity of the
+    first array in {(layer, name): array} that holds a non-finite entry."""
+    for (i, name), arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise NumericError(f"step {step}: non-finite {quantity} {name} of layer {i}")
+
+
+def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
+               kf_state: KFState | None = None, workers: int = 1) -> float:
+    """One synchronized step: K-worker pass -> check -> EMA -> divisors ->
+    update. Returns the batch's mean loss, the mean of the workers' losses."""
+    step = opt.t + 1
+    loss = model.train_batch(np.asarray(x, dtype=np.float64), np.asarray(y), workers,
+                             capture=opt.needs_divisors)
+    if not np.isfinite(loss):
+        raise NumericError(f"step {step}: non-finite training loss")
+    _check_finite(step, "gradient", keyed(model, "grads"))
+    divisors = None
+    if opt.needs_divisors:
+        if kf_state is None:
+            raise ConfigError("AdaFisher training requires a KFState")
+        factors = keyed(model, "capture")
+        _check_finite(step, "factor", factors)
+        kf_state.update(factors)
+        divisors = kf_state.divisors(model)
+    opt.step(model, divisors)
+    return float(loss)
 
 
 def emit_metrics(record: dict, fh) -> None:
@@ -48,6 +94,8 @@ def evaluate(model, x, y, batch_size: int):
     reduce the concatenated logits once."""
     if batch_size < 1:
         raise InputError("evaluation batch size must be >= 1")
+    if x.shape[0] == 0:
+        raise InputError("cannot evaluate on zero rows")
     out = np.concatenate([model.forward(x[i:i + batch_size], training=False)
                           for i in range(0, x.shape[0], batch_size)])
     loss, _ = model.loss_and_grad(out, y)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from adafisher.diagnostics import fft2, gershgorin, perturb_offdiag, snr
-from adafisher.distributed import keyed, train_step
+from adafisher.training import keyed, train_step
 from adafisher.fisher import exact_fisher_diag, mc_fisher_diag
 from adafisher.kfactor import KFState, kronecker_diagonal
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
@@ -86,7 +86,7 @@ def test_02_factored_efim_equivalence(capsys):
 def test_03_fisher_validity(capsys):
     model = Model([Dense(3, 4, bias=False)]).init(Rng(3))
     x = Rng(4).normal((1, 3))
-    exact = exact_fisher_diag(model, x).layers[0]["W"]
+    exact = exact_fisher_diag(model, x)[0]["W"]
 
     # factored reconstruction: with one sample the activation factor is exact,
     # and the label-averaged squared backprop signal supplies the other factor
@@ -102,7 +102,7 @@ def test_03_fisher_validity(capsys):
     product = kronecker_diagonal(h_diag, s_sq, model.layers[0].params)["W"]
     err_exact = float(np.max(np.abs(product - exact)))
 
-    mc = mc_fisher_diag(model, x, n_samples=10_000, seed=0).layers[0]["W"]
+    mc = mc_fisher_diag(model, x, n_samples=10_000, seed=0)[0]["W"]
     rel_mc = float(np.max(np.abs(mc - exact) / np.maximum(np.abs(exact), 1e-12)))
     report(capsys, 3, f"KF product vs enumeration {err_exact:.2e}; MC@1e4 rel err {rel_mc:.2%}",
            err_exact <= 1e-12 and rel_mc <= 0.05)

@@ -28,7 +28,7 @@ def configs(root: Path) -> dict:
               "schedule": {"type": "step", "step_size": 1, "factor": 0.5}}
     dense = [{"kind": "dense", "in": 2, "out": 4, "bias": True},
              {"kind": "batchnorm", "dim": 4, "eps": 1e-5, "momentum": 0.1},
-             {"kind": "activation", "name": "tanh"},
+             {"kind": "tanh"},
              {"kind": "layernorm", "dim": 4, "eps": 1e-5}, {"kind": "dense", "in": 4, "out": 2}]
     return {
         "idx": {**common, "dataset": {"source": "idx", "images": str(root / "images.idx"),

@@ -57,6 +57,22 @@ class TestSymEigh:
             sym_eigh(np.zeros((2, 3)))
 
 
+MATRIX_ANALYSES = {"sym_eigh": sym_eigh, "gershgorin": gershgorin, "fft2": fft2,
+                   "perturb_offdiag": lambda a: perturb_offdiag(a, sigma=0.1, seed=0)}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_ANALYSES))
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (2, 3), (0, 0), (0, 3)],
+                         ids=["1-d", "3-d", "non-square", "empty", "empty-non-square"])
+def test_matrix_shape_rejected(name, shape):
+    # fft2 takes any non-empty 2-D matrix; the others a non-empty square one.
+    if name == "fft2" and shape == (2, 3):
+        assert fft2(np.ones(shape)).shape == shape
+        return
+    with pytest.raises(DimensionError):
+        MATRIX_ANALYSES[name](np.ones(shape))
+
+
 class TestGershgorin:
     def test_forced_arithmetic(self):
         discs = gershgorin(np.array([[4.0, 1.0], [2.0, -3.0]]))

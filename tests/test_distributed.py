@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from adafisher.distributed import keyed, train_step
 from adafisher.errors import ConfigError, NumericError
 from adafisher.kfactor import MINMAX_EPS, KFState
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                           MaxPool2d, Model, _per_worker)
 from adafisher.optim import Adam, AdaFisher, SGD
 from adafisher.tensor import Rng
+from adafisher.training import keyed, train_step
 
 
 def mlp(seed=0):

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adafisher.errors import ConfigError, DimensionError, InputError, StateError
-from adafisher.distributed import keyed
-from adafisher.kfactor import (MINMAX_EPS, KFState, ema_update, kronecker_diagonal,
+from adafisher.kfactor import (MINMAX_EPS, KFState, kronecker_diagonal,
                                minmax_normalize)
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, Model)
 from adafisher.tensor import Rng
+from adafisher.training import keyed
 
 
 def weight_only(h, s):
@@ -41,19 +41,27 @@ class TestKfIdentity:
         assert np.max(np.abs(divisor_grid(state, h, s) - 0.001)) < 1e-18
 
 
+def ema(old, fresh, gamma):
+    """One KFState.update of a single factor from old with fresh."""
+    state = KFState(gamma=gamma, factors={(0, "h"): np.asarray(old, dtype=np.float64)})
+    return state.update({(0, "h"): fresh}).factors[0, "h"]
+
+
 class TestEmaUpdate:
+    """KFState.update: gamma * fresh + (1 - gamma) * old per factor."""
+
     def test_forced_arithmetic(self):
-        assert ema_update(np.zeros(1), np.ones(1), 0.8)[0] == pytest.approx(0.8)
+        assert ema(np.zeros(1), np.ones(1), 0.8)[0] == pytest.approx(0.8)
 
     def test_fixed_point(self):
         v = np.array([0.3, 0.7])
-        assert np.array_equal(ema_update(v, v, 0.8), v)
+        assert np.array_equal(ema(v, v, 0.8), v)
 
     def test_geometric_approach_closed_form(self):
         c, gamma = 0.25, 0.8
         val = np.ones(1)
         for t in range(1, 30):
-            val = ema_update(val, np.full(1, c), gamma)
+            val = ema(val, np.full(1, c), gamma)
             expected = c + (1 - gamma) ** t * (1 - c)
             assert abs(val[0] - expected) < 1e-14
 
@@ -61,15 +69,19 @@ class TestEmaUpdate:
         rng = Rng(4)
         old, fa, fb = rng.normal((5,)), rng.normal((5,)), rng.normal((5,))
         a, b = 0.3, 1.2
-        lhs = ema_update((a + b) * old, a * fa + b * fb, 0.8)
-        rhs = a * ema_update(old, fa, 0.8) + b * ema_update(old, fb, 0.8)
+        lhs = ema((a + b) * old, a * fa + b * fb, 0.8)
+        rhs = a * ema(old, fa, 0.8) + b * ema(old, fb, 0.8)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_bad_gamma(self):
         with pytest.raises(ConfigError):
-            ema_update(np.zeros(1), np.zeros(1), 0.0)
+            KFState(gamma=0.0)
         with pytest.raises(ConfigError):
-            ema_update(np.zeros(1), np.zeros(1), 1.5)
+            KFState(gamma=1.5)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError, match="fresh factor h of layer 0"):
+            ema(np.zeros(2), np.zeros(3), 0.8)
 
 
 class TestMinMax:

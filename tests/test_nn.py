@@ -464,6 +464,14 @@ def test_empty_batch_rejected(loss, y):
         model.train_batch(np.zeros((0, 3)), y)
 
 
+@pytest.mark.parametrize("loss, args", [
+    (cross_entropy, (np.zeros((0, 3)), np.zeros(0, dtype=int))),
+    (mse, (np.zeros((0, 2)), np.zeros((0, 2))))], ids=["cross_entropy", "mse"])
+def test_loss_of_empty_input_rejected(loss, args):
+    with pytest.raises(InputError, match="empty batch"):
+        loss(*args)
+
+
 class TestCrossEntropy:
     def test_uniform_predictive(self):
         loss, _ = cross_entropy(np.zeros((3, 2)), np.array([0, 1, 0]))

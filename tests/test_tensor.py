@@ -159,12 +159,6 @@ class TestRng:
         assert abs(samples.mean()) < 0.02
         assert abs(samples.std() - 1.0) < 0.02
 
-    def test_degenerate_shape_rejected(self):
-        with pytest.raises(DimensionError):
-            Rng(1).normal(())
-        with pytest.raises(DimensionError):
-            Rng(1).normal((0, 3))
-
     def test_spawn_independent(self):
         base = Rng(7)
         assert not np.array_equal(base.spawn(1).normal((10,)), base.spawn(2).normal((10,)))

@@ -15,7 +15,7 @@ from adafisher.cli import main
 from adafisher.config import RunConfig, build_model, resolve_dataset
 from adafisher.datasets import write_idx
 from adafisher.errors import ConfigError, InputError
-from adafisher.fisher import FisherDiag, approximation_mae, exact_fisher_diag
+from adafisher.fisher import approximation_mae, exact_fisher_diag
 from adafisher.kfactor import kronecker_diagonal
 from adafisher.nn import BatchNorm, Conv2d, Dense, softmax
 from adafisher.tensor import Rng
@@ -118,7 +118,7 @@ class TestBuildModel:
     def test_all_layer_kinds(self):
         spec = {"layers": [
             {"kind": "conv2d", "in": 1, "out": 2, "kernel": [2, 2]},
-            {"kind": "activation", "name": "relu"},
+            {"kind": "relu"},
             {"kind": "maxpool", "kernel": [2, 2]},
             {"kind": "batchnorm", "dim": 2},
             {"kind": "flatten"},
@@ -385,6 +385,11 @@ class TestEvaluate:
         with pytest.raises(InputError):
             evaluate(model, x, y, 0)
 
+    def test_zero_rows(self):
+        model, x, y = bn_image_net(4)
+        with pytest.raises(InputError, match="zero rows"):
+            evaluate(model, x[:0], y[:0], 4)
+
 
 class TestCli:
     def write_config(self, tmp_path, **overrides):
@@ -507,7 +512,7 @@ class TestCli:
         lambda data: {"model": with_first_layer({"kind": "batchnorm", "dim": 1, "eps": -1})},
         lambda data: {"model": with_first_layer({"kind": "batchnorm", "dim": 1,
                                                  "momentum": float("nan")})},
-        lambda data: {"model": with_first_layer({"kind": "activation", "name": 5})},
+        lambda data: {"model": with_first_layer({"kind": "activation", "name": "relu"})},
         lambda data: {"model": {**image_model(), "loss": 5}},
         lambda data: {"dataset": {"source": "blobs", "n": 40, "sep": float("nan")}},
         lambda data: {"dataset": {"source": "moons", "n": 40, "classes": 3}},
@@ -522,7 +527,7 @@ class TestCli:
             "factor-string", "optimizer-name-int", "alpha-inf", "sqrt-divisor-string",
             "adam-decoupled", "adam-eps-string", "adam-weight-decay-negative",
             "adafisher-kappa-nan", "norm-fisher-off-string", "batchnorm-eps-negative",
-            "batchnorm-momentum-nan", "activation-name-int", "loss-int", "sep-nan",
+            "batchnorm-momentum-nan", "activation-kind", "loss-int", "sep-nan",
             "moons-classes", "workers-not-dividing-batch"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, overrides):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
@@ -718,8 +723,10 @@ class TestCli:
         rows = ["epoch,layer,mae"]
         for i, layer in net.param_layers():
             approx = kronecker_diagonal(layer.capture["h"], layer.capture["s"], layer.params)
-            mae = approximation_mae(FisherDiag({i: oracle.layers[i]}).flat(),
-                                    FisherDiag({i: approx}).flat())
+            names = sorted(oracle[i])  # each MAE over the layer's arrays in name order
+            assert names == sorted(approx)
+            mae = approximation_mae(np.concatenate([oracle[i][n].ravel() for n in names]),
+                                    np.concatenate([approx[n].ravel() for n in names]))
             rows.append(f"0,{i},{mae!r}")
         assert (tmp_path / "orc" / "fisher_mae.csv").read_text().splitlines() == rows
 

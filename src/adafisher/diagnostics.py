@@ -116,10 +116,9 @@ class SnrResult:
 def snr(m: np.ndarray, m_hat: np.ndarray) -> SnrResult:
     """10*log10( sum_i |m_ii|^2 / sum_{j>i} |m_hat_ij|^2 ), flagged infinite
     as +inf for zero noise energy and as -inf for zero signal energy."""
-    m = np.asarray(m)
-    m_hat = np.asarray(m_hat)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m_hat.shape != m.shape:
-        raise DimensionError("expected equally sized square matrices")
+    m, m_hat = _matrix(m), _matrix(m_hat)
+    if m_hat.shape != m.shape:
+        raise DimensionError(f"expected equally sized matrices, got {m.shape} and {m_hat.shape}")
     num = float(np.sum(np.abs(np.diag(m)) ** 2))
     iu = np.triu_indices(m.shape[0], 1)
     den = float(np.sum(np.abs(m_hat[iu]) ** 2))

@@ -12,9 +12,11 @@ chunk). Per chunk they run one eval-mode forward, then, per class c, one
 reverse walk (nn.Model.reverse_walk) from the output gradient p - e_c
 (BackPACK). In eval mode no layer couples samples (batch norm uses running
 statistics), so row n of a layer's incoming gradient is sample n's own
-signal, and each parameterized layer's sample_sq squares sample n's gradient
-from it: s_n x_n (dense), sum_t s_t h_t (conv, KFC), or the per-sample sums
-of dout * xhat and dout (norm). The totals add each chunk's sums in chunk
+signal g_n, and each parameterized layer's sample_sq squares sample n's
+gradient, formed by its family's one recipe from the activation-side array a
+that also feeds training: g_n a_n^T and g_n summed over positions (Dense and
+Conv2d, KFC), or the per-feature sums of g_n * a_n and g_n with a the
+normalized input (the norms). The totals add each chunk's sums in chunk
 order, so reruns are bit-identical. The walk forms no parameter gradients or
 captures: afterwards a model's grads and captures are as they were, and its
 layers' forward state is the last chunk's. The Monte-Carlo estimator draws

@@ -2,22 +2,25 @@
 
 Layer inputs are batch-first. Backpropagation is one reverse walk
 (Model.reverse_walk) that hands each parameterized layer the gradient dout at
-its output, then forms the layer's input gradient with input_grad (never at
-or below the first parameterized layer). From dout, param_stats forms the
-layer's mini-batch-mean gradient per parameter name and ends in Layer._keep,
-the one capture recipe (KFC) for every layer kind. It takes those gradients,
-the activation-side array a (input, im2col patches or normalized input) and
-the signal g (dout, or conv's (M, O, T) view of it), and fills grads with the
-gradients and capture with the diagonals of the two Kronecker factors:
-"h", the mean squares of a (exactly 1.0 in the bias slot), and "s", those of g
-at per-sample-loss scale (squared, then times M * M for a batch of M rows),
-over the sample and, for convolutions and 4-D batch norm, spatial axes.
-The capture is formed only when the caller reads it: train_batch(x, y,
-capture=False), which the training step passes for the optimizers that read
-no curvature (Adam, SGD), fills grads alone and leaves every capture {}.
-For the Fisher oracle's eval-mode walk, where row n of dout is sample n's own
-signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's parameter
-gradient)**2 instead, one array per parameter, shaped like it.
+its output, then forms the layer's input gradient with input_grad (never at or
+below the first parameterized layer). Parameterized layers form two families,
+each with one recipe over an activation-side array a and a signal g, both with
+features on axis 1: _Kronecker (Dense, Conv2d), where a is the input as
+(M, F, 1) or the im2col patches and g is dout as (M, O, T), and sample n's
+gradients are g_n a_n^T (W) and g_n summed over T (b); and _Norm (BatchNorm,
+LayerNorm), where a is the normalized input and g is dout, and they are the
+per-feature sums of g_n * a_n (scale) and g_n (shift). From dout, param_stats
+sums them over the batch into the mini-batch-mean gradients and ends in
+Layer._keep, the one capture recipe (KFC). It fills grads with them and capture
+with the diagonals of the two Kronecker factors: "h", the mean squares of a
+(exactly 1.0 in the bias slot), and "s", those of g at per-sample-loss scale
+(squared, then times M * M for a batch of M rows), over all axes but the
+feature axis. The capture is formed only when the caller reads it:
+train_batch(x, y, capture=False), which the training step passes for the
+optimizers that read no curvature (Adam, SGD), fills grads alone and leaves
+every capture {}. For the Fisher oracle's eval-mode walk, where row n of dout
+is sample n's own signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's
+gradient)**2 from the same a and g instead.
 
 A training pass can simulate K workers (Model.train_batch(x, y, workers=K)):
 worker k's shard is the k-th block of M/K consecutive rows. With equal
@@ -103,100 +106,88 @@ class Layer:
         self.capture = {"h": h, "s": _mean_sq(g) * (m * m)}
 
 
-class Dense(Layer):
-    def __init__(self, in_dim: int, out_dim: int, bias: bool = True):
+class _Kronecker(Layer):
+    """W a + b at each output position, with forward's (M, F, T) self._a."""
+
+    def __init__(self, w_shape: tuple, scale: float, bias: bool):
         super().__init__()
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.bias = bias
-        self.params["W"] = np.zeros((out_dim, in_dim))
+        self._scale = scale  # standard deviation of the initial weights
+        self.params["W"] = np.zeros(w_shape)
         if bias:
-            self.params["b"] = np.zeros(out_dim)
+            self.params["b"] = np.zeros(w_shape[0])
 
     def init(self, rng: Rng):
-        scale = np.sqrt(2.0 / (self.in_dim + self.out_dim))
-        self.params["W"] = rng.normal((self.out_dim, self.in_dim)) * scale
+        self.params["W"] = rng.normal(self.params["W"].shape) * self._scale
         if self.bias:
-            self.params["b"] = np.zeros(self.out_dim)
+            self.params["b"] = np.zeros(self.params["W"].shape[0])
+
+    def _sample_sums(self, g: np.ndarray, w: np.ndarray | None = None) -> dict:
+        """Sums over the samples n of their W and b gradients or, with sample
+        weights w, of w[n] times their squares."""
+        a = self._a
+        if a.shape[2] == 1:  # one GEMM: w[n] g_n**2 (a_n**2)^T is w[n] (g_n a_n^T)**2
+            g, a = g[:, :, 0], a[:, :, 0]
+            if w is not None:
+                g, a = w[:, None] * g**2, a**2
+            out = {"W": g.T @ a, "b": g.sum(axis=0)}
+        else:  # the per-sample gradients as one batched matmul, (M, O, F)
+            per_sample = g @ a.transpose(0, 2, 1)
+            if w is None:
+                out = {"W": per_sample.sum(axis=0), "b": g.sum(axis=(0, 2))}
+            else:
+                out = {"W": w @ (per_sample**2).reshape(len(w), -1), "b": w @ g.sum(axis=2) ** 2}
+        return {name: out[name].reshape(arr.shape) for name, arr in self.params.items()}
+
+    def param_stats(self, dout, capture=True):
+        g = dout.reshape(dout.shape[0], dout.shape[1], -1)
+        self._keep(self._sample_sums(g), self._a, g, capture)
+
+    def sample_sq(self, dout, w):
+        return self._sample_sums(dout.reshape(dout.shape[0], dout.shape[1], -1), w)
+
+
+class Dense(_Kronecker):
+    def __init__(self, in_dim: int, out_dim: int, bias: bool = True):
+        super().__init__((out_dim, in_dim), np.sqrt(2.0 / (in_dim + out_dim)), bias)
+        self.in_dim, self.out_dim = in_dim, out_dim
 
     def forward(self, x, training=True, workers=1):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise DimensionError(f"Dense expects (M, {self.in_dim}), got {x.shape}")
-        self._x = x
+        self._a = x[:, :, None]
         a = x @ self.params["W"].T
         if self.bias:
             a = a + self.params["b"]
         return a
 
-    def param_stats(self, dout, capture=True):
-        grads = {"W": dout.T @ self._x}
-        if self.bias:
-            grads["b"] = dout.sum(axis=0)
-        self._keep(grads, self._x, dout, capture)
-
-    def sample_sq(self, dout, w):
-        d_sq = w[:, None] * dout**2
-        out = {"W": d_sq.T @ self._x**2}
-        if self.bias:
-            out["b"] = d_sq.sum(axis=0)
-        return out
-
     def input_grad(self, dout):
         return dout @ self.params["W"]
 
 
-class Conv2d(Layer):
+class Conv2d(_Kronecker):
     def __init__(self, in_ch, out_ch, kernel, stride=(1, 1), pad=(0, 0), bias=True):
-        super().__init__()
+        super().__init__((out_ch, in_ch, *kernel), np.sqrt(1 / (in_ch * math.prod(kernel))), bias)
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel = tuple(kernel)
         self.stride = tuple(stride)
         self.pad = tuple(pad)
-        self.bias = bias
-        kh, kw = self.kernel
-        self.params["W"] = np.zeros((out_ch, in_ch, kh, kw))
-        if bias:
-            self.params["b"] = np.zeros(out_ch)
-
-    def init(self, rng: Rng):
-        kh, kw = self.kernel
-        fan_in = self.in_ch * kh * kw
-        self.params["W"] = rng.normal((self.out_ch, self.in_ch, kh, kw)) * np.sqrt(1.0 / fan_in)
-        if self.bias:
-            self.params["b"] = np.zeros(self.out_ch)
 
     def forward(self, x, training=True, workers=1):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise DimensionError(f"Conv2d expects (M, {self.in_ch}, H, W), got {x.shape}")
         m, _, h, w = x.shape
         self._x_shape = x.shape
-        self._oh = conv_out_size(h, self.kernel[0], self.stride[0], self.pad[0])
-        self._ow = conv_out_size(w, self.kernel[1], self.stride[1], self.pad[1])
-        self._patches = im2col_batch(x, self.kernel, self.stride, self.pad)  # (M, CKK, T)
-        a = self.params["W"].reshape(self.out_ch, -1) @ self._patches  # (M, O, T)
+        oh = conv_out_size(h, self.kernel[0], self.stride[0], self.pad[0])
+        ow = conv_out_size(w, self.kernel[1], self.stride[1], self.pad[1])
+        self._a = im2col_batch(x, self.kernel, self.stride, self.pad)  # (M, CKK, T)
+        a = self.params["W"].reshape(self.out_ch, -1) @ self._a  # (M, O, T)
         if self.bias:
             a += self.params["b"][:, None]
-        return a.reshape(m, self.out_ch, self._oh, self._ow)
-
-    def param_stats(self, dout, capture=True):
-        g = dout.reshape(self._x_shape[0], self.out_ch, self._oh * self._ow)  # dJ/da per position
-        per_sample = g @ self._patches.transpose(0, 2, 1)
-        grads = {"W": per_sample.sum(axis=0).reshape(self.params["W"].shape)}
-        if self.bias:
-            grads["b"] = g.sum(axis=(0, 2))
-        self._keep(grads, self._patches, g, capture)
-
-    def sample_sq(self, dout, w):
-        m = dout.shape[0]
-        g = dout.reshape(m, self.out_ch, -1)
-        grad = g @ self._patches.transpose(0, 2, 1)  # (M, O, CKK) per-sample W gradients
-        out = {"W": (w @ (grad**2).reshape(m, -1)).reshape(self.params["W"].shape)}
-        if self.bias:
-            out["b"] = w @ g.sum(axis=2) ** 2
-        return out
+        return a.reshape(m, self.out_ch, oh, ow)
 
     def input_grad(self, dout):
-        g = dout.reshape(self._x_shape[0], self.out_ch, self._oh * self._ow)
+        g = dout.reshape(dout.shape[0], self.out_ch, -1)
         w_mat = self.params["W"].reshape(self.out_ch, -1)
         return col2im_batch(w_mat.T @ g, self._x_shape, self.kernel, self.stride, self.pad)
 
@@ -204,12 +195,24 @@ class Conv2d(Layer):
 class _Norm(Layer):
     """Normalization with a per-feature scale and shift of the normalized input."""
 
+    _workers = 1  # shards normalized by their own statistics; BatchNorm's forward sets it
+
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
         self.dim = dim
         self.eps = eps
         self.params["scale"] = np.ones(dim)
         self.params["shift"] = np.zeros(dim)
+
+    def param_stats(self, dout, capture=True):
+        k = self._workers
+        # Per-worker channel sums of dout and dout * xhat: BatchNorm's
+        # input_grad reads them, and their sums over the workers are the
+        # parameter gradients.
+        shift, scale = self._sums = (_feature_sum(dout, workers=k),
+                                     _feature_sum(dout, self._xhat, workers=k))
+        self._keep({"shift": shift.sum(axis=0), "scale": scale.sum(axis=0)},
+                   self._xhat, dout, capture)
 
     def sample_sq(self, dout, w):
         m = dout.shape[0]
@@ -264,15 +267,6 @@ class BatchNorm(_Norm):
         out += self.params["shift"].reshape(shape[1:])
         return out
 
-    def param_stats(self, dout, capture=True):
-        k = self._workers
-        # Per-worker channel sums of dout and dout * xhat: input_grad reads
-        # them, and their sums over the workers are the parameter gradients.
-        shift, scale = self._sums = (_feature_sum(dout, workers=k),
-                                     _feature_sum(dout, self._xhat, workers=k))
-        self._keep({"shift": shift.sum(axis=0), "scale": scale.sum(axis=0)},
-                   self._xhat, dout, capture)
-
     def input_grad(self, dout):
         shape = self._shape(dout)
         d = _per_worker(dout, self._workers)
@@ -302,10 +296,6 @@ class LayerNorm(_Norm):
         self._std = np.sqrt(var + self.eps)
         self._xhat = (x - mu) / self._std
         return self.params["scale"] * self._xhat + self.params["shift"]
-
-    def param_stats(self, dout, capture=True):
-        self._keep({"scale": (dout * self._xhat).sum(axis=0), "shift": dout.sum(axis=0)},
-                   self._xhat, dout, capture)
 
     def input_grad(self, dout):
         xhat = self._xhat

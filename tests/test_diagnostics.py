@@ -58,7 +58,8 @@ class TestSymEigh:
 
 
 MATRIX_ANALYSES = {"sym_eigh": sym_eigh, "gershgorin": gershgorin, "fft2": fft2,
-                   "perturb_offdiag": lambda a: perturb_offdiag(a, sigma=0.1, seed=0)}
+                   "perturb_offdiag": lambda a: perturb_offdiag(a, sigma=0.1, seed=0),
+                   "snr": lambda a: snr(a, a)}
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX_ANALYSES))

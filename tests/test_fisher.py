@@ -285,7 +285,8 @@ class TestBatchedOracleEquivalence:
 def dense_block(monkeypatch, model, x, y, index):
     """Full Kronecker product of dense layer `index`'s empirical factors, built
     from the activation-side input and signal its param_stats hands to
-    Layer._keep on one training pass, with the homogeneous bias column."""
+    Layer._keep on one training pass, (M, F, 1) each, with the homogeneous
+    bias column."""
     kept = {}
     keep = Layer._keep
 
@@ -296,7 +297,7 @@ def dense_block(monkeypatch, model, x, y, index):
     monkeypatch.setattr(Layer, "_keep", spy)
     model.train_batch(x, y)
     layer = model.layers[index]
-    a, g = kept[layer]
+    a, g = (v[:, :, 0] for v in kept[layer])
     m = a.shape[0]
     h = np.hstack([a, np.ones((m, 1))]) if layer.bias else a
     s = g * m  # per-sample-loss scale

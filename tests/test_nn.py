@@ -118,7 +118,7 @@ class TestBackward:
                 if not isinstance(layer, (Dense, Conv2d)):
                     continue
                 cap = layer.capture
-                t = layer._oh * layer._ow if isinstance(layer, Conv2d) else 1
+                t = layer._a.shape[2]  # output positions per sample
                 combined = layer.grads["W"].reshape(cap["s"].size, -1)
                 if "b" in layer.grads:
                     combined = np.hstack([combined, layer.grads["b"][:, None]])
@@ -253,9 +253,9 @@ def _backward(layer, dout):
     return layer.input_grad(dout)
 
 
-def _eval_mode_batchnorm():
+def _eval_mode_batchnorm(shape=(8, 3, 3, 3)):
     bn = BatchNorm(3)
-    bn.forward(Rng(17).normal((8, 3, 3, 3)) * 2.0 + 0.5)  # running stats away from 0/1
+    bn.forward(Rng(17).normal(shape) * 2.0 + 0.5)  # running stats away from 0/1
     bn.params["scale"] = np.array([0.5, -1.5, 2.0])
     bn.params["shift"] = np.array([0.1, 0.0, -0.3])
     return bn
@@ -283,6 +283,43 @@ def test_layer_backward_vs_finite_difference(make_layer, in_shape, training):
     assert max_rel_err(dx, _central_diff(loss, x)) <= 1e-6
     for name, arr in layer.params.items():
         assert max_rel_err(layer.grads[name], _central_diff(loss, arr)) <= 1e-6, name
+
+
+_SAMPLE_CASES = {
+    "dense": (lambda: Dense(4, 3), (5, 4)),
+    "dense-nobias": (lambda: Dense(4, 3, bias=False), (5, 4)),
+    "conv": (lambda: Conv2d(2, 3, (3, 2), stride=(2, 1), pad=(1, 2)), (5, 2, 6, 5)),
+    "conv-nobias": (lambda: Conv2d(2, 3, (3, 2), stride=(2, 1), pad=(1, 2), bias=False),
+                    (5, 2, 6, 5)),
+    "conv-one-position": (lambda: Conv2d(2, 3, (3, 3)), (5, 2, 3, 3)),
+    "layernorm": (lambda: LayerNorm(4), (5, 4)),
+    "batchnorm-2d": (lambda: _eval_mode_batchnorm((8, 3)), (5, 3)),
+    "batchnorm-4d": (_eval_mode_batchnorm, (5, 3, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("make_layer, in_shape", _SAMPLE_CASES.values(), ids=_SAMPLE_CASES)
+def test_sample_sq_squares_each_rows_param_stats(make_layer, in_shape):
+    # In eval mode no layer couples samples, so the oracle's weighted
+    # per-sample squares are those of the gradients param_stats forms from
+    # each row alone: one recipe, on both sides of the T == 1 branch.
+    layer = make_layer()
+    layer.init(Rng(40))
+    rng = Rng(41)
+    x = rng.normal(in_shape)
+    dout = rng.normal(layer.forward(x, training=False).shape)
+    w = rng.uniform((in_shape[0],))
+    got = layer.sample_sq(dout, w)
+    want = {name: np.zeros_like(arr) for name, arr in layer.params.items()}
+    for n in range(in_shape[0]):
+        layer.forward(x[n:n + 1], training=False)
+        layer.param_stats(dout[n:n + 1], capture=False)
+        for name, grad in layer.grads.items():
+            want[name] += w[n] * grad**2
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].shape == want[name].shape
+        assert max_rel_err(got[name], want[name]) <= 1e-12, name
 
 
 def _conv_loop(x, w, b, stride, pad, dout):

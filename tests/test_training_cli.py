@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -662,6 +663,19 @@ class TestCli:
                      "--analysis", "snr", "--out", "diag"]) == 0
         text = (tmp_path / "diag" / "snr.csv").read_text()
         assert "snr_db" in text
+
+    def test_diagnose_snr_casts_integer_snapshot(self, tmp_path, monkeypatch):
+        # (2**32)**2 wraps around in int64; as float64 the diagonal energy is 2**64
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        snap = tmp_path / "pair.npz"
+        np.savez(snap, clean=np.array([[2**32, 0], [0, 1]], dtype=np.int64),
+                 noisy=np.array([[0, 3], [0, 0]], dtype=np.int64))
+        assert main(["diagnose", "--snapshot", str(snap),
+                     "--analysis", "snr", "--out", "diag"]) == 0
+        rows = (tmp_path / "diag" / "snr.csv").read_text().splitlines()
+        assert rows[0] == "snr_db,infinite" and rows[1].endswith(",0")
+        want = 10.0 * (64 * math.log10(2.0) - math.log10(9.0))
+        assert abs(float(rows[1].split(",")[0]) - want) < 1e-9
 
     def test_diagnose_snr_zero_signal(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))

@@ -15,8 +15,6 @@ from functools import partial
 from numbers import Integral, Real
 from pathlib import Path
 
-import numpy as np
-
 from .datasets import load_csv, load_idx, synth_dataset
 from .errors import ConfigError, DataError
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
@@ -213,7 +211,8 @@ def build_model(model_spec: dict, rng: Rng) -> Model:
 
 
 def resolve_dataset(dataset_spec: dict, seed: int):
-    """Materialize (x, y) from a checked dataset block; seed is the run's."""
+    """(x, y) from a checked dataset block; seed is the run's. x is a float64
+    array, or the `Images` set of an IDX source, which reads as one."""
     spec = dict(dataset_spec)
     source, limit = spec.pop("source"), spec.pop("limit", None)
     if source == "idx":
@@ -226,4 +225,4 @@ def resolve_dataset(dataset_spec: dict, seed: int):
         raise DataError(f"{len(x)} inputs but {len(y)} labels")
     if limit is not None:
         x, y = x[:limit], y[:limit]
-    return np.asarray(x, dtype=np.float64), y
+    return x, y

@@ -1,5 +1,10 @@
 """Data ingestion: IDX (MNIST-format) files, labeled CSV tables and
-deterministic synthetic generators for desk-scale runs."""
+deterministic synthetic generators for desk-scale runs.
+
+IDX images stay resident at one byte per pixel: `load_idx` returns an
+`Images` set over the file's uint8 bytes, and each read of it (a batch's
+rows, the eval rows, `np.asarray`) scales just the rows it gathers to
+float64. No other module knows the encoding."""
 
 from __future__ import annotations
 
@@ -16,11 +21,37 @@ IDX_LABELS_MAGIC = 0x00000801
 MAX_SYNTH_VALUES = 10**7  # desk-scale guard on a synthetic dataset's size
 
 
+class Images:
+    """Read-only (N, 1, H, W) IDX images kept as the file's uint8 pixels.
+
+    Indexing (`x[rows]`, `x[a:b]`) and `np.asarray(x)` return a new float64
+    array scaled to [0, 1] by `astype(np.float64)` and then `/ 255.0`, so a
+    read holds the bits that scaling the whole file at load time would."""
+
+    def __init__(self, pixels: np.ndarray):
+        self._pixels = pixels
+
+    @property
+    def shape(self) -> tuple:
+        return self._pixels.shape
+
+    def __len__(self) -> int:
+        return len(self._pixels)
+
+    def __getitem__(self, key):
+        out = self._pixels[key].astype(np.float64)
+        out /= 255.0  # in place: one float64 array per read, not two
+        return out
+
+    def __array__(self, dtype=None):  # numpy casts to a requested dtype
+        return self[...]
+
+
 def load_idx(path, expect: str):
     """Parse an IDX file; expect is 'images' or 'labels'.
 
-    Images come back as (N, 1, H, W) float64 scaled to [0, 1];
-    labels as (N,) int64.
+    Images come back as an (N, 1, H, W) `Images` set that reads as float64
+    scaled to [0, 1]; labels as (N,) int64.
     """
     if expect not in ("images", "labels"):
         raise InputError("expect must be 'images' or 'labels'")
@@ -37,15 +68,13 @@ def load_idx(path, expect: str):
         raise FormatError(f"{path}: truncated dimension header")
     dims = struct.unpack(f">{ndim}I", raw[4:header_len])
     count = int(np.prod(dims))
-    body = raw[header_len:]
-    if len(body) != count:
-        raise FormatError(f"{path}: expected {count} data bytes, found {len(body)}")
-    data = np.frombuffer(body, dtype=np.uint8)
+    if len(raw) - header_len != count:
+        raise FormatError(f"{path}: expected {count} data bytes, "
+                          f"found {len(raw) - header_len}")
+    data = np.frombuffer(raw, np.uint8, offset=header_len)  # a view of the file bytes
     if expect == "images":
         n, h, w = dims
-        images = data.reshape(n, 1, h, w).astype(np.float64)
-        images /= 255.0  # in place: one float64 copy of the images, not two
-        return images
+        return Images(data.reshape(n, 1, h, w))
     return data.astype(np.int64)
 
 

@@ -18,9 +18,12 @@ from .tensor import Rng
 
 
 def _matrix(matrix, square: bool = True) -> np.ndarray:
-    """matrix as float64, once it is a non-empty 2-D matrix, square unless
-    square is False."""
-    a = np.asarray(matrix, dtype=np.float64)
+    """matrix as float64, once it is a real, non-empty 2-D matrix, square
+    unless square is False."""
+    a = np.asarray(matrix)
+    if np.iscomplexobj(a):  # a float64 cast would drop the imaginary part
+        raise InputError(f"expected a real matrix, got dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
     if a.ndim != 2 or square and a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionError(f"expected a non-empty {'square' if square else '2-D'} matrix, "
                              f"got shape {a.shape}")

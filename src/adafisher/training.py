@@ -123,8 +123,8 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
         if "W" not in first or first["W"].size != 2:
             raise ConfigError("track_first_layer needs a 2-parameter first layer")
     x, y = resolve_dataset(config.dataset, config.seed)
-    # Split row numbers, not rows: the data stays one array, from which each
-    # batch gathers its rows, and only the eval rows are copied.
+    # Split row numbers, not rows: the data stays as loaded, each batch
+    # gathers its rows from it, and only the eval rows are copied.
     rows, _, rows_ev, y_ev = train_eval_split(np.arange(x.shape[0]), y, seed=config.seed)
     x_ev = x[rows_ev]
     if rows.shape[0] < config.batch_size:

@@ -1,9 +1,11 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from adafisher import datasets
+from adafisher.config import resolve_dataset
 from adafisher.datasets import (load_csv, load_idx, synth_dataset,
                                 train_eval_split, write_idx)
 from adafisher.errors import DataError, FormatError, InputError, SizeError
@@ -16,15 +18,39 @@ class TestIdx:
         write_idx(path, images, "images")
         loaded = load_idx(path, expect="images")
         assert loaded.shape == (2, 1, 3, 4)
-        assert loaded.max() <= 1.0
+        assert np.asarray(loaded).max() <= 1.0
         assert np.max(np.abs(loaded[:, 0] - images / 255.0)) < 1e-15
 
     def test_images_scaled_bit_for_bit(self, tmp_path):
-        # every byte value scales to exactly the float64 of raw / 255
+        # every byte value reads as exactly the float64 of raw / 255: by rows,
+        # by a slice and as a whole
         raw = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
         write_idx(tmp_path / "all.idx", raw, "images")
-        assert np.array_equal(load_idx(tmp_path / "all.idx", expect="images"),
-                              raw.astype(np.float64)[:, None] / 255.0)
+        images = load_idx(tmp_path / "all.idx", expect="images")
+        scaled = raw.astype(np.float64)[:, None] / 255.0
+        rows = np.array([2, 0, 3, 1])
+        for got, want in ((images[rows], scaled[rows]), (images[::-1], scaled[::-1]),
+                          (np.asarray(images), scaled)):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_images_resident_at_one_byte_per_pixel(self, tmp_path):
+        # An IDX source stays as its file's bytes until a read scales rows:
+        # loading 1,000 28x28 images never holds 2 bytes per pixel.
+        n, pixels = 1000, 1000 * 28 * 28
+        rng = np.random.default_rng(0)
+        write_idx(tmp_path / "images.idx", rng.integers(0, 256, (n, 28, 28)), "images")
+        write_idx(tmp_path / "labels.idx", rng.integers(0, 10, n), "labels")
+        spec = {"source": "idx", "images": str(tmp_path / "images.idx"),
+                "labels": str(tmp_path / "labels.idx")}
+        tracemalloc.start()
+        try:
+            x, _ = resolve_dataset(spec, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (n, 1, 28, 28)
+        assert peak < 2 * pixels
 
     def test_labels_roundtrip(self, tmp_path):
         labels = np.array([0, 3, 9, 1], dtype=np.uint8)

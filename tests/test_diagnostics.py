@@ -74,6 +74,13 @@ def test_matrix_shape_rejected(name, shape):
         MATRIX_ANALYSES[name](np.ones(shape))
 
 
+@pytest.mark.parametrize("name", sorted(MATRIX_ANALYSES))
+def test_complex_matrix_rejected(name):
+    # a float64 cast would keep only the real part
+    with pytest.raises(InputError):
+        MATRIX_ANALYSES[name](np.eye(2) + 1j * np.ones((2, 2)))
+
+
 class TestGershgorin:
     def test_forced_arithmetic(self):
         discs = gershgorin(np.array([[4.0, 1.0], [2.0, -3.0]]))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import adafisher
-from adafisher import datasets, fisher
+from adafisher import datasets, fisher, training
 from adafisher.cli import main
 from adafisher.config import RunConfig, build_model, resolve_dataset
 from adafisher.datasets import write_idx
@@ -227,6 +227,27 @@ class TestRunTraining:
         a, b = (run_training(RunConfig.from_dict(base_config(seed=seed)),
                              out_dir=tmp_path / str(seed)).read_text() for seed in (1, 2))
         assert a != b
+
+    @pytest.mark.parametrize("limit", [None, 18], ids=["whole", "limit-18"])
+    def test_idx_run_matches_float64_images(self, tmp_path, monkeypatch, limit):
+        # Batches and eval rows read from the loaded images hold the bits of
+        # the whole file scaled to float64 up front, so a run writes the bytes
+        # of that run.
+        data = write_images(tmp_path)
+        if limit is not None:
+            data["limit"] = limit
+        cfg = RunConfig.from_dict(base_config(model=image_model(), dataset=data,
+                                              batch_size=4))
+        run_training(cfg, out_dir=tmp_path / "images")
+        raw = (tmp_path / "images.idx").read_bytes()
+        x = np.frombuffer(raw, np.uint8, offset=16).reshape(-1, 1, 6, 6).astype(np.float64)
+        y = datasets.load_idx(tmp_path / "labels.idx", expect="labels")
+        monkeypatch.setattr(training, "resolve_dataset",
+                            lambda spec, seed: (x[:limit] / 255.0, y[:limit]))
+        run_training(cfg, out_dir=tmp_path / "float64")
+        for name in ("metrics.jsonl", "final_params.npz"):
+            assert ((tmp_path / "images" / name).read_bytes()
+                    == (tmp_path / "float64" / name).read_bytes())
 
     def test_batch_size_exceeds_split(self, tmp_path):
         cfg = RunConfig.from_dict(base_config(batch_size=110))

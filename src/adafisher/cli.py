@@ -20,7 +20,6 @@ from .config import RunConfig, build_model, resolve_dataset
 from .diagnostics import fft2, fim_hist_stats, gershgorin, snr
 from .errors import AdaFisherError, ConfigError, DataError, NumericError
 from .fisher import approximation_mae, exact_fisher_diag, mc_fisher_diag
-from .kfactor import kronecker_diagonal
 from .tensor import Rng
 from .training import run_training
 
@@ -142,7 +141,7 @@ def cmd_oracle(args) -> int:
         w = csv.writer(fh)
         w.writerow(["epoch", "layer", "mae"])
         for i, layer in model.param_layers():
-            approx = kronecker_diagonal(layer.capture["h"], layer.capture["s"], layer.params)
+            approx = layer.kronecker_diagonal(layer.capture["h"], layer.capture["s"])
             names = sorted(approx)  # one MAE over the layer's arrays in name order
             mae = approximation_mae(np.concatenate([oracle[i][n].ravel() for n in names]),
                                     np.concatenate([approx[n].ravel() for n in names]))

@@ -15,7 +15,7 @@ from functools import partial
 from numbers import Integral, Real
 from pathlib import Path
 
-from .datasets import load_csv, load_idx, synth_dataset
+from .datasets import Images, load_csv, load_idx, synth_dataset
 from .errors import ConfigError, DataError
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                  MaxPool2d, Model)
@@ -223,6 +223,6 @@ def resolve_dataset(dataset_spec: dict, seed: int):
         x, y = synth_dataset(source, spec.pop("n"), seed=spec.pop("seed", seed), **spec)
     if len(x) != len(y):
         raise DataError(f"{len(x)} inputs but {len(y)} labels")
-    if limit is not None:
-        x, y = x[:limit], y[:limit]
+    if limit is not None:  # the first rows; an IDX source's stay at one byte per pixel
+        x, y = x.head(limit) if isinstance(x, Images) else x[:limit], y[:limit]
     return x, y

@@ -2,9 +2,10 @@
 deterministic synthetic generators for desk-scale runs.
 
 IDX images stay resident at one byte per pixel: `load_idx` returns an
-`Images` set over the file's uint8 bytes, and each read of it (a batch's
-rows, the eval rows, `np.asarray`) scales just the rows it gathers to
-float64. No other module knows the encoding."""
+`Images` set over the file's uint8 bytes (`Images.head`, a dataset limit's
+first rows, is one too), and each read of it (a batch's rows, the eval rows,
+`np.asarray`) scales just the rows it gathers to float64. No other module
+knows the encoding."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .tensor import Rng
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 MAX_SYNTH_VALUES = 10**7  # desk-scale guard on a synthetic dataset's size
+EVAL_FRAC = 0.2  # share of the rows train_eval_split holds out for evaluation
 
 
 class Images:
@@ -45,6 +47,10 @@ class Images:
 
     def __array__(self, dtype=None):  # numpy casts to a requested dtype
         return self[...]
+
+    def head(self, n: int) -> "Images":
+        """The first n images, still at one byte per pixel."""
+        return Images(self._pixels[:n])
 
 
 def load_idx(path, expect: str):
@@ -180,15 +186,11 @@ def _check_options(kw: dict, values: int) -> None:
                         f"of {MAX_SYNTH_VALUES}")
 
 
-def train_eval_split(x, y, seed: int, eval_frac: float = 0.2):
-    """Deterministic 80/20 split by seeded shuffle."""
-    n = x.shape[0]
-    if len(y) != n:
-        raise DataError(f"{n} inputs but {len(y)} labels")
+def train_eval_split(n: int, seed: int):
+    """Deterministic 80/20 split of the row numbers 0..n-1 by seeded shuffle:
+    (training rows, eval rows)."""
     if n < 2:
         raise DataError(f"need at least 2 samples for a training and an eval split; got {n}")
     perm = Rng(seed).permutation(n)
-    n_eval = max(1, int(round(n * eval_frac)))
-    eval_idx = perm[:n_eval]
-    train_idx = perm[n_eval:]
-    return x[train_idx], y[train_idx], x[eval_idx], y[eval_idx]
+    n_eval = max(1, int(round(n * EVAL_FRAC)))
+    return perm[n_eval:], perm[:n_eval]

@@ -4,24 +4,24 @@ The exact oracle enumerates every class label and weights squared per-sample
 gradients by the predictive probabilities; the Monte-Carlo estimator samples
 labels from the predictive distribution instead. Each layer's diagonal is one
 array per parameter, keyed by its name and shaped like it, the layout of
-kfactor.kronecker_diagonal.
+each layer's kronecker_diagonal.
 
 Both walk the batch in chunks of consecutive rows, sized so that a chunk's
 input fits CACHE_BUDGET bytes (at least one row; a batch that fits is one
 chunk). Per chunk they run one eval-mode forward, then, per class c, one
 reverse walk (nn.Model.reverse_walk) from the output gradient p - e_c
 (BackPACK). In eval mode no layer couples samples (batch norm uses running
-statistics), so row n of a layer's incoming gradient is sample n's own
-signal g_n, and each parameterized layer's sample_sq squares sample n's
-gradient, formed by its family's one recipe from the activation-side array a
-that also feeds training: g_n a_n^T and g_n summed over positions (Dense and
-Conv2d, KFC), or the per-feature sums of g_n * a_n and g_n with a the
-normalized input (the norms). The totals add each chunk's sums in chunk
-order, so reruns are bit-identical. The walk forms no parameter gradients or
-captures: afterwards a model's grads and captures are as they were, and its
-layers' forward state is the last chunk's. The Monte-Carlo estimator draws
-all of its uniforms for the whole batch before the first chunk, so the labels
-do not depend on the chunk size.
+statistics), so row n of a layer's incoming gradient is sample n's own signal
+g_n, and each parameterized layer's sample_sq (nn.Layer's one recipe) squares
+sample n's gradient, formed by its family's _sample_sums from the
+activation-side array a that also feeds training: g_n a_n^T and g_n summed
+over positions (Dense and Conv2d, KFC), or the per-feature sums of g_n * a_n
+and g_n with a the normalized input (the norms). The totals add each chunk's
+sums in chunk order, so reruns are bit-identical. The walk forms no parameter
+gradients or captures: afterwards a model's grads and captures are as they
+were, and its layers' forward state is the last chunk's. The Monte-Carlo
+estimator draws all of its uniforms for the whole batch before the first
+chunk, so the labels do not depend on the chunk size.
 """
 
 from __future__ import annotations

@@ -1,21 +1,16 @@
-"""Diagonal Kronecker-factor engine.
+"""Diagonal Kronecker-factor engine: the EMA, min-max and lambda.
 
 Per parameterized layer we keep the diagonals of the activation second-moment
 factor (h) and the pre-activation-gradient second-moment factor (s), which the
 layer's param_stats captures directly (layer.capture), and smooth them with an
 EMA in which the *fresh* factor carries weight gamma. KFState.factors is keyed
-(layer id, "h" | "s"), like the gradients and divisors.
+(layer id, "h" | "s"), like the gradients and divisors; their lengths are the
+layer's factor_sizes.
 
-kronecker_diagonal is the one map from factor entries to parameter entries. It
-lays the diagonal of H (x) S out like a layer's parameters:
-
-    weight of output k, flattened input j:  h[j] * s[k]
-    bias of output k (h's last, unit slot):  h[-1] * s[k]
-
-and h * s and s for a normalization layer's scale and shift (Hadamard
-structure; the shift's activation factor is the constant 1). KFState.divisors
-adds lambda to it on the min-max normalized factors (all zero for norm layers
-under norm_fisher_off); the Fisher oracle compares with it on fresh factors.
+KFState.divisors min-max normalizes the factors (all zero for norm layers
+under norm_fisher_off), lays the diagonal of H (x) S out like the layer's
+parameters with the layer's own map, layer.kronecker_diagonal(h, s), and adds
+lambda. The Fisher oracle compares with that map on fresh factors.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError, StateError
-from .nn import Model
+from .nn import Model, Norm
 
 DEFAULT_GAMMA = 0.8
 DEFAULT_LAMBDA = 0.001
@@ -43,27 +38,6 @@ def minmax_normalize(v: np.ndarray) -> np.ndarray:
     if hi - lo < MINMAX_EPS:
         return np.zeros_like(v)
     return (v - lo) / (hi - lo)
-
-
-def _factor_sizes(params: dict) -> tuple[int, int]:
-    """Lengths of the h and s diagonals that fit a layer's parameters."""
-    if "W" in params:
-        return params["W"][0].size + ("b" in params), params["W"].shape[0]
-    return params["scale"].size, params["scale"].size
-
-
-def kronecker_diagonal(h: np.ndarray, s: np.ndarray, params: dict) -> dict[str, np.ndarray]:
-    """{parameter name: diagonal of H (x) S at its entries}, shaped like params."""
-    if (h.size, s.size) != _factor_sizes(params):
-        raise DimensionError(f"factors h {h.size}, s {s.size} do not fit the parameters "
-                             f"{({n: v.shape for n, v in params.items()})}")
-    if "W" not in params:
-        return {"scale": h * s, "shift": s}
-    grid = np.outer(s, h)
-    out = {"W": grid[:, :params["W"][0].size].reshape(params["W"].shape)}
-    if "b" in params:
-        out["b"] = grid[:, -1]
-    return out
 
 
 @dataclass
@@ -88,7 +62,7 @@ class KFState:
         """All-ones initialization (identity curvature at t=0)."""
         state = cls(gamma=gamma, lam=lam, norm_fisher_off=norm_fisher_off)
         for i, layer in model.param_layers():
-            h, s = _factor_sizes(layer.params)
+            h, s = layer.factor_sizes
             state.factors[i, "h"], state.factors[i, "s"] = np.ones(h), np.ones(s)
         return state
 
@@ -114,10 +88,10 @@ class KFState:
         out = {}
         for i, layer in model.param_layers():
             h, s = (minmax_normalize(self.factors[i, k]) for k in ("h", "s"))
-            if self.norm_fisher_off and "W" not in layer.params:
+            if self.norm_fisher_off and isinstance(layer, Norm):
                 h, s = np.zeros_like(h), np.zeros_like(s)  # identity factors, min-maxed
             try:
-                diags = kronecker_diagonal(h, s, layer.params)
+                diags = layer.kronecker_diagonal(h, s)
             except DimensionError as exc:
                 raise DimensionError(f"layer {i}: {exc}") from None
             for name, diag in diags.items():

@@ -3,34 +3,38 @@
 Layer inputs are batch-first. Backpropagation is one reverse walk
 (Model.reverse_walk) that hands each parameterized layer the gradient dout at
 its output, then forms the layer's input gradient with input_grad (never at or
-below the first parameterized layer). Parameterized layers form two families,
-each with one recipe over an activation-side array a and a signal g, both with
-features on axis 1: _Kronecker (Dense, Conv2d), where a is the input as
-(M, F, 1) or the im2col patches and g is dout as (M, O, T), and sample n's
-gradients are g_n a_n^T (W) and g_n summed over T (b); and _Norm (BatchNorm,
-LayerNorm), where a is the normalized input and g is dout, and they are the
-per-feature sums of g_n * a_n (scale) and g_n (shift). From dout, param_stats
-sums them over the batch into the mini-batch-mean gradients and ends in
-Layer._keep, the one capture recipe (KFC). It fills grads with them and capture
-with the diagonals of the two Kronecker factors: "h", the mean squares of a
-(exactly 1.0 in the bias slot), and "s", those of g at per-sample-loss scale
-(squared, then times M * M for a batch of M rows), over all axes but the
-feature axis. The capture is formed only when the caller reads it:
+below the first parameterized layer). Layer holds the one per-layer recipe,
+over an activation-side array a (self._a) and the signal g, dout as (M, O, T),
+both with features on axis 1. Each parameterized layer belongs to one of two
+families, which supply a, _sample_sums (sample n's gradients summed over n,
+or their weighted squares), factor_sizes and _layout (the factor-to-parameter
+map): Kronecker (Dense, Conv2d), where a is the input as (M, F, 1) or the
+im2col patches and sample n's gradients are g_n a_n^T (W) and g_n summed over
+T (b); and Norm (BatchNorm, LayerNorm), where a is the normalized input and
+they are the per-feature sums of g_n * a_n (scale) and g_n (shift).
+
+param_stats(dout) fills grads with the mini-batch-mean gradients and capture
+with the diagonals of the two Kronecker factors (KFC): "h", the mean squares
+of a (exactly 1.0 in the bias slot), and "s", those of g at per-sample-loss
+scale (squared, then times M * M for a batch of M rows), over all axes but
+the feature axis. The capture is formed only when the caller reads it:
 train_batch(x, y, capture=False), which the training step passes for the
 optimizers that read no curvature (Adam, SGD), fills grads alone and leaves
 every capture {}. For the Fisher oracle's eval-mode walk, where row n of dout
 is sample n's own signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's
-gradient)**2 from the same a and g instead.
+gradient)**2 from the same a and g instead. kronecker_diagonal(h, s) lays the
+diagonal of H (x) S out like the layer's parameters: h[j] * s[k] at weight
+(k, j) and h[-1] * s[k] at bias k; h * s and s at a norm's scale and shift.
 
 A training pass can simulate K workers (Model.train_batch(x, y, workers=K)):
-worker k's shard is the k-th block of M/K consecutive rows. With equal
-shards, the worker mean of the shards' mean losses, gradients and captures
-is the full-batch value, so every layer, _keep and the loss run once on the
-whole batch at the 1/M per-sample-loss scale. Only BatchNorm reads workers:
-in training it normalizes each shard by the shard's own statistics (ghost
-batch normalization), updates its running statistics once per shard in
-worker order, and couples its input gradient within each shard. A net
-without BatchNorm gives the one-worker step bit for bit at every K.
+worker k's shard is the k-th block of M/K consecutive rows. With equal shards,
+the worker mean of the shards' mean losses, gradients and captures is the
+full-batch value, so every layer, param_stats and the loss run once on the
+whole batch at the 1/M per-sample-loss scale. Only BatchNorm reads workers: in
+training it normalizes each shard by the shard's own statistics (ghost batch
+normalization), updates its running statistics once per shard in worker order,
+and couples its input gradient within each shard. A net without BatchNorm
+gives the one-worker step bit for bit at every K.
 
 Conv2d multiplies its weights with im2col patches as a broadcast batched
 matmul, so the products of its forward pass and of both gradients run on BLAS.
@@ -74,7 +78,8 @@ def _mean_sq(a: np.ndarray, workers: int | None = None) -> np.ndarray:
 
 
 class Layer:
-    """Base layer: stateless unless it carries parameters."""
+    """Base layer: stateless unless it carries parameters, and then the one
+    recipe over its family's _a, _sample_sums, factor_sizes and _layout."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -90,23 +95,35 @@ class Layer:
     def input_grad(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _keep(self, grads: dict[str, np.ndarray], a: np.ndarray, g: np.ndarray,
-              capture: bool = True):
-        """The end of every param_stats: store the batch gradients in grads
-        and, if capture, the capture of activation-side array a and signal g,
-        each (M, F, ...) with features on axis 1; else an empty capture."""
-        self.grads = grads
+    def param_stats(self, dout: np.ndarray, capture: bool = True):
+        """Fill grads with the batch gradients from dout, the gradient at the
+        layer's output, and, if capture, capture with the factor diagonals h
+        of _a and s of dout; else leave the capture empty."""
+        g = dout.reshape(dout.shape[0], dout.shape[1], -1)
+        self.grads = self._sample_sums(g)
         if not capture:
             self.capture = {}
             return
-        h = _mean_sq(a)
+        h = _mean_sq(self._a)
         if "b" in self.params:
             h = np.append(h, 1.0)
         m = g.shape[0]  # per-sample-loss scale: the loss is a mean over m rows
         self.capture = {"h": h, "s": _mean_sq(g) * (m * m)}
 
+    def sample_sq(self, dout: np.ndarray, w: np.ndarray) -> dict:
+        """sum_n w[n] * (sample n's gradient)**2, row n of dout being sample
+        n's own signal."""
+        return self._sample_sums(dout.reshape(dout.shape[0], dout.shape[1], -1), w)
 
-class _Kronecker(Layer):
+    def kronecker_diagonal(self, h: np.ndarray, s: np.ndarray) -> dict[str, np.ndarray]:
+        """{parameter name: diagonal of H (x) S at its entries}, shaped like params."""
+        if (h.size, s.size) != self.factor_sizes:
+            raise DimensionError(f"factors h {h.size}, s {s.size} do not fit the parameters "
+                                 f"{({n: v.shape for n, v in self.params.items()})}")
+        return self._layout(h, s)
+
+
+class Kronecker(Layer):
     """W a + b at each output position, with forward's (M, F, T) self._a."""
 
     def __init__(self, w_shape: tuple, scale: float, bias: bool):
@@ -116,6 +133,8 @@ class _Kronecker(Layer):
         self.params["W"] = np.zeros(w_shape)
         if bias:
             self.params["b"] = np.zeros(w_shape[0])
+        # lengths of h (the flattened input, then the bias slot) and of s
+        self.factor_sizes = (math.prod(w_shape[1:]) + bias, w_shape[0])
 
     def init(self, rng: Rng):
         self.params["W"] = rng.normal(self.params["W"].shape) * self._scale
@@ -139,15 +158,17 @@ class _Kronecker(Layer):
                 out = {"W": w @ (per_sample**2).reshape(len(w), -1), "b": w @ g.sum(axis=2) ** 2}
         return {name: out[name].reshape(arr.shape) for name, arr in self.params.items()}
 
-    def param_stats(self, dout, capture=True):
-        g = dout.reshape(dout.shape[0], dout.shape[1], -1)
-        self._keep(self._sample_sums(g), self._a, g, capture)
+    def _layout(self, h, s):
+        """h[j] * s[k] at the weight of output k and flattened input j, and
+        h[-1] * s[k] (h's unit bias slot) at the bias of output k."""
+        grid = np.outer(s, h)
+        out = {"W": grid[:, :self.params["W"][0].size].reshape(self.params["W"].shape)}
+        if self.bias:
+            out["b"] = grid[:, -1]
+        return out
 
-    def sample_sq(self, dout, w):
-        return self._sample_sums(dout.reshape(dout.shape[0], dout.shape[1], -1), w)
 
-
-class Dense(_Kronecker):
+class Dense(Kronecker):
     def __init__(self, in_dim: int, out_dim: int, bias: bool = True):
         super().__init__((out_dim, in_dim), np.sqrt(2.0 / (in_dim + out_dim)), bias)
         self.in_dim, self.out_dim = in_dim, out_dim
@@ -165,7 +186,7 @@ class Dense(_Kronecker):
         return dout @ self.params["W"]
 
 
-class Conv2d(_Kronecker):
+class Conv2d(Kronecker):
     def __init__(self, in_ch, out_ch, kernel, stride=(1, 1), pad=(0, 0), bias=True):
         super().__init__((out_ch, in_ch, *kernel), np.sqrt(1 / (in_ch * math.prod(kernel))), bias)
         self.in_ch, self.out_ch = in_ch, out_ch
@@ -192,8 +213,9 @@ class Conv2d(_Kronecker):
         return col2im_batch(w_mat.T @ g, self._x_shape, self.kernel, self.stride, self.pad)
 
 
-class _Norm(Layer):
-    """Normalization with a per-feature scale and shift of the normalized input."""
+class Norm(Layer):
+    """Normalization with a per-feature scale and shift of the normalized
+    input, which forward keeps as self._a."""
 
     _workers = 1  # shards normalized by their own statistics; BatchNorm's forward sets it
 
@@ -203,26 +225,28 @@ class _Norm(Layer):
         self.eps = eps
         self.params["scale"] = np.ones(dim)
         self.params["shift"] = np.zeros(dim)
+        self.factor_sizes = (dim, dim)
 
-    def param_stats(self, dout, capture=True):
-        k = self._workers
-        # Per-worker channel sums of dout and dout * xhat: BatchNorm's
-        # input_grad reads them, and their sums over the workers are the
-        # parameter gradients.
-        shift, scale = self._sums = (_feature_sum(dout, workers=k),
-                                     _feature_sum(dout, self._xhat, workers=k))
-        self._keep({"shift": shift.sum(axis=0), "scale": scale.sum(axis=0)},
-                   self._xhat, dout, capture)
+    def _sample_sums(self, g: np.ndarray, w: np.ndarray | None = None) -> dict:
+        """Sums over the samples n of their scale and shift gradients, the
+        per-feature sums of g_n * a_n and of g_n, or, with sample weights w,
+        of w[n] times their squares."""
+        if w is not None:
+            return {"scale": w @ np.einsum("mft,mft->mf", g, self._a.reshape(g.shape)) ** 2,
+                    "shift": w @ g.sum(axis=2) ** 2}
+        # Per-worker sums: BatchNorm's input_grad reads them, and their sums
+        # over the workers are the parameter gradients.
+        shift, scale = self._sums = (_feature_sum(g, workers=self._workers),
+                                     _feature_sum(g, self._a, workers=self._workers))
+        return {"scale": scale.sum(axis=0), "shift": shift.sum(axis=0)}
 
-    def sample_sq(self, dout, w):
-        m = dout.shape[0]
-        d = dout.reshape(m, self.dim, -1)
-        xhat = self._xhat.reshape(d.shape)
-        return {"scale": w @ np.einsum("mft,mft->mf", d, xhat) ** 2,
-                "shift": w @ d.sum(axis=2) ** 2}
+    def _layout(self, h, s):
+        """h * s at the scale and s at the shift (Hadamard structure; the
+        shift's activation factor is the constant 1)."""
+        return {"scale": h * s, "shift": s}
 
 
-class BatchNorm(_Norm):
+class BatchNorm(Norm):
     """Per-channel batch normalization for (M, C) or (M, C, H, W) inputs."""
 
     def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -261,7 +285,7 @@ class BatchNorm(_Norm):
             var = self.running_var[None]
         self._std = np.sqrt(var + self.eps)
         xhat /= self._std.reshape(shape)
-        self._xhat = xhat = xhat.reshape(x.shape)
+        self._a = xhat = xhat.reshape(x.shape)
         self._training = training
         out = xhat * self.params["scale"].reshape(shape[1:])
         out += self.params["shift"].reshape(shape[1:])
@@ -278,14 +302,14 @@ class BatchNorm(_Norm):
         # worker's channel sums.
         shift_sum, scale_sum = self._sums
         n = dout.size // (self._workers * self.dim)
-        dx = _per_worker(self._xhat, self._workers) * (scale_sum / -n).reshape(shape)
+        dx = _per_worker(self._a, self._workers) * (scale_sum / -n).reshape(shape)
         dx += d
         dx -= (shift_sum / n).reshape(shape)
         dx *= gain
         return dx.reshape(dout.shape)
 
 
-class LayerNorm(_Norm):
+class LayerNorm(Norm):
     """Per-sample normalization over the feature axis of (M, C) inputs."""
 
     def forward(self, x, training=True, workers=1):
@@ -294,11 +318,11 @@ class LayerNorm(_Norm):
         mu = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         self._std = np.sqrt(var + self.eps)
-        self._xhat = (x - mu) / self._std
-        return self.params["scale"] * self._xhat + self.params["shift"]
+        self._a = (x - mu) / self._std
+        return self.params["scale"] * self._a + self.params["shift"]
 
     def input_grad(self, dout):
-        xhat = self._xhat
+        xhat = self._a
         dxhat = dout * self.params["scale"]
         return (dxhat - dxhat.mean(axis=1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) / self._std

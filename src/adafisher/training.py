@@ -125,8 +125,8 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
     x, y = resolve_dataset(config.dataset, config.seed)
     # Split row numbers, not rows: the data stays as loaded, each batch
     # gathers its rows from it, and only the eval rows are copied.
-    rows, _, rows_ev, y_ev = train_eval_split(np.arange(x.shape[0]), y, seed=config.seed)
-    x_ev = x[rows_ev]
+    rows, rows_ev = train_eval_split(x.shape[0], seed=config.seed)
+    x_ev, y_ev = x[rows_ev], y[rows_ev]
     if rows.shape[0] < config.batch_size:
         raise ConfigError("batch size exceeds the training split")
 

@@ -13,7 +13,7 @@ import pytest
 from adafisher.diagnostics import fft2, gershgorin, perturb_offdiag, snr
 from adafisher.training import keyed, train_step
 from adafisher.fisher import exact_fisher_diag, mc_fisher_diag
-from adafisher.kfactor import KFState, kronecker_diagonal
+from adafisher.kfactor import KFState
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, MaxPool2d, Model, finite_diff_grad, softmax)
 from adafisher.optim import AdaFisher
@@ -99,7 +99,7 @@ def test_03_fisher_validity(capsys):
         model.backward(grad_out)
         s_sq += p[cls] * model.layers[0].capture["s"]
     h_diag = model.layers[0].capture["h"]
-    product = kronecker_diagonal(h_diag, s_sq, model.layers[0].params)["W"]
+    product = model.layers[0].kronecker_diagonal(h_diag, s_sq)["W"]
     err_exact = float(np.max(np.abs(product - exact)))
 
     mc = mc_fisher_diag(model, x, n_samples=10_000, seed=0)[0]["W"]

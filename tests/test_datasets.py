@@ -34,23 +34,43 @@ class TestIdx:
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
 
-    def test_images_resident_at_one_byte_per_pixel(self, tmp_path):
-        # An IDX source stays as its file's bytes until a read scales rows:
-        # loading 1,000 28x28 images never holds 2 bytes per pixel.
-        n, pixels = 1000, 1000 * 28 * 28
+    @staticmethod
+    def resident_peak(tmp_path, **limit):
+        """The IDX source of 1,000 seeded 28x28 images as resolve_dataset
+        returns it, and the tracemalloc peak while it loads."""
         rng = np.random.default_rng(0)
-        write_idx(tmp_path / "images.idx", rng.integers(0, 256, (n, 28, 28)), "images")
-        write_idx(tmp_path / "labels.idx", rng.integers(0, 10, n), "labels")
+        write_idx(tmp_path / "images.idx", rng.integers(0, 256, (1000, 28, 28)), "images")
+        write_idx(tmp_path / "labels.idx", rng.integers(0, 10, 1000), "labels")
         spec = {"source": "idx", "images": str(tmp_path / "images.idx"),
-                "labels": str(tmp_path / "labels.idx")}
+                "labels": str(tmp_path / "labels.idx"), **limit}
         tracemalloc.start()
         try:
             x, _ = resolve_dataset(spec, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
+            return x, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert x.shape == (n, 1, 28, 28)
-        assert peak < 2 * pixels
+
+    def test_images_resident_at_one_byte_per_pixel(self, tmp_path):
+        # An IDX source stays as its file's bytes until a read scales rows:
+        # loading 1,000 28x28 images never holds 2 bytes per pixel.
+        x, peak = self.resident_peak(tmp_path)
+        assert x.shape == (1000, 1, 28, 28)
+        assert peak < 2 * 1000 * 28 * 28
+
+    def test_limited_images_resident_at_one_byte_per_pixel(self, tmp_path):
+        # So do the first 900 of them under a dataset limit.
+        x, peak = self.resident_peak(tmp_path, limit=900)
+        assert x.shape == (900, 1, 28, 28)
+        assert peak < 2 * 900 * 28 * 28
+
+    def test_limit_cuts_after_the_count_check(self, tmp_path):
+        # 24 images and 20 labels do not pair up, whatever the first 10 rows hold
+        write_idx(tmp_path / "images.idx", np.zeros((24, 2, 2)), "images")
+        write_idx(tmp_path / "labels.idx", np.zeros(20), "labels")
+        spec = {"source": "idx", "images": str(tmp_path / "images.idx"),
+                "labels": str(tmp_path / "labels.idx"), "limit": 10}
+        with pytest.raises(DataError, match="24 inputs but 20 labels"):
+            resolve_dataset(spec, seed=0)
 
     def test_labels_roundtrip(self, tmp_path):
         labels = np.array([0, 3, 9, 1], dtype=np.uint8)
@@ -183,24 +203,21 @@ class TestSynth:
 
 class TestSplit:
     def test_sizes_and_partition(self):
-        x = np.arange(100.0)[:, None]
-        y = np.arange(100)
-        xt, yt, xe, ye = train_eval_split(x, y, seed=0)
-        assert xt.shape[0] == 80 and xe.shape[0] == 20
-        assert sorted(np.concatenate([xt.ravel(), xe.ravel()])) == list(range(100))
+        train, ev = train_eval_split(100, seed=0)
+        assert train.shape[0] == 80 and ev.shape[0] == 20
+        assert sorted(np.concatenate([train, ev])) == list(range(100))
 
     def test_labels_follow_features(self):
+        # the same row numbers pick a row's features and its label
         x = np.arange(50.0)[:, None]
         y = np.arange(50) * 2
-        xt, yt, xe, ye = train_eval_split(x, y, seed=7)
-        assert np.array_equal(yt, xt.ravel().astype(int) * 2)
-        assert np.array_equal(ye, xe.ravel().astype(int) * 2)
+        train, ev = train_eval_split(50, seed=7)
+        assert np.array_equal(y[train], x[train].ravel().astype(int) * 2)
+        assert np.array_equal(y[ev], x[ev].ravel().astype(int) * 2)
 
     def test_deterministic_by_seed(self):
-        x = np.arange(30.0)[:, None]
-        y = np.arange(30)
-        a = train_eval_split(x, y, seed=5)
-        b = train_eval_split(x, y, seed=5)
-        c = train_eval_split(x, y, seed=6)
+        a = train_eval_split(30, seed=5)
+        b = train_eval_split(30, seed=5)
+        c = train_eval_split(30, seed=6)
         assert all(np.array_equal(p, q) for p, q in zip(a, b))
         assert not np.array_equal(a[0], c[0])

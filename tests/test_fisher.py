@@ -284,17 +284,17 @@ class TestBatchedOracleEquivalence:
 
 def dense_block(monkeypatch, model, x, y, index):
     """Full Kronecker product of dense layer `index`'s empirical factors, built
-    from the activation-side input and signal its param_stats hands to
-    Layer._keep on one training pass, (M, F, 1) each, with the homogeneous
-    bias column."""
+    from the activation-side input _a and the signal dout that its
+    Layer.param_stats reads on one training pass, (M, F, 1) each, with the
+    homogeneous bias column."""
     kept = {}
-    keep = Layer._keep
+    param_stats = Layer.param_stats
 
-    def spy(layer, grads, a, g, *rest):
-        kept[layer] = a, g
-        keep(layer, grads, a, g, *rest)
+    def spy(layer, dout, *rest):
+        kept[layer] = layer._a, dout[:, :, None]
+        param_stats(layer, dout, *rest)
 
-    monkeypatch.setattr(Layer, "_keep", spy)
+    monkeypatch.setattr(Layer, "param_stats", spy)
     model.train_batch(x, y)
     layer = model.layers[index]
     a, g = (v[:, :, 0] for v in kept[layer])

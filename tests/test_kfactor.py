@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adafisher.errors import ConfigError, DimensionError, InputError, StateError
-from adafisher.kfactor import (MINMAX_EPS, KFState, kronecker_diagonal,
-                               minmax_normalize)
+from adafisher.kfactor import MINMAX_EPS, KFState, minmax_normalize
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, Model)
 from adafisher.tensor import Rng
@@ -150,19 +149,19 @@ class TestKroneckerDiagonal:
     """The diagonal of H (x) S laid out like a layer's parameters."""
 
     def test_ones(self):
-        diag = kronecker_diagonal(np.ones(3), np.ones(2), Dense(2, 2).params)
+        diag = Dense(2, 2).kronecker_diagonal(np.ones(3), np.ones(2))
         assert set(diag) == {"W", "b"}
         assert np.array_equal(diag["W"], np.ones((2, 2)))
         assert np.array_equal(diag["b"], np.ones(2))
 
     def test_forced_arithmetic(self):
         h, s = np.array([2.0, 3.0]), np.array([5.0, 7.0])
-        assert np.array_equal(kronecker_diagonal(h, s, Dense(2, 2, bias=False).params)["W"],
+        assert np.array_equal(Dense(2, 2, bias=False).kronecker_diagonal(h, s)["W"],
                               [[10.0, 15.0], [14.0, 21.0]])
-        with_bias = kronecker_diagonal(h, s, Dense(1, 2).params)  # h[-1] is the bias slot
+        with_bias = Dense(1, 2).kronecker_diagonal(h, s)  # h[-1] is the bias slot
         assert np.array_equal(with_bias["W"], [[10.0], [14.0]])
         assert np.array_equal(with_bias["b"], [15.0, 21.0])
-        norm = kronecker_diagonal(h, s, LayerNorm(2).params)
+        norm = LayerNorm(2).kronecker_diagonal(h, s)
         assert np.array_equal(norm["scale"], [10.0, 21.0])
         assert np.array_equal(norm["shift"], [5.0, 7.0])
 
@@ -172,7 +171,7 @@ class TestKroneckerDiagonal:
                       Conv2d(2, 3, (1, 2), bias=False)):
             w = layer.params["W"]
             h, s = rng.normal((w[0].size + layer.bias,)), rng.normal((w.shape[0],))
-            diag = kronecker_diagonal(h, s, layer.params)
+            diag = layer.kronecker_diagonal(h, s)
             assert {n: d.shape for n, d in diag.items()} == {
                 n: p.shape for n, p in layer.params.items()}
             dense = np.diag(np.kron(np.diag(h), np.diag(s)))
@@ -184,19 +183,19 @@ class TestKroneckerDiagonal:
             for q in range(1, 9):
                 a, b = rng.normal((p,)), rng.normal((q,))
                 dense = np.diag(np.kron(np.diag(a), np.diag(b)))
-                no_bias = kronecker_diagonal(a, b, Dense(p, q, bias=False).params)
+                no_bias = Dense(p, q, bias=False).kronecker_diagonal(a, b)
                 assert np.array_equal(vec(no_bias), dense)
                 if p > 1:  # a's last entry is the bias slot
-                    with_bias = kronecker_diagonal(a, b, Dense(p - 1, q).params)
+                    with_bias = Dense(p - 1, q).kronecker_diagonal(a, b)
                     assert np.array_equal(vec(with_bias), dense)
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
-            kronecker_diagonal(np.zeros(0), np.ones(2), Dense(1, 2, bias=False).params)
+            Dense(1, 2, bias=False).kronecker_diagonal(np.zeros(0), np.ones(2))
         with pytest.raises(DimensionError):
-            kronecker_diagonal(np.ones(2), np.ones(2), Dense(2, 2).params)  # no bias slot
+            Dense(2, 2).kronecker_diagonal(np.ones(2), np.ones(2))  # no bias slot
         with pytest.raises(DimensionError):
-            kronecker_diagonal(np.ones(3), np.ones(2), LayerNorm(2).params)
+            LayerNorm(2).kronecker_diagonal(np.ones(3), np.ones(2))
 
 
 def precondition(g, h, s, lam):

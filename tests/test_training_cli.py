@@ -17,7 +17,6 @@ from adafisher.config import RunConfig, build_model, resolve_dataset
 from adafisher.datasets import write_idx
 from adafisher.errors import ConfigError, InputError
 from adafisher.fisher import approximation_mae, exact_fisher_diag
-from adafisher.kfactor import kronecker_diagonal
 from adafisher.nn import BatchNorm, Conv2d, Dense, softmax
 from adafisher.tensor import Rng
 from adafisher.training import emit_metrics, evaluate, run_training
@@ -757,7 +756,7 @@ class TestCli:
         oracle = exact_fisher_diag(net, x[:8])
         rows = ["epoch,layer,mae"]
         for i, layer in net.param_layers():
-            approx = kronecker_diagonal(layer.capture["h"], layer.capture["s"], layer.params)
+            approx = layer.kronecker_diagonal(layer.capture["h"], layer.capture["s"])
             names = sorted(oracle[i])  # each MAE over the layer's arrays in name order
             assert names == sorted(approx)
             mae = approximation_mae(np.concatenate([oracle[i][n].ravel() for n in names]),

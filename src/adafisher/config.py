@@ -223,6 +223,7 @@ def resolve_dataset(dataset_spec: dict, seed: int):
         x, y = synth_dataset(source, spec.pop("n"), seed=spec.pop("seed", seed), **spec)
     if len(x) != len(y):
         raise DataError(f"{len(x)} inputs but {len(y)} labels")
-    if limit is not None:  # the first rows; an IDX source's stay at one byte per pixel
-        x, y = x.head(limit) if isinstance(x, Images) else x[:limit], y[:limit]
+    if limit is not None:  # copies of the first rows, so the rest is freed; an IDX
+        # source's stay at one byte per pixel
+        x, y = x.head(limit) if isinstance(x, Images) else x[:limit].copy(), y[:limit].copy()
     return x, y

@@ -68,9 +68,8 @@ def gershgorin(matrix: np.ndarray, eig_tol: float = 1e-9) -> DiscSet:
         eigvals, _ = np.linalg.eigh(a)
     else:
         eigvals = np.sort(np.linalg.eigvals(a).real)  # non-symmetric fallback
-    contained = all(
-        np.any(np.abs(lam - centers) <= radii + eig_tol) for lam in eigvals
-    )
+    # each eigenvalue i lies in some disc j
+    contained = bool((np.abs(eigvals[:, None] - centers) <= radii + eig_tol).any(axis=1).all())
     return DiscSet(centers, radii, dominance, eigvals, contained)
 
 

@@ -41,8 +41,12 @@ matmul, so the products of its forward pass and of both gradients run on BLAS.
 MaxPool2d works on the kh*kw strided views of its input, one per window
 offset, and so copies no windows and scatters no indices. Its input gradient,
 like Conv2d's (tensor.col2im_batch), assigns at each offset that touches an
-input entry first and adds only where windows overlap. Layers keep only what
-their backward reads: Activation its derivative, not its input.
+input entry first and adds only where windows overlap.
+
+Layers keep only what their backward reads (Activation its derivative, not
+its input), and only one pass of it: each forward first drops the arrays its
+last pass kept, before it allocates new ones, so two generations of them are
+never live at once.
 """
 
 from __future__ import annotations
@@ -195,6 +199,7 @@ class Conv2d(Kronecker):
         self.pad = tuple(pad)
 
     def forward(self, x, training=True, workers=1):
+        self._a = None
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise DimensionError(f"Conv2d expects (M, {self.in_ch}, H, W), got {x.shape}")
         m, _, h, w = x.shape
@@ -265,6 +270,7 @@ class BatchNorm(Norm):
         return (-1, 1, self.dim) + (1,) * (x.ndim - 2)
 
     def forward(self, x, training=True, workers=1):
+        self._a = self._std = None
         if x.shape[1] != self.dim:
             raise DimensionError(f"BatchNorm expects {self.dim} channels, got {x.shape}")
         shape = self._shape(x)
@@ -313,6 +319,7 @@ class LayerNorm(Norm):
     """Per-sample normalization over the feature axis of (M, C) inputs."""
 
     def forward(self, x, training=True, workers=1):
+        self._a = self._std = None
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DimensionError(f"LayerNorm expects (M, {self.dim}), got {x.shape}")
         mu = x.mean(axis=1, keepdims=True)
@@ -373,6 +380,7 @@ class MaxPool2d(Layer):
         self.stride = tuple(stride) if stride is not None else self.kernel
 
     def forward(self, x, training=True, workers=1):
+        self._masks = None
         if x.ndim != 4:
             raise DimensionError(f"MaxPool2d expects (M, C, H, W), got {x.shape}")
         self._x_shape = x.shape
@@ -457,6 +465,7 @@ class Model:
         return self
 
     def forward(self, x: np.ndarray, training: bool = True, workers: int = 1) -> np.ndarray:
+        self._ran_forward = False  # until the last layer returns: a raised forward leaves no pass
         out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
             out = layer.forward(out, training, workers)

@@ -221,3 +221,25 @@ class TestSplit:
         c = train_eval_split(30, seed=6)
         assert all(np.array_equal(p, q) for p, q in zip(a, b))
         assert not np.array_equal(a[0], c[0])
+
+
+@pytest.mark.parametrize("source", ["blobs", "csv"])
+def test_limit_keeps_only_its_rows_resident(tmp_path, source):
+    # A limit copies its rows, so the generated or parsed rest is freed: what
+    # resolve_dataset leaves resident stays within a few times the rows' bytes.
+    if source == "csv":
+        rows = np.random.default_rng(0).normal(size=(2000, 50))
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.hstack([rows, np.zeros((2000, 1))]), delimiter=",")
+        spec = {"source": "csv", "path": str(path), "limit": 100}
+    else:
+        spec = {"source": "blobs", "n": 20000, "dim": 50, "limit": 100}
+    resolve_dataset(spec, seed=0)  # the modules a first call imports stay resident
+    tracemalloc.start()
+    try:
+        x, y = resolve_dataset(spec, seed=0)
+        resident = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (100, 50) and y.shape == (100,)
+    assert resident < 4 * (x.nbytes + y.nbytes)

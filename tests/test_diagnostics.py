@@ -97,6 +97,21 @@ class TestGershgorin:
         for seed in range(10):
             assert gershgorin(random_symmetric(8, seed)).contained
 
+    @pytest.mark.parametrize("eig_tol", [1e-9, 0.0, -1e-3])
+    def test_containment_is_the_per_eigenvalue_definition(self, eig_tol):
+        # every eigenvalue within eig_tol of some disc; a negative eig_tol
+        # shrinks the discs until a diagonal matrix's eigenvalues fall out
+        mats = [random_symmetric(8, seed) for seed in range(5)]
+        mats += [np.diag([2.0, 3.0]), np.array([[4.0, 1.0], [2.0, -3.0]])]
+        verdicts = []
+        for a in mats:
+            d = gershgorin(a, eig_tol)
+            want = all(np.any(np.abs(lam - d.centers) <= d.radii + eig_tol)
+                       for lam in d.eigenvalues)
+            assert type(d.contained) is bool and d.contained == want
+            verdicts.append(want)
+        assert all(verdicts) == (eig_tol >= 0)
+
     def test_eigenvalues_match_numpy(self):
         a = random_symmetric(10, 3)
         discs = gershgorin(a)

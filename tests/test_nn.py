@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -107,6 +108,19 @@ class TestBackward:
     def test_backward_before_forward_rejected(self):
         with pytest.raises(StateError):
             Model([Dense(2, 2)]).backward(np.zeros((1, 2)))
+
+    def test_backward_after_a_raised_forward_rejected(self):
+        # A forward that raised leaves no pass to differentiate, even when an
+        # earlier one succeeded: the one-row training forward fails in
+        # BatchNorm, after Dense has kept the new row.
+        model = Model([Dense(3, 4), BatchNorm(4), Activation("relu"),
+                       Dense(4, 2)]).init(Rng(6))
+        rng = Rng(7)
+        model.train_batch(rng.normal((8, 3)), rng.integers(0, 2, size=8))
+        with pytest.raises(InputError):
+            model.forward(rng.normal((1, 3)))
+        with pytest.raises(StateError):
+            model.backward(np.zeros((1, 2)))
 
     def test_capture_consistency(self):
         # Gradient entries are (1/M) sums over M*T columns of the captured
@@ -461,6 +475,39 @@ def test_activation_keeps_no_reference_to_its_input(name):
         x_ref = weakref.ref(x)
         del x
         assert x_ref() is None
+
+
+_ONE_GENERATION_CASES = {
+    "conv2d": (lambda: Conv2d(1, 2, (3, 3), pad=(1, 1)), (8, 1, 28, 28)),
+    "batchnorm-2d": (lambda: BatchNorm(64), (512, 64)),
+    "batchnorm-4d": (lambda: BatchNorm(8), (16, 8, 14, 14)),
+    "layernorm": (lambda: LayerNorm(64), (512, 64)),
+    "maxpool": (lambda: MaxPool2d((2, 2)), (16, 8, 28, 28)),
+    "activation-relu": (lambda: Activation("relu"), (512, 64)),
+    "activation-tanh": (lambda: Activation("tanh"), (512, 64)),
+    "dense": (lambda: Dense(64, 32), (512, 64)),
+}
+
+
+@pytest.mark.parametrize("make_layer, in_shape", _ONE_GENERATION_CASES.values(),
+                         ids=list(_ONE_GENERATION_CASES))
+def test_second_forward_holds_one_generation(make_layer, in_shape):
+    # A layer drops what its last forward kept before it forms anything new,
+    # so a second forward on the same input peaks no higher than the first.
+    layer = make_layer()
+    layer.init(Rng(40))
+    x = Rng(41).normal(in_shape)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            out = layer.forward(x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            del out
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1024
 
 
 def test_maxpool_nan_window_routes_to_last_element():

@@ -224,6 +224,6 @@ def resolve_dataset(dataset_spec: dict, seed: int):
     if len(x) != len(y):
         raise DataError(f"{len(x)} inputs but {len(y)} labels")
     if limit is not None:  # copies of the first rows, so the rest is freed; an IDX
-        # source's stay at one byte per pixel
+        # source's stay at one byte per pixel (Images.head)
         x, y = x.head(limit) if isinstance(x, Images) else x[:limit].copy(), y[:limit].copy()
     return x, y

@@ -49,8 +49,11 @@ class Images:
         return self[...]
 
     def head(self, n: int) -> "Images":
-        """The first n images, still at one byte per pixel."""
-        return Images(self._pixels[:n])
+        """The first n images, still at one byte per pixel. Under half the set
+        they are a copy, so the rest can be freed; otherwise a view, which
+        keeps under twice their bytes resident and makes no second copy."""
+        pixels = self._pixels[:n]
+        return Images(pixels.copy() if 2 * len(pixels) < len(self) else pixels)
 
 
 def load_idx(path, expect: str):

@@ -26,6 +26,8 @@ chunk, so the labels do not depend on the chunk size.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .datasets import MAX_SYNTH_VALUES
@@ -96,8 +98,9 @@ def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int, seed: int) -
     """Monte-Carlo Fisher diagonal with labels sampled from the model, laid
     out like exact_fisher_diag's: the (M, n_samples) uniforms are drawn from
     Rng(seed) in sample-major order before the first chunk."""
-    if n_samples < 1:
-        raise InputError("n_samples must be >= 1")
+    if not (isinstance(n_samples, Integral) and not isinstance(n_samples, bool)
+            and n_samples >= 1):
+        raise InputError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     batch = _checked_batch(model, batch)
     draws = batch.shape[0] * int(n_samples)
     if draws > MAX_SYNTH_VALUES:

@@ -69,17 +69,19 @@ class KFState:
     def update(self, fresh: dict[tuple[int, str], np.ndarray]) -> "KFState":
         """EMA every factor with its fresh diagonal, gamma*fresh + (1-gamma)*old;
         fresh must hold exactly the state's keys (a layer that ran no backward
-        pass has captured none), each shaped like the state's factor."""
+        pass has captured none), each shaped like the state's factor. Every
+        fresh factor is checked before any changes."""
         if fresh.keys() != self.factors.keys():
             i, name = min(fresh.keys() ^ self.factors.keys())
             why = "missing; run a backward pass first" if (i, name) in self.factors else "unknown"
             raise StateError(f"fresh factor {name} of layer {i} is {why}")
+        fresh = {key: np.asarray(vec, dtype=np.float64) for key, vec in fresh.items()}
         for (i, name), vec in fresh.items():
-            old, vec = self.factors[i, name], np.asarray(vec, dtype=np.float64)
-            if vec.shape != old.shape:
+            if vec.shape != self.factors[i, name].shape:
                 raise DimensionError(f"fresh factor {name} of layer {i} has shape {vec.shape}, "
-                                     f"the state's {old.shape}")
-            self.factors[i, name] = self.gamma * vec + (1.0 - self.gamma) * old
+                                     f"the state's {self.factors[i, name].shape}")
+        for key, vec in fresh.items():
+            self.factors[key] = self.gamma * vec + (1.0 - self.gamma) * self.factors[key]
         self.step += 1
         return self
 
@@ -87,6 +89,9 @@ class KFState:
         """{(layer id, parameter name): divisor}, each shaped like its parameter."""
         out = {}
         for i, layer in model.param_layers():
+            if (i, "h") not in self.factors or (i, "s") not in self.factors:
+                raise StateError(f"the state holds no factors of layer {i}; "
+                                 "build it with KFState.for_model")
             h, s = (minmax_normalize(self.factors[i, k]) for k in ("h", "s"))
             if self.norm_fisher_off and isinstance(layer, Norm):
                 h, s = np.zeros_like(h), np.zeros_like(s)  # identity factors, min-maxed

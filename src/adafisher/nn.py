@@ -225,6 +225,8 @@ class Norm(Layer):
     _workers = 1  # shards normalized by their own statistics; BatchNorm's forward sets it
 
     def __init__(self, dim: int, eps: float = 1e-5):
+        if not eps >= 0:
+            raise InputError("eps must be non-negative")
         super().__init__()
         self.dim = dim
         self.eps = eps
@@ -255,8 +257,6 @@ class BatchNorm(Norm):
     """Per-channel batch normalization for (M, C) or (M, C, H, W) inputs."""
 
     def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
-        if eps < 0:
-            raise InputError("eps must be non-negative")
         super().__init__(dim, eps)
         self.momentum = momentum
         self.running_mean = np.zeros(dim)
@@ -425,6 +425,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     the mean loss w.r.t. the logits. Labels must be integers in [0, C).
     """
     labels = np.asarray(labels)
+    if np.ndim(logits) != 2:
+        raise DimensionError(f"logits must be 2-D (M, C), got shape {np.shape(logits)}")
     m, c = logits.shape
     if m == 0:
         raise InputError("cross-entropy of an empty batch")

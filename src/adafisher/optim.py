@@ -1,19 +1,27 @@
 """Parameter-update rules: AdaFisher / AdaFisherW plus SGD, Adam and AdamW
 baselines, learning-rate schedules, and build_optimizer, which maps an
-optimizer name (any case) to its constructor. The constructors check their
-arguments for library callers; run configs are checked in adafisher.config.
+optimizer name (any case) to its constructor; adamw is Adam with
+decoupled=True. The constructors check their arguments for library callers;
+run configs are checked in adafisher.config.
 
-AdaFisher keeps a single bias-corrected first moment per parameter and divides
-it elementwise by that parameter's curvature divisor, which KFState.divisors
-hands over keyed by (layer id, parameter name); there is no second moment and
+One walk, Optimizer.step, serves every optimizer. Before it changes anything
+it checks that every gradient (and, for AdaFisher, every divisor) is there
+and shaped like its parameter, so a step that raises leaves the state as it
+was; then it counts the step and calls the subclass's _update on each
+parameter, its gradient, its moments and its divisor.
+One table, opt.moments, maps (layer id, parameter name) to the n_moments
+arrays made as zeros when first met: AdaFisher's m, Adam's m and v, SGD's
+momentum buffer (none without momentum).
+
+AdaFisher divides a bias-corrected first moment elementwise by the divisor
+KFState.divisors hands over under the same key; there is no second moment and
 (unless sqrt_divisor=True) no square root on the divisor: the factored
-curvature supplies its own smoothing through the factor EMA. Every parameter
-takes the same update, looped like Adam's. AdaFisherW is AdaFisher with a
-decoupled weight decay kappa > 0, so both names build an AdaFisher.
+curvature supplies its own smoothing through the factor EMA. AdaFisherW is
+AdaFisher with a decoupled weight decay kappa > 0, so both names build one.
 
 The Adam and SGD baselines read no curvature (needs_divisors is False), so
-their training step forms no factor capture. Every optimizer updates its
-moments and parameters in place, with the float operations of the textbook
+their training step forms no factor capture. Every _update changes its
+moments and parameter in place, with the float operations of the textbook
 formulas in their order (m *= b1; m += (1 - b1) * g rounds as
 b1 * m + (1 - b1) * g), so an Adam step allocates only its update and one
 scratch array per parameter (plus the decayed gradient under coupled decay).
@@ -21,12 +29,13 @@ scratch array per parameter (plus the decayed gradient under coupled decay).
 
 from __future__ import annotations
 
+import functools
 import math
 from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, StateError
 from .nn import Model
 
 
@@ -58,7 +67,10 @@ class Schedule:
 
 
 class Optimizer:
+    """The parameter walk (see the module docstring); subclasses give _update."""
+
     needs_divisors = False
+    n_moments = 0
 
     def __init__(self, alpha: float = 0.001):
         if not alpha > 0:
@@ -66,9 +78,30 @@ class Optimizer:
         self.alpha = alpha
         self.lr_scale = 1.0
         self.t = 0
+        self.moments: dict[tuple[int, str], tuple[np.ndarray, ...]] = {}
 
     def step(self, model: Model, divisors: dict | None = None) -> None:
-        raise NotImplementedError
+        if self.needs_divisors and divisors is None:
+            raise ConfigError(f"{type(self).__name__} requires curvature divisors")
+        work = []
+        for i, name, p in model.parameters():
+            g = model.layers[i].grads.get(name)
+            if g is None:
+                raise StateError(f"layer {i} parameter {name} has no gradient; "
+                                 "run a backward pass first")
+            if g.shape != p.shape:
+                raise DimensionError(f"layer {i} parameter {name}: gradient {g.shape} "
+                                     f"vs parameter {p.shape}")
+            div = divisors.get((i, name)) if self.needs_divisors else None
+            if self.needs_divisors and (div is None or g.shape != div.shape):
+                raise DimensionError(f"layer {i} parameter {name}: gradient {g.shape} "
+                                     f"vs divisor {getattr(div, 'shape', 'missing')}")
+            work.append(((i, name), p, g, div))
+        self.t += 1
+        for key, p, g, div in work:
+            if key not in self.moments:
+                self.moments[key] = tuple(np.zeros_like(p) for _ in range(self.n_moments))
+            self._update(p, g, *self.moments[key], div=div)
 
     @property
     def lr(self) -> float:
@@ -80,6 +113,7 @@ class AdaFisher(Optimizer):
     decoupled weight decay, undivided (the AdaFisherW variant)."""
 
     needs_divisors = True
+    n_moments = 1
 
     def __init__(self, alpha: float = 0.001, beta: float = 0.9, kappa: float = 0.0,
                  sqrt_divisor: bool = False):
@@ -91,36 +125,23 @@ class AdaFisher(Optimizer):
         self.beta = beta
         self.kappa = kappa
         self.sqrt_divisor = sqrt_divisor
-        self.m: dict[tuple[int, str], np.ndarray] = {}
 
-    def step(self, model: Model, divisors: dict | None = None) -> None:
-        if divisors is None:
-            raise ConfigError("AdaFisher requires curvature divisors")
-        self.t += 1
-        correction = 1.0 - self.beta**self.t
-        lr = self.lr
-        for i, name, p in model.parameters():
-            g, div = model.layers[i].grads[name], divisors[i, name]
-            if g.shape != div.shape:
-                raise DimensionError(f"layer {i} parameter {name}: gradient "
-                                     f"{g.shape} vs divisor {div.shape}")
-            if self.sqrt_divisor:
-                div = np.sqrt(div)
-            key = (i, name)
-            if key not in self.m:
-                self.m[key] = np.zeros_like(p)
-            m = self.m[key]
-            m *= self.beta
-            m += (1.0 - self.beta) * g
-            delta = m / correction  # bias correction applied on read
-            delta /= div
-            if self.kappa:
-                delta += self.kappa * p
-            delta *= lr
-            p -= delta
+    def _update(self, p, g, m, div) -> None:
+        if self.sqrt_divisor:
+            div = np.sqrt(div)
+        m *= self.beta
+        m += (1.0 - self.beta) * g
+        delta = m / (1.0 - self.beta**self.t)  # bias correction applied on read
+        delta /= div
+        if self.kappa:
+            delta += self.kappa * p
+        delta *= self.lr
+        p -= delta
 
 
 class Adam(Optimizer):
+    n_moments = 2
+
     def __init__(self, alpha: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.0, decoupled: bool = False):
         super().__init__(alpha)
@@ -133,45 +154,27 @@ class Adam(Optimizer):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.decoupled = decoupled
-        self.m: dict[tuple[int, str], np.ndarray] = {}
-        self.v: dict[tuple[int, str], np.ndarray] = {}
 
-    def step(self, model: Model, divisors=None) -> None:
-        self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
-        lr = self.lr
-        for i, name, p in model.parameters():
-            g = model.layers[i].grads[name]
-            if self.weight_decay and not self.decoupled:
-                g = g + self.weight_decay * p
-            key = (i, name)
-            if key not in self.m:
-                self.m[key] = np.zeros_like(p)
-                self.v[key] = np.zeros_like(p)
-            m, v = self.m[key], self.v[key]
-            tmp = (1.0 - self.beta1) * g
-            m *= self.beta1
-            m += tmp  # m = b1 * m + (1 - b1) * g
-            np.multiply(1.0 - self.beta2, g, out=tmp)
-            tmp *= g
-            v *= self.beta2
-            v += tmp  # v = b2 * v + (1 - b2) * g * g
-            np.divide(v, c2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            update = m / c1
-            update /= tmp  # (m / c1) / (sqrt(v / c2) + eps)
-            if self.weight_decay and self.decoupled:
-                np.multiply(self.weight_decay, p, out=tmp)
-                update += tmp
-            update *= lr
-            p -= update
-
-
-def adamw(alpha: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
-          eps: float = 1e-8, weight_decay: float = 0.0) -> Adam:
-    return Adam(alpha, beta1, beta2, eps, weight_decay, decoupled=True)
+    def _update(self, p, g, m, v, div) -> None:
+        if self.weight_decay and not self.decoupled:
+            g = g + self.weight_decay * p
+        tmp = (1.0 - self.beta1) * g
+        m *= self.beta1
+        m += tmp  # m = b1 * m + (1 - b1) * g
+        np.multiply(1.0 - self.beta2, g, out=tmp)
+        tmp *= g
+        v *= self.beta2
+        v += tmp  # v = b2 * v + (1 - b2) * g * g
+        np.divide(v, 1.0 - self.beta2**self.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        update = m / (1.0 - self.beta1**self.t)
+        update /= tmp  # (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+        if self.weight_decay and self.decoupled:
+            np.multiply(self.weight_decay, p, out=tmp)
+            update += tmp
+        update *= self.lr
+        p -= update
 
 
 class SGD(Optimizer):
@@ -182,26 +185,19 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
         self.momentum = momentum
-        self.buf: dict[tuple[int, str], np.ndarray] = {}
+        self.n_moments = int(bool(momentum))  # no buffer without momentum
 
-    def step(self, model: Model, divisors=None) -> None:
-        self.t += 1
-        lr = self.lr
-        for i, name, p in model.parameters():
-            g = model.layers[i].grads[name]
-            key = (i, name)
-            if self.momentum:
-                if key not in self.buf:
-                    self.buf[key] = np.zeros_like(p)
-                buf = self.buf[key]
-                buf *= self.momentum
-                buf += g  # buf = mu * buf + g
-                g = buf
-            p -= lr * g
+    def _update(self, p, g, *buf, div) -> None:
+        if buf:
+            buf, = buf
+            buf *= self.momentum
+            buf += g  # buf = mu * buf + g
+            g = buf
+        p -= self.lr * g
 
 
 _FACTORIES = {"adafisher": AdaFisher, "adafisherw": AdaFisher, "adam": Adam,
-              "adamw": adamw, "sgd": SGD}
+              "adamw": functools.partial(Adam, decoupled=True), "sgd": SGD}
 
 
 def build_optimizer(name: str, hyper: dict | None = None) -> Optimizer:
@@ -209,4 +205,7 @@ def build_optimizer(name: str, hyper: dict | None = None) -> Optimizer:
     factory = _FACTORIES.get(name.lower())
     if factory is None:
         raise ConfigError(f"unknown optimizer {name!r}")
-    return factory(**(hyper or {}))
+    try:
+        return factory(**(hyper or {}))
+    except TypeError as exc:  # an unknown keyword, or a value no check can compare
+        raise ConfigError(f"optimizer {name!r}: {exc}") from None

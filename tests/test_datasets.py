@@ -57,6 +57,21 @@ class TestIdx:
         assert x.shape == (1000, 1, 28, 28)
         assert peak < 2 * 1000 * 28 * 28
 
+    def test_limited_images_keep_only_their_rows_resident(self, tmp_path):
+        # A limit of 100 copies its rows' bytes, so the file's other 900 rows
+        # are freed once resolve_dataset returns.
+        self.resident_peak(tmp_path, limit=100)  # the modules a first call imports stay
+        tracemalloc.start()
+        try:
+            x, y = resolve_dataset({"source": "idx", "images": str(tmp_path / "images.idx"),
+                                    "labels": str(tmp_path / "labels.idx"), "limit": 100},
+                                   seed=0)
+            resident = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (100, 1, 28, 28)
+        assert resident < 4 * (100 * 28 * 28 + y.nbytes)
+
     def test_limited_images_resident_at_one_byte_per_pixel(self, tmp_path):
         # So do the first 900 of them under a dataset limit.
         x, peak = self.resident_peak(tmp_path, limit=900)

@@ -146,7 +146,7 @@ class TestFiniteGuard:
         opt, state = AdaFisher(), KFState.for_model(model)
         train_step(model, *make_batch(12, m=8), opt, state, workers=workers)
         snapshot = ({k: v.copy() for k, v in state.factors.items()},
-                    {k: v.copy() for k, v in opt.m.items()},
+                    {k: np.copy(v) for k, v in opt.moments.items()},
                     [p.copy() for _, _, p in model.parameters()])
         return model, opt, state, snapshot
 
@@ -155,8 +155,8 @@ class TestFiniteGuard:
         assert state.step == 1 and opt.t == 1
         assert state.factors.keys() == factors.keys()
         assert all(np.array_equal(state.factors[k], v) for k, v in factors.items())
-        assert opt.m.keys() == moments.keys()
-        assert all(np.array_equal(opt.m[k], v) for k, v in moments.items())
+        assert opt.moments.keys() == moments.keys()
+        assert all(np.array_equal(opt.moments[k], v) for k, v in moments.items())
         assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), params))
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -196,7 +196,7 @@ class TestFiniteGuard:
                            opt, state)
         assert state.step == opt.t > 0
         assert all(np.isfinite(vec).all() for vec in state.factors.values())
-        assert all(np.isfinite(m).all() for m in opt.m.values())
+        assert all(np.isfinite(m).all() for m in opt.moments.values())
 
 
 def every_kind(seed=0):

@@ -292,6 +292,25 @@ class TestStateLifecycle:
             state.update({**fresh, (1, "h"): np.ones(2)})
         assert state.step == 0
 
+    def test_update_checks_every_factor_before_changing_any(self):
+        model = self.make_model()
+        rng = Rng(10)
+        model.train_batch(rng.normal((4, 1, 3, 3)), rng.integers(0, 4, size=4))
+        state = KFState.for_model(model)
+        before = {key: vec.copy() for key, vec in state.factors.items()}
+        fresh = {**keyed(model, "capture"), (5, "s"): np.ones(3)}  # the last factor misshaped
+        with pytest.raises(DimensionError, match="fresh factor s of layer 5"):
+            state.update(fresh)
+        assert state.step == 0
+        assert all(np.array_equal(state.factors[key], vec) for key, vec in before.items())
+
+    def test_divisors_of_a_layer_without_factors_rejected(self):
+        model = self.make_model()
+        state = KFState.for_model(model)
+        del state.factors[4, "h"]
+        with pytest.raises(StateError, match="no factors of layer 4"):
+            state.divisors(model)
+
     def test_norm_fisher_off_uses_identity(self):
         model = self.make_model()
         rng = Rng(11)

@@ -59,6 +59,15 @@ class TestForward:
         with pytest.raises(DimensionError):
             Dense(3, 2).forward(np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("make", [lambda: LayerNorm(3, eps=-1.0),
+                                      lambda: LayerNorm(3, eps=float("nan")),
+                                      lambda: BatchNorm(3, eps=float("nan"))],
+                             ids=["layernorm-negative", "layernorm-nan", "batchnorm-nan"])
+    def test_norm_eps_must_be_nonnegative(self, make):
+        # a negative or NaN eps makes every normalized output NaN
+        with pytest.raises(InputError, match="eps must be non-negative"):
+            make()
+
     def test_batchnorm_single_sample_rejected(self):
         with pytest.raises(InputError):
             BatchNorm(2).forward(np.zeros((1, 2)), training=True)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adafisher.config import RunConfig
-from adafisher.errors import ConfigError, DimensionError
+from adafisher.errors import ConfigError, DimensionError, StateError
 from adafisher.kfactor import KFState, minmax_normalize
-from adafisher.nn import BatchNorm, Conv2d, Dense, LayerNorm, Model
-from adafisher.optim import Adam, AdaFisher, SGD, Schedule, adamw, build_optimizer
+from adafisher.nn import Activation, BatchNorm, Conv2d, Dense, LayerNorm, Model
+from adafisher.optim import Adam, AdaFisher, SGD, Schedule, build_optimizer
 from adafisher.tensor import Rng
 
 # Derandomized and bounded, so the suite stays deterministic and fast.
@@ -156,7 +156,7 @@ class TestAdam:
 
     def test_adamw_zero_gradient_pure_decay(self):
         model, layer = scalar_model(w0=2.0)
-        opt = adamw(alpha=0.01, weight_decay=0.1)
+        opt = Adam(alpha=0.01, weight_decay=0.1, decoupled=True)
         opt.step(model)
         assert layer.params["W"][0, 0] == 2.0 * (1.0 - 0.01 * 0.1)
 
@@ -175,7 +175,7 @@ class TestAdam:
         lc.grads["W"][:] = 0.5
         ld.grads["W"][:] = 0.5
         Adam(alpha=0.01, weight_decay=0.1).step(mc)
-        adamw(alpha=0.01, weight_decay=0.1).step(md)
+        Adam(alpha=0.01, weight_decay=0.1, decoupled=True).step(md)
         assert lc.params["W"][0, 0] != ld.params["W"][0, 0]
 
 
@@ -251,11 +251,54 @@ def test_in_place_baseline_matches_allocating_formulas(name, hyper):
             assert np.array_equal(g, before[key])  # the gradient is read, never written
         for i, n, p in model.parameters():
             assert np.array_equal(p, ref[i, n]), (t, i, n)
-        kept = [buf for moments in (getattr(opt, a, {}) for a in ("m", "v", "buf"))
-                for buf in moments.values()]
+        kept = [buf for moments in opt.moments.values() for buf in moments]
         per_param = 2 if name != "sgd" else int(bool(hyper.get("momentum")))
         assert len(kept) == per_param * len(grads)
         assert not any(np.shares_memory(buf, g) for buf in kept for g in grads.values())
+
+
+def _drop_grads(model, divisors):
+    model.layers[2].grads.clear()
+
+
+@pytest.mark.parametrize("name, hyper, spoil, error, match", [
+    ("adafisher", {}, _drop_grads, StateError, "layer 2 parameter W has no gradient"),
+    ("adam", {}, _drop_grads, StateError, "layer 2 parameter W has no gradient"),
+    ("sgd", {"momentum": 0.9}, _drop_grads, StateError, "layer 2 parameter W has no gradient"),
+    ("adafisher", {}, lambda model, divisors: divisors.pop((2, "b")), DimensionError,
+     r"layer 2 parameter b: gradient \(2,\) vs divisor missing"),
+    ("adafisher", {}, lambda model, divisors: divisors.clear(), DimensionError,
+     "layer 0 parameter W"),
+    ("adafisher", {}, lambda model, divisors: divisors.__setitem__((2, "b"), np.ones(3)),
+     DimensionError, r"layer 2 parameter b: gradient \(2,\) vs divisor \(3,\)"),
+    ("adam", {}, lambda model, divisors: model.layers[2].grads.__setitem__("b", np.ones(3)),
+     DimensionError, r"layer 2 parameter b: gradient \(3,\) vs parameter \(2,\)"),
+], ids=["adafisher-no-gradient", "adam-no-gradient", "sgd-momentum-no-gradient",
+        "adafisher-no-divisor", "adafisher-no-divisors", "adafisher-misshaped-divisor",
+        "adam-misshaped-gradient"])
+def test_failing_step_changes_nothing(name, hyper, spoil, error, match):
+    # Every parameter is checked before any is updated: a step that raises on
+    # the last layer leaves every parameter, every moment and t as they were.
+    model = Model([Dense(3, 4), Activation("relu"), Dense(4, 2)]).init(Rng(30))
+    opt = build_optimizer(name, {"alpha": 0.01, **hyper})
+    rng = Rng(31)
+
+    def gradients_and_divisors():
+        for _, layer in model.param_layers():
+            layer.grads = {n: rng.normal(p.shape) for n, p in layer.params.items()}
+        return KFState.for_model(model).divisors(model)
+
+    opt.step(model, gradients_and_divisors())
+    params = [p.copy() for _, _, p in model.parameters()]
+    moments = {key: np.copy(arrays) for key, arrays in opt.moments.items()}
+    divisors = gradients_and_divisors()
+    spoil(model, divisors)
+    with pytest.raises(error, match=match):
+        opt.step(model, divisors)
+    assert opt.t == 1
+    assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), params))
+    assert opt.moments.keys() == moments.keys()
+    assert all(np.array_equal(opt.moments[key], arrays) for key, arrays in moments.items())
 
 
 class TestSchedule:

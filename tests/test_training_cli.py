@@ -15,9 +15,10 @@ from adafisher import datasets, fisher, training
 from adafisher.cli import main
 from adafisher.config import RunConfig, build_model, resolve_dataset
 from adafisher.datasets import write_idx
-from adafisher.errors import ConfigError, InputError
+from adafisher.errors import ConfigError, DimensionError, InputError
 from adafisher.fisher import approximation_mae, exact_fisher_diag
-from adafisher.nn import BatchNorm, Conv2d, Dense, softmax
+from adafisher.nn import BatchNorm, Conv2d, Dense, Model, cross_entropy, softmax
+from adafisher.optim import build_optimizer
 from adafisher.tensor import Rng
 from adafisher.training import emit_metrics, evaluate, run_training
 
@@ -810,3 +811,19 @@ class TestCli:
         assert main(["train", "--config", cfg]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: synthetic dataset of ")
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: cross_entropy(np.zeros(3), np.zeros(3, dtype=int)), DimensionError, "2-D"),
+    (lambda: cross_entropy(np.zeros((2, 3, 1)), np.zeros(2, dtype=int)), DimensionError, "2-D"),
+    (lambda: fisher.mc_fisher_diag(Model([Dense(2, 2)]).init(Rng(0)), np.zeros((3, 2)),
+                                   n_samples=2.5, seed=0), InputError, "n_samples"),
+    (lambda: fisher.mc_fisher_diag(Model([Dense(2, 2)]).init(Rng(0)), np.zeros((3, 2)),
+                                   n_samples=True, seed=0), InputError, "n_samples"),
+    (lambda: build_optimizer("adam", {"beta": 0.9}), ConfigError, "keyword argument 'beta'"),
+    (lambda: build_optimizer("sgd", {"alpha": "0.1"}), ConfigError, "optimizer 'sgd'"),
+], ids=["logits-1d", "logits-3d", "samples-float", "samples-bool", "optimizer-keyword",
+        "optimizer-value"])
+def test_library_calls_raise_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

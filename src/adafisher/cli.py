@@ -1,14 +1,21 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 config error (and every other AdaFisherError: a
-config the model or data cannot run), 3 data error, 4 numeric failure.
+config the model or data cannot run, or one over a size guard), 3 data error,
+4 numeric failure.
 The output root can be set with the ADAFISHER_OUT_ROOT environment variable.
+
+Each command does only its own work: the argument parser is built once per
+process, on the first main call, and every later call in that process (a
+benchmark or test driving main repeatedly) reuses it; a diagnose analysis
+solves for no more than it writes (gershgorin: eigenvalues, no vectors).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import zipfile
@@ -150,7 +157,11 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and shared by every later
+    call, so callers must not change it (its subcommands keep the cmd_*
+    functions they were built with)."""
     parser = argparse.ArgumentParser(prog="adafisher")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,19 +4,22 @@ RunConfig.from_dict walks a raw config against the tables: unknown and missing
 keys and every present value (reals must be finite), with messages naming the
 field's dotted path. A table gives each field's type and bound, not its
 default: an absent optional field is left out, so its constructor's default
-applies. build_model and resolve_dataset read blocks already checked."""
+applies. It then checks the model's parameter count against the desk-scale
+guard MAX_SYNTH_VALUES (a SizeError), before anything is allocated.
+build_model and resolve_dataset read blocks already checked."""
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral, Real
 from pathlib import Path
 
-from .datasets import Images, load_csv, load_idx, synth_dataset
-from .errors import ConfigError, DataError
+from .datasets import MAX_SYNTH_VALUES, Images, load_csv, load_idx, synth_dataset
+from .errors import ConfigError, DataError, SizeError
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                  MaxPool2d, Model)
 from .tensor import Rng
@@ -160,6 +163,18 @@ _TOP = _block({"model": _MODEL, "dataset": _DATASET, "optimizer": _OPTIMIZER}, {
 })
 
 
+def _param_count(spec: dict) -> int:
+    """Parameter values the checked layer spec builds, in Python ints (no
+    overflow): a Kronecker layer's W (out x in x kernel) and bias, a norm's
+    scale and shift."""
+    if spec["kind"] in ("dense", "conv2d"):
+        fan_in = spec["in"] * math.prod(spec.get("kernel", ()))
+        return spec["out"] * (fan_in + spec.get("bias", True))
+    if spec["kind"] in ("batchnorm", "layernorm"):
+        return 2 * spec["dim"]
+    return 0
+
+
 @dataclass
 class RunConfig:
     model: dict
@@ -179,6 +194,10 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         _TOP(raw, "")
         cfg = cls(**raw)
+        params = sum(map(_param_count, cfg.model["layers"]))
+        if params > MAX_SYNTH_VALUES:
+            raise SizeError(f"model has {params} parameter values, over the guard "
+                            f"of {MAX_SYNTH_VALUES}")
         if cfg.batch_size % cfg.workers:
             raise ConfigError(f"workers {cfg.workers} do not divide batch_size {cfg.batch_size}")
         shard = cfg.batch_size // cfg.workers

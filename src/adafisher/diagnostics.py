@@ -2,7 +2,10 @@
 under off-diagonal Gaussian noise, 2-D DFT and SNR, factored-curvature
 diagonal summaries and the training-trajectory recorder.
 
-Symmetric eigenproblems are solved with LAPACK ``eigh`` (via numpy).
+Symmetric eigenproblems are solved with LAPACK (via numpy) for only what
+their caller reads: gershgorin and perturb_offdiag read eigenvalues alone and
+call ``eigvalsh``, which forms no eigenvectors; sym_eigh returns the vectors
+too (``eigh``). All three first check that the matrix is symmetric.
 """
 
 from __future__ import annotations
@@ -30,15 +33,25 @@ def _matrix(matrix, square: bool = True) -> np.ndarray:
     return a
 
 
+def _is_symmetric(a: np.ndarray) -> bool:
+    """Whether a square matrix equals its transpose up to rounding."""
+    return np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max()))
+
+
+def _symmetric(matrix) -> np.ndarray:
+    """matrix as float64, once it is a real, non-empty, symmetric matrix."""
+    a = _matrix(matrix)
+    if not _is_symmetric(a):
+        raise InputError("matrix must be symmetric")
+    return a
+
+
 def sym_eigh(a: np.ndarray):
     """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns (eigenvalues ascending, eigenvectors as columns).
     """
-    a = _matrix(a)
-    if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise InputError("matrix must be symmetric")
-    return np.linalg.eigh(a)
+    return np.linalg.eigh(_symmetric(a))
 
 
 @dataclass
@@ -58,14 +71,16 @@ class DiscSet:
 
 
 def gershgorin(matrix: np.ndarray, eig_tol: float = 1e-9) -> DiscSet:
-    """Disc centers/radii plus an eigensolver-backed containment check."""
+    """Disc centers/radii plus an eigensolver-backed containment check: the
+    eigenvalues (ascending) of a symmetric matrix by ``eigvalsh``, else the
+    sorted real parts of ``eigvals``."""
     a = _matrix(matrix)
     centers = np.diag(a).copy()
     radii = np.sum(np.abs(a), axis=1) - np.abs(centers)
     with np.errstate(divide="ignore"):
         dominance = np.where(radii > 0, np.abs(centers) / np.where(radii > 0, radii, 1.0), np.inf)
-    if np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
-        eigvals, _ = np.linalg.eigh(a)
+    if _is_symmetric(a):
+        eigvals = np.linalg.eigvalsh(a)
     else:
         eigvals = np.sort(np.linalg.eigvals(a).real)  # non-symmetric fallback
     # each eigenvalue i lies in some disc j
@@ -88,7 +103,7 @@ class PerturbResult:
 
 def perturb_offdiag(matrix: np.ndarray, sigma: float, seed: int) -> PerturbResult:
     """Add symmetric N(0, sigma^2) noise off-diagonal and compare spectra."""
-    a = _matrix(matrix)
+    a = _symmetric(matrix)
     n = a.shape[0]
     noise = np.zeros_like(a)
     if sigma > 0:
@@ -97,8 +112,8 @@ def perturb_offdiag(matrix: np.ndarray, sigma: float, seed: int) -> PerturbResul
         iu = np.triu_indices(n, 1)
         noise[iu] = upper[iu]
         noise = noise + noise.T  # keep the perturbed matrix symmetric
-    before, _ = sym_eigh(a)
-    after, _ = sym_eigh(a + noise)
+    before = np.linalg.eigvalsh(a)
+    after = np.linalg.eigvalsh(_symmetric(a + noise))
     mags_b = np.sort(np.abs(before))[::-1]
     mags_a = np.sort(np.abs(after))[::-1]
     return PerturbResult(mags_b, mags_a, kaiser_count(before), kaiser_count(after))

@@ -1,8 +1,10 @@
 """Parameter-update rules: AdaFisher / AdaFisherW plus SGD, Adam and AdamW
 baselines, learning-rate schedules, and build_optimizer, which maps an
 optimizer name (any case) to its constructor; adamw is Adam with
-decoupled=True. The constructors check their arguments for library callers;
-run configs are checked in adafisher.config.
+decoupled=True, which its caller cannot override. The constructors check their
+arguments for library callers (each hyperparameter a real number, not a bool,
+in its range; each flag a bool) and raise ConfigError otherwise; run configs
+are checked in adafisher.config.
 
 One walk, Optimizer.step, serves every optimizer. Before it changes anything
 it checks that every gradient (and, for AdaFisher, every divisor) is there
@@ -29,14 +31,40 @@ scratch array per parameter (plus the decayed gradient under coupled decay).
 
 from __future__ import annotations
 
-import functools
-import math
-from numbers import Integral
+import sys
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, StateError
 from .nn import Model
+
+
+def _number(name: str, value, ok, what: str):
+    """value, once it is a finite real number (not a bool) for which ok holds;
+    otherwise a ConfigError naming the hyperparameter."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not abs(value) <= sys.float_info.max or not ok(value)):
+        raise ConfigError(f"{name} must be a finite number {what}, got {value!r}")
+    return value
+
+
+def _flag(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be True or False, got {value!r}")
+    return value
+
+
+def _positive(name: str, value):
+    return _number(name, value, lambda v: v > 0, "> 0")
+
+
+def _nonnegative(name: str, value):
+    return _number(name, value, lambda v: v >= 0, ">= 0")
+
+
+def _below_one(name: str, value):
+    return _number(name, value, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
 class Schedule:
@@ -49,14 +77,10 @@ class Schedule:
         if not (isinstance(step_size, Integral) and not isinstance(step_size, bool)
                 and step_size >= 1):
             raise ConfigError(f"step_size must be an integer >= 1, got {step_size!r}")
-        if not (factor > 0 and math.isfinite(factor)):
-            raise ConfigError(f"factor must be a finite number > 0, got {factor!r}")
-        if not total_epochs >= 1:
-            raise ConfigError(f"total_epochs must be >= 1, got {total_epochs!r}")
         self.kind = kind
         self.step_size = step_size
-        self.factor = factor
-        self.total_epochs = total_epochs
+        self.factor = _positive("factor", factor)
+        self.total_epochs = _number("total_epochs", total_epochs, lambda v: v >= 1, ">= 1")
 
     def scale(self, epoch: int) -> float:
         if self.kind == "constant":
@@ -73,9 +97,7 @@ class Optimizer:
     n_moments = 0
 
     def __init__(self, alpha: float = 0.001):
-        if not alpha > 0:
-            raise ConfigError("learning rate must be positive")
-        self.alpha = alpha
+        self.alpha = _positive("learning rate alpha", alpha)
         self.lr_scale = 1.0
         self.t = 0
         self.moments: dict[tuple[int, str], tuple[np.ndarray, ...]] = {}
@@ -118,13 +140,9 @@ class AdaFisher(Optimizer):
     def __init__(self, alpha: float = 0.001, beta: float = 0.9, kappa: float = 0.0,
                  sqrt_divisor: bool = False):
         super().__init__(alpha)
-        if not 0.0 <= beta < 1.0:
-            raise ConfigError("beta must lie in [0, 1)")
-        if not kappa >= 0:
-            raise ConfigError("weight decay kappa must be non-negative")
-        self.beta = beta
-        self.kappa = kappa
-        self.sqrt_divisor = sqrt_divisor
+        self.beta = _below_one("beta", beta)
+        self.kappa = _nonnegative("weight decay kappa", kappa)
+        self.sqrt_divisor = _flag("sqrt_divisor", sqrt_divisor)
 
     def _update(self, p, g, m, div) -> None:
         if self.sqrt_divisor:
@@ -145,15 +163,10 @@ class Adam(Optimizer):
     def __init__(self, alpha: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.0, decoupled: bool = False):
         super().__init__(alpha)
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError("betas must lie in [0, 1)")
-        if not eps > 0:
-            raise ConfigError("eps must be positive")
-        if not weight_decay >= 0:
-            raise ConfigError("weight decay must be non-negative")
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
-        self.decoupled = decoupled
+        self.beta1, self.beta2 = _below_one("beta1", beta1), _below_one("beta2", beta2)
+        self.eps = _positive("eps", eps)
+        self.weight_decay = _nonnegative("weight_decay", weight_decay)
+        self.decoupled = _flag("decoupled", decoupled)
 
     def _update(self, p, g, m, v, div) -> None:
         if self.weight_decay and not self.decoupled:
@@ -182,9 +195,7 @@ class SGD(Optimizer):
 
     def __init__(self, alpha: float = 0.001, momentum: float = 0.0):
         super().__init__(alpha)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        self.momentum = momentum
+        self.momentum = _below_one("momentum", momentum)
         self.n_moments = int(bool(momentum))  # no buffer without momentum
 
     def _update(self, p, g, *buf, div) -> None:
@@ -196,8 +207,10 @@ class SGD(Optimizer):
         p -= self.lr * g
 
 
+# adamw passes decoupled itself, so a caller's decoupled is a TypeError (a
+# keyword given twice), not an override.
 _FACTORIES = {"adafisher": AdaFisher, "adafisherw": AdaFisher, "adam": Adam,
-              "adamw": functools.partial(Adam, decoupled=True), "sgd": SGD}
+              "adamw": lambda **hyper: Adam(**hyper, decoupled=True), "sgd": SGD}
 
 
 def build_optimizer(name: str, hyper: dict | None = None) -> Optimizer:
@@ -207,5 +220,5 @@ def build_optimizer(name: str, hyper: dict | None = None) -> Optimizer:
         raise ConfigError(f"unknown optimizer {name!r}")
     try:
         return factory(**(hyper or {}))
-    except TypeError as exc:  # an unknown keyword, or a value no check can compare
+    except (TypeError, ConfigError) as exc:  # TypeError: an unknown keyword
         raise ConfigError(f"optimizer {name!r}: {exc}") from None

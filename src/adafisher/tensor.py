@@ -2,13 +2,18 @@
 patch expansion with its adjoint. Both sweep the kernel offsets with
 window_slices, which clips each offset's window grid to the unpadded input, so
 neither forms a zero-padded copy, and flags the offsets that touch their input
-entries first, where the adjoint assigns instead of adding.
+entries first, where the adjoint assigns instead of adding. The sweep's
+geometry depends only on (size, kernel, stride, pad), so window_slices works
+it out once per distinct geometry and hands every later call (im2col, col2im
+and MaxPool2d on each pass) the same tuples.
 
 All arrays are float64, row-major (C order). Operations are pure and
 single-threaded; determinism is run-to-run on a given platform.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -48,7 +53,7 @@ def conv_out_size(size: int, k: int, s: int, p: int) -> int:
     return (size + 2 * p - k) // s + 1
 
 
-def window_slices(size, kernel, stride, pad) -> tuple[tuple[int, int], list]:
+def window_slices(size, kernel, stride, pad) -> tuple[tuple[int, int], tuple]:
     """Output size (out_h, out_w) and (i, j, out, src, first) per kernel offset
     (i, j), row-major, of a window sweep over inputs of spatial size (H, W)
     with zero padding pad.
@@ -59,7 +64,16 @@ def window_slices(size, kernel, stride, pad) -> tuple[tuple[int, int], list]:
     padded copy is ever formed. first is True when no earlier offset reads
     any of src's entries, so a reverse sweep into a zeroed image may assign
     there instead of adding; with stride >= kernel that is every offset.
+
+    The four pairs may be any sequences (configs give lists); the result is
+    cached per process for the last 64 distinct geometries and shared by every
+    caller, so it is made of tuples and slices only.
     """
+    return _window_slices(tuple(size), tuple(kernel), tuple(stride), tuple(pad))
+
+
+@functools.lru_cache(maxsize=64)
+def _window_slices(size, kernel, stride, pad):
     (h, w), (kh, kw), (sh, sw), (ph, pw) = size, kernel, stride, pad
     oh, ow = conv_out_size(h, kh, sh, ph), conv_out_size(w, kw, sw, pw)
     if oh <= 0 or ow <= 0:
@@ -72,7 +86,7 @@ def window_slices(size, kernel, stride, pad) -> tuple[tuple[int, int], list]:
             # (with any column offset) or through an earlier column offset.
             first = not (rows_seen and cols_read or cols_seen and rows_read)
             offsets.append((i, j, (..., rows_out, cols_out), (..., rows_in, cols_in), first))
-    return (oh, ow), offsets
+    return (oh, ow), tuple(offsets)
 
 
 def _axis_sweep(n: int, n_out: int, k: int, pad: int, step: int) -> list:

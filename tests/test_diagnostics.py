@@ -117,6 +117,31 @@ class TestGershgorin:
         discs = gershgorin(a)
         assert np.max(np.abs(discs.eigenvalues - np.linalg.eigvalsh(a))) < 1e-9
 
+    @pytest.mark.parametrize("case", ["symmetric", "kronecker-spd", "near-symmetric",
+                                      "non-symmetric", "defective"])
+    def test_solver_choice_keeps_eigenvalues_and_containment(self, case):
+        # A symmetric matrix's eigenvalues come from eigvalsh, which forms no
+        # eigenvectors: within rounding of eigh's, with the same containment
+        # verdict at every eig_tol. A non-symmetric one still takes the sorted
+        # real parts of eigvals, bit for bit.
+        rng = Rng(11)
+        a = {"symmetric": lambda: random_symmetric(16, 4),
+             "kronecker-spd": lambda: np.kron(*(g @ g.T / 8 + 0.5 * np.eye(8) for g in
+                                                (rng.normal((8, 8)), rng.normal((8, 8))))),
+             "near-symmetric": lambda: random_symmetric(8, 5) + np.triu(np.full((8, 8), 1e-14)),
+             "non-symmetric": lambda: rng.normal((9, 9)),
+             "defective": lambda: np.array([[1.0, 1.0], [0.0, 1.0]])}[case]()
+        if np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
+            want = np.linalg.eigh(a)[0]
+            assert np.max(np.abs(gershgorin(a).eigenvalues - want)) <= 1e-13 * np.abs(want).max()
+        else:
+            want = np.sort(np.linalg.eigvals(a).real)
+            assert np.array_equal(gershgorin(a).eigenvalues, want)
+        for eig_tol in (1e-9, 0.0, -1e-3):
+            d = gershgorin(a, eig_tol)
+            inside = np.abs(want[:, None] - d.centers) <= d.radii + eig_tol
+            assert d.contained == bool(inside.any(axis=1).all())
+
     def test_csv_export(self, tmp_path):
         path = tmp_path / "discs.csv"
         gershgorin(np.eye(3)).to_csv(path, layer="L0")
@@ -150,6 +175,18 @@ class TestPerturbation:
             res = perturb_offdiag(a, 1e-3, seed=seed)
             assert res.kaiser_before == 8
             assert res.kaiser_after == res.kaiser_before
+
+    def test_eigenvalues_match_eigh_and_asymmetric_rejected(self):
+        # eigvalsh on the matrix and on its perturbed copy, which eigh's
+        # magnitudes match to rounding; a non-symmetric matrix is refused
+        a, sigma, seed = random_symmetric(12, 2), 0.05, 3
+        res = perturb_offdiag(a, sigma, seed)
+        noise = np.triu(Rng(seed).normal(a.shape) * sigma, 1)
+        for got, m in ((res.eig_mags_before, a), (res.eig_mags_after, a + (noise + noise.T))):
+            want = np.sort(np.abs(np.linalg.eigh(m)[0]))[::-1]
+            assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+        with pytest.raises(InputError, match="symmetric"):
+            perturb_offdiag(np.array([[1.0, 2.0], [0.0, 1.0]]), sigma, seed)
 
     def test_descending_order(self):
         res = perturb_offdiag(random_symmetric(7, 9), 1e-3, seed=0)

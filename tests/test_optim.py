@@ -347,6 +347,27 @@ class TestBuildAndToggles:
         assert build_optimizer("adamw", {"weight_decay": 0.1}).decoupled
         assert isinstance(build_optimizer("SGD", {}), SGD)
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: build_optimizer("adamw", {"decoupled": False}), "'decoupled'"),
+        (lambda: build_optimizer("adamw", {"decoupled": True}), "'decoupled'"),
+        (lambda: AdaFisher(sqrt_divisor="no"), "sqrt_divisor must be True or False"),
+        (lambda: Adam(decoupled=1), "decoupled must be True or False"),
+        (lambda: AdaFisher(beta="0.9"), "beta must be a finite number"),
+        (lambda: AdaFisher(kappa=None), "kappa must be a finite number"),
+        (lambda: Adam(eps=[1e-8]), "eps must be a finite number"),
+        (lambda: SGD(alpha=True), "alpha must be a finite number"),
+        (lambda: SGD(alpha=float("inf")), "alpha must be a finite number"),
+        (lambda: Schedule("step", factor="0.1"), "factor must be a finite number"),
+        (lambda: Schedule("cosine", total_epochs="10"), "total_epochs must be a finite number"),
+    ], ids=["adamw-decoupled-false", "adamw-decoupled-true", "sqrt-divisor-string",
+            "decoupled-int", "beta-string", "kappa-none", "eps-list", "alpha-bool",
+            "alpha-inf", "factor-string", "total-epochs-string"])
+    def test_library_arguments_checked_for_type(self, make, match):
+        # a truthy non-bool flag would switch the option on; a string
+        # hyperparameter would fail later in a bare TypeError
+        with pytest.raises(ConfigError, match=match):
+            make()
+
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             build_optimizer("rmsprop")

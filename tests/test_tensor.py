@@ -150,6 +150,19 @@ def test_window_slices_flag_offsets_that_touch_their_entries_first(size, kernel,
         seen |= read
 
 
+@pytest.mark.parametrize("size, kernel, stride, pad", [
+    ((6, 6), (3, 3), (1, 1), (1, 1)), ((7, 8), (2, 2), (3, 4), (1, 0))])
+def test_window_slices_takes_lists_and_shares_one_immutable_result(size, kernel, stride, pad):
+    # configs give lists; the cached geometry is handed to every caller
+    as_tuples = window_slices(size, kernel, stride, pad)
+    as_lists = window_slices(*map(list, (size, kernel, stride, pad)))
+    assert as_lists == as_tuples
+    assert window_slices(np.array(size), kernel, stride, pad) is as_tuples
+    (oh, ow), offsets = as_tuples
+    assert (oh, ow) == tuple(conv_out_size(*a) for a in zip(size, kernel, stride, pad))
+    assert type(offsets) is tuple and all(type(o) is tuple for o in offsets)
+
+
 class TestRng:
     def test_same_seed_identical(self):
         assert np.array_equal(Rng(42).normal((4, 5)), Rng(42).normal((4, 5)))

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import adafisher
-from adafisher import datasets, fisher, training
+from adafisher import cli, datasets, fisher, training
 from adafisher.cli import main
 from adafisher.config import RunConfig, build_model, resolve_dataset
 from adafisher.datasets import write_idx
-from adafisher.errors import ConfigError, DimensionError, InputError
+from adafisher.errors import ConfigError, DimensionError, InputError, SizeError
 from adafisher.fisher import approximation_mae, exact_fisher_diag
 from adafisher.nn import BatchNorm, Conv2d, Dense, Model, cross_entropy, softmax
 from adafisher.optim import build_optimizer
@@ -99,6 +99,23 @@ class TestRunConfig:
         else:
             with pytest.raises(ConfigError, match="unknown key optimizer"):
                 RunConfig.from_dict(base_config(optimizer=optimizer))
+
+    @pytest.mark.parametrize("layer, params", [
+        ({"kind": "dense", "in": 9999, "out": 1000}, 10**7),
+        ({"kind": "dense", "in": 10**4, "out": 1000, "bias": False}, 10**7),
+        ({"kind": "dense", "in": 10**4, "out": 1000}, 10**7 + 1000),
+        ({"kind": "conv2d", "in": 1000, "out": 1000, "kernel": [4, 3]}, 12_001_000),
+        ({"kind": "layernorm", "dim": 5 * 10**6 + 1}, 10**7 + 2),
+        ({"kind": "batchnorm", "dim": 2**62}, 2**63),
+    ])
+    def test_parameter_count_guard(self, layer, params):
+        # checked on the spec, before build_model allocates anything
+        raw = base_config(model={"layers": [layer]})
+        if params <= datasets.MAX_SYNTH_VALUES:
+            assert RunConfig.from_dict(raw).model == raw["model"]
+        else:
+            with pytest.raises(SizeError, match=f"model has {params} parameter values"):
+                RunConfig.from_dict(raw)
 
     def test_missing_dataset_file(self):
         raw = base_config(dataset={"source": "csv", "path": "/nonexistent/x.csv"})
@@ -811,6 +828,65 @@ class TestCli:
         assert main(["train", "--config", cfg]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: synthetic dataset of ")
+
+    def test_oversized_model_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # 10^12 weights: numpy would raise its allocation error from Dense
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        cfg = self.write_config(tmp_path, model={"layers": [
+            {"kind": "dense", "in": 1_000_000, "out": 1_000_000}]})
+        assert main(["train", "--config", cfg, "--out", "big"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: model has 1000001000000 parameter values, over the guard "
+                       "of 10000000"]
+        assert not (tmp_path / "big").exists()
+
+    def test_one_process_runs_each_command_as_a_fresh_process_would(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # main builds its parser once per process. A usage error, a config
+        # error, a training run and two diagnose analyses, run one after the
+        # other in this process, each end with the exit code, stdout, stderr
+        # and file bytes of the same command in a fresh interpreter.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(base_config(typo_key=1)))
+        snap = tmp_path / "m.npy"
+        np.save(snap, (lambda a: a + a.T)(np.random.default_rng(0).normal(size=(6, 6))))
+        commands = [["diagnose", "--analysis", "gershgorin"],
+                    ["train", "--config", str(bad), "--out", "bad"],
+                    ["train", "--config", self.write_config(tmp_path), "--out", "run"],
+                    ["diagnose", "--snapshot", str(snap), "--analysis", "gershgorin",
+                     "--out", "discs"],
+                    ["diagnose", "--snapshot", str(snap), "--analysis", "fim", "--out", "fim"]]
+
+        def files(root):  # timings.jsonl holds wall-clock times
+            return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
+                    if f.is_file() and f.name != "timings.jsonl"}
+
+        src = str(Path(adafisher.__file__).resolve().parents[1])
+        fresh_root, same_root = tmp_path / "fresh", tmp_path / "same"
+        env = {**os.environ, "ADAFISHER_OUT_ROOT": str(fresh_root), "COLUMNS": "80",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = []
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "adafisher.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            fresh.append((proc.returncode, proc.stdout.replace(str(fresh_root), "ROOT"),
+                          proc.stderr))
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(same_root))
+        monkeypatch.setenv("COLUMNS", "80")
+        same = []
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+            out, err = capsys.readouterr()
+            same.append((code, out.replace(str(same_root), "ROOT"), err))
+        assert [code for code, _, _ in same] == [2, 2, 0, 0, 0]
+        assert same == fresh
+        assert cli.build_parser() is cli.build_parser()
+        assert files(same_root) == files(fresh_root)
+        assert {"run/metrics.jsonl", "run/final_params.npz", "discs/discs.csv",
+                "fim/fim_stats.csv"} <= files(same_root).keys()
 
 
 @pytest.mark.parametrize("call, error, match", [

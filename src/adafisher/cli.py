@@ -9,12 +9,14 @@ Each command does only its own work: the argument parser is built once per
 process, on the first main call, and every later call in that process (a
 benchmark or test driving main repeatedly) reuses it; a diagnose analysis
 solves for no more than it writes (gershgorin: eigenvalues, no vectors).
+
+_ANALYSES holds all that differs between diagnose analyses. Every CSV table
+(the four diagnose tables, fisher_mae.csv) is written by diagnostics.write_csv.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_model, resolve_dataset
-from .diagnostics import fft2, fim_hist_stats, gershgorin, snr
+from .diagnostics import fft2, fim_hist_stats, gershgorin, snr, write_csv
 from .errors import AdaFisherError, ConfigError, DataError, NumericError
 from .fisher import approximation_mae, exact_fisher_diag, mc_fisher_diag
 from .tensor import Rng
@@ -47,12 +49,49 @@ def cmd_train(args) -> int:
     return 0
 
 
-# Arrays each analysis reads from its snapshot (a bare .npy is 'matrix').
-_SNAPSHOT_KEYS = {"gershgorin": ("matrix",), "fft": ("matrix",), "fim": ("matrix",),
-                  "snr": ("clean", "noisy")}
+def _discs(snap):
+    discs = gershgorin(snap["matrix"])
+    rows = (("", i, c, r) for i, (c, r) in enumerate(zip(discs.centers, discs.radii)))
+    return (discs.centers, discs.radii, discs.eigenvalues), rows, f"contained={discs.contained} -> "
 
 
-def _load_snapshot(path: str, analysis: str):
+def _spectra(snap):
+    spec = fft2(snap["matrix"])
+    entries = spec.ravel().tolist()  # Python complex numbers, row-major
+    try:  # abs() of a Python complex is the scalar hypot; it raises on overflow
+        mags = [abs(z) for z in entries]
+    except OverflowError:
+        mags = [float("inf")]  # refused by the finite check before any row is written
+    cols = spec.shape[1]
+    rows = ((*divmod(k, cols), z.real, z.imag, mag)
+            for k, (z, mag) in enumerate(zip(entries, mags)))
+    return (spec, mags), rows, ""
+
+
+def _snr(snap):
+    res = snr(snap["clean"], snap["noisy"])
+    finite = () if res.infinite else (res.db,)
+    return finite, [(res.db, int(res.infinite))], f"snr={res.db:.6f} dB -> "
+
+
+def _fim(snap):
+    stats = fim_hist_stats(snap["matrix"].ravel())
+    return tuple(stats.values()), [(0, "", *stats.values())], ""
+
+
+# Each analysis: the snapshot arrays it reads (a bare .npy is 'matrix'), the
+# table it writes and its header, and its run, which returns the values that
+# must be finite, the table's rows and the stdout prefix of the table's path.
+_ANALYSES = {
+    "gershgorin": (("matrix",), "discs.csv", ("layer", "row", "center", "radius"), _discs),
+    "fft": (("matrix",), "spectra.csv", ("row", "col", "re", "im", "mag"), _spectra),
+    "snr": (("clean", "noisy"), "snr.csv", ("snr_db", "infinite"), _snr),
+    "fim": (("matrix",), "fim_stats.csv",
+            ("step", "layer", "mean", "std", "q01", "q25", "q50", "q75", "q99"), _fim),
+}
+
+
+def _load_snapshot(path: str, analysis: str, keys):
     p = Path(path)
     if not p.exists():
         raise DataError(f"snapshot not found: {path}")
@@ -60,10 +99,10 @@ def _load_snapshot(path: str, analysis: str):
         snap = dict(np.load(p)) if p.suffix == ".npz" else {"matrix": np.load(p)}
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot load snapshot {path}: {exc}") from exc
-    missing = [key for key in _SNAPSHOT_KEYS[analysis] if key not in snap]
+    missing = [key for key in keys if key not in snap]
     if missing:
         raise DataError(f"{analysis} snapshot is missing {', '.join(map(repr, missing))}")
-    for key in _SNAPSHOT_KEYS[analysis]:
+    for key in keys:
         arr = snap[key]
         if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
             raise DataError(f"{analysis} snapshot {key!r} must hold finite real numbers "
@@ -73,54 +112,20 @@ def _load_snapshot(path: str, analysis: str):
     return snap
 
 
-def _require_finite(analysis: str, *values) -> None:
-    """NumericError unless every value an analysis writes is finite."""
-    if not all(np.isfinite(v).all() for v in values):
-        raise NumericError(f"{analysis} result is not finite: the snapshot's values "
-                           f"overflow float64")
-
-
 def cmd_diagnose(args) -> int:
-    snap = _load_snapshot(args.snapshot, args.analysis)
+    keys, name, header, run = _ANALYSES[args.analysis]
+    snap = _load_snapshot(args.snapshot, args.analysis, keys)
     out = _out_dir(args.out, "diagnostics")
     out.mkdir(parents=True, exist_ok=True)
-    # Overflow inside an analysis shows as a non-finite result, which ends in
-    # one NumericError; numpy's warnings on the way would add stray lines.
-    analysis = args.analysis
+    # Overflow shows as a non-finite result: one NumericError before any row
+    # is written. numpy's warnings on the way would add stray lines.
     with np.errstate(over="ignore", invalid="ignore"):
-        if analysis == "gershgorin":
-            discs = gershgorin(snap["matrix"])
-            _require_finite(analysis, discs.centers, discs.radii, discs.eigenvalues)
-            discs.to_csv(out / "discs.csv")
-            print(f"contained={discs.contained} -> {out / 'discs.csv'}")
-        elif analysis == "fft":
-            spec = fft2(snap["matrix"])
-            _require_finite(analysis, spec)
-            with open(out / "spectra.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["row", "col", "re", "im", "mag"])
-                for i in range(spec.shape[0]):
-                    for j in range(spec.shape[1]):
-                        z = spec[i, j]
-                        w.writerow([i, j, repr(z.real), repr(z.imag), repr(abs(z))])
-            print(out / "spectra.csv")
-        elif analysis == "snr":
-            res = snr(snap["clean"], snap["noisy"])
-            if not res.infinite:
-                _require_finite(analysis, res.db)
-            with open(out / "snr.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["snr_db", "infinite"])
-                w.writerow([repr(res.db), int(res.infinite)])
-            print(f"snr={res.db:.6f} dB -> {out / 'snr.csv'}")
-        else:  # fim
-            stats = fim_hist_stats(snap["matrix"].ravel())
-            _require_finite(analysis, *stats.values())
-            with open(out / "fim_stats.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["step", "layer"] + list(stats))
-                w.writerow([0, ""] + [repr(v) for v in stats.values()])
-            print(out / "fim_stats.csv")
+        finite, rows, prefix = run(snap)
+        if not all(np.isfinite(v).all() for v in finite):
+            raise NumericError(f"{args.analysis} result is not finite: the snapshot's values "
+                               f"overflow float64")
+        write_csv(out / name, header, rows)
+    print(f"{prefix}{out / name}")
     return 0
 
 
@@ -143,16 +148,15 @@ def cmd_oracle(args) -> int:
         oracle = mc_fisher_diag(model, batch, n_samples=args.samples, seed=config.seed)
     out = _out_dir(args.out, "oracle")
     out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for i, layer in model.param_layers():
+        approx = layer.kronecker_diagonal(layer.capture["h"], layer.capture["s"])
+        names = sorted(approx)  # one MAE over the layer's arrays in name order
+        mae = approximation_mae(np.concatenate([oracle[i][n].ravel() for n in names]),
+                                np.concatenate([approx[n].ravel() for n in names]))
+        rows.append((0, i, mae))
     path = out / "fisher_mae.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "layer", "mae"])
-        for i, layer in model.param_layers():
-            approx = layer.kronecker_diagonal(layer.capture["h"], layer.capture["s"])
-            names = sorted(approx)  # one MAE over the layer's arrays in name order
-            mae = approximation_mae(np.concatenate([oracle[i][n].ravel() for n in names]),
-                                    np.concatenate([approx[n].ravel() for n in names]))
-            w.writerow([0, i, repr(mae)])
+    write_csv(path, ("epoch", "layer", "mae"), rows)
     print(path)
     return 0
 
@@ -178,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="matrix diagnostics on a snapshot")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--analysis", required=True,
-                   choices=["gershgorin", "fft", "snr", "fim"])
+                   choices=list(_ANALYSES))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_diagnose)
 

@@ -104,7 +104,8 @@ def write_idx(path, array, kind: str) -> None:
 
 
 def load_csv(path, schema: dict | None = None):
-    """Numeric feature columns plus an integer label column.
+    """Numeric feature columns plus an integer label column, whose cells must
+    be int64 values (2 or 2.0; 1.7, nan, inf or 1e30 is a DataError).
 
     Schema keys: has_header (bool, default False), label_col (int, default -1).
     """
@@ -127,15 +128,17 @@ def load_csv(path, schema: dict | None = None):
         if lc < 0 or lc >= len(cells):
             raise DataError(f"{path}: label column {label_col} out of range at row {r}")
         row = []
-        label = 0
         for c, cell in enumerate(cells):
             try:
-                if c == lc:
-                    label = int(float(cell))
-                else:
-                    row.append(float(cell))
-            except (ValueError, OverflowError):  # int() of a nan or infinite label
+                value = float(cell)
+            except ValueError:
                 raise DataError(f"{path}: non-numeric cell at row {r}, column {c}") from None
+            if c != lc:
+                row.append(value)
+            elif value.is_integer() and abs(value) < 2**63:  # 2.0 is class 2; 1.7 no class
+                label = int(value)
+            else:
+                raise DataError(f"{path}: label {cell!r} at row {r}, column {c} is not an int64")
         features.append(row)
         labels.append(label)
     return np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)

@@ -1,6 +1,7 @@
 """Curvature diagnostics: Gershgorin disc statistics, eigenvalue perturbation
 under off-diagonal Gaussian noise, 2-D DFT and SNR, factored-curvature
-diagonal summaries and the training-trajectory recorder.
+diagonal summaries, and write_csv, the one writer of every CSV table the
+package writes (the diagnose tables, fisher_mae.csv and trajectory.csv).
 
 Symmetric eigenproblems are solved with LAPACK (via numpy) for only what
 their caller reads: gershgorin and perturb_offdiag read eigenvalues alone and
@@ -12,11 +13,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, check_number
 from .tensor import Rng
 
 
@@ -62,18 +63,13 @@ class DiscSet:
     eigenvalues: np.ndarray
     contained: bool  # every eigenvalue inside the union of discs
 
-    def to_csv(self, path, layer: str = "") -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["layer", "row", "center", "radius"])
-            for i, (c, r) in enumerate(zip(self.centers, self.radii)):
-                w.writerow([layer, i, repr(float(c)), repr(float(r))])
-
 
 def gershgorin(matrix: np.ndarray, eig_tol: float = 1e-9) -> DiscSet:
     """Disc centers/radii plus an eigensolver-backed containment check: the
     eigenvalues (ascending) of a symmetric matrix by ``eigvalsh``, else the
-    sorted real parts of ``eigvals``."""
+    sorted real parts of ``eigvals``. eig_tol is a finite real number; a
+    negative one shrinks the discs."""
+    check_number("eig_tol", eig_tol, lambda v: True, "a finite number", InputError)
     a = _matrix(matrix)
     centers = np.diag(a).copy()
     radii = np.sum(np.abs(a), axis=1) - np.abs(centers)
@@ -102,7 +98,9 @@ class PerturbResult:
 
 
 def perturb_offdiag(matrix: np.ndarray, sigma: float, seed: int) -> PerturbResult:
-    """Add symmetric N(0, sigma^2) noise off-diagonal and compare spectra."""
+    """Add symmetric N(0, sigma^2) noise off-diagonal and compare spectra;
+    sigma is a finite real number >= 0."""
+    check_number("sigma", sigma, lambda v: v >= 0, "a finite number >= 0", InputError)
     a = _symmetric(matrix)
     n = a.shape[0]
     noise = np.zeros_like(a)
@@ -164,24 +162,12 @@ def fim_hist_stats(diag: np.ndarray) -> dict[str, float]:
     }
 
 
-@dataclass
-class TrajectoryLog:
-    """Per-epoch record of the tracked 2-D first-layer weight and its loss."""
-
-    rows: list[tuple[int, float, float, float]] = field(default_factory=list)
-
-    def record(self, epoch: int, w1, loss: float) -> "TrajectoryLog":
-        w1 = np.asarray(w1, dtype=np.float64).ravel()
-        if w1.size != 2:
-            raise DimensionError("tracked weight must be 2-dimensional")
-        if self.rows and epoch <= self.rows[-1][0]:
-            raise InputError("epochs must be strictly increasing")
-        self.rows.append((int(epoch), float(w1[0]), float(w1[1]), float(loss)))
-        return self
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epoch", "w1", "w2", "loss"])
-            for row in self.rows:
-                w.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
+def write_csv(path, header, rows) -> None:
+    """Write one CSV table: the header, then each row. Every float, numpy's
+    included, is written as repr(float(v)), which float() reads back bit for
+    bit on any numpy version; other cells are written as csv writes them."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+                    for row in rows)

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and check_number, the one
+check of a numeric argument that library constructors and functions share."""
+
+import sys
+from numbers import Real
 
 
 class AdaFisherError(Exception):
@@ -39,3 +43,12 @@ class SizeError(AdaFisherError, ValueError):
 
 class UnsupportedError(AdaFisherError, ValueError):
     """The model/loss combination is not supported by this operation."""
+
+
+def check_number(name: str, value, ok, what: str, error: type = ConfigError):
+    """value, once it is a finite real number (not a bool) for which ok holds;
+    otherwise error with the message "{name} must be {what}, got {value!r}"."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not abs(value) <= sys.float_info.max or not ok(value)):
+        raise error(f"{name} must be {what}, got {value!r}")
+    return value

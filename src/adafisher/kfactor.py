@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InputError, StateError
+from .errors import DimensionError, InputError, StateError, check_number
 from .nn import Model, Norm
 
 DEFAULT_GAMMA = 0.8
@@ -51,10 +51,8 @@ class KFState:
     norm_fisher_off: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if self.lam <= 0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
+        check_number("gamma", self.gamma, lambda v: 0.0 < v <= 1.0, "a finite number in (0, 1]")
+        check_number("lambda", self.lam, lambda v: v > 0, "a finite number > 0")
 
     @classmethod
     def for_model(cls, model: Model, gamma: float = DEFAULT_GAMMA, lam: float = DEFAULT_LAMBDA,

@@ -56,7 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InputError, StateError, UnsupportedError
+from .errors import (ConfigError, DimensionError, InputError, StateError, UnsupportedError,
+                     check_number)
 from .tensor import Rng, col2im_batch, conv_out_size, im2col_batch, window_slices
 
 
@@ -225,11 +226,10 @@ class Norm(Layer):
     _workers = 1  # shards normalized by their own statistics; BatchNorm's forward sets it
 
     def __init__(self, dim: int, eps: float = 1e-5):
-        if not eps >= 0:
-            raise InputError("eps must be non-negative")
         super().__init__()
         self.dim = dim
-        self.eps = eps
+        self.eps = check_number("eps", eps, lambda v: v >= 0, "non-negative and finite",
+                                InputError)
         self.params["scale"] = np.ones(dim)
         self.params["shift"] = np.zeros(dim)
         self.factor_sizes = (dim, dim)
@@ -258,7 +258,8 @@ class BatchNorm(Norm):
 
     def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__(dim, eps)
-        self.momentum = momentum
+        self.momentum = check_number("momentum", momentum, lambda v: 0 <= v <= 1,
+                                     "a finite number in [0, 1]", InputError)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 

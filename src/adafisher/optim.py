@@ -31,22 +31,12 @@ scratch array per parameter (plus the decayed gradient under coupled decay).
 
 from __future__ import annotations
 
-import sys
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, StateError
+from .errors import ConfigError, DimensionError, StateError, check_number
 from .nn import Model
-
-
-def _number(name: str, value, ok, what: str):
-    """value, once it is a finite real number (not a bool) for which ok holds;
-    otherwise a ConfigError naming the hyperparameter."""
-    if (isinstance(value, bool) or not isinstance(value, Real)
-            or not abs(value) <= sys.float_info.max or not ok(value)):
-        raise ConfigError(f"{name} must be a finite number {what}, got {value!r}")
-    return value
 
 
 def _flag(name: str, value) -> bool:
@@ -56,15 +46,15 @@ def _flag(name: str, value) -> bool:
 
 
 def _positive(name: str, value):
-    return _number(name, value, lambda v: v > 0, "> 0")
+    return check_number(name, value, lambda v: v > 0, "a finite number > 0")
 
 
 def _nonnegative(name: str, value):
-    return _number(name, value, lambda v: v >= 0, ">= 0")
+    return check_number(name, value, lambda v: v >= 0, "a finite number >= 0")
 
 
 def _below_one(name: str, value):
-    return _number(name, value, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+    return check_number(name, value, lambda v: 0.0 <= v < 1.0, "a finite number in [0, 1)")
 
 
 class Schedule:
@@ -80,7 +70,8 @@ class Schedule:
         self.kind = kind
         self.step_size = step_size
         self.factor = _positive("factor", factor)
-        self.total_epochs = _number("total_epochs", total_epochs, lambda v: v >= 1, ">= 1")
+        self.total_epochs = check_number("total_epochs", total_epochs, lambda v: v >= 1,
+                                         "a finite number >= 1")
 
     def scale(self, epoch: int) -> float:
         if self.kind == "constant":

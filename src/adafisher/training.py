@@ -14,7 +14,8 @@ run_training reads a RunConfig that RunConfig.from_dict has checked; it checks
 only what needs the data or the model, and calls train_step through the
 module global. Metrics are one JSON object per line. Wall-clock timings go to
 a separate timings file so that the metrics file is byte-identical across
-repeated runs with the same config and seed.
+repeated runs with the same config and seed. track_first_layer adds
+trajectory.csv: per epoch, the 2-parameter first layer's weights and mean loss.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .config import RunConfig, build_model, resolve_dataset
 from .datasets import train_eval_split
-from .diagnostics import TrajectoryLog
+from .diagnostics import write_csv
 from .errors import ConfigError, InputError, NumericError
 from .kfactor import KFState
 from .nn import Model, softmax
@@ -140,12 +141,11 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
     schedule = Schedule(total_epochs=config.epochs,
                         **_keywords(config.schedule, {"type": "kind"}))
 
-    trajectory = TrajectoryLog() if config.track_first_layer else None
-
     metrics_path = out / "metrics.jsonl"
     timings_path = out / "timings.jsonl"
     shuffle_rng = rng.spawn(1)
     step = 0
+    trajectory = []  # (epoch, w1, w2, loss) rows under track_first_layer
     with open(metrics_path, "w") as mfh, open(timings_path, "w") as tfh:
         for epoch in range(config.epochs):
             opt.lr_scale = schedule.scale(epoch)
@@ -170,11 +170,11 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
             tfh.write(json.dumps({"epoch": epoch,
                                   "mean_step_ms": float(np.mean(times)),
                                   "total_ms": float(np.sum(times))}) + "\n")
-            if trajectory is not None:
-                trajectory.record(epoch + 1, first["W"].ravel(),
-                                  float(np.mean(losses)))
-    if trajectory is not None:
-        trajectory.to_csv(out / "trajectory.csv")
+            if config.track_first_layer:
+                trajectory.append((epoch + 1, *first["W"].ravel().tolist(),
+                                   float(np.mean(losses))))
+    if config.track_first_layer:
+        write_csv(out / "trajectory.csv", ("epoch", "w1", "w2", "loss"), trajectory)
     final = out / "final_params.npz"
     np.savez(final, **{f"{i}.{nme}": arr for i, nme, arr in model.parameters()})
     return metrics_path

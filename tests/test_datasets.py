@@ -146,6 +146,20 @@ class TestCsv:
         assert "row 0" in str(exc.value)
         assert "column 1" in str(exc.value)
 
+    @pytest.mark.parametrize("label", ["1.7", "-0.5", "1e-300", "nan", "-inf", "1e30"])
+    def test_non_integral_label(self, tmp_path, label):
+        # 1.7 was read as class 1, -0.5 as class 0, and 1e30 ended in a bare OverflowError
+        path = tmp_path / "d.csv"
+        path.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
+        with pytest.raises(DataError, match=f"label '{label}' at row 1, column 2 is not an int64"):
+            load_csv(path)
+
+    def test_integral_float_label(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1.0,2.0,2.0\n3.0,4.0,1e0\n")
+        _, y = load_csv(path)
+        assert np.array_equal(y, [2, 1])
+
     def test_label_col_out_of_range(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,2.0\n")

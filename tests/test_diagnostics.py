@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from adafisher.diagnostics import (DiscSet, TrajectoryLog, fft2, fim_hist_stats,
-                                   gershgorin, kaiser_count, perturb_offdiag, snr,
-                                   sym_eigh)
+from adafisher.diagnostics import (DiscSet, fft2, fim_hist_stats, gershgorin, kaiser_count,
+                                   perturb_offdiag, snr, sym_eigh, write_csv)
 from adafisher.errors import DimensionError, InputError
 from adafisher.tensor import Rng
 
@@ -143,11 +142,20 @@ class TestGershgorin:
             assert d.contained == bool(inside.any(axis=1).all())
 
     def test_csv_export(self, tmp_path):
+        # numpy floats are written as Python floats: "1.0", never "np.float64(1.0)"
         path = tmp_path / "discs.csv"
-        gershgorin(np.eye(3)).to_csv(path, layer="L0")
+        discs = gershgorin(np.eye(3))
+        write_csv(path, ("layer", "row", "center", "radius"),
+                  (("L0", i, c, r) for i, (c, r) in enumerate(zip(discs.centers, discs.radii))))
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "layer,row,center,radius"
-        assert len(lines) == 4
+        assert lines == ["layer,row,center,radius", "L0,0,1.0,0.0", "L0,1,1.0,0.0",
+                         "L0,2,1.0,0.0"]
+
+    @pytest.mark.parametrize("eig_tol", ["x", None, True, float("nan"), float("inf")])
+    def test_eig_tol_must_be_a_finite_number(self, eig_tol):
+        # a string was a bare UFuncTypeError, and NaN reported contained=False
+        with pytest.raises(InputError, match="eig_tol must be a finite number"):
+            gershgorin(np.eye(2), eig_tol)
 
 
 class TestPerturbation:
@@ -187,6 +195,14 @@ class TestPerturbation:
             assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
         with pytest.raises(InputError, match="symmetric"):
             perturb_offdiag(np.array([[1.0, 2.0], [0.0, 1.0]]), sigma, seed)
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf"), "0.1", None, True])
+    def test_sigma_must_be_a_finite_nonnegative_number(self, sigma, monkeypatch):
+        # -1 and NaN were taken as 0; inf ended in a bare LinAlgError. The
+        # check comes before any noise is drawn.
+        monkeypatch.setattr(Rng, "normal", lambda *a: pytest.fail("noise drawn"))
+        with pytest.raises(InputError, match="sigma must be a finite number >= 0"):
+            perturb_offdiag(np.eye(3) * 2, sigma, seed=0)
 
     def test_descending_order(self):
         res = perturb_offdiag(random_symmetric(7, 9), 1e-3, seed=0)
@@ -277,23 +293,3 @@ class TestFimStats:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             fim_hist_stats(np.zeros(0))
-
-
-class TestTrajectory:
-    def test_record_and_export(self, tmp_path):
-        log = TrajectoryLog()
-        log.record(0, [1.0, 2.0], 0.5).record(1, [0.9, 1.8], 0.4)
-        path = tmp_path / "traj.csv"
-        log.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,w1,w2,loss"
-        assert lines[1].startswith("0,1.0,2.0")
-
-    def test_epoch_monotonicity_enforced(self):
-        log = TrajectoryLog().record(3, [0.0, 0.0], 1.0)
-        with pytest.raises(InputError):
-            log.record(3, [0.0, 0.0], 1.0)
-
-    def test_weight_dimension_enforced(self):
-        with pytest.raises(DimensionError):
-            TrajectoryLog().record(0, [1.0, 2.0, 3.0], 0.0)

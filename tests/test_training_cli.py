@@ -15,9 +15,11 @@ from adafisher import cli, datasets, fisher, training
 from adafisher.cli import main
 from adafisher.config import RunConfig, build_model, resolve_dataset
 from adafisher.datasets import write_idx
+from adafisher.diagnostics import fft2, fim_hist_stats, gershgorin, snr
 from adafisher.errors import ConfigError, DimensionError, InputError, SizeError
 from adafisher.fisher import approximation_mae, exact_fisher_diag
-from adafisher.nn import BatchNorm, Conv2d, Dense, Model, cross_entropy, softmax
+from adafisher.kfactor import KFState
+from adafisher.nn import BatchNorm, Conv2d, Dense, LayerNorm, Model, cross_entropy, softmax
 from adafisher.optim import build_optimizer
 from adafisher.tensor import Rng
 from adafisher.training import emit_metrics, evaluate, run_training
@@ -330,6 +332,25 @@ class TestRunTraining:
         assert acc == 1.0
 
 
+def oracle_maes(config):
+    """[(layer id, MAE)] of the exact oracle against the Kronecker diagonal of
+    a capturing training pass on the first batch, each MAE over the layer's
+    arrays in name order."""
+    net = build_model(config.model, Rng(config.seed))
+    x, y = resolve_dataset(config.dataset, config.seed)
+    m = config.batch_size
+    net.train_batch(x[:m], y[:m])
+    oracle = exact_fisher_diag(net, x[:m])
+    maes = []
+    for i, layer in net.param_layers():
+        approx = layer.kronecker_diagonal(layer.capture["h"], layer.capture["s"])
+        names = sorted(oracle[i])
+        assert names == sorted(approx)
+        maes.append((i, approximation_mae(np.concatenate([oracle[i][n].ravel() for n in names]),
+                                          np.concatenate([approx[n].ravel() for n in names]))))
+    return maes
+
+
 def bn_image_net(n, seed=0):
     """image_model() with a BatchNorm after the conv, its running statistics
     moved off their initial values by one training step, and n 1x6x6 images
@@ -598,7 +619,8 @@ class TestCli:
                        "got batch_size 8 over 8 workers"]
         assert not (tmp_path / "dist").exists()
 
-    @pytest.mark.parametrize("case", ["idx-count-mismatch", "csv-ragged-row"])
+    @pytest.mark.parametrize("case", ["idx-count-mismatch", "csv-ragged-row",
+                                      "csv-fractional-label"])
     def test_bad_data_file_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, case):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
         if case == "idx-count-mismatch":
@@ -607,9 +629,12 @@ class TestCli:
             layers, expected = [{"kind": "flatten"}, {"kind": "dense", "in": 36, "out": 2}], \
                 "24 inputs but 20 labels"
         else:
-            (tmp_path / "d.csv").write_text("1,2,0\n1,0\n" * 10)
+            text, expected = {"csv-ragged-row": ("1,2,0\n1,0\n", "row 1 has 2 cells"),
+                              "csv-fractional-label": ("1,2,0\n1,0,1.7\n",
+                                                       "row 1, column 2 is not an int64")}[case]
+            (tmp_path / "d.csv").write_text(text * 10)
             data = {"source": "csv", "path": str(tmp_path / "d.csv")}
-            layers, expected = [{"kind": "dense", "in": 2, "out": 2}], "row 1 has 2 cells"
+            layers = [{"kind": "dense", "in": 2, "out": 2}]
         cfg = self.write_config(tmp_path, model={"layers": layers}, dataset=data, batch_size=4)
         assert main(["train", "--config", cfg]) == 3
         err = capsys.readouterr().err.splitlines()
@@ -683,6 +708,81 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric failure: ")
         assert not any((tmp_path / "diag").glob("*.csv"))
+
+    def test_fft_magnitude_overflow_exits_4_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # every spectrum entry is finite, but |F[0, 1]| = sqrt(2) * 1.5e308 is not
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        np.save(tmp_path / "m.npy", np.array([[1.0, -1.0, -1.0, 1.0]]) * 0.75e308)
+        assert np.isfinite(fft2(np.load(tmp_path / "m.npy"))).all()
+        assert main(["diagnose", "--snapshot", str(tmp_path / "m.npy"), "--analysis", "fft",
+                     "--out", "diag"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numeric failure: fft result is not finite: the snapshot's values "
+                       "overflow float64"]
+        assert not (tmp_path / "diag" / "spectra.csv").exists()
+
+    def test_every_csv_table_reads_back_bit_for_bit(self, tmp_path, monkeypatch):
+        # Each diagnose analysis, the exact oracle and a tracked training run
+        # write their tables through diagnostics.write_csv: every numeric cell
+        # reads back with float() as the library's value, bit for bit, on any
+        # numpy (numpy 2's repr of a float64 is "np.float64(...)").
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        g = np.random.default_rng(3).normal(size=(5, 5))
+        snap = tmp_path / "snap.npz"
+        np.savez(snap, matrix=g @ g.T, clean=g @ g.T, noisy=g)
+        for analysis in ("gershgorin", "fft", "snr", "fim"):
+            assert main(["diagnose", "--snapshot", str(snap), "--analysis", analysis,
+                         "--out", analysis]) == 0
+        cfg = self.write_config(tmp_path, batch_size=8)
+        assert main(["oracle", "--config", cfg, "--mode", "exact", "--out", "oracle"]) == 0
+        traj_cfg = tmp_path / "traj.json"
+        traj_cfg.write_text(json.dumps(base_config(
+            model={"layers": [{"kind": "dense", "in": 2, "out": 1, "bias": False}],
+                   "loss": "mse"},
+            dataset={"source": "quadratic", "n": 100, "dim": 2, "out_dim": 1},
+            optimizer={"name": "sgd", "alpha": 0.01}, track_first_layer=True)))
+        assert main(["train", "--config", str(traj_cfg), "--out", "traj"]) == 0
+
+        m = g @ g.T
+        discs, spec = gershgorin(m), fft2(m)
+        res, stats = snr(m, g), fim_hist_stats(m.ravel())
+        entries = spec.ravel().tolist()
+        metrics = [json.loads(line) for line in
+                   (tmp_path / "traj" / "metrics.jsonl").read_text().splitlines()]
+        maes = oracle_maes(RunConfig.from_json(cfg))
+        # tuples are text cells as written; None is a float checked below
+        want = {
+            "gershgorin/discs.csv": {"layer": ("",) * 5, "row": range(5),
+                                     "center": discs.centers, "radius": discs.radii},
+            "fft/spectra.csv": {"row": [k // 5 for k in range(25)],
+                                "col": [k % 5 for k in range(25)],
+                                "re": [z.real for z in entries], "im": [z.imag for z in entries],
+                                "mag": [abs(z) for z in entries]},
+            "snr/snr.csv": {"snr_db": [res.db], "infinite": ("0",)},
+            "fim/fim_stats.csv": {"step": ("0",), "layer": ("",),
+                                  **{k: [v] for k, v in stats.items()}},
+            "oracle/fisher_mae.csv": {"epoch": ("0", "0"), "layer": ("0", "2"),
+                                      "mae": [mae for _, mae in maes]},
+            "traj/trajectory.csv": {"epoch": ("1", "2"), "w1": None, "w2": None,
+                                    "loss": [rec["train_loss"] for rec in metrics]},
+        }
+        for name, columns in want.items():
+            header, *lines = (tmp_path / name).read_text().splitlines()
+            cells = dict(zip(header.split(","), zip(*(line.split(",") for line in lines))))
+            assert list(cells) == list(columns), name
+            for col, values in columns.items():
+                if isinstance(values, tuple):
+                    assert cells[col] == values, (name, col)
+                    continue
+                got = np.array([float(cell) for cell in cells[col]])
+                assert np.isfinite(got).all(), (name, col)
+                if values is not None:
+                    assert got.tobytes() == np.asarray(values, np.float64).tobytes(), (name, col)
+        # the trajectory's last row holds the run's final weights
+        last_row = (tmp_path / "traj" / "trajectory.csv").read_text().splitlines()[-1]
+        last = [float(cell) for cell in last_row.split(",")[1:3]]
+        w = np.load(tmp_path / "traj" / "final_params.npz")["0.W"]
+        assert np.array(last).tobytes() == w.ravel().tobytes()
 
     def test_diagnose_gershgorin(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
@@ -767,19 +867,8 @@ class TestCli:
                             {"kind": "relu"}, {"kind": "dense", "in": 6, "out": 3}]}
         cfg = self.write_config(tmp_path, model=model, batch_size=8)
         assert main(["oracle", "--config", cfg, "--mode", "exact", "--out", "orc"]) == 0
-        config = RunConfig.from_json(cfg)
-        net = build_model(config.model, Rng(config.seed))
-        x, y = resolve_dataset(config.dataset, config.seed)
-        net.train_batch(x[:8], y[:8])
-        oracle = exact_fisher_diag(net, x[:8])
-        rows = ["epoch,layer,mae"]
-        for i, layer in net.param_layers():
-            approx = layer.kronecker_diagonal(layer.capture["h"], layer.capture["s"])
-            names = sorted(oracle[i])  # each MAE over the layer's arrays in name order
-            assert names == sorted(approx)
-            mae = approximation_mae(np.concatenate([oracle[i][n].ravel() for n in names]),
-                                    np.concatenate([approx[n].ravel() for n in names]))
-            rows.append(f"0,{i},{mae!r}")
+        rows = ["epoch,layer,mae"] + [f"0,{i},{mae!r}"
+                                      for i, mae in oracle_maes(RunConfig.from_json(cfg))]
         assert (tmp_path / "orc" / "fisher_mae.csv").read_text().splitlines() == rows
 
     def test_oracle_count_mismatch_exits_3(self, tmp_path, capsys, monkeypatch):
@@ -898,8 +987,20 @@ class TestCli:
                                    n_samples=True, seed=0), InputError, "n_samples"),
     (lambda: build_optimizer("adam", {"beta": 0.9}), ConfigError, "keyword argument 'beta'"),
     (lambda: build_optimizer("sgd", {"alpha": "0.1"}), ConfigError, "optimizer 'sgd'"),
+    # the constructors check what the config does: a finite real, not a bool, in range
+    (lambda: KFState(lam=float("nan")), ConfigError, "lambda must be a finite number > 0"),
+    (lambda: KFState(lam=float("inf")), ConfigError, "lambda must be a finite number > 0"),
+    (lambda: KFState.for_model(Model([Dense(2, 2)]), lam=float("nan")), ConfigError, "lambda"),
+    (lambda: KFState(gamma="x"), ConfigError, "gamma must be a finite number in \\(0, 1\\]"),
+    (lambda: KFState(gamma=True), ConfigError, "gamma"),
+    (lambda: LayerNorm(3, eps="x"), InputError, "eps must be non-negative and finite"),
+    (lambda: LayerNorm(3, eps=float("inf")), InputError, "eps must be non-negative and finite"),
+    (lambda: BatchNorm(3, momentum=5), InputError, "momentum must be a finite number in"),
+    (lambda: BatchNorm(3, momentum=float("nan")), InputError, "momentum"),
 ], ids=["logits-1d", "logits-3d", "samples-float", "samples-bool", "optimizer-keyword",
-        "optimizer-value"])
+        "optimizer-value", "kf-lambda-nan", "kf-lambda-inf", "kf-for-model-lambda-nan",
+        "kf-gamma-string", "kf-gamma-bool", "layernorm-eps-string", "layernorm-eps-inf",
+        "batchnorm-momentum-5", "batchnorm-momentum-nan"])
 def test_library_calls_raise_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

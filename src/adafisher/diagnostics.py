@@ -150,6 +150,8 @@ def fim_hist_stats(diag: np.ndarray) -> dict[str, float]:
     v = np.asarray(diag, dtype=np.float64).ravel()
     if v.size == 0:
         raise InputError("empty diagonal")
+    if not np.all(np.isfinite(v)):
+        raise InputError("non-finite entry in the diagonal")
     q = np.quantile(v, [0.01, 0.25, 0.50, 0.75, 0.99])
     return {
         "mean": float(v.mean()),

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package, and check_number, the one
-check of a numeric argument that library constructors and functions share."""
+"""Exception hierarchy shared across the package, and check_number,
+check_count and check_flag, the one check of a numeric, an integer and a
+boolean argument that library constructors and functions share."""
 
+import operator
 import sys
 from numbers import Real
 
@@ -51,4 +53,24 @@ def check_number(name: str, value, ok, what: str, error: type = ConfigError):
     if (isinstance(value, bool) or not isinstance(value, Real)
             or not abs(value) <= sys.float_info.max or not ok(value)):
         raise error(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def check_count(name: str, value, least: int = 1, error: type = ConfigError):
+    """value, once it is an integer >= least (not a bool); otherwise error with
+    the message "{name} must be an integer >= {least}, got {value!r}". An
+    integer is what operator.index takes: Python's and numpy's, not floats."""
+    try:
+        ok = not isinstance(value, bool) and operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def check_flag(name: str, value) -> bool:
+    """value, once it is True or False; otherwise ConfigError."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be True or False, got {value!r}")
     return value

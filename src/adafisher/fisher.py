@@ -1,37 +1,41 @@
 """Ground-truth Fisher information for categorical models.
 
-The exact oracle enumerates every class label and weights squared per-sample
-gradients by the predictive probabilities; the Monte-Carlo estimator samples
+The exact oracle sums the squared per-sample gradients over every class label,
+weighted by the predictive probabilities p; the Monte-Carlo estimator samples
 labels from the predictive distribution instead. Each layer's diagonal is one
 array per parameter, keyed by its name and shaped like it, the layout of
 each layer's kronecker_diagonal.
 
 Both walk the batch in chunks of consecutive rows, sized so that a chunk's
 input fits CACHE_BUDGET bytes (at least one row; a batch that fits is one
-chunk). Per chunk they run one eval-mode forward, then, per class c, one
-reverse walk (nn.Model.reverse_walk) from the output gradient p - e_c
-(BackPACK). In eval mode no layer couples samples (batch norm uses running
-statistics), so row n of a layer's incoming gradient is sample n's own signal
-g_n, and each parameterized layer's sample_sq (nn.Layer's one recipe) squares
-sample n's gradient, formed by its family's _sample_sums from the
-activation-side array a that also feeds training: g_n a_n^T and g_n summed
-over positions (Dense and Conv2d, KFC), or the per-feature sums of g_n * a_n
-and g_n with a the normalized input (the norms). The totals add each chunk's
-sums in chunk order, so reruns are bit-identical. The walk forms no parameter
-gradients or captures: afterwards a model's grads and captures are as they
-were, and its layers' forward state is the last chunk's. The Monte-Carlo
-estimator draws all of its uniforms for the whole batch before the first
-chunk, so the labels do not depend on the chunk size.
+chunk). Per chunk they run one eval-mode forward, then one reverse walk
+(nn.Model.reverse_walk) per output signal g, with row weights w, that the
+estimator yields for the chunk's (m, C) probabilities. Monte-Carlo yields
+p - e_c (BackPACK) for each drawn class c, weighted by its label counts. The
+exact oracle uses that the label-averaged output Fisher of a row,
+sum_c p_c (p - e_c)(p - e_c)^T = diag(p) - p p^T, has rank C - 1: it yields
+the C - 1 columns of its Cholesky factor (the multinomial covariance's,
+Tanabe & Sagae 1992) with unit weights, so a chunk costs C - 1 walks, not C.
+In eval mode no layer couples samples (batch norm uses running statistics),
+so row n of a layer's incoming gradient is sample n's own signal g_n, and
+each parameterized layer's sample_sq (nn.Layer's one recipe) squares sample
+n's gradient, formed by its family's _sample_sums from the activation-side
+array a that also feeds training: g_n a_n^T and g_n summed over positions
+(Dense and Conv2d, KFC), or the per-feature sums of g_n * a_n and g_n with a
+the normalized input (the norms). The totals add each chunk's sums in chunk
+order, so reruns are bit-identical. The walk forms no parameter gradients or
+captures: afterwards a model's grads and captures are as they were, and its
+layers' forward state is the last chunk's. The Monte-Carlo estimator draws
+all of its uniforms for the whole batch before the first chunk, so the labels
+do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 
 from .datasets import MAX_SYNTH_VALUES
-from .errors import InputError, SizeError, UnsupportedError
+from .errors import InputError, SizeError, UnsupportedError, check_count
 from .nn import Model, softmax
 from .tensor import Rng
 
@@ -49,30 +53,51 @@ def _checked_batch(model: Model, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _class_weighted_diag(model: Model, batch: np.ndarray, class_weights) -> dict:
-    """Batch mean over samples n of sum_c w[n, c] * (gradient of -log p_c(x_n))**2,
-    with w = class_weights(p, rows) for the (m, C) predictive probabilities p
-    of the batch's rows `rows`.
+def _signal_weighted_diag(model: Model, batch: np.ndarray, signals) -> dict:
+    """Batch mean over samples n of sum over the pairs (g, w) of signals(p, rows)
+    of w[n] * (gradient back-propagated from output signal g[n])**2, for the
+    (m, C) predictive probabilities p of the batch's rows `rows`.
 
-    Runs the eval-mode forward and the class walks one chunk of consecutive
+    Runs the eval-mode forward and the signals' walks one chunk of consecutive
     rows at a time, max(1, CACHE_BUDGET // bytes per input row) rows, so the
-    layer state that every class walk reads again is one chunk's, not the
-    whole batch's. The sums add up in chunk order. Afterwards the layers'
-    forward state is the last chunk's; grads and captures are untouched."""
+    layer state that every walk reads again is one chunk's, not the whole
+    batch's. The sums add up in chunk order. Afterwards the layers' forward
+    state is the last chunk's; grads and captures are untouched."""
     m = batch.shape[0]
     step = max(1, CACHE_BUDGET // max(batch[0].nbytes, 1))
-    total: dict[int, dict[str, np.ndarray]] = {i: {} for i, _ in model.param_layers()}
+    total = {i: {name: np.zeros_like(arr) for name, arr in layer.params.items()}
+             for i, layer in model.param_layers()}
     for start in range(0, m, step):
         rows = slice(start, start + step)
         p = softmax(model.forward(batch[rows], training=False))
-        w = class_weights(p, rows) / m
-        for cls in np.flatnonzero(w.any(axis=0)):
-            grad = p.copy()
-            grad[:, cls] -= 1.0
+        for grad, w in signals(p, rows):
+            w = w / m
             for i, layer, dout in model.reverse_walk(grad):
-                for name, sq in layer.sample_sq(dout, w[:, cls]).items():
-                    total[i][name] = total[i].get(name, 0.0) + sq
+                for name, sq in layer.sample_sq(dout, w).items():
+                    total[i][name] += sq
     return total
+
+
+def _multinomial_factor(p: np.ndarray) -> np.ndarray:
+    """(C - 1, m, C) columns B of a Cholesky factor of each row's multinomial
+    covariance: sum_i B[i, n] B[i, n]^T = diag(p_n) - p_n p_n^T for row p_n of
+    the (m, C) probabilities p.
+
+    With r_i = sum_{k>=i} p_k, column i holds sqrt(p_i r_{i+1} / r_i) at i,
+    -p_j sqrt(p_i / (r_i r_{i+1})) at j > i and 0 at j < i. It is all zero
+    where r_{i+1} = 0 (softmax underflow, so p_j = 0 for every j > i). The last
+    column of the full factor, at r_C = 0, is zero and left out."""
+    c = p.shape[1]
+    r = np.cumsum(p[:, ::-1], axis=1)[:, ::-1].T  # (C, m): r_i per row
+    head, tail = r[:-1], r[1:]
+    live = tail > 0  # then head >= tail > 0
+    root = np.sqrt(np.divide(p[:, :-1].T, head, out=np.zeros_like(head), where=live))
+    # sqrt(p_i / r_i) / sqrt(r_{i+1}), which is at most 1 / sqrt(r_{i+1}): no overflow
+    coef = np.divide(root, np.sqrt(tail), out=np.zeros_like(root), where=live)
+    cols = np.arange(c - 1)
+    b = np.where(np.arange(c) > cols[:, None, None], -p * coef[:, :, None], 0.0)
+    b[cols, :, cols] = root * np.sqrt(tail)
+    return b
 
 
 def _label_counts(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -85,30 +110,38 @@ def _label_counts(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def exact_fisher_diag(model: Model, batch: np.ndarray) -> dict:
-    """Class-enumeration Fisher diagonal, averaged over the batch:
-    {layer id: {parameter name: array}}."""
-    def enumerate_classes(p, rows):
+    """Exact Fisher diagonal, the expectation over every class label, averaged
+    over the batch: {layer id: {parameter name: array}}. Walks the C - 1
+    columns of each chunk's _multinomial_factor, each with unit row weights."""
+    def factor_columns(p, rows):
         if p.shape[1] > MAX_CLASSES:
             raise UnsupportedError(f"class enumeration capped at {MAX_CLASSES}, got {p.shape[1]}")
-        return p
-    return _class_weighted_diag(model, _checked_batch(model, batch), enumerate_classes)
+        ones = np.ones(len(p))
+        for col in _multinomial_factor(p):
+            yield col, ones
+    return _signal_weighted_diag(model, _checked_batch(model, batch), factor_columns)
 
 
 def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int, seed: int) -> dict:
     """Monte-Carlo Fisher diagonal with labels sampled from the model, laid
     out like exact_fisher_diag's: the (M, n_samples) uniforms are drawn from
-    Rng(seed) in sample-major order before the first chunk."""
-    if not (isinstance(n_samples, Integral) and not isinstance(n_samples, bool)
-            and n_samples >= 1):
-        raise InputError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    Rng(seed) in sample-major order before the first chunk. Walks p - e_c
+    for each class c drawn in a chunk, weighted by its label counts."""
+    check_count("n_samples", n_samples, 1, InputError)
     batch = _checked_batch(model, batch)
     draws = batch.shape[0] * int(n_samples)
     if draws > MAX_SYNTH_VALUES:
         raise SizeError(f"{batch.shape[0]} rows x {n_samples} samples = {draws} label draws "
                         f"exceed the guard of {MAX_SYNTH_VALUES}")
     u = Rng(seed).uniform((batch.shape[0], n_samples))
-    return _class_weighted_diag(
-        model, batch, lambda p, rows: _label_counts(p, u[rows]) / n_samples)
+
+    def drawn_classes(p, rows):
+        w = _label_counts(p, u[rows]) / n_samples
+        for cls in np.flatnonzero(w.any(axis=0)):
+            grad = p.copy()
+            grad[:, cls] -= 1.0
+            yield grad, w[:, cls]
+    return _signal_weighted_diag(model, batch, drawn_classes)
 
 
 def approximation_mae(a: np.ndarray, b: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InputError, StateError, check_number
+from .errors import DimensionError, InputError, StateError, check_flag, check_number
 from .nn import Model, Norm
 
 DEFAULT_GAMMA = 0.8
@@ -53,6 +53,7 @@ class KFState:
     def __post_init__(self):
         check_number("gamma", self.gamma, lambda v: 0.0 < v <= 1.0, "a finite number in (0, 1]")
         check_number("lambda", self.lam, lambda v: v > 0, "a finite number > 0")
+        check_flag("norm_fisher_off", self.norm_fisher_off)
 
     @classmethod
     def for_model(cls, model: Model, gamma: float = DEFAULT_GAMMA, lam: float = DEFAULT_LAMBDA,
@@ -98,5 +99,8 @@ class KFState:
             except DimensionError as exc:
                 raise DimensionError(f"layer {i}: {exc}") from None
             for name, diag in diags.items():
-                out[i, name] = diag + self.lam
+                # new arrays, or s (a norm's shift), which minmax_normalize made
+                # for this call: lambda goes in place, copying nothing
+                diag += self.lam
+                out[i, name] = diag
         return out

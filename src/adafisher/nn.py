@@ -57,8 +57,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, DimensionError, InputError, StateError, UnsupportedError,
-                     check_number)
+                     check_count, check_number)
 from .tensor import Rng, col2im_batch, conv_out_size, im2col_batch, window_slices
+
+
+def _size(name: str, value) -> int:
+    """value, once it is an integer >= 1; otherwise InputError."""
+    return check_count(name, value, 1, InputError)
+
+
+def _pair(name: str, value, least: int = 1) -> tuple:
+    """value as a tuple, once it holds two integers >= least; otherwise InputError."""
+    try:
+        pair = a, b = tuple(value)
+        check_count(name, a, least, InputError), check_count(name, b, least, InputError)
+    except (TypeError, ValueError):  # not two entries, or one is no such integer
+        raise InputError(f"{name} must be a pair of integers >= {least}, got {value!r}") from None
+    return pair
 
 
 def _per_worker(a: np.ndarray, workers: int) -> np.ndarray:
@@ -121,7 +136,8 @@ class Layer:
         return self._sample_sums(dout.reshape(dout.shape[0], dout.shape[1], -1), w)
 
     def kronecker_diagonal(self, h: np.ndarray, s: np.ndarray) -> dict[str, np.ndarray]:
-        """{parameter name: diagonal of H (x) S at its entries}, shaped like params."""
+        """{parameter name: diagonal of H (x) S at its entries}, shaped like params.
+        Each array is new, except a norm's shift, which is s itself."""
         if (h.size, s.size) != self.factor_sizes:
             raise DimensionError(f"factors h {h.size}, s {s.size} do not fit the parameters "
                                  f"{({n: v.shape for n, v in self.params.items()})}")
@@ -166,15 +182,16 @@ class Kronecker(Layer):
     def _layout(self, h, s):
         """h[j] * s[k] at the weight of output k and flattened input j, and
         h[-1] * s[k] (h's unit bias slot) at the bias of output k."""
-        grid = np.outer(s, h)
-        out = {"W": grid[:, :self.params["W"][0].size].reshape(self.params["W"].shape)}
+        w = self.params["W"]
+        out = {"W": np.multiply.outer(s, h[:w[0].size]).reshape(w.shape)}
         if self.bias:
-            out["b"] = grid[:, -1]
+            out["b"] = s * h[-1]
         return out
 
 
 class Dense(Kronecker):
     def __init__(self, in_dim: int, out_dim: int, bias: bool = True):
+        in_dim, out_dim = _size("in_dim", in_dim), _size("out_dim", out_dim)
         super().__init__((out_dim, in_dim), np.sqrt(2.0 / (in_dim + out_dim)), bias)
         self.in_dim, self.out_dim = in_dim, out_dim
 
@@ -193,11 +210,12 @@ class Dense(Kronecker):
 
 class Conv2d(Kronecker):
     def __init__(self, in_ch, out_ch, kernel, stride=(1, 1), pad=(0, 0), bias=True):
-        super().__init__((out_ch, in_ch, *kernel), np.sqrt(1 / (in_ch * math.prod(kernel))), bias)
+        in_ch, out_ch = _size("in_ch", in_ch), _size("out_ch", out_ch)
+        self.kernel, self.stride = _pair("kernel", kernel), _pair("stride", stride)
+        self.pad = _pair("pad", pad, least=0)
+        super().__init__((out_ch, in_ch, *self.kernel),
+                         np.sqrt(1 / (in_ch * math.prod(self.kernel))), bias)
         self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel = tuple(kernel)
-        self.stride = tuple(stride)
-        self.pad = tuple(pad)
 
     def forward(self, x, training=True, workers=1):
         self._a = None
@@ -227,7 +245,7 @@ class Norm(Layer):
 
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
-        self.dim = dim
+        self.dim = dim = _size("dim", dim)
         self.eps = check_number("eps", eps, lambda v: v >= 0, "non-negative and finite",
                                 InputError)
         self.params["scale"] = np.ones(dim)
@@ -377,8 +395,8 @@ class MaxPool2d(Layer):
 
     def __init__(self, kernel, stride=None):
         super().__init__()
-        self.kernel = tuple(kernel)
-        self.stride = tuple(stride) if stride is not None else self.kernel
+        self.kernel = _pair("kernel", kernel)
+        self.stride = self.kernel if stride is None else _pair("stride", stride)
 
     def forward(self, x, training=True, workers=1):
         self._masks = None

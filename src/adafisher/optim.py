@@ -31,18 +31,11 @@ scratch array per parameter (plus the decayed gradient under coupled decay).
 
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 
-from .errors import ConfigError, DimensionError, StateError, check_number
+from .errors import (ConfigError, DimensionError, StateError, check_count, check_flag,
+                     check_number)
 from .nn import Model
-
-
-def _flag(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be True or False, got {value!r}")
-    return value
 
 
 def _positive(name: str, value):
@@ -64,9 +57,7 @@ class Schedule:
                  total_epochs: int = 1):
         if kind not in ("constant", "step", "cosine"):
             raise ConfigError(f"unknown schedule {kind!r}")
-        if not (isinstance(step_size, Integral) and not isinstance(step_size, bool)
-                and step_size >= 1):
-            raise ConfigError(f"step_size must be an integer >= 1, got {step_size!r}")
+        check_count("step_size", step_size)
         self.kind = kind
         self.step_size = step_size
         self.factor = _positive("factor", factor)
@@ -133,7 +124,7 @@ class AdaFisher(Optimizer):
         super().__init__(alpha)
         self.beta = _below_one("beta", beta)
         self.kappa = _nonnegative("weight decay kappa", kappa)
-        self.sqrt_divisor = _flag("sqrt_divisor", sqrt_divisor)
+        self.sqrt_divisor = check_flag("sqrt_divisor", sqrt_divisor)
 
     def _update(self, p, g, m, div) -> None:
         if self.sqrt_divisor:
@@ -157,7 +148,7 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = _below_one("beta1", beta1), _below_one("beta2", beta2)
         self.eps = _positive("eps", eps)
         self.weight_decay = _nonnegative("weight_decay", weight_decay)
-        self.decoupled = _flag("decoupled", decoupled)
+        self.decoupled = check_flag("decoupled", decoupled)
 
     def _update(self, p, g, m, v, div) -> None:
         if self.weight_decay and not self.decoupled:

@@ -293,3 +293,9 @@ class TestFimStats:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             fim_hist_stats(np.zeros(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN would make every statistic NaN, inf the mean and the std
+        with pytest.raises(InputError, match="non-finite"):
+            fim_hist_stats([bad, 1.0])

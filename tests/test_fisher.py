@@ -3,8 +3,8 @@ import pytest
 
 from adafisher import fisher
 from adafisher.errors import InputError, SizeError, UnsupportedError
-from adafisher.fisher import (_label_counts, approximation_mae, exact_fisher_diag,
-                              mc_fisher_diag)
+from adafisher.fisher import (_label_counts, _multinomial_factor, approximation_mae,
+                              exact_fisher_diag, mc_fisher_diag)
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, Layer, LayerNorm,
                           MaxPool2d, Model, softmax)
 from adafisher.tensor import Rng
@@ -41,6 +41,47 @@ def analytic_softmax_fisher(model, x):
     return total / x.shape[0]
 
 
+class TestMultinomialFactor:
+    """B B^T = diag(p) - p p^T per row, for the C - 1 columns B of the factor."""
+
+    @staticmethod
+    def rows():
+        logits = Rng(50).normal((40, 7)) * 3.0
+        logits[:5, 2:] = -800.0  # softmax underflows to exact zeros after class 1
+        logits[5:10, ::2] = -800.0  # zeros between nonzero entries
+        zeros = np.array([[0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0, 0.0, 0.0, 0.25, 0.75],
+                          [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5e-324]])  # r_6 subnormal
+        return np.vstack([softmax(logits), zeros, np.eye(7)])  # one-hot rows last
+
+    def test_product_is_the_multinomial_covariance(self):
+        p = self.rows()
+        m, c = p.shape
+        assert np.count_nonzero(p == 0.0) > 60
+        b = _multinomial_factor(p)
+        assert b.shape == (c - 1, m, c)
+        got = np.einsum("imj,imk->mjk", b, b)
+        want = np.einsum("mj,jk->mjk", p, np.eye(c)) - p[:, :, None] * p[:, None, :]
+        # Each entry of B is a few roundings of r, a C-term cumsum of p, so it
+        # errs relatively by under (2C + 4) eps; by Cauchy-Schwarz a C-term sum
+        # of their products errs by under 2 (2C + 4) eps sqrt(p_j p_k) + C eps.
+        # The factor is exact for rows summing to r_0 instead of 1, which
+        # softmax meets within C eps: C eps more. All p <= 1.
+        eps = np.finfo(np.float64).eps
+        assert np.max(np.abs(got - want)) <= (6 * c + 8) * eps
+
+    def test_structure(self):
+        p = self.rows()
+        b = _multinomial_factor(p)
+        c = p.shape[1]
+        below = np.arange(c) < np.arange(c - 1)[:, None]  # j < i
+        assert np.all(b[np.broadcast_to(below[:, None, :], b.shape)] == 0.0)
+        assert np.all(b[:, -c:] == 0.0)  # one-hot rows have zero covariance
+        # column i is zero where every class after i has probability 0
+        tail = np.cumsum(p[:, ::-1], axis=1)[:, ::-1][:, 1:].T
+        assert np.all(b[tail == 0.0] == 0.0)
+
+
 class TestExactFisher:
     def test_matches_closed_form_single_sample(self):
         model = softmax_regression(3, 4, seed=1)
@@ -72,6 +113,17 @@ class TestExactFisher:
         diag = exact_fisher_diag(model, Rng(13).normal((3, 3)))
         assert set(diag[1]) == {"scale", "shift"}
         assert np.all(flat(diag) >= 0.0)
+
+    def test_one_class_has_zero_fisher(self):
+        # diag(p) - pp^T is 0 for p = [1]: no factor column to walk, and every
+        # array is zero and shaped like its parameter
+        model = Model([Dense(3, 4), Activation("relu"), Dense(4, 1)]).init(Rng(6))
+        for diag in (exact_fisher_diag(model, Rng(14).normal((5, 3))),
+                     mc_fisher_diag(model, Rng(14).normal((5, 3)), n_samples=3, seed=0)):
+            assert {i: {n: a.shape for n, a in d.items()} for i, d in diag.items()} == {
+                i: {n: a.shape for n, a in layer.params.items()}
+                for i, layer in model.param_layers()}
+            assert not flat(diag).any()
 
     def test_regression_model_rejected(self):
         model = Model([Dense(2, 1)], loss="mse")
@@ -215,8 +267,9 @@ class TestBatchedOracleEquivalence:
         monkeypatch.setattr(fisher, "CACHE_BUDGET", 1)
         n_classes, n_samples = model.forward(x, training=False).shape[1], 30
         eps = np.finfo(np.float64).eps
-        # Each entry sums len(x) * n_classes (exact) or len(x) * n_samples (MC)
-        # non-negative terms, each within a few eps, in another order.
+        # Each entry sums len(x) * n_classes (the exact reference; the oracle
+        # sums len(x) * (n_classes - 1) factor-column terms) or
+        # len(x) * n_samples (MC) non-negative terms, each within a few eps.
         assert_same_diag(exact_fisher_diag(model, x), reference_fisher(model, x),
                          rtol=len(x) * n_classes * eps)
 
@@ -254,6 +307,34 @@ class TestBatchedOracleEquivalence:
         monkeypatch.setattr(Model, "forward", spy)
         exact_fisher_diag(model, Rng(39).normal(shape))
         assert rows == chunks
+
+    def test_exact_walks_c_minus_one_columns_per_chunk(self, monkeypatch):
+        # 64 rows of 28 x 28 run as 4 chunks (20, 20, 20, 4); each walks the
+        # 9 columns of the 10-class factor. Monte-Carlo walks the classes
+        # drawn in each chunk.
+        model = Model([Conv2d(1, 2, (3, 3)), Flatten(), Dense(2 * 26 * 26, 10)]).init(Rng(40))
+        x = Rng(41).normal((64, 1, 28, 28))
+        walks, reverse_walk = [], Model.reverse_walk
+
+        def spy(self, grad):
+            walks.append(grad.shape)
+            return reverse_walk(self, grad)
+
+        monkeypatch.setattr(Model, "reverse_walk", spy)
+        exact_fisher_diag(model, x)
+        assert walks == [(20, 10)] * 27 + [(4, 10)] * 9
+
+        counts = []
+
+        def count_spy(p, u):
+            counts.append(_label_counts(p, u))
+            return counts[-1]
+
+        monkeypatch.setattr(fisher, "_label_counts", count_spy)
+        walks.clear()
+        mc_fisher_diag(model, x, n_samples=3, seed=2)
+        assert [len(c) for c in counts] == [20, 20, 20, 4]
+        assert len(walks) == sum(np.count_nonzero(c.any(axis=0)) for c in counts)
 
     def test_label_counts_match_scalar_draws(self):
         p = softmax(Rng(34).normal((6, 5)) * 2.0)

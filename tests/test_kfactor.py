@@ -137,6 +137,14 @@ class TestEfimAssemble:
         with pytest.raises(ConfigError):
             KFState(lam=0.0, factors={})
 
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None])
+    def test_norm_fisher_off_must_be_a_bool(self, flag):
+        # divisors reads the flag by truth value: "no" would turn it on
+        with pytest.raises(ConfigError, match="norm_fisher_off must be True or False"):
+            KFState(norm_fisher_off=flag)
+        with pytest.raises(ConfigError, match="norm_fisher_off"):
+            KFState.for_model(Model([Dense(2, 2)]), norm_fisher_off=flag)
+
 
 def vec(diag):
     """A weight layer's [W | b] diagonal with the input index slow and the
@@ -242,6 +250,11 @@ class TestPrecondition:
         div = state.divisors(Model([LayerNorm(3)]))
         assert np.allclose(div[0, "scale"], [0.001, 1.001, 0.001])
         assert np.allclose(div[0, "shift"], [0.501, 1.001, 0.001])
+        # lambda is added in place, to arrays of this call only: the factors
+        # and a second call's divisors are unchanged
+        assert np.array_equal(state.factors[0, "s"], [0.5, 1.0, 0.0])
+        again = state.divisors(Model([LayerNorm(3)]))
+        assert all(np.array_equal(again[key], div[key]) for key in div)
 
 
 class TestStateLifecycle:

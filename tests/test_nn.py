@@ -68,6 +68,33 @@ class TestForward:
         with pytest.raises(InputError, match="eps must be non-negative"):
             make()
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: Dense(-1, 2), "in_dim"), (lambda: Dense(2, 0), "out_dim"),
+        (lambda: Dense(2.5, 2), "in_dim"), (lambda: Dense(True, 2), "in_dim"),
+        (lambda: LayerNorm(-1), "dim"), (lambda: BatchNorm(2.5), "dim"),
+        (lambda: BatchNorm("3"), "dim"), (lambda: Conv2d(0, 2, (3, 3)), "in_ch"),
+        (lambda: Conv2d(1, 2.0, (3, 3)), "out_ch"), (lambda: Conv2d(1, 2, (0, 3)), "kernel"),
+        (lambda: Conv2d(1, 2, 3), "kernel"), (lambda: Conv2d(1, 2, (3, 3, 3)), "kernel"),
+        (lambda: Conv2d(1, 2, (3, 3), stride=(1, 0)), "stride"),
+        (lambda: Conv2d(1, 2, (3, 3), pad=(-1, 0)), "pad"),
+        (lambda: Conv2d(1, 2, (3, 3), pad=(0.5, 0)), "pad"),
+        (lambda: MaxPool2d((2, -2)), "kernel"), (lambda: MaxPool2d((2, 2), stride=(0, 1)), "stride"),
+    ], ids=["dense-in-negative", "dense-out-zero", "dense-in-float", "dense-in-bool",
+            "layernorm-negative", "batchnorm-float", "batchnorm-str", "conv-in-zero",
+            "conv-out-float", "conv-kernel-zero", "conv-kernel-int", "conv-kernel-triple",
+            "conv-stride-zero", "conv-pad-negative", "conv-pad-float", "pool-kernel-negative",
+            "pool-stride-zero"])
+    def test_sizes_must_be_positive_integers(self, make, name):
+        # sizes, kernels and strides are integers >= 1 and pads integers >= 0;
+        # otherwise numpy raised bare ValueError, TypeError or ZeroDivisionError
+        with pytest.raises(InputError, match=name):
+            make()
+
+    def test_zero_pad_and_integer_sizes_accepted(self):
+        conv = Conv2d(np.int64(1), 2, [3, 3], stride=(1, np.int64(2)), pad=(0, 0))
+        assert (conv.kernel, conv.stride, conv.pad) == ((3, 3), (1, 2), (0, 0))
+        assert conv.forward(np.zeros((1, 1, 4, 5))).shape == (1, 2, 2, 2)
+
     def test_batchnorm_single_sample_rejected(self):
         with pytest.raises(InputError):
             BatchNorm(2).forward(np.zeros((1, 2)), training=True)

@@ -1,71 +1,53 @@
 """Run configuration: one schema table per config block, checked once.
 
-RunConfig.from_dict walks a raw config against the tables: unknown and missing
-keys and every present value (reals must be finite), with messages naming the
-field's dotted path. A table gives each field's type and bound, not its
-default: an absent optional field is left out, so its constructor's default
-applies. It then checks the model's parameter count against the desk-scale
-guard MAX_SYNTH_VALUES (a SizeError), before anything is allocated.
-build_model and resolve_dataset read blocks already checked."""
+Each rule has one owner. This module owns the keys: RunConfig.from_dict walks a
+raw config against the tables (unknown and missing keys, named by dotted path),
+and RunConfig's builders map them to constructor keywords. The constructors own
+the values of the optimizer, kf, schedule and ablations blocks: from_dict
+builds each once, so a value they reject is a ConfigError naming the block and
+the field. The tables check layer and dataset values with errors' checkers: the
+parameter-count guard MAX_SYNTH_VALUES (a SizeError) reads layer sizes before
+anything is allocated, and resolve_dataset runs after the out dir exists. An
+absent optional field is left out, so its constructor's default applies."""
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import partial
-from numbers import Integral, Real
 from pathlib import Path
 
 from .datasets import MAX_SYNTH_VALUES, Images, load_csv, load_idx, synth_dataset
-from .errors import ConfigError, DataError, SizeError
+from .errors import (ConfigError, DataError, SizeError, check_count, check_flag, check_number,
+                     check_pair)
+from .kfactor import KFState
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                  MaxPool2d, Model)
+from .optim import Optimizer, Schedule, build_optimizer
 from .tensor import Rng
 
 
 def _check(ok, what: str):
-    """A field check: check(value, dotted path) raises a ConfigError naming
+    """A field check: check(dotted path, value) raises a ConfigError naming
     the path unless ok(value)."""
-    def check(value, path):
+    def check(path, value):
         if not ok(value):
             raise ConfigError(f"{path} must be {what}, got {value!r}")
     return check
-
-
-def _is_int(value, low) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
-
-
-def _integer(low: int = 1):
-    return _check(lambda v: _is_int(v, low), f"an integer >= {low}")
-
-
-def _pair(low: int = 1):
-    return _check(lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-                  and all(_is_int(i, low) for i in v), f"a pair of integers >= {low}")
-
-
-def _real(bound: str = "", within=lambda x: True):
-    return _check(lambda v: isinstance(v, Real) and not isinstance(v, bool)
-                  and abs(v) <= sys.float_info.max and within(v), f"a finite number{bound}")
 
 
 def _choice(*options: str):
     return _check(lambda v: isinstance(v, str) and v in options, f"one of {list(options)}")
 
 
-_COUNT, _FINITE = _integer(), _real()
-_FLAG = _check(lambda v: isinstance(v, bool), "true or false")
 _FILE = _check(lambda v: isinstance(v, str) and Path(v).is_file(), "an existing file")
-_POSITIVE = _real(" > 0", lambda x: x > 0)
-_NONNEGATIVE = _real(" >= 0", lambda x: x >= 0)
-_BELOW_ONE = _real(" in [0, 1)", lambda x: 0 <= x < 1)
 
 # Keys that moved elsewhere, with where to set them now.
 _MOVED = {"ablations.sqrt_divisor": "use optimizer.sqrt_divisor",
           "ablations.ema_off": "use kf.gamma: 1"}
+# Config keys that are not their constructor's keyword.
+_KEYWORDS = {"lambda": "lam", "type": "kind"}
 
 
 def _walk(value, required: dict, optional: dict, path: str, tag: str | None = None):
@@ -79,19 +61,19 @@ def _walk(value, required: dict, optional: dict, path: str, tag: str | None = No
             raise ConfigError(f"unknown key {prefix}{key}: {_MOVED.get(prefix + key, expected)}")
     for table in (required, optional):
         for key, check in table.items():
-            if key in value:
-                check(value[key], prefix + key)
-            elif table is required:
+            if key in value and check:  # None: the block's constructor checks it
+                check(prefix + key, value[key])
+            elif key not in value and table is required:
                 raise ConfigError(f"missing key {prefix}{key}")
 
 
 def _block(required: dict, optional: dict | None = None):
-    return lambda value, path: _walk(value, required, optional or {}, path)
+    return lambda path, value: _walk(value, required, optional or {}, path)
 
 
 def _union(tag: str, tables: dict, fold=lambda name: name):
     """A JSON object whose tag field picks its (required, optional) table."""
-    def check(value, path):
+    def check(path, value):
         if not isinstance(value, dict) or tag not in value:
             raise ConfigError(f"{path} must be a JSON object with a {tag!r}, got {value!r}")
         name = value[tag]
@@ -102,65 +84,72 @@ def _union(tag: str, tables: dict, fold=lambda name: name):
 
 
 def _nonempty_list(item):
-    def check(value, path):
+    def check(path, value):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{path} must be a non-empty list, got {value!r}")
         for i, entry in enumerate(value):
-            item(entry, f"{path}[{i}]")
+            item(f"{path}[{i}]", entry)
     return check
 
 
+_EPS = partial(check_number, ok=lambda v: v >= 0, what="a finite number >= 0")
 # kind: (layer class, required fields in argument order, optional keywords)
 _LAYERS = {
-    "dense": (Dense, {"in": _COUNT, "out": _COUNT}, {"bias": _FLAG}),
-    "conv2d": (Conv2d, {"in": _COUNT, "out": _COUNT, "kernel": _pair()},
-               {"stride": _pair(), "pad": _pair(0), "bias": _FLAG}),
-    "batchnorm": (BatchNorm, {"dim": _COUNT},
-                  {"eps": _NONNEGATIVE, "momentum": _real(" in [0, 1]", lambda x: 0 <= x <= 1)}),
-    "layernorm": (LayerNorm, {"dim": _COUNT}, {"eps": _NONNEGATIVE}),
+    "dense": (Dense, {"in": check_count, "out": check_count}, {"bias": check_flag}),
+    "conv2d": (Conv2d, {"in": check_count, "out": check_count, "kernel": check_pair},
+               {"stride": check_pair, "pad": partial(check_pair, least=0), "bias": check_flag}),
+    "batchnorm": (BatchNorm, {"dim": check_count},
+                  {"eps": _EPS, "momentum": partial(check_number, ok=lambda v: 0 <= v <= 1,
+                                                    what="a finite number in [0, 1]")}),
+    "layernorm": (LayerNorm, {"dim": check_count}, {"eps": _EPS}),
     **{name: (partial(Activation, name), {}, {}) for name in Activation.SUPPORTED},
     "flatten": (Flatten, {}, {}),
-    "maxpool": (MaxPool2d, {"kernel": _pair()}, {"stride": _pair()}),
+    "maxpool": (MaxPool2d, {"kernel": check_pair}, {"stride": check_pair}),
 }
 _MODEL = _block({"layers": _nonempty_list(_union(
     "kind", {kind: tables for kind, (_, *tables) in _LAYERS.items()}))},
     {"loss": _choice("cross_entropy", "mse")})
 
-_CSV_SCHEMA = _block({}, {"has_header": _FLAG,
-                          "label_col": _check(lambda v: _is_int(v, float("-inf")), "an integer")})
-_SOURCE = {"limit": _COUNT}  # fields every source takes
-_SYNTHETIC = {**_SOURCE, "seed": _integer(0)}
+_CSV_SCHEMA = _block({}, {"has_header": check_flag,
+                          "label_col": partial(check_count, least=None)})
+_SOURCE = {"limit": check_count}  # fields every source takes
+_SYNTHETIC = {**_SOURCE, "seed": partial(check_count, least=0)}
 _DATASET = _union("source", {
     "idx": ({"images": _FILE, "labels": _FILE}, _SOURCE),
     "csv": ({"path": _FILE}, {**_SOURCE, "schema": _CSV_SCHEMA}),
-    "blobs": ({"n": _COUNT}, {**_SYNTHETIC, "classes": _COUNT, "dim": _COUNT,
-                              "sep": _FINITE, "noise": _FINITE}),
-    "moons": ({"n": _COUNT}, {**_SYNTHETIC, "noise": _FINITE}),
-    "quadratic": ({"n": _COUNT}, {**_SYNTHETIC, "dim": _COUNT, "out_dim": _COUNT,
-                                  "scale": _FINITE}),
+    "blobs": ({"n": check_count}, {**_SYNTHETIC, "classes": check_count, "dim": check_count,
+                                   "sep": check_number, "noise": check_number}),
+    "moons": ({"n": check_count}, {**_SYNTHETIC, "noise": check_number}),
+    "quadratic": ({"n": check_count}, {**_SYNTHETIC, "dim": check_count,
+                                       "out_dim": check_count, "scale": check_number}),
 })
 
-# Hyperparameters per optimizer name (optim.build_optimizer's names, any case).
-_ADAFISHER = {"alpha": _POSITIVE, "beta": _BELOW_ONE, "sqrt_divisor": _FLAG}
-_ADAM = {"alpha": _POSITIVE, "beta1": _BELOW_ONE, "beta2": _BELOW_ONE, "eps": _POSITIVE,
-         "weight_decay": _NONNEGATIVE}
+# Hyperparameter keys per optimizer name (optim.build_optimizer's names, any case).
+_ADAFISHER = dict.fromkeys(("alpha", "beta", "sqrt_divisor"))
+_ADAM = dict.fromkeys(("alpha", "beta1", "beta2", "eps", "weight_decay"))
 _OPTIMIZER = _union("name", {
     "adafisher": ({}, _ADAFISHER),
-    "adafisherw": ({}, {**_ADAFISHER, "kappa": _NONNEGATIVE}),
+    "adafisherw": ({}, {**_ADAFISHER, "kappa": None}),
     "adam": ({}, _ADAM),
     "adamw": ({}, _ADAM),
-    "sgd": ({}, {"alpha": _POSITIVE, "momentum": _BELOW_ONE}),
+    "sgd": ({}, dict.fromkeys(("alpha", "momentum"))),
 }, fold=str.lower)
 
 _TOP = _block({"model": _MODEL, "dataset": _DATASET, "optimizer": _OPTIMIZER}, {
-    "kf": _block({}, {"gamma": _real(" in (0, 1]", lambda x: 0 < x <= 1),
-                      "lambda": _POSITIVE}),
+    "kf": _block({}, dict.fromkeys(("gamma", "lambda"))),
+    # type is the block's tag, so the schema knows its choices
     "schedule": _block({}, {"type": _choice("constant", "step", "cosine"),
-                            "step_size": _COUNT, "factor": _POSITIVE}),
-    "ablations": _block({}, {"norm_fisher_off": _FLAG}),
-    "epochs": _COUNT, "batch_size": _COUNT, "seed": _integer(0), "workers": _COUNT,
-    "out_dir": _check(lambda v: isinstance(v, str), "a string"), "track_first_layer": _FLAG,
+                            "step_size": None, "factor": None}),
+    "ablations": _block({}, {"norm_fisher_off": None}),
+    "epochs": check_count, "batch_size": check_count, "seed": partial(check_count, least=0),
+    "workers": check_count, "out_dir": _check(lambda v: isinstance(v, str), "a string"),
+    "track_first_layer": check_flag,
 })
+
+
+def _keywords(block: dict) -> dict:
+    """A checked config block as constructor keywords."""
+    return {_KEYWORDS.get(key, key): value for key, value in block.items()}
 
 
 def _param_count(spec: dict) -> int:
@@ -192,8 +181,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        _TOP(raw, "")
+        _TOP("", raw)
         cfg = cls(**raw)
+        cfg.build_optimizer()  # its ConfigError names it: "optimizer 'adam': beta1 must be ..."
+        for block, build in (("kf", lambda: KFState(**_keywords(cfg.kf))),
+                             ("ablations", lambda: KFState(**cfg.ablations)),
+                             ("schedule", cfg.build_schedule)):
+            try:
+                build()
+            except ConfigError as exc:
+                raise ConfigError(f"{block}.{exc}") from None
         params = sum(map(_param_count, cfg.model["layers"]))
         if params > MAX_SYNTH_VALUES:
             raise SizeError(f"model has {params} parameter values, over the guard "
@@ -216,6 +213,19 @@ class RunConfig:
         if isinstance(raw, dict):
             raw.update((key, value) for key, value in overrides.items() if value is not None)
         return cls.from_dict(raw)
+
+    def build_optimizer(self) -> Optimizer:
+        """The optimizer block's optimizer, by name."""
+        hyper = dict(self.optimizer)
+        return build_optimizer(hyper.pop("name"), hyper)
+
+    def build_schedule(self) -> Schedule:
+        """The schedule block's Schedule over the run's epochs."""
+        return Schedule(total_epochs=self.epochs, **_keywords(self.schedule))
+
+    def build_kf_state(self, model: Model) -> KFState:
+        """The kf block's KFState for model, with the ablations, its switches."""
+        return KFState.for_model(model, **_keywords(self.kf), **self.ablations)
 
 
 def build_model(model_spec: dict, rng: Rng) -> Model:

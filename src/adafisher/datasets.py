@@ -10,11 +10,13 @@ knows the encoding."""
 from __future__ import annotations
 
 import struct
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, InputError, SizeError
+from .errors import (DataError, FormatError, InputError, SizeError, check_count, check_flag,
+                     check_number)
 from .tensor import Rng
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -107,11 +109,12 @@ def load_csv(path, schema: dict | None = None):
     """Numeric feature columns plus an integer label column, whose cells must
     be int64 values (2 or 2.0; 1.7, nan, inf or 1e30 is a DataError).
 
-    Schema keys: has_header (bool, default False), label_col (int, default -1).
+    Schema keys: has_header (bool, default False), label_col (int, default -1);
+    a value of another type is a DataError.
     """
     schema = dict(schema or {})
-    has_header = bool(schema.pop("has_header", False))
-    label_col = int(schema.pop("label_col", -1))
+    has_header = check_flag("has_header", schema.pop("has_header", False), DataError)
+    label_col = check_count("label_col", schema.pop("label_col", -1), None, DataError)
     if schema:
         raise DataError(f"unknown schema keys: {sorted(schema)}")
     lines = Path(path).read_text().strip().splitlines()
@@ -144,23 +147,28 @@ def load_csv(path, schema: dict | None = None):
     return np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
+_count = partial(check_count, error=InputError)
+_finite = partial(check_number, error=InputError)
+
+
 def synth_dataset(kind: str, n: int, seed: int, **kw):
-    """Deterministic synthetic datasets: blobs, moons or quadratic pairs."""
-    if n <= 0:
-        raise InputError("dataset size must be positive")
+    """Deterministic synthetic datasets: blobs, moons or quadratic pairs. n and
+    the sizes are integers >= 1, seed an integer >= 0 and the other options
+    finite numbers; otherwise InputError."""
+    _count("n", n), _count("seed", seed, 0)
     rng = Rng(seed)
     if kind == "blobs":
-        classes = int(kw.pop("classes", 2))
-        dim = int(kw.pop("dim", 2))
-        sep = float(kw.pop("sep", 6.0))
-        noise = float(kw.pop("noise", 1.0))
+        classes = int(_count("classes", kw.pop("classes", 2)))
+        dim = int(_count("dim", kw.pop("dim", 2)))
+        sep = float(_finite("sep", kw.pop("sep", 6.0)))
+        noise = float(_finite("noise", kw.pop("noise", 1.0)))
         _check_options(kw, n * (dim + 1) + classes * dim)
         centers = rng.normal((classes, dim)) * sep
         labels = rng.integers(0, classes, size=n)
         x = centers[labels] + rng.normal((n, dim)) * noise
         return x, labels
     if kind == "moons":
-        noise = float(kw.pop("noise", 0.1))
+        noise = float(_finite("noise", kw.pop("noise", 0.1)))
         _check_options(kw, n * 3)
         half = n // 2
         t1 = rng.uniform((half,), 0, np.pi)
@@ -171,9 +179,9 @@ def synth_dataset(kind: str, n: int, seed: int, **kw):
         y = np.concatenate([np.zeros(half, dtype=np.int64), np.ones(n - half, dtype=np.int64)])
         return x, y
     if kind == "quadratic":
-        dim = int(kw.pop("dim", 20))
-        out_dim = int(kw.pop("out_dim", dim))
-        scale = float(kw.pop("scale", 1.0))
+        dim = int(_count("dim", kw.pop("dim", 20)))
+        out_dim = int(_count("out_dim", kw.pop("out_dim", dim)))
+        scale = float(_finite("scale", kw.pop("scale", 1.0)))
         _check_options(kw, n * (dim + out_dim) + out_dim * dim)
         a = rng.normal((out_dim, dim)) * scale
         x = rng.normal((n, dim))

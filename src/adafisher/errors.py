@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, and check_number,
-check_count and check_flag, the one check of a numeric, an integer and a
-boolean argument that library constructors and functions share."""
+check_count, check_pair and check_flag, the one check of a number, an integer,
+a pair of integers and a bool that constructors, data loaders and the config
+schema share: check(name, value, ..., error) returns value or raises error."""
 
 import operator
 import sys
@@ -47,7 +48,8 @@ class UnsupportedError(AdaFisherError, ValueError):
     """The model/loss combination is not supported by this operation."""
 
 
-def check_number(name: str, value, ok, what: str, error: type = ConfigError):
+def check_number(name: str, value, ok=lambda v: True, what: str = "a finite number",
+                 error: type = ConfigError):
     """value, once it is a finite real number (not a bool) for which ok holds;
     otherwise error with the message "{name} must be {what}, got {value!r}"."""
     if (isinstance(value, bool) or not isinstance(value, Real)
@@ -56,21 +58,34 @@ def check_number(name: str, value, ok, what: str, error: type = ConfigError):
     return value
 
 
-def check_count(name: str, value, least: int = 1, error: type = ConfigError):
-    """value, once it is an integer >= least (not a bool); otherwise error with
-    the message "{name} must be an integer >= {least}, got {value!r}". An
-    integer is what operator.index takes: Python's and numpy's, not floats."""
+def check_count(name: str, value, least: int | None = 1, error: type = ConfigError):
+    """value, once it is an integer >= least (any integer if least is None), not
+    a bool; otherwise error with the message "{name} must be an integer >=
+    {least}, got {value!r}". An integer is what operator.index takes."""
     try:
-        ok = not isinstance(value, bool) and operator.index(value) >= least
+        number = operator.index(value)
+        ok = not isinstance(value, bool) and (least is None or number >= least)
     except TypeError:
         ok = False
     if not ok:
-        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
     return value
 
 
-def check_flag(name: str, value) -> bool:
-    """value, once it is True or False; otherwise ConfigError."""
+def check_pair(name: str, value, least: int = 1, error: type = ConfigError) -> tuple:
+    """value as a tuple, once it holds two integers >= least; otherwise error
+    with the message "{name} must be a pair of integers >= {least}, got {value!r}"."""
+    try:
+        pair = a, b = tuple(value)
+        check_count(name, a, least, error), check_count(name, b, least, error)
+    except (TypeError, ValueError, error):  # not two entries, or one is no such integer
+        raise error(f"{name} must be a pair of integers >= {least}, got {value!r}") from None
+    return pair
+
+
+def check_flag(name: str, value, error: type = ConfigError) -> bool:
+    """value, once it is True or False; otherwise error."""
     if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be True or False, got {value!r}")
+        raise error(f"{name} must be True or False, got {value!r}")
     return value

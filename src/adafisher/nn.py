@@ -53,27 +53,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import (ConfigError, DimensionError, InputError, StateError, UnsupportedError,
-                     check_count, check_number)
+                     check_count, check_flag, check_number, check_pair)
 from .tensor import Rng, col2im_batch, conv_out_size, im2col_batch, window_slices
 
 
-def _size(name: str, value) -> int:
-    """value, once it is an integer >= 1; otherwise InputError."""
-    return check_count(name, value, 1, InputError)
-
-
-def _pair(name: str, value, least: int = 1) -> tuple:
-    """value as a tuple, once it holds two integers >= least; otherwise InputError."""
-    try:
-        pair = a, b = tuple(value)
-        check_count(name, a, least, InputError), check_count(name, b, least, InputError)
-    except (TypeError, ValueError):  # not two entries, or one is no such integer
-        raise InputError(f"{name} must be a pair of integers >= {least}, got {value!r}") from None
-    return pair
+_size = partial(check_count, error=InputError)
+_pair = partial(check_pair, error=InputError)
 
 
 def _per_worker(a: np.ndarray, workers: int) -> np.ndarray:
@@ -149,7 +139,7 @@ class Kronecker(Layer):
 
     def __init__(self, w_shape: tuple, scale: float, bias: bool):
         super().__init__()
-        self.bias = bias
+        self.bias = bias = check_flag("bias", bias, InputError)
         self._scale = scale  # standard deviation of the initial weights
         self.params["W"] = np.zeros(w_shape)
         if bias:

@@ -3,8 +3,8 @@ baselines, learning-rate schedules, and build_optimizer, which maps an
 optimizer name (any case) to its constructor; adamw is Adam with
 decoupled=True, which its caller cannot override. The constructors check their
 arguments for library callers (each hyperparameter a real number, not a bool,
-in its range; each flag a bool) and raise ConfigError otherwise; run configs
-are checked in adafisher.config.
+in its range; each flag a bool) and raise ConfigError otherwise. They own
+these rules for run configs too: RunConfig.from_dict builds them once.
 
 One walk, Optimizer.step, serves every optimizer. Before it changes anything
 it checks that every gradient (and, for AdaFisher, every divisor) is there
@@ -31,6 +31,8 @@ scratch array per parameter (plus the decayed gradient under coupled decay).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import (ConfigError, DimensionError, StateError, check_count, check_flag,
@@ -38,16 +40,9 @@ from .errors import (ConfigError, DimensionError, StateError, check_count, check
 from .nn import Model
 
 
-def _positive(name: str, value):
-    return check_number(name, value, lambda v: v > 0, "a finite number > 0")
-
-
-def _nonnegative(name: str, value):
-    return check_number(name, value, lambda v: v >= 0, "a finite number >= 0")
-
-
-def _below_one(name: str, value):
-    return check_number(name, value, lambda v: 0.0 <= v < 1.0, "a finite number in [0, 1)")
+_positive = partial(check_number, ok=lambda v: v > 0, what="a finite number > 0")
+_nonnegative = partial(check_number, ok=lambda v: v >= 0, what="a finite number >= 0")
+_below_one = partial(check_number, ok=lambda v: 0.0 <= v < 1.0, what="a finite number in [0, 1)")
 
 
 class Schedule:

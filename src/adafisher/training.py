@@ -10,9 +10,10 @@ bit at every K. A non-finite loss, gradient or factor raises NumericError
 before the EMA state or the optimizer changes. An optimizer that reads no
 divisors (Adam, SGD) gets a pass that forms no factors at all.
 
-run_training reads a RunConfig that RunConfig.from_dict has checked; it checks
-only what needs the data or the model, and calls train_step through the
-module global. Metrics are one JSON object per line. Wall-clock timings go to
+run_training reads a RunConfig that RunConfig.from_dict has checked and builds
+its optimizer, schedule and KFState with RunConfig's builders; it checks only
+what needs the data or the model, and calls train_step through the module
+global. Metrics are one JSON object per line. Wall-clock timings go to
 a separate timings file so that the metrics file is byte-identical across
 repeated runs with the same config and seed. track_first_layer adds
 trajectory.csv: per epoch, the 2-parameter first layer's weights and mean loss.
@@ -33,7 +34,7 @@ from .diagnostics import write_csv
 from .errors import ConfigError, InputError, NumericError
 from .kfactor import KFState
 from .nn import Model, softmax
-from .optim import Optimizer, Schedule, build_optimizer
+from .optim import Optimizer
 from .tensor import Rng
 
 METRIC_KEYS = ("epoch", "step", "train_loss", "eval_loss", "accuracy",
@@ -107,11 +108,6 @@ def evaluate(model, x, y, batch_size: int):
     return float(loss), acc
 
 
-def _keywords(block: dict, renames: dict) -> dict:
-    """A checked config block as constructor keywords."""
-    return {renames.get(key, key): value for key, value in block.items()}
-
-
 def run_training(config: RunConfig, out_dir=None) -> Path:
     """Execute one training run; returns the metrics file path."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
@@ -131,15 +127,8 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
     if rows.shape[0] < config.batch_size:
         raise ConfigError("batch size exceeds the training split")
 
-    opt_spec = dict(config.optimizer)
-    name = opt_spec.pop("name")
-    opt = build_optimizer(name, opt_spec)
-    kf_state = None
-    if opt.needs_divisors:  # the ablations (norm_fisher_off) are KFState switches
-        kf_state = KFState.for_model(model, **_keywords(config.kf, {"lambda": "lam"}),
-                                     **config.ablations)
-    schedule = Schedule(total_epochs=config.epochs,
-                        **_keywords(config.schedule, {"type": "kind"}))
+    opt, schedule = config.build_optimizer(), config.build_schedule()
+    kf_state = config.build_kf_state(model) if opt.needs_divisors else None
 
     metrics_path = out / "metrics.jsonl"
     timings_path = out / "timings.jsonl"
@@ -166,7 +155,7 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
             emit_metrics({"epoch": epoch, "step": step,
                           "train_loss": float(np.mean(losses)),
                           "eval_loss": eval_loss, "accuracy": acc,
-                          "optimizer": name, "seed": config.seed}, mfh)
+                          "optimizer": config.optimizer["name"], "seed": config.seed}, mfh)
             tfh.write(json.dumps({"epoch": epoch,
                                   "mean_step_ms": float(np.mean(times)),
                                   "total_ms": float(np.sum(times))}) + "\n")

@@ -178,6 +178,28 @@ class TestCsv:
         with pytest.raises(DataError):
             load_csv(path, {"delimiter": ";"})
 
+    @pytest.mark.parametrize("schema, match", [
+        ({"has_header": "false"}, "has_header must be True or False"),
+        ({"has_header": 1}, "has_header must be True or False"),
+        ({"label_col": 1.7}, "label_col must be an integer, got 1.7"),
+        ({"label_col": "x"}, "label_col must be an integer"),
+        ({"label_col": True}, "label_col must be an integer"),
+    ], ids=["header-string", "header-int", "label-col-float", "label-col-string",
+            "label-col-bool"])
+    def test_schema_values_checked(self, tmp_path, schema, match):
+        # "false" read as True and dropped the first data row; 1.7 read
+        # labels from column 1; "x" was a bare ValueError
+        path = tmp_path / "d.csv"
+        path.write_text("1.0,2.0,0\n3.0,4.0,1\n")
+        with pytest.raises(DataError, match=match):
+            load_csv(path, schema)
+
+    def test_numpy_integer_label_col(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("0,1.0,2.0\n1,3.0,4.0\n")
+        x, y = load_csv(path, {"label_col": np.int64(0)})
+        assert np.array_equal(y, [0, 1]) and np.array_equal(x, [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestSynth:
     def test_blobs_shapes_and_determinism(self):
@@ -217,6 +239,29 @@ class TestSynth:
             synth_dataset("spiral", 10, seed=0)
         with pytest.raises(InputError):
             synth_dataset("moons", 10, seed=0, classes=3)
+
+    @pytest.mark.parametrize("kind, n, options, name", [
+        ("blobs", 0, {}, "n"), ("blobs", "5", {}, "n"), ("moons", 5.0, {}, "n"),
+        ("blobs", 10, {"classes": 0}, "classes"), ("blobs", 10, {"classes": 2.7}, "classes"),
+        ("blobs", 10, {"dim": -1}, "dim"), ("blobs", 10, {"sep": "x"}, "sep"),
+        ("blobs", 10, {"noise": "x"}, "noise"), ("moons", 10, {"noise": float("nan")}, "noise"),
+        ("quadratic", 10, {"dim": True}, "dim"), ("quadratic", 10, {"out_dim": 0}, "out_dim"),
+        ("quadratic", 10, {"scale": float("inf")}, "scale"), ("moons", 10, {"seed": -1}, "seed"),
+    ], ids=["n-zero", "n-string", "n-float", "classes-zero", "classes-float", "dim-negative",
+            "sep-string", "noise-string", "noise-nan", "dim-bool", "out-dim-zero",
+            "scale-inf", "seed-negative"])
+    def test_options_checked(self, kind, n, options, name):
+        # classes=0 was numpy's "high <= 0", "x" and -1 bare ValueErrors, n="5"
+        # a TypeError, and classes=2.7 silently 2 classes
+        options.setdefault("seed", 0)
+        with pytest.raises(InputError, match=f"^{name} must be "):
+            synth_dataset(kind, n, **options)
+
+    def test_numpy_options_draw_the_python_values(self):
+        x, y = synth_dataset("blobs", np.int64(30), seed=np.int64(3), classes=np.int64(3),
+                             dim=np.int64(2), sep=np.float64(4.0))
+        x_ref, y_ref = synth_dataset("blobs", 30, seed=3, classes=3, dim=2, sep=4.0)
+        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
 
     @pytest.mark.parametrize("n", [10**20, 10**9])
     def test_size_guard_rejects_before_drawing(self, monkeypatch, n):

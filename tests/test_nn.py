@@ -90,6 +90,19 @@ class TestForward:
         with pytest.raises(InputError, match=name):
             make()
 
+    @pytest.mark.parametrize("make", [lambda: Dense(2, 2, bias="yes"),
+                                      lambda: Dense(2, 2, bias=2),
+                                      lambda: Dense(2, 2, bias=np.True_),
+                                      lambda: Conv2d(1, 2, (3, 3), bias=None),
+                                      lambda: Conv2d(1, 2, (3, 3), bias=0)],
+                             ids=["dense-str", "dense-int", "dense-numpy-bool", "conv-none",
+                                  "conv-zero"])
+    def test_bias_must_be_a_bool(self, make):
+        # bias=2 counted as 2 bias slots in factor_sizes, so the first
+        # AdaFisher step raised a DimensionError about the h factor's shape
+        with pytest.raises(InputError, match="bias must be True or False"):
+            make()
+
     def test_zero_pad_and_integer_sizes_accepted(self):
         conv = Conv2d(np.int64(1), 2, [3, 3], stride=(1, np.int64(2)), pad=(0, 0))
         assert (conv.kernel, conv.stride, conv.pad) == ((3, 3), (1, 2), (0, 0))

@@ -63,6 +63,16 @@ def write_images(tmp_path, n=24):
             "labels": str(tmp_path / "labels.idx")}
 
 
+# Every optimizer's config keys, and a value its constructor rejects for each.
+OPTIMIZER_KEYS = {"adafisher": ("alpha", "beta", "sqrt_divisor"),
+                  "adafisherw": ("alpha", "beta", "sqrt_divisor", "kappa"),
+                  "adam": ("alpha", "beta1", "beta2", "eps", "weight_decay"),
+                  "adamw": ("alpha", "beta1", "beta2", "eps", "weight_decay"),
+                  "sgd": ("alpha", "momentum")}
+REJECTED = {"alpha": 0.0, "beta": 1.0, "sqrt_divisor": "no", "kappa": -1.0, "beta1": 1.0,
+            "beta2": -0.5, "eps": 0.0, "weight_decay": -1.0, "momentum": 1.0}
+
+
 class TestRunConfig:
     def test_valid(self):
         cfg = RunConfig.from_dict(base_config())
@@ -101,6 +111,33 @@ class TestRunConfig:
         else:
             with pytest.raises(ConfigError, match="unknown key optimizer"):
                 RunConfig.from_dict(base_config(optimizer=optimizer))
+
+    @pytest.mark.parametrize("block, field, value", [
+        *((f"optimizer:{name}", key, REJECTED[key]) for name, keys in OPTIMIZER_KEYS.items()
+          for key in keys),
+        ("kf", "gamma", 0.0), ("kf", "lambda", "x"), ("schedule", "type", "linear"),
+        ("schedule", "step_size", 0), ("schedule", "factor", -0.1),
+        ("ablations", "norm_fisher_off", "no"),
+    ])
+    def test_constructor_rejected_value_names_block_and_field(self, tmp_path, capsys,
+                                                              monkeypatch, block, field, value):
+        # the constructors own these values: from_dict builds them once, so a
+        # rejected value is a ConfigError naming the block and field, exit 2,
+        # before any file is written
+        block, _, name = block.partition(":")
+        raw = base_config(**{block: {**({"name": name} if name else {}), field: value}})
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(raw)
+        message = str(exc.value)
+        if name:  # build_optimizer's form: "optimizer 'adam': beta1 must be ..."
+            assert message.startswith(f"optimizer {name!r}: ") and f"{field} must be" in message
+        else:
+            assert message.startswith(f"{block}.{field} must be ")
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        assert main(["train", "--config", str(tmp_path / "cfg.json"), "--out", "run"]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("layer, params", [
         ({"kind": "dense", "in": 9999, "out": 1000}, 10**7),

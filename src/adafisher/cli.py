@@ -1,8 +1,13 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 config error (and every other AdaFisherError: a
-config the model or data cannot run, or one over a size guard), 3 data error,
-4 numeric failure.
+config the model or data cannot run, or one over a size guard; and an
+allocation numpy refuses), 3 data error, 4 numeric failure. main is the one
+place a failure becomes output: each AdaFisherError class carries its exit code
+and stderr label (see errors), and main prints one line, "{label}: {message}".
+It runs every command under np.errstate(all="ignore"), so numpy's overflow
+warnings add no lines and each command refuses a non-finite result itself, with
+a NumericError (oracle and diagnose before they write any file).
 The output root can be set with the ADAFISHER_OUT_ROOT environment variable.
 
 Each command does only its own work: the argument parser is built once per
@@ -41,11 +46,7 @@ def _out_dir(arg_out: str | None, default: str) -> Path:
 def cmd_train(args) -> int:
     """`train` and `distributed` (which only adds --workers)."""
     config = RunConfig.from_json(args.config, seed=args.seed, workers=args.workers)
-    # A diverging run ends in one NumericError naming the step, layer and
-    # quantity; numpy's overflow warnings on the way would add stray lines.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        path = run_training(config, out_dir=_out_dir(args.out, config.out_dir))
-    print(path)
+    print(run_training(config, out_dir=_out_dir(args.out, config.out_dir)))
     return 0
 
 
@@ -115,16 +116,14 @@ def _load_snapshot(path: str, analysis: str, keys):
 def cmd_diagnose(args) -> int:
     keys, name, header, run = _ANALYSES[args.analysis]
     snap = _load_snapshot(args.snapshot, args.analysis, keys)
+    # Overflow shows as a non-finite result: one NumericError before any file is written.
+    finite, rows, prefix = run(snap)
+    if not all(np.isfinite(v).all() for v in finite):
+        raise NumericError(f"{args.analysis} result is not finite: the snapshot's values "
+                           f"overflow float64")
     out = _out_dir(args.out, "diagnostics")
     out.mkdir(parents=True, exist_ok=True)
-    # Overflow shows as a non-finite result: one NumericError before any row
-    # is written. numpy's warnings on the way would add stray lines.
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite, rows, prefix = run(snap)
-        if not all(np.isfinite(v).all() for v in finite):
-            raise NumericError(f"{args.analysis} result is not finite: the snapshot's values "
-                               f"overflow float64")
-        write_csv(out / name, header, rows)
+    write_csv(out / name, header, rows)
     print(f"{prefix}{out / name}")
     return 0
 
@@ -146,15 +145,18 @@ def cmd_oracle(args) -> int:
         oracle = exact_fisher_diag(model, batch)
     else:
         oracle = mc_fisher_diag(model, batch, n_samples=args.samples, seed=config.seed)
-    out = _out_dir(args.out, "oracle")
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, layer in model.param_layers():
         approx = layer.kronecker_diagonal(layer.capture["h"], layer.capture["s"])
         names = sorted(approx)  # one MAE over the layer's arrays in name order
         mae = approximation_mae(np.concatenate([oracle[i][n].ravel() for n in names]),
                                 np.concatenate([approx[n].ravel() for n in names]))
+        if not np.isfinite(mae):  # refused before any file is written
+            raise NumericError(f"non-finite {args.mode} Fisher MAE of layer {i}: a diagonal "
+                               f"overflows float64")
         rows.append((0, i, mae))
+    out = _out_dir(args.out, "oracle")
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "fisher_mae.csv"
     write_csv(path, ("epoch", "layer", "mae"), rows)
     print(path)
@@ -198,19 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except AdaFisherError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except MemoryError as exc:  # an allocation numpy refused
+        print(f"{AdaFisherError.label}: {exc}", file=sys.stderr)
+        return AdaFisherError.exit_code
 
 
 if __name__ == "__main__":

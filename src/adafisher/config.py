@@ -141,7 +141,9 @@ _TOP = _block({"model": _MODEL, "dataset": _DATASET, "optimizer": _OPTIMIZER}, {
     "schedule": _block({}, {"type": _choice("constant", "step", "cosine"),
                             "step_size": None, "factor": None}),
     "ablations": _block({}, {"norm_fisher_off": None}),
-    "epochs": check_count, "batch_size": check_count, "seed": partial(check_count, least=0),
+    # epochs is also Schedule's total_epochs, a float: so it must fit one
+    "epochs": lambda path, value: check_number(path, check_count(path, value)),
+    "batch_size": check_count, "seed": partial(check_count, least=0),
     "workers": check_count, "out_dir": _check(lambda v: isinstance(v, str), "a string"),
     "track_first_layer": check_flag,
 })

@@ -110,8 +110,11 @@ def load_csv(path, schema: dict | None = None):
     be int64 values (2 or 2.0; 1.7, nan, inf or 1e30 is a DataError).
 
     Schema keys: has_header (bool, default False), label_col (int, default -1);
-    a value of another type is a DataError.
+    a schema that is not a dict (or None), or a value of another type, is a
+    DataError.
     """
+    if schema is not None and not isinstance(schema, dict):
+        raise DataError(f"schema must be a dict, got {schema!r}")
     schema = dict(schema or {})
     has_header = check_flag("has_header", schema.pop("has_header", False), DataError)
     label_col = check_count("label_col", schema.pop("label_col", -1), None, DataError)
@@ -202,7 +205,10 @@ def _check_options(kw: dict, values: int) -> None:
 
 def train_eval_split(n: int, seed: int):
     """Deterministic 80/20 split of the row numbers 0..n-1 by seeded shuffle:
-    (training rows, eval rows)."""
+    (training rows, eval rows). n and seed must be integers >= 0 (an
+    InputError otherwise), and n >= 2 (a DataError: no eval split)."""
+    check_count("n", n, 0, InputError)
+    check_count("seed", seed, 0, InputError)
     if n < 2:
         raise DataError(f"need at least 2 samples for a training and an eval split; got {n}")
     perm = Rng(seed).permutation(n)

@@ -1,7 +1,12 @@
 """Exception hierarchy shared across the package, and check_number,
 check_count, check_pair and check_flag, the one check of a number, an integer,
 a pair of integers and a bool that constructors, data loaders and the config
-schema share: check(name, value, ..., error) returns value or raises error."""
+schema share: check(name, value, ..., error) returns value or raises error.
+
+Each class carries the CLI's exit code and stderr label for it: cli.main
+prints "{label}: {message}" and exits with exit_code. A class without its
+own takes its base's (FormatError is a data error, every other class
+without one is a plain "error" with exit code 2)."""
 
 import operator
 import sys
@@ -10,6 +15,8 @@ from numbers import Real
 
 class AdaFisherError(Exception):
     """Base class for all package errors."""
+
+    exit_code, label = 2, "error"
 
 
 class DimensionError(AdaFisherError, ValueError):
@@ -27,9 +34,13 @@ class StateError(AdaFisherError, RuntimeError):
 class ConfigError(AdaFisherError, ValueError):
     """Invalid run configuration or hyperparameter."""
 
+    exit_code, label = 2, "config error"
+
 
 class DataError(AdaFisherError, ValueError):
     """Dataset could not be loaded or parsed."""
+
+    exit_code, label = 3, "data error"
 
 
 class FormatError(DataError):
@@ -37,7 +48,9 @@ class FormatError(DataError):
 
 
 class NumericError(AdaFisherError, ArithmeticError):
-    """Training produced a non-finite value."""
+    """Training (or an oracle or analysis) produced a non-finite value."""
+
+    exit_code, label = 4, "numeric failure"
 
 
 class SizeError(AdaFisherError, ValueError):

@@ -8,7 +8,9 @@ these rules for run configs too: RunConfig.from_dict builds them once.
 
 One walk, Optimizer.step, serves every optimizer. Before it changes anything
 it checks that every gradient (and, for AdaFisher, every divisor) is there
-and shaped like its parameter, so a step that raises leaves the state as it
+and shaped like its parameter, and that every moment it already holds for a
+parameter is shaped like it (a StateError otherwise: the optimizer was
+stepped on another model), so a step that raises leaves the state as it
 was; then it counts the step and calls the subclass's _update on each
 parameter, its gradient, its moments and its divisor.
 One table, opt.moments, maps (layer id, parameter name) to the n_moments
@@ -95,6 +97,11 @@ class Optimizer:
             if self.needs_divisors and (div is None or g.shape != div.shape):
                 raise DimensionError(f"layer {i} parameter {name}: gradient {g.shape} "
                                      f"vs divisor {getattr(div, 'shape', 'missing')}")
+            for m in self.moments.get((i, name), ()):
+                if m.shape != p.shape:
+                    raise StateError(f"layer {i} parameter {name}: moment {m.shape} vs "
+                                     f"parameter {p.shape}; the optimizer was stepped on "
+                                     f"another model")
             work.append(((i, name), p, g, div))
         self.t += 1
         for key, p, g, div in work:

@@ -194,6 +194,15 @@ class TestCsv:
         with pytest.raises(DataError, match=match):
             load_csv(path, schema)
 
+    @pytest.mark.parametrize("schema", [[1], "x", ("has_header",)],
+                             ids=["list", "string", "tuple"])
+    def test_schema_must_be_a_dict(self, tmp_path, schema):
+        # [1] was a bare TypeError and "x" a bare ValueError, from dict(schema)
+        path = tmp_path / "d.csv"
+        path.write_text("1.0,0\n")
+        with pytest.raises(DataError, match="schema must be a dict, got "):
+            load_csv(path, schema)
+
     def test_numpy_integer_label_col(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("0,1.0,2.0\n1,3.0,4.0\n")
@@ -288,6 +297,26 @@ class TestSplit:
         train, ev = train_eval_split(50, seed=7)
         assert np.array_equal(y[train], x[train].ravel().astype(int) * 2)
         assert np.array_equal(y[ev], x[ev].ravel().astype(int) * 2)
+
+    @pytest.mark.parametrize("n, seed, match", [
+        ("5", 0, "n must be an integer >= 0, got '5'"),
+        (10.5, 0, "n must be an integer >= 0, got 10.5"),
+        (-1, 0, "n must be an integer >= 0, got -1"),
+        (True, 0, "n must be an integer >= 0, got True"),
+        (10, -1, "seed must be an integer >= 0, got -1"),
+        (10, 1.5, "seed must be an integer >= 0, got 1.5"),
+        (10, None, "seed must be an integer >= 0, got None"),
+    ], ids=["n-string", "n-float", "n-negative", "n-bool", "seed-negative", "seed-float",
+            "seed-none"])
+    def test_arguments_checked(self, n, seed, match):
+        # "5" was a bare TypeError, 10.5 numpy's AxisError and seed -1 numpy's ValueError
+        with pytest.raises(InputError, match=match):
+            train_eval_split(n, seed)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows(self, n):
+        with pytest.raises(DataError, match="need at least 2 samples"):
+            train_eval_split(n, 0)
 
     def test_deterministic_by_seed(self):
         a = train_eval_split(30, seed=5)

@@ -301,6 +301,36 @@ def test_failing_step_changes_nothing(name, hyper, spoil, error, match):
     assert all(np.array_equal(opt.moments[key], arrays) for key, arrays in moments.items())
 
 
+@pytest.mark.parametrize("name, hyper", [("adam", {}), ("sgd", {"momentum": 0.9}),
+                                         ("adafisher", {})], ids=["adam", "sgd", "adafisher"])
+@pytest.mark.parametrize("sizes, match", [
+    ((5, 2), r"layer 0 parameter W: moment \(4, 3\) vs parameter \(5, 3\)"),
+    ((4, 3), r"layer 2 parameter W: moment \(2, 4\) vs parameter \(3, 4\)"),
+], ids=["first-layer", "last-layer"])
+def test_step_on_another_model_changes_nothing(name, hyper, sizes, match):
+    # The moments held for Dense(3, 4)-relu-Dense(4, 2) do not fit the second
+    # model: a StateError before t, any parameter or any moment changes (a
+    # bare broadcast ValueError, after t and the first layer had, for the
+    # last-layer mismatch).
+    def stepped_model(hidden, out, seed):
+        model = Model([Dense(3, hidden), Activation("relu"), Dense(hidden, out)]).init(Rng(seed))
+        for _, layer in model.param_layers():
+            layer.grads = {n: np.ones_like(p) for n, p in layer.params.items()}
+        return model, KFState.for_model(model).divisors(model)
+
+    opt = build_optimizer(name, {"alpha": 0.01, **hyper})
+    opt.step(*stepped_model(4, 2, 40))
+    moments = {key: np.copy(arrays) for key, arrays in opt.moments.items()}
+    model, divisors = stepped_model(*sizes, 41)
+    params = [p.copy() for _, _, p in model.parameters()]
+    with pytest.raises(StateError, match=match):
+        opt.step(model, divisors)
+    assert opt.t == 1
+    assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), params))
+    assert opt.moments.keys() == moments.keys()
+    assert all(np.array_equal(opt.moments[key], arrays) for key, arrays in moments.items())
+
+
 class TestSchedule:
     def test_constant(self):
         s = Schedule("constant")

@@ -16,7 +16,8 @@ from adafisher.cli import main
 from adafisher.config import RunConfig, build_model, resolve_dataset
 from adafisher.datasets import write_idx
 from adafisher.diagnostics import fft2, fim_hist_stats, gershgorin, snr
-from adafisher.errors import ConfigError, DimensionError, InputError, SizeError
+from adafisher.errors import (ConfigError, DataError, DimensionError, FormatError, InputError,
+                              NumericError, SizeError, StateError, UnsupportedError)
 from adafisher.fisher import approximation_mae, exact_fisher_diag
 from adafisher.kfactor import KFState
 from adafisher.nn import BatchNorm, Conv2d, Dense, LayerNorm, Model, cross_entropy, softmax
@@ -96,6 +97,12 @@ class TestRunConfig:
             RunConfig.from_dict(base_config(batch_size=0))
         with pytest.raises(ConfigError):
             RunConfig.from_dict(base_config(workers=0))
+
+    def test_epochs_beyond_float_range_names_epochs(self):
+        # epochs is also Schedule's total_epochs: this read "schedule.total_epochs
+        # must be ...", which names no config field
+        with pytest.raises(ConfigError, match="^epochs must be a finite number, got 1000"):
+            RunConfig.from_dict(base_config(epochs=10**400))
 
     @pytest.mark.parametrize("optimizer, accepted", [
         ({"name": "AdaFisherW", "kappa": 0.1, "sqrt_divisor": True}, True),
@@ -515,6 +522,24 @@ class TestCli:
         bad.write_text(json.dumps(base_config(typo_key=1)))
         assert main(["train", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("error, code, label", [
+        (ConfigError, 2, "config error"), (DataError, 3, "data error"),
+        (FormatError, 3, "data error"), (NumericError, 4, "numeric failure"),
+        (InputError, 2, "error"), (SizeError, 2, "error"), (StateError, 2, "error"),
+        (DimensionError, 2, "error"), (UnsupportedError, 2, "error"),
+        (MemoryError, 2, "error"),  # an allocation numpy refuses
+    ], ids=lambda value: value.__name__ if isinstance(value, type) else None)
+    def test_every_failure_is_one_stderr_line(self, tmp_path, capsys, monkeypatch, error,
+                                              code, label):
+        def fail(config, out_dir):
+            raise error(f"{error.__name__} message")
+
+        monkeypatch.setattr(cli, "run_training", fail)
+        assert main(["train", "--config", self.write_config(tmp_path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"{label}: {error.__name__} message"]
+        assert captured.out == ""
+
     def test_other_package_error_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
         # The first Dense expects 49 features but blobs has 50: the model raises
@@ -538,8 +563,7 @@ class TestCli:
         cfg = self.write_config(tmp_path, model={"layers": layers}, epochs=3, seed=seed,
                                 dataset={"source": "blobs", "n": 200, "classes": 3, "dim": 4},
                                 optimizer={"name": "adafisher", "alpha": alpha})
-        with np.errstate(all="ignore"):
-            assert main(["train", "--config", cfg]) == 4
+        assert main(["train", "--config", cfg]) == 4  # numpy's overflow warnings: silenced
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numeric failure: step ")
         assert err[0].endswith(f"non-finite {quantity}")
@@ -917,6 +941,19 @@ class TestCli:
         assert main(["oracle", "--config", cfg, "--mode", "exact"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["data error: 24 inputs but 20 labels"]
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_oracle_overflow_exits_4_before_writing(self, tmp_path, capsys, monkeypatch, mode):
+        # Blobs 1e300 apart overflow layer 0's squared per-sample gradients:
+        # the oracle wrote the rows 0,0,nan and 0,2,nan and exited 0
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        cfg = self.write_config(tmp_path, batch_size=8, dataset={
+            "source": "blobs", "n": 40, "classes": 3, "dim": 4, "sep": 1e300})
+        assert main(["oracle", "--config", cfg, "--mode", mode, "--out", "orc"]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"numeric failure: non-finite {mode} Fisher MAE of layer 0: a diagonal overflows "
+            f"float64"]
+        assert not (tmp_path / "orc").exists()
 
     def test_oracle_batch_larger_than_data_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))

@@ -9,6 +9,5 @@ from .kfactor import KFState, minmax_normalize
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                  MaxPool2d, Model, cross_entropy, finite_diff_grad, mse, softmax)
 from .optim import Adam, AdaFisher, Optimizer, Schedule, SGD, build_optimizer
-from .tensor import Rng
 
 __version__ = "0.1.0"

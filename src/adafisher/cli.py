@@ -34,8 +34,7 @@ from .config import RunConfig, build_model, resolve_dataset
 from .diagnostics import fft2, fim_hist_stats, gershgorin, snr, write_csv
 from .errors import AdaFisherError, ConfigError, DataError, NumericError
 from .fisher import approximation_mae, exact_fisher_diag, mc_fisher_diag
-from .tensor import Rng
-from .training import run_training
+from .training import run_streams, run_training
 
 
 def _out_dir(arg_out: str | None, default: str) -> Path:
@@ -130,8 +129,8 @@ def cmd_diagnose(args) -> int:
 
 def cmd_oracle(args) -> int:
     config = RunConfig.from_json(args.config)
-    rng = Rng(config.seed)
-    model = build_model(config.model, rng)
+    root, _, mc_rng = run_streams(config.seed)
+    model = build_model(config.model, root)
     x, y = resolve_dataset(config.dataset, config.seed)
     if x.shape[0] < config.batch_size:
         raise ConfigError(f"batch size {config.batch_size} exceeds the dataset's "
@@ -144,7 +143,7 @@ def cmd_oracle(args) -> int:
     if args.mode == "exact":
         oracle = exact_fisher_diag(model, batch)
     else:
-        oracle = mc_fisher_diag(model, batch, n_samples=args.samples, seed=config.seed)
+        oracle = mc_fisher_diag(model, batch, n_samples=args.samples, rng=mc_rng)
     rows = []
     for i, layer in model.param_layers():
         approx = layer.kronecker_diagonal(layer.capture["h"], layer.capture["s"])

@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .datasets import MAX_SYNTH_VALUES, Images, load_csv, load_idx, synth_dataset
 from .errors import (ConfigError, DataError, SizeError, check_count, check_flag, check_number,
                      check_pair)
 from .kfactor import KFState
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
-                 MaxPool2d, Model)
+                 MaxPool2d, Model, check_eps, check_momentum)
 from .optim import Optimizer, Schedule, build_optimizer
-from .tensor import Rng
 
 
 def _check(ok, what: str):
@@ -92,16 +93,14 @@ def _nonempty_list(item):
     return check
 
 
-_EPS = partial(check_number, ok=lambda v: v >= 0, what="a finite number >= 0")
 # kind: (layer class, required fields in argument order, optional keywords)
 _LAYERS = {
     "dense": (Dense, {"in": check_count, "out": check_count}, {"bias": check_flag}),
     "conv2d": (Conv2d, {"in": check_count, "out": check_count, "kernel": check_pair},
                {"stride": check_pair, "pad": partial(check_pair, least=0), "bias": check_flag}),
     "batchnorm": (BatchNorm, {"dim": check_count},
-                  {"eps": _EPS, "momentum": partial(check_number, ok=lambda v: 0 <= v <= 1,
-                                                    what="a finite number in [0, 1]")}),
-    "layernorm": (LayerNorm, {"dim": check_count}, {"eps": _EPS}),
+                  {"eps": check_eps, "momentum": check_momentum}),
+    "layernorm": (LayerNorm, {"dim": check_count}, {"eps": check_eps}),
     **{name: (partial(Activation, name), {}, {}) for name in Activation.SUPPORTED},
     "flatten": (Flatten, {}, {}),
     "maxpool": (MaxPool2d, {"kernel": check_pair}, {"stride": check_pair}),
@@ -230,8 +229,8 @@ class RunConfig:
         return KFState.for_model(model, **_keywords(self.kf), **self.ablations)
 
 
-def build_model(model_spec: dict, rng: Rng) -> Model:
-    """Build and initialize the model of a checked model block."""
+def build_model(model_spec: dict, rng: np.random.Generator) -> Model:
+    """Build the model of a checked model block, initialized from rng."""
     layers = []
     for spec in model_spec["layers"]:
         cls, required, optional = _LAYERS[spec["kind"]]

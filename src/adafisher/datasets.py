@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (DataError, FormatError, InputError, SizeError, check_count, check_flag,
                      check_number)
-from .tensor import Rng
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -159,26 +158,26 @@ def synth_dataset(kind: str, n: int, seed: int, **kw):
     the sizes are integers >= 1, seed an integer >= 0 and the other options
     finite numbers; otherwise InputError."""
     _count("n", n), _count("seed", seed, 0)
-    rng = Rng(seed)
+    rng = np.random.default_rng(seed)
     if kind == "blobs":
         classes = int(_count("classes", kw.pop("classes", 2)))
         dim = int(_count("dim", kw.pop("dim", 2)))
         sep = float(_finite("sep", kw.pop("sep", 6.0)))
         noise = float(_finite("noise", kw.pop("noise", 1.0)))
         _check_options(kw, n * (dim + 1) + classes * dim)
-        centers = rng.normal((classes, dim)) * sep
+        centers = rng.standard_normal((classes, dim)) * sep
         labels = rng.integers(0, classes, size=n)
-        x = centers[labels] + rng.normal((n, dim)) * noise
+        x = centers[labels] + rng.standard_normal((n, dim)) * noise
         return x, labels
     if kind == "moons":
         noise = float(_finite("noise", kw.pop("noise", 0.1)))
         _check_options(kw, n * 3)
         half = n // 2
-        t1 = rng.uniform((half,), 0, np.pi)
-        t2 = rng.uniform((n - half,), 0, np.pi)
+        t1 = rng.uniform(0, np.pi, half)
+        t2 = rng.uniform(0, np.pi, n - half)
         x1 = np.stack([np.cos(t1), np.sin(t1)], axis=1)
         x2 = np.stack([1.0 - np.cos(t2), 0.5 - np.sin(t2)], axis=1)
-        x = np.vstack([x1, x2]) + rng.normal((n, 2)) * noise
+        x = np.vstack([x1, x2]) + rng.standard_normal((n, 2)) * noise
         y = np.concatenate([np.zeros(half, dtype=np.int64), np.ones(n - half, dtype=np.int64)])
         return x, y
     if kind == "quadratic":
@@ -186,8 +185,8 @@ def synth_dataset(kind: str, n: int, seed: int, **kw):
         out_dim = int(_count("out_dim", kw.pop("out_dim", dim)))
         scale = float(_finite("scale", kw.pop("scale", 1.0)))
         _check_options(kw, n * (dim + out_dim) + out_dim * dim)
-        a = rng.normal((out_dim, dim)) * scale
-        x = rng.normal((n, dim))
+        a = rng.standard_normal((out_dim, dim)) * scale
+        x = rng.standard_normal((n, dim))
         y = x @ a.T
         return x, y
     raise InputError(f"unknown synthetic dataset kind {kind!r}")
@@ -211,6 +210,6 @@ def train_eval_split(n: int, seed: int):
     check_count("seed", seed, 0, InputError)
     if n < 2:
         raise DataError(f"need at least 2 samples for a training and an eval split; got {n}")
-    perm = Rng(seed).permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     n_eval = max(1, int(round(n * EVAL_FRAC)))
     return perm[n_eval:], perm[:n_eval]

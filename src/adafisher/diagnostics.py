@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError, check_number
-from .tensor import Rng
 
 
 def _matrix(matrix, square: bool = True) -> np.ndarray:
@@ -105,8 +104,7 @@ def perturb_offdiag(matrix: np.ndarray, sigma: float, seed: int) -> PerturbResul
     n = a.shape[0]
     noise = np.zeros_like(a)
     if sigma > 0:
-        rng = Rng(seed)
-        upper = rng.normal((n, n)) * sigma
+        upper = np.random.default_rng(seed).standard_normal((n, n)) * sigma
         iu = np.triu_indices(n, 1)
         noise[iu] = upper[iu]
         noise = noise + noise.T  # keep the perturbed matrix symmetric

@@ -26,8 +26,10 @@ the normalized input (the norms). The totals add each chunk's sums in chunk
 order, so reruns are bit-identical. The walk forms no parameter gradients or
 captures: afterwards a model's grads and captures are as they were, and its
 layers' forward state is the last chunk's. The Monte-Carlo estimator draws
-all of its uniforms for the whole batch before the first chunk, so the labels
-do not depend on the chunk size.
+all of its uniforms for the whole batch from the Generator it is given before
+the first chunk, so the labels do not depend on the chunk size; the oracle
+command gives it the run's label stream (training.run_streams), not the
+stream that initialized the model.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 from .datasets import MAX_SYNTH_VALUES
 from .errors import InputError, SizeError, UnsupportedError, check_count
 from .nn import Model, softmax
-from .tensor import Rng
 
 MAX_CLASSES = 64
 CACHE_BUDGET = 128 * 1024  # bytes of input rows per chunk of the oracle's walk
@@ -122,18 +123,19 @@ def exact_fisher_diag(model: Model, batch: np.ndarray) -> dict:
     return _signal_weighted_diag(model, _checked_batch(model, batch), factor_columns)
 
 
-def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int, seed: int) -> dict:
+def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int,
+                   rng: np.random.Generator) -> dict:
     """Monte-Carlo Fisher diagonal with labels sampled from the model, laid
     out like exact_fisher_diag's: the (M, n_samples) uniforms are drawn from
-    Rng(seed) in sample-major order before the first chunk. Walks p - e_c
-    for each class c drawn in a chunk, weighted by its label counts."""
+    rng in sample-major order before the first chunk. Walks p - e_c for each
+    class c drawn in a chunk, weighted by its label counts."""
     check_count("n_samples", n_samples, 1, InputError)
     batch = _checked_batch(model, batch)
     draws = batch.shape[0] * int(n_samples)
     if draws > MAX_SYNTH_VALUES:
         raise SizeError(f"{batch.shape[0]} rows x {n_samples} samples = {draws} label draws "
                         f"exceed the guard of {MAX_SYNTH_VALUES}")
-    u = Rng(seed).uniform((batch.shape[0], n_samples))
+    u = rng.random((batch.shape[0], n_samples))
 
     def drawn_classes(p, rows):
         w = _label_counts(p, u[rows]) / n_samples

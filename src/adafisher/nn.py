@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionError, InputError, StateError, UnsupportedError,
                      check_count, check_flag, check_number, check_pair)
-from .tensor import Rng, col2im_batch, conv_out_size, im2col_batch, window_slices
+from .tensor import col2im_batch, conv_out_size, im2col_batch, window_slices
 
 
 _size = partial(check_count, error=InputError)
@@ -96,7 +96,7 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
         self.capture: dict[str, np.ndarray] = {}
 
-    def init(self, rng: Rng):
+    def init(self, rng: np.random.Generator):
         pass
 
     def forward(self, x: np.ndarray, training: bool = True, workers: int = 1) -> np.ndarray:
@@ -147,8 +147,8 @@ class Kronecker(Layer):
         # lengths of h (the flattened input, then the bias slot) and of s
         self.factor_sizes = (math.prod(w_shape[1:]) + bias, w_shape[0])
 
-    def init(self, rng: Rng):
-        self.params["W"] = rng.normal(self.params["W"].shape) * self._scale
+    def init(self, rng: np.random.Generator):
+        self.params["W"] = rng.standard_normal(self.params["W"].shape) * self._scale
         if self.bias:
             self.params["b"] = np.zeros(self.params["W"].shape[0])
 
@@ -227,6 +227,14 @@ class Conv2d(Kronecker):
         return col2im_batch(w_mat.T @ g, self._x_shape, self.kernel, self.stride, self.pad)
 
 
+# The norms' value rules, written once: the constructors check their arguments
+# with them (an InputError), config's layer table a config's fields (a
+# ConfigError), so both messages read "eps must be a finite number >= 0, ...".
+check_eps = partial(check_number, ok=lambda v: v >= 0, what="a finite number >= 0")
+check_momentum = partial(check_number, ok=lambda v: 0 <= v <= 1,
+                         what="a finite number in [0, 1]")
+
+
 class Norm(Layer):
     """Normalization with a per-feature scale and shift of the normalized
     input, which forward keeps as self._a."""
@@ -236,8 +244,7 @@ class Norm(Layer):
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
         self.dim = dim = _size("dim", dim)
-        self.eps = check_number("eps", eps, lambda v: v >= 0, "non-negative and finite",
-                                InputError)
+        self.eps = check_eps("eps", eps, error=InputError)
         self.params["scale"] = np.ones(dim)
         self.params["shift"] = np.zeros(dim)
         self.factor_sizes = (dim, dim)
@@ -266,8 +273,7 @@ class BatchNorm(Norm):
 
     def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__(dim, eps)
-        self.momentum = check_number("momentum", momentum, lambda v: 0 <= v <= 1,
-                                     "a finite number in [0, 1]", InputError)
+        self.momentum = check_momentum("momentum", momentum, error=InputError)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
@@ -470,7 +476,7 @@ class Model:
     layers: list[Layer]
     loss: str = "cross_entropy"  # or "mse"
 
-    def init(self, rng: Rng):
+    def init(self, rng: np.random.Generator):
         for layer in self.layers:
             layer.init(rng)
         return self

@@ -1,11 +1,10 @@
-"""Dense tensor kernels: deterministic RNG and batched im2col
-patch expansion with its adjoint. Both sweep the kernel offsets with
-window_slices, which clips each offset's window grid to the unpadded input, so
-neither forms a zero-padded copy, and flags the offsets that touch their input
-entries first, where the adjoint assigns instead of adding. The sweep's
-geometry depends only on (size, kernel, stride, pad), so window_slices works
-it out once per distinct geometry and hands every later call (im2col, col2im
-and MaxPool2d on each pass) the same tuples.
+"""Dense tensor kernels: batched im2col patch expansion with its adjoint. Both
+sweep the kernel offsets with window_slices, which clips each offset's window
+grid to the unpadded input, so neither forms a zero-padded copy, and flags the
+offsets that touch their input entries first, where the adjoint assigns
+instead of adding. The sweep's geometry depends only on (size, kernel, stride,
+pad), so window_slices works it out once per distinct geometry and hands every
+later call (im2col, col2im and MaxPool2d on each pass) the same tuples.
 
 All arrays are float64, row-major (C order). Operations are pure and
 single-threaded; determinism is run-to-run on a given platform.
@@ -18,35 +17,6 @@ import functools
 import numpy as np
 
 from .errors import DimensionError
-
-
-class Rng:
-    """Deterministic random stream.
-
-    Wraps numpy's PCG64 counter-based generator: the same 64-bit seed yields
-    a bit-identical stream on every platform (for a fixed numpy version).
-    Normal variates use the generator's ziggurat method.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def normal(self, shape) -> np.ndarray:
-        return self._gen.standard_normal(shape)
-
-    def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return self._gen.uniform(low, high, shape)
-
-    def integers(self, low: int, high: int, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def spawn(self, offset: int) -> "Rng":
-        """Independent stream derived from (seed, offset)."""
-        return Rng((self.seed * 1_000_003 + offset) % (2**63))
 
 
 def conv_out_size(size: int, k: int, s: int, p: int) -> int:

@@ -17,6 +17,12 @@ global. Metrics are one JSON object per line. Wall-clock timings go to
 a separate timings file so that the metrics file is byte-identical across
 repeated runs with the same config and seed. track_first_layer adds
 trajectory.csv: per epoch, the 2-parameter first layer's weights and mean loss.
+
+A run's random streams come from one np.random.SeedSequence(seed), in
+run_streams. Its root stream initializes the model; its spawned children 0 and
+1 are the epoch shuffle and the Monte-Carlo oracle's labels, so neither is the
+root stream of any seed. The synthetic data and the split each draw from a
+fresh default_rng(seed), which has the root's bits.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .errors import ConfigError, InputError, NumericError
 from .kfactor import KFState
 from .nn import Model, softmax
 from .optim import Optimizer
-from .tensor import Rng
 
 METRIC_KEYS = ("epoch", "step", "train_loss", "eval_loss", "accuracy",
                "optimizer", "seed")
@@ -108,13 +113,20 @@ def evaluate(model, x, y, batch_size: int):
     return float(loss), acc
 
 
+def run_streams(seed: int) -> list[np.random.Generator]:
+    """[root, shuffle, labels]: the Generators of SeedSequence(seed) and of its
+    spawned children 0 and 1. The root's bits are default_rng(seed)'s."""
+    seq = np.random.SeedSequence(seed)
+    return [np.random.default_rng(s) for s in (seq, *seq.spawn(2))]
+
+
 def run_training(config: RunConfig, out_dir=None) -> Path:
     """Execute one training run; returns the metrics file path."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    rng = Rng(config.seed)
-    model = build_model(config.model, rng)
+    root, shuffle, _ = run_streams(config.seed)
+    model = build_model(config.model, root)
     if config.track_first_layer:
         first = model.param_layers()[0][1].params if model.param_layers() else {}
         if "W" not in first or first["W"].size != 2:
@@ -132,13 +144,12 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
 
     metrics_path = out / "metrics.jsonl"
     timings_path = out / "timings.jsonl"
-    shuffle_rng = rng.spawn(1)
     step = 0
     trajectory = []  # (epoch, w1, w2, loss) rows under track_first_layer
     with open(metrics_path, "w") as mfh, open(timings_path, "w") as tfh:
         for epoch in range(config.epochs):
             opt.lr_scale = schedule.scale(epoch)
-            perm = shuffle_rng.permutation(rows.shape[0])
+            perm = shuffle.permutation(rows.shape[0])
             losses, times = [], []
             n_batches = rows.shape[0] // config.batch_size
             for b in range(n_batches):

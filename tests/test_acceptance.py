@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from adafisher.diagnostics import fft2, gershgorin, perturb_offdiag, snr
 from adafisher.training import keyed, train_step
@@ -17,7 +18,6 @@ from adafisher.kfactor import KFState
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, MaxPool2d, Model, finite_diff_grad, softmax)
 from adafisher.optim import AdaFisher
-from adafisher.tensor import Rng
 from adafisher.config import RunConfig
 from adafisher.datasets import synth_dataset
 from adafisher.training import run_training
@@ -41,10 +41,10 @@ def test_01_gradient_correctness(capsys):
         LayerNorm(12),
         Activation("relu"),
         Dense(12, 5),
-    ]).init(Rng(0))
+    ]).init(default_rng(0))
     assert model.num_params() <= 5000
-    rng = Rng(1)
-    x = rng.normal((6, 2, 4, 4))
+    rng = default_rng(1)
+    x = rng.standard_normal((6, 2, 4, 4))
     y = rng.integers(0, 5, size=6)
     fd = finite_diff_grad(model, x, y, 1e-5)
     model.train_batch(x, y)
@@ -58,17 +58,17 @@ def test_01_gradient_correctness(capsys):
 
 
 def test_02_factored_efim_equivalence(capsys):
-    rng = Rng(2)
+    rng = default_rng(2)
     lam = 0.001
     worst = 0.0
     for trial in range(200):
         p_in = int(rng.integers(1, 9))
         p_out = int(rng.integers(1, 9))
-        h_raw = np.abs(rng.normal((p_in,)))
-        s_raw = np.abs(rng.normal((p_out,)))
+        h_raw = np.abs(rng.standard_normal((p_in,)))
+        s_raw = np.abs(rng.standard_normal((p_out,)))
         state = KFState(lam=lam, factors={(0, "h"): h_raw, (0, "s"): s_raw})
         divisor = state.divisors(Model([Dense(p_in, p_out, bias=False)]))[0, "W"]
-        g = rng.normal((p_out, p_in))
+        g = rng.standard_normal((p_out, p_in))
 
         def norm(v):
             lo, hi = v.min(), v.max()
@@ -84,8 +84,8 @@ def test_02_factored_efim_equivalence(capsys):
 
 
 def test_03_fisher_validity(capsys):
-    model = Model([Dense(3, 4, bias=False)]).init(Rng(3))
-    x = Rng(4).normal((1, 3))
+    model = Model([Dense(3, 4, bias=False)]).init(default_rng(3))
+    x = default_rng(4).standard_normal((1, 3))
     exact = exact_fisher_diag(model, x)[0]["W"]
 
     # factored reconstruction: with one sample the activation factor is exact,
@@ -102,7 +102,7 @@ def test_03_fisher_validity(capsys):
     product = model.layers[0].kronecker_diagonal(h_diag, s_sq)["W"]
     err_exact = float(np.max(np.abs(product - exact)))
 
-    mc = mc_fisher_diag(model, x, n_samples=10_000, seed=0)[0]["W"]
+    mc = mc_fisher_diag(model, x, n_samples=10_000, rng=default_rng(0))[0]["W"]
     rel_mc = float(np.max(np.abs(mc - exact) / np.maximum(np.abs(exact), 1e-12)))
     report(capsys, 3, f"KF product vs enumeration {err_exact:.2e}; MC@1e4 rel err {rel_mc:.2%}",
            err_exact <= 1e-12 and rel_mc <= 0.05)
@@ -110,7 +110,7 @@ def test_03_fisher_validity(capsys):
 
 def test_04_convex_convergence(capsys):
     x, y = synth_dataset("quadratic", 256, seed=5, dim=20, out_dim=1, scale=0.5)
-    model = Model([Dense(20, 1, bias=False)], loss="mse").init(Rng(6))
+    model = Model([Dense(20, 1, bias=False)], loss="mse").init(default_rng(6))
     opt = AdaFisher(alpha=0.0001, beta=0.9)
     state = KFState.for_model(model)
     losses = []
@@ -171,12 +171,12 @@ def test_06_distributed_equivalence(capsys):
     results = {}
     for workers in (1, 2, 4):
         model = Model([Dense(6, 16), Activation("relu"),
-                       Dense(16, 4)]).init(Rng(7))
+                       Dense(16, 4)]).init(default_rng(7))
         opt = AdaFisher(alpha=0.001)
         state = KFState.for_model(model)
-        rng = Rng(8)
+        rng = default_rng(8)
         for _ in range(50):
-            x = rng.normal((16, 6))
+            x = rng.standard_normal((16, 6))
             y = rng.integers(0, 4, size=16)
             train_step(model, x, y, opt, state, workers=workers)
         results[workers] = np.concatenate([p.ravel() for _, _, p in model.parameters()])
@@ -187,10 +187,10 @@ def test_06_distributed_equivalence(capsys):
 
 def test_07_diagnostics_correctness(capsys):
     contained = all(
-        gershgorin((lambda a: (a + a.T) / 2)(Rng(seed).normal((8, 8)))).contained
+        gershgorin((lambda a: (a + a.T) / 2)(default_rng(seed).standard_normal((8, 8)))).contained
         for seed in range(100))
 
-    a = Rng(200).normal((16, 16))
+    a = default_rng(200).standard_normal((16, 16))
     spec = fft2(a)
     parseval = abs(np.sum(np.abs(spec) ** 2) / a.size - np.sum(a**2)) / np.sum(a**2)
 
@@ -199,10 +199,10 @@ def test_07_diagnostics_correctness(capsys):
 
     kaiser_stable = True
     for seed in range(20):
-        rng = Rng(300 + seed)
-        m = rng.normal((8, 8)) * 0.05
+        rng = default_rng(300 + seed)
+        m = rng.standard_normal((8, 8)) * 0.05
         m = (m + m.T) / 2
-        np.fill_diagonal(m, rng.uniform((8,)) * 3.0 + 2.0)
+        np.fill_diagonal(m, rng.random((8,)) * 3.0 + 2.0)
         pr = perturb_offdiag(m, 1e-3, seed=seed)
         kaiser_stable &= pr.kaiser_before == pr.kaiser_after
 
@@ -213,9 +213,9 @@ def test_07_diagnostics_correctness(capsys):
 
 def _ablation_model():
     model = Model([Dense(5, 8), LayerNorm(8), Activation("relu"),
-                   Dense(8, 3)]).init(Rng(9))
-    rng = Rng(10)
-    x = rng.normal((12, 5))
+                   Dense(8, 3)]).init(default_rng(9))
+    rng = default_rng(10)
+    x = rng.standard_normal((12, 5))
     y = rng.integers(0, 3, size=12)
     return model, x, y
 

@@ -278,7 +278,7 @@ class TestSynth:
             def __init__(self, seed):
                 pass
 
-        monkeypatch.setattr(datasets, "Rng", NoDraws)
+        monkeypatch.setattr(np.random, "default_rng", NoDraws)
         for kind in ("blobs", "moons", "quadratic"):
             with pytest.raises(SizeError):
                 synth_dataset(kind, n, seed=0)

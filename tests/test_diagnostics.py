@@ -2,23 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from adafisher.diagnostics import (DiscSet, fft2, fim_hist_stats, gershgorin, kaiser_count,
                                    perturb_offdiag, snr, sym_eigh, write_csv)
 from adafisher.errors import DimensionError, InputError
-from adafisher.tensor import Rng
 
 
 def random_symmetric(n, seed):
-    a = Rng(seed).normal((n, n))
+    a = default_rng(seed).standard_normal((n, n))
     return (a + a.T) / 2
 
 
 def diag_dominant(n, seed, diag_lo=2.0, diag_hi=5.0, off_scale=0.05):
-    rng = Rng(seed)
-    a = rng.normal((n, n)) * off_scale
+    rng = default_rng(seed)
+    a = rng.standard_normal((n, n)) * off_scale
     a = (a + a.T) / 2
-    np.fill_diagonal(a, rng.uniform((n,)) * (diag_hi - diag_lo) + diag_lo)
+    np.fill_diagonal(a, rng.random((n,)) * (diag_hi - diag_lo) + diag_lo)
     return a
 
 
@@ -123,12 +123,12 @@ class TestGershgorin:
         # eigenvectors: within rounding of eigh's, with the same containment
         # verdict at every eig_tol. A non-symmetric one still takes the sorted
         # real parts of eigvals, bit for bit.
-        rng = Rng(11)
+        rng = default_rng(11)
         a = {"symmetric": lambda: random_symmetric(16, 4),
-             "kronecker-spd": lambda: np.kron(*(g @ g.T / 8 + 0.5 * np.eye(8) for g in
-                                                (rng.normal((8, 8)), rng.normal((8, 8))))),
+             "kronecker-spd": lambda: np.kron(*(g @ g.T / 8 + 0.5 * np.eye(8)
+                                                for g in rng.standard_normal((2, 8, 8)))),
              "near-symmetric": lambda: random_symmetric(8, 5) + np.triu(np.full((8, 8), 1e-14)),
-             "non-symmetric": lambda: rng.normal((9, 9)),
+             "non-symmetric": lambda: rng.standard_normal((9, 9)),
              "defective": lambda: np.array([[1.0, 1.0], [0.0, 1.0]])}[case]()
         if np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
             want = np.linalg.eigh(a)[0]
@@ -189,7 +189,7 @@ class TestPerturbation:
         # magnitudes match to rounding; a non-symmetric matrix is refused
         a, sigma, seed = random_symmetric(12, 2), 0.05, 3
         res = perturb_offdiag(a, sigma, seed)
-        noise = np.triu(Rng(seed).normal(a.shape) * sigma, 1)
+        noise = np.triu(default_rng(seed).standard_normal(a.shape) * sigma, 1)
         for got, m in ((res.eig_mags_before, a), (res.eig_mags_after, a + (noise + noise.T))):
             want = np.sort(np.abs(np.linalg.eigh(m)[0]))[::-1]
             assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
@@ -200,7 +200,7 @@ class TestPerturbation:
     def test_sigma_must_be_a_finite_nonnegative_number(self, sigma, monkeypatch):
         # -1 and NaN were taken as 0; inf ended in a bare LinAlgError. The
         # check comes before any noise is drawn.
-        monkeypatch.setattr(Rng, "normal", lambda *a: pytest.fail("noise drawn"))
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("noise drawn"))
         with pytest.raises(InputError, match="sigma must be a finite number >= 0"):
             perturb_offdiag(np.eye(3) * 2, sigma, seed=0)
 
@@ -222,7 +222,7 @@ class TestFft:
         assert np.max(np.abs(fft2(a) - 1.0)) < 1e-12
 
     def test_matches_direct_dft_sum(self):
-        a = Rng(8).normal((4, 5))
+        a = default_rng(8).standard_normal((4, 5))
         m, n = a.shape
         direct = np.zeros((m, n), dtype=complex)
         for k in range(m):
@@ -233,7 +233,7 @@ class TestFft:
         assert np.max(np.abs(fft2(a) - direct)) < 1e-10
 
     def test_parseval(self):
-        a = Rng(9).normal((8, 8))
+        a = default_rng(9).standard_normal((8, 8))
         spec = fft2(a)
         assert abs(np.sum(np.abs(spec) ** 2) / 64 - np.sum(a**2)) < 1e-9
 
@@ -285,7 +285,7 @@ class TestFimStats:
         assert stats["q50"] == 3.0
 
     def test_quantiles_ordered(self):
-        stats = fim_hist_stats(Rng(10).normal((500,)))
+        stats = fim_hist_stats(default_rng(10).standard_normal((500,)))
         keys = ["q01", "q25", "q50", "q75", "q99"]
         vals = [stats[k] for k in keys]
         assert vals == sorted(vals)

@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from adafisher.errors import ConfigError, NumericError
 from adafisher.kfactor import MINMAX_EPS, KFState
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                           MaxPool2d, Model, _per_worker)
 from adafisher.optim import Adam, AdaFisher, SGD
-from adafisher.tensor import Rng
 from adafisher.training import keyed, train_step
 
 
 def mlp(seed=0):
-    return Model([Dense(6, 10), Activation("relu"), Dense(10, 4)]).init(Rng(seed))
+    return Model([Dense(6, 10), Activation("relu"), Dense(10, 4)]).init(default_rng(seed))
 
 
 def make_batch(seed, m=16):
-    rng = Rng(seed)
-    return rng.normal((m, 6)), rng.integers(0, 4, size=m)
+    rng = default_rng(seed)
+    return rng.standard_normal((m, 6)), rng.integers(0, 4, size=m)
 
 
 class TestShardBatch:
@@ -62,9 +62,9 @@ class TestTrainStep:
             model = mlp(seed=5)
             opt = AdaFisher(alpha=0.001)
             state = KFState.for_model(model)
-            rng = Rng(99)
+            rng = default_rng(99)
             for _ in range(20):
-                x = rng.normal((8, 6))
+                x = rng.standard_normal((8, 6))
                 y = rng.integers(0, 4, size=8)
                 train_step(model, x, y, opt, state, workers=workers)
             results[workers] = np.concatenate(
@@ -187,12 +187,12 @@ class TestFiniteGuard:
         self.assert_unchanged(model, opt, state, snapshot)
 
     def test_divergence_stops_before_the_state_takes_it(self):
-        model = Model([Dense(4, 16), Activation("relu"), Dense(16, 3)]).init(Rng(0))
+        model = Model([Dense(4, 16), Activation("relu"), Dense(16, 3)]).init(default_rng(0))
         opt, state = AdaFisher(alpha=1e6), KFState.for_model(model)
-        rng = Rng(15)
+        rng = default_rng(15)
         with pytest.raises(NumericError), np.errstate(all="ignore"):
             for _ in range(200):
-                train_step(model, rng.normal((16, 4)) * 3.0, rng.integers(0, 3, size=16),
+                train_step(model, rng.standard_normal((16, 4)) * 3.0, rng.integers(0, 3, size=16),
                            opt, state)
         assert state.step == opt.t > 0
         assert all(np.isfinite(vec).all() for vec in state.factors.values())
@@ -205,7 +205,7 @@ def every_kind(seed=0):
         Conv2d(1, 2, (3, 3), pad=(1, 1)), Activation("relu"), BatchNorm(2),
         MaxPool2d((2, 2)), Flatten(), Dense(18, 5), BatchNorm(5), LayerNorm(5),
         Activation("tanh"), Dense(5, 3),
-    ]).init(Rng(seed))
+    ]).init(default_rng(seed))
 
 
 def no_batchnorm(seed=0):
@@ -213,35 +213,36 @@ def no_batchnorm(seed=0):
     return Model([
         Conv2d(1, 2, (3, 3), pad=(1, 1)), Activation("relu"), MaxPool2d((2, 2)), Flatten(),
         Dense(18, 5), LayerNorm(5), Activation("tanh"), Dense(5, 3),
-    ]).init(Rng(seed))
+    ]).init(default_rng(seed))
 
 
 def regression(seed=0):
-    return Model([Dense(4, 6), Activation("tanh"), Dense(6, 2)], loss="mse").init(Rng(seed))
+    return Model([Dense(4, 6), Activation("tanh"), Dense(6, 2)],
+                 loss="mse").init(default_rng(seed))
 
 
 def dense_only(seed=0):
-    return Model([Dense(6, 5), Dense(5, 4)]).init(Rng(seed))
+    return Model([Dense(6, 5), Dense(5, 4)]).init(default_rng(seed))
 
 
 def one_feature(seed=0):
     """A one-channel BatchNorm between one-wide gradients and factors."""
-    return Model([Dense(4, 1), BatchNorm(1), Dense(1, 2)]).init(Rng(seed))
+    return Model([Dense(4, 1), BatchNorm(1), Dense(1, 2)]).init(default_rng(seed))
 
 
 def every_kind_batch(seed):
-    rng = Rng(seed)
-    return rng.normal((16, 1, 6, 6)), rng.integers(0, 3, size=16)
+    rng = default_rng(seed)
+    return rng.standard_normal((16, 1, 6, 6)), rng.integers(0, 3, size=16)
 
 
 def regression_batch(seed):
-    rng = Rng(seed)
-    return rng.normal((16, 4)), rng.normal((16, 2))
+    rng = default_rng(seed)
+    return rng.standard_normal((16, 4)), rng.standard_normal((16, 2))
 
 
 def one_feature_batch(seed):
-    rng = Rng(seed)
-    return rng.normal((16, 4)) * 100.0, rng.integers(0, 2, size=16)
+    rng = default_rng(seed)
+    return rng.standard_normal((16, 4)) * 100.0, rng.integers(0, 2, size=16)
 
 
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2

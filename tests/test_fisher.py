@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from adafisher import fisher
 from adafisher.errors import InputError, SizeError, UnsupportedError
@@ -7,7 +8,6 @@ from adafisher.fisher import (_label_counts, _multinomial_factor, approximation_
                               exact_fisher_diag, mc_fisher_diag)
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, Layer, LayerNorm,
                           MaxPool2d, Model, softmax)
-from adafisher.tensor import Rng
 
 
 def flat(diag):
@@ -17,7 +17,7 @@ def flat(diag):
 
 
 def softmax_regression(in_dim, n_classes, seed=0, bias=False):
-    model = Model([Dense(in_dim, n_classes, bias=bias)]).init(Rng(seed))
+    model = Model([Dense(in_dim, n_classes, bias=bias)]).init(default_rng(seed))
     return model
 
 
@@ -46,7 +46,7 @@ class TestMultinomialFactor:
 
     @staticmethod
     def rows():
-        logits = Rng(50).normal((40, 7)) * 3.0
+        logits = default_rng(50).standard_normal((40, 7)) * 3.0
         logits[:5, 2:] = -800.0  # softmax underflows to exact zeros after class 1
         logits[5:10, ::2] = -800.0  # zeros between nonzero entries
         zeros = np.array([[0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0],
@@ -85,7 +85,7 @@ class TestMultinomialFactor:
 class TestExactFisher:
     def test_matches_closed_form_single_sample(self):
         model = softmax_regression(3, 4, seed=1)
-        x = Rng(10).normal((1, 3))
+        x = default_rng(10).standard_normal((1, 3))
         diag = exact_fisher_diag(model, x)
         expected = analytic_softmax_fisher(model, x)
         # bias-free layer: no homogeneous coordinate, so no "b" entry
@@ -94,14 +94,14 @@ class TestExactFisher:
 
     def test_matches_closed_form_batched(self):
         model = softmax_regression(4, 3, seed=2)
-        x = Rng(11).normal((6, 4))
+        x = default_rng(11).standard_normal((6, 4))
         diag = exact_fisher_diag(model, x)
         expected = analytic_softmax_fisher(model, x)
         assert np.max(np.abs(diag[0]["W"] - expected)) < 1e-12
 
     def test_batch_average_of_per_sample_fishers(self):
-        model = Model([Dense(3, 5), Activation("tanh"), Dense(5, 3)]).init(Rng(3))
-        x = Rng(12).normal((4, 3))
+        model = Model([Dense(3, 5), Activation("tanh"), Dense(5, 3)]).init(default_rng(3))
+        x = default_rng(12).standard_normal((4, 3))
         whole = flat(exact_fisher_diag(model, x))
         parts = np.mean([flat(exact_fisher_diag(model, x[n : n + 1]))
                          for n in range(4)], axis=0)
@@ -109,17 +109,18 @@ class TestExactFisher:
 
     def test_nonnegative_and_covers_norm_layers(self):
         model = Model([Dense(3, 4), LayerNorm(4), Activation("relu"),
-                       Dense(4, 3)]).init(Rng(4))
-        diag = exact_fisher_diag(model, Rng(13).normal((3, 3)))
+                       Dense(4, 3)]).init(default_rng(4))
+        diag = exact_fisher_diag(model, default_rng(13).standard_normal((3, 3)))
         assert set(diag[1]) == {"scale", "shift"}
         assert np.all(flat(diag) >= 0.0)
 
     def test_one_class_has_zero_fisher(self):
         # diag(p) - pp^T is 0 for p = [1]: no factor column to walk, and every
         # array is zero and shaped like its parameter
-        model = Model([Dense(3, 4), Activation("relu"), Dense(4, 1)]).init(Rng(6))
-        for diag in (exact_fisher_diag(model, Rng(14).normal((5, 3))),
-                     mc_fisher_diag(model, Rng(14).normal((5, 3)), n_samples=3, seed=0)):
+        model = Model([Dense(3, 4), Activation("relu"), Dense(4, 1)]).init(default_rng(6))
+        for diag in (exact_fisher_diag(model, default_rng(14).standard_normal((5, 3))),
+                     mc_fisher_diag(model, default_rng(14).standard_normal((5, 3)), n_samples=3,
+                                    rng=default_rng(0))):
             assert {i: {n: a.shape for n, a in d.items()} for i, d in diag.items()} == {
                 i: {n: a.shape for n, a in layer.params.items()}
                 for i, layer in model.param_layers()}
@@ -139,27 +140,27 @@ class TestExactFisher:
 class TestMcFisher:
     def test_converges_to_exact(self):
         model = softmax_regression(3, 3, seed=6)
-        x = Rng(14).normal((2, 3))
+        x = default_rng(14).standard_normal((2, 3))
         exact = flat(exact_fisher_diag(model, x))
-        est = flat(mc_fisher_diag(model, x, n_samples=4000, seed=0))
+        est = flat(mc_fisher_diag(model, x, n_samples=4000, rng=default_rng(0)))
         rel = np.abs(est - exact) / np.maximum(np.abs(exact), 1e-12)
         assert np.median(rel) < 0.05
 
     def test_deterministic_by_seed(self):
         model = softmax_regression(2, 3, seed=7)
-        x = Rng(15).normal((2, 2))
-        a = flat(mc_fisher_diag(model, x, n_samples=50, seed=9))
-        b = flat(mc_fisher_diag(model, x, n_samples=50, seed=9))
+        x = default_rng(15).standard_normal((2, 2))
+        a = flat(mc_fisher_diag(model, x, n_samples=50, rng=default_rng(9)))
+        b = flat(mc_fisher_diag(model, x, n_samples=50, rng=default_rng(9)))
         assert np.array_equal(a, b)
 
     def test_error_shrinks_with_samples(self):
         model = softmax_regression(3, 4, seed=8)
-        x = Rng(16).normal((2, 3))
+        x = default_rng(16).standard_normal((2, 3))
         exact = flat(exact_fisher_diag(model, x))
         errs = []
         for n in (20, 2000):
             maes = [approximation_mae(
-                        flat(mc_fisher_diag(model, x, n_samples=n, seed=s)), exact)
+                        flat(mc_fisher_diag(model, x, n_samples=n, rng=default_rng(s))), exact)
                     for s in range(8)]
             errs.append(np.mean(maes))
         assert errs[1] < errs[0] / 3
@@ -167,7 +168,7 @@ class TestMcFisher:
     def test_bad_sample_count(self):
         model = softmax_regression(2, 2)
         with pytest.raises(InputError):
-            mc_fisher_diag(model, np.zeros((1, 2)), n_samples=0, seed=0)
+            mc_fisher_diag(model, np.zeros((1, 2)), n_samples=0, rng=default_rng(0))
 
 
 def scalar_labels(p, n_samples, gen):
@@ -176,18 +177,17 @@ def scalar_labels(p, n_samples, gen):
             for _ in range(n_samples)]
 
 
-def reference_fisher(model, x, n_samples=None, seed=0):
+def reference_fisher(model, x, n_samples=None, rng=None):
     """Per-sample, per-label loop: a batch-1 eval forward, Model.backward for each
-    class (exact) or each drawn label (MC), and every parameter's squared
-    gradient, averaged over the batch."""
-    gen = np.random.Generator(np.random.PCG64(seed))
+    class (exact) or each label drawn from the Generator rng (MC), and every
+    parameter's squared gradient, averaged over the batch."""
     total = {}
     for x_one in x:
         p = softmax(model.forward(x_one[None], training=False))[0]
         if n_samples is None:
             labels, weights = range(p.size), p
         else:
-            labels = scalar_labels(p, n_samples, gen)
+            labels = scalar_labels(p, n_samples, rng)
             weights = np.full(n_samples, 1.0 / n_samples)
         for y, weight in zip(labels, weights):
             grad_out = p.copy()[None, :]
@@ -203,12 +203,12 @@ def reference_fisher(model, x, n_samples=None, seed=0):
 def trained_net(layers, x, seed):
     """A model with random norm parameters and running statistics moved off
     their initial values by a few training passes."""
-    model = Model(layers).init(Rng(seed))
-    rng = Rng(seed + 1)
+    model = Model(layers).init(default_rng(seed))
+    rng = default_rng(seed + 1)
     for _, layer in model.param_layers():
         if "W" not in layer.params:
-            layer.params["scale"] = 1.0 + 0.5 * rng.normal((layer.dim,))
-            layer.params["shift"] = 0.5 * rng.normal((layer.dim,))
+            layer.params["scale"] = 1.0 + 0.5 * rng.standard_normal((layer.dim,))
+            layer.params["shift"] = 0.5 * rng.standard_normal((layer.dim,))
     n_classes = model.forward(x[:2], training=False).shape[1]
     for _ in range(3):
         model.train_batch(x, rng.integers(0, n_classes, size=len(x)))
@@ -245,24 +245,24 @@ class TestBatchedOracleEquivalence:
     @pytest.mark.parametrize("net", sorted(EQUIVALENCE_NETS))
     def test_exact_matches_per_sample_loop(self, net):
         layers, shape = EQUIVALENCE_NETS[net]
-        x = Rng(30).normal(shape)
+        x = default_rng(30).standard_normal(shape)
         model = trained_net(layers(), x, seed=31)
         assert_same_diag(exact_fisher_diag(model, x), reference_fisher(model, x))
 
     @pytest.mark.parametrize("net", sorted(EQUIVALENCE_NETS))
     def test_mc_matches_per_sample_loop(self, net):
         layers, shape = EQUIVALENCE_NETS[net]
-        x = Rng(32).normal(shape)
+        x = default_rng(32).standard_normal(shape)
         model = trained_net(layers(), x, seed=33)
-        got = mc_fisher_diag(model, x, n_samples=30, seed=5)
-        assert_same_diag(got, reference_fisher(model, x, n_samples=30, seed=5))
+        got = mc_fisher_diag(model, x, n_samples=30, rng=default_rng(5))
+        assert_same_diag(got, reference_fisher(model, x, n_samples=30, rng=default_rng(5)))
 
     @pytest.mark.parametrize("net", sorted(EQUIVALENCE_NETS))
     def test_one_row_chunks_match_per_sample_loop(self, net, monkeypatch):
         # Every row its own chunk: the sums cross every chunk boundary, and the
         # MC labels must continue one uniform stream rather than restart it.
         layers, shape = EQUIVALENCE_NETS[net]
-        x = Rng(36).normal(shape)
+        x = default_rng(36).standard_normal(shape)
         model = trained_net(layers(), x, seed=37)
         monkeypatch.setattr(fisher, "CACHE_BUDGET", 1)
         n_classes, n_samples = model.forward(x, training=False).shape[1], 30
@@ -280,14 +280,14 @@ class TestBatchedOracleEquivalence:
             return counts[-1]
 
         monkeypatch.setattr(fisher, "_label_counts", spy)
-        got = mc_fisher_diag(model, x, n_samples=n_samples, seed=5)
+        got = mc_fisher_diag(model, x, n_samples=n_samples, rng=default_rng(5))
         assert len(counts) == len(x)
-        gen = np.random.Generator(np.random.PCG64(5))
+        gen = default_rng(5)
         expected = [np.bincount(scalar_labels(softmax(model.forward(row[None], training=False))[0],
                                               n_samples, gen), minlength=n_classes)
                     for row in x]
         assert np.array_equal(np.concatenate(counts), expected)
-        assert_same_diag(got, reference_fisher(model, x, n_samples=n_samples, seed=5),
+        assert_same_diag(got, reference_fisher(model, x, n_samples=n_samples, rng=default_rng(5)),
                          rtol=len(x) * n_samples * eps)
 
     @pytest.mark.parametrize("shape, chunks", [((64, 1, 28, 28), [20, 20, 20, 4]),
@@ -297,7 +297,7 @@ class TestBatchedOracleEquivalence:
         # budget; a batch that fits is one chunk.
         head = [Conv2d(1, 2, (3, 3)), Flatten()] if len(shape) == 4 else []
         width = 2 * 26 * 26 if head else shape[1]
-        model = Model(head + [Dense(width, 3)]).init(Rng(38))
+        model = Model(head + [Dense(width, 3)]).init(default_rng(38))
         rows, forward = [], Model.forward
 
         def spy(self, x, *args, **kwargs):
@@ -305,15 +305,16 @@ class TestBatchedOracleEquivalence:
             return forward(self, x, *args, **kwargs)
 
         monkeypatch.setattr(Model, "forward", spy)
-        exact_fisher_diag(model, Rng(39).normal(shape))
+        exact_fisher_diag(model, default_rng(39).standard_normal(shape))
         assert rows == chunks
 
     def test_exact_walks_c_minus_one_columns_per_chunk(self, monkeypatch):
         # 64 rows of 28 x 28 run as 4 chunks (20, 20, 20, 4); each walks the
         # 9 columns of the 10-class factor. Monte-Carlo walks the classes
         # drawn in each chunk.
-        model = Model([Conv2d(1, 2, (3, 3)), Flatten(), Dense(2 * 26 * 26, 10)]).init(Rng(40))
-        x = Rng(41).normal((64, 1, 28, 28))
+        model = Model([Conv2d(1, 2, (3, 3)), Flatten(),
+                       Dense(2 * 26 * 26, 10)]).init(default_rng(40))
+        x = default_rng(41).standard_normal((64, 1, 28, 28))
         walks, reverse_walk = [], Model.reverse_walk
 
         def spy(self, grad):
@@ -332,35 +333,34 @@ class TestBatchedOracleEquivalence:
 
         monkeypatch.setattr(fisher, "_label_counts", count_spy)
         walks.clear()
-        mc_fisher_diag(model, x, n_samples=3, seed=2)
+        mc_fisher_diag(model, x, n_samples=3, rng=default_rng(2))
         assert [len(c) for c in counts] == [20, 20, 20, 4]
         assert len(walks) == sum(np.count_nonzero(c.any(axis=0)) for c in counts)
 
     def test_label_counts_match_scalar_draws(self):
-        p = softmax(Rng(34).normal((6, 5)) * 2.0)
-        counts = _label_counts(p, Rng(7).uniform((6, 200)))
-        gen = np.random.Generator(np.random.PCG64(7))
+        p = softmax(default_rng(34).standard_normal((6, 5)) * 2.0)
+        counts = _label_counts(p, default_rng(7).random((6, 200)))
+        gen = default_rng(7)
         expected = [np.bincount(scalar_labels(row, 200, gen), minlength=5) for row in p]
         assert np.array_equal(counts, expected)
         assert np.all(counts.sum(axis=1) == 200)
 
     def test_empty_batch_rejected(self):
-        model = Model([Dense(3, 4), Activation("relu"), Dense(4, 3)]).init(Rng(35))
+        model = Model([Dense(3, 4), Activation("relu"), Dense(4, 3)]).init(default_rng(35))
         with pytest.raises(InputError):
             exact_fisher_diag(model, np.zeros((0, 3)))
         with pytest.raises(InputError):
-            mc_fisher_diag(model, np.zeros((0, 3)), n_samples=5, seed=0)
+            mc_fisher_diag(model, np.zeros((0, 3)), n_samples=5, rng=default_rng(0))
 
     @pytest.mark.parametrize("n_samples", [2**62, 10**9, fisher.MAX_SYNTH_VALUES // 2 + 1])
     def test_oversized_draw_rejected_before_drawing(self, n_samples, monkeypatch):
         class NoDraws:  # a draw would try to allocate every uniform
-            def __init__(self, seed):
+            def random(self, size):
                 raise AssertionError("drew before the size check")
 
-        monkeypatch.setattr(fisher, "Rng", NoDraws)
-        model = Model([Dense(3, 4), Activation("relu"), Dense(4, 3)]).init(Rng(35))
+        model = Model([Dense(3, 4), Activation("relu"), Dense(4, 3)]).init(default_rng(35))
         with pytest.raises(SizeError):
-            mc_fisher_diag(model, np.zeros((2, 3)), n_samples=n_samples, seed=0)
+            mc_fisher_diag(model, np.zeros((2, 3)), n_samples=n_samples, rng=NoDraws())
 
 
 def dense_block(monkeypatch, model, x, y, index):
@@ -388,8 +388,8 @@ def dense_block(monkeypatch, model, x, y, index):
 class TestDenseKroneckerBlock:
     def test_single_sample_rank_one_exact(self, monkeypatch):
         # with one sample the factored block is exactly the gradient outer product
-        model = Model([Dense(3, 2), Activation("tanh"), Dense(2, 3)]).init(Rng(20))
-        x = Rng(21).normal((1, 3))
+        model = Model([Dense(3, 2), Activation("tanh"), Dense(2, 3)]).init(default_rng(20))
+        x = default_rng(21).standard_normal((1, 3))
         block = dense_block(monkeypatch, model, x, np.array([1]), 0)
         layer = model.layers[0]
         g = np.hstack([layer.grads["W"], layer.grads["b"][:, None]])
@@ -397,9 +397,9 @@ class TestDenseKroneckerBlock:
         assert np.max(np.abs(block - np.outer(v, v))) < 1e-12
 
     def test_diag_matches_factor_diag_product(self, monkeypatch):
-        model = Model([Dense(2, 3)]).init(Rng(22))
-        x = Rng(23).normal((5, 2))
-        block = dense_block(monkeypatch, model, x, Rng(24).integers(0, 3, size=5), 0)
+        model = Model([Dense(2, 3)]).init(default_rng(22))
+        x = default_rng(23).standard_normal((5, 2))
+        block = dense_block(monkeypatch, model, x, default_rng(24).integers(0, 3, size=5), 0)
         fresh = model.layers[0].capture
         assert np.max(np.abs(np.diag(block) - np.kron(fresh["h"], fresh["s"]))) < 1e-10
 

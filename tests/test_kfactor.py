@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.random import default_rng
 
 from adafisher.errors import ConfigError, DimensionError, InputError, StateError
 from adafisher.kfactor import MINMAX_EPS, KFState, minmax_normalize
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, Model)
-from adafisher.tensor import Rng
 from adafisher.training import keyed
 
 
@@ -65,8 +65,8 @@ class TestEmaUpdate:
             assert abs(val[0] - expected) < 1e-14
 
     def test_affine_in_fresh_argument(self):
-        rng = Rng(4)
-        old, fa, fb = rng.normal((5,)), rng.normal((5,)), rng.normal((5,))
+        rng = default_rng(4)
+        old, fa, fb = (rng.standard_normal((5,)) for _ in range(3))
         a, b = 0.3, 1.2
         lhs = ema((a + b) * old, a * fa + b * fb, 0.8)
         rhs = a * ema(old, fa, 0.8) + b * ema(old, fb, 0.8)
@@ -91,7 +91,7 @@ class TestMinMax:
         assert np.array_equal(minmax_normalize(np.array([5.0, 5.0])), [0.0, 0.0])
 
     def test_range(self):
-        v = minmax_normalize(Rng(5).normal((20,)))
+        v = minmax_normalize(default_rng(5).standard_normal((20,)))
         assert v.min() == 0.0
         assert v.max() == 1.0
 
@@ -116,18 +116,18 @@ class TestEfimAssemble:
         assert np.max(np.abs(divisor_grid(state, h, s) - 0.5)) == 0.0
 
     def test_matches_dense_kron_oracle(self):
-        rng = Rng(6)
+        rng = default_rng(6)
         for trial in range(10):
-            h = np.abs(rng.normal((5,)))
-            s = np.abs(rng.normal((4,)))
+            h = np.abs(rng.standard_normal((5,)))
+            s = np.abs(rng.standard_normal((4,)))
             state = KFState(lam=0.001, factors={(0, "h"): h, (0, "s"): s})
             dense = np.diag(np.kron(np.diag(minmax_normalize(h)),
                                     np.diag(minmax_normalize(s)))) + 0.001
             assert np.max(np.abs(divisor_grid(state, h, s) - dense)) < 1e-15
 
     def test_range_invariant(self):
-        rng = Rng(7)
-        h, s = np.abs(rng.normal((6,))), np.abs(rng.normal((3,)))
+        rng = default_rng(7)
+        h, s = np.abs(rng.standard_normal((6,))), np.abs(rng.standard_normal((3,)))
         state = KFState(lam=0.001, factors={(0, "h"): h, (0, "s"): s})
         diag = divisor_grid(state, h, s)
         assert np.all(diag >= 0.001 - 1e-15)
@@ -174,11 +174,12 @@ class TestKroneckerDiagonal:
         assert np.array_equal(norm["shift"], [5.0, 7.0])
 
     def test_matches_dense_kron(self):
-        rng = Rng(3)
+        rng = default_rng(3)
         for layer in (Dense(2, 4), Dense(3, 4, bias=False), Conv2d(2, 3, (2, 2)),
                       Conv2d(2, 3, (1, 2), bias=False)):
             w = layer.params["W"]
-            h, s = rng.normal((w[0].size + layer.bias,)), rng.normal((w.shape[0],))
+            h = rng.standard_normal((w[0].size + layer.bias,))
+            s = rng.standard_normal((w.shape[0],))
             diag = layer.kronecker_diagonal(h, s)
             assert {n: d.shape for n, d in diag.items()} == {
                 n: p.shape for n, p in layer.params.items()}
@@ -186,10 +187,10 @@ class TestKroneckerDiagonal:
             assert np.max(np.abs(vec(diag) - dense)) < 1e-15
 
     def test_exhaustive_small_dims(self):
-        rng = Rng(5)
+        rng = default_rng(5)
         for p in range(1, 9):
             for q in range(1, 9):
-                a, b = rng.normal((p,)), rng.normal((q,))
+                a, b = rng.standard_normal((p,)), rng.standard_normal((q,))
                 dense = np.diag(np.kron(np.diag(a), np.diag(b)))
                 no_bias = Dense(p, q, bias=False).kronecker_diagonal(a, b)
                 assert np.array_equal(vec(no_bias), dense)
@@ -227,13 +228,13 @@ class TestPrecondition:
         assert np.max(np.abs(out - g / 0.001)) < 1e-9
 
     def test_matches_dense_inverse_times_vec(self):
-        rng = Rng(8)
+        rng = default_rng(8)
         for trial in range(20):
             p_out, p_in = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-            h = minmax_normalize(np.abs(rng.normal((p_in,)))) if p_in > 1 else np.zeros(1)
-            s = minmax_normalize(np.abs(rng.normal((p_out,)))) if p_out > 1 else np.zeros(1)
+            h = minmax_normalize(np.abs(rng.standard_normal(p_in))) if p_in > 1 else np.zeros(1)
+            s = minmax_normalize(np.abs(rng.standard_normal(p_out))) if p_out > 1 else np.zeros(1)
             lam = 0.001
-            g = rng.normal((p_out, p_in))
+            g = rng.standard_normal((p_out, p_in))
             dense = np.diag(np.kron(h, s) + lam)  # vec order: h slow, s fast
             oracle = np.linalg.solve(dense, g.T.ravel()).reshape(p_in, p_out).T
             assert np.max(np.abs(precondition(g, h, s, lam) - oracle)) < 1e-12
@@ -266,7 +267,7 @@ class TestStateLifecycle:
             Flatten(),
             Dense(8, 4),
             LayerNorm(4),
-        ]).init(Rng(9))
+        ]).init(default_rng(9))
 
     def test_for_model_shapes(self):
         model = self.make_model()
@@ -278,8 +279,8 @@ class TestStateLifecycle:
 
     def test_fresh_factors_and_update(self):
         model = self.make_model()
-        rng = Rng(10)
-        x = rng.normal((4, 1, 3, 3))
+        rng = default_rng(10)
+        x = rng.standard_normal((4, 1, 3, 3))
         model.train_batch(x, rng.integers(0, 4, size=4))
         fresh = keyed(model, "capture")
         state = KFState.for_model(model, gamma=0.8)
@@ -296,8 +297,8 @@ class TestStateLifecycle:
         state = KFState.for_model(model)
         with pytest.raises(StateError, match="h of layer 0 is missing; run a backward pass"):
             state.update(keyed(model, "capture"))  # no backward pass: nothing captured
-        rng = Rng(10)
-        model.train_batch(rng.normal((4, 1, 3, 3)), rng.integers(0, 4, size=4))
+        rng = default_rng(10)
+        model.train_batch(rng.standard_normal((4, 1, 3, 3)), rng.integers(0, 4, size=4))
         fresh = keyed(model, "capture")
         with pytest.raises(StateError, match="s of layer 5 is missing"):
             state.update({key: vec for key, vec in fresh.items() if key != (5, "s")})
@@ -307,8 +308,8 @@ class TestStateLifecycle:
 
     def test_update_checks_every_factor_before_changing_any(self):
         model = self.make_model()
-        rng = Rng(10)
-        model.train_batch(rng.normal((4, 1, 3, 3)), rng.integers(0, 4, size=4))
+        rng = default_rng(10)
+        model.train_batch(rng.standard_normal((4, 1, 3, 3)), rng.integers(0, 4, size=4))
         state = KFState.for_model(model)
         before = {key: vec.copy() for key, vec in state.factors.items()}
         fresh = {**keyed(model, "capture"), (5, "s"): np.ones(3)}  # the last factor misshaped
@@ -326,8 +327,8 @@ class TestStateLifecycle:
 
     def test_norm_fisher_off_uses_identity(self):
         model = self.make_model()
-        rng = Rng(11)
-        x = rng.normal((4, 1, 3, 3))
+        rng = default_rng(11)
+        x = rng.standard_normal((4, 1, 3, 3))
         model.train_batch(x, rng.integers(0, 4, size=4))
         state = KFState.for_model(model, norm_fisher_off=True)
         state.update(keyed(model, "capture"))
@@ -343,9 +344,9 @@ class TestStateLifecycle:
     def test_divisors_fit_every_parameter(self, layer):
         model = Model([layer])
         state = KFState.for_model(model)
-        rng = Rng(12)
+        rng = default_rng(12)
         for key, vec in state.factors.items():
-            state.factors[key] = rng.uniform(vec.shape)
+            state.factors[key] = rng.random(vec.shape)
         div = state.divisors(model)
         assert set(div) == {(0, name) for name in layer.params}
         for name, p in layer.params.items():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.random import default_rng
 
 from adafisher.config import RunConfig
 from adafisher.errors import ConfigError, DimensionError, StateError
 from adafisher.kfactor import KFState, minmax_normalize
 from adafisher.nn import Activation, BatchNorm, Conv2d, Dense, LayerNorm, Model
 from adafisher.optim import Adam, AdaFisher, SGD, Schedule, build_optimizer
-from adafisher.tensor import Rng
 
 # Derandomized and bounded, so the suite stays deterministic and fast.
 DETERMINISTIC = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -38,8 +38,8 @@ class TestAdaFisher:
         model, layer = scalar_model(w0=0.5)
         opt = AdaFisher(alpha=0.01, beta=0.9)
         divisors = unit_divisors(model, lam=0.25)
-        rng = Rng(0)
-        grads = rng.normal((30,))
+        rng = default_rng(0)
+        grads = rng.standard_normal((30,))
         theta, m = 0.5, 0.0
         for t, g in enumerate(grads, start=1):
             layer.grads["W"][:] = g
@@ -123,8 +123,8 @@ class TestAdaFisherW:
         mw, lw = scalar_model(w0=0.7)
         oa = AdaFisher(alpha=0.005)
         ow = build_optimizer("adafisherw", {"alpha": 0.005, "kappa": 0.0})
-        rng = Rng(1)
-        for g in rng.normal((10,)):
+        rng = default_rng(1)
+        for g in rng.standard_normal((10,)):
             la.grads["W"][:] = g
             lw.grads["W"][:] = g
             oa.step(ma, unit_divisors(ma))
@@ -136,8 +136,8 @@ class TestAdam:
     def test_scalar_recurrence_oracle(self):
         model, layer = scalar_model(w0=0.3)
         opt = Adam(alpha=0.01)
-        rng = Rng(2)
-        grads = rng.normal((25,))
+        rng = default_rng(2)
+        grads = rng.standard_normal((25,))
         theta, m, v = 0.3, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
             layer.grads["W"][:] = g
@@ -189,8 +189,8 @@ class TestSGD:
     def test_momentum_recurrence_oracle(self):
         model, layer = scalar_model(w0=0.0)
         opt = SGD(alpha=0.1, momentum=0.9)
-        rng = Rng(3)
-        grads = rng.normal((15,))
+        rng = default_rng(3)
+        grads = rng.standard_normal((15,))
         theta, buf = 0.0, 0.0
         for g in grads:
             layer.grads["W"][:] = g
@@ -234,15 +234,16 @@ def _allocating_step(name, hyper, t, p, g, state):
     ("sgd", {"alpha": 0.05, "momentum": 0.9}),
 ], ids=["adam", "adam-coupled-decay", "adamw", "sgd", "sgd-momentum"])
 def test_in_place_baseline_matches_allocating_formulas(name, hyper):
-    model = Model([Dense(5, 4), LayerNorm(4), Dense(4, 3, bias=False)]).init(Rng(21))
+    model = Model([Dense(5, 4), LayerNorm(4), Dense(4, 3, bias=False)]).init(default_rng(21))
     opt = build_optimizer(name, hyper)
     ref = {(i, n): p.copy() for i, n, p in model.parameters()}
     states = {key: {} for key in ref}
-    rng = Rng(22)
+    rng = default_rng(22)
     for t in range(1, 21):
         scale = 10.0 ** float(rng.integers(-9, 3))  # from far below eps to large
         for _, layer in model.param_layers():
-            layer.grads = {n: rng.normal(p.shape) * scale for n, p in layer.params.items()}
+            layer.grads = {n: rng.standard_normal(p.shape) * scale
+                           for n, p in layer.params.items()}
         grads = {(i, n): g for i, layer in model.param_layers() for n, g in layer.grads.items()}
         before = {key: g.copy() for key, g in grads.items()}
         opt.step(model)
@@ -279,13 +280,13 @@ def _drop_grads(model, divisors):
 def test_failing_step_changes_nothing(name, hyper, spoil, error, match):
     # Every parameter is checked before any is updated: a step that raises on
     # the last layer leaves every parameter, every moment and t as they were.
-    model = Model([Dense(3, 4), Activation("relu"), Dense(4, 2)]).init(Rng(30))
+    model = Model([Dense(3, 4), Activation("relu"), Dense(4, 2)]).init(default_rng(30))
     opt = build_optimizer(name, {"alpha": 0.01, **hyper})
-    rng = Rng(31)
+    rng = default_rng(31)
 
     def gradients_and_divisors():
         for _, layer in model.param_layers():
-            layer.grads = {n: rng.normal(p.shape) for n, p in layer.params.items()}
+            layer.grads = {n: rng.standard_normal(p.shape) for n, p in layer.params.items()}
         return KFState.for_model(model).divisors(model)
 
     opt.step(model, gradients_and_divisors())
@@ -313,7 +314,8 @@ def test_step_on_another_model_changes_nothing(name, hyper, sizes, match):
     # bare broadcast ValueError, after t and the first layer had, for the
     # last-layer mismatch).
     def stepped_model(hidden, out, seed):
-        model = Model([Dense(3, hidden), Activation("relu"), Dense(hidden, out)]).init(Rng(seed))
+        model = Model([Dense(3, hidden), Activation("relu"),
+                       Dense(hidden, out)]).init(default_rng(seed))
         for _, layer in model.param_layers():
             layer.grads = {n: np.ones_like(p) for n, p in layer.params.items()}
         return model, KFState.for_model(model).divisors(model)
@@ -482,8 +484,8 @@ def _combined_reference_step(model, state, opt, moments):
        steps=st.integers(1, 3), seed=st.integers(0, 2**16))
 def test_per_parameter_update_matches_combined_blocks(specs, variant, kappa, sqrt,
                                                       steps, seed):
-    rng = np.random.default_rng(seed)
-    model = Model([_make_layer(spec) for spec in specs]).init(Rng(seed))
+    rng = default_rng(seed)
+    model = Model([_make_layer(spec) for spec in specs]).init(default_rng(seed))
     for _, layer in model.param_layers():
         for name, p in layer.params.items():
             p[...] = rng.normal(size=p.shape)
@@ -514,10 +516,10 @@ def test_first_step_matches_dense_inverse(make_layer, beta):
     # [W | b] gradient g (input index slow) and the min-max-normalized h', s'.
     layer = make_layer()
     model = Model([layer])
-    rng = Rng(40)
-    layer.grads = {n: rng.normal(p.shape) for n, p in layer.params.items()}
+    rng = default_rng(40)
+    layer.grads = {n: rng.standard_normal(p.shape) for n, p in layer.params.items()}
     out = layer.params["W"].shape[0]
-    h, s = rng.uniform((layer.params["W"][0].size + layer.bias,)), rng.uniform((out,))
+    h, s = rng.random((layer.params["W"][0].size + layer.bias,)), rng.random((out,))
     lam, lr = 0.001, 0.01
     divisors = KFState(lam=lam, factors={(0, "h"): h, (0, "s"): s}).divisors(model)
     g = np.hstack([layer.grads[n].reshape(out, -1) for n in ("W", "b") if n in layer.grads])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from numpy.random import default_rng
 
 from adafisher.errors import DimensionError
-from adafisher.tensor import Rng, col2im_batch, conv_out_size, im2col_batch, window_slices
+from adafisher.tensor import col2im_batch, conv_out_size, im2col_batch, window_slices
 
 
 def direct_conv(x, w, stride, pad):
@@ -44,9 +45,9 @@ class TestIm2col:
         assert np.array_equal(patches.ravel(), np.arange(9.0))
 
     def test_conv_via_matmul_matches_direct(self):
-        rng = Rng(21)
-        x = rng.normal((2, 4, 4))
-        w = rng.normal((3, 2, 2, 2))
+        rng = default_rng(21)
+        x = rng.standard_normal((2, 4, 4))
+        w = rng.standard_normal((3, 2, 2, 2))
         patches, count = im2col(x, (2, 2))
         out = (w.reshape(3, -1) @ patches).reshape(3, 3, 3)
         assert np.max(np.abs(out - direct_conv(x, w, (1, 1), (0, 0)))) < 1e-12
@@ -55,11 +56,11 @@ class TestIm2col:
     @pytest.mark.parametrize("stride", [(1, 1), (2, 1)])
     @pytest.mark.parametrize("pad", [(0, 0), (1, 1)])
     def test_all_small_combos(self, kernel, stride, pad):
-        rng = Rng(sum(kernel) * 100 + sum(stride) * 10 + sum(pad))
+        rng = default_rng(sum(kernel) * 100 + sum(stride) * 10 + sum(pad))
         for h in range(kernel[0], 6):
             for w_ in range(kernel[1], 6):
-                x = rng.normal((2, h, w_))
-                w = rng.normal((2, 2) + kernel)
+                x = rng.standard_normal((2, h, w_))
+                w = rng.standard_normal((2, 2) + kernel)
                 patches, _ = im2col(x, kernel, stride, pad)
                 oh = (h + 2 * pad[0] - kernel[0]) // stride[0] + 1
                 ow = (w_ + 2 * pad[1] - kernel[1]) // stride[1] + 1
@@ -115,7 +116,7 @@ window_cases = st.tuples(
 def test_im2col_col2im_adjoint_and_match_padded_reference(case):
     m, c, (h, w), kernel, stride, pad, seed = case
     assume(all(k <= n + 2 * p for k, n, p in zip(kernel, (h, w), pad)))
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     x = rng.normal(size=(m, c, h, w))
     cols = im2col_batch(x, kernel, stride, pad)
     g = rng.normal(size=cols.shape)
@@ -161,17 +162,3 @@ def test_window_slices_takes_lists_and_shares_one_immutable_result(size, kernel,
     (oh, ow), offsets = as_tuples
     assert (oh, ow) == tuple(conv_out_size(*a) for a in zip(size, kernel, stride, pad))
     assert type(offsets) is tuple and all(type(o) is tuple for o in offsets)
-
-
-class TestRng:
-    def test_same_seed_identical(self):
-        assert np.array_equal(Rng(42).normal((4, 5)), Rng(42).normal((4, 5)))
-
-    def test_moments(self):
-        samples = Rng(0).normal((100_000,))
-        assert abs(samples.mean()) < 0.02
-        assert abs(samples.std() - 1.0) < 0.02
-
-    def test_spawn_independent(self):
-        base = Rng(7)
-        assert not np.array_equal(base.spawn(1).normal((10,)), base.spawn(2).normal((10,)))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 import adafisher
 from adafisher import cli, datasets, fisher, training
@@ -22,8 +23,7 @@ from adafisher.fisher import approximation_mae, exact_fisher_diag
 from adafisher.kfactor import KFState
 from adafisher.nn import BatchNorm, Conv2d, Dense, LayerNorm, Model, cross_entropy, softmax
 from adafisher.optim import build_optimizer
-from adafisher.tensor import Rng
-from adafisher.training import emit_metrics, evaluate, run_training
+from adafisher.training import emit_metrics, evaluate, run_streams, run_training
 
 
 def base_config(**overrides):
@@ -57,7 +57,7 @@ def with_first_layer(layer):
 
 
 def write_images(tmp_path, n=24):
-    rng = np.random.default_rng(0)
+    rng = default_rng(0)
     write_idx(tmp_path / "images.idx", rng.integers(0, 256, (n, 6, 6)), "images")
     write_idx(tmp_path / "labels.idx", rng.integers(0, 2, n), "labels")
     return {"source": "idx", "images": str(tmp_path / "images.idx"),
@@ -190,7 +190,7 @@ class TestBuildModel:
             {"kind": "layernorm", "dim": 4},
             {"kind": "tanh"},
         ]}
-        model = build_model(spec, Rng(0))
+        model = build_model(spec, default_rng(0))
         assert isinstance(model.layers[0], Conv2d)
         assert isinstance(model.layers[3], BatchNorm)
         assert isinstance(model.layers[5], Dense)
@@ -259,6 +259,28 @@ class TestEmitMetrics:
                 emit_metrics(self.record(train_loss=bad), io.StringIO())
 
 
+class TestRunStreams:
+    def test_root_and_spawned_children(self):
+        # the root keeps default_rng(seed)'s bits (model init); the shuffle
+        # and the label streams are children 0 and 1 of SeedSequence(seed)
+        for seed in (0, 3, 2**40):
+            children = map(default_rng, np.random.SeedSequence(seed).spawn(2))
+            for got, want in zip(run_streams(seed), [default_rng(seed), *children], strict=True):
+                assert np.array_equal(got.standard_normal(8), want.standard_normal(8))
+
+    def test_same_seed_identical(self):
+        for a, b in zip(run_streams(42), run_streams(42)):
+            assert np.array_equal(a.standard_normal((4, 5)), b.standard_normal((4, 5)))
+
+    def test_streams_independent(self):
+        # pairwise different, and the shuffle is no longer the root stream of
+        # seed * 1_000_003 + 1, another seed's model init
+        draws = [gen.standard_normal(10) for gen in run_streams(7)]
+        draws.append(default_rng(7 * 1_000_003 + 1).standard_normal(10))
+        for i, a in enumerate(draws):
+            assert not any(np.array_equal(a, b) for b in draws[i + 1:])
+
+
 class TestRunTraining:
     def test_artifacts_and_learning(self, tmp_path):
         cfg = RunConfig.from_dict(base_config(epochs=5))
@@ -311,6 +333,26 @@ class TestRunTraining:
         for name in ("metrics.jsonl", "final_params.npz"):
             assert ((tmp_path / "images" / name).read_bytes()
                     == (tmp_path / "float64" / name).read_bytes())
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_first_epoch_draws_the_spawned_shuffle(self, tmp_path, monkeypatch, seed):
+        # the epoch's batches are the training rows in the order of child 0
+        # of SeedSequence(seed), not of default_rng(seed * 1_000_003 + 1)
+        cfg = RunConfig.from_dict(base_config(epochs=1, seed=seed))
+        seen, step = [], training.train_step
+        monkeypatch.setattr(training, "train_step",
+                            lambda model, x, *a, **kw: seen.append(x) or step(model, x, *a, **kw))
+        run_training(cfg, out_dir=tmp_path / "run")
+        x, _ = resolve_dataset(cfg.dataset, seed)
+        rows, _ = datasets.train_eval_split(x.shape[0], seed)
+        m = cfg.batch_size
+
+        def epoch(gen):
+            perm = gen.permutation(rows.shape[0])
+            return x[rows[perm[: rows.shape[0] // m * m]]]
+        assert np.array_equal(np.concatenate(seen),
+                              epoch(default_rng(np.random.SeedSequence(seed).spawn(2)[0])))
+        assert not np.array_equal(np.concatenate(seen), epoch(default_rng(seed * 1_000_003 + 1)))
 
     def test_batch_size_exceeds_split(self, tmp_path):
         cfg = RunConfig.from_dict(base_config(batch_size=110))
@@ -367,7 +409,7 @@ class TestRunTraining:
         assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
     def test_evaluate_accuracy(self):
-        model = build_model({"layers": [{"kind": "dense", "in": 2, "out": 2}]}, Rng(3))
+        model = build_model({"layers": [{"kind": "dense", "in": 2, "out": 2}]}, default_rng(3))
         x = np.array([[5.0, 0.0], [-5.0, 0.0]])
         w = model.layers[0].params["W"]
         w[:] = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -380,7 +422,7 @@ def oracle_maes(config):
     """[(layer id, MAE)] of the exact oracle against the Kronecker diagonal of
     a capturing training pass on the first batch, each MAE over the layer's
     arrays in name order."""
-    net = build_model(config.model, Rng(config.seed))
+    net = build_model(config.model, default_rng(config.seed))
     x, y = resolve_dataset(config.dataset, config.seed)
     m = config.batch_size
     net.train_batch(x[:m], y[:m])
@@ -401,8 +443,8 @@ def bn_image_net(n, seed=0):
     with labels."""
     layers = image_model()["layers"]
     model = build_model({"layers": [layers[0], {"kind": "batchnorm", "dim": 2}, *layers[1:]]},
-                        Rng(seed))
-    rng = np.random.default_rng(seed)
+                        default_rng(seed))
+    rng = default_rng(seed)
     x, y = rng.random((n, 1, 6, 6)), rng.integers(0, 2, n)
     model.train_batch(x[:4], y[:4])
     return model, x, y
@@ -554,7 +596,7 @@ class TestCli:
 
     @pytest.mark.parametrize("alpha, seed, quantity", [
         (1e6, 0, "training loss"),
-        (1e4, 9, "eval loss"),  # diverges on the last step of an epoch
+        (1e4, 23, "eval loss"),  # diverges on the last step of an epoch
     ], ids=["step", "eval"])
     def test_divergence_exit_code(self, tmp_path, capsys, monkeypatch, alpha, seed, quantity):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
@@ -788,7 +830,7 @@ class TestCli:
         # reads back with float() as the library's value, bit for bit, on any
         # numpy (numpy 2's repr of a float64 is "np.float64(...)").
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
-        g = np.random.default_rng(3).normal(size=(5, 5))
+        g = default_rng(3).normal(size=(5, 5))
         snap = tmp_path / "snap.npz"
         np.savez(snap, matrix=g @ g.T, clean=g @ g.T, noisy=g)
         for analysis in ("gershgorin", "fft", "snr", "fim"):
@@ -908,6 +950,21 @@ class TestCli:
         assert [row.split(",")[1] for row in rows] == ["0", "2"]  # the two dense layers
         assert all(np.isfinite(float(row.split(",")[2])) for row in rows)
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_oracle_mc_draws_the_spawned_label_stream(self, tmp_path, monkeypatch, seed):
+        # the uniforms are child 1 of SeedSequence(seed), not PCG64(seed),
+        # the stream that initialized the model
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        cfg = self.write_config(tmp_path, seed=seed)
+        drawn, counts = [], fisher._label_counts
+        monkeypatch.setattr(fisher, "_label_counts", lambda p, u: drawn.append(u) or counts(p, u))
+        assert main(["oracle", "--config", cfg, "--mode", "mc", "--samples", "7",
+                     "--out", "mc"]) == 0
+        u, shape = np.concatenate(drawn), (base_config()["batch_size"], 7)
+        child = np.random.SeedSequence(seed).spawn(2)[1]
+        assert np.array_equal(u, default_rng(child).random(shape))
+        assert not np.array_equal(u, default_rng(seed).random(shape))
+
     def test_oracle_checks_every_parameterized_layer(self, tmp_path, monkeypatch):
         # dense -> batchnorm -> dense: the norm layer gets its own row
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
@@ -967,10 +1024,10 @@ class TestCli:
     @pytest.mark.parametrize("samples", [2**62, 10**9])
     def test_oversized_mc_draw_exits_2(self, tmp_path, capsys, monkeypatch, samples):
         class NoDraws:  # a draw would try to allocate every uniform
-            def __init__(self, seed):
+            def random(self, size):
                 raise AssertionError("drew before the size check")
 
-        monkeypatch.setattr(fisher, "Rng", NoDraws)
+        monkeypatch.setattr(cli, "run_streams", lambda seed: [*run_streams(seed)[:2], NoDraws()])
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
         cfg = self.write_config(tmp_path)
         assert main(["oracle", "--config", cfg, "--mode", "mc", "--samples", str(samples),
@@ -985,7 +1042,10 @@ class TestCli:
             def __init__(self, seed):
                 pass
 
-        monkeypatch.setattr(datasets, "Rng", NoDraws)
+        # run_streams seeds the model's stream with a SeedSequence, the data an int
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: (
+            real(seed) if isinstance(seed, np.random.SeedSequence) else NoDraws(seed)))
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
         cfg = self.write_config(tmp_path, dataset={"source": "blobs", "n": n, "dim": 4})
         assert main(["train", "--config", cfg]) == 2
@@ -1012,7 +1072,7 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(base_config(typo_key=1)))
         snap = tmp_path / "m.npy"
-        np.save(snap, (lambda a: a + a.T)(np.random.default_rng(0).normal(size=(6, 6))))
+        np.save(snap, (lambda a: a + a.T)(default_rng(0).normal(size=(6, 6))))
         commands = [["diagnose", "--analysis", "gershgorin"],
                     ["train", "--config", str(bad), "--out", "bad"],
                     ["train", "--config", self.write_config(tmp_path), "--out", "run"],
@@ -1055,10 +1115,10 @@ class TestCli:
 @pytest.mark.parametrize("call, error, match", [
     (lambda: cross_entropy(np.zeros(3), np.zeros(3, dtype=int)), DimensionError, "2-D"),
     (lambda: cross_entropy(np.zeros((2, 3, 1)), np.zeros(2, dtype=int)), DimensionError, "2-D"),
-    (lambda: fisher.mc_fisher_diag(Model([Dense(2, 2)]).init(Rng(0)), np.zeros((3, 2)),
-                                   n_samples=2.5, seed=0), InputError, "n_samples"),
-    (lambda: fisher.mc_fisher_diag(Model([Dense(2, 2)]).init(Rng(0)), np.zeros((3, 2)),
-                                   n_samples=True, seed=0), InputError, "n_samples"),
+    (lambda: fisher.mc_fisher_diag(Model([Dense(2, 2)]).init(default_rng(0)), np.zeros((3, 2)),
+                                   n_samples=2.5, rng=default_rng(0)), InputError, "n_samples"),
+    (lambda: fisher.mc_fisher_diag(Model([Dense(2, 2)]).init(default_rng(0)), np.zeros((3, 2)),
+                                   n_samples=True, rng=default_rng(0)), InputError, "n_samples"),
     (lambda: build_optimizer("adam", {"beta": 0.9}), ConfigError, "keyword argument 'beta'"),
     (lambda: build_optimizer("sgd", {"alpha": "0.1"}), ConfigError, "optimizer 'sgd'"),
     # the constructors check what the config does: a finite real, not a bool, in range
@@ -1067,8 +1127,8 @@ class TestCli:
     (lambda: KFState.for_model(Model([Dense(2, 2)]), lam=float("nan")), ConfigError, "lambda"),
     (lambda: KFState(gamma="x"), ConfigError, "gamma must be a finite number in \\(0, 1\\]"),
     (lambda: KFState(gamma=True), ConfigError, "gamma"),
-    (lambda: LayerNorm(3, eps="x"), InputError, "eps must be non-negative and finite"),
-    (lambda: LayerNorm(3, eps=float("inf")), InputError, "eps must be non-negative and finite"),
+    (lambda: LayerNorm(3, eps="x"), InputError, "eps must be a finite number >= 0"),
+    (lambda: LayerNorm(3, eps=float("inf")), InputError, "eps must be a finite number >= 0"),
     (lambda: BatchNorm(3, momentum=5), InputError, "momentum must be a finite number in"),
     (lambda: BatchNorm(3, momentum=float("nan")), InputError, "momentum"),
 ], ids=["logits-1d", "logits-3d", "samples-float", "samples-bool", "optimizer-keyword",

@@ -139,16 +139,16 @@ def cmd_oracle(args) -> int:
     batch = x[: config.batch_size].copy()
     labels = np.asarray(y)[: config.batch_size].copy()
     del x, y
-    model.train_batch(batch, labels)
+    _, _, factors = model.train_batch(batch, labels)
     if args.mode == "exact":
         oracle = exact_fisher_diag(model, batch)
     else:
         oracle = mc_fisher_diag(model, batch, n_samples=args.samples, rng=mc_rng)
     rows = []
     for i, layer in model.param_layers():
-        approx = layer.kronecker_diagonal(layer.capture["h"], layer.capture["s"])
+        approx = layer.kronecker_diagonal(factors[i, "h"], factors[i, "s"])
         names = sorted(approx)  # one MAE over the layer's arrays in name order
-        mae = approximation_mae(np.concatenate([oracle[i][n].ravel() for n in names]),
+        mae = approximation_mae(np.concatenate([oracle[i, n].ravel() for n in names]),
                                 np.concatenate([approx[n].ravel() for n in names]))
         if not np.isfinite(mae):  # refused before any file is written
             raise NumericError(f"non-finite {args.mode} Fisher MAE of layer {i}: a diagonal "

@@ -2,9 +2,9 @@
 
 The exact oracle sums the squared per-sample gradients over every class label,
 weighted by the predictive probabilities p; the Monte-Carlo estimator samples
-labels from the predictive distribution instead. Each layer's diagonal is one
-array per parameter, keyed by its name and shaped like it, the layout of
-each layer's kronecker_diagonal.
+labels from the predictive distribution instead. Both return
+{(layer id, parameter name): array}, each shaped like its parameter, the
+layout of the training pass's gradients and of KFState.divisors.
 
 Both walk the batch in chunks of consecutive rows, sized so that a chunk's
 input fits CACHE_BUDGET bytes (at least one row; a batch that fits is one
@@ -24,8 +24,8 @@ array a that also feeds training: g_n a_n^T and g_n summed over positions
 (Dense and Conv2d, KFC), or the per-feature sums of g_n * a_n and g_n with a
 the normalized input (the norms). The totals add each chunk's sums in chunk
 order, so reruns are bit-identical. The walk forms no parameter gradients or
-captures: afterwards a model's grads and captures are as they were, and its
-layers' forward state is the last chunk's. The Monte-Carlo estimator draws
+factors, and afterwards its layers' forward state is the last chunk's. The
+Monte-Carlo estimator draws
 all of its uniforms for the whole batch from the Generator it is given before
 the first chunk, so the labels do not depend on the chunk size; the oracle
 command gives it the run's label stream (training.run_streams), not the
@@ -62,12 +62,11 @@ def _signal_weighted_diag(model: Model, batch: np.ndarray, signals) -> dict:
     Runs the eval-mode forward and the signals' walks one chunk of consecutive
     rows at a time, max(1, CACHE_BUDGET // bytes per input row) rows, so the
     layer state that every walk reads again is one chunk's, not the whole
-    batch's. The sums add up in chunk order. Afterwards the layers' forward
-    state is the last chunk's; grads and captures are untouched."""
+    batch's. The sums add up in chunk order, into {(layer id, name): array}.
+    Afterwards the layers' forward state is the last chunk's."""
     m = batch.shape[0]
     step = max(1, CACHE_BUDGET // max(batch[0].nbytes, 1))
-    total = {i: {name: np.zeros_like(arr) for name, arr in layer.params.items()}
-             for i, layer in model.param_layers()}
+    total = {(i, name): np.zeros_like(arr) for i, name, arr in model.parameters()}
     for start in range(0, m, step):
         rows = slice(start, start + step)
         p = softmax(model.forward(batch[rows], training=False))
@@ -75,7 +74,7 @@ def _signal_weighted_diag(model: Model, batch: np.ndarray, signals) -> dict:
             w = w / m
             for i, layer, dout in model.reverse_walk(grad):
                 for name, sq in layer.sample_sq(dout, w).items():
-                    total[i][name] += sq
+                    total[i, name] += sq
     return total
 
 
@@ -112,7 +111,7 @@ def _label_counts(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def exact_fisher_diag(model: Model, batch: np.ndarray) -> dict:
     """Exact Fisher diagonal, the expectation over every class label, averaged
-    over the batch: {layer id: {parameter name: array}}. Walks the C - 1
+    over the batch: {(layer id, parameter name): array}. Walks the C - 1
     columns of each chunk's _multinomial_factor, each with unit row weights."""
     def factor_columns(p, rows):
         if p.shape[1] > MAX_CLASSES:

@@ -1,11 +1,11 @@
 """Diagonal Kronecker-factor engine: the EMA, min-max and lambda.
 
 Per parameterized layer we keep the diagonals of the activation second-moment
-factor (h) and the pre-activation-gradient second-moment factor (s), which the
-layer's param_stats captures directly (layer.capture), and smooth them with an
-EMA in which the *fresh* factor carries weight gamma. KFState.factors is keyed
-(layer id, "h" | "s"), like the gradients and divisors; their lengths are the
-layer's factor_sizes.
+factor (h) and the pre-activation-gradient second-moment factor (s), the
+factor table a capturing training pass returns (Model.train_batch), and
+smooth them with an EMA in which the *fresh* factor carries weight gamma.
+KFState.factors is keyed (layer id, "h" | "s"), like that table, the
+gradients and the divisors; their lengths are the layer's factor_sizes.
 
 KFState.divisors min-max normalizes the factors (all zero for norm layers
 under norm_fisher_off), lays the diagonal of H (x) S out like the layer's
@@ -67,9 +67,9 @@ class KFState:
 
     def update(self, fresh: dict[tuple[int, str], np.ndarray]) -> "KFState":
         """EMA every factor with its fresh diagonal, gamma*fresh + (1-gamma)*old;
-        fresh must hold exactly the state's keys (a layer that ran no backward
-        pass has captured none), each shaped like the state's factor. Every
-        fresh factor is checked before any changes."""
+        fresh must hold exactly the state's keys (a pass with capture=False
+        returns none), each shaped like the state's factor. Every fresh
+        factor is checked before any changes."""
         if fresh.keys() != self.factors.keys():
             i, name = min(fresh.keys() ^ self.factors.keys())
             why = "missing; run a backward pass first" if (i, name) in self.factors else "unknown"

@@ -13,22 +13,26 @@ im2col patches and sample n's gradients are g_n a_n^T (W) and g_n summed over
 T (b); and Norm (BatchNorm, LayerNorm), where a is the normalized input and
 they are the per-feature sums of g_n * a_n (scale) and g_n (shift).
 
-param_stats(dout) fills grads with the mini-batch-mean gradients and capture
-with the diagonals of the two Kronecker factors (KFC): "h", the mean squares
-of a (exactly 1.0 in the bias slot), and "s", those of g at per-sample-loss
-scale (squared, then times M * M for a batch of M rows), over all axes but
-the feature axis. The capture is formed only when the caller reads it:
-train_batch(x, y, capture=False), which the training step passes for the
-optimizers that read no curvature (Adam, SGD), fills grads alone and leaves
-every capture {}. For the Fisher oracle's eval-mode walk, where row n of dout
-is sample n's own signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's
-gradient)**2 from the same a and g instead. kronecker_diagonal(h, s) lays the
-diagonal of H (x) S out like the layer's parameters: h[j] * s[k] at weight
-(k, j) and h[-1] * s[k] at bias k; h * s and s at a norm's scale and shift.
+A pass returns what it computes and stores none of it on the layers.
+param_stats(dout) returns (grads, factors), each {name: array}: the
+mini-batch-mean gradients and the diagonals of the two Kronecker factors
+(KFC), "h", the mean squares of a (exactly 1.0 in the bias slot), and "s",
+those of g at per-sample-loss scale (squared, then times M * M for a batch of
+M rows), over all axes but the feature axis. Model.backward and train_batch
+key them by layer: {(i, name): gradient} and {(i, "h" | "s"): factor}, the
+layout of every per-parameter table in the package. The factors are formed
+only when the caller reads them: train_batch(x, y, capture=False), which the
+training step passes for the optimizers that read no curvature (Adam, SGD),
+returns an empty factor table. For the Fisher oracle's eval-mode walk, where
+row n of dout is sample n's own signal, sample_sq(dout, w) returns
+sum_n w[n] * (sample n's gradient)**2 from the same a and g instead.
+kronecker_diagonal(h, s) lays the diagonal of H (x) S out like the layer's
+parameters: h[j] * s[k] at weight (k, j) and h[-1] * s[k] at bias k; h * s
+and s at a norm's scale and shift.
 
 A training pass can simulate K workers (Model.train_batch(x, y, workers=K)):
 worker k's shard is the k-th block of M/K consecutive rows. With equal shards,
-the worker mean of the shards' mean losses, gradients and captures is the
+the worker mean of the shards' mean losses, gradients and factors is the
 full-batch value, so every layer, param_stats and the loss run once on the
 whole batch at the 1/M per-sample-loss scale. Only BatchNorm reads workers: in
 training it normalizes each shard by the shard's own statistics (ghost batch
@@ -43,10 +47,13 @@ offset, and so copies no windows and scatters no indices. Its input gradient,
 like Conv2d's (tensor.col2im_batch), assigns at each offset that touches an
 input entry first and adds only where windows overlap.
 
-Layers keep only what their backward reads (Activation its derivative, not
-its input), and only one pass of it: each forward first drops the arrays its
-last pass kept, before it allocates new ones, so two generations of them are
-never live at once.
+Layers keep their parameters, BatchNorm its running statistics, and of a
+pass only what their backward reads (Activation its derivative, not its
+input; BatchNorm the per-worker sums param_stats forms for its input_grad),
+and only one pass of it: each forward first drops the arrays its last pass
+kept, before it allocates new ones, so two generations of them are never live
+at once. Their constructors refuse (SizeError) a layer of more parameter
+values than datasets.MAX_SYNTH_VALUES before allocating anything.
 """
 
 from __future__ import annotations
@@ -57,13 +64,22 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionError, InputError, StateError, UnsupportedError,
-                     check_count, check_flag, check_number, check_pair)
+from .datasets import MAX_SYNTH_VALUES
+from .errors import (ConfigError, DimensionError, InputError, SizeError, StateError,
+                     UnsupportedError, check_count, check_flag, check_number, check_pair)
 from .tensor import col2im_batch, conv_out_size, im2col_batch, window_slices
 
 
 _size = partial(check_count, error=InputError)
 _pair = partial(check_pair, error=InputError)
+
+
+def _check_size(kind: str, values: int) -> None:
+    """Refuse, before any array is allocated, a layer of more parameter values
+    than the desk-scale guard."""
+    if values > MAX_SYNTH_VALUES:
+        raise SizeError(f"{kind} has {values} parameter values, over the guard "
+                        f"of {MAX_SYNTH_VALUES}")
 
 
 def _per_worker(a: np.ndarray, workers: int) -> np.ndarray:
@@ -93,8 +109,6 @@ class Layer:
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self.capture: dict[str, np.ndarray] = {}
 
     def init(self, rng: np.random.Generator):
         pass
@@ -105,20 +119,19 @@ class Layer:
     def input_grad(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def param_stats(self, dout: np.ndarray, capture: bool = True):
-        """Fill grads with the batch gradients from dout, the gradient at the
-        layer's output, and, if capture, capture with the factor diagonals h
-        of _a and s of dout; else leave the capture empty."""
+    def param_stats(self, dout: np.ndarray, capture: bool = True) -> tuple[dict, dict]:
+        """(grads, factors): the batch gradients from dout, the gradient at the
+        layer's output, and, if capture, the factor diagonals h of _a and s of
+        dout (else {}), each {name: array}."""
         g = dout.reshape(dout.shape[0], dout.shape[1], -1)
-        self.grads = self._sample_sums(g)
+        grads = self._sample_sums(g)
         if not capture:
-            self.capture = {}
-            return
+            return grads, {}
         h = _mean_sq(self._a)
         if "b" in self.params:
             h = np.append(h, 1.0)
         m = g.shape[0]  # per-sample-loss scale: the loss is a mean over m rows
-        self.capture = {"h": h, "s": _mean_sq(g) * (m * m)}
+        return grads, {"h": h, "s": _mean_sq(g) * (m * m)}
 
     def sample_sq(self, dout: np.ndarray, w: np.ndarray) -> dict:
         """sum_n w[n] * (sample n's gradient)**2, row n of dout being sample
@@ -140,6 +153,7 @@ class Kronecker(Layer):
     def __init__(self, w_shape: tuple, scale: float, bias: bool):
         super().__init__()
         self.bias = bias = check_flag("bias", bias, InputError)
+        _check_size(type(self).__name__, math.prod(w_shape) + bias * w_shape[0])
         self._scale = scale  # standard deviation of the initial weights
         self.params["W"] = np.zeros(w_shape)
         if bias:
@@ -245,6 +259,7 @@ class Norm(Layer):
         super().__init__()
         self.dim = dim = _size("dim", dim)
         self.eps = check_eps("eps", eps, error=InputError)
+        _check_size(type(self).__name__, 2 * dim)
         self.params["scale"] = np.ones(dim)
         self.params["shift"] = np.zeros(dim)
         self.factor_sizes = (dim, dim)
@@ -456,7 +471,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     log_p = np.log(np.clip(p[idx, labels], 1e-300, None))
     grad = p.copy()
     grad[idx, labels] -= 1.0
-    return -np.mean(log_p), grad / m
+    return np.mean(-log_p), grad / m  # not -np.mean(log_p): that reads -0.0 at a zero loss
 
 
 def mse(pred: np.ndarray, target: np.ndarray):
@@ -510,18 +525,24 @@ class Model:
             if i > first:
                 grad = layer.input_grad(grad)
 
-    def backward(self, loss_grad: np.ndarray, capture: bool = True) -> None:
-        """Fill every parameterized layer's grads and, if capture, its capture
-        (else leave it empty)."""
+    def backward(self, loss_grad: np.ndarray, capture: bool = True) -> tuple[dict, dict]:
+        """(grads, factors): {(i, name): gradient} and, if capture (else {}),
+        {(i, "h" | "s"): factor diagonal} of every parameterized layer i, in
+        layer order."""
         if not getattr(self, "_ran_forward", False):
             raise StateError("backward called before forward")
-        for _, layer, dout in self.reverse_walk(loss_grad):
-            layer.param_stats(dout, capture)
+        stats = [(i, layer.param_stats(dout, capture))
+                 for i, layer, dout in self.reverse_walk(loss_grad)]
+        grads, factors = {}, {}
+        for i, (g, f) in reversed(stats):
+            grads.update(((i, name), arr) for name, arr in g.items())
+            factors.update(((i, name), arr) for name, arr in f.items())
+        return grads, factors
 
-    def train_batch(self, x, y, workers: int = 1, capture: bool = True) -> float:
-        """Forward + backward on one batch; fills grads and (if capture, else
-        empties) captures and returns the mean loss. BatchNorm normalizes each
-        of `workers` equal shards of consecutive rows by its own statistics."""
+    def train_batch(self, x, y, workers: int = 1, capture: bool = True):
+        """Forward + backward on one batch: (mean loss, grads, factors), the
+        tables of backward. BatchNorm normalizes each of `workers` equal shards
+        of consecutive rows by its own statistics."""
         m = np.shape(x)[0]
         if m == 0:
             raise InputError("empty batch")
@@ -529,8 +550,7 @@ class Model:
             raise ConfigError(f"workers must divide the batch size; got {workers} for M={m}")
         out = self.forward(x, training=True, workers=workers)
         loss, dout = self.loss_and_grad(out, y)
-        self.backward(dout, capture)
-        return loss
+        return (loss, *self.backward(dout, capture))
 
     def param_layers(self):
         return [(i, l) for i, l in enumerate(self.layers) if l.params]

@@ -6,13 +6,17 @@ arguments for library callers (each hyperparameter a real number, not a bool,
 in its range; each flag a bool) and raise ConfigError otherwise. They own
 these rules for run configs too: RunConfig.from_dict builds them once.
 
-One walk, Optimizer.step, serves every optimizer. Before it changes anything
-it checks that every gradient (and, for AdaFisher, every divisor) is there
-and shaped like its parameter, and that every moment it already holds for a
-parameter is shaped like it (a StateError otherwise: the optimizer was
-stepped on another model), so a step that raises leaves the state as it
-was; then it counts the step and calls the subclass's _update on each
-parameter, its gradient, its moments and its divisor.
+One walk, Optimizer.step(model, grads, divisors), serves every optimizer. It
+reads the gradient table a training pass returns, {(layer id, parameter
+name): gradient} (Model.train_batch), and, for AdaFisher, the divisors
+KFState.divisors returns under the same keys. Before it changes anything it
+checks that every gradient (and, for AdaFisher, every divisor) is there and
+shaped like its parameter, that grads holds no key the model has no
+parameter for, and that every moment it already holds for a parameter is
+shaped like it (a StateError otherwise: the optimizer was stepped on another
+model), so a step that raises leaves the state as it was; then it counts the
+step and calls the subclass's _update on each parameter, its gradient, its
+moments and its divisor.
 One table, opt.moments, maps (layer id, parameter name) to the n_moments
 arrays made as zeros when first met: AdaFisher's m, Adam's m and v, SGD's
 momentum buffer (none without momentum).
@@ -24,7 +28,7 @@ curvature supplies its own smoothing through the factor EMA. AdaFisherW is
 AdaFisher with a decoupled weight decay kappa > 0, so both names build one.
 
 The Adam and SGD baselines read no curvature (needs_divisors is False), so
-their training step forms no factor capture. Every _update changes its
+their training step forms no factors. Every _update changes its
 moments and parameter in place, with the float operations of the textbook
 formulas in their order (m *= b1; m += (1 - b1) * g rounds as
 b1 * m + (1 - b1) * g), so an Adam step allocates only its update and one
@@ -81,12 +85,12 @@ class Optimizer:
         self.t = 0
         self.moments: dict[tuple[int, str], tuple[np.ndarray, ...]] = {}
 
-    def step(self, model: Model, divisors: dict | None = None) -> None:
+    def step(self, model: Model, grads: dict, divisors: dict | None = None) -> None:
         if self.needs_divisors and divisors is None:
             raise ConfigError(f"{type(self).__name__} requires curvature divisors")
         work = []
         for i, name, p in model.parameters():
-            g = model.layers[i].grads.get(name)
+            g = grads.get((i, name))
             if g is None:
                 raise StateError(f"layer {i} parameter {name} has no gradient; "
                                  "run a backward pass first")
@@ -103,6 +107,10 @@ class Optimizer:
                                      f"parameter {p.shape}; the optimizer was stepped on "
                                      f"another model")
             work.append(((i, name), p, g, div))
+        if len(grads) > len(work):
+            known = {key for key, *_ in work}
+            key = next(key for key in grads if key not in known)
+            raise StateError(f"gradient {key} is unknown: the model has no such parameter")
         self.t += 1
         for key, p, g, div in work:
             if key not in self.moments:

@@ -6,7 +6,9 @@ the worker mean of the shards' mean losses, gradients and fresh factor
 diagonals is the full-batch value, so a step runs one pass over the whole
 batch, Model.train_batch(x, y, workers=K). Workers shape only BatchNorm's ghost
 batches (see nn), so a net without BatchNorm gives the one-worker step bit for
-bit at every K. A non-finite loss, gradient or factor raises NumericError
+bit at every K. The pass returns its loss and its gradient and factor tables,
+keyed (layer id, name); the step hands them on to KFState.update and
+Optimizer.step. A non-finite loss, gradient or factor raises NumericError
 before the EMA state or the optimizer changes. An optimizer that reads no
 divisors (Adam, SGD) gets a pass that forms no factors at all.
 
@@ -46,12 +48,6 @@ METRIC_KEYS = ("epoch", "step", "train_loss", "eval_loss", "accuracy",
                "optimizer", "seed")
 
 
-def keyed(model: Model, attr: str) -> dict[tuple[int, str], np.ndarray]:
-    """{(layer id, name): array} of every parameterized layer's grads or capture."""
-    return {(i, name): arr for i, layer in model.param_layers()
-            for name, arr in getattr(layer, attr).items()}
-
-
 def _check_finite(step: int, quantity: str, arrays: dict) -> None:
     """Raise NumericError naming the step, the layer and the quantity of the
     first array in {(layer, name): array} that holds a non-finite entry."""
@@ -65,20 +61,19 @@ def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
     """One synchronized step: K-worker pass -> check -> EMA -> divisors ->
     update. Returns the batch's mean loss, the mean of the workers' losses."""
     step = opt.t + 1
-    loss = model.train_batch(np.asarray(x, dtype=np.float64), np.asarray(y), workers,
-                             capture=opt.needs_divisors)
+    loss, grads, factors = model.train_batch(np.asarray(x, dtype=np.float64), np.asarray(y),
+                                             workers, capture=opt.needs_divisors)
     if not np.isfinite(loss):
         raise NumericError(f"step {step}: non-finite training loss")
-    _check_finite(step, "gradient", keyed(model, "grads"))
+    _check_finite(step, "gradient", grads)
     divisors = None
     if opt.needs_divisors:
         if kf_state is None:
             raise ConfigError("AdaFisher training requires a KFState")
-        factors = keyed(model, "capture")
         _check_finite(step, "factor", factors)
         kf_state.update(factors)
         divisors = kf_state.divisors(model)
-    opt.step(model, divisors)
+    opt.step(model, grads, divisors)
     return float(loss)
 
 

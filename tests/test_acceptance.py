@@ -12,7 +12,7 @@ import pytest
 from numpy.random import default_rng
 
 from adafisher.diagnostics import fft2, gershgorin, perturb_offdiag, snr
-from adafisher.training import keyed, train_step
+from adafisher.training import train_step
 from adafisher.fisher import exact_fisher_diag, mc_fisher_diag
 from adafisher.kfactor import KFState
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
@@ -47,12 +47,12 @@ def test_01_gradient_correctness(capsys):
     x = rng.standard_normal((6, 2, 4, 4))
     y = rng.integers(0, 5, size=6)
     fd = finite_diff_grad(model, x, y, 1e-5)
-    model.train_batch(x, y)
+    _, grads, _ = model.train_batch(x, y)
+    assert grads.keys() == fd.keys()
     worst = 0.0
-    for i, layer in model.param_layers():
-        for name, g in layer.grads.items():
-            ref = fd[(i, name)]
-            worst = max(worst, np.max(np.abs(g - ref)) / max(np.max(np.abs(ref)), 1e-12))
+    for key, g in grads.items():
+        ref = fd[key]
+        worst = max(worst, np.max(np.abs(g - ref)) / max(np.max(np.abs(ref)), 1e-12))
     report(capsys, 1, f"analytic vs central-difference gradients, worst rel err {worst:.2e}",
            worst <= 1e-6)
 
@@ -86,7 +86,7 @@ def test_02_factored_efim_equivalence(capsys):
 def test_03_fisher_validity(capsys):
     model = Model([Dense(3, 4, bias=False)]).init(default_rng(3))
     x = default_rng(4).standard_normal((1, 3))
-    exact = exact_fisher_diag(model, x)[0]["W"]
+    exact = exact_fisher_diag(model, x)[0, "W"]
 
     # factored reconstruction: with one sample the activation factor is exact,
     # and the label-averaged squared backprop signal supplies the other factor
@@ -96,13 +96,13 @@ def test_03_fisher_validity(capsys):
     for cls in range(4):
         grad_out = p.copy()[None, :]
         grad_out[0, cls] -= 1.0
-        model.backward(grad_out)
-        s_sq += p[cls] * model.layers[0].capture["s"]
-    h_diag = model.layers[0].capture["h"]
+        _, factors = model.backward(grad_out)
+        s_sq += p[cls] * factors[0, "s"]
+    h_diag = factors[0, "h"]
     product = model.layers[0].kronecker_diagonal(h_diag, s_sq)["W"]
     err_exact = float(np.max(np.abs(product - exact)))
 
-    mc = mc_fisher_diag(model, x, n_samples=10_000, rng=default_rng(0))[0]["W"]
+    mc = mc_fisher_diag(model, x, n_samples=10_000, rng=default_rng(0))[0, "W"]
     rel_mc = float(np.max(np.abs(mc - exact) / np.maximum(np.abs(exact), 1e-12)))
     report(capsys, 3, f"KF product vs enumeration {err_exact:.2e}; MC@1e4 rel err {rel_mc:.2%}",
            err_exact <= 1e-12 and rel_mc <= 0.05)
@@ -225,8 +225,8 @@ def test_08_ablation_behavior(capsys):
     model, x, y = _ablation_model()
     divs = []
     for _ in range(2):
-        model.train_batch(x, y)
-        transient = KFState(factors=keyed(model, "capture"))
+        _, grads, factors = model.train_batch(x, y)
+        transient = KFState(factors=factors)
         divs.append(transient.divisors(model))
     ema_ok = set(divs[0]) == set(divs[1]) and all(
         np.array_equal(divs[0][key], divs[1][key]) for key in divs[0])
@@ -234,18 +234,18 @@ def test_08_ablation_behavior(capsys):
     # sqrt toggle: with beta=0 and alpha=1 each step is the gradient divided
     # by the square root of the default divisor
     state = KFState.for_model(model)
-    state.update(keyed(model, "capture"))
+    state.update(factors)
     divisors = state.divisors(model)
     stepped = model.copy()
-    AdaFisher(alpha=1.0, beta=0.0, sqrt_divisor=True).step(stepped, divisors)
+    AdaFisher(alpha=1.0, beta=0.0, sqrt_divisor=True).step(stepped, grads, divisors)
     sqrt_err = max(
-        float(np.max(np.abs((p0 - p) - stepped.layers[i].grads[name]
+        float(np.max(np.abs((p0 - p) - grads[i, name]
                             / np.sqrt(divisors[i, name]))))
         for (i, name, p0), (_, _, p) in zip(model.parameters(), stepped.parameters()))
 
     # normalization-Fisher off: identity factors collapse to the damping floor
     state_off = KFState.for_model(model, norm_fisher_off=True)
-    state_off.update(keyed(model, "capture"))
+    state_off.update(factors)
     div_off = state_off.divisors(model)
     norm_ok = (np.array_equal(div_off[1, "scale"], np.full(8, state.lam))
                and np.array_equal(div_off[1, "shift"], np.full(8, state.lam)))
@@ -257,15 +257,13 @@ def test_08_ablation_behavior(capsys):
 
 def test_09_decoupled_decay(capsys):
     model, x, y = _ablation_model()
-    model.train_batch(x, y)  # populate captures, then zero the gradients
+    _, grads, factors = model.train_batch(x, y)  # the pass's factors, zero gradients
     before = {(i, n): p.copy() for i, n, p in model.parameters()}
-    for _, layer in model.param_layers():
-        for name in layer.grads:
-            layer.grads[name][:] = 0.0
+    zeros = {key: np.zeros_like(g) for key, g in grads.items()}
     state = KFState.for_model(model)
-    state.update(keyed(model, "capture"))
+    state.update(factors)
     opt = AdaFisher(alpha=0.01, kappa=0.1)
-    opt.step(model, state.divisors(model))
+    opt.step(model, zeros, state.divisors(model))
     worst = 0.0
     for i, name, p in model.parameters():
         expected = before[(i, name)] * (1.0 - 0.001)

@@ -7,7 +7,26 @@ from adafisher.kfactor import MINMAX_EPS, KFState
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                           MaxPool2d, Model, _per_worker)
 from adafisher.optim import Adam, AdaFisher, SGD
-from adafisher.training import keyed, train_step
+from adafisher.training import train_step
+
+
+def recorded_passes(model, monkeypatch):
+    """The list that collects (loss, grads, factors) of every training pass
+    run on model from now on, in order."""
+    passes = []
+    train_batch = model.train_batch
+
+    def record(*args, **kwargs):
+        passes.append(train_batch(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(model, "train_batch", record)
+    return passes
+
+
+def assert_same_tables(got, expected):
+    assert got.keys() == expected.keys()
+    assert all(np.array_equal(got[key], arr) for key, arr in expected.items())
 
 
 def mlp(seed=0):
@@ -42,18 +61,18 @@ class TestShardBatch:
 
 
 class TestTrainStep:
-    def test_sharded_grad_mean_equals_full_batch_mean(self):
+    def test_sharded_grad_mean_equals_full_batch_mean(self, monkeypatch):
         # per-shard mean gradients averaged over equal shards == full-batch mean
         x, y = make_batch(3, m=12)
-        ref = mlp(seed=7)
-        ref.train_batch(x, y)
-        expected = {(i, n): g.copy() for i, l in ref.param_layers()
-                    for n, g in l.grads.items()}
+        _, expected, _ = mlp(seed=7).train_batch(x, y)
 
         model = mlp(seed=7)
+        passes = recorded_passes(model, monkeypatch)
         train_step(model, x, y, SGD(alpha=0.0001), workers=4)
-        for (i, name), g in expected.items():
-            assert np.max(np.abs(model.layers[i].grads[name] - g)) < 1e-13
+        (_, got, _), = passes
+        assert got.keys() == expected.keys()
+        for key, g in expected.items():
+            assert np.max(np.abs(got[key] - g)) < 1e-13
 
     def test_worker_count_invariance(self):
         # identical parameters after many steps regardless of K
@@ -78,9 +97,9 @@ class TestTrainStep:
         m2 = mlp(seed=2)
         o1, o2 = AdaFisher(), AdaFisher()
         s1, s2 = KFState.for_model(m1), KFState.for_model(m2)
-        l1 = m1.train_batch(x, y)
-        s1.update(keyed(m1, "capture"))
-        o1.step(m1, s1.divisors(m1))
+        l1, g1, f1 = m1.train_batch(x, y)
+        s1.update(f1)
+        o1.step(m1, g1, s1.divisors(m1))
         l2 = train_step(m2, x, y, o2, s2, workers=1)
         assert l1 == l2
         for key, vec in s1.factors.items():
@@ -122,8 +141,7 @@ class TestTrainStep:
         for seed in (9, 11):
             x, y = make_batch(seed, m=8)
             probe = model.copy()
-            probe.train_batch(x, y)
-            expected = keyed(probe, "capture")
+            _, _, expected = probe.train_batch(x, y)
             train_step(model, x, y, AdaFisher(), state, workers=workers)
             for key, vec in expected.items():
                 assert np.array_equal(state.factors[key], vec)
@@ -134,7 +152,7 @@ class TestTrainStep:
         per_shard = []
         probe = model.copy()
         for xs, ys in zip(np.split(x, 2), np.split(y, 2)):
-            per_shard.append(probe.train_batch(xs, ys))
+            per_shard.append(probe.train_batch(xs, ys)[0])
         loss = train_step(model, x, y, SGD(alpha=1e-9), workers=2)
         assert loss == pytest.approx(np.mean(per_shard), abs=1e-12)
 
@@ -169,17 +187,17 @@ class TestFiniteGuard:
         self.assert_unchanged(model, opt, state, snapshot)
 
     @pytest.mark.parametrize("quantity, corrupt", [
-        ("gradient b of layer 2", lambda layer: layer.grads["b"].__setitem__(1, np.inf)),
-        ("factor h of layer 2", lambda layer: layer.capture["h"].__setitem__(0, np.nan)),
+        ("gradient b of layer 2", lambda grads, factors: grads[2, "b"].__setitem__(1, np.inf)),
+        ("factor h of layer 2", lambda grads, factors: factors[2, "h"].__setitem__(0, np.nan)),
     ], ids=["gradient", "factor"])
     def test_named_layer_and_quantity(self, quantity, corrupt, monkeypatch):
         model, opt, state, snapshot = self.started(workers=2)
         train_batch = model.train_batch
 
         def corrupted(*args, **kwargs):
-            loss = train_batch(*args, **kwargs)
-            corrupt(model.layers[2])
-            return loss
+            loss, grads, factors = train_batch(*args, **kwargs)
+            corrupt(grads, factors)
+            return loss, grads, factors
 
         monkeypatch.setattr(model, "train_batch", corrupted)
         with pytest.raises(NumericError, match=f"step 2: non-finite {quantity}$"):
@@ -258,7 +276,8 @@ class TestExactWorkers:
         (every_kind, every_kind_batch), (regression, regression_batch),
         (one_feature, one_feature_batch),
     ], ids=["every-kind", "mse", "one-feature"])
-    def test_step_equals_ordered_mean_of_shard_passes(self, make_model, make_data, workers):
+    def test_step_equals_ordered_mean_of_shard_passes(self, make_model, make_data, workers,
+                                                      monkeypatch):
         """The K-worker step against each np.split shard run through its own
         pass and averaged in worker order.
 
@@ -291,25 +310,25 @@ class TestExactWorkers:
 
         losses, grads, captures = [], [], []
         for xs, ys in zip(np.split(x, workers), np.split(y, workers)):
-            losses.append(ref.train_batch(xs, ys))
-            grads.append(keyed(ref, "grads"))
-            captures.append(keyed(ref, "capture"))
+            shard_loss, shard_grads, shard_factors = ref.train_batch(xs, ys)
+            losses.append(shard_loss)
+            grads.append(shard_grads)
+            captures.append(shard_factors)
 
         def ordered_mean(parts):
             return {key: sum((p[key] for p in parts[1:]), arr) / len(parts)
                     for key, arr in parts[0].items()}
 
         mean_grads = ordered_mean(grads)
-        for (i, name), g in mean_grads.items():
-            ref.layers[i].grads[name] = g
         ref_state.update(ordered_mean(captures))
-        ref_opt.step(ref, ref_state.divisors(ref))
+        ref_opt.step(ref, mean_grads, ref_state.divisors(ref))
 
+        passes = recorded_passes(model, monkeypatch)
         loss = train_step(model, x, y, opt, state, workers=workers)
         eps = 2 * (len(x) - 1) * UNIT_ROUNDOFF
         ref_loss = float(np.mean(losses))
         assert abs(loss - ref_loss) <= eps * ref_loss
-        got = keyed(model, "grads")
+        (_, got, _), = passes
         assert got.keys() == mean_grads.keys()
         g_max = largest(mean_grads.values())
         assert all(np.abs(got[key] - g).max() <= eps * g_max for key, g in mean_grads.items())
@@ -334,19 +353,21 @@ class TestExactWorkers:
         (regression, regression_batch), (dense_only, make_batch),
         (no_batchnorm, every_kind_batch),
     ], ids=["mse", "dense", "no-batchnorm"])
-    def test_batchnorm_free_step_equals_one_worker(self, make_model, make_data, workers):
+    def test_batchnorm_free_step_equals_one_worker(self, make_model, make_data, workers,
+                                                   monkeypatch):
         # Only BatchNorm reads workers, so without it the K-worker step is the
         # one-worker step bit for bit: loss, gradients, factors and parameters.
         x, y = make_data(40 + workers)
         model = make_model(seed=workers)
         ref = model.copy()
+        passes, ref_passes = recorded_passes(model, monkeypatch), recorded_passes(ref, monkeypatch)
         state, ref_state = KFState.for_model(model, gamma=1.0), KFState.for_model(ref, gamma=1.0)
         loss = train_step(model, x, y, AdaFisher(alpha=0.01), state, workers=workers)
         assert loss == train_step(ref, x, y, AdaFisher(alpha=0.01), ref_state)
-        for attr in ("grads", "capture"):
-            got, expected = keyed(model, attr), keyed(ref, attr)
-            assert got.keys() == expected.keys()
-            assert all(np.array_equal(got[key], arr) for key, arr in expected.items())
+        (_, *tables), = passes
+        (_, *ref_tables), = ref_passes
+        for got, expected in zip(tables, ref_tables):
+            assert_same_tables(got, expected)
         assert all(np.array_equal(state.factors[key], vec)
                    for key, vec in ref_state.factors.items())
         for (_, _, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
@@ -354,26 +375,20 @@ class TestExactWorkers:
 
 
 class TestCaptureOnlyWhenRead:
-    """A step forms the factor capture only for an optimizer that reads it."""
-
-    @staticmethod
-    def assert_same(model, ref, attr):
-        got, expected = keyed(model, attr), keyed(ref, attr)
-        assert got.keys() == expected.keys()
-        assert all(np.array_equal(got[key], arr) for key, arr in expected.items())
+    """A step forms the factors only for an optimizer that reads them."""
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("make_opt", [Adam, lambda: SGD(momentum=0.9)], ids=["adam", "sgd"])
-    def test_baseline_step_leaves_every_capture_empty(self, make_opt, workers):
+    def test_baseline_step_leaves_every_capture_empty(self, make_opt, workers, monkeypatch):
         x, y = every_kind_batch(30)
         model = every_kind(seed=30)
         ref = model.copy()
-        model.train_batch(x, y)  # the default fills every capture first
-        assert all(set(layer.capture) == {"h", "s"} for _, layer in model.param_layers())
+        passes = recorded_passes(model, monkeypatch)
         train_step(model, x, y, make_opt(), workers=workers)
-        assert all(layer.capture == {} for layer in model.layers)
-        ref.train_batch(x, y, workers)  # the gradients are a capturing pass's, bit for bit
-        self.assert_same(model, ref, "grads")
+        (_, grads, factors), = passes
+        assert factors == {}
+        _, expected, _ = ref.train_batch(x, y, workers)  # a capturing pass's, bit for bit
+        assert_same_tables(grads, expected)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_capturing_pass_after_a_capture_off_pass_is_unchanged(self, workers):
@@ -381,15 +396,17 @@ class TestCaptureOnlyWhenRead:
         model = every_kind(seed=31)
         ref = model.copy()
         model.train_batch(x, y, workers, capture=False)
-        model.train_batch(x, y, workers)
-        ref.train_batch(x, y, workers)
-        assert len(keyed(model, "capture")) == 2 * len(model.param_layers())
-        self.assert_same(model, ref, "capture")
+        _, _, got = model.train_batch(x, y, workers)
+        _, _, expected = ref.train_batch(x, y, workers)
+        assert len(got) == 2 * len(model.param_layers())
+        assert_same_tables(got, expected)
 
-    def test_adafisher_step_reads_a_capturing_pass(self):
+    def test_adafisher_step_reads_a_capturing_pass(self, monkeypatch):
         x, y = every_kind_batch(32)
         model = every_kind(seed=32)
         ref = model.copy()
+        passes = recorded_passes(model, monkeypatch)
         train_step(model, x, y, AdaFisher(), KFState.for_model(model), workers=4)
-        ref.train_batch(x, y, 4)
-        self.assert_same(model, ref, "capture")
+        (_, _, got), = passes
+        _, _, expected = ref.train_batch(x, y, 4)
+        assert_same_tables(got, expected)

@@ -11,9 +11,8 @@ from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, Layer, 
 
 
 def flat(diag):
-    """Every entry of {layer: {name: array}}, by layer id, then parameter name."""
-    return np.concatenate([diag[i][name].ravel()
-                           for i in sorted(diag) for name in sorted(diag[i])])
+    """Every entry of {(layer, name): array}, by layer id, then parameter name."""
+    return np.concatenate([diag[key].ravel() for key in sorted(diag)])
 
 
 def softmax_regression(in_dim, n_classes, seed=0, bias=False):
@@ -89,15 +88,15 @@ class TestExactFisher:
         diag = exact_fisher_diag(model, x)
         expected = analytic_softmax_fisher(model, x)
         # bias-free layer: no homogeneous coordinate, so no "b" entry
-        assert set(diag[0]) == {"W"}
-        assert np.max(np.abs(diag[0]["W"] - expected)) < 1e-12
+        assert set(diag) == {(0, "W")}
+        assert np.max(np.abs(diag[0, "W"] - expected)) < 1e-12
 
     def test_matches_closed_form_batched(self):
         model = softmax_regression(4, 3, seed=2)
         x = default_rng(11).standard_normal((6, 4))
         diag = exact_fisher_diag(model, x)
         expected = analytic_softmax_fisher(model, x)
-        assert np.max(np.abs(diag[0]["W"] - expected)) < 1e-12
+        assert np.max(np.abs(diag[0, "W"] - expected)) < 1e-12
 
     def test_batch_average_of_per_sample_fishers(self):
         model = Model([Dense(3, 5), Activation("tanh"), Dense(5, 3)]).init(default_rng(3))
@@ -111,7 +110,7 @@ class TestExactFisher:
         model = Model([Dense(3, 4), LayerNorm(4), Activation("relu"),
                        Dense(4, 3)]).init(default_rng(4))
         diag = exact_fisher_diag(model, default_rng(13).standard_normal((3, 3)))
-        assert set(diag[1]) == {"scale", "shift"}
+        assert {name for i, name in diag if i == 1} == {"scale", "shift"}
         assert np.all(flat(diag) >= 0.0)
 
     def test_one_class_has_zero_fisher(self):
@@ -121,9 +120,8 @@ class TestExactFisher:
         for diag in (exact_fisher_diag(model, default_rng(14).standard_normal((5, 3))),
                      mc_fisher_diag(model, default_rng(14).standard_normal((5, 3)), n_samples=3,
                                     rng=default_rng(0))):
-            assert {i: {n: a.shape for n, a in d.items()} for i, d in diag.items()} == {
-                i: {n: a.shape for n, a in layer.params.items()}
-                for i, layer in model.param_layers()}
+            assert {key: a.shape for key, a in diag.items()} == {
+                (i, n): a.shape for i, n, a in model.parameters()}
             assert not flat(diag).any()
 
     def test_regression_model_rejected(self):
@@ -192,11 +190,9 @@ def reference_fisher(model, x, n_samples=None, rng=None):
         for y, weight in zip(labels, weights):
             grad_out = p.copy()[None, :]
             grad_out[0, y] -= 1.0
-            model.backward(grad_out)
-            for i, layer in model.param_layers():
-                dest = total.setdefault(i, {})
-                for name, g in layer.grads.items():
-                    dest[name] = dest.get(name, 0.0) + weight * g**2 / len(x)
+            grads, _ = model.backward(grad_out)
+            for key, g in grads.items():
+                total[key] = total.get(key, 0.0) + weight * g**2 / len(x)
     return total
 
 
@@ -232,8 +228,6 @@ EQUIVALENCE_NETS = {
 
 def assert_same_diag(got, ref, rtol=1e-12):
     assert sorted(got) == sorted(ref)
-    for i in ref:
-        assert sorted(got[i]) == sorted(ref[i])
     scale = np.max(np.abs(flat(ref)))
     assert scale > 0
     assert np.max(np.abs(flat(got) - flat(ref))) <= rtol * scale
@@ -364,25 +358,25 @@ class TestBatchedOracleEquivalence:
 
 
 def dense_block(monkeypatch, model, x, y, index):
-    """Full Kronecker product of dense layer `index`'s empirical factors, built
-    from the activation-side input _a and the signal dout that its
-    Layer.param_stats reads on one training pass, (M, F, 1) each, with the
-    homogeneous bias column."""
+    """(block, grads, factors): the full Kronecker product of dense layer
+    `index`'s empirical factors, built from the activation-side input _a and
+    the signal dout that its Layer.param_stats reads on one training pass,
+    (M, F, 1) each, with the homogeneous bias column; and the pass's tables."""
     kept = {}
     param_stats = Layer.param_stats
 
     def spy(layer, dout, *rest):
         kept[layer] = layer._a, dout[:, :, None]
-        param_stats(layer, dout, *rest)
+        return param_stats(layer, dout, *rest)
 
     monkeypatch.setattr(Layer, "param_stats", spy)
-    model.train_batch(x, y)
+    _, grads, factors = model.train_batch(x, y)
     layer = model.layers[index]
     a, g = (v[:, :, 0] for v in kept[layer])
     m = a.shape[0]
     h = np.hstack([a, np.ones((m, 1))]) if layer.bias else a
     s = g * m  # per-sample-loss scale
-    return np.kron(h.T @ h / m, s.T @ s / m)
+    return np.kron(h.T @ h / m, s.T @ s / m), grads, factors
 
 
 class TestDenseKroneckerBlock:
@@ -390,18 +384,17 @@ class TestDenseKroneckerBlock:
         # with one sample the factored block is exactly the gradient outer product
         model = Model([Dense(3, 2), Activation("tanh"), Dense(2, 3)]).init(default_rng(20))
         x = default_rng(21).standard_normal((1, 3))
-        block = dense_block(monkeypatch, model, x, np.array([1]), 0)
-        layer = model.layers[0]
-        g = np.hstack([layer.grads["W"], layer.grads["b"][:, None]])
+        block, grads, _ = dense_block(monkeypatch, model, x, np.array([1]), 0)
+        g = np.hstack([grads[0, "W"], grads[0, "b"][:, None]])
         v = g.T.ravel()  # input index slow, output index fast
         assert np.max(np.abs(block - np.outer(v, v))) < 1e-12
 
     def test_diag_matches_factor_diag_product(self, monkeypatch):
         model = Model([Dense(2, 3)]).init(default_rng(22))
         x = default_rng(23).standard_normal((5, 2))
-        block = dense_block(monkeypatch, model, x, default_rng(24).integers(0, 3, size=5), 0)
-        fresh = model.layers[0].capture
-        assert np.max(np.abs(np.diag(block) - np.kron(fresh["h"], fresh["s"]))) < 1e-10
+        block, _, fresh = dense_block(monkeypatch, model, x,
+                                      default_rng(24).integers(0, 3, size=5), 0)
+        assert np.max(np.abs(np.diag(block) - np.kron(fresh[0, "h"], fresh[0, "s"]))) < 1e-10
 
 
 class TestHelpers:

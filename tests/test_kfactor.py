@@ -7,7 +7,6 @@ from adafisher.errors import ConfigError, DimensionError, InputError, StateError
 from adafisher.kfactor import MINMAX_EPS, KFState, minmax_normalize
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, Model)
-from adafisher.training import keyed
 
 
 def weight_only(h, s):
@@ -281,8 +280,7 @@ class TestStateLifecycle:
         model = self.make_model()
         rng = default_rng(10)
         x = rng.standard_normal((4, 1, 3, 3))
-        model.train_batch(x, rng.integers(0, 4, size=4))
-        fresh = keyed(model, "capture")
+        _, _, fresh = model.train_batch(x, rng.integers(0, 4, size=4))
         state = KFState.for_model(model, gamma=0.8)
         state.update(fresh)
         assert state.step == 1
@@ -295,11 +293,13 @@ class TestStateLifecycle:
     def test_update_rejects_missing_or_unknown_factors(self):
         model = self.make_model()
         state = KFState.for_model(model)
-        with pytest.raises(StateError, match="h of layer 0 is missing; run a backward pass"):
-            state.update(keyed(model, "capture"))  # no backward pass: nothing captured
         rng = default_rng(10)
-        model.train_batch(rng.standard_normal((4, 1, 3, 3)), rng.integers(0, 4, size=4))
-        fresh = keyed(model, "capture")
+        x, y = rng.standard_normal((4, 1, 3, 3)), rng.integers(0, 4, size=4)
+        _, _, uncaptured = model.train_batch(x, y, capture=False)
+        assert uncaptured == {}
+        with pytest.raises(StateError, match="h of layer 0 is missing; run a backward pass"):
+            state.update(uncaptured)
+        _, _, fresh = model.train_batch(x, y)
         with pytest.raises(StateError, match="s of layer 5 is missing"):
             state.update({key: vec for key, vec in fresh.items() if key != (5, "s")})
         with pytest.raises(StateError, match="h of layer 1 is unknown"):
@@ -309,10 +309,11 @@ class TestStateLifecycle:
     def test_update_checks_every_factor_before_changing_any(self):
         model = self.make_model()
         rng = default_rng(10)
-        model.train_batch(rng.standard_normal((4, 1, 3, 3)), rng.integers(0, 4, size=4))
+        _, _, fresh = model.train_batch(rng.standard_normal((4, 1, 3, 3)),
+                                        rng.integers(0, 4, size=4))
         state = KFState.for_model(model)
         before = {key: vec.copy() for key, vec in state.factors.items()}
-        fresh = {**keyed(model, "capture"), (5, "s"): np.ones(3)}  # the last factor misshaped
+        fresh = {**fresh, (5, "s"): np.ones(3)}  # the last factor misshaped
         with pytest.raises(DimensionError, match="fresh factor s of layer 5"):
             state.update(fresh)
         assert state.step == 0
@@ -329,9 +330,9 @@ class TestStateLifecycle:
         model = self.make_model()
         rng = default_rng(11)
         x = rng.standard_normal((4, 1, 3, 3))
-        model.train_batch(x, rng.integers(0, 4, size=4))
+        _, _, fresh = model.train_batch(x, rng.integers(0, 4, size=4))
         state = KFState.for_model(model, norm_fisher_off=True)
-        state.update(keyed(model, "capture"))
+        state.update(fresh)
         div = state.divisors(model)
         for layer_id in (2, 5):  # BatchNorm / LayerNorm layers
             assert np.allclose(div[layer_id, "scale"], state.lam)

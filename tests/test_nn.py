@@ -131,8 +131,8 @@ class TestBackward:
         out = model.forward(x)
         loss, dout = model.loss_and_grad(out, np.zeros((1, 1)))
         assert abs(loss - 9.0) < 1e-12
-        model.backward(dout)
-        assert abs(layer.grads["W"][0, 0] - 6.0) < 1e-12
+        grads, _ = model.backward(dout)
+        assert abs(grads[0, "W"][0, 0] - 6.0) < 1e-12
 
     def test_every_layer_kind_vs_finite_difference(self):
         model = mixed_net()
@@ -140,20 +140,38 @@ class TestBackward:
         x = rng.standard_normal((5, 2, 3, 3))
         y = rng.integers(0, 4, size=5)
         fd = finite_diff_grad(model, x, y, 1e-5)
-        model.train_batch(x, y)
-        for i, layer in model.param_layers():
-            for name, g in layer.grads.items():
-                assert max_rel_err(g, fd[(i, name)]) <= 1e-6, (i, name)
+        _, grads, _ = model.train_batch(x, y)
+        assert grads.keys() == fd.keys()
+        for key, g in grads.items():
+            assert max_rel_err(g, fd[key]) <= 1e-6, key
 
     def test_zero_loss_grad_gives_zero_grads(self):
         model = mixed_net()
         rng = default_rng(2)
         x = rng.standard_normal((4, 2, 3, 3))
         out = model.forward(x)
-        model.backward(np.zeros_like(out))
-        for _, layer in model.param_layers():
-            for g in layer.grads.values():
-                assert np.all(g == 0.0)
+        grads, _ = model.backward(np.zeros_like(out))
+        assert list(grads) == [(i, name) for i, name, _ in model.parameters()]
+        for g in grads.values():
+            assert np.all(g == 0.0)
+
+    def test_a_pass_keeps_none_of_its_results_on_the_layers(self):
+        # The pass returns its gradients and factors: no layer attribute (nor
+        # an entry of a dict or tuple attribute) is one of the returned arrays.
+        model = mixed_net()
+        rng = default_rng(8)
+        _, grads, factors = model.train_batch(rng.standard_normal((4, 2, 3, 3)),
+                                              rng.integers(0, 4, size=4))
+        returned = [*grads.values(), *factors.values()]
+        assert len(factors) == 2 * len(model.param_layers())
+
+        def held(layer):
+            for value in vars(layer).values():
+                yield from (value.values() if isinstance(value, dict)
+                            else value if isinstance(value, tuple) else (value,))
+        assert not any(a is b for layer in model.layers for a in held(layer) for b in returned)
+        assert not any(hasattr(layer, "grads") or hasattr(layer, "capture")
+                       for layer in model.layers)
 
     def test_backward_before_forward_rejected(self):
         with pytest.raises(StateError):
@@ -177,16 +195,16 @@ class TestBackward:
         # signals, so Cauchy-Schwarz bounds them by the factor diagonals:
         # G_ij^2 <= T^2 * s_i * h_j, with equality for one sample and T = 1.
         def check(model, x, y, exact):
-            model.train_batch(x, y)
-            for _, layer in model.param_layers():
+            _, grads, factors = model.train_batch(x, y)
+            for i, layer in model.param_layers():
                 if not isinstance(layer, (Dense, Conv2d)):
                     continue
-                cap = layer.capture
+                h, s = factors[i, "h"], factors[i, "s"]
                 t = layer._a.shape[2]  # output positions per sample
-                combined = layer.grads["W"].reshape(cap["s"].size, -1)
-                if "b" in layer.grads:
-                    combined = np.hstack([combined, layer.grads["b"][:, None]])
-                bound = t * t * np.outer(cap["s"], cap["h"])
+                combined = grads[i, "W"].reshape(s.size, -1)
+                if (i, "b") in grads:
+                    combined = np.hstack([combined, grads[i, "b"][:, None]])
+                bound = t * t * np.outer(s, h)
                 if exact:
                     assert max_rel_err(combined**2, bound) <= 1e-12
                 else:
@@ -201,16 +219,12 @@ class TestBackward:
         rng = default_rng(4)
         x = rng.standard_normal((4, 2, 3, 3))
         y = rng.integers(0, 4, size=4)
-        g1 = {}
-        g2 = {}
-        for store in (g1, g2):
-            model = mixed_net(seed=9)
-            model.train_batch(x, y)
-            for i, layer in model.param_layers():
-                for name, g in layer.grads.items():
-                    store[(i, name)] = g.copy()
+        (_, g1, f1), (_, g2, f2) = (mixed_net(seed=9).train_batch(x, y) for _ in range(2))
+        assert g1.keys() == g2.keys() and f1.keys() == f2.keys()
         for key in g1:
             assert np.array_equal(g1[key], g2[key])
+        for key in f1:
+            assert np.array_equal(f1[key], f2[key])
 
 
 def _explicit_capture(layer, x, dout):
@@ -264,15 +278,16 @@ def test_capture_is_factor_diagonals(make_layer, in_shape, workers):
     x = rng.standard_normal(in_shape) * 2.0 + 0.5
     out = layer.forward(x, workers=workers)
     dout = rng.standard_normal(out.shape)
-    layer.param_stats(dout)
+    _, factors = layer.param_stats(dout)
     m = x.shape[0] // workers
     shards = [_explicit_capture(layer, x[k * m:(k + 1) * m], dout[k * m:(k + 1) * m] * workers)
               for k in range(workers)]
     h_ref, s_ref = (sum(refs[1:], refs[0]) / workers for refs in zip(*shards))
-    assert max_rel_err(layer.capture["h"], h_ref) <= 1e-12
-    assert max_rel_err(layer.capture["s"], s_ref) <= 1e-12
+    assert factors.keys() == {"h", "s"}
+    assert max_rel_err(factors["h"], h_ref) <= 1e-12
+    assert max_rel_err(factors["s"], s_ref) <= 1e-12
     if getattr(layer, "bias", False):
-        assert layer.capture["h"][-1] == 1.0
+        assert factors["h"][-1] == 1.0
 
 
 @pytest.mark.parametrize("shape", [(8, 3), (8, 3, 2, 2)], ids=["2d", "4d"])
@@ -311,10 +326,10 @@ def _central_diff(f, arr, eps=1e-6):
 
 
 def _backward(layer, dout):
-    """A layer's part of Model.backward, plus the input gradient it skips for layer 0."""
-    if layer.params:
-        layer.param_stats(dout)
-    return layer.input_grad(dout)
+    """(grads, input gradient): a layer's part of Model.backward, plus the
+    input gradient it skips for layer 0."""
+    grads = layer.param_stats(dout)[0] if layer.params else {}
+    return grads, layer.input_grad(dout)
 
 
 def _eval_mode_batchnorm(shape=(8, 3, 3, 3)):
@@ -339,14 +354,15 @@ def test_layer_backward_vs_finite_difference(make_layer, in_shape, training):
     rng = default_rng(16)
     x = rng.standard_normal(in_shape)
     r = rng.standard_normal(layer.forward(x, training).shape)
-    dx = _backward(layer, r)
+    grads, dx = _backward(layer, r)
 
     def loss():
         return float(np.sum(layer.forward(x, training) * r))
 
     assert max_rel_err(dx, _central_diff(loss, x)) <= 1e-6
+    assert grads.keys() == layer.params.keys()
     for name, arr in layer.params.items():
-        assert max_rel_err(layer.grads[name], _central_diff(loss, arr)) <= 1e-6, name
+        assert max_rel_err(grads[name], _central_diff(loss, arr)) <= 1e-6, name
 
 
 _SAMPLE_CASES = {
@@ -377,8 +393,9 @@ def test_sample_sq_squares_each_rows_param_stats(make_layer, in_shape):
     want = {name: np.zeros_like(arr) for name, arr in layer.params.items()}
     for n in range(in_shape[0]):
         layer.forward(x[n:n + 1], training=False)
-        layer.param_stats(dout[n:n + 1], capture=False)
-        for name, grad in layer.grads.items():
+        grads, factors = layer.param_stats(dout[n:n + 1], capture=False)
+        assert factors == {}
+        for name, grad in grads.items():
             want[name] += w[n] * grad**2
     assert got.keys() == want.keys()
     for name in want:
@@ -415,12 +432,12 @@ def test_conv_and_maxpool_match_direct_loops():
     x = rng.standard_normal((3, 3, 7, 6))
     out = conv.forward(x)
     dout = rng.standard_normal(out.shape)
-    dx = _backward(conv, dout)
+    grads, dx = _backward(conv, dout)
     ref_out, ref_dx, ref_dw = _conv_loop(x, conv.params["W"], conv.params["b"], conv.stride,
                                          conv.pad, dout)
     assert max_rel_err(out, ref_out) <= 1e-12
     assert max_rel_err(dx, ref_dx) <= 1e-12
-    assert max_rel_err(conv.grads["W"], ref_dw) <= 1e-12
+    assert max_rel_err(grads["W"], ref_dw) <= 1e-12
 
     # Tied windows route the gradient to their first element in row-major order.
     pool = MaxPool2d((2, 2))
@@ -616,6 +633,12 @@ class TestCrossEntropy:
         loss, _ = cross_entropy(logits, np.array([0]))
         assert loss < 1e-12
 
+    def test_zero_loss_is_positive_zero(self):
+        # Every true-class probability is exactly 1: the loss is +0.0, which
+        # metrics.jsonl prints as 0.0, never -0.0.
+        loss, _ = cross_entropy(np.array([[0.0, -1000.0]]), np.array([0]))
+        assert loss == 0.0 and np.copysign(1.0, loss) == 1.0
+
     def test_grad_matches_finite_difference(self):
         rng = default_rng(5)
         logits = rng.standard_normal((4, 5))
@@ -661,8 +684,8 @@ class TestFiniteDiff:
         y = np.array([[0.5]])
         for eps in (1e-3, 1e-5):
             fd = finite_diff_grad(model, x, y, eps)
-            model.train_batch(x, y)
-            assert np.max(np.abs(fd[(0, "W")] - layer.grads["W"])) < 1e-9
+            _, grads, _ = model.train_batch(x, y)
+            assert np.max(np.abs(fd[(0, "W")] - grads[0, "W"])) < 1e-9
 
     def test_agrees_with_backward_on_three_layer_net(self):
         model = Model([Dense(4, 8), Activation("tanh"), Dense(8, 6),
@@ -671,10 +694,10 @@ class TestFiniteDiff:
         x = rng.standard_normal((5, 4))
         y = rng.integers(0, 3, size=5)
         fd = finite_diff_grad(model, x, y, 1e-5)
-        model.train_batch(x, y)
-        for i, layer in model.param_layers():
-            for name, g in layer.grads.items():
-                assert max_rel_err(g, fd[(i, name)]) <= 1e-6
+        _, grads, _ = model.train_batch(x, y)
+        assert grads.keys() == fd.keys()
+        for key, g in grads.items():
+            assert max_rel_err(g, fd[key]) <= 1e-6
 
     def test_bad_epsilon(self):
         with pytest.raises(InputError):

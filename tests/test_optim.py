@@ -16,8 +16,12 @@ DETERMINISTIC = settings(derandomize=True, max_examples=60, deadline=None, datab
 def scalar_model(w0=1.0):
     layer = Dense(1, 1, bias=False)
     layer.params["W"] = np.array([[w0]])
-    layer.grads["W"] = np.zeros((1, 1))
     return Model([layer]), layer
+
+
+def scalar_grad(g=0.0):
+    """The gradient table of scalar_model: g at its one weight."""
+    return {(0, "W"): np.full((1, 1), g)}
 
 
 def unit_divisors(model, lam=1.0):
@@ -28,9 +32,8 @@ def unit_divisors(model, lam=1.0):
 class TestAdaFisher:
     def test_single_step_worked_example(self):
         model, layer = scalar_model(w0=0.0)
-        layer.grads["W"][:] = 1.0
         opt = AdaFisher(alpha=0.001, beta=0.9)
-        opt.step(model, unit_divisors(model))
+        opt.step(model, scalar_grad(1.0), unit_divisors(model))
         # m = 0.1, corrected by (1 - 0.9) -> 1.0, unit divisor
         assert layer.params["W"][0, 0] == pytest.approx(-0.001, abs=1e-15)
 
@@ -42,8 +45,7 @@ class TestAdaFisher:
         grads = rng.standard_normal((30,))
         theta, m = 0.5, 0.0
         for t, g in enumerate(grads, start=1):
-            layer.grads["W"][:] = g
-            opt.step(model, divisors)
+            opt.step(model, scalar_grad(g), divisors)
             m = 0.9 * m + 0.1 * g
             theta -= 0.01 * (m / (1 - 0.9**t)) / 0.25
             assert abs(layer.params["W"][0, 0] - theta) < 1e-14
@@ -53,33 +55,30 @@ class TestAdaFisher:
         model, layer = scalar_model(w0=0.0)
         opt = AdaFisher(alpha=0.001, beta=0.9)
         for t in range(1, 6):
-            layer.grads["W"][:] = 2.0
-            opt.step(model, unit_divisors(model))
+            opt.step(model, scalar_grad(2.0), unit_divisors(model))
             assert layer.params["W"][0, 0] == pytest.approx(-0.001 * 2.0 * t, abs=1e-14)
 
     def test_sqrt_divisor(self):
         for use_sqrt, expected in ((False, -0.001 / 4.0), (True, -0.001 / 2.0)):
             model, layer = scalar_model(w0=0.0)
-            layer.grads["W"][:] = 1.0
             opt = AdaFisher(alpha=0.001, beta=0.9, sqrt_divisor=use_sqrt)
-            opt.step(model, unit_divisors(model, lam=4.0))
+            opt.step(model, scalar_grad(1.0), unit_divisors(model, lam=4.0))
             assert layer.params["W"][0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_requires_curvature(self):
         model, _ = scalar_model()
         with pytest.raises(ConfigError):
-            AdaFisher().step(model, None)
+            AdaFisher().step(model, scalar_grad(), None)
 
     def test_norm_layer_blocks(self):
         ln = LayerNorm(2)
         ln.params["scale"] = np.array([1.0, 2.0])
         ln.params["shift"] = np.array([0.0, 0.0])
-        ln.grads["scale"] = np.array([1.0, 1.0])
-        ln.grads["shift"] = np.array([2.0, 0.0])
+        grads = {(0, "scale"): np.array([1.0, 1.0]), (0, "shift"): np.array([2.0, 0.0])}
         model = Model([ln])
         state = KFState(lam=1.0, factors={(0, "h"): np.zeros(2), (0, "s"): np.array([0.0, 1.0])})
         opt = AdaFisher(alpha=0.001, beta=0.9)
-        opt.step(model, state.divisors(model))
+        opt.step(model, grads, state.divisors(model))
         # scale divisors h*s + lam = [1, 1]; shift divisors s + lam = [1, 2]
         assert np.allclose(ln.params["scale"], [1.0 - 0.001, 2.0 - 0.001])
         assert np.allclose(ln.params["shift"], [-0.002, 0.0])
@@ -88,14 +87,14 @@ class TestAdaFisher:
         model, _ = scalar_model()  # a bias-free 1x1 Dense cannot take a 1x2 divisor grid
         state = KFState(lam=1.0, factors={(0, "h"): np.zeros(2), (0, "s"): np.zeros(1)})
         with pytest.raises(DimensionError):
-            AdaFisher().step(model, state.divisors(model))
+            AdaFisher().step(model, scalar_grad(), state.divisors(model))
         with pytest.raises(DimensionError):
-            AdaFisher().step(model, {(0, "W"): np.ones((1, 2))})
-        ln = LayerNorm(2)
-        ln.grads = {"scale": np.zeros(2), "shift": np.zeros(2)}
+            AdaFisher().step(model, scalar_grad(), {(0, "W"): np.ones((1, 2))})
+        ln = Model([LayerNorm(2)])
+        grads = {(0, "scale"): np.zeros(2), (0, "shift"): np.zeros(2)}
         state = KFState(lam=1.0, factors={(0, "h"): np.zeros(3), (0, "s"): np.zeros(3)})
         with pytest.raises(DimensionError):
-            AdaFisher().step(Model([ln]), state.divisors(Model([ln])))
+            AdaFisher().step(ln, grads, state.divisors(ln))
 
     def test_bad_hyperparameters(self):
         for hyper in ({"alpha": 0.0}, {"alpha": float("nan")}, {"beta": 1.0},
@@ -108,14 +107,14 @@ class TestAdaFisherW:
     def test_zero_gradient_pure_decay(self):
         model, layer = scalar_model(w0=3.0)
         opt = AdaFisher(alpha=0.01, kappa=0.1)
-        opt.step(model, unit_divisors(model))
+        opt.step(model, scalar_grad(0.0), unit_divisors(model))
         assert layer.params["W"][0, 0] == 3.0 * (1.0 - 0.01 * 0.1)
 
     def test_decay_is_decoupled_from_divisor(self):
         # decay term must not be divided by the curvature
         model, layer = scalar_model(w0=1.0)
         opt = AdaFisher(alpha=0.01, kappa=0.1)
-        opt.step(model, unit_divisors(model, lam=100.0))
+        opt.step(model, scalar_grad(0.0), unit_divisors(model, lam=100.0))
         assert layer.params["W"][0, 0] == pytest.approx(1.0 - 0.001, abs=1e-15)
 
     def test_matches_adafisher_when_kappa_zero(self):
@@ -125,10 +124,8 @@ class TestAdaFisherW:
         ow = build_optimizer("adafisherw", {"alpha": 0.005, "kappa": 0.0})
         rng = default_rng(1)
         for g in rng.standard_normal((10,)):
-            la.grads["W"][:] = g
-            lw.grads["W"][:] = g
-            oa.step(ma, unit_divisors(ma))
-            ow.step(mw, unit_divisors(mw))
+            oa.step(ma, scalar_grad(g), unit_divisors(ma))
+            ow.step(mw, scalar_grad(g), unit_divisors(mw))
             assert la.params["W"][0, 0] == lw.params["W"][0, 0]
 
 
@@ -140,8 +137,7 @@ class TestAdam:
         grads = rng.standard_normal((25,))
         theta, m, v = 0.3, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
-            layer.grads["W"][:] = g
-            opt.step(model)
+            opt.step(model, scalar_grad(g))
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             theta -= 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
@@ -150,14 +146,13 @@ class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         # m_hat = g, v_hat = g^2: update ~ sign(g) for |g| >> eps
         model, layer = scalar_model(w0=0.0)
-        layer.grads["W"][:] = 7.0
-        Adam(alpha=0.01).step(model)
+        Adam(alpha=0.01).step(model, scalar_grad(7.0))
         assert layer.params["W"][0, 0] == pytest.approx(-0.01, rel=1e-6)
 
     def test_adamw_zero_gradient_pure_decay(self):
         model, layer = scalar_model(w0=2.0)
         opt = Adam(alpha=0.01, weight_decay=0.1, decoupled=True)
-        opt.step(model)
+        opt.step(model, scalar_grad(0.0))
         assert layer.params["W"][0, 0] == 2.0 * (1.0 - 0.01 * 0.1)
 
     @pytest.mark.parametrize("hyper", [{"eps": 0.0}, {"eps": -1e-8}, {"eps": float("nan")},
@@ -172,18 +167,15 @@ class TestAdam:
     def test_coupled_vs_decoupled_differ(self):
         mc, lc = scalar_model(w0=1.0)
         md, ld = scalar_model(w0=1.0)
-        lc.grads["W"][:] = 0.5
-        ld.grads["W"][:] = 0.5
-        Adam(alpha=0.01, weight_decay=0.1).step(mc)
-        Adam(alpha=0.01, weight_decay=0.1, decoupled=True).step(md)
+        Adam(alpha=0.01, weight_decay=0.1).step(mc, scalar_grad(0.5))
+        Adam(alpha=0.01, weight_decay=0.1, decoupled=True).step(md, scalar_grad(0.5))
         assert lc.params["W"][0, 0] != ld.params["W"][0, 0]
 
 
 class TestSGD:
     def test_plain_step(self):
         model, layer = scalar_model(w0=1.0)
-        layer.grads["W"][:] = 0.5
-        SGD(alpha=0.1).step(model)
+        SGD(alpha=0.1).step(model, scalar_grad(0.5))
         assert layer.params["W"][0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_momentum_recurrence_oracle(self):
@@ -193,8 +185,7 @@ class TestSGD:
         grads = rng.standard_normal((15,))
         theta, buf = 0.0, 0.0
         for g in grads:
-            layer.grads["W"][:] = g
-            opt.step(model)
+            opt.step(model, scalar_grad(g))
             buf = 0.9 * buf + g
             theta -= 0.1 * buf
             assert abs(layer.params["W"][0, 0] - theta) < 1e-14
@@ -241,12 +232,9 @@ def test_in_place_baseline_matches_allocating_formulas(name, hyper):
     rng = default_rng(22)
     for t in range(1, 21):
         scale = 10.0 ** float(rng.integers(-9, 3))  # from far below eps to large
-        for _, layer in model.param_layers():
-            layer.grads = {n: rng.standard_normal(p.shape) * scale
-                           for n, p in layer.params.items()}
-        grads = {(i, n): g for i, layer in model.param_layers() for n, g in layer.grads.items()}
+        grads = {(i, n): rng.standard_normal(p.shape) * scale for i, n, p in model.parameters()}
         before = {key: g.copy() for key, g in grads.items()}
-        opt.step(model)
+        opt.step(model, grads)
         for key, g in grads.items():
             ref[key] = _allocating_step(name, hyper, t, ref[key], before[key], states[key])
             assert np.array_equal(g, before[key])  # the gradient is read, never written
@@ -258,25 +246,29 @@ def test_in_place_baseline_matches_allocating_formulas(name, hyper):
         assert not any(np.shares_memory(buf, g) for buf in kept for g in grads.values())
 
 
-def _drop_grads(model, divisors):
-    model.layers[2].grads.clear()
+def _drop_grads(grads, divisors):
+    del grads[2, "W"], grads[2, "b"]
 
 
 @pytest.mark.parametrize("name, hyper, spoil, error, match", [
     ("adafisher", {}, _drop_grads, StateError, "layer 2 parameter W has no gradient"),
     ("adam", {}, _drop_grads, StateError, "layer 2 parameter W has no gradient"),
     ("sgd", {"momentum": 0.9}, _drop_grads, StateError, "layer 2 parameter W has no gradient"),
-    ("adafisher", {}, lambda model, divisors: divisors.pop((2, "b")), DimensionError,
+    ("adafisher", {}, lambda grads, divisors: divisors.pop((2, "b")), DimensionError,
      r"layer 2 parameter b: gradient \(2,\) vs divisor missing"),
-    ("adafisher", {}, lambda model, divisors: divisors.clear(), DimensionError,
+    ("adafisher", {}, lambda grads, divisors: divisors.clear(), DimensionError,
      "layer 0 parameter W"),
-    ("adafisher", {}, lambda model, divisors: divisors.__setitem__((2, "b"), np.ones(3)),
+    ("adafisher", {}, lambda grads, divisors: divisors.__setitem__((2, "b"), np.ones(3)),
      DimensionError, r"layer 2 parameter b: gradient \(2,\) vs divisor \(3,\)"),
-    ("adam", {}, lambda model, divisors: model.layers[2].grads.__setitem__("b", np.ones(3)),
+    ("adam", {}, lambda grads, divisors: grads.__setitem__((2, "b"), np.ones(3)),
      DimensionError, r"layer 2 parameter b: gradient \(3,\) vs parameter \(2,\)"),
+    ("adafisher", {}, lambda grads, divisors: grads.__setitem__((99, "W"), np.ones(1)),
+     StateError, r"gradient \(99, 'W'\) is unknown: the model has no such parameter"),
+    ("adam", {}, lambda grads, divisors: grads.__setitem__((99, "W"), np.ones(1)),
+     StateError, r"gradient \(99, 'W'\) is unknown: the model has no such parameter"),
 ], ids=["adafisher-no-gradient", "adam-no-gradient", "sgd-momentum-no-gradient",
         "adafisher-no-divisor", "adafisher-no-divisors", "adafisher-misshaped-divisor",
-        "adam-misshaped-gradient"])
+        "adam-misshaped-gradient", "adafisher-unknown-gradient", "adam-unknown-gradient"])
 def test_failing_step_changes_nothing(name, hyper, spoil, error, match):
     # Every parameter is checked before any is updated: a step that raises on
     # the last layer leaves every parameter, every moment and t as they were.
@@ -285,17 +277,16 @@ def test_failing_step_changes_nothing(name, hyper, spoil, error, match):
     rng = default_rng(31)
 
     def gradients_and_divisors():
-        for _, layer in model.param_layers():
-            layer.grads = {n: rng.standard_normal(p.shape) for n, p in layer.params.items()}
-        return KFState.for_model(model).divisors(model)
+        grads = {(i, n): rng.standard_normal(p.shape) for i, n, p in model.parameters()}
+        return grads, KFState.for_model(model).divisors(model)
 
-    opt.step(model, gradients_and_divisors())
+    opt.step(model, *gradients_and_divisors())
     params = [p.copy() for _, _, p in model.parameters()]
     moments = {key: np.copy(arrays) for key, arrays in opt.moments.items()}
-    divisors = gradients_and_divisors()
-    spoil(model, divisors)
+    grads, divisors = gradients_and_divisors()
+    spoil(grads, divisors)
     with pytest.raises(error, match=match):
-        opt.step(model, divisors)
+        opt.step(model, grads, divisors)
     assert opt.t == 1
     assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), params))
     assert opt.moments.keys() == moments.keys()
@@ -316,17 +307,16 @@ def test_step_on_another_model_changes_nothing(name, hyper, sizes, match):
     def stepped_model(hidden, out, seed):
         model = Model([Dense(3, hidden), Activation("relu"),
                        Dense(hidden, out)]).init(default_rng(seed))
-        for _, layer in model.param_layers():
-            layer.grads = {n: np.ones_like(p) for n, p in layer.params.items()}
-        return model, KFState.for_model(model).divisors(model)
+        grads = {(i, n): np.ones_like(p) for i, n, p in model.parameters()}
+        return model, grads, KFState.for_model(model).divisors(model)
 
     opt = build_optimizer(name, {"alpha": 0.01, **hyper})
     opt.step(*stepped_model(4, 2, 40))
     moments = {key: np.copy(arrays) for key, arrays in opt.moments.items()}
-    model, divisors = stepped_model(*sizes, 41)
+    model, grads, divisors = stepped_model(*sizes, 41)
     params = [p.copy() for _, _, p in model.parameters()]
     with pytest.raises(StateError, match=match):
-        opt.step(model, divisors)
+        opt.step(model, grads, divisors)
     assert opt.t == 1
     assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), params))
     assert opt.moments.keys() == moments.keys()
@@ -443,13 +433,13 @@ def _random_state(model, rng, lam):
     return KFState(lam=lam, factors=factors)
 
 
-def _combined_reference_step(model, state, opt, moments):
+def _combined_reference_step(model, grads, state, opt, moments):
     """The update on hstacked (out, in[+1]) [W | b] blocks, split back afterwards,
     with divisors formed here from the min-max-normalized factors."""
     correction = 1.0 - opt.beta**opt.t
     for i, layer in model.param_layers():
         h, s = (minmax_normalize(state.factors[i, k]) for k in ("h", "s"))
-        p, g = layer.params, layer.grads
+        p, g = layer.params, {name: grads[i, name] for name in layer.params}
         if "W" in p:
             names = [n for n in ("W", "b") if n in p]
             out = p["W"].shape[0]
@@ -495,12 +485,11 @@ def test_per_parameter_update_matches_combined_blocks(specs, variant, kappa, sqr
     moments = {}
     for _ in range(steps):
         state = _random_state(model, rng, lam=float(rng.uniform(1e-3, 1.0)))
-        for (_, layer), (_, ref_layer) in zip(model.param_layers(), ref.param_layers()):
-            layer.grads = {n: rng.normal(size=p.shape) for n, p in layer.params.items()}
-            ref_layer.grads = {n: g.copy() for n, g in layer.grads.items()}
-        opt.step(model, state.divisors(model))
+        grads = {(i, n): rng.normal(size=p.shape) for i, n, p in model.parameters()}
+        ref_grads = {key: g.copy() for key, g in grads.items()}
+        opt.step(model, grads, state.divisors(model))
         ref_opt.t += 1
-        _combined_reference_step(ref, state, ref_opt, moments)
+        _combined_reference_step(ref, ref_grads, state, ref_opt, moments)
     for (_, name, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
         assert np.array_equal(p, q), name
 
@@ -517,14 +506,14 @@ def test_first_step_matches_dense_inverse(make_layer, beta):
     layer = make_layer()
     model = Model([layer])
     rng = default_rng(40)
-    layer.grads = {n: rng.standard_normal(p.shape) for n, p in layer.params.items()}
+    grads = {(0, n): rng.standard_normal(p.shape) for n, p in layer.params.items()}
     out = layer.params["W"].shape[0]
     h, s = rng.random((layer.params["W"][0].size + layer.bias,)), rng.random((out,))
     lam, lr = 0.001, 0.01
     divisors = KFState(lam=lam, factors={(0, "h"): h, (0, "s"): s}).divisors(model)
-    g = np.hstack([layer.grads[n].reshape(out, -1) for n in ("W", "b") if n in layer.grads])
+    g = np.hstack([grads[0, n].reshape(out, -1) for n in ("W", "b") if n in layer.params])
     dense = np.diag(np.kron(minmax_normalize(h), minmax_normalize(s)) + lam)
     expected = lr * np.linalg.solve(dense, g.T.ravel()).reshape(-1, out).T
-    AdaFisher(alpha=lr, beta=beta).step(model, divisors)  # from zero parameters
+    AdaFisher(alpha=lr, beta=beta).step(model, grads, divisors)  # from zero parameters
     step = -np.hstack([layer.params[n].reshape(out, -1) for n in ("W", "b") if n in layer.params])
     assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))

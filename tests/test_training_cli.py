@@ -425,14 +425,14 @@ def oracle_maes(config):
     net = build_model(config.model, default_rng(config.seed))
     x, y = resolve_dataset(config.dataset, config.seed)
     m = config.batch_size
-    net.train_batch(x[:m], y[:m])
+    _, _, factors = net.train_batch(x[:m], y[:m])
     oracle = exact_fisher_diag(net, x[:m])
     maes = []
     for i, layer in net.param_layers():
-        approx = layer.kronecker_diagonal(layer.capture["h"], layer.capture["s"])
-        names = sorted(oracle[i])
-        assert names == sorted(approx)
-        maes.append((i, approximation_mae(np.concatenate([oracle[i][n].ravel() for n in names]),
+        approx = layer.kronecker_diagonal(factors[i, "h"], factors[i, "s"])
+        names = sorted(approx)
+        assert [key for key in oracle if key[0] == i] == [(i, n) for n in layer.params]
+        maes.append((i, approximation_mae(np.concatenate([oracle[i, n].ravel() for n in names]),
                                           np.concatenate([approx[n].ravel() for n in names]))))
     return maes
 
@@ -1131,10 +1131,17 @@ class TestCli:
     (lambda: LayerNorm(3, eps=float("inf")), InputError, "eps must be a finite number >= 0"),
     (lambda: BatchNorm(3, momentum=5), InputError, "momentum must be a finite number in"),
     (lambda: BatchNorm(3, momentum=float("nan")), InputError, "momentum"),
+    # over the guard of 10**7 parameter values: refused before numpy is asked
+    # for 7.28 TiB, 671 GiB or 72.8 TiB
+    (lambda: Dense(10**6, 10**6), SizeError, "Dense has 1000001000000 parameter values"),
+    (lambda: Conv2d(10**5, 10**5, (3, 3)), SizeError,
+     "Conv2d has 90000100000 parameter values, over the guard of 10000000"),
+    (lambda: LayerNorm(10**13), SizeError, "LayerNorm has 20000000000000 parameter values"),
 ], ids=["logits-1d", "logits-3d", "samples-float", "samples-bool", "optimizer-keyword",
         "optimizer-value", "kf-lambda-nan", "kf-lambda-inf", "kf-for-model-lambda-nan",
         "kf-gamma-string", "kf-gamma-bool", "layernorm-eps-string", "layernorm-eps-inf",
-        "batchnorm-momentum-5", "batchnorm-momentum-nan"])
+        "batchnorm-momentum-5", "batchnorm-momentum-nan", "dense-oversized",
+        "conv2d-oversized", "layernorm-oversized"])
 def test_library_calls_raise_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

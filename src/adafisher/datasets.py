@@ -4,8 +4,8 @@ deterministic synthetic generators for desk-scale runs.
 IDX images stay resident at one byte per pixel: `load_idx` returns an
 `Images` set over the file's uint8 bytes (`Images.head`, a dataset limit's
 first rows, is one too), and each read of it (a batch's rows, the eval rows,
-`np.asarray`) scales just the rows it gathers to float64. No other module
-knows the encoding."""
+`np.asarray`) scales just the rows it gathers to float64; a float32 model's
+forward rounds them. No other module knows the encoding."""
 
 from __future__ import annotations
 

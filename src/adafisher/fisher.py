@@ -24,10 +24,11 @@ array a that also feeds training: g_n a_n^T and g_n summed over positions
 (Dense and Conv2d, KFC), or the per-feature sums of g_n * a_n and g_n with a
 the normalized input (the norms). The totals add each chunk's sums in chunk
 order, so reruns are bit-identical. The walk forms no parameter gradients or
-factors, and afterwards its layers' forward state is the last chunk's. The
-Monte-Carlo estimator draws
-all of its uniforms for the whole batch from the Generator it is given before
-the first chunk, so the labels do not depend on the chunk size; the oracle
+factors, and afterwards its layers' forward state is the last chunk's. Both
+run in float64: a float32 model is walked as its float64 copy (Model.astype),
+so its own layers keep their state. The Monte-Carlo estimator draws all of its
+uniforms for the whole batch from the Generator it is given before the first
+chunk, so the labels do not depend on the chunk size; the oracle
 command gives it the run's label stream (training.run_streams), not the
 stream that initialized the model.
 """
@@ -44,14 +45,15 @@ MAX_CLASSES = 64
 CACHE_BUDGET = 128 * 1024  # bytes of input rows per chunk of the oracle's walk
 
 
-def _checked_batch(model: Model, batch: np.ndarray) -> np.ndarray:
-    """The batch as float64, once the model is categorical and the batch non-empty."""
+def _checked(model: Model, batch: np.ndarray) -> tuple[Model, np.ndarray]:
+    """The model and the batch in float64 (a float32 model's float64 copy),
+    once the model is categorical and the batch non-empty."""
     if model.loss != "cross_entropy":
         raise UnsupportedError("Fisher estimation requires a categorical model")
     batch = np.asarray(batch, dtype=np.float64)
     if batch.shape[0] == 0:
         raise InputError("empty batch")
-    return batch
+    return model.astype(np.float64), batch
 
 
 def _signal_weighted_diag(model: Model, batch: np.ndarray, signals) -> dict:
@@ -119,7 +121,7 @@ def exact_fisher_diag(model: Model, batch: np.ndarray) -> dict:
         ones = np.ones(len(p))
         for col in _multinomial_factor(p):
             yield col, ones
-    return _signal_weighted_diag(model, _checked_batch(model, batch), factor_columns)
+    return _signal_weighted_diag(*_checked(model, batch), factor_columns)
 
 
 def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int,
@@ -129,7 +131,7 @@ def mc_fisher_diag(model: Model, batch: np.ndarray, n_samples: int,
     rng in sample-major order before the first chunk. Walks p - e_c for each
     class c drawn in a chunk, weighted by its label counts."""
     check_count("n_samples", n_samples, 1, InputError)
-    batch = _checked_batch(model, batch)
+    model, batch = _checked(model, batch)
     draws = batch.shape[0] * int(n_samples)
     if draws > MAX_SYNTH_VALUES:
         raise SizeError(f"{batch.shape[0]} rows x {n_samples} samples = {draws} label draws "

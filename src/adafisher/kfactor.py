@@ -11,6 +11,11 @@ KFState.divisors min-max normalizes the factors (all zero for norm layers
 under norm_fisher_off), lays the diagonal of H (x) S out like the layer's
 parameters with the layer's own map, layer.kronecker_diagonal(h, s), and adds
 lambda. The Fisher oracle compares with that map on fresh factors.
+
+The EMAs and the min-max stay float64 whatever the model's dtype: they are
+short vectors, and MINMAX_EPS is a float64 threshold. divisors casts the
+normalized factors to the parameters' dtype before the layout, so a float32
+model's divisors, and the optimizer's update, are float32.
 """
 
 from __future__ import annotations
@@ -72,7 +77,8 @@ class KFState:
         factor is checked before any changes."""
         if fresh.keys() != self.factors.keys():
             i, name = min(fresh.keys() ^ self.factors.keys())
-            why = "missing; run a backward pass first" if (i, name) in self.factors else "unknown"
+            why = ("missing; run a capturing pass, Model.train_batch(..., capture=True), first"
+                   if (i, name) in self.factors else "unknown")
             raise StateError(f"fresh factor {name} of layer {i} is {why}")
         fresh = {key: np.asarray(vec, dtype=np.float64) for key, vec in fresh.items()}
         for (i, name), vec in fresh.items():
@@ -86,12 +92,13 @@ class KFState:
 
     def divisors(self, model: Model) -> dict[tuple[int, str], np.ndarray]:
         """{(layer id, parameter name): divisor}, each shaped like its parameter."""
-        out = {}
+        out, dtype = {}, model.dtype
         for i, layer in model.param_layers():
             if (i, "h") not in self.factors or (i, "s") not in self.factors:
                 raise StateError(f"the state holds no factors of layer {i}; "
                                  "build it with KFState.for_model")
-            h, s = (minmax_normalize(self.factors[i, k]) for k in ("h", "s"))
+            h, s = (minmax_normalize(self.factors[i, k]).astype(dtype, copy=False)
+                    for k in ("h", "s"))
             if self.norm_fisher_off and isinstance(layer, Norm):
                 h, s = np.zeros_like(h), np.zeros_like(s)  # identity factors, min-maxed
             try:

@@ -47,6 +47,15 @@ offset, and so copies no windows and scatters no indices. Its input gradient,
 like Conv2d's (tensor.col2im_batch), assigns at each offset that touches an
 input entry first and adds only where windows overlap.
 
+Every kernel computes in the dtype of its input and parameters. A model's
+dtype is its parameters' (Model.dtype), forward casts its input to it, and
+Model.astype(dtype) gives the model in another dtype, a copy with its
+parameters and BatchNorm's running statistics cast. Training runs float32
+models (training.TRAIN_DTYPE). The loss alone is computed in float64 from the
+(M, C) output, and its gradient goes back in the model's dtype.
+finite_diff_grad and the Fisher oracles compute in float64, on the float64
+copy of a float32 model.
+
 Layers keep their parameters, BatchNorm its running statistics, and of a
 pass only what their backward reads (Activation its derivative, not its
 input; BatchNorm the per-worker sums param_stats forms for its input_grad),
@@ -58,6 +67,7 @@ values than datasets.MAX_SYNTH_VALUES before allocating anything.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -129,7 +139,7 @@ class Layer:
             return grads, {}
         h = _mean_sq(self._a)
         if "b" in self.params:
-            h = np.append(h, 1.0)
+            h = np.append(h, np.ones(1, h.dtype))
         m = g.shape[0]  # per-sample-loss scale: the loss is a mean over m rows
         return grads, {"h": h, "s": _mean_sq(g) * (m * m)}
 
@@ -145,6 +155,12 @@ class Layer:
             raise DimensionError(f"factors h {h.size}, s {s.size} do not fit the parameters "
                                  f"{({n: v.shape for n, v in self.params.items()})}")
         return self._layout(h, s)
+
+    def astype(self, dtype) -> "Layer":
+        """A copy of the layer with its parameters cast to dtype."""
+        layer = copy.copy(self)
+        layer.params = {name: arr.astype(dtype) for name, arr in self.params.items()}
+        return layer
 
 
 class Kronecker(Layer):
@@ -162,9 +178,11 @@ class Kronecker(Layer):
         self.factor_sizes = (math.prod(w_shape[1:]) + bias, w_shape[0])
 
     def init(self, rng: np.random.Generator):
-        self.params["W"] = rng.standard_normal(self.params["W"].shape) * self._scale
+        """Draw W in float64, then round it to the parameters' dtype; zero b."""
+        w = self.params["W"]
+        self.params["W"] = (rng.standard_normal(w.shape) * self._scale).astype(w.dtype, copy=False)
         if self.bias:
-            self.params["b"] = np.zeros(self.params["W"].shape[0])
+            self.params["b"] = np.zeros_like(self.params["b"])
 
     def _sample_sums(self, g: np.ndarray, w: np.ndarray | None = None) -> dict:
         """Sums over the samples n of their W and b gradients or, with sample
@@ -291,6 +309,12 @@ class BatchNorm(Norm):
         self.momentum = check_momentum("momentum", momentum, error=InputError)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
+
+    def astype(self, dtype) -> "BatchNorm":
+        layer = super().astype(dtype)
+        layer.running_mean = self.running_mean.astype(dtype)
+        layer.running_var = self.running_var.astype(dtype)
+        return layer
 
     def _shape(self, x):
         """Broadcast shape of per-worker per-channel (K, C) vectors against
@@ -433,7 +457,7 @@ class MaxPool2d(Layer):
     def input_grad(self, dout):
         # Assign where an offset touches dx first (every offset unless windows
         # overlap), add elsewhere; entries in no window stay zero.
-        dx = np.zeros(self._x_shape)
+        dx = np.zeros(self._x_shape, dtype=dout.dtype)
         for (_, _, _, src, first), mask in zip(self._offsets, self._masks):
             if first:
                 np.multiply(dout, mask, out=dx[src])
@@ -496,20 +520,40 @@ class Model:
             layer.init(rng)
         return self
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, in which every pass computes; float64 for a
+        model without parameters."""
+        return next((arr.dtype for _, _, arr in self.parameters()), np.dtype(np.float64))
+
+    def astype(self, dtype) -> "Model":
+        """The model in dtype: itself if it already computes in dtype, else a
+        copy whose parameters and running statistics are cast to dtype and
+        which has run no pass."""
+        if self.dtype == dtype:
+            return self
+        return Model([layer.astype(dtype) for layer in self.layers], self.loss)
+
     def forward(self, x: np.ndarray, training: bool = True, workers: int = 1) -> np.ndarray:
         self._ran_forward = False  # until the last layer returns: a raised forward leaves no pass
-        out = np.asarray(x, dtype=np.float64)
+        out = np.asarray(x, dtype=self.dtype)
         for layer in self.layers:
             out = layer.forward(out, training, workers)
         self._ran_forward = True
         return out
 
     def loss_and_grad(self, output: np.ndarray, targets):
+        """(mean loss, its gradient at output). The loss is computed in float64
+        from the (M, C) output, where cross_entropy's clip of p at 1e-300 does
+        not underflow; the gradient goes back in the model's dtype, output's own."""
+        out = np.asarray(output, dtype=np.float64)  # no copy for a float64 model
         if self.loss == "cross_entropy":
-            return cross_entropy(output, targets)
-        if self.loss == "mse":
-            return mse(output, np.asarray(targets, dtype=np.float64))
-        raise UnsupportedError(f"unknown loss {self.loss!r}")
+            loss, grad = cross_entropy(out, targets)
+        elif self.loss == "mse":
+            loss, grad = mse(out, np.asarray(targets, dtype=np.float64))
+        else:
+            raise UnsupportedError(f"unknown loss {self.loss!r}")
+        return loss, grad.astype(self.dtype, copy=False)
 
     def reverse_walk(self, loss_grad: np.ndarray):
         """Yield (i, layer, dout) for each parameterized layer, last first, with
@@ -564,15 +608,15 @@ class Model:
         return sum(arr.size for _, _, arr in self.parameters())
 
     def copy(self) -> "Model":
-        import copy as _copy
-
-        return _copy.deepcopy(self)
+        return copy.deepcopy(self)
 
 
 def finite_diff_grad(model: Model, x, y, epsilon: float = 1e-5):
-    """Central-difference gradient of the batch loss per parameter tensor."""
+    """Central-difference gradient of the batch loss per parameter tensor, in
+    float64: a float32 model is differenced on its float64 copy."""
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
+    model = model.astype(np.float64)
     grads: dict[tuple[int, str], np.ndarray] = {}
     for i, name, arr in model.parameters():
         g = np.zeros_like(arr)

@@ -18,8 +18,10 @@ model), so a step that raises leaves the state as it was; then it counts the
 step and calls the subclass's _update on each parameter, its gradient, its
 moments and its divisor.
 One table, opt.moments, maps (layer id, parameter name) to the n_moments
-arrays made as zeros when first met: AdaFisher's m, Adam's m and v, SGD's
-momentum buffer (none without momentum).
+arrays made as zeros like the parameter when first met: AdaFisher's m, Adam's
+m and v, SGD's momentum buffer (none without momentum). With the divisors,
+which KFState.divisors lays out in the parameters' dtype, an update runs in
+the model's dtype alone: float32 in training.
 
 AdaFisher divides a bias-corrected first moment elementwise by the divisor
 KFState.divisors hands over under the same key; there is no second moment and
@@ -70,7 +72,8 @@ class Schedule:
             return 1.0
         if self.kind == "step":
             return self.factor ** (epoch // self.step_size)
-        return 0.5 * (1.0 + np.cos(np.pi * epoch / self.total_epochs))
+        # a Python float: a numpy float64 would upcast a float32 update
+        return float(0.5 * (1.0 + np.cos(np.pi * epoch / self.total_epochs)))
 
 
 class Optimizer:

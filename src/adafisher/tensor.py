@@ -6,7 +6,8 @@ instead of adding. The sweep's geometry depends only on (size, kernel, stride,
 pad), so window_slices works it out once per distinct geometry and hands every
 later call (im2col, col2im and MaxPool2d on each pass) the same tuples.
 
-All arrays are float64, row-major (C order). Operations are pure and
+Each kernel returns arrays in the dtype of its input (float32 in training,
+float64 in the oracles), row-major (C order). Operations are pure and
 single-threaded; determinism is run-to-run on a given platform.
 """
 
@@ -82,11 +83,11 @@ def _axis_slices(n: int, n_out: int, start: int, step: int) -> tuple[slice, slic
 
 def im2col_batch(x: np.ndarray, kernel, stride=(1, 1), pad=(0, 0)) -> np.ndarray:
     """Batched im2col: (M, C, H, W) -> (M, C*kh*kw, out_h*out_w)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     m, c, h, w = x.shape
     kh, kw = kernel
     (oh, ow), offsets = window_slices((h, w), kernel, stride, pad)
-    cols = np.zeros((m, c, kh, kw, oh, ow), dtype=np.float64)
+    cols = np.zeros((m, c, kh, kw, oh, ow), dtype=x.dtype)
     for i, j, out, src, _ in offsets:
         cols[:, :, i, j][out] = x[src]
     return cols.reshape(m, c * kh * kw, oh * ow)
@@ -101,7 +102,7 @@ def col2im_batch(cols: np.ndarray, x_shape, kernel, stride=(1, 1), pad=(0, 0)) -
     kh, kw = kernel
     (oh, ow), offsets = window_slices((h, w), kernel, stride, pad)
     cols = cols.reshape(m, c, kh, kw, oh, ow)
-    dx = np.zeros((m, c, h, w), dtype=np.float64)
+    dx = np.zeros((m, c, h, w), dtype=cols.dtype)
     for i, j, out, src, first in offsets:
         if first:
             dx[src] = cols[:, :, i, j][out]

@@ -15,10 +15,15 @@ divisors (Adam, SGD) gets a pass that forms no factors at all.
 run_training reads a RunConfig that RunConfig.from_dict has checked and builds
 its optimizer, schedule and KFState with RunConfig's builders; it checks only
 what needs the data or the model, and calls train_step through the module
-global. Metrics are one JSON object per line. Wall-clock timings go to
-a separate timings file so that the metrics file is byte-identical across
-repeated runs with the same config and seed. track_first_layer adds
-trajectory.csv: per epoch, the 2-parameter first layer's weights and mean loss.
+global. It trains in float32 (TRAIN_DTYPE), the default of the PyTorch runs
+behind the paper's results: the model is initialized in float64 from the root
+stream and rounded, so final_params.npz holds float32 arrays. The losses in
+the metrics are float64, computed from the float32 logits
+(Model.loss_and_grad). Metrics are one JSON object per line. Wall-clock
+timings go to a separate timings file so that the metrics file is
+byte-identical across repeated runs with the same config and seed.
+track_first_layer adds trajectory.csv: per epoch, the 2-parameter first
+layer's weights and mean loss.
 
 A run's random streams come from one np.random.SeedSequence(seed), in
 run_streams. Its root stream initializes the model; its spawned children 0 and
@@ -44,6 +49,7 @@ from .kfactor import KFState
 from .nn import Model, softmax
 from .optim import Optimizer
 
+TRAIN_DTYPE = np.float32  # run_training's precision; the references stay float64
 METRIC_KEYS = ("epoch", "step", "train_loss", "eval_loss", "accuracy",
                "optimizer", "seed")
 
@@ -61,8 +67,8 @@ def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
     """One synchronized step: K-worker pass -> check -> EMA -> divisors ->
     update. Returns the batch's mean loss, the mean of the workers' losses."""
     step = opt.t + 1
-    loss, grads, factors = model.train_batch(np.asarray(x, dtype=np.float64), np.asarray(y),
-                                             workers, capture=opt.needs_divisors)
+    loss, grads, factors = model.train_batch(x, np.asarray(y), workers,
+                                             capture=opt.needs_divisors)
     if not np.isfinite(loss):
         raise NumericError(f"step {step}: non-finite training loss")
     _check_finite(step, "gradient", grads)
@@ -121,7 +127,7 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
     out.mkdir(parents=True, exist_ok=True)
 
     root, shuffle, _ = run_streams(config.seed)
-    model = build_model(config.model, root)
+    model = build_model(config.model, root).astype(TRAIN_DTYPE)
     if config.track_first_layer:
         first = model.param_layers()[0][1].params if model.param_layers() else {}
         if "W" not in first or first["W"].size != 2:

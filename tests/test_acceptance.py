@@ -167,11 +167,12 @@ def test_05_comparative_run(capsys, tmp_path):
            gap <= 0.005 and ratio <= 1.5)
 
 
-def test_06_distributed_equivalence(capsys):
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_06_distributed_equivalence(capsys, dtype):
     results = {}
     for workers in (1, 2, 4):
         model = Model([Dense(6, 16), Activation("relu"),
-                       Dense(16, 4)]).init(default_rng(7))
+                       Dense(16, 4)]).init(default_rng(7)).astype(dtype)
         opt = AdaFisher(alpha=0.001)
         state = KFState.for_model(model)
         rng = default_rng(8)
@@ -181,7 +182,8 @@ def test_06_distributed_equivalence(capsys):
             train_step(model, x, y, opt, state, workers=workers)
         results[workers] = np.concatenate([p.ravel() for _, _, p in model.parameters()])
     worst = max(float(np.max(np.abs(results[k] - results[1]))) for k in (2, 4))
-    report(capsys, 6, f"K=2,4 vs K=1 after 50 steps, worst param diff {worst:.2e}",
+    report(capsys, 6, f"{np.dtype(dtype)} K=2,4 vs K=1 after 50 steps, worst param diff "
+                      f"{worst:.2e}",
            worst <= 1e-10)
 
 

@@ -353,12 +353,14 @@ class TestExactWorkers:
         (regression, regression_batch), (dense_only, make_batch),
         (no_batchnorm, every_kind_batch),
     ], ids=["mse", "dense", "no-batchnorm"])
-    def test_batchnorm_free_step_equals_one_worker(self, make_model, make_data, workers,
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_batchnorm_free_step_equals_one_worker(self, make_model, make_data, workers, dtype,
                                                    monkeypatch):
         # Only BatchNorm reads workers, so without it the K-worker step is the
-        # one-worker step bit for bit: loss, gradients, factors and parameters.
+        # one-worker step bit for bit, in either dtype: loss, gradients,
+        # factors and parameters.
         x, y = make_data(40 + workers)
-        model = make_model(seed=workers)
+        model = make_model(seed=workers).astype(dtype)
         ref = model.copy()
         passes, ref_passes = recorded_passes(model, monkeypatch), recorded_passes(ref, monkeypatch)
         state, ref_state = KFState.for_model(model, gamma=1.0), KFState.for_model(ref, gamma=1.0)

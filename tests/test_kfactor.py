@@ -297,7 +297,8 @@ class TestStateLifecycle:
         x, y = rng.standard_normal((4, 1, 3, 3)), rng.integers(0, 4, size=4)
         _, _, uncaptured = model.train_batch(x, y, capture=False)
         assert uncaptured == {}
-        with pytest.raises(StateError, match="h of layer 0 is missing; run a backward pass"):
+        with pytest.raises(StateError, match=r"h of layer 0 is missing; run a capturing pass, "
+                                             r"Model\.train_batch\(\.\.\., capture=True\)"):
             state.update(uncaptured)
         _, _, fresh = model.train_batch(x, y)
         with pytest.raises(StateError, match="s of layer 5 is missing"):

@@ -78,7 +78,7 @@ def padded_im2col(x, kernel, stride, pad):
     (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
     oh, ow = conv_out_size(h, kh, sh, ph), conv_out_size(w, kw, sw, pw)
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((m, c, kh, kw, oh, ow))
+    cols = np.empty((m, c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
@@ -91,7 +91,7 @@ def padded_col2im(cols, x_shape, kernel, stride, pad):
     (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
     oh, ow = conv_out_size(h, kh, sh, ph), conv_out_size(w, kw, sw, pw)
     cols = cols.reshape(m, c, kh, kw, oh, ow)
-    xp = np.zeros((m, c, h + 2 * ph, w + 2 * pw))
+    xp = np.zeros((m, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
             xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, i, j]
@@ -109,24 +109,30 @@ window_cases = st.tuples(
     st.integers(0, 2**16))  # seed
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(case=window_cases)
 @example(case=(2, 2, (5, 4), (2, 2), (3, 4), (3, 2), 1))  # stride > kernel, pad > kernel
 @example(case=(1, 3, (7, 6), (3, 2), (2, 1), (1, 2), 2))  # overlapping, non-dividing
-def test_im2col_col2im_adjoint_and_match_padded_reference(case):
+def test_im2col_col2im_adjoint_and_match_padded_reference(dtype, case):
     m, c, (h, w), kernel, stride, pad, seed = case
     assume(all(k <= n + 2 * p for k, n, p in zip(kernel, (h, w), pad)))
     rng = default_rng(seed)
-    x = rng.normal(size=(m, c, h, w))
+    x = rng.normal(size=(m, c, h, w)).astype(dtype, copy=False)
     cols = im2col_batch(x, kernel, stride, pad)
-    g = rng.normal(size=cols.shape)
+    g = rng.normal(size=cols.shape).astype(dtype, copy=False)
     dx = col2im_batch(g, x.shape, kernel, stride, pad)
+    assert cols.dtype == dx.dtype == dtype
     assert dx.shape == x.shape and dx.flags.c_contiguous
     assert np.array_equal(cols, padded_im2col(x, kernel, stride, pad))
     assert np.array_equal(dx, padded_col2im(g, x.shape, kernel, stride, pad))
-    # <im2col(x), g> == <x, col2im(g)>, relative to the sum of |terms|
+    # <im2col(x), g> == <x, col2im(g)>, relative to the sum of |terms|, both
+    # taken in float64. A float32 col2im rounds each entry once per window
+    # added to it, at most kh * kw times with relative error 2**-24 each.
+    tol = 1e-12 + (kernel[0] * kernel[1] * 2.0**-24 if dtype == np.float32 else 0.0)
+    cols, g, x, dx = (np.asarray(a, np.float64) for a in (cols, g, x, dx))
     lhs, rhs = np.vdot(cols, g), np.vdot(x, dx)
-    assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(cols), np.abs(g))
+    assert abs(lhs - rhs) <= tol * np.vdot(np.abs(cols), np.abs(g))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

@@ -3,12 +3,13 @@
 Each rule has one owner. This module owns the keys: RunConfig.from_dict walks a
 raw config against the tables (unknown and missing keys, named by dotted path),
 and RunConfig's builders map them to constructor keywords. The constructors own
-the values of the optimizer, kf, schedule and ablations blocks: from_dict
-builds each once, so a value they reject is a ConfigError naming the block and
-the field. The tables check layer and dataset values with errors' checkers: the
-parameter-count guard MAX_SYNTH_VALUES (a SizeError) reads layer sizes before
-anything is allocated, and resolve_dataset runs after the out dir exists. An
-absent optional field is left out, so its constructor's default applies."""
+the values of the optimizer block (AdaFisher's gamma, lambda and
+norm_fisher_off too) and the schedule block: from_dict builds each once, so a
+value they reject is a ConfigError naming the block and the field. The tables
+check layer and dataset values with errors' checkers: the parameter-count guard
+MAX_SYNTH_VALUES (a SizeError) reads layer sizes before anything is allocated,
+and resolve_dataset runs after the out dir exists. An absent optional field is
+left out, so its constructor's default applies."""
 
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ import numpy as np
 from .datasets import MAX_SYNTH_VALUES, Images, load_csv, load_idx, synth_dataset
 from .errors import (ConfigError, DataError, SizeError, check_count, check_flag, check_number,
                      check_pair)
-from .kfactor import KFState
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                  MaxPool2d, Model, check_eps, check_momentum)
 from .optim import Optimizer, Schedule, build_optimizer
@@ -44,9 +44,10 @@ def _choice(*options: str):
 
 _FILE = _check(lambda v: isinstance(v, str) and Path(v).is_file(), "an existing file")
 
-# Keys that moved elsewhere, with where to set them now.
-_MOVED = {"ablations.sqrt_divisor": "use optimizer.sqrt_divisor",
-          "ablations.ema_off": "use kf.gamma: 1"}
+# Blocks that moved elsewhere, with where to set their keys now.
+_MOVED = {"kf": "use optimizer.gamma and optimizer.lambda of adafisher or adafisherw",
+          "ablations": "use optimizer.norm_fisher_off, optimizer.sqrt_divisor or "
+                       "optimizer.gamma: 1 (EMA off) of adafisher or adafisherw"}
 # Config keys that are not their constructor's keyword.
 _KEYWORDS = {"lambda": "lam", "type": "kind"}
 
@@ -124,7 +125,8 @@ _DATASET = _union("source", {
 })
 
 # Hyperparameter keys per optimizer name (optim.build_optimizer's names, any case).
-_ADAFISHER = dict.fromkeys(("alpha", "beta", "sqrt_divisor"))
+_ADAFISHER = dict.fromkeys(("alpha", "beta", "sqrt_divisor", "gamma", "lambda",
+                            "norm_fisher_off"))
 _ADAM = dict.fromkeys(("alpha", "beta1", "beta2", "eps", "weight_decay"))
 _OPTIMIZER = _union("name", {
     "adafisher": ({}, _ADAFISHER),
@@ -135,11 +137,9 @@ _OPTIMIZER = _union("name", {
 }, fold=str.lower)
 
 _TOP = _block({"model": _MODEL, "dataset": _DATASET, "optimizer": _OPTIMIZER}, {
-    "kf": _block({}, dict.fromkeys(("gamma", "lambda"))),
     # type is the block's tag, so the schema knows its choices
     "schedule": _block({}, {"type": _choice("constant", "step", "cosine"),
                             "step_size": None, "factor": None}),
-    "ablations": _block({}, {"norm_fisher_off": None}),
     # epochs is also Schedule's total_epochs, a float: so it must fit one
     "epochs": lambda path, value: check_number(path, check_count(path, value)),
     "batch_size": check_count, "seed": partial(check_count, least=0),
@@ -170,13 +170,11 @@ class RunConfig:
     model: dict
     dataset: dict
     optimizer: dict
-    kf: dict = field(default_factory=dict)
     schedule: dict = field(default_factory=dict)
     epochs: int = 1
     batch_size: int = 32
     seed: int = 0
     workers: int = 1
-    ablations: dict = field(default_factory=dict)
     out_dir: str = "runs"
     track_first_layer: bool = False
 
@@ -185,13 +183,10 @@ class RunConfig:
         _TOP("", raw)
         cfg = cls(**raw)
         cfg.build_optimizer()  # its ConfigError names it: "optimizer 'adam': beta1 must be ..."
-        for block, build in (("kf", lambda: KFState(**_keywords(cfg.kf))),
-                             ("ablations", lambda: KFState(**cfg.ablations)),
-                             ("schedule", cfg.build_schedule)):
-            try:
-                build()
-            except ConfigError as exc:
-                raise ConfigError(f"{block}.{exc}") from None
+        try:
+            cfg.build_schedule()
+        except ConfigError as exc:
+            raise ConfigError(f"schedule.{exc}") from None
         params = sum(map(_param_count, cfg.model["layers"]))
         if params > MAX_SYNTH_VALUES:
             raise SizeError(f"model has {params} parameter values, over the guard "
@@ -217,16 +212,12 @@ class RunConfig:
 
     def build_optimizer(self) -> Optimizer:
         """The optimizer block's optimizer, by name."""
-        hyper = dict(self.optimizer)
+        hyper = _keywords(self.optimizer)
         return build_optimizer(hyper.pop("name"), hyper)
 
     def build_schedule(self) -> Schedule:
         """The schedule block's Schedule over the run's epochs."""
         return Schedule(total_epochs=self.epochs, **_keywords(self.schedule))
-
-    def build_kf_state(self, model: Model) -> KFState:
-        """The kf block's KFState for model, with the ablations, its switches."""
-        return KFState.for_model(model, **_keywords(self.kf), **self.ablations)
 
 
 def build_model(model_spec: dict, rng: np.random.Generator) -> Model:

@@ -4,7 +4,7 @@ The exact oracle sums the squared per-sample gradients over every class label,
 weighted by the predictive probabilities p; the Monte-Carlo estimator samples
 labels from the predictive distribution instead. Both return
 {(layer id, parameter name): array}, each shaped like its parameter, the
-layout of the training pass's gradients and of KFState.divisors.
+layout of the training pass's gradients and of AdaFisher's divisors.
 
 Both walk the batch in chunks of consecutive rows, sized so that a chunk's
 input fits CACHE_BUDGET bytes (at least one row; a batch that fits is one

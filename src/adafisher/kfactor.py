@@ -5,7 +5,10 @@ factor (h) and the pre-activation-gradient second-moment factor (s), the
 factor table a capturing training pass returns (Model.train_batch), and
 smooth them with an EMA in which the *fresh* factor carries weight gamma.
 KFState.factors is keyed (layer id, "h" | "s"), like that table, the
-gradients and the divisors; their lengths are the layer's factor_sizes.
+gradients and the divisors; their lengths are the layer's factor_sizes. An
+empty state starts, on its first update, from ones of those sizes (identity
+curvature). AdaFisher (optim) holds one KFState as its curvature; no other
+module reads it.
 
 KFState.divisors min-max normalizes the factors (all zero for norm layers
 under norm_fisher_off), lays the diagonal of H (x) S out like the layer's
@@ -33,16 +36,21 @@ MINMAX_EPS = 1e-12
 
 
 def minmax_normalize(v: np.ndarray) -> np.ndarray:
-    """(v - min) / (max - min); all zeros when the range is degenerate."""
+    """(v - min) / (max - min); all zeros when the range is degenerate. A range
+    past float64's largest value is taken from the halves of v."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise DimensionError("cannot normalize an empty vector")
-    if np.any(np.isnan(v)):
-        raise InputError("NaN in min-max input")
+    if not np.isfinite(v).all():
+        raise InputError("non-finite value in min-max input")
     lo, hi = v.min(), v.max()
-    if hi - lo < MINMAX_EPS:
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if span < MINMAX_EPS:
         return np.zeros_like(v)
-    return (v - lo) / (hi - lo)
+    if span == np.inf:
+        v, lo, span = v / 2, lo / 2, hi / 2 - lo / 2
+    return (v - lo) / span
 
 
 @dataclass
@@ -51,7 +59,6 @@ class KFState:
 
     gamma: float = DEFAULT_GAMMA
     lam: float = DEFAULT_LAMBDA
-    step: int = 0
     factors: dict[tuple[int, str], np.ndarray] = field(default_factory=dict)
     norm_fisher_off: bool = False
 
@@ -60,34 +67,25 @@ class KFState:
         check_number("lambda", self.lam, lambda v: v > 0, "a finite number > 0")
         check_flag("norm_fisher_off", self.norm_fisher_off)
 
-    @classmethod
-    def for_model(cls, model: Model, gamma: float = DEFAULT_GAMMA, lam: float = DEFAULT_LAMBDA,
-                  norm_fisher_off: bool = False):
-        """All-ones initialization (identity curvature at t=0)."""
-        state = cls(gamma=gamma, lam=lam, norm_fisher_off=norm_fisher_off)
-        for i, layer in model.param_layers():
-            h, s = layer.factor_sizes
-            state.factors[i, "h"], state.factors[i, "s"] = np.ones(h), np.ones(s)
-        return state
-
-    def update(self, fresh: dict[tuple[int, str], np.ndarray]) -> "KFState":
+    def update(self, model: Model, fresh: dict[tuple[int, str], np.ndarray]) -> "KFState":
         """EMA every factor with its fresh diagonal, gamma*fresh + (1-gamma)*old;
-        fresh must hold exactly the state's keys (a pass with capture=False
-        returns none), each shaped like the state's factor. Every fresh
-        factor is checked before any changes."""
-        if fresh.keys() != self.factors.keys():
-            i, name = min(fresh.keys() ^ self.factors.keys())
+        an empty state starts from model's ones. fresh must hold exactly the
+        state's keys (a pass with capture=False returns none), each shaped like
+        the state's factor. Every fresh factor is checked before any changes."""
+        old = self.factors or {(i, name): np.ones(n) for i, layer in model.param_layers()
+                               for name, n in zip(("h", "s"), layer.factor_sizes)}
+        if fresh.keys() != old.keys():
+            i, name = min(fresh.keys() ^ old.keys())
             why = ("missing; run a capturing pass, Model.train_batch(..., capture=True), first"
-                   if (i, name) in self.factors else "unknown")
+                   if (i, name) in old else "unknown")
             raise StateError(f"fresh factor {name} of layer {i} is {why}")
         fresh = {key: np.asarray(vec, dtype=np.float64) for key, vec in fresh.items()}
         for (i, name), vec in fresh.items():
-            if vec.shape != self.factors[i, name].shape:
+            if vec.shape != old[i, name].shape:
                 raise DimensionError(f"fresh factor {name} of layer {i} has shape {vec.shape}, "
-                                     f"the state's {self.factors[i, name].shape}")
-        for key, vec in fresh.items():
-            self.factors[key] = self.gamma * vec + (1.0 - self.gamma) * self.factors[key]
-        self.step += 1
+                                     f"the state's {old[i, name].shape}")
+        self.factors = {key: self.gamma * fresh[key] + (1.0 - self.gamma) * vec
+                        for key, vec in old.items()}
         return self
 
     def divisors(self, model: Model) -> dict[tuple[int, str], np.ndarray]:
@@ -95,8 +93,7 @@ class KFState:
         out, dtype = {}, model.dtype
         for i, layer in model.param_layers():
             if (i, "h") not in self.factors or (i, "s") not in self.factors:
-                raise StateError(f"the state holds no factors of layer {i}; "
-                                 "build it with KFState.for_model")
+                raise StateError(f"the state holds no factors of layer {i}")
             h, s = (minmax_normalize(self.factors[i, k]).astype(dtype, copy=False)
                     for k in ("h", "s"))
             if self.norm_fisher_off and isinstance(layer, Norm):

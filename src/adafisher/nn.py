@@ -476,11 +476,13 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log-softmax of the true class over the M rows.
 
     Returns (loss, grad) with grad = (softmax - onehot) / M, the gradient of
-    the mean loss w.r.t. the logits. Labels must be integers in [0, C).
+    the mean loss w.r.t. the logits. Labels must be integers in [0, C). Both
+    are float64 whatever the logits' dtype, so the clip of p at 1e-300 does
+    not underflow.
     """
-    labels = np.asarray(labels)
     if np.ndim(logits) != 2:
         raise DimensionError(f"logits must be 2-D (M, C), got shape {np.shape(logits)}")
+    logits, labels = np.asarray(logits, dtype=np.float64), np.asarray(labels)
     m, c = logits.shape
     if m == 0:
         raise InputError("cross-entropy of an empty batch")
@@ -500,7 +502,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 def mse(pred: np.ndarray, target: np.ndarray):
     """Half squared error over the M rows, sum((p-t)^2) / (2M); the gradient
-    is (p-t) / M."""
+    is (p-t) / M. Both are float64 whatever the inputs' dtype."""
+    pred, target = np.asarray(pred, dtype=np.float64), np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise DimensionError("prediction/target shape mismatch")
     if pred.size == 0:
@@ -543,14 +546,12 @@ class Model:
         return out
 
     def loss_and_grad(self, output: np.ndarray, targets):
-        """(mean loss, its gradient at output). The loss is computed in float64
-        from the (M, C) output, where cross_entropy's clip of p at 1e-300 does
-        not underflow; the gradient goes back in the model's dtype, output's own."""
-        out = np.asarray(output, dtype=np.float64)  # no copy for a float64 model
+        """(mean loss, its gradient at output). The loss functions compute in
+        float64; the gradient goes back in the model's dtype, output's own."""
         if self.loss == "cross_entropy":
-            loss, grad = cross_entropy(out, targets)
+            loss, grad = cross_entropy(output, targets)
         elif self.loss == "mse":
-            loss, grad = mse(out, np.asarray(targets, dtype=np.float64))
+            loss, grad = mse(output, targets)
         else:
             raise UnsupportedError(f"unknown loss {self.loss!r}")
         return loss, grad.astype(self.dtype, copy=False)

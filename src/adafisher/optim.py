@@ -6,31 +6,34 @@ arguments for library callers (each hyperparameter a real number, not a bool,
 in its range; each flag a bool) and raise ConfigError otherwise. They own
 these rules for run configs too: RunConfig.from_dict builds them once.
 
-One walk, Optimizer.step(model, grads, divisors), serves every optimizer. It
-reads the gradient table a training pass returns, {(layer id, parameter
-name): gradient} (Model.train_batch), and, for AdaFisher, the divisors
-KFState.divisors returns under the same keys. Before it changes anything it
-checks that every gradient (and, for AdaFisher, every divisor) is there and
-shaped like its parameter, that grads holds no key the model has no
-parameter for, and that every moment it already holds for a parameter is
-shaped like it (a StateError otherwise: the optimizer was stepped on another
-model), so a step that raises leaves the state as it was; then it counts the
-step and calls the subclass's _update on each parameter, its gradient, its
-moments and its divisor.
+One walk, Optimizer.step(model, grads, factors=None), serves every optimizer.
+It reads the gradient and factor tables a training pass returns, keyed (layer
+id, name) (Model.train_batch); Adam and SGD ignore the factors. Before it
+changes anything it checks that every gradient is there and shaped like its
+parameter, that grads holds no key the model has no parameter for, that every
+moment it already holds for a parameter is shaped like it (a StateError
+otherwise: the optimizer was stepped on another model) and, for AdaFisher,
+that the factors fit its curvature state (KFState.update), so a step that
+raises leaves the state as it was. Then it counts the step and calls the
+subclass's _update on each parameter, its gradient, its moments and its
+divisor.
 One table, opt.moments, maps (layer id, parameter name) to the n_moments
 arrays made as zeros like the parameter when first met: AdaFisher's m, Adam's
 m and v, SGD's momentum buffer (none without momentum). With the divisors,
 which KFState.divisors lays out in the parameters' dtype, an update runs in
 the model's dtype alone: float32 in training.
 
-AdaFisher divides a bias-corrected first moment elementwise by the divisor
-KFState.divisors hands over under the same key; there is no second moment and
-(unless sqrt_divisor=True) no square root on the divisor: the factored
-curvature supplies its own smoothing through the factor EMA. AdaFisherW is
-AdaFisher with a decoupled weight decay kappa > 0, so both names build one.
+AdaFisher holds all its state: t, the moments and opt.curvature, a KFState
+with the EMAs of the factor diagonals (gamma, lam and norm_fisher_off are its
+hyperparameters), started from the model on the first step. A step runs the
+EMA, then the divisors, then the update: a bias-corrected first moment divided
+elementwise by its divisor. There is no second moment and (unless
+sqrt_divisor=True) no square root on the divisor: the factored curvature
+supplies its own smoothing through the factor EMA. AdaFisherW is AdaFisher
+with a decoupled weight decay kappa > 0, so both names build one.
 
-The Adam and SGD baselines read no curvature (needs_divisors is False), so
-their training step forms no factors. Every _update changes its
+The Adam and SGD baselines read no curvature (needs_factors is False), so
+their training pass forms no factors. Every _update changes its
 moments and parameter in place, with the float operations of the textbook
 formulas in their order (m *= b1; m += (1 - b1) * g rounds as
 b1 * m + (1 - b1) * g), so an Adam step allocates only its update and one
@@ -43,8 +46,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionError, StateError, check_count, check_flag,
-                     check_number)
+from .errors import (AdaFisherError, ConfigError, DimensionError, StateError, check_count,
+                     check_flag, check_number)
+from .kfactor import DEFAULT_GAMMA, DEFAULT_LAMBDA, KFState
 from .nn import Model
 
 
@@ -79,7 +83,7 @@ class Schedule:
 class Optimizer:
     """The parameter walk (see the module docstring); subclasses give _update."""
 
-    needs_divisors = False
+    needs_factors = False
     n_moments = 0
 
     def __init__(self, alpha: float = 0.001):
@@ -88,9 +92,7 @@ class Optimizer:
         self.t = 0
         self.moments: dict[tuple[int, str], tuple[np.ndarray, ...]] = {}
 
-    def step(self, model: Model, grads: dict, divisors: dict | None = None) -> None:
-        if self.needs_divisors and divisors is None:
-            raise ConfigError(f"{type(self).__name__} requires curvature divisors")
+    def step(self, model: Model, grads: dict, factors: dict | None = None) -> None:
         work = []
         for i, name, p in model.parameters():
             g = grads.get((i, name))
@@ -100,25 +102,26 @@ class Optimizer:
             if g.shape != p.shape:
                 raise DimensionError(f"layer {i} parameter {name}: gradient {g.shape} "
                                      f"vs parameter {p.shape}")
-            div = divisors.get((i, name)) if self.needs_divisors else None
-            if self.needs_divisors and (div is None or g.shape != div.shape):
-                raise DimensionError(f"layer {i} parameter {name}: gradient {g.shape} "
-                                     f"vs divisor {getattr(div, 'shape', 'missing')}")
             for m in self.moments.get((i, name), ()):
                 if m.shape != p.shape:
                     raise StateError(f"layer {i} parameter {name}: moment {m.shape} vs "
                                      f"parameter {p.shape}; the optimizer was stepped on "
                                      f"another model")
-            work.append(((i, name), p, g, div))
+            work.append(((i, name), p, g))
         if len(grads) > len(work):
             known = {key for key, *_ in work}
             key = next(key for key in grads if key not in known)
             raise StateError(f"gradient {key} is unknown: the model has no such parameter")
+        divisors = self._divisors(model, factors)
         self.t += 1
-        for key, p, g, div in work:
+        for key, p, g in work:
             if key not in self.moments:
                 self.moments[key] = tuple(np.zeros_like(p) for _ in range(self.n_moments))
-            self._update(p, g, *self.moments[key], div=div)
+            self._update(p, g, *self.moments[key], div=divisors.get(key))
+
+    def _divisors(self, model: Model, factors: dict | None) -> dict:
+        """{(layer id, parameter name): divisor}; none for a baseline."""
+        return {}
 
     @property
     def lr(self) -> float:
@@ -129,15 +132,27 @@ class AdaFisher(Optimizer):
     """First-moment descent divided by the curvature divisors; kappa > 0 adds
     decoupled weight decay, undivided (the AdaFisherW variant)."""
 
-    needs_divisors = True
+    needs_factors = True
     n_moments = 1
 
     def __init__(self, alpha: float = 0.001, beta: float = 0.9, kappa: float = 0.0,
-                 sqrt_divisor: bool = False):
+                 sqrt_divisor: bool = False, gamma: float = DEFAULT_GAMMA,
+                 lam: float = DEFAULT_LAMBDA, norm_fisher_off: bool = False):
         super().__init__(alpha)
         self.beta = _below_one("beta", beta)
         self.kappa = _nonnegative("weight decay kappa", kappa)
         self.sqrt_divisor = check_flag("sqrt_divisor", sqrt_divisor)
+        self.curvature = KFState(gamma=gamma, lam=lam, norm_fisher_off=norm_fisher_off)
+
+    def _divisors(self, model: Model, factors: dict | None) -> dict:
+        """The EMA with factors, then the divisors of the curvature state; if
+        either raises, the state keeps its factors."""
+        before = self.curvature.factors
+        try:
+            return self.curvature.update(model, factors or {}).divisors(model)
+        except AdaFisherError:
+            self.curvature.factors = before
+            raise
 
     def _update(self, p, g, m, div) -> None:
         if self.sqrt_divisor:
@@ -210,7 +225,7 @@ _FACTORIES = {"adafisher": AdaFisher, "adafisherw": AdaFisher, "adam": Adam,
 
 def build_optimizer(name: str, hyper: dict | None = None) -> Optimizer:
     """The optimizer called name, in any case, built with the keywords hyper."""
-    factory = _FACTORIES.get(name.lower())
+    factory = _FACTORIES.get(name.lower()) if isinstance(name, str) else None
     if factory is None:
         raise ConfigError(f"unknown optimizer {name!r}")
     try:

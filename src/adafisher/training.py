@@ -7,13 +7,13 @@ diagonals is the full-batch value, so a step runs one pass over the whole
 batch, Model.train_batch(x, y, workers=K). Workers shape only BatchNorm's ghost
 batches (see nn), so a net without BatchNorm gives the one-worker step bit for
 bit at every K. The pass returns its loss and its gradient and factor tables,
-keyed (layer id, name); the step hands them on to KFState.update and
-Optimizer.step. A non-finite loss, gradient or factor raises NumericError
-before the EMA state or the optimizer changes. An optimizer that reads no
-divisors (Adam, SGD) gets a pass that forms no factors at all.
+keyed (layer id, name); the step hands both tables to Optimizer.step, which
+holds all the optimizer's state (AdaFisher's curvature EMAs too). A non-finite
+loss, gradient or factor raises NumericError before the optimizer changes. An
+optimizer that reads no factors (Adam, SGD) gets a pass that forms none.
 
 run_training reads a RunConfig that RunConfig.from_dict has checked and builds
-its optimizer, schedule and KFState with RunConfig's builders; it checks only
+its optimizer and schedule with RunConfig's builders; it checks only
 what needs the data or the model, and calls train_step through the module
 global. It trains in float32 (TRAIN_DTYPE), the default of the PyTorch runs
 behind the paper's results: the model is initialized in float64 from the root
@@ -45,7 +45,6 @@ from .config import RunConfig, build_model, resolve_dataset
 from .datasets import train_eval_split
 from .diagnostics import write_csv
 from .errors import ConfigError, InputError, NumericError
-from .kfactor import KFState
 from .nn import Model, softmax
 from .optim import Optimizer
 
@@ -62,24 +61,17 @@ def _check_finite(step: int, quantity: str, arrays: dict) -> None:
             raise NumericError(f"step {step}: non-finite {quantity} {name} of layer {i}")
 
 
-def train_step(model: Model, x: np.ndarray, y, opt: Optimizer,
-               kf_state: KFState | None = None, workers: int = 1) -> float:
-    """One synchronized step: K-worker pass -> check -> EMA -> divisors ->
-    update. Returns the batch's mean loss, the mean of the workers' losses."""
+def train_step(model: Model, x: np.ndarray, y, opt: Optimizer, workers: int = 1) -> float:
+    """One synchronized step: K-worker pass -> check -> Optimizer.step.
+    Returns the batch's mean loss, the mean of the workers' losses."""
     step = opt.t + 1
     loss, grads, factors = model.train_batch(x, np.asarray(y), workers,
-                                             capture=opt.needs_divisors)
+                                             capture=opt.needs_factors)
     if not np.isfinite(loss):
         raise NumericError(f"step {step}: non-finite training loss")
     _check_finite(step, "gradient", grads)
-    divisors = None
-    if opt.needs_divisors:
-        if kf_state is None:
-            raise ConfigError("AdaFisher training requires a KFState")
-        _check_finite(step, "factor", factors)
-        kf_state.update(factors)
-        divisors = kf_state.divisors(model)
-    opt.step(model, grads, divisors)
+    _check_finite(step, "factor", factors)
+    opt.step(model, grads, factors)
     return float(loss)
 
 
@@ -141,7 +133,6 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
         raise ConfigError("batch size exceeds the training split")
 
     opt, schedule = config.build_optimizer(), config.build_schedule()
-    kf_state = config.build_kf_state(model) if opt.needs_divisors else None
 
     metrics_path = out / "metrics.jsonl"
     timings_path = out / "timings.jsonl"
@@ -156,8 +147,7 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
             for b in range(n_batches):
                 batch = rows[perm[b * config.batch_size:(b + 1) * config.batch_size]]
                 t0 = time.perf_counter()
-                loss = train_step(model, x[batch], y[batch], opt, kf_state,
-                                  workers=config.workers)
+                loss = train_step(model, x[batch], y[batch], opt, workers=config.workers)
                 times.append((time.perf_counter() - t0) * 1000.0)
                 step += 1
                 losses.append(loss)

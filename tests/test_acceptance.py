@@ -112,11 +112,10 @@ def test_04_convex_convergence(capsys):
     x, y = synth_dataset("quadratic", 256, seed=5, dim=20, out_dim=1, scale=0.5)
     model = Model([Dense(20, 1, bias=False)], loss="mse").init(default_rng(6))
     opt = AdaFisher(alpha=0.0001, beta=0.9)
-    state = KFState.for_model(model)
     losses = []
     hit = None
     for step in range(5000):
-        losses.append(train_step(model, x, y, opt, state))
+        losses.append(train_step(model, x, y, opt))
         if losses[-1] < 1e-6:
             hit = step + 1
             break
@@ -174,12 +173,11 @@ def test_06_distributed_equivalence(capsys, dtype):
         model = Model([Dense(6, 16), Activation("relu"),
                        Dense(16, 4)]).init(default_rng(7)).astype(dtype)
         opt = AdaFisher(alpha=0.001)
-        state = KFState.for_model(model)
         rng = default_rng(8)
         for _ in range(50):
             x = rng.standard_normal((16, 6))
             y = rng.integers(0, 4, size=16)
-            train_step(model, x, y, opt, state, workers=workers)
+            train_step(model, x, y, opt, workers=workers)
         results[workers] = np.concatenate([p.ravel() for _, _, p in model.parameters()])
     worst = max(float(np.max(np.abs(results[k] - results[1]))) for k in (2, 4))
     report(capsys, 6, f"{np.dtype(dtype)} K=2,4 vs K=1 after 50 steps, worst param diff "
@@ -223,34 +221,35 @@ def _ablation_model():
 
 
 def test_08_ablation_behavior(capsys):
-    # EMA off: the curvature is a pure function of the batch
+    # EMA off (gamma = 1): the curvature is a pure function of the batch,
+    # whatever it held before
     model, x, y = _ablation_model()
-    divs = []
+    ema_off, divs = AdaFisher(gamma=1.0), []
     for _ in range(2):
         _, grads, factors = model.train_batch(x, y)
-        transient = KFState(factors=factors)
-        divs.append(transient.divisors(model))
+        ema_off.step(model.copy(), grads, factors)
+        divs.append(ema_off.curvature.divisors(model))
     ema_ok = set(divs[0]) == set(divs[1]) and all(
         np.array_equal(divs[0][key], divs[1][key]) for key in divs[0])
 
     # sqrt toggle: with beta=0 and alpha=1 each step is the gradient divided
     # by the square root of the default divisor
-    state = KFState.for_model(model)
-    state.update(factors)
-    divisors = state.divisors(model)
+    opt = AdaFisher(alpha=1.0, beta=0.0, sqrt_divisor=True)
     stepped = model.copy()
-    AdaFisher(alpha=1.0, beta=0.0, sqrt_divisor=True).step(stepped, grads, divisors)
+    opt.step(stepped, grads, factors)
+    divisors = opt.curvature.divisors(model)
     sqrt_err = max(
         float(np.max(np.abs((p0 - p) - grads[i, name]
                             / np.sqrt(divisors[i, name]))))
         for (i, name, p0), (_, _, p) in zip(model.parameters(), stepped.parameters()))
 
     # normalization-Fisher off: identity factors collapse to the damping floor
-    state_off = KFState.for_model(model, norm_fisher_off=True)
-    state_off.update(factors)
-    div_off = state_off.divisors(model)
-    norm_ok = (np.array_equal(div_off[1, "scale"], np.full(8, state.lam))
-               and np.array_equal(div_off[1, "shift"], np.full(8, state.lam)))
+    norm_off = AdaFisher(norm_fisher_off=True)
+    norm_off.step(model.copy(), grads, factors)
+    div_off = norm_off.curvature.divisors(model)
+    lam = norm_off.curvature.lam
+    norm_ok = (np.array_equal(div_off[1, "scale"], np.full(8, lam))
+               and np.array_equal(div_off[1, "shift"], np.full(8, lam)))
 
     report(capsys, 8, f"ema-off identical divisors={ema_ok}, sqrt spot-check {sqrt_err:.1e}, "
               f"norm-off divisors==lambda={norm_ok}",
@@ -262,10 +261,8 @@ def test_09_decoupled_decay(capsys):
     _, grads, factors = model.train_batch(x, y)  # the pass's factors, zero gradients
     before = {(i, n): p.copy() for i, n, p in model.parameters()}
     zeros = {key: np.zeros_like(g) for key, g in grads.items()}
-    state = KFState.for_model(model)
-    state.update(factors)
     opt = AdaFisher(alpha=0.01, kappa=0.1)
-    opt.step(model, zeros, state.divisors(model))
+    opt.step(model, zeros, factors)
     worst = 0.0
     for i, name, p in model.parameters():
         expected = before[(i, name)] * (1.0 - 0.001)

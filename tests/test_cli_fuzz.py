@@ -24,7 +24,6 @@ CSV_CELLS = ["", "x", "nan", "inf", "1e999", "-1", "2.5", "1,2"]
 def configs(root: Path) -> dict:
     """One small valid config per data source; the files live under root."""
     common = {"epochs": 1, "batch_size": 4, "seed": 0, "workers": 2,
-              "kf": {"gamma": 0.5, "lambda": 0.01}, "ablations": {"norm_fisher_off": False},
               "schedule": {"type": "step", "step_size": 1, "factor": 0.5}}
     dense = [{"kind": "dense", "in": 2, "out": 4, "bias": True},
              {"kind": "batchnorm", "dim": 4, "eps": 1e-5, "momentum": 0.1},
@@ -44,7 +43,8 @@ def configs(root: Path) -> dict:
                                       "schema": {"has_header": False, "label_col": -1}},
                 "model": {"layers": dense},
                 "optimizer": {"name": "adafisherw", "alpha": 0.01, "beta": 0.9, "kappa": 0.01,
-                              "sqrt_divisor": True}},
+                              "sqrt_divisor": True, "gamma": 0.5, "lambda": 0.01,
+                              "norm_fisher_off": False}},
         "blobs": {**common, "dataset": {"source": "blobs", "n": 24, "classes": 2, "dim": 2,
                                         "sep": 3.0, "noise": 1.0, "seed": 1},
                   "model": {"layers": dense}, "out_dir": "runs", "track_first_layer": False,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from adafisher.errors import ConfigError, NumericError
-from adafisher.kfactor import MINMAX_EPS, KFState
+from adafisher.errors import ConfigError, NumericError, StateError
+from adafisher.kfactor import MINMAX_EPS
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                           MaxPool2d, Model, _per_worker)
 from adafisher.optim import Adam, AdaFisher, SGD
@@ -80,12 +80,11 @@ class TestTrainStep:
         for workers in (1, 2, 4):
             model = mlp(seed=5)
             opt = AdaFisher(alpha=0.001)
-            state = KFState.for_model(model)
             rng = default_rng(99)
             for _ in range(20):
                 x = rng.standard_normal((8, 6))
                 y = rng.integers(0, 4, size=8)
-                train_step(model, x, y, opt, state, workers=workers)
+                train_step(model, x, y, opt, workers=workers)
             results[workers] = np.concatenate(
                 [p.ravel() for _, _, p in model.parameters()])
         for workers in (2, 4):
@@ -96,14 +95,12 @@ class TestTrainStep:
         m1 = mlp(seed=2)
         m2 = mlp(seed=2)
         o1, o2 = AdaFisher(), AdaFisher()
-        s1, s2 = KFState.for_model(m1), KFState.for_model(m2)
         l1, g1, f1 = m1.train_batch(x, y)
-        s1.update(f1)
-        o1.step(m1, g1, s1.divisors(m1))
-        l2 = train_step(m2, x, y, o2, s2, workers=1)
+        o1.step(m1, g1, f1)
+        l2 = train_step(m2, x, y, o2, workers=1)
         assert l1 == l2
-        for key, vec in s1.factors.items():
-            assert np.array_equal(vec, s2.factors[key])
+        for key, vec in o1.curvature.factors.items():
+            assert np.array_equal(vec, o2.curvature.factors[key])
         for (_, _, pa), (_, _, pb) in zip(m1.parameters(), m2.parameters()):
             assert np.array_equal(pa, pb)
 
@@ -119,17 +116,29 @@ class TestTrainStep:
         train_step(model, *make_batch(7, m=8), SGD(), workers=4)
         assert calls == [(4,)]
 
-    def test_one_ema_update_per_cluster_step(self):
+    def test_one_ema_update_per_cluster_step(self, monkeypatch):
+        # one EMA of the pass's factors from the starting ones, not one per worker
         x, y = make_batch(7, m=8)
         model = mlp(seed=3)
-        state = KFState.for_model(model)
-        train_step(model, x, y, AdaFisher(), state, workers=4)
-        assert state.step == 1
+        passes = recorded_passes(model, monkeypatch)
+        opt = AdaFisher(gamma=0.8)
+        train_step(model, x, y, opt, workers=4)
+        (_, _, fresh), = passes
+        assert opt.t == 1
+        assert_same_tables(opt.curvature.factors,
+                           {key: 0.8 * vec + (1.0 - 0.8) * np.ones_like(vec)
+                            for key, vec in fresh.items()})
 
-    def test_missing_state_rejected(self):
+    def test_uncaptured_pass_rejected(self, monkeypatch):
+        # an AdaFisher step on a pass that formed no factors
         x, y = make_batch(8, m=4)
-        with pytest.raises(ConfigError):
-            train_step(mlp(), x, y, AdaFisher(), kf_state=None)
+        model, opt = mlp(), AdaFisher()
+        train_batch = model.train_batch
+        monkeypatch.setattr(model, "train_batch",
+                            lambda *args, capture: train_batch(*args, capture=False))
+        with pytest.raises(StateError, match="fresh factor h of layer 0 is missing"):
+            train_step(model, x, y, opt)
+        assert opt.t == 0 and opt.curvature.factors == {}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_gamma_one_state_is_batch_factors(self, workers):
@@ -137,14 +146,14 @@ class TestTrainStep:
         # batch's fresh factors, whatever came before; in a net without
         # BatchNorm, K workers capture exactly what one worker does
         model = mlp(seed=4)
-        state = KFState.for_model(model, gamma=1.0)
+        opt = AdaFisher(gamma=1.0)
         for seed in (9, 11):
             x, y = make_batch(seed, m=8)
             probe = model.copy()
             _, _, expected = probe.train_batch(x, y)
-            train_step(model, x, y, AdaFisher(), state, workers=workers)
+            train_step(model, x, y, opt, workers=workers)
             for key, vec in expected.items():
-                assert np.array_equal(state.factors[key], vec)
+                assert np.array_equal(opt.curvature.factors[key], vec)
 
     def test_loss_is_shard_mean(self):
         x, y = make_batch(10, m=8)
@@ -159,39 +168,39 @@ class TestTrainStep:
 
 class TestFiniteGuard:
     def started(self, workers):
-        """A model, optimizer and EMA state after one good step, plus copies."""
+        """A model and optimizer after one good step, plus copies of their state."""
         model = mlp(seed=8)
-        opt, state = AdaFisher(), KFState.for_model(model)
-        train_step(model, *make_batch(12, m=8), opt, state, workers=workers)
-        snapshot = ({k: v.copy() for k, v in state.factors.items()},
+        opt = AdaFisher()
+        train_step(model, *make_batch(12, m=8), opt, workers=workers)
+        snapshot = ({k: v.copy() for k, v in opt.curvature.factors.items()},
                     {k: np.copy(v) for k, v in opt.moments.items()},
                     [p.copy() for _, _, p in model.parameters()])
-        return model, opt, state, snapshot
+        return model, opt, snapshot
 
-    def assert_unchanged(self, model, opt, state, snapshot):
+    def assert_unchanged(self, model, opt, snapshot):
         factors, moments, params = snapshot
-        assert state.step == 1 and opt.t == 1
-        assert state.factors.keys() == factors.keys()
-        assert all(np.array_equal(state.factors[k], v) for k, v in factors.items())
+        assert opt.t == 1
+        assert opt.curvature.factors.keys() == factors.keys()
+        assert all(np.array_equal(opt.curvature.factors[k], v) for k, v in factors.items())
         assert opt.moments.keys() == moments.keys()
         assert all(np.array_equal(opt.moments[k], v) for k, v in moments.items())
         assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), params))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nan_batch_leaves_state_unchanged(self, workers):
-        model, opt, state, snapshot = self.started(workers)
+        model, opt, snapshot = self.started(workers)
         x, y = make_batch(13, m=8)
         x[5, 2] = np.nan
         with pytest.raises(NumericError, match="step 2: non-finite training loss"):
-            train_step(model, x, y, opt, state, workers=workers)
-        self.assert_unchanged(model, opt, state, snapshot)
+            train_step(model, x, y, opt, workers=workers)
+        self.assert_unchanged(model, opt, snapshot)
 
     @pytest.mark.parametrize("quantity, corrupt", [
         ("gradient b of layer 2", lambda grads, factors: grads[2, "b"].__setitem__(1, np.inf)),
         ("factor h of layer 2", lambda grads, factors: factors[2, "h"].__setitem__(0, np.nan)),
     ], ids=["gradient", "factor"])
     def test_named_layer_and_quantity(self, quantity, corrupt, monkeypatch):
-        model, opt, state, snapshot = self.started(workers=2)
+        model, opt, snapshot = self.started(workers=2)
         train_batch = model.train_batch
 
         def corrupted(*args, **kwargs):
@@ -201,19 +210,19 @@ class TestFiniteGuard:
 
         monkeypatch.setattr(model, "train_batch", corrupted)
         with pytest.raises(NumericError, match=f"step 2: non-finite {quantity}$"):
-            train_step(model, *make_batch(14, m=8), opt, state, workers=2)
-        self.assert_unchanged(model, opt, state, snapshot)
+            train_step(model, *make_batch(14, m=8), opt, workers=2)
+        self.assert_unchanged(model, opt, snapshot)
 
     def test_divergence_stops_before_the_state_takes_it(self):
         model = Model([Dense(4, 16), Activation("relu"), Dense(16, 3)]).init(default_rng(0))
-        opt, state = AdaFisher(alpha=1e6), KFState.for_model(model)
+        opt = AdaFisher(alpha=1e6)
         rng = default_rng(15)
         with pytest.raises(NumericError), np.errstate(all="ignore"):
             for _ in range(200):
                 train_step(model, rng.standard_normal((16, 4)) * 3.0, rng.integers(0, 3, size=16),
-                           opt, state)
-        assert state.step == opt.t > 0
-        assert all(np.isfinite(vec).all() for vec in state.factors.values())
+                           opt)
+        assert opt.t > 0 and opt.curvature.factors
+        assert all(np.isfinite(vec).all() for vec in opt.curvature.factors.values())
         assert all(np.isfinite(m).all() for m in opt.moments.values())
 
 
@@ -305,8 +314,7 @@ class TestExactWorkers:
         model = make_model(seed=workers)
         ref = model.copy()
         alpha = 0.01
-        opt, ref_opt = AdaFisher(alpha=alpha), AdaFisher(alpha=alpha)
-        state, ref_state = KFState.for_model(model, gamma=1.0), KFState.for_model(ref, gamma=1.0)
+        opt, ref_opt = AdaFisher(alpha=alpha, gamma=1.0), AdaFisher(alpha=alpha, gamma=1.0)
 
         losses, grads, captures = [], [], []
         for xs, ys in zip(np.split(x, workers), np.split(y, workers)):
@@ -320,11 +328,10 @@ class TestExactWorkers:
                     for key, arr in parts[0].items()}
 
         mean_grads = ordered_mean(grads)
-        ref_state.update(ordered_mean(captures))
-        ref_opt.step(ref, mean_grads, ref_state.divisors(ref))
+        ref_opt.step(ref, mean_grads, ordered_mean(captures))
 
         passes = recorded_passes(model, monkeypatch)
-        loss = train_step(model, x, y, opt, state, workers=workers)
+        loss = train_step(model, x, y, opt, workers=workers)
         eps = 2 * (len(x) - 1) * UNIT_ROUNDOFF
         ref_loss = float(np.mean(losses))
         assert abs(loss - ref_loss) <= eps * ref_loss
@@ -332,12 +339,12 @@ class TestExactWorkers:
         assert got.keys() == mean_grads.keys()
         g_max = largest(mean_grads.values())
         assert all(np.abs(got[key] - g).max() <= eps * g_max for key, g in mean_grads.items())
-        factors = ref_state.factors
-        assert state.factors.keys() == factors.keys()
+        factors = ref_opt.curvature.factors
+        assert opt.curvature.factors.keys() == factors.keys()
         v_max = {kind: largest(v for (_, k), v in factors.items() if k == kind) for kind in "hs"}
-        assert all(np.abs(state.factors[key] - vec).max() <= eps * v_max[key[1]]
+        assert all(np.abs(opt.curvature.factors[key] - vec).max() <= eps * v_max[key[1]]
                    for key, vec in factors.items())
-        divisors = ref_state.divisors(ref)
+        divisors = ref_opt.curvature.divisors(ref)
         for (i, name, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
             d, g = divisors[i, name], mean_grads[i, name]
             dd = sum(4 * eps * v_max[kind] / np.ptp(factors[i, kind])
@@ -363,15 +370,14 @@ class TestExactWorkers:
         model = make_model(seed=workers).astype(dtype)
         ref = model.copy()
         passes, ref_passes = recorded_passes(model, monkeypatch), recorded_passes(ref, monkeypatch)
-        state, ref_state = KFState.for_model(model, gamma=1.0), KFState.for_model(ref, gamma=1.0)
-        loss = train_step(model, x, y, AdaFisher(alpha=0.01), state, workers=workers)
-        assert loss == train_step(ref, x, y, AdaFisher(alpha=0.01), ref_state)
+        opt, ref_opt = AdaFisher(alpha=0.01, gamma=1.0), AdaFisher(alpha=0.01, gamma=1.0)
+        loss = train_step(model, x, y, opt, workers=workers)
+        assert loss == train_step(ref, x, y, ref_opt)
         (_, *tables), = passes
         (_, *ref_tables), = ref_passes
         for got, expected in zip(tables, ref_tables):
             assert_same_tables(got, expected)
-        assert all(np.array_equal(state.factors[key], vec)
-                   for key, vec in ref_state.factors.items())
+        assert_same_tables(opt.curvature.factors, ref_opt.curvature.factors)
         for (_, _, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
             assert np.array_equal(p, q)
 
@@ -408,7 +414,7 @@ class TestCaptureOnlyWhenRead:
         model = every_kind(seed=32)
         ref = model.copy()
         passes = recorded_passes(model, monkeypatch)
-        train_step(model, x, y, AdaFisher(), KFState.for_model(model), workers=4)
+        train_step(model, x, y, AdaFisher(), workers=4)
         (_, _, got), = passes
         _, _, expected = ref.train_batch(x, y, 4)
         assert_same_tables(got, expected)

@@ -7,11 +7,19 @@ from adafisher.errors import ConfigError, DimensionError, InputError, StateError
 from adafisher.kfactor import MINMAX_EPS, KFState, minmax_normalize
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, Model)
+from adafisher.optim import AdaFisher
 
 
 def weight_only(h, s):
     """A bias-free Dense whose W divisor is the whole (len(s), len(h)) outer grid."""
     return Model([Dense(len(h), len(s), bias=False)])
+
+
+def identity(model):
+    """The factors an empty KFState starts from on model: ones of every
+    layer's factor_sizes."""
+    return {(i, name): np.ones(n) for i, layer in model.param_layers()
+            for name, n in zip(("h", "s"), layer.factor_sizes)}
 
 
 def divisor_grid(state, h, s):
@@ -24,13 +32,16 @@ class TestKfIdentity:
     """All-ones (identity) factors carry no curvature after min-max."""
 
     def test_definition(self):
-        ident = KFState.for_model(Model([Dense(3, 3)])).factors
+        # gamma = 1 keeps the fresh factors, so take the starting ones at 0.5
+        model = Model([Dense(3, 3)])
+        half = {key: np.full(n, 0.5) for key, n in {(0, "h"): 4, (0, "s"): 3}.items()}
+        ident = KFState(gamma=0.5).update(model, half).factors
         assert set(ident) == {(0, "h"), (0, "s")}
-        assert np.array_equal(ident[0, "h"], np.ones(4))
-        assert np.array_equal(ident[0, "s"], np.ones(3))
+        assert np.array_equal(ident[0, "h"], np.full(4, 0.75))
+        assert np.array_equal(ident[0, "s"], np.full(3, 0.75))
 
     def test_minmax_of_identity_is_degenerate(self):
-        ident = KFState.for_model(Model([Dense(3, 3)])).factors
+        ident = identity(Model([Dense(3, 3)]))
         assert np.array_equal(minmax_normalize(ident[0, "h"]), np.zeros(4))
 
     def test_assembled_divisor_is_pure_damping(self):
@@ -42,7 +53,7 @@ class TestKfIdentity:
 def ema(old, fresh, gamma):
     """One KFState.update of a single factor from old with fresh."""
     state = KFState(gamma=gamma, factors={(0, "h"): np.asarray(old, dtype=np.float64)})
-    return state.update({(0, "h"): fresh}).factors[0, "h"]
+    return state.update(Model([]), {(0, "h"): fresh}).factors[0, "h"]
 
 
 class TestEmaUpdate:
@@ -98,6 +109,27 @@ class TestMinMax:
         with pytest.raises(InputError):
             minmax_normalize(np.array([1.0, float("nan")]))
 
+    @pytest.mark.parametrize("v", [[np.inf, 1.0], [1.0, -np.inf], [np.inf, np.inf]])
+    def test_infinity_rejected(self, v):
+        # (inf - inf) / (inf - 1) was nan, and every divisor of the layer with it
+        with pytest.raises(InputError, match="non-finite"):
+            minmax_normalize(np.array(v))
+
+    def test_range_past_float64_max(self):
+        # hi - lo overflows to inf, and (v - lo) / inf read [0, nan, 0]
+        out = minmax_normalize(np.array([-1e308, 0.0, 1e308]))
+        assert np.array_equal(out, [0.0, 0.5, 1.0])
+        big = np.array([-1.7e308, 3.0, 1.2e308, -5e307])
+        out = minmax_normalize(big)
+        assert np.all(np.isfinite(out)) and out.min() == 0.0 and out.max() == 1.0
+        assert np.allclose(out, (big / 2 - big.min() / 2) / (big.max() / 2 - big.min() / 2))
+
+    @pytest.mark.parametrize("v", [[1.0, 2.0, 3.0], [-1e300, 0.5, 1e300], [1e-3, 2.5e-3, 7e5],
+                                   [-8.9e307, 8.9e307]])
+    def test_range_that_fits_keeps_its_bits(self, v):
+        v = np.array(v)
+        assert np.array_equal(minmax_normalize(v), (v - v.min()) / (v.max() - v.min()))
+
 
 class TestEfimAssemble:
     """KFState.divisors: min-max normalized factors plus damping."""
@@ -142,7 +174,7 @@ class TestEfimAssemble:
         with pytest.raises(ConfigError, match="norm_fisher_off must be True or False"):
             KFState(norm_fisher_off=flag)
         with pytest.raises(ConfigError, match="norm_fisher_off"):
-            KFState.for_model(Model([Dense(2, 2)]), norm_fisher_off=flag)
+            AdaFisher(norm_fisher_off=flag)
 
 
 def vec(diag):
@@ -268,12 +300,14 @@ class TestStateLifecycle:
             LayerNorm(4),
         ]).init(default_rng(9))
 
-    def test_for_model_shapes(self):
+    def test_start_shapes(self):
+        # an empty state starts from ones of each layer's factor_sizes
         model = self.make_model()
-        state = KFState.for_model(model)
-        assert np.array_equal(state.factors[0, "h"], np.ones(5))  # 1*2*2 + bias
-        assert np.array_equal(state.factors[0, "s"], np.ones(2))
-        assert np.array_equal(state.factors[4, "h"], np.ones(9))
+        zeros = {key: np.zeros_like(vec) for key, vec in identity(model).items()}
+        state = KFState(gamma=0.5).update(model, zeros)
+        assert np.array_equal(state.factors[0, "h"], np.full(5, 0.5))  # 1*2*2 + bias
+        assert np.array_equal(state.factors[0, "s"], np.full(2, 0.5))
+        assert np.array_equal(state.factors[4, "h"], np.full(9, 0.5))
         assert {name for i, name in state.factors if i == 2} == {"h", "s"}
 
     def test_fresh_factors_and_update(self):
@@ -281,48 +315,54 @@ class TestStateLifecycle:
         rng = default_rng(10)
         x = rng.standard_normal((4, 1, 3, 3))
         _, _, fresh = model.train_batch(x, rng.integers(0, 4, size=4))
-        state = KFState.for_model(model, gamma=0.8)
-        state.update(fresh)
-        assert state.step == 1
+        state = KFState(gamma=0.8)
+        state.update(model, fresh)
+        assert state.factors.keys() == fresh.keys()
         expected = 0.8 * fresh[0, "h"] + 0.2 * np.ones(5)
         assert np.max(np.abs(state.factors[0, "h"] - expected)) < 1e-15
         # factors are Gram diagonals: nonnegative throughout
         for vec in fresh.values():
             assert np.all(vec >= 0.0)
 
-    def test_update_rejects_missing_or_unknown_factors(self):
+    @pytest.mark.parametrize("started", [False, True], ids=["empty", "started"])
+    def test_update_rejects_missing_or_unknown_factors(self, started):
         model = self.make_model()
-        state = KFState.for_model(model)
+        state = KFState(factors=identity(model) if started else {})
         rng = default_rng(10)
         x, y = rng.standard_normal((4, 1, 3, 3)), rng.integers(0, 4, size=4)
         _, _, uncaptured = model.train_batch(x, y, capture=False)
         assert uncaptured == {}
         with pytest.raises(StateError, match=r"h of layer 0 is missing; run a capturing pass, "
                                              r"Model\.train_batch\(\.\.\., capture=True\)"):
-            state.update(uncaptured)
+            state.update(model, uncaptured)
         _, _, fresh = model.train_batch(x, y)
         with pytest.raises(StateError, match="s of layer 5 is missing"):
-            state.update({key: vec for key, vec in fresh.items() if key != (5, "s")})
+            state.update(model, {key: vec for key, vec in fresh.items() if key != (5, "s")})
         with pytest.raises(StateError, match="h of layer 1 is unknown"):
-            state.update({**fresh, (1, "h"): np.ones(2)})
-        assert state.step == 0
+            state.update(model, {**fresh, (1, "h"): np.ones(2)})
+        assert state.factors.keys() == (identity(model).keys() if started else set())
+        assert all(np.all(vec == 1.0) for vec in state.factors.values())
 
     def test_update_checks_every_factor_before_changing_any(self):
         model = self.make_model()
         rng = default_rng(10)
         _, _, fresh = model.train_batch(rng.standard_normal((4, 1, 3, 3)),
                                         rng.integers(0, 4, size=4))
-        state = KFState.for_model(model)
+        state = KFState(factors=identity(model))
         before = {key: vec.copy() for key, vec in state.factors.items()}
         fresh = {**fresh, (5, "s"): np.ones(3)}  # the last factor misshaped
         with pytest.raises(DimensionError, match="fresh factor s of layer 5"):
-            state.update(fresh)
-        assert state.step == 0
+            state.update(model, fresh)
+        assert state.factors.keys() == before.keys()
         assert all(np.array_equal(state.factors[key], vec) for key, vec in before.items())
+        empty = KFState()  # one that would start from the model: it stays empty
+        with pytest.raises(DimensionError, match="fresh factor s of layer 5"):
+            empty.update(model, fresh)
+        assert empty.factors == {}
 
     def test_divisors_of_a_layer_without_factors_rejected(self):
         model = self.make_model()
-        state = KFState.for_model(model)
+        state = KFState(factors=identity(model))
         del state.factors[4, "h"]
         with pytest.raises(StateError, match="no factors of layer 4"):
             state.divisors(model)
@@ -332,8 +372,8 @@ class TestStateLifecycle:
         rng = default_rng(11)
         x = rng.standard_normal((4, 1, 3, 3))
         _, _, fresh = model.train_batch(x, rng.integers(0, 4, size=4))
-        state = KFState.for_model(model, norm_fisher_off=True)
-        state.update(fresh)
+        state = KFState(norm_fisher_off=True)
+        state.update(model, fresh)
         div = state.divisors(model)
         for layer_id in (2, 5):  # BatchNorm / LayerNorm layers
             assert np.allclose(div[layer_id, "scale"], state.lam)
@@ -345,7 +385,7 @@ class TestStateLifecycle:
     ], ids=["dense", "dense-nobias", "conv", "conv-nobias", "batchnorm", "layernorm"])
     def test_divisors_fit_every_parameter(self, layer):
         model = Model([layer])
-        state = KFState.for_model(model)
+        state = KFState(factors=identity(model))
         rng = default_rng(12)
         for key, vec in state.factors.items():
             state.factors[key] = rng.random(vec.shape)
@@ -355,7 +395,7 @@ class TestStateLifecycle:
             assert div[0, name].shape == p.shape
             assert np.all(div[0, name] >= state.lam)
         for name in ("h", "s"):  # one entry too many in either factor
-            bad = KFState.for_model(model)
+            bad = KFState(factors=identity(model))
             bad.factors[0, name] = np.ones(bad.factors[0, name].size + 1)
             with pytest.raises(DimensionError, match="layer 0"):
                 bad.divisors(model)
@@ -399,10 +439,9 @@ def test_divisors_never_below_damping(h, s, h_scale, lam, sqrt):
        steps=st.integers(0, 3))
 def test_gamma_one_update_keeps_exactly_the_fresh_factors(old, fresh, steps):
     n_h, n_s = min(len(old[0]), len(fresh[0])), min(len(old[1]), len(fresh[1]))
-    state = KFState(gamma=1.0, step=steps,
-                    factors={(0, "h"): old[0][:n_h], (0, "s"): old[1][:n_s]})
+    state = KFState(gamma=1.0, factors={(0, "h"): old[0][:n_h], (0, "s"): old[1][:n_s]})
     new = {(0, "h"): fresh[0][:n_h], (0, "s"): fresh[1][:n_s]}
-    state.update(new)
-    assert state.step == steps + 1
+    for _ in range(steps + 1):
+        state.update(Model([]), new)
     for name in ("h", "s"):
         assert np.array_equal(state.factors[0, name], new[0, name])

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.random import default_rng
 
 from adafisher.config import RunConfig
-from adafisher.errors import ConfigError, DimensionError, StateError
-from adafisher.kfactor import KFState, minmax_normalize
+from adafisher.errors import ConfigError, DimensionError, InputError, StateError
+from adafisher.kfactor import minmax_normalize
 from adafisher.nn import Activation, BatchNorm, Conv2d, Dense, LayerNorm, Model
 from adafisher.optim import Adam, AdaFisher, SGD, Schedule, build_optimizer
 
@@ -24,28 +24,35 @@ def scalar_grad(g=0.0):
     return {(0, "W"): np.full((1, 1), g)}
 
 
-def unit_divisors(model, lam=1.0):
-    # degenerate normalized factors: divisor is the damping constant alone
-    return KFState(lam=lam, factors={(0, "h"): np.zeros(1), (0, "s"): np.zeros(1)}).divisors(model)
+def factor_table(model, fill=np.zeros):
+    """{(layer id, "h" | "s"): fill(size)} for every factor of model."""
+    return {(i, name): fill(n) for i, layer in model.param_layers()
+            for name, n in zip(("h", "s"), layer.factor_sizes)}
+
+
+def damped(lam=1.0, **hyper):
+    """An AdaFisher whose every divisor is lam alone when it is stepped with
+    factor_table(model): with gamma = 1 its EMA is the fresh factors, and
+    zeros min-max to zeros."""
+    return AdaFisher(lam=lam, gamma=1.0, **hyper)
 
 
 class TestAdaFisher:
     def test_single_step_worked_example(self):
         model, layer = scalar_model(w0=0.0)
-        opt = AdaFisher(alpha=0.001, beta=0.9)
-        opt.step(model, scalar_grad(1.0), unit_divisors(model))
+        opt = damped(alpha=0.001, beta=0.9)
+        opt.step(model, scalar_grad(1.0), factor_table(model))
         # m = 0.1, corrected by (1 - 0.9) -> 1.0, unit divisor
         assert layer.params["W"][0, 0] == pytest.approx(-0.001, abs=1e-15)
 
     def test_scalar_recurrence_oracle(self):
         model, layer = scalar_model(w0=0.5)
-        opt = AdaFisher(alpha=0.01, beta=0.9)
-        divisors = unit_divisors(model, lam=0.25)
+        opt = damped(lam=0.25, alpha=0.01, beta=0.9)
         rng = default_rng(0)
         grads = rng.standard_normal((30,))
         theta, m = 0.5, 0.0
         for t, g in enumerate(grads, start=1):
-            opt.step(model, scalar_grad(g), divisors)
+            opt.step(model, scalar_grad(g), factor_table(model))
             m = 0.9 * m + 0.1 * g
             theta -= 0.01 * (m / (1 - 0.9**t)) / 0.25
             assert abs(layer.params["W"][0, 0] - theta) < 1e-14
@@ -53,21 +60,21 @@ class TestAdaFisher:
     def test_bias_correction_constant_gradient(self):
         # with a constant gradient the corrected moment equals the gradient
         model, layer = scalar_model(w0=0.0)
-        opt = AdaFisher(alpha=0.001, beta=0.9)
+        opt = damped(alpha=0.001, beta=0.9)
         for t in range(1, 6):
-            opt.step(model, scalar_grad(2.0), unit_divisors(model))
+            opt.step(model, scalar_grad(2.0), factor_table(model))
             assert layer.params["W"][0, 0] == pytest.approx(-0.001 * 2.0 * t, abs=1e-14)
 
     def test_sqrt_divisor(self):
         for use_sqrt, expected in ((False, -0.001 / 4.0), (True, -0.001 / 2.0)):
             model, layer = scalar_model(w0=0.0)
-            opt = AdaFisher(alpha=0.001, beta=0.9, sqrt_divisor=use_sqrt)
-            opt.step(model, scalar_grad(1.0), unit_divisors(model, lam=4.0))
+            opt = damped(lam=4.0, alpha=0.001, beta=0.9, sqrt_divisor=use_sqrt)
+            opt.step(model, scalar_grad(1.0), factor_table(model))
             assert layer.params["W"][0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_requires_curvature(self):
         model, _ = scalar_model()
-        with pytest.raises(ConfigError):
+        with pytest.raises(StateError, match="fresh factor h of layer 0 is missing"):
             AdaFisher().step(model, scalar_grad(), None)
 
     def test_norm_layer_blocks(self):
@@ -76,25 +83,22 @@ class TestAdaFisher:
         ln.params["shift"] = np.array([0.0, 0.0])
         grads = {(0, "scale"): np.array([1.0, 1.0]), (0, "shift"): np.array([2.0, 0.0])}
         model = Model([ln])
-        state = KFState(lam=1.0, factors={(0, "h"): np.zeros(2), (0, "s"): np.array([0.0, 1.0])})
-        opt = AdaFisher(alpha=0.001, beta=0.9)
-        opt.step(model, grads, state.divisors(model))
+        opt = damped(alpha=0.001, beta=0.9)
+        opt.step(model, grads, {(0, "h"): np.zeros(2), (0, "s"): np.array([0.0, 1.0])})
         # scale divisors h*s + lam = [1, 1]; shift divisors s + lam = [1, 2]
         assert np.allclose(ln.params["scale"], [1.0 - 0.001, 2.0 - 0.001])
         assert np.allclose(ln.params["shift"], [-0.002, 0.0])
 
-    def test_divisor_shape_mismatch_rejected(self):
+    def test_factor_shape_mismatch_rejected(self):
         model, _ = scalar_model()  # a bias-free 1x1 Dense cannot take a 1x2 divisor grid
-        state = KFState(lam=1.0, factors={(0, "h"): np.zeros(2), (0, "s"): np.zeros(1)})
         with pytest.raises(DimensionError):
-            AdaFisher().step(model, scalar_grad(), state.divisors(model))
+            AdaFisher().step(model, scalar_grad(), {(0, "h"): np.zeros(2), (0, "s"): np.zeros(1)})
         with pytest.raises(DimensionError):
-            AdaFisher().step(model, scalar_grad(), {(0, "W"): np.ones((1, 2))})
+            AdaFisher().step(model, scalar_grad(), {(0, "h"): np.zeros(1), (0, "s"): np.zeros(2)})
         ln = Model([LayerNorm(2)])
         grads = {(0, "scale"): np.zeros(2), (0, "shift"): np.zeros(2)}
-        state = KFState(lam=1.0, factors={(0, "h"): np.zeros(3), (0, "s"): np.zeros(3)})
         with pytest.raises(DimensionError):
-            AdaFisher().step(ln, grads, state.divisors(ln))
+            AdaFisher().step(ln, grads, {(0, "h"): np.zeros(3), (0, "s"): np.zeros(3)})
 
     def test_bad_hyperparameters(self):
         for hyper in ({"alpha": 0.0}, {"alpha": float("nan")}, {"beta": 1.0},
@@ -106,26 +110,27 @@ class TestAdaFisher:
 class TestAdaFisherW:
     def test_zero_gradient_pure_decay(self):
         model, layer = scalar_model(w0=3.0)
-        opt = AdaFisher(alpha=0.01, kappa=0.1)
-        opt.step(model, scalar_grad(0.0), unit_divisors(model))
+        opt = damped(alpha=0.01, kappa=0.1)
+        opt.step(model, scalar_grad(0.0), factor_table(model))
         assert layer.params["W"][0, 0] == 3.0 * (1.0 - 0.01 * 0.1)
 
     def test_decay_is_decoupled_from_divisor(self):
         # decay term must not be divided by the curvature
         model, layer = scalar_model(w0=1.0)
-        opt = AdaFisher(alpha=0.01, kappa=0.1)
-        opt.step(model, scalar_grad(0.0), unit_divisors(model, lam=100.0))
+        opt = damped(lam=100.0, alpha=0.01, kappa=0.1)
+        opt.step(model, scalar_grad(0.0), factor_table(model))
         assert layer.params["W"][0, 0] == pytest.approx(1.0 - 0.001, abs=1e-15)
 
     def test_matches_adafisher_when_kappa_zero(self):
         ma, la = scalar_model(w0=0.7)
         mw, lw = scalar_model(w0=0.7)
-        oa = AdaFisher(alpha=0.005)
-        ow = build_optimizer("adafisherw", {"alpha": 0.005, "kappa": 0.0})
+        oa = damped(alpha=0.005)
+        ow = build_optimizer("adafisherw", {"alpha": 0.005, "kappa": 0.0, "lam": 1.0,
+                                            "gamma": 1.0})
         rng = default_rng(1)
         for g in rng.standard_normal((10,)):
-            oa.step(ma, scalar_grad(g), unit_divisors(ma))
-            ow.step(mw, scalar_grad(g), unit_divisors(mw))
+            oa.step(ma, scalar_grad(g), factor_table(ma))
+            ow.step(mw, scalar_grad(g), factor_table(mw))
             assert la.params["W"][0, 0] == lw.params["W"][0, 0]
 
 
@@ -246,51 +251,78 @@ def test_in_place_baseline_matches_allocating_formulas(name, hyper):
         assert not any(np.shares_memory(buf, g) for buf in kept for g in grads.values())
 
 
-def _drop_grads(grads, divisors):
+def _drop_grads(grads, factors):
     del grads[2, "W"], grads[2, "b"]
 
 
+def _other_model_factors(grads, factors):
+    # Dense(3, 5)-relu-Dense(5, 2): the same keys, layer 0's s one entry longer
+    factors.clear()
+    factors.update(factor_table(Model([Dense(3, 5), Activation("relu"), Dense(5, 2)]),
+                                np.ones))
+
+
+def curvature(opt):
+    """AdaFisher's curvature factors; none for a baseline."""
+    return opt.curvature.factors if opt.needs_factors else {}
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["second-step", "first-step"])
 @pytest.mark.parametrize("name, hyper, spoil, error, match", [
     ("adafisher", {}, _drop_grads, StateError, "layer 2 parameter W has no gradient"),
     ("adam", {}, _drop_grads, StateError, "layer 2 parameter W has no gradient"),
     ("sgd", {"momentum": 0.9}, _drop_grads, StateError, "layer 2 parameter W has no gradient"),
-    ("adafisher", {}, lambda grads, divisors: divisors.pop((2, "b")), DimensionError,
-     r"layer 2 parameter b: gradient \(2,\) vs divisor missing"),
-    ("adafisher", {}, lambda grads, divisors: divisors.clear(), DimensionError,
-     "layer 0 parameter W"),
-    ("adafisher", {}, lambda grads, divisors: divisors.__setitem__((2, "b"), np.ones(3)),
-     DimensionError, r"layer 2 parameter b: gradient \(2,\) vs divisor \(3,\)"),
-    ("adam", {}, lambda grads, divisors: grads.__setitem__((2, "b"), np.ones(3)),
+    ("adafisher", {}, lambda grads, factors: factors.pop((2, "s")), StateError,
+     "fresh factor s of layer 2 is missing"),
+    ("adafisher", {}, lambda grads, factors: factors.clear(), StateError,
+     "fresh factor h of layer 0 is missing"),
+    ("adafisher", {}, lambda grads, factors: factors.__setitem__((1, "h"), np.ones(4)),
+     StateError, "fresh factor h of layer 1 is unknown"),
+    ("adafisher", {}, lambda grads, factors: factors.__setitem__((2, "s"), np.ones(3)),
+     DimensionError, r"fresh factor s of layer 2 has shape \(3,\), the state's \(2,\)"),
+    ("adafisher", {}, _other_model_factors, DimensionError,
+     r"fresh factor s of layer 0 has shape \(5,\), the state's \(4,\)"),
+    # a library caller's non-finite factor: the divisors raise after the EMA
+    ("adafisher", {}, lambda grads, factors: factors[2, "h"].__setitem__(0, np.nan),
+     InputError, "non-finite value in min-max input"),
+    ("adam", {}, lambda grads, factors: grads.__setitem__((2, "b"), np.ones(3)),
      DimensionError, r"layer 2 parameter b: gradient \(3,\) vs parameter \(2,\)"),
-    ("adafisher", {}, lambda grads, divisors: grads.__setitem__((99, "W"), np.ones(1)),
+    ("adafisher", {}, lambda grads, factors: grads.__setitem__((99, "W"), np.ones(1)),
      StateError, r"gradient \(99, 'W'\) is unknown: the model has no such parameter"),
-    ("adam", {}, lambda grads, divisors: grads.__setitem__((99, "W"), np.ones(1)),
+    ("adam", {}, lambda grads, factors: grads.__setitem__((99, "W"), np.ones(1)),
      StateError, r"gradient \(99, 'W'\) is unknown: the model has no such parameter"),
 ], ids=["adafisher-no-gradient", "adam-no-gradient", "sgd-momentum-no-gradient",
-        "adafisher-no-divisor", "adafisher-no-divisors", "adafisher-misshaped-divisor",
+        "adafisher-no-factor", "adafisher-no-factors", "adafisher-unknown-factor",
+        "adafisher-misshaped-factor", "adafisher-other-model-factors", "adafisher-nan-factor",
         "adam-misshaped-gradient", "adafisher-unknown-gradient", "adam-unknown-gradient"])
-def test_failing_step_changes_nothing(name, hyper, spoil, error, match):
-    # Every parameter is checked before any is updated: a step that raises on
-    # the last layer leaves every parameter, every moment and t as they were.
+def test_failing_step_changes_nothing(name, hyper, spoil, error, match, warm):
+    # Every parameter and every factor is checked before anything is updated:
+    # a step that raises on the last layer leaves every parameter, every
+    # moment, the curvature factors and t as they were, on the optimizer's
+    # first step too (when its curvature starts from the model).
     model = Model([Dense(3, 4), Activation("relu"), Dense(4, 2)]).init(default_rng(30))
     opt = build_optimizer(name, {"alpha": 0.01, **hyper})
     rng = default_rng(31)
 
-    def gradients_and_divisors():
+    def gradients_and_factors():
         grads = {(i, n): rng.standard_normal(p.shape) for i, n, p in model.parameters()}
-        return grads, KFState.for_model(model).divisors(model)
+        return grads, factor_table(model, rng.random)
 
-    opt.step(model, *gradients_and_divisors())
+    if warm:
+        opt.step(model, *gradients_and_factors())
     params = [p.copy() for _, _, p in model.parameters()]
     moments = {key: np.copy(arrays) for key, arrays in opt.moments.items()}
-    grads, divisors = gradients_and_divisors()
-    spoil(grads, divisors)
+    factors = {key: vec.copy() for key, vec in curvature(opt).items()}
+    grads, fresh = gradients_and_factors()
+    spoil(grads, fresh)
     with pytest.raises(error, match=match):
-        opt.step(model, grads, divisors)
-    assert opt.t == 1
+        opt.step(model, grads, fresh)
+    assert opt.t == int(warm)
     assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), params))
     assert opt.moments.keys() == moments.keys()
     assert all(np.array_equal(opt.moments[key], arrays) for key, arrays in moments.items())
+    assert curvature(opt).keys() == factors.keys()
+    assert all(np.array_equal(curvature(opt)[key], vec) for key, vec in factors.items())
 
 
 @pytest.mark.parametrize("name, hyper", [("adam", {}), ("sgd", {"momentum": 0.9}),
@@ -301,26 +333,29 @@ def test_failing_step_changes_nothing(name, hyper, spoil, error, match):
 ], ids=["first-layer", "last-layer"])
 def test_step_on_another_model_changes_nothing(name, hyper, sizes, match):
     # The moments held for Dense(3, 4)-relu-Dense(4, 2) do not fit the second
-    # model: a StateError before t, any parameter or any moment changes (a
-    # bare broadcast ValueError, after t and the first layer had, for the
-    # last-layer mismatch).
+    # model: a StateError before t, any parameter, any moment or the
+    # curvature changes (a bare broadcast ValueError, after t and the first
+    # layer had, for the last-layer mismatch).
     def stepped_model(hidden, out, seed):
         model = Model([Dense(3, hidden), Activation("relu"),
                        Dense(hidden, out)]).init(default_rng(seed))
         grads = {(i, n): np.ones_like(p) for i, n, p in model.parameters()}
-        return model, grads, KFState.for_model(model).divisors(model)
+        return model, grads, factor_table(model, np.ones)
 
     opt = build_optimizer(name, {"alpha": 0.01, **hyper})
     opt.step(*stepped_model(4, 2, 40))
     moments = {key: np.copy(arrays) for key, arrays in opt.moments.items()}
-    model, grads, divisors = stepped_model(*sizes, 41)
+    factors = {key: vec.copy() for key, vec in curvature(opt).items()}
+    model, grads, fresh = stepped_model(*sizes, 41)
     params = [p.copy() for _, _, p in model.parameters()]
     with pytest.raises(StateError, match=match):
-        opt.step(model, grads, divisors)
+        opt.step(model, grads, fresh)
     assert opt.t == 1
     assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), params))
     assert opt.moments.keys() == moments.keys()
     assert all(np.array_equal(opt.moments[key], arrays) for key, arrays in moments.items())
+    assert curvature(opt).keys() == factors.keys()
+    assert all(np.array_equal(curvature(opt)[key], vec) for key, vec in factors.items())
 
 
 class TestSchedule:
@@ -420,7 +455,7 @@ def _make_layer(spec):
     return LayerNorm(args[0]) if kind == "layernorm" else BatchNorm(args[0])
 
 
-def _random_state(model, rng, lam):
+def _random_factors(model, rng):
     factors = {}
     for i, layer in model.param_layers():
         if "W" in layer.params:
@@ -430,25 +465,25 @@ def _random_state(model, rng, lam):
         else:
             c = layer.params["scale"].size
             factors.update({(i, name): rng.uniform(size=c) for name in ("h", "s")})
-    return KFState(lam=lam, factors=factors)
+    return factors
 
 
-def _combined_reference_step(model, grads, state, opt, moments):
+def _combined_reference_step(model, grads, factors, lam, opt, moments):
     """The update on hstacked (out, in[+1]) [W | b] blocks, split back afterwards,
     with divisors formed here from the min-max-normalized factors."""
     correction = 1.0 - opt.beta**opt.t
     for i, layer in model.param_layers():
-        h, s = (minmax_normalize(state.factors[i, k]) for k in ("h", "s"))
+        h, s = (minmax_normalize(factors[i, k]) for k in ("h", "s"))
         p, g = layer.params, {name: grads[i, name] for name in layer.params}
         if "W" in p:
             names = [n for n in ("W", "b") if n in p]
             out = p["W"].shape[0]
             blocks = {"WB": (np.hstack([g[n].reshape(out, -1) for n in names]),
                              np.hstack([p[n].reshape(out, -1) for n in names]))}
-            div = {"WB": np.outer(s, h) + state.lam}
+            div = {"WB": np.outer(s, h) + lam}
         else:
             blocks = {n: (g[n], p[n]) for n in ("scale", "shift")}
-            div = {"scale": h * s + state.lam, "shift": s + state.lam}
+            div = {"scale": h * s + lam, "shift": s + lam}
         if opt.sqrt_divisor:
             div = {name: np.sqrt(d) for name, d in div.items()}
         for name, (grad, theta) in blocks.items():
@@ -480,16 +515,18 @@ def test_per_parameter_update_matches_combined_blocks(specs, variant, kappa, sqr
         for name, p in layer.params.items():
             p[...] = rng.normal(size=p.shape)
     ref = model.copy()
-    opt = build_optimizer(variant, {"alpha": 0.01, "kappa": kappa, "sqrt_divisor": sqrt})
-    ref_opt = build_optimizer(variant, {"alpha": 0.01, "kappa": kappa, "sqrt_divisor": sqrt})
+    # gamma = 1: the curvature holds each step's fresh factors
+    hyper = {"alpha": 0.01, "kappa": kappa, "sqrt_divisor": sqrt, "gamma": 1.0}
+    opt, ref_opt = build_optimizer(variant, hyper), build_optimizer(variant, hyper)
     moments = {}
     for _ in range(steps):
-        state = _random_state(model, rng, lam=float(rng.uniform(1e-3, 1.0)))
+        opt.curvature.lam = lam = float(rng.uniform(1e-3, 1.0))
+        factors = _random_factors(model, rng)
         grads = {(i, n): rng.normal(size=p.shape) for i, n, p in model.parameters()}
         ref_grads = {key: g.copy() for key, g in grads.items()}
-        opt.step(model, grads, state.divisors(model))
+        opt.step(model, grads, factors)
         ref_opt.t += 1
-        _combined_reference_step(ref, ref_grads, state, ref_opt, moments)
+        _combined_reference_step(ref, ref_grads, factors, lam, ref_opt, moments)
     for (_, name, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
         assert np.array_equal(p, q), name
 
@@ -510,10 +547,11 @@ def test_first_step_matches_dense_inverse(make_layer, beta):
     out = layer.params["W"].shape[0]
     h, s = rng.random((layer.params["W"][0].size + layer.bias,)), rng.random((out,))
     lam, lr = 0.001, 0.01
-    divisors = KFState(lam=lam, factors={(0, "h"): h, (0, "s"): s}).divisors(model)
     g = np.hstack([grads[0, n].reshape(out, -1) for n in ("W", "b") if n in layer.params])
     dense = np.diag(np.kron(minmax_normalize(h), minmax_normalize(s)) + lam)
     expected = lr * np.linalg.solve(dense, g.T.ravel()).reshape(-1, out).T
-    AdaFisher(alpha=lr, beta=beta).step(model, grads, divisors)  # from zero parameters
+    # from zero parameters; with gamma = 1 the curvature is the fresh h, s
+    AdaFisher(alpha=lr, beta=beta, lam=lam, gamma=1.0).step(model, grads,
+                                                            {(0, "h"): h, (0, "s"): s})
     step = -np.hstack([layer.params[n].reshape(out, -1) for n in ("W", "b") if n in layer.params])
     assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))

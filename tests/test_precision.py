@@ -14,9 +14,8 @@ from numpy.random import default_rng
 from adafisher import training
 from adafisher.config import RunConfig, build_model
 from adafisher.fisher import exact_fisher_diag, mc_fisher_diag
-from adafisher.kfactor import KFState
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
-                          MaxPool2d, Model, finite_diff_grad)
+                          MaxPool2d, Model, cross_entropy, finite_diff_grad, mse)
 from adafisher.optim import SGD, Adam, AdaFisher, Schedule
 from adafisher.training import TRAIN_DTYPE, run_streams, run_training, train_step
 
@@ -101,18 +100,30 @@ class TestFloat32Throughout:
     @pytest.mark.parametrize("make_opt", [AdaFisher, Adam, lambda: SGD(momentum=0.9)],
                              ids=["adafisher", "adam", "sgd"])
     def test_steps_keep_parameters_and_moments_float32(self, make_opt):
-        # KFState keeps its EMAs in float64; the divisors it lays out are in
-        # the parameters' dtype, so the update runs in float32 alone.
+        # AdaFisher's curvature keeps its EMAs in float64; the divisors it lays
+        # out are in the parameters' dtype, so the update runs in float32 alone.
         model = conv_net().astype(np.float32)
         opt = make_opt()
-        state = KFState.for_model(model) if opt.needs_divisors else None
         for seed in range(3):
-            train_step(model, *conv_batch(seed), opt, state, workers=2)
+            train_step(model, *conv_batch(seed), opt, workers=2)
         assert all(p.dtype == F32 for _, _, p in model.parameters())
         assert all(m.dtype == F32 for moments in opt.moments.values() for m in moments)
-        if state is not None:
-            assert all(v.dtype == np.float64 for v in state.factors.values())
+        if opt.needs_factors:
+            state = opt.curvature
+            assert state.factors and all(v.dtype == np.float64 for v in state.factors.values())
             assert all(d.dtype == F32 for d in state.divisors(model).values())
+
+    @pytest.mark.parametrize("loss, out, target, expected", [
+        (cross_entropy, [[0.0, 200.0]], np.array([0]), 200.0),
+        (mse, [[3e20]], np.zeros((1, 1), np.float32), 0.5 * float(np.float32(3e20)) ** 2),
+    ], ids=["cross-entropy", "mse"])
+    def test_loss_functions_compute_in_float64(self, loss, out, target, expected):
+        # float32 logits clipped p at 1e-300, which is 0 in float32, so the
+        # loss read inf; a float32 squared error of 3e20 overflows
+        with np.errstate(all="raise"):
+            value, grad = loss(np.array(out, np.float32), target)
+        assert value == pytest.approx(expected, rel=1e-15)
+        assert grad.dtype == np.float64 and np.isfinite(grad).all()
 
     def test_scheduled_update_rounds_in_float32(self):
         # A cosine-scheduled rate scales a float32 gradient in float32, as a

@@ -20,9 +20,9 @@ from adafisher.diagnostics import fft2, fim_hist_stats, gershgorin, snr
 from adafisher.errors import (ConfigError, DataError, DimensionError, FormatError, InputError,
                               NumericError, SizeError, StateError, UnsupportedError)
 from adafisher.fisher import approximation_mae, exact_fisher_diag
-from adafisher.kfactor import KFState
+from adafisher.kfactor import minmax_normalize
 from adafisher.nn import BatchNorm, Conv2d, Dense, LayerNorm, Model, cross_entropy, softmax
-from adafisher.optim import build_optimizer
+from adafisher.optim import AdaFisher, build_optimizer
 from adafisher.training import emit_metrics, evaluate, run_streams, run_training
 
 
@@ -65,13 +65,16 @@ def write_images(tmp_path, n=24):
 
 
 # Every optimizer's config keys, and a value its constructor rejects for each.
-OPTIMIZER_KEYS = {"adafisher": ("alpha", "beta", "sqrt_divisor"),
-                  "adafisherw": ("alpha", "beta", "sqrt_divisor", "kappa"),
+OPTIMIZER_KEYS = {"adafisher": ("alpha", "beta", "sqrt_divisor", "gamma", "lambda",
+                                "norm_fisher_off"),
+                  "adafisherw": ("alpha", "beta", "sqrt_divisor", "gamma", "lambda",
+                                 "norm_fisher_off", "kappa"),
                   "adam": ("alpha", "beta1", "beta2", "eps", "weight_decay"),
                   "adamw": ("alpha", "beta1", "beta2", "eps", "weight_decay"),
                   "sgd": ("alpha", "momentum")}
-REJECTED = {"alpha": 0.0, "beta": 1.0, "sqrt_divisor": "no", "kappa": -1.0, "beta1": 1.0,
-            "beta2": -0.5, "eps": 0.0, "weight_decay": -1.0, "momentum": 1.0}
+REJECTED = {"alpha": 0.0, "beta": 1.0, "sqrt_divisor": "no", "gamma": 0.0, "lambda": "x",
+            "norm_fisher_off": "no", "kappa": -1.0, "beta1": 1.0, "beta2": -0.5, "eps": 0.0,
+            "weight_decay": -1.0, "momentum": 1.0}
 
 
 class TestRunConfig:
@@ -111,6 +114,10 @@ class TestRunConfig:
         ({"name": "adafisher", "kappa": 0.1}, False),  # kappa is adafisherw's
         ({"name": "adafisher", "decoupled": True}, False),  # that is adafisherw
         ({"name": "adam", "decoupled": True}, False),  # that is adamw
+        ({"name": "adafisher", "gamma": 0.5, "lambda": 0.01, "norm_fisher_off": True}, True),
+        ({"name": "adam", "lambda": 0.01}, False),  # the curvature keys are AdaFisher's
+        ({"name": "SGD", "gamma": 0.5}, False),
+        ({"name": "adamw", "norm_fisher_off": True}, False),
     ])
     def test_one_config_name_per_optimizer_variant(self, optimizer, accepted):
         if accepted:
@@ -122,9 +129,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("block, field, value", [
         *((f"optimizer:{name}", key, REJECTED[key]) for name, keys in OPTIMIZER_KEYS.items()
           for key in keys),
-        ("kf", "gamma", 0.0), ("kf", "lambda", "x"), ("schedule", "type", "linear"),
-        ("schedule", "step_size", 0), ("schedule", "factor", -0.1),
-        ("ablations", "norm_fisher_off", "no"),
+        ("schedule", "type", "linear"), ("schedule", "step_size", 0),
+        ("schedule", "factor", -0.1),
     ])
     def test_constructor_rejected_value_names_block_and_field(self, tmp_path, capsys,
                                                               monkeypatch, block, field, value):
@@ -390,23 +396,41 @@ class TestRunTraining:
         assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
     def test_norm_fisher_off_ablation_runs(self, tmp_path):
-        raw = base_config(ablations={"norm_fisher_off": True})
+        raw = base_config(optimizer={"name": "adafisher", "norm_fisher_off": True})
         raw["model"]["layers"].insert(1, {"kind": "layernorm", "dim": 8})
         ablated = run_training(RunConfig.from_dict(raw), out_dir=tmp_path / "a").read_text()
-        raw["ablations"] = {}
+        raw["optimizer"] = {"name": "adafisher"}
         default = run_training(RunConfig.from_dict(raw), out_dir=tmp_path / "b").read_text()
         assert len(ablated.splitlines()) == 2 and ablated != default
 
     @pytest.mark.parametrize("ablations, hint", [
         ({"sqrt_divisor": True}, "optimizer.sqrt_divisor"),
-        ({"ema_off": True}, "kf.gamma: 1"),
-        ({"norm_fisher_of": True}, "norm_fisher_off"),
+        ({"ema_off": True}, "optimizer.gamma: 1"),
+        ({"norm_fisher_of": True}, "optimizer.norm_fisher_off"),
     ], ids=["sqrt_divisor", "ema_off", "typo"])
     def test_unsupported_ablation_rejected(self, tmp_path, ablations, hint):
         with pytest.raises(ConfigError, match=hint):
             run_training(RunConfig.from_dict(base_config(ablations=ablations)),
                          out_dir=tmp_path / "run")
         assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("block, message", [
+        ({"kf": {"gamma": 0.5, "lambda": 0.01}}, "unknown key kf: use optimizer.gamma and "
+                                                 "optimizer.lambda of adafisher or adafisherw"),
+        ({"kf": {}}, "unknown key kf: use optimizer.gamma"),
+        ({"ablations": {"norm_fisher_off": True}},
+         "unknown key ablations: use optimizer.norm_fisher_off, optimizer.sqrt_divisor or "
+         "optimizer.gamma: 1 (EMA off) of adafisher or adafisherw"),
+    ], ids=["kf", "kf-empty", "ablations"])
+    def test_moved_block_exits_2_with_its_pointer(self, tmp_path, capsys, monkeypatch, block,
+                                                  message):
+        # the kf and ablations blocks are now keys of the AdaFisher optimizer block
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        (tmp_path / "cfg.json").write_text(json.dumps(base_config(**block)))
+        assert main(["train", "--config", str(tmp_path / "cfg.json"), "--out", "run"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+        assert not (tmp_path / "run").exists()
 
     def test_evaluate_accuracy(self):
         model = build_model({"layers": [{"kind": "dense", "in": 2, "out": 2}]}, default_rng(3))
@@ -656,9 +680,9 @@ class TestCli:
         lambda data: {"dataset": {"source": "csv", "path": data["images"],
                                   "schema": {"has_header": 1}}},
         lambda data: {"dataset": {"source": "csv", "path": data["images"], "schema": []}},
-        lambda data: {"kf": {"lambda": "x"}},
-        lambda data: {"kf": {"gamma": "x"}},
-        lambda data: {"kf": {"lambda": float("nan")}},
+        lambda data: {"optimizer": {"name": "adafisher", "lambda": "x"}},
+        lambda data: {"optimizer": {"name": "adafisherw", "gamma": "x"}},
+        lambda data: {"optimizer": {"name": "adafisher", "lambda": float("nan")}},
         lambda data: {"dataset": {"source": "csv", "path": 5}},
         lambda data: {"dataset": {**data, "images": 5}},
         lambda data: {"schedule": {"type": "step", "step_size": "x"}},
@@ -671,7 +695,10 @@ class TestCli:
         lambda data: {"optimizer": {"name": "adam", "eps": "x"}},
         lambda data: {"optimizer": {"name": "adam", "weight_decay": -1}},
         lambda data: {"optimizer": {"name": "adafisher", "kappa": float("nan")}},
-        lambda data: {"ablations": {"norm_fisher_off": "no"}},
+        lambda data: {"optimizer": {"name": "adafisher", "norm_fisher_off": "no"}},
+        lambda data: {"optimizer": {"name": "adam", "lambda": 0.01}},
+        lambda data: {"kf": {"lambda": 0.01}},
+        lambda data: {"ablations": {}},
         lambda data: {"model": with_first_layer({"kind": "batchnorm", "dim": 1, "eps": -1})},
         lambda data: {"model": with_first_layer({"kind": "batchnorm", "dim": 1,
                                                  "momentum": float("nan")})},
@@ -685,11 +712,13 @@ class TestCli:
             "conv-pad-negative", "dense-in-string", "classes-string", "dim-float",
             "sep-string", "noise-list", "out-dim-string", "scale-null",
             "dataset-seed-negative", "label-col-string", "has-header-int",
-            "schema-list", "kf-lambda-string", "kf-gamma-string", "kf-lambda-nan",
+            "schema-list", "adafisher-lambda-string", "adafisherw-gamma-string",
+            "adafisher-lambda-nan",
             "csv-path-int", "idx-images-int", "step-size-string", "step-size-zero",
             "factor-string", "optimizer-name-int", "alpha-inf", "sqrt-divisor-string",
             "adam-decoupled", "adam-eps-string", "adam-weight-decay-negative",
-            "adafisher-kappa-nan", "norm-fisher-off-string", "batchnorm-eps-negative",
+            "adafisher-kappa-nan", "norm-fisher-off-string", "adam-lambda", "kf-block",
+            "ablations-block", "batchnorm-eps-negative",
             "batchnorm-momentum-nan", "activation-kind", "loss-int", "sep-nan",
             "moons-classes", "workers-not-dividing-batch"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, overrides):
@@ -1123,11 +1152,17 @@ class TestCli:
     (lambda: build_optimizer("adam", {"beta": 0.9}), ConfigError, "keyword argument 'beta'"),
     (lambda: build_optimizer("sgd", {"alpha": "0.1"}), ConfigError, "optimizer 'sgd'"),
     # the constructors check what the config does: a finite real, not a bool, in range
-    (lambda: KFState(lam=float("nan")), ConfigError, "lambda must be a finite number > 0"),
-    (lambda: KFState(lam=float("inf")), ConfigError, "lambda must be a finite number > 0"),
-    (lambda: KFState.for_model(Model([Dense(2, 2)]), lam=float("nan")), ConfigError, "lambda"),
-    (lambda: KFState(gamma="x"), ConfigError, "gamma must be a finite number in \\(0, 1\\]"),
-    (lambda: KFState(gamma=True), ConfigError, "gamma"),
+    (lambda: AdaFisher(lam=float("nan")), ConfigError, "lambda must be a finite number > 0"),
+    (lambda: AdaFisher(lam=float("inf")), ConfigError, "lambda must be a finite number > 0"),
+    (lambda: build_optimizer("adafisherw", {"lam": float("nan")}), ConfigError,
+     "optimizer 'adafisherw': lambda"),
+    (lambda: AdaFisher(gamma="x"), ConfigError, "gamma must be a finite number in \\(0, 1\\]"),
+    (lambda: AdaFisher(gamma=True), ConfigError, "gamma"),
+    # a name that is no string: an AttributeError from name.lower()
+    (lambda: build_optimizer(3), ConfigError, "unknown optimizer 3"),
+    (lambda: build_optimizer(None), ConfigError, "unknown optimizer None"),
+    # inf read as a range: [inf, 1.0] normalized to [nan, 0.0]
+    (lambda: minmax_normalize([np.inf, 1.0]), InputError, "non-finite"),
     (lambda: LayerNorm(3, eps="x"), InputError, "eps must be a finite number >= 0"),
     (lambda: LayerNorm(3, eps=float("inf")), InputError, "eps must be a finite number >= 0"),
     (lambda: BatchNorm(3, momentum=5), InputError, "momentum must be a finite number in"),
@@ -1139,8 +1174,10 @@ class TestCli:
      "Conv2d has 90000100000 parameter values, over the guard of 10000000"),
     (lambda: LayerNorm(10**13), SizeError, "LayerNorm has 20000000000000 parameter values"),
 ], ids=["logits-1d", "logits-3d", "samples-float", "samples-bool", "optimizer-keyword",
-        "optimizer-value", "kf-lambda-nan", "kf-lambda-inf", "kf-for-model-lambda-nan",
-        "kf-gamma-string", "kf-gamma-bool", "layernorm-eps-string", "layernorm-eps-inf",
+        "optimizer-value", "adafisher-lambda-nan", "adafisher-lambda-inf",
+        "adafisherw-lambda-nan", "adafisher-gamma-string", "adafisher-gamma-bool",
+        "optimizer-name-int", "optimizer-name-none", "minmax-inf", "layernorm-eps-string",
+        "layernorm-eps-inf",
         "batchnorm-momentum-5", "batchnorm-momentum-nan", "dense-oversized",
         "conv2d-oversized", "layernorm-oversized"])
 def test_library_calls_raise_typed_errors(call, error, match):

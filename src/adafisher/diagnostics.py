@@ -3,10 +3,10 @@ under off-diagonal Gaussian noise, 2-D DFT and SNR, factored-curvature
 diagonal summaries, and write_csv, the one writer of every CSV table the
 package writes (the diagnose tables, fisher_mae.csv and trajectory.csv).
 
-Symmetric eigenproblems are solved with LAPACK (via numpy) for only what
-their caller reads: gershgorin and perturb_offdiag read eigenvalues alone and
-call ``eigvalsh``, which forms no eigenvectors; sym_eigh returns the vectors
-too (``eigh``). All three first check that the matrix is symmetric.
+Symmetric eigenproblems are solved with LAPACK (via numpy) for eigenvalues
+alone: gershgorin and perturb_offdiag call ``eigvalsh``, which forms no
+eigenvectors. perturb_offdiag first checks that the matrix is symmetric;
+gershgorin falls back to ``eigvals`` for one that is not.
 """
 
 from __future__ import annotations
@@ -44,14 +44,6 @@ def _symmetric(matrix) -> np.ndarray:
     if not _is_symmetric(a):
         raise InputError("matrix must be symmetric")
     return a
-
-
-def sym_eigh(a: np.ndarray):
-    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
-
-    Returns (eigenvalues ascending, eigenvectors as columns).
-    """
-    return np.linalg.eigh(_symmetric(a))
 
 
 @dataclass

@@ -9,28 +9,36 @@ these rules for run configs too: RunConfig.from_dict builds them once.
 One walk, Optimizer.step(model, grads, factors=None), serves every optimizer.
 It reads the gradient and factor tables a training pass returns, keyed (layer
 id, name) (Model.train_batch); Adam and SGD ignore the factors. Before it
-changes anything it checks that every gradient is there and shaped like its
-parameter, that grads holds no key the model has no parameter for, that every
-moment it already holds for a parameter is shaped like it (a StateError
-otherwise: the optimizer was stepped on another model) and, for AdaFisher,
-that the factors fit its curvature state (KFState.update), so a step that
-raises leaves the state as it was. Then it counts the step and calls the
-subclass's _update on each parameter, its gradient, its moments and its
-divisor.
+changes anything it checks that every gradient is there, shaped like its
+parameter and finite (a NumericError naming the step, the layer and the
+gradient otherwise), that grads holds no key the model has no parameter for,
+and that the moments it holds, if any, are keyed and shaped like the model's
+parameters (a StateError otherwise: the optimizer was stepped on another
+model). AdaFisher then checks its factors (AdaFisher._divisors). So a step
+that raises leaves every parameter, moment, curvature entry and t as it was.
+Then the step counts itself and calls the subclass's _update on each
+parameter, its gradient, its moments and its divisor.
 One table, opt.moments, maps (layer id, parameter name) to the n_moments
 arrays made as zeros like the parameter when first met: AdaFisher's m, Adam's
 m and v, SGD's momentum buffer (none without momentum). With the divisors,
-which KFState.divisors lays out in the parameters' dtype, an update runs in
+which AdaFisher.divisors lays out in the parameters' dtype, an update runs in
 the model's dtype alone: float32 in training.
 
-AdaFisher holds all its state: t, the moments and opt.curvature, a KFState
-with the EMAs of the factor diagonals (gamma, lam and norm_fisher_off are its
-hyperparameters), started from the model on the first step. A step runs the
-EMA, then the divisors, then the update: a bias-corrected first moment divided
-elementwise by its divisor. There is no second moment and (unless
-sqrt_divisor=True) no square root on the divisor: the factored curvature
-supplies its own smoothing through the factor EMA. AdaFisherW is AdaFisher
-with a decoupled weight decay kappa > 0, so both names build one.
+AdaFisher holds all its state: t, the moments and opt.curvature, the EMAs of
+the Kronecker-factor diagonals, {(layer id, "h" | "s"): float64 vector} sized
+by each layer's factor_sizes, and {} until the first step, which starts them
+from ones (identity curvature). A step checks the fresh factors, EMAs them
+with the fresh one weighted gamma (gamma * fresh + (1 - gamma) * old), lays
+out the divisors of the new table, and only then keeps it. A divisor is the
+layer's layout, layer.kronecker_diagonal(h, s), of the min-max normalized
+factors (all zero for a norm layer under norm_fisher_off), plus lambda; the
+Fisher oracle compares with that map on fresh factors. The update is a
+bias-corrected first moment divided elementwise by its divisor. There is no
+second moment and (unless sqrt_divisor=True) no square root on the divisor:
+the factored curvature supplies its own smoothing through the factor EMA.
+AdaFisherW is AdaFisher with a decoupled weight decay kappa > 0, so both
+names build one. The EMAs and the min-max stay float64 whatever the model's
+dtype: they are short vectors, and MINMAX_EPS is a float64 threshold.
 
 The Adam and SGD baselines read no curvature (needs_factors is False), so
 their training pass forms no factors. Every _update changes its
@@ -46,15 +54,35 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (AdaFisherError, ConfigError, DimensionError, StateError, check_count,
-                     check_flag, check_number)
-from .kfactor import DEFAULT_GAMMA, DEFAULT_LAMBDA, KFState
-from .nn import Model
+from .errors import (ConfigError, DimensionError, InputError, NumericError, StateError,
+                     check_count, check_flag, check_number)
+from .nn import Model, Norm
 
+DEFAULT_GAMMA = 0.8
+DEFAULT_LAMBDA = 0.001
+MINMAX_EPS = 1e-12
 
 _positive = partial(check_number, ok=lambda v: v > 0, what="a finite number > 0")
 _nonnegative = partial(check_number, ok=lambda v: v >= 0, what="a finite number >= 0")
 _below_one = partial(check_number, ok=lambda v: 0.0 <= v < 1.0, what="a finite number in [0, 1)")
+
+
+def minmax_normalize(v: np.ndarray) -> np.ndarray:
+    """(v - min) / (max - min); all zeros when the range is degenerate. A range
+    past float64's largest value is taken from the halves of v."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        raise DimensionError("cannot normalize an empty vector")
+    if not np.isfinite(v).all():
+        raise InputError("non-finite value in min-max input")
+    lo, hi = v.min(), v.max()
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if span < MINMAX_EPS:
+        return np.zeros_like(v)
+    if span == np.inf:
+        v, lo, span = v / 2, lo / 2, hi / 2 - lo / 2
+    return (v - lo) / span
 
 
 class Schedule:
@@ -102,7 +130,13 @@ class Optimizer:
             if g.shape != p.shape:
                 raise DimensionError(f"layer {i} parameter {name}: gradient {g.shape} "
                                      f"vs parameter {p.shape}")
-            for m in self.moments.get((i, name), ()):
+            if not np.isfinite(g).all():
+                raise NumericError(f"step {self.t + 1}: non-finite gradient {name} of layer {i}")
+            held = self.moments.get((i, name))
+            if held is None and self.moments:
+                raise StateError(f"layer {i} parameter {name} has no moments; the optimizer "
+                                 f"was stepped on another model")
+            for m in held or ():
                 if m.shape != p.shape:
                     raise StateError(f"layer {i} parameter {name}: moment {m.shape} vs "
                                      f"parameter {p.shape}; the optimizer was stepped on "
@@ -112,6 +146,11 @@ class Optimizer:
             known = {key for key, *_ in work}
             key = next(key for key in grads if key not in known)
             raise StateError(f"gradient {key} is unknown: the model has no such parameter")
+        if len(self.moments) > len(work):
+            known = {key for key, *_ in work}
+            i, name = next(key for key in self.moments if key not in known)
+            raise StateError(f"the optimizer holds moments of layer {i} parameter {name}, "
+                             f"which the model lacks; it was stepped on another model")
         divisors = self._divisors(model, factors)
         self.t += 1
         for key, p, g in work:
@@ -142,17 +181,60 @@ class AdaFisher(Optimizer):
         self.beta = _below_one("beta", beta)
         self.kappa = _nonnegative("weight decay kappa", kappa)
         self.sqrt_divisor = check_flag("sqrt_divisor", sqrt_divisor)
-        self.curvature = KFState(gamma=gamma, lam=lam, norm_fisher_off=norm_fisher_off)
+        self.gamma = check_number("gamma", gamma, lambda v: 0.0 < v <= 1.0,
+                                  "a finite number in (0, 1]")
+        self.lam = _positive("lambda", lam)
+        self.norm_fisher_off = check_flag("norm_fisher_off", norm_fisher_off)
+        self.curvature: dict[tuple[int, str], np.ndarray] = {}
 
     def _divisors(self, model: Model, factors: dict | None) -> dict:
-        """The EMA with factors, then the divisors of the curvature state; if
-        either raises, the state keeps its factors."""
-        before = self.curvature.factors
-        try:
-            return self.curvature.update(model, factors or {}).divisors(model)
-        except AdaFisherError:
-            self.curvature.factors = before
-            raise
+        """The divisors of the EMA of the curvature with the fresh factors,
+        which must hold exactly the curvature's keys (a pass with capture=False
+        returns none), each shaped like its entry and finite; an empty
+        curvature starts from ones of the model's factor_sizes. Every factor
+        is checked, and the divisors laid out, before the curvature changes."""
+        old = self.curvature or {(i, name): np.ones(n) for i, layer in model.param_layers()
+                                 for name, n in zip(("h", "s"), layer.factor_sizes)}
+        fresh = factors or {}
+        if fresh.keys() != old.keys():
+            i, name = min(fresh.keys() ^ old.keys())
+            why = ("missing; run a capturing pass, Model.train_batch(..., capture=True), first"
+                   if (i, name) in old else "unknown")
+            raise StateError(f"fresh factor {name} of layer {i} is {why}")
+        fresh = {key: np.asarray(vec, dtype=np.float64) for key, vec in fresh.items()}
+        for (i, name), vec in fresh.items():
+            if vec.shape != old[i, name].shape:
+                raise DimensionError(f"fresh factor {name} of layer {i} has shape {vec.shape}, "
+                                     f"the state's {old[i, name].shape}")
+            if not np.isfinite(vec).all():
+                raise NumericError(f"step {self.t + 1}: non-finite factor {name} of layer {i}")
+        curvature = {key: self.gamma * fresh[key] + (1.0 - self.gamma) * vec
+                     for key, vec in old.items()}
+        divisors = self.divisors(model, curvature)
+        self.curvature = curvature
+        return divisors
+
+    def divisors(self, model: Model, curvature: dict) -> dict[tuple[int, str], np.ndarray]:
+        """{(layer id, parameter name): divisor} of the factor table curvature,
+        each shaped like its parameter and in the model's dtype."""
+        out, dtype = {}, model.dtype
+        for i, layer in model.param_layers():
+            if (i, "h") not in curvature or (i, "s") not in curvature:
+                raise StateError(f"the curvature holds no factors of layer {i}")
+            h, s = (minmax_normalize(curvature[i, k]).astype(dtype, copy=False)
+                    for k in ("h", "s"))
+            if self.norm_fisher_off and isinstance(layer, Norm):
+                h, s = np.zeros_like(h), np.zeros_like(s)  # identity factors, min-maxed
+            try:
+                diags = layer.kronecker_diagonal(h, s)
+            except DimensionError as exc:
+                raise DimensionError(f"layer {i}: {exc}") from None
+            for name, diag in diags.items():
+                # new arrays, or s (a norm's shift), which minmax_normalize made
+                # for this call: lambda goes in place, copying nothing
+                diag += self.lam
+                out[i, name] = diag
+        return out
 
     def _update(self, p, g, m, div) -> None:
         if self.sqrt_divisor:

@@ -7,10 +7,11 @@ diagonals is the full-batch value, so a step runs one pass over the whole
 batch, Model.train_batch(x, y, workers=K). Workers shape only BatchNorm's ghost
 batches (see nn), so a net without BatchNorm gives the one-worker step bit for
 bit at every K. The pass returns its loss and its gradient and factor tables,
-keyed (layer id, name); the step hands both tables to Optimizer.step, which
-holds all the optimizer's state (AdaFisher's curvature EMAs too). A non-finite
-loss, gradient or factor raises NumericError before the optimizer changes. An
-optimizer that reads no factors (Adam, SGD) gets a pass that forms none.
+keyed (layer id, name). A non-finite loss raises NumericError; otherwise the
+step hands both tables to Optimizer.step, which holds all the optimizer's
+state (AdaFisher's curvature EMAs too) and raises NumericError on a
+non-finite gradient or factor before any of it changes. An optimizer that
+reads no factors (Adam, SGD) gets a pass that forms none.
 
 run_training reads a RunConfig that RunConfig.from_dict has checked and builds
 its optimizer and schedule with RunConfig's builders; it checks only
@@ -53,24 +54,13 @@ METRIC_KEYS = ("epoch", "step", "train_loss", "eval_loss", "accuracy",
                "optimizer", "seed")
 
 
-def _check_finite(step: int, quantity: str, arrays: dict) -> None:
-    """Raise NumericError naming the step, the layer and the quantity of the
-    first array in {(layer, name): array} that holds a non-finite entry."""
-    for (i, name), arr in arrays.items():
-        if not np.isfinite(arr).all():
-            raise NumericError(f"step {step}: non-finite {quantity} {name} of layer {i}")
-
-
 def train_step(model: Model, x: np.ndarray, y, opt: Optimizer, workers: int = 1) -> float:
-    """One synchronized step: K-worker pass -> check -> Optimizer.step.
+    """One synchronized step: K-worker pass -> loss check -> Optimizer.step.
     Returns the batch's mean loss, the mean of the workers' losses."""
-    step = opt.t + 1
     loss, grads, factors = model.train_batch(x, np.asarray(y), workers,
                                              capture=opt.needs_factors)
     if not np.isfinite(loss):
-        raise NumericError(f"step {step}: non-finite training loss")
-    _check_finite(step, "gradient", grads)
-    _check_finite(step, "factor", factors)
+        raise NumericError(f"step {opt.t + 1}: non-finite training loss")
     opt.step(model, grads, factors)
     return float(loss)
 

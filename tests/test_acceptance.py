@@ -14,7 +14,6 @@ from numpy.random import default_rng
 from adafisher.diagnostics import fft2, gershgorin, perturb_offdiag, snr
 from adafisher.training import train_step
 from adafisher.fisher import exact_fisher_diag, mc_fisher_diag
-from adafisher.kfactor import KFState
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, MaxPool2d, Model, finite_diff_grad, softmax)
 from adafisher.optim import AdaFisher
@@ -66,8 +65,8 @@ def test_02_factored_efim_equivalence(capsys):
         p_out = int(rng.integers(1, 9))
         h_raw = np.abs(rng.standard_normal((p_in,)))
         s_raw = np.abs(rng.standard_normal((p_out,)))
-        state = KFState(lam=lam, factors={(0, "h"): h_raw, (0, "s"): s_raw})
-        divisor = state.divisors(Model([Dense(p_in, p_out, bias=False)]))[0, "W"]
+        divisor = AdaFisher(lam=lam).divisors(Model([Dense(p_in, p_out, bias=False)]),
+                                              {(0, "h"): h_raw, (0, "s"): s_raw})[0, "W"]
         g = rng.standard_normal((p_out, p_in))
 
         def norm(v):
@@ -228,7 +227,7 @@ def test_08_ablation_behavior(capsys):
     for _ in range(2):
         _, grads, factors = model.train_batch(x, y)
         ema_off.step(model.copy(), grads, factors)
-        divs.append(ema_off.curvature.divisors(model))
+        divs.append(ema_off.divisors(model, ema_off.curvature))
     ema_ok = set(divs[0]) == set(divs[1]) and all(
         np.array_equal(divs[0][key], divs[1][key]) for key in divs[0])
 
@@ -237,7 +236,7 @@ def test_08_ablation_behavior(capsys):
     opt = AdaFisher(alpha=1.0, beta=0.0, sqrt_divisor=True)
     stepped = model.copy()
     opt.step(stepped, grads, factors)
-    divisors = opt.curvature.divisors(model)
+    divisors = opt.divisors(model, opt.curvature)
     sqrt_err = max(
         float(np.max(np.abs((p0 - p) - grads[i, name]
                             / np.sqrt(divisors[i, name]))))
@@ -246,8 +245,8 @@ def test_08_ablation_behavior(capsys):
     # normalization-Fisher off: identity factors collapse to the damping floor
     norm_off = AdaFisher(norm_fisher_off=True)
     norm_off.step(model.copy(), grads, factors)
-    div_off = norm_off.curvature.divisors(model)
-    lam = norm_off.curvature.lam
+    div_off = norm_off.divisors(model, norm_off.curvature)
+    lam = norm_off.lam
     norm_ok = (np.array_equal(div_off[1, "scale"], np.full(8, lam))
                and np.array_equal(div_off[1, "shift"], np.full(8, lam)))
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.random import default_rng
 
 from adafisher.diagnostics import (DiscSet, fft2, fim_hist_stats, gershgorin, kaiser_count,
-                                   perturb_offdiag, snr, sym_eigh, write_csv)
+                                   perturb_offdiag, snr, write_csv)
 from adafisher.errors import DimensionError, InputError
 
 
@@ -22,41 +22,7 @@ def diag_dominant(n, seed, diag_lo=2.0, diag_hi=5.0, off_scale=0.05):
     return a
 
 
-class TestSymEigh:
-    def test_diagonal_matrix(self):
-        vals, vecs = sym_eigh(np.diag([3.0, 1.0, 2.0]))
-        assert np.array_equal(vals, [1.0, 2.0, 3.0])
-        assert np.max(np.abs(np.abs(vecs) - np.eye(3)[:, [1, 2, 0]])) < 1e-12
-
-    def test_known_2x2(self):
-        # [[2, 1], [1, 2]] has eigenvalues 1 and 3
-        vals, _ = sym_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.max(np.abs(vals - [1.0, 3.0])) < 1e-12
-
-    def test_reconstruction(self):
-        for seed in range(5):
-            a = random_symmetric(12, seed)
-            vals, vecs = sym_eigh(a)
-            recon = vecs @ np.diag(vals) @ vecs.T
-            assert np.max(np.abs(recon - a)) < 1e-10
-            assert np.max(np.abs(vecs.T @ vecs - np.eye(12))) < 1e-10
-
-    def test_trace_and_frobenius_invariants(self):
-        a = random_symmetric(9, 42)
-        vals, _ = sym_eigh(a)
-        assert abs(vals.sum() - np.trace(a)) < 1e-10
-        assert abs(np.sum(vals**2) - np.sum(a**2)) < 1e-9
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(InputError):
-            sym_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            sym_eigh(np.zeros((2, 3)))
-
-
-MATRIX_ANALYSES = {"sym_eigh": sym_eigh, "gershgorin": gershgorin, "fft2": fft2,
+MATRIX_ANALYSES = {"gershgorin": gershgorin, "fft2": fft2,
                    "perturb_offdiag": lambda a: perturb_offdiag(a, sigma=0.1, seed=0),
                    "snr": lambda a: snr(a, a)}
 

@@ -3,10 +3,9 @@ import pytest
 from numpy.random import default_rng
 
 from adafisher.errors import ConfigError, NumericError, StateError
-from adafisher.kfactor import MINMAX_EPS
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
                           MaxPool2d, Model, _per_worker)
-from adafisher.optim import Adam, AdaFisher, SGD
+from adafisher.optim import MINMAX_EPS, Adam, AdaFisher, SGD
 from adafisher.training import train_step
 
 
@@ -99,8 +98,8 @@ class TestTrainStep:
         o1.step(m1, g1, f1)
         l2 = train_step(m2, x, y, o2, workers=1)
         assert l1 == l2
-        for key, vec in o1.curvature.factors.items():
-            assert np.array_equal(vec, o2.curvature.factors[key])
+        for key, vec in o1.curvature.items():
+            assert np.array_equal(vec, o2.curvature[key])
         for (_, _, pa), (_, _, pb) in zip(m1.parameters(), m2.parameters()):
             assert np.array_equal(pa, pb)
 
@@ -125,7 +124,7 @@ class TestTrainStep:
         train_step(model, x, y, opt, workers=4)
         (_, _, fresh), = passes
         assert opt.t == 1
-        assert_same_tables(opt.curvature.factors,
+        assert_same_tables(opt.curvature,
                            {key: 0.8 * vec + (1.0 - 0.8) * np.ones_like(vec)
                             for key, vec in fresh.items()})
 
@@ -138,7 +137,7 @@ class TestTrainStep:
                             lambda *args, capture: train_batch(*args, capture=False))
         with pytest.raises(StateError, match="fresh factor h of layer 0 is missing"):
             train_step(model, x, y, opt)
-        assert opt.t == 0 and opt.curvature.factors == {}
+        assert opt.t == 0 and opt.curvature == {}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_gamma_one_state_is_batch_factors(self, workers):
@@ -153,7 +152,7 @@ class TestTrainStep:
             _, _, expected = probe.train_batch(x, y)
             train_step(model, x, y, opt, workers=workers)
             for key, vec in expected.items():
-                assert np.array_equal(opt.curvature.factors[key], vec)
+                assert np.array_equal(opt.curvature[key], vec)
 
     def test_loss_is_shard_mean(self):
         x, y = make_batch(10, m=8)
@@ -172,7 +171,7 @@ class TestFiniteGuard:
         model = mlp(seed=8)
         opt = AdaFisher()
         train_step(model, *make_batch(12, m=8), opt, workers=workers)
-        snapshot = ({k: v.copy() for k, v in opt.curvature.factors.items()},
+        snapshot = ({k: v.copy() for k, v in opt.curvature.items()},
                     {k: np.copy(v) for k, v in opt.moments.items()},
                     [p.copy() for _, _, p in model.parameters()])
         return model, opt, snapshot
@@ -180,8 +179,8 @@ class TestFiniteGuard:
     def assert_unchanged(self, model, opt, snapshot):
         factors, moments, params = snapshot
         assert opt.t == 1
-        assert opt.curvature.factors.keys() == factors.keys()
-        assert all(np.array_equal(opt.curvature.factors[k], v) for k, v in factors.items())
+        assert opt.curvature.keys() == factors.keys()
+        assert all(np.array_equal(opt.curvature[k], v) for k, v in factors.items())
         assert opt.moments.keys() == moments.keys()
         assert all(np.array_equal(opt.moments[k], v) for k, v in moments.items())
         assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), params))
@@ -221,8 +220,8 @@ class TestFiniteGuard:
             for _ in range(200):
                 train_step(model, rng.standard_normal((16, 4)) * 3.0, rng.integers(0, 3, size=16),
                            opt)
-        assert opt.t > 0 and opt.curvature.factors
-        assert all(np.isfinite(vec).all() for vec in opt.curvature.factors.values())
+        assert opt.t > 0 and opt.curvature
+        assert all(np.isfinite(vec).all() for vec in opt.curvature.values())
         assert all(np.isfinite(m).all() for m in opt.moments.values())
 
 
@@ -339,12 +338,12 @@ class TestExactWorkers:
         assert got.keys() == mean_grads.keys()
         g_max = largest(mean_grads.values())
         assert all(np.abs(got[key] - g).max() <= eps * g_max for key, g in mean_grads.items())
-        factors = ref_opt.curvature.factors
-        assert opt.curvature.factors.keys() == factors.keys()
+        factors = ref_opt.curvature
+        assert opt.curvature.keys() == factors.keys()
         v_max = {kind: largest(v for (_, k), v in factors.items() if k == kind) for kind in "hs"}
-        assert all(np.abs(opt.curvature.factors[key] - vec).max() <= eps * v_max[key[1]]
+        assert all(np.abs(opt.curvature[key] - vec).max() <= eps * v_max[key[1]]
                    for key, vec in factors.items())
-        divisors = ref_opt.curvature.divisors(ref)
+        divisors = ref_opt.divisors(ref, ref_opt.curvature)
         for (i, name, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
             d, g = divisors[i, name], mean_grads[i, name]
             dd = sum(4 * eps * v_max[kind] / np.ptp(factors[i, kind])
@@ -377,7 +376,7 @@ class TestExactWorkers:
         (_, *ref_tables), = ref_passes
         for got, expected in zip(tables, ref_tables):
             assert_same_tables(got, expected)
-        assert_same_tables(opt.curvature.factors, ref_opt.curvature.factors)
+        assert_same_tables(opt.curvature, ref_opt.curvature)
         for (_, _, p), (_, _, q) in zip(model.parameters(), ref.parameters()):
             assert np.array_equal(p, q)
 

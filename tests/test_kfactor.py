@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.random import default_rng
 
 from adafisher.errors import ConfigError, DimensionError, InputError, StateError
-from adafisher.kfactor import MINMAX_EPS, KFState, minmax_normalize
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, Model)
-from adafisher.optim import AdaFisher
+from adafisher.optim import MINMAX_EPS, AdaFisher, minmax_normalize
 
 
 def weight_only(h, s):
@@ -16,16 +15,29 @@ def weight_only(h, s):
 
 
 def identity(model):
-    """The factors an empty KFState starts from on model: ones of every
-    layer's factor_sizes."""
+    """The curvature an AdaFisher starts from on model: ones of every layer's
+    factor_sizes."""
     return {(i, name): np.ones(n) for i, layer in model.param_layers()
             for name, n in zip(("h", "s"), layer.factor_sizes)}
 
 
-def divisor_grid(state, h, s):
-    """The divisors of a bias-free Dense layer 0 fitting h and s, in vec order
-    (input index slow, output index fast)."""
-    return state.divisors(weight_only(h, s))[0, "W"].T.ravel()
+def zero_grads(model):
+    """A gradient table of zeros: an AdaFisher step with it moves no parameter
+    and changes only t, the moments and the curvature."""
+    return {(i, name): np.zeros_like(p) for i, name, p in model.parameters()}
+
+
+def holding(curvature, **hyper):
+    """An AdaFisher built with hyper whose curvature is the table curvature."""
+    opt = AdaFisher(**hyper)
+    opt.curvature = curvature
+    return opt
+
+
+def divisor_grid(opt, h, s):
+    """opt's divisors of the factors h and s of a bias-free Dense layer 0
+    fitting them, in vec order (input index slow, output index fast)."""
+    return opt.divisors(weight_only(h, s), {(0, "h"): h, (0, "s"): s})[0, "W"].T.ravel()
 
 
 class TestKfIdentity:
@@ -35,7 +47,9 @@ class TestKfIdentity:
         # gamma = 1 keeps the fresh factors, so take the starting ones at 0.5
         model = Model([Dense(3, 3)])
         half = {key: np.full(n, 0.5) for key, n in {(0, "h"): 4, (0, "s"): 3}.items()}
-        ident = KFState(gamma=0.5).update(model, half).factors
+        opt = AdaFisher(gamma=0.5)
+        opt.step(model, zero_grads(model), half)
+        ident = opt.curvature
         assert set(ident) == {(0, "h"), (0, "s")}
         assert np.array_equal(ident[0, "h"], np.full(4, 0.75))
         assert np.array_equal(ident[0, "s"], np.full(3, 0.75))
@@ -46,18 +60,21 @@ class TestKfIdentity:
 
     def test_assembled_divisor_is_pure_damping(self):
         h, s = np.ones(2), np.ones(2)
-        state = KFState(lam=0.001, factors={(0, "h"): h, (0, "s"): s})
-        assert np.max(np.abs(divisor_grid(state, h, s) - 0.001)) < 1e-18
+        assert np.max(np.abs(divisor_grid(AdaFisher(lam=0.001), h, s) - 0.001)) < 1e-18
 
 
 def ema(old, fresh, gamma):
-    """One KFState.update of a single factor from old with fresh."""
-    state = KFState(gamma=gamma, factors={(0, "h"): np.asarray(old, dtype=np.float64)})
-    return state.update(Model([]), {(0, "h"): fresh}).factors[0, "h"]
+    """One EMA of a factor h from old with fresh: an AdaFisher step with zero
+    gradients on a bias-free Dense layer whose factor s stays ones."""
+    old = np.asarray(old, dtype=np.float64)
+    model = weight_only(old, np.ones(1))
+    opt = holding({(0, "h"): old, (0, "s"): np.ones(1)}, gamma=gamma)
+    opt.step(model, zero_grads(model), {(0, "h"): fresh, (0, "s"): np.ones(1)})
+    return opt.curvature[0, "h"]
 
 
 class TestEmaUpdate:
-    """KFState.update: gamma * fresh + (1 - gamma) * old per factor."""
+    """AdaFisher's EMA: gamma * fresh + (1 - gamma) * old per factor."""
 
     def test_forced_arithmetic(self):
         assert ema(np.zeros(1), np.ones(1), 0.8)[0] == pytest.approx(0.8)
@@ -84,9 +101,9 @@ class TestEmaUpdate:
 
     def test_bad_gamma(self):
         with pytest.raises(ConfigError):
-            KFState(gamma=0.0)
+            AdaFisher(gamma=0.0)
         with pytest.raises(ConfigError):
-            KFState(gamma=1.5)
+            AdaFisher(gamma=1.5)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError, match="fresh factor h of layer 0"):
@@ -132,48 +149,42 @@ class TestMinMax:
 
 
 class TestEfimAssemble:
-    """KFState.divisors: min-max normalized factors plus damping."""
+    """AdaFisher.divisors: min-max normalized factors plus damping."""
 
     def test_forced_arithmetic(self):
         # already-normalized factors pass through min-max unchanged
         h, s = np.array([0.0, 1.0]), np.array([0.0, 1.0])
-        state = KFState(lam=0.001, factors={(0, "h"): h, (0, "s"): s})
-        diag = divisor_grid(state, h, s)
+        diag = divisor_grid(AdaFisher(lam=0.001), h, s)
         assert np.allclose(diag, [0.001, 0.001, 0.001, 1.001], atol=1e-15)
 
     def test_degenerate_factors_pure_damping(self):
         h, s = np.full(3, 2.0), np.full(2, 7.0)
-        state = KFState(lam=0.5, factors={(0, "h"): h, (0, "s"): s})
-        assert np.max(np.abs(divisor_grid(state, h, s) - 0.5)) == 0.0
+        assert np.max(np.abs(divisor_grid(AdaFisher(lam=0.5), h, s) - 0.5)) == 0.0
 
     def test_matches_dense_kron_oracle(self):
         rng = default_rng(6)
         for trial in range(10):
             h = np.abs(rng.standard_normal((5,)))
             s = np.abs(rng.standard_normal((4,)))
-            state = KFState(lam=0.001, factors={(0, "h"): h, (0, "s"): s})
             dense = np.diag(np.kron(np.diag(minmax_normalize(h)),
                                     np.diag(minmax_normalize(s)))) + 0.001
-            assert np.max(np.abs(divisor_grid(state, h, s) - dense)) < 1e-15
+            assert np.max(np.abs(divisor_grid(AdaFisher(lam=0.001), h, s) - dense)) < 1e-15
 
     def test_range_invariant(self):
         rng = default_rng(7)
         h, s = np.abs(rng.standard_normal((6,))), np.abs(rng.standard_normal((3,)))
-        state = KFState(lam=0.001, factors={(0, "h"): h, (0, "s"): s})
-        diag = divisor_grid(state, h, s)
+        diag = divisor_grid(AdaFisher(lam=0.001), h, s)
         assert np.all(diag >= 0.001 - 1e-15)
         assert np.all(diag <= 1.001 + 1e-15)
 
     def test_bad_lambda(self):
-        with pytest.raises(ConfigError):
-            KFState(lam=0.0, factors={})
+        with pytest.raises(ConfigError, match="lambda must be a finite number > 0"):
+            AdaFisher(lam=0.0)
 
     @pytest.mark.parametrize("flag", ["no", 0, 1, None])
     def test_norm_fisher_off_must_be_a_bool(self, flag):
         # divisors reads the flag by truth value: "no" would turn it on
         with pytest.raises(ConfigError, match="norm_fisher_off must be True or False"):
-            KFState(norm_fisher_off=flag)
-        with pytest.raises(ConfigError, match="norm_fisher_off"):
             AdaFisher(norm_fisher_off=flag)
 
 
@@ -239,9 +250,8 @@ class TestKroneckerDiagonal:
 
 
 def precondition(g, h, s, lam):
-    """A (len(s), len(h)) gradient divided by its divisors from KFState.divisors."""
-    state = KFState(lam=lam, factors={(0, "h"): h, (0, "s"): s})
-    return g / state.divisors(weight_only(h, s))[0, "W"]
+    """A (len(s), len(h)) gradient divided by its divisors from AdaFisher.divisors."""
+    return g / AdaFisher(lam=lam).divisors(weight_only(h, s), {(0, "h"): h, (0, "s"): s})[0, "W"]
 
 
 class TestPrecondition:
@@ -271,21 +281,21 @@ class TestPrecondition:
             assert np.max(np.abs(precondition(g, h, s, lam) - oracle)) < 1e-12
 
     def test_dimension_mismatch(self):
-        state = KFState(lam=1.0, factors={(0, "h"): np.zeros(2), (0, "s"): np.zeros(2)})
+        table = {(0, "h"): np.zeros(2), (0, "s"): np.zeros(2)}
         with pytest.raises(DimensionError):
-            state.divisors(Model([Dense(3, 3, bias=False)]))
+            AdaFisher(lam=1.0).divisors(Model([Dense(3, 3, bias=False)]), table)
 
     def test_norm_layer_divisors(self):
         # raw factors holding both 0 and 1 min-max normalize to themselves
-        state = KFState(lam=0.001, factors={(0, "h"): np.array([0.0, 1.0, 0.0]),
-                                            (0, "s"): np.array([0.5, 1.0, 0.0])})
-        div = state.divisors(Model([LayerNorm(3)]))
+        opt = AdaFisher(lam=0.001)
+        table = {(0, "h"): np.array([0.0, 1.0, 0.0]), (0, "s"): np.array([0.5, 1.0, 0.0])}
+        div = opt.divisors(Model([LayerNorm(3)]), table)
         assert np.allclose(div[0, "scale"], [0.001, 1.001, 0.001])
         assert np.allclose(div[0, "shift"], [0.501, 1.001, 0.001])
         # lambda is added in place, to arrays of this call only: the factors
         # and a second call's divisors are unchanged
-        assert np.array_equal(state.factors[0, "s"], [0.5, 1.0, 0.0])
-        again = state.divisors(Model([LayerNorm(3)]))
+        assert np.array_equal(table[0, "s"], [0.5, 1.0, 0.0])
+        again = opt.divisors(Model([LayerNorm(3)]), table)
         assert all(np.array_equal(again[key], div[key]) for key in div)
 
 
@@ -301,25 +311,27 @@ class TestStateLifecycle:
         ]).init(default_rng(9))
 
     def test_start_shapes(self):
-        # an empty state starts from ones of each layer's factor_sizes
+        # an empty curvature starts from ones of each layer's factor_sizes
         model = self.make_model()
         zeros = {key: np.zeros_like(vec) for key, vec in identity(model).items()}
-        state = KFState(gamma=0.5).update(model, zeros)
-        assert np.array_equal(state.factors[0, "h"], np.full(5, 0.5))  # 1*2*2 + bias
-        assert np.array_equal(state.factors[0, "s"], np.full(2, 0.5))
-        assert np.array_equal(state.factors[4, "h"], np.full(9, 0.5))
-        assert {name for i, name in state.factors if i == 2} == {"h", "s"}
+        opt = AdaFisher(gamma=0.5)
+        assert opt.curvature == {}
+        opt.step(model, zero_grads(model), zeros)
+        assert np.array_equal(opt.curvature[0, "h"], np.full(5, 0.5))  # 1*2*2 + bias
+        assert np.array_equal(opt.curvature[0, "s"], np.full(2, 0.5))
+        assert np.array_equal(opt.curvature[4, "h"], np.full(9, 0.5))
+        assert {name for i, name in opt.curvature if i == 2} == {"h", "s"}
 
     def test_fresh_factors_and_update(self):
         model = self.make_model()
         rng = default_rng(10)
         x = rng.standard_normal((4, 1, 3, 3))
         _, _, fresh = model.train_batch(x, rng.integers(0, 4, size=4))
-        state = KFState(gamma=0.8)
-        state.update(model, fresh)
-        assert state.factors.keys() == fresh.keys()
+        opt = AdaFisher(gamma=0.8)
+        opt.step(model, zero_grads(model), fresh)
+        assert opt.curvature.keys() == fresh.keys()
         expected = 0.8 * fresh[0, "h"] + 0.2 * np.ones(5)
-        assert np.max(np.abs(state.factors[0, "h"] - expected)) < 1e-15
+        assert np.max(np.abs(opt.curvature[0, "h"] - expected)) < 1e-15
         # factors are Gram diagonals: nonnegative throughout
         for vec in fresh.values():
             assert np.all(vec >= 0.0)
@@ -327,57 +339,58 @@ class TestStateLifecycle:
     @pytest.mark.parametrize("started", [False, True], ids=["empty", "started"])
     def test_update_rejects_missing_or_unknown_factors(self, started):
         model = self.make_model()
-        state = KFState(factors=identity(model) if started else {})
+        opt = holding(identity(model) if started else {})
         rng = default_rng(10)
         x, y = rng.standard_normal((4, 1, 3, 3)), rng.integers(0, 4, size=4)
         _, _, uncaptured = model.train_batch(x, y, capture=False)
         assert uncaptured == {}
+        grads = zero_grads(model)
         with pytest.raises(StateError, match=r"h of layer 0 is missing; run a capturing pass, "
                                              r"Model\.train_batch\(\.\.\., capture=True\)"):
-            state.update(model, uncaptured)
+            opt.step(model, grads, uncaptured)
         _, _, fresh = model.train_batch(x, y)
         with pytest.raises(StateError, match="s of layer 5 is missing"):
-            state.update(model, {key: vec for key, vec in fresh.items() if key != (5, "s")})
+            opt.step(model, grads, {key: vec for key, vec in fresh.items() if key != (5, "s")})
         with pytest.raises(StateError, match="h of layer 1 is unknown"):
-            state.update(model, {**fresh, (1, "h"): np.ones(2)})
-        assert state.factors.keys() == (identity(model).keys() if started else set())
-        assert all(np.all(vec == 1.0) for vec in state.factors.values())
+            opt.step(model, grads, {**fresh, (1, "h"): np.ones(2)})
+        assert opt.curvature.keys() == (identity(model).keys() if started else set())
+        assert all(np.all(vec == 1.0) for vec in opt.curvature.values())
 
     def test_update_checks_every_factor_before_changing_any(self):
         model = self.make_model()
         rng = default_rng(10)
         _, _, fresh = model.train_batch(rng.standard_normal((4, 1, 3, 3)),
                                         rng.integers(0, 4, size=4))
-        state = KFState(factors=identity(model))
-        before = {key: vec.copy() for key, vec in state.factors.items()}
+        opt = holding(identity(model))
+        before = {key: vec.copy() for key, vec in opt.curvature.items()}
         fresh = {**fresh, (5, "s"): np.ones(3)}  # the last factor misshaped
         with pytest.raises(DimensionError, match="fresh factor s of layer 5"):
-            state.update(model, fresh)
-        assert state.factors.keys() == before.keys()
-        assert all(np.array_equal(state.factors[key], vec) for key, vec in before.items())
-        empty = KFState()  # one that would start from the model: it stays empty
+            opt.step(model, zero_grads(model), fresh)
+        assert opt.curvature.keys() == before.keys()
+        assert all(np.array_equal(opt.curvature[key], vec) for key, vec in before.items())
+        empty = AdaFisher()  # one that would start from the model: it stays empty
         with pytest.raises(DimensionError, match="fresh factor s of layer 5"):
-            empty.update(model, fresh)
-        assert empty.factors == {}
+            empty.step(model, zero_grads(model), fresh)
+        assert empty.curvature == {}
 
     def test_divisors_of_a_layer_without_factors_rejected(self):
         model = self.make_model()
-        state = KFState(factors=identity(model))
-        del state.factors[4, "h"]
+        table = identity(model)
+        del table[4, "h"]
         with pytest.raises(StateError, match="no factors of layer 4"):
-            state.divisors(model)
+            AdaFisher().divisors(model, table)
 
     def test_norm_fisher_off_uses_identity(self):
         model = self.make_model()
         rng = default_rng(11)
         x = rng.standard_normal((4, 1, 3, 3))
         _, _, fresh = model.train_batch(x, rng.integers(0, 4, size=4))
-        state = KFState(norm_fisher_off=True)
-        state.update(model, fresh)
-        div = state.divisors(model)
+        opt = AdaFisher(norm_fisher_off=True)
+        opt.step(model, zero_grads(model), fresh)
+        div = opt.divisors(model, opt.curvature)
         for layer_id in (2, 5):  # BatchNorm / LayerNorm layers
-            assert np.allclose(div[layer_id, "scale"], state.lam)
-            assert np.allclose(div[layer_id, "shift"], state.lam)
+            assert np.allclose(div[layer_id, "scale"], opt.lam)
+            assert np.allclose(div[layer_id, "shift"], opt.lam)
 
     @pytest.mark.parametrize("layer", [
         Dense(3, 2), Dense(3, 2, bias=False), Conv2d(2, 3, (2, 2)),
@@ -385,20 +398,20 @@ class TestStateLifecycle:
     ], ids=["dense", "dense-nobias", "conv", "conv-nobias", "batchnorm", "layernorm"])
     def test_divisors_fit_every_parameter(self, layer):
         model = Model([layer])
-        state = KFState(factors=identity(model))
+        opt, table = AdaFisher(), identity(model)
         rng = default_rng(12)
-        for key, vec in state.factors.items():
-            state.factors[key] = rng.random(vec.shape)
-        div = state.divisors(model)
+        for key, vec in table.items():
+            table[key] = rng.random(vec.shape)
+        div = opt.divisors(model, table)
         assert set(div) == {(0, name) for name in layer.params}
         for name, p in layer.params.items():
             assert div[0, name].shape == p.shape
-            assert np.all(div[0, name] >= state.lam)
+            assert np.all(div[0, name] >= opt.lam)
         for name in ("h", "s"):  # one entry too many in either factor
-            bad = KFState(factors=identity(model))
-            bad.factors[0, name] = np.ones(bad.factors[0, name].size + 1)
+            bad = identity(model)
+            bad[0, name] = np.ones(bad[0, name].size + 1)
             with pytest.raises(DimensionError, match="layer 0"):
-                bad.divisors(model)
+                opt.divisors(model, bad)
 
 
 # Invariants of the factor engine, as derandomized property tests.
@@ -425,12 +438,11 @@ def test_minmax_in_unit_range_hitting_both_ends_or_all_zero(unit, scale, shift):
 @given(h=factor_vecs, s=factor_vecs, h_scale=factor_vecs, lam=st.floats(1e-8, 10.0),
        sqrt=st.booleans())
 def test_divisors_never_below_damping(h, s, h_scale, lam, sqrt):
-    # Layer shapes only; the two layers need not chain for KFState.divisors.
+    # Layer shapes only; the two layers need not chain for AdaFisher.divisors.
     model = Model([Dense(len(h), len(s), bias=False), LayerNorm(len(h_scale))])
-    state = KFState(lam=lam, factors={(0, "h"): h, (0, "s"): s,
-                                      (1, "h"): h_scale, (1, "s"): h_scale[::-1]})
+    table = {(0, "h"): h, (0, "s"): s, (1, "h"): h_scale, (1, "s"): h_scale[::-1]}
     floor = np.sqrt(lam) if sqrt else lam
-    for div in state.divisors(model).values():
+    for div in AdaFisher(lam=lam).divisors(model, table).values():
         assert np.all((np.sqrt(div) if sqrt else div) >= floor)
 
 
@@ -439,9 +451,10 @@ def test_divisors_never_below_damping(h, s, h_scale, lam, sqrt):
        steps=st.integers(0, 3))
 def test_gamma_one_update_keeps_exactly_the_fresh_factors(old, fresh, steps):
     n_h, n_s = min(len(old[0]), len(fresh[0])), min(len(old[1]), len(fresh[1]))
-    state = KFState(gamma=1.0, factors={(0, "h"): old[0][:n_h], (0, "s"): old[1][:n_s]})
+    opt = holding({(0, "h"): old[0][:n_h], (0, "s"): old[1][:n_s]}, gamma=1.0)
     new = {(0, "h"): fresh[0][:n_h], (0, "s"): fresh[1][:n_s]}
+    model = weight_only(*new.values())
     for _ in range(steps + 1):
-        state.update(Model([]), new)
+        opt.step(model, zero_grads(model), new)
     for name in ("h", "s"):
-        assert np.array_equal(state.factors[0, name], new[0, name])
+        assert np.array_equal(opt.curvature[0, name], new[0, name])

@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.random import default_rng
 
 from adafisher.config import RunConfig
-from adafisher.errors import ConfigError, DimensionError, InputError, StateError
-from adafisher.kfactor import minmax_normalize
+from adafisher.errors import ConfigError, DimensionError, NumericError, StateError
 from adafisher.nn import Activation, BatchNorm, Conv2d, Dense, LayerNorm, Model
-from adafisher.optim import Adam, AdaFisher, SGD, Schedule, build_optimizer
+from adafisher.optim import Adam, AdaFisher, SGD, Schedule, build_optimizer, minmax_normalize
 
 # Derandomized and bounded, so the suite stays deterministic and fast.
 DETERMINISTIC = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -264,7 +263,7 @@ def _other_model_factors(grads, factors):
 
 def curvature(opt):
     """AdaFisher's curvature factors; none for a baseline."""
-    return opt.curvature.factors if opt.needs_factors else {}
+    return opt.curvature if opt.needs_factors else {}
 
 
 @pytest.mark.parametrize("warm", [True, False], ids=["second-step", "first-step"])
@@ -282,9 +281,14 @@ def curvature(opt):
      DimensionError, r"fresh factor s of layer 2 has shape \(3,\), the state's \(2,\)"),
     ("adafisher", {}, _other_model_factors, DimensionError,
      r"fresh factor s of layer 0 has shape \(5,\), the state's \(4,\)"),
-    # a library caller's non-finite factor: the divisors raise after the EMA
     ("adafisher", {}, lambda grads, factors: factors[2, "h"].__setitem__(0, np.nan),
-     InputError, "non-finite value in min-max input"),
+     NumericError, "non-finite factor h of layer 2"),
+    ("adam", {}, lambda grads, factors: grads[2, "W"].__setitem__((0, 0), np.nan),
+     NumericError, "non-finite gradient W of layer 2"),
+    ("adafisher", {}, lambda grads, factors: grads[2, "b"].__setitem__(1, np.inf),
+     NumericError, "non-finite gradient b of layer 2"),
+    ("sgd", {}, lambda grads, factors: grads[0, "W"].__setitem__((3, 2), np.nan),
+     NumericError, "non-finite gradient W of layer 0"),
     ("adam", {}, lambda grads, factors: grads.__setitem__((2, "b"), np.ones(3)),
      DimensionError, r"layer 2 parameter b: gradient \(3,\) vs parameter \(2,\)"),
     ("adafisher", {}, lambda grads, factors: grads.__setitem__((99, "W"), np.ones(1)),
@@ -294,6 +298,7 @@ def curvature(opt):
 ], ids=["adafisher-no-gradient", "adam-no-gradient", "sgd-momentum-no-gradient",
         "adafisher-no-factor", "adafisher-no-factors", "adafisher-unknown-factor",
         "adafisher-misshaped-factor", "adafisher-other-model-factors", "adafisher-nan-factor",
+        "adam-nan-gradient", "adafisher-inf-gradient", "sgd-nan-gradient",
         "adam-misshaped-gradient", "adafisher-unknown-gradient", "adam-unknown-gradient"])
 def test_failing_step_changes_nothing(name, hyper, spoil, error, match, warm):
     # Every parameter and every factor is checked before anything is updated:
@@ -327,26 +332,34 @@ def test_failing_step_changes_nothing(name, hyper, spoil, error, match, warm):
 
 @pytest.mark.parametrize("name, hyper", [("adam", {}), ("sgd", {"momentum": 0.9}),
                                          ("adafisher", {})], ids=["adam", "sgd", "adafisher"])
-@pytest.mark.parametrize("sizes, match", [
-    ((5, 2), r"layer 0 parameter W: moment \(4, 3\) vs parameter \(5, 3\)"),
-    ((4, 3), r"layer 2 parameter W: moment \(2, 4\) vs parameter \(3, 4\)"),
-], ids=["first-layer", "last-layer"])
-def test_step_on_another_model_changes_nothing(name, hyper, sizes, match):
+@pytest.mark.parametrize("layers, match", [
+    (lambda: [Dense(3, 5), Activation("relu"), Dense(5, 2)],
+     r"layer 0 parameter W: moment \(4, 3\) vs parameter \(5, 3\)"),
+    (lambda: [Dense(3, 4), Activation("relu"), Dense(4, 3)],
+     r"layer 2 parameter W: moment \(2, 4\) vs parameter \(3, 4\)"),
+    # layer 0's factors are sized (4, 4) as Dense(3, 4)'s are, so only the
+    # parameter keys tell the models apart
+    (lambda: [BatchNorm(4), Activation("relu"), Dense(4, 2)],
+     "layer 0 parameter scale has no moments; the optimizer was stepped on another model"),
+    (lambda: [Dense(3, 4)],
+     "the optimizer holds moments of layer 2 parameter W, which the model lacks"),
+], ids=["first-layer", "last-layer", "other-keys", "fewer-keys"])
+def test_step_on_another_model_changes_nothing(name, hyper, layers, match):
     # The moments held for Dense(3, 4)-relu-Dense(4, 2) do not fit the second
-    # model: a StateError before t, any parameter, any moment or the
-    # curvature changes (a bare broadcast ValueError, after t and the first
-    # layer had, for the last-layer mismatch).
-    def stepped_model(hidden, out, seed):
-        model = Model([Dense(3, hidden), Activation("relu"),
-                       Dense(hidden, out)]).init(default_rng(seed))
+    # model, by shape or by key: a StateError before t, any parameter, any
+    # moment or the curvature changes (a bare broadcast ValueError, after t
+    # and the first layer had, for the last-layer mismatch; no error at all,
+    # and moments for both models, for other keys).
+    def stepped_model(layers, seed):
+        model = Model(layers).init(default_rng(seed))
         grads = {(i, n): np.ones_like(p) for i, n, p in model.parameters()}
         return model, grads, factor_table(model, np.ones)
 
     opt = build_optimizer(name, {"alpha": 0.01, **hyper})
-    opt.step(*stepped_model(4, 2, 40))
+    opt.step(*stepped_model([Dense(3, 4), Activation("relu"), Dense(4, 2)], 40))
     moments = {key: np.copy(arrays) for key, arrays in opt.moments.items()}
     factors = {key: vec.copy() for key, vec in curvature(opt).items()}
-    model, grads, fresh = stepped_model(*sizes, 41)
+    model, grads, fresh = stepped_model(layers(), 41)
     params = [p.copy() for _, _, p in model.parameters()]
     with pytest.raises(StateError, match=match):
         opt.step(model, grads, fresh)
@@ -520,7 +533,7 @@ def test_per_parameter_update_matches_combined_blocks(specs, variant, kappa, sqr
     opt, ref_opt = build_optimizer(variant, hyper), build_optimizer(variant, hyper)
     moments = {}
     for _ in range(steps):
-        opt.curvature.lam = lam = float(rng.uniform(1e-3, 1.0))
+        opt.lam = lam = float(rng.uniform(1e-3, 1.0))
         factors = _random_factors(model, rng)
         grads = {(i, n): rng.normal(size=p.shape) for i, n, p in model.parameters()}
         ref_grads = {key: g.copy() for key, g in grads.items()}

@@ -109,9 +109,9 @@ class TestFloat32Throughout:
         assert all(p.dtype == F32 for _, _, p in model.parameters())
         assert all(m.dtype == F32 for moments in opt.moments.values() for m in moments)
         if opt.needs_factors:
-            state = opt.curvature
-            assert state.factors and all(v.dtype == np.float64 for v in state.factors.values())
-            assert all(d.dtype == F32 for d in state.divisors(model).values())
+            curvature = opt.curvature
+            assert curvature and all(v.dtype == np.float64 for v in curvature.values())
+            assert all(d.dtype == F32 for d in opt.divisors(model, curvature).values())
 
     @pytest.mark.parametrize("loss, out, target, expected", [
         (cross_entropy, [[0.0, 200.0]], np.array([0]), 200.0),

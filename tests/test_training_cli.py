@@ -20,9 +20,8 @@ from adafisher.diagnostics import fft2, fim_hist_stats, gershgorin, snr
 from adafisher.errors import (ConfigError, DataError, DimensionError, FormatError, InputError,
                               NumericError, SizeError, StateError, UnsupportedError)
 from adafisher.fisher import approximation_mae, exact_fisher_diag
-from adafisher.kfactor import minmax_normalize
 from adafisher.nn import BatchNorm, Conv2d, Dense, LayerNorm, Model, cross_entropy, softmax
-from adafisher.optim import AdaFisher, build_optimizer
+from adafisher.optim import AdaFisher, build_optimizer, minmax_normalize
 from adafisher.training import emit_metrics, evaluate, run_streams, run_training
 
 

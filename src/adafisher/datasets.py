@@ -27,9 +27,10 @@ EVAL_FRAC = 0.2  # share of the rows train_eval_split holds out for evaluation
 class Images:
     """Read-only (N, 1, H, W) IDX images kept as the file's uint8 pixels.
 
-    Indexing (`x[rows]`, `x[a:b]`) and `np.asarray(x)` return a new float64
-    array scaled to [0, 1] by `astype(np.float64)` and then `/ 255.0`, so a
-    read holds the bits that scaling the whole file at load time would."""
+    Indexing (`x[rows]`, `x[a:b]`), `np.asarray(x)` and `np.array(x)` return a
+    new float64 array scaled to [0, 1] by `astype(np.float64)` and then
+    `/ 255.0`, so a read holds the bits that scaling the whole file at load
+    time would. Since no read shares the pixels, `copy=False` is an InputError."""
 
     def __init__(self, pixels: np.ndarray):
         self._pixels = pixels
@@ -46,7 +47,9 @@ class Images:
         out /= 255.0  # in place: one float64 array per read, not two
         return out
 
-    def __array__(self, dtype=None):  # numpy casts to a requested dtype
+    def __array__(self, dtype=None, copy=None):  # numpy casts to a requested dtype
+        if copy is False:  # numpy's protocol asks for a ValueError
+            raise InputError("Images cannot be read without a copy: reads scale into new arrays")
         return self[...]
 
     def head(self, n: int) -> "Images":

@@ -37,8 +37,11 @@ full-batch value, so every layer, param_stats and the loss run once on the
 whole batch at the 1/M per-sample-loss scale. Only BatchNorm reads workers: in
 training it normalizes each shard by the shard's own statistics (ghost batch
 normalization), updates its running statistics once per shard in worker order,
-and couples its input gradient within each shard. A net without BatchNorm
-gives the one-worker step bit for bit at every K.
+and couples its input gradient within each shard. The shard layout lives in
+one place, the shape of a norm's a: the (K, M/K, C, T) view of its normalized
+input (K = 1 for LayerNorm and in eval), from which the per-worker sums and
+the input gradient read K. A net without BatchNorm gives the one-worker step
+bit for bit at every K.
 
 Conv2d multiplies its weights with im2col patches as a broadcast batched
 matmul, so the products of its forward pass and of both gradients run on BLAS.
@@ -58,11 +61,12 @@ copy of a float32 model.
 
 Layers keep their parameters, BatchNorm its running statistics, and of a
 pass only what their backward reads (Activation its derivative, not its
-input; BatchNorm the per-worker sums param_stats forms for its input_grad),
-and only one pass of it: each forward first drops the arrays its last pass
-kept, before it allocates new ones, so two generations of them are never live
-at once. Their constructors refuse (SizeError) a layer of more parameter
-values than datasets.MAX_SYNTH_VALUES before allocating anything.
+input; BatchNorm the per-worker sums param_stats forms, which its input_grad
+reuses or, after a forward with no param_stats, forms itself), and only one
+pass of it: each forward first drops the arrays its last pass kept, before it
+allocates new ones, so two generations of them are never live at once. Their
+constructors refuse (SizeError) a layer of more parameter values than
+datasets.MAX_SYNTH_VALUES before allocating anything.
 """
 
 from __future__ import annotations
@@ -92,24 +96,16 @@ def _check_size(kind: str, values: int) -> None:
                         f"of {MAX_SYNTH_VALUES}")
 
 
-def _per_worker(a: np.ndarray, workers: int) -> np.ndarray:
-    """The (K, M/K, ...) view of a batch-first array: worker k's shard is its
-    k-th block of M/K consecutive rows."""
-    return a.reshape((workers, a.shape[0] // workers) + a.shape[1:])
+def _feature_sum(*arrays: np.ndarray) -> np.ndarray:
+    """Per feature, the sum over M and T of the (..., M, F, T) arrays'
+    elementwise product: (..., F)."""
+    return np.einsum(",".join(["...mft"] * len(arrays)) + "->...f", *arrays)
 
 
-def _feature_sum(*arrays: np.ndarray, workers: int | None = None) -> np.ndarray:
-    """Per axis-1 feature, the sum over all other axes of the arrays'
-    elementwise product: (F,), or with workers=K one row per shard, (K, F)."""
-    lead = () if workers is None else (workers,)
-    cols = [a.reshape(lead + (-1, a.shape[1], math.prod(a.shape[2:]))) for a in arrays]
-    return np.einsum(",".join(["...mft"] * len(cols)) + "->...f", *cols)
-
-
-def _mean_sq(a: np.ndarray, workers: int | None = None) -> np.ndarray:
-    """Per axis-1 feature, the mean of squares over all other axes: (F,), or
-    with workers=K one row per shard, (K, F)."""
-    total = _feature_sum(a, a, workers=workers)
+def _mean_sq(a: np.ndarray) -> np.ndarray:
+    """Per feature, the mean of squares over M and T of an (..., M, F, T)
+    array: (..., F)."""
+    total = _feature_sum(a, a)
     return total / (a.size // total.size)
 
 
@@ -137,10 +133,10 @@ class Layer:
         grads = self._sample_sums(g)
         if not capture:
             return grads, {}
-        h = _mean_sq(self._a)
+        m, _, t = g.shape  # per-sample-loss scale: the loss is a mean over m rows
+        h = _mean_sq(self._a.reshape(m, -1, t))
         if "b" in self.params:
             h = np.append(h, np.ones(1, h.dtype))
-        m = g.shape[0]  # per-sample-loss scale: the loss is a mean over m rows
         return grads, {"h": h, "s": _mean_sq(g) * (m * m)}
 
     def sample_sq(self, dout: np.ndarray, w: np.ndarray) -> dict:
@@ -269,9 +265,7 @@ check_momentum = partial(check_number, ok=lambda v: 0 <= v <= 1,
 
 class Norm(Layer):
     """Normalization with a per-feature scale and shift of the normalized
-    input, which forward keeps as self._a."""
-
-    _workers = 1  # shards normalized by their own statistics; BatchNorm's forward sets it
+    input, which forward keeps as self._a, its (K, M/K, C, T) view per worker."""
 
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
@@ -291,8 +285,8 @@ class Norm(Layer):
                     "shift": w @ g.sum(axis=2) ** 2}
         # Per-worker sums: BatchNorm's input_grad reads them, and their sums
         # over the workers are the parameter gradients.
-        shift, scale = self._sums = (_feature_sum(g, workers=self._workers),
-                                     _feature_sum(g, self._a, workers=self._workers))
+        g = g.reshape(self._a.shape)
+        shift, scale = self._sums = _feature_sum(g), _feature_sum(g, self._a)
         return {"scale": scale.sum(axis=0), "shift": shift.sum(axis=0)}
 
     def _layout(self, h, s):
@@ -316,55 +310,52 @@ class BatchNorm(Norm):
         layer.running_var = self.running_var.astype(dtype)
         return layer
 
-    def _shape(self, x):
-        """Broadcast shape of per-worker per-channel (K, C) vectors against
-        the (K, M/K, C, ...) view of x."""
+    def forward(self, x, training=True, workers=1):
+        self._a = self._std = self._sums = None
         if x.ndim not in (2, 4):
             raise DimensionError("BatchNorm expects 2-D or 4-D input")
-        return (-1, 1, self.dim) + (1,) * (x.ndim - 2)
-
-    def forward(self, x, training=True, workers=1):
-        self._a = self._std = None
         if x.shape[1] != self.dim:
             raise DimensionError(f"BatchNorm expects {self.dim} channels, got {x.shape}")
-        shape = self._shape(x)
         # Training normalizes each worker's shard by its own statistics; eval
-        # uses the running ones, as one worker.
-        k = self._workers = workers if training else 1
+        # uses the running ones, as one worker. Per-worker (K, C) statistics
+        # broadcast as [:, None, :, None] against the (K, M/K, C, T) view.
+        k = workers if training else 1
+        v = x.reshape(k, len(x) // k, self.dim, math.prod(x.shape[2:]))
         if training:
-            if x.shape[0] // k < 2:
+            if v.shape[1] < 2:
                 raise InputError("BatchNorm needs batch size >= 2 per worker in training mode")
-            mu = _feature_sum(x, workers=k) / (x.size // (k * self.dim))
-            xhat = _per_worker(x, k) - mu.reshape(shape)
-            var = _mean_sq(xhat.reshape(x.shape), k)
+            mu = _feature_sum(v) / (v[0].size // self.dim)
+            xhat = v - mu[:, None, :, None]
+            var = _mean_sq(xhat)
             for mu_k, var_k in zip(mu, var):  # the shards' updates, in worker order
                 self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu_k
                 self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var_k
         else:
-            xhat = _per_worker(x, k) - self.running_mean.reshape(shape)
+            xhat = v - self.running_mean[:, None]
             var = self.running_var[None]
         self._std = np.sqrt(var + self.eps)
-        xhat /= self._std.reshape(shape)
-        self._a = xhat = xhat.reshape(x.shape)
+        xhat /= self._std[:, None, :, None]
+        self._a = xhat
         self._training = training
-        out = xhat * self.params["scale"].reshape(shape[1:])
-        out += self.params["shift"].reshape(shape[1:])
-        return out
+        out = xhat * self.params["scale"][:, None]
+        out += self.params["shift"][:, None]
+        return out.reshape(x.shape)
 
     def input_grad(self, dout):
-        shape = self._shape(dout)
-        d = _per_worker(dout, self._workers)
-        gain = (self.params["scale"] / self._std).reshape(shape)
+        d = dout.reshape(self._a.shape)
+        gain = (self.params["scale"] / self._std)[:, None, :, None]
         if not self._training:
             return (d * gain).reshape(dout.shape)
-        # The batch statistics couple the samples of each shard. The reverse
-        # walk runs param_stats on this dout first, so _sums holds each
-        # worker's channel sums.
+        # The batch statistics couple the samples of each shard, through each
+        # worker's channel sums. The reverse walk's param_stats on this dout
+        # has formed them; otherwise they are formed here.
+        if self._sums is None:
+            self._sample_sums(dout.reshape(len(dout), self.dim, -1))
         shift_sum, scale_sum = self._sums
-        n = dout.size // (self._workers * self.dim)
-        dx = _per_worker(self._a, self._workers) * (scale_sum / -n).reshape(shape)
+        n = d[0].size // self.dim
+        dx = self._a * (scale_sum / -n)[:, None, :, None]
         dx += d
-        dx -= (shift_sum / n).reshape(shape)
+        dx -= (shift_sum / n)[:, None, :, None]
         dx *= gain
         return dx.reshape(dout.shape)
 
@@ -373,17 +364,18 @@ class LayerNorm(Norm):
     """Per-sample normalization over the feature axis of (M, C) inputs."""
 
     def forward(self, x, training=True, workers=1):
-        self._a = self._std = None
+        self._a = self._std = self._sums = None
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DimensionError(f"LayerNorm expects (M, {self.dim}), got {x.shape}")
         mu = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         self._std = np.sqrt(var + self.eps)
-        self._a = (x - mu) / self._std
-        return self.params["scale"] * self._a + self.params["shift"]
+        xhat = (x - mu) / self._std
+        self._a = xhat[None, :, :, None]  # one worker, one position
+        return self.params["scale"] * xhat + self.params["shift"]
 
     def input_grad(self, dout):
-        xhat = self._a
+        xhat = self._a.reshape(dout.shape)
         dxhat = dout * self.params["scale"]
         return (dxhat - dxhat.mean(axis=1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) / self._std
@@ -591,7 +583,8 @@ class Model:
         m = np.shape(x)[0]
         if m == 0:
             raise InputError("empty batch")
-        if workers < 1 or m % workers:
+        check_count("workers", workers)
+        if m % workers:
             raise ConfigError(f"workers must divide the batch size; got {workers} for M={m}")
         out = self.forward(x, training=True, workers=workers)
         loss, dout = self.loss_and_grad(out, y)
@@ -604,9 +597,6 @@ class Model:
         for i, layer in self.param_layers():
             for name, arr in layer.params.items():
                 yield i, name, arr
-
-    def num_params(self) -> int:
-        return sum(arr.size for _, _, arr in self.parameters())
 
     def copy(self) -> "Model":
         return copy.deepcopy(self)

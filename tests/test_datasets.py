@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,23 @@ class TestIdx:
                           (np.asarray(images), scaled)):
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
+
+    def test_images_array_protocol(self, tmp_path):
+        # numpy 2 passes copy= to __array__: np.array, np.asarray and a cast
+        # read the bits of images[...] without a warning
+        raw = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        write_idx(tmp_path / "all.idx", raw, "images")
+        images = load_idx(tmp_path / "all.idx", expect="images")
+        want = images[...]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got, expected in ((np.array(images), want), (np.asarray(images), want),
+                                  (np.asarray(images, dtype=np.float32), want.astype(np.float32))):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
+            if np.lib.NumpyVersion(np.__version__) >= "2.0.0":  # 1.x passes no copy=
+                with pytest.raises(InputError, match="without a copy"):
+                    np.array(images, copy=False)
 
     @staticmethod
     def resident_peak(tmp_path, **limit):

@@ -4,7 +4,7 @@ from numpy.random import default_rng
 
 from adafisher.errors import ConfigError, NumericError, StateError
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
-                          MaxPool2d, Model, _per_worker)
+                          MaxPool2d, Model)
 from adafisher.optim import MINMAX_EPS, Adam, AdaFisher, SGD
 from adafisher.training import train_step
 
@@ -39,12 +39,13 @@ def make_batch(seed, m=16):
 
 class TestShardBatch:
     def test_even_split(self):
-        # worker k's shard is the k-th block of consecutive rows, as a view
+        # worker k's shard is the k-th block of consecutive rows: BatchNorm
+        # normalizes each block of 2 rows by that block's own mean and variance
         x, _ = make_batch(0, m=8)
-        shards = _per_worker(x, 4)
-        assert shards.shape == (4, 2, 6)
-        assert all(np.array_equal(view, xs) for view, xs in zip(shards, np.split(x, 4)))
-        assert np.shares_memory(shards, x)
+        out = BatchNorm(6).forward(x, workers=4)
+        for got, xs in zip(np.split(out, 4), np.split(x, 4)):
+            want = (xs - xs.mean(axis=0)) / np.sqrt(xs.var(axis=0) + 1e-5)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_uneven_shards_rejected(self):
         x, y = make_batch(1, m=10)
@@ -52,11 +53,14 @@ class TestShardBatch:
             train_step(mlp(), x, y, SGD(), workers=3)
 
     def test_bad_worker_count(self):
+        # a count that is no integer >= 1 is refused on nets with and without
+        # BatchNorm, before it shards anything
         x, y = make_batch(2, m=4)
-        with pytest.raises(ConfigError):
-            train_step(mlp(), x, y, SGD(), workers=0)
-        with pytest.raises(ConfigError):
-            train_step(mlp(), x, y, SGD(), workers=5)
+        bn_net = Model([Dense(6, 4), BatchNorm(4), Dense(4, 4)]).init(default_rng(0))
+        for model in (mlp(), bn_net):
+            for workers in (0, 5, 2.0, "2", True, None):
+                with pytest.raises(ConfigError):
+                    train_step(model, x, y, SGD(), workers=workers)
 
 
 class TestTrainStep:

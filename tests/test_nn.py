@@ -113,6 +113,12 @@ class TestForward:
         with pytest.raises(InputError):
             BatchNorm(2).forward(np.zeros((1, 2)), training=True)
 
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 3, 4)], ids=["1d", "0d", "3d"])
+    def test_batchnorm_rank_checked_first(self, shape):
+        # a 1-D or 0-D input has no channel axis to read
+        with pytest.raises(DimensionError, match="BatchNorm expects 2-D or 4-D input"):
+            Model([BatchNorm(3)]).forward(np.ones(shape))
+
     def test_batchnorm_eval_uses_running_stats(self):
         bn = BatchNorm(2)
         x = default_rng(0).standard_normal((16, 2)) * 3 + 1
@@ -308,6 +314,26 @@ def test_batchnorm_ghost_batches(shape):
     one = BatchNorm(3)
     one.params = ref.params
     assert not np.allclose(out, one.forward(x))
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "after-a-pass"])
+@pytest.mark.parametrize("shape, workers", [((6, 3), 1), ((6, 3, 2, 2), 2)],
+                         ids=["2d-k1", "4d-k2"])
+def test_batchnorm_input_grad_without_param_stats(shape, workers, earlier):
+    # After a training forward with no param_stats, input_grad forms each
+    # worker's sums itself, never those an earlier pass left: bit for bit
+    # the input gradient of the reverse walk, which runs param_stats first.
+    rng = default_rng(28)
+    x, dout = rng.standard_normal(shape), rng.standard_normal(shape)
+    bn, walk = BatchNorm(3), BatchNorm(3)
+    bn.params["scale"] = walk.params["scale"] = np.array([0.5, -1.5, 2.0])
+    if earlier:
+        bn.forward(rng.standard_normal(shape) + 1.0, workers=workers)
+        bn.param_stats(rng.standard_normal(shape))
+    bn.forward(x, workers=workers)
+    walk.forward(x, workers=workers)
+    walk.param_stats(dout)
+    assert np.array_equal(bn.input_grad(dout), walk.input_grad(dout))
 
 
 def _central_diff(f, arr, eps=1e-6):

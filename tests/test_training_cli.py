@@ -729,7 +729,7 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
-    def test_zero_workers_override_exits_2_before_writing(self, tmp_path, capsys, monkeypatch):
+    def test_zero_worker_override_exits_2_before_writing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
         assert main(["distributed", "--config", self.write_config(tmp_path), "--workers", "0",
                      "--out", "dist"]) == 2

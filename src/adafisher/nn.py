@@ -4,14 +4,15 @@ Layer inputs are batch-first. Backpropagation is one reverse walk
 (Model.reverse_walk) that hands each parameterized layer the gradient dout at
 its output, then forms the layer's input gradient with input_grad (never at or
 below the first parameterized layer). Layer holds the one per-layer recipe,
-over an activation-side array a (self._a) and the signal g, dout as (M, O, T),
-both with features on axis 1. Each parameterized layer belongs to one of two
-families, which supply a, _sample_sums (sample n's gradients summed over n,
-or their weighted squares), factor_sizes and _layout (the factor-to-parameter
-map): Kronecker (Dense, Conv2d), where a is the input as (M, F, 1) or the
-im2col patches and sample n's gradients are g_n a_n^T (W) and g_n summed over
-T (b); and Norm (BatchNorm, LayerNorm), where a is the normalized input and
-they are the per-feature sums of g_n * a_n (scale) and g_n (shift).
+over an activation-side array a (self._a), (M, F, T), and the signal g, dout
+as (M, O, T), both with features on axis 1. Each parameterized layer belongs
+to one of two families, which supply a, _sample_sums (sample n's gradients
+summed over n, or their weighted squares), factor_sizes and _layout (the
+factor-to-parameter map): Kronecker (Dense, Conv2d), where a is the input as
+(M, F, 1) or the im2col patches and sample n's gradients are g_n a_n^T (W)
+and g_n summed over T (b); and Norm (BatchNorm, LayerNorm), where a is the
+normalized input as (M, C, T) (T = 1 for 2-D input) and they are the
+per-feature sums of g_n * a_n (scale) and g_n (shift).
 
 A pass returns what it computes and stores none of it on the layers.
 param_stats(dout) returns (grads, factors), each {name: array}: the
@@ -37,10 +38,10 @@ full-batch value, so every layer, param_stats and the loss run once on the
 whole batch at the 1/M per-sample-loss scale. Only BatchNorm reads workers: in
 training it normalizes each shard by the shard's own statistics (ghost batch
 normalization), updates its running statistics once per shard in worker order,
-and couples its input gradient within each shard. The shard layout lives in
-one place, the shape of a norm's a: the (K, M/K, C, T) view of its normalized
-input (K = 1 for LayerNorm and in eval), from which the per-worker sums and
-the input gradient read K. A net without BatchNorm gives the one-worker step
+and couples its input gradient within each shard, through the shard's
+channel sums of its own dout. The shard layout is BatchNorm's alone: only its
+forward and input_grad view the pass as (K, M/K, C, T), and input_grad reads K
+from its (K, C) statistics. A net without BatchNorm gives the one-worker step
 bit for bit at every K.
 
 Conv2d multiplies its weights with im2col patches as a broadcast batched
@@ -61,12 +62,12 @@ copy of a float32 model.
 
 Layers keep their parameters, BatchNorm its running statistics, and of a
 pass only what their backward reads (Activation its derivative, not its
-input; BatchNorm the per-worker sums param_stats forms, which its input_grad
-reuses or, after a forward with no param_stats, forms itself), and only one
-pass of it: each forward first drops the arrays its last pass kept, before it
-allocates new ones, so two generations of them are never live at once. Their
-constructors refuse (SizeError) a layer of more parameter values than
-datasets.MAX_SYNTH_VALUES before allocating anything.
+input), and only one pass of it: each forward first drops the arrays its
+last pass kept, before it allocates new ones, so two generations of them are
+never live at once. A backward call reads that pass and its own dout, never
+what another backward call formed. Their constructors refuse (SizeError) a
+layer of more parameter values than datasets.MAX_SYNTH_VALUES before
+allocating anything.
 """
 
 from __future__ import annotations
@@ -109,6 +110,14 @@ def _mean_sq(a: np.ndarray) -> np.ndarray:
     return total / (a.size // total.size)
 
 
+def check_workers(workers, m: int) -> int:
+    """workers, once it is an integer >= 1 dividing the batch size m; else ConfigError."""
+    check_count("workers", workers)
+    if m % workers:
+        raise ConfigError(f"workers must divide the batch size; got {workers} for M={m}")
+    return workers
+
+
 class Layer:
     """Base layer: stateless unless it carries parameters, and then the one
     recipe over its family's _a, _sample_sums, factor_sizes and _layout."""
@@ -133,8 +142,8 @@ class Layer:
         grads = self._sample_sums(g)
         if not capture:
             return grads, {}
-        m, _, t = g.shape  # per-sample-loss scale: the loss is a mean over m rows
-        h = _mean_sq(self._a.reshape(m, -1, t))
+        m = len(g)  # per-sample-loss scale: the loss is a mean over m rows
+        h = _mean_sq(self._a)
         if "b" in self.params:
             h = np.append(h, np.ones(1, h.dtype))
         return grads, {"h": h, "s": _mean_sq(g) * (m * m)}
@@ -265,7 +274,7 @@ check_momentum = partial(check_number, ok=lambda v: 0 <= v <= 1,
 
 class Norm(Layer):
     """Normalization with a per-feature scale and shift of the normalized
-    input, which forward keeps as self._a, its (K, M/K, C, T) view per worker."""
+    input, which forward keeps as self._a, (M, C, T)."""
 
     def __init__(self, dim: int, eps: float = 1e-5):
         super().__init__()
@@ -280,14 +289,10 @@ class Norm(Layer):
         """Sums over the samples n of their scale and shift gradients, the
         per-feature sums of g_n * a_n and of g_n, or, with sample weights w,
         of w[n] times their squares."""
-        if w is not None:
-            return {"scale": w @ np.einsum("mft,mft->mf", g, self._a.reshape(g.shape)) ** 2,
-                    "shift": w @ g.sum(axis=2) ** 2}
-        # Per-worker sums: BatchNorm's input_grad reads them, and their sums
-        # over the workers are the parameter gradients.
-        g = g.reshape(self._a.shape)
-        shift, scale = self._sums = _feature_sum(g), _feature_sum(g, self._a)
-        return {"scale": scale.sum(axis=0), "shift": shift.sum(axis=0)}
+        if w is None:
+            return {"scale": _feature_sum(g, self._a), "shift": _feature_sum(g)}
+        return {"scale": w @ np.einsum("mft,mft->mf", g, self._a) ** 2,
+                "shift": w @ g.sum(axis=2) ** 2}
 
     def _layout(self, h, s):
         """h * s at the scale and s at the shift (Hadamard structure; the
@@ -311,7 +316,7 @@ class BatchNorm(Norm):
         return layer
 
     def forward(self, x, training=True, workers=1):
-        self._a = self._std = self._sums = None
+        self._a = self._std = None
         if x.ndim not in (2, 4):
             raise DimensionError("BatchNorm expects 2-D or 4-D input")
         if x.shape[1] != self.dim:
@@ -319,7 +324,7 @@ class BatchNorm(Norm):
         # Training normalizes each worker's shard by its own statistics; eval
         # uses the running ones, as one worker. Per-worker (K, C) statistics
         # broadcast as [:, None, :, None] against the (K, M/K, C, T) view.
-        k = workers if training else 1
+        k = check_workers(workers, len(x)) if training else 1
         v = x.reshape(k, len(x) // k, self.dim, math.prod(x.shape[2:]))
         if training:
             if v.shape[1] < 2:
@@ -335,27 +340,23 @@ class BatchNorm(Norm):
             var = self.running_var[None]
         self._std = np.sqrt(var + self.eps)
         xhat /= self._std[:, None, :, None]
-        self._a = xhat
+        self._a = xhat.reshape(len(x), self.dim, -1)
         self._training = training
         out = xhat * self.params["scale"][:, None]
         out += self.params["shift"][:, None]
         return out.reshape(x.shape)
 
     def input_grad(self, dout):
-        d = dout.reshape(self._a.shape)
+        xhat = self._a.reshape(len(self._std), -1, *self._a.shape[1:])  # (K, M/K, C, T)
+        d = dout.reshape(xhat.shape)
         gain = (self.params["scale"] / self._std)[:, None, :, None]
         if not self._training:
             return (d * gain).reshape(dout.shape)
-        # The batch statistics couple the samples of each shard, through each
-        # worker's channel sums. The reverse walk's param_stats on this dout
-        # has formed them; otherwise they are formed here.
-        if self._sums is None:
-            self._sample_sums(dout.reshape(len(dout), self.dim, -1))
-        shift_sum, scale_sum = self._sums
+        # Each shard's channel sums of d and d * xhat couple its samples.
         n = d[0].size // self.dim
-        dx = self._a * (scale_sum / -n)[:, None, :, None]
+        dx = xhat * (_feature_sum(d, xhat) / -n)[:, None, :, None]
         dx += d
-        dx -= (shift_sum / n)[:, None, :, None]
+        dx -= (_feature_sum(d) / n)[:, None, :, None]
         dx *= gain
         return dx.reshape(dout.shape)
 
@@ -364,14 +365,14 @@ class LayerNorm(Norm):
     """Per-sample normalization over the feature axis of (M, C) inputs."""
 
     def forward(self, x, training=True, workers=1):
-        self._a = self._std = self._sums = None
+        self._a = self._std = None
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise DimensionError(f"LayerNorm expects (M, {self.dim}), got {x.shape}")
         mu = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         self._std = np.sqrt(var + self.eps)
         xhat = (x - mu) / self._std
-        self._a = xhat[None, :, :, None]  # one worker, one position
+        self._a = xhat[:, :, None]
         return self.params["scale"] * xhat + self.params["shift"]
 
     def input_grad(self, dout):
@@ -583,9 +584,7 @@ class Model:
         m = np.shape(x)[0]
         if m == 0:
             raise InputError("empty batch")
-        check_count("workers", workers)
-        if m % workers:
-            raise ConfigError(f"workers must divide the batch size; got {workers} for M={m}")
+        check_workers(workers, m)
         out = self.forward(x, training=True, workers=workers)
         loss, dout = self.loss_and_grad(out, y)
         return (loss, *self.backward(dout, capture))

@@ -45,7 +45,7 @@ import numpy as np
 from .config import RunConfig, build_model, resolve_dataset
 from .datasets import train_eval_split
 from .diagnostics import write_csv
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, check_count
 from .nn import Model, softmax
 from .optim import Optimizer
 
@@ -82,8 +82,7 @@ def evaluate(model, x, y, batch_size: int):
     The forward runs on chunks of batch_size rows, the last one partial, so
     its activations never exceed one training batch's; the loss and accuracy
     reduce the concatenated logits once."""
-    if batch_size < 1:
-        raise InputError("evaluation batch size must be >= 1")
+    check_count("evaluation batch size", batch_size, error=InputError)
     if x.shape[0] == 0:
         raise InputError("cannot evaluate on zero rows")
     out = np.concatenate([model.forward(x[i:i + batch_size], training=False)

@@ -321,8 +321,8 @@ def test_batchnorm_ghost_batches(shape):
                          ids=["2d-k1", "4d-k2"])
 def test_batchnorm_input_grad_without_param_stats(shape, workers, earlier):
     # After a training forward with no param_stats, input_grad forms each
-    # worker's sums itself, never those an earlier pass left: bit for bit
-    # the input gradient of the reverse walk, which runs param_stats first.
+    # worker's sums from its own dout, never from an earlier pass: bit for
+    # bit the input gradient of the reverse walk, which runs param_stats first.
     rng = default_rng(28)
     x, dout = rng.standard_normal(shape), rng.standard_normal(shape)
     bn, walk = BatchNorm(3), BatchNorm(3)
@@ -334,6 +334,35 @@ def test_batchnorm_input_grad_without_param_stats(shape, workers, earlier):
     walk.forward(x, workers=workers)
     walk.param_stats(dout)
     assert np.array_equal(bn.input_grad(dout), walk.input_grad(dout))
+
+
+@pytest.mark.parametrize("make, shape, workers", [
+    (lambda: Dense(3, 4), (6, 3), 1),
+    (lambda: Conv2d(2, 3, (2, 2), pad=(1, 1)), (6, 2, 3, 3), 1),
+    (lambda: BatchNorm(3), (6, 3), 1),
+    (lambda: BatchNorm(3), (6, 3), 2),
+    (lambda: BatchNorm(3), (6, 3, 2, 2), 1),
+    (lambda: BatchNorm(3), (6, 3, 2, 2), 2),
+    (lambda: LayerNorm(3), (6, 3), 1),
+    (lambda: MaxPool2d((2, 2)), (6, 3, 4, 4), 1),
+    (lambda: Activation("relu"), (6, 3), 1),
+    (lambda: Flatten(), (6, 3, 2, 2), 1),
+], ids=["dense", "conv2d", "batchnorm-2d-k1", "batchnorm-2d-k2", "batchnorm-4d-k1",
+        "batchnorm-4d-k2", "layernorm", "maxpool", "activation", "flatten"])
+def test_input_grad_reads_only_its_dout(make, shape, workers):
+    # input_grad(d2) is a function of the pass and d2 alone: a param_stats
+    # call on another signal d1 in between changes none of its bits.
+    rng = default_rng(29)
+    layer, twin = make(), make()
+    for name, arr in layer.params.items():
+        layer.params[name] = twin.params[name] = rng.standard_normal(arr.shape)
+    x = rng.standard_normal(shape)
+    out = layer.forward(x, workers=workers)
+    twin.forward(x, workers=workers)
+    d1, d2 = rng.standard_normal((2, *out.shape))
+    if layer.params:
+        layer.param_stats(d1)
+    assert np.array_equal(layer.input_grad(d2), twin.input_grad(d2))
 
 
 def _central_diff(f, arr, eps=1e-6):

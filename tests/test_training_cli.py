@@ -20,7 +20,8 @@ from adafisher.diagnostics import fft2, fim_hist_stats, gershgorin, snr
 from adafisher.errors import (ConfigError, DataError, DimensionError, FormatError, InputError,
                               NumericError, SizeError, StateError, UnsupportedError)
 from adafisher.fisher import approximation_mae, exact_fisher_diag
-from adafisher.nn import BatchNorm, Conv2d, Dense, LayerNorm, Model, cross_entropy, softmax
+from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, LayerNorm, Model, cross_entropy,
+                          mse, softmax)
 from adafisher.optim import AdaFisher, build_optimizer, minmax_normalize
 from adafisher.training import emit_metrics, evaluate, run_streams, run_training
 
@@ -1172,13 +1173,48 @@ class TestCli:
     (lambda: Conv2d(10**5, 10**5, (3, 3)), SizeError,
      "Conv2d has 90000100000 parameter values, over the guard of 10000000"),
     (lambda: LayerNorm(10**13), SizeError, "LayerNorm has 20000000000000 parameter values"),
+    # a training BatchNorm checks its worker count as Model.train_batch does
+    (lambda: BatchNorm(2).forward(np.zeros((10, 2)), workers=3), ConfigError,
+     "workers must divide the batch size; got 3 for M=10"),
+    *[(lambda k=k: BatchNorm(2).forward(np.zeros((8, 2)), workers=k), ConfigError,
+       "workers must be an integer >= 1") for k in (2.0, "2", None, True, 0)],
+    *[(lambda n=n: evaluate(Model([Dense(2, 2)]), np.zeros((3, 2)), np.zeros(3, int), n),
+       InputError, "evaluation batch size must be an integer >= 1") for n in (2.5, "3", None, True)],
+    (lambda: Conv2d(2, 3, (3, 3)).forward(np.zeros((1, 1, 4, 4))), DimensionError,
+     "Conv2d expects \\(M, 2, H, W\\)"),
+    (lambda: Conv2d(2, 3, (3, 3)).forward(np.zeros((1, 2, 4))), DimensionError, "Conv2d expects"),
+    (lambda: BatchNorm(3).forward(np.zeros((4, 2))), DimensionError, "BatchNorm expects 3 channels"),
+    (lambda: LayerNorm(3).forward(np.zeros((4, 3, 1))), DimensionError,
+     "LayerNorm expects \\(M, 3\\)"),
+    (lambda: Activation("gelu"), UnsupportedError, "unsupported activation 'gelu'"),
+    (lambda: cross_entropy(np.zeros((3, 2)), np.zeros(2, dtype=int)), DimensionError,
+     "labels must have shape \\(3,\\)"),
+    (lambda: mse(np.zeros((3, 2)), np.zeros((3, 1))), DimensionError,
+     "prediction/target shape mismatch"),
+    (lambda: Model([Dense(2, 2)], loss="hinge").loss_and_grad(np.zeros((3, 2)), np.zeros(3, int)),
+     UnsupportedError, "unknown loss 'hinge'"),
+    (lambda: minmax_normalize([]), DimensionError, "cannot normalize an empty vector"),
+    (lambda: datasets.load_idx("unread.idx", "pixels"), InputError,
+     "expect must be 'images' or 'labels'"),
+    (lambda: write_idx("unwritten.idx", np.zeros((2, 3)), "images"), InputError,
+     "images must be \\(N, H, W\\)"),
+    (lambda: write_idx("unwritten.idx", np.zeros((2, 3)), "labels"), InputError,
+     "labels must be 1-D"),
+    (lambda: write_idx("unwritten.idx", np.zeros(2), "pixels"), InputError,
+     "kind must be 'images' or 'labels'"),
 ], ids=["logits-1d", "logits-3d", "samples-float", "samples-bool", "optimizer-keyword",
         "optimizer-value", "adafisher-lambda-nan", "adafisher-lambda-inf",
         "adafisherw-lambda-nan", "adafisher-gamma-string", "adafisher-gamma-bool",
         "optimizer-name-int", "optimizer-name-none", "minmax-inf", "layernorm-eps-string",
         "layernorm-eps-inf",
         "batchnorm-momentum-5", "batchnorm-momentum-nan", "dense-oversized",
-        "conv2d-oversized", "layernorm-oversized"])
+        "conv2d-oversized", "layernorm-oversized", "batchnorm-workers-uneven",
+        "batchnorm-workers-float", "batchnorm-workers-string", "batchnorm-workers-none",
+        "batchnorm-workers-bool", "batchnorm-workers-zero", "evaluate-batch-float",
+        "evaluate-batch-string", "evaluate-batch-none", "evaluate-batch-bool",
+        "conv2d-channels", "conv2d-rank", "batchnorm-channels", "layernorm-shape",
+        "activation-gelu", "labels-shape", "mse-shape", "loss-hinge", "minmax-empty",
+        "load-idx-expect", "write-idx-images", "write-idx-labels", "write-idx-kind"])
 def test_library_calls_raise_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()

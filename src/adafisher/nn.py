@@ -18,18 +18,17 @@ A pass returns what it computes and stores none of it on the layers.
 param_stats(dout) returns (grads, factors), each {name: array}: the
 mini-batch-mean gradients and the diagonals of the two Kronecker factors
 (KFC), "h", the mean squares of a (exactly 1.0 in the bias slot), and "s",
-those of g at per-sample-loss scale (squared, then times M * M for a batch of
-M rows), over all axes but the feature axis. Model.backward and train_batch
-key them by layer: {(i, name): gradient} and {(i, "h" | "s"): factor}, the
-layout of every per-parameter table in the package. The factors are formed
-only when the caller reads them: train_batch(x, y, capture=False), which the
-training step passes for the optimizers that read no curvature (Adam, SGD),
-returns an empty factor table. For the Fisher oracle's eval-mode walk, where
-row n of dout is sample n's own signal, sample_sq(dout, w) returns
-sum_n w[n] * (sample n's gradient)**2 from the same a and g instead.
-kronecker_diagonal(h, s) lays the diagonal of H (x) S out like the layer's
-parameters: h[j] * s[k] at weight (k, j) and h[-1] * s[k] at bias k; h * s
-and s at a norm's scale and shift.
+those of g times M * M (per-sample-loss scale for a batch of M rows), each one
+einsum over all axes but the feature axis. Model.backward and train_batch key
+them by layer, {(i, name): gradient} and {(i, "h" | "s"): factor}, the layout
+of every per-parameter table in the package. The factors are formed only when
+read: train_batch(x, y, capture=False), which the training step passes for the
+optimizers that read no curvature (Adam, SGD), returns an empty factor table.
+For the Fisher oracle's eval-mode walk, where row n of dout is sample n's own
+signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's gradient)**2 from
+the same a and g instead. kronecker_diagonal(h, s) lays the diagonal of
+H (x) S out like the layer's parameters: h[j] * s[k] at weight (k, j) and
+h[-1] * s[k] at bias k; h * s and s at a norm's scale and shift.
 
 A training pass can simulate K workers (Model.train_batch(x, y, workers=K)):
 worker k's shard is the k-th block of M/K consecutive rows. With equal shards,
@@ -103,13 +102,6 @@ def _feature_sum(*arrays: np.ndarray) -> np.ndarray:
     return np.einsum(",".join(["...mft"] * len(arrays)) + "->...f", *arrays)
 
 
-def _mean_sq(a: np.ndarray) -> np.ndarray:
-    """Per feature, the mean of squares over M and T of an (..., M, F, T)
-    array: (..., F)."""
-    total = _feature_sum(a, a)
-    return total / (a.size // total.size)
-
-
 def check_workers(workers, m: int) -> int:
     """workers, once it is an integer >= 1 dividing the batch size m; else ConfigError."""
     check_count("workers", workers)
@@ -142,11 +134,11 @@ class Layer:
         grads = self._sample_sums(g)
         if not capture:
             return grads, {}
-        m = len(g)  # per-sample-loss scale: the loss is a mean over m rows
-        h = _mean_sq(self._a)
-        if "b" in self.params:
-            h = np.append(h, np.ones(1, h.dtype))
-        return grads, {"h": h, "s": _mean_sq(g) * (m * m)}
+        a, m = self._a, len(g)  # per-sample-loss scale: the loss is a mean over m rows
+        h = np.ones(self.factor_sizes[0], a.dtype)  # a bias slot, if any, stays 1
+        np.divide(np.einsum("mft,mft->f", a, a), a.size // a.shape[1], out=h[:a.shape[1]])
+        s = np.einsum("mft,mft->f", g, g) / (g.size // g.shape[1]) * (m * m)
+        return grads, {"h": h, "s": s}
 
     def sample_sq(self, dout: np.ndarray, w: np.ndarray) -> dict:
         """sum_n w[n] * (sample n's gradient)**2, row n of dout being sample
@@ -331,7 +323,7 @@ class BatchNorm(Norm):
                 raise InputError("BatchNorm needs batch size >= 2 per worker in training mode")
             mu = _feature_sum(v) / (v[0].size // self.dim)
             xhat = v - mu[:, None, :, None]
-            var = _mean_sq(xhat)
+            var = _feature_sum(xhat, xhat) / (v[0].size // self.dim)
             for mu_k, var_k in zip(mu, var):  # the shards' updates, in worker order
                 self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu_k
                 self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var_k

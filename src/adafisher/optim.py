@@ -26,19 +26,18 @@ the model's dtype alone: float32 in training.
 
 AdaFisher holds all its state: t, the moments and opt.curvature, the EMAs of
 the Kronecker-factor diagonals, {(layer id, "h" | "s"): float64 vector} sized
-by each layer's factor_sizes, and {} until the first step, which starts them
-from ones (identity curvature). A step checks the fresh factors, EMAs them
-with the fresh one weighted gamma (gamma * fresh + (1 - gamma) * old), lays
-out the divisors of the new table, and only then keeps it. A divisor is the
-layer's layout, layer.kronecker_diagonal(h, s), of the min-max normalized
-factors (all zero for a norm layer under norm_fisher_off), plus lambda; the
-Fisher oracle compares with that map on fresh factors. The update is a
-bias-corrected first moment divided elementwise by its divisor. There is no
-second moment and (unless sqrt_divisor=True) no square root on the divisor:
-the factored curvature supplies its own smoothing through the factor EMA.
-AdaFisherW is AdaFisher with a decoupled weight decay kappa > 0, so both
-names build one. The EMAs and the min-max stay float64 whatever the model's
-dtype: they are short vectors, and MINMAX_EPS is a float64 threshold.
+by each layer's factor_sizes, {} until the first step starts them from ones.
+They are views of one vector, each layer's h then its s in layer order (a
+table a caller assigns is read too). A step checks the fresh factors,
+concatenates them into a new vector, EMAs it in place (rounding as gamma *
+fresh + (1 - gamma) * old), lays out its divisors and only then keeps it: a
+fixed number of numpy calls for the whole model, writing into no array a
+caller holds. A divisor is lambda plus layer.kronecker_diagonal(h, s) of the
+min-max normalized factors (zero for a norm layer under norm_fisher_off), all
+min-maxed at once in float64 (MINMAX_EPS is a float64 threshold), then cast
+once to the model's dtype; the Fisher oracle compares with that map. The update
+is a bias-corrected first moment over its divisor, with no second moment and no
+square root unless sqrt_divisor. AdaFisherW adds decoupled weight decay kappa.
 
 The Adam and SGD baselines read no curvature (needs_factors is False), so
 their training pass forms no factors. Every _update changes its
@@ -51,6 +50,7 @@ scratch array per parameter (plus the decayed gradient under coupled decay).
 from __future__ import annotations
 
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,19 +70,28 @@ _below_one = partial(check_number, ok=lambda v: 0.0 <= v < 1.0, what="a finite n
 def minmax_normalize(v: np.ndarray) -> np.ndarray:
     """(v - min) / (max - min); all zeros when the range is degenerate. A range
     past float64's largest value is taken from the halves of v."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise DimensionError("cannot normalize an empty vector")
-    if not np.isfinite(v).all():
-        raise InputError("non-finite value in min-max input")
-    lo, hi = v.min(), v.max()
+    return _minmax(np.ravel(np.asarray(v, np.float64)), [0, np.size(v)]).reshape(np.shape(v))
+
+
+def _minmax(flat: np.ndarray, bounds: list[int], keys: list | None = None) -> np.ndarray:
+    """minmax_normalize of each segment flat[bounds[j]:bounds[j + 1]], in one new
+    vector; an empty or non-finite one raises, prefixed with its key if keys."""
+    sizes = np.diff(bounds)
+    if not (sizes.all() and np.isfinite(flat).all()):
+        j = next(j for j, (a, b) in enumerate(zip(bounds, bounds[1:]))
+                 if a == b or not np.isfinite(flat[a:b]).all())
+        where = f"layer {keys[j][0]}: factor {keys[j][1]}: " if keys else ""
+        raise (InputError(f"{where}non-finite value in min-max input") if sizes[j]
+               else DimensionError(f"{where}cannot normalize an empty vector"))
+    lo, hi = np.minimum.reduceat(flat, bounds[:-1]), np.maximum.reduceat(flat, bounds[:-1])
     with np.errstate(over="ignore"):
         span = hi - lo
-    if span < MINMAX_EPS:
-        return np.zeros_like(v)
-    if span == np.inf:
-        v, lo, span = v / 2, lo / 2, hi / 2 - lo / 2
-    return (v - lo) / span
+    wide = span == np.inf
+    if wide.any():  # halve the segments whose hi - lo overflowed
+        flat = flat * np.repeat(np.where(wide, 0.5, 1.0), sizes)
+        lo, span = np.where(wide, lo / 2, lo), np.where(wide, hi / 2 - lo / 2, span)
+    span[span < MINMAX_EPS] = np.inf  # (v - lo) / inf is +0.0 on a degenerate segment
+    return (flat - np.repeat(lo, sizes)) / np.repeat(span, sizes)
 
 
 class Schedule:
@@ -143,12 +152,10 @@ class Optimizer:
                                      f"another model")
             work.append(((i, name), p, g))
         if len(grads) > len(work):
-            known = {key for key, *_ in work}
-            key = next(key for key in grads if key not in known)
+            key = next(key for key in grads if key not in [k for k, *_ in work])
             raise StateError(f"gradient {key} is unknown: the model has no such parameter")
         if len(self.moments) > len(work):
-            known = {key for key, *_ in work}
-            i, name = next(key for key in self.moments if key not in known)
+            i, name = next(key for key in self.moments if key not in [k for k, *_ in work])
             raise StateError(f"the optimizer holds moments of layer {i} parameter {name}, "
                              f"which the model lacks; it was stepped on another model")
         divisors = self._divisors(model, factors)
@@ -188,11 +195,7 @@ class AdaFisher(Optimizer):
         self.curvature: dict[tuple[int, str], np.ndarray] = {}
 
     def _divisors(self, model: Model, factors: dict | None) -> dict:
-        """The divisors of the EMA of the curvature with the fresh factors,
-        which must hold exactly the curvature's keys (a pass with capture=False
-        returns none), each shaped like its entry and finite; an empty
-        curvature starts from ones of the model's factor_sizes. Every factor
-        is checked, and the divisors laid out, before the curvature changes."""
+        """The divisors of the EMA of the curvature with the checked fresh factors."""
         old = self.curvature or {(i, name): np.ones(n) for i, layer in model.param_layers()
                                  for name, n in zip(("h", "s"), layer.factor_sizes)}
         fresh = factors or {}
@@ -201,15 +204,20 @@ class AdaFisher(Optimizer):
             why = ("missing; run a capturing pass, Model.train_batch(..., capture=True), first"
                    if (i, name) in old else "unknown")
             raise StateError(f"fresh factor {name} of layer {i} is {why}")
-        fresh = {key: np.asarray(vec, dtype=np.float64) for key, vec in fresh.items()}
+        if not old:  # a model without parameters
+            return {}
         for (i, name), vec in fresh.items():
-            if vec.shape != old[i, name].shape:
-                raise DimensionError(f"fresh factor {name} of layer {i} has shape {vec.shape}, "
-                                     f"the state's {old[i, name].shape}")
-            if not np.isfinite(vec).all():
-                raise NumericError(f"step {self.t + 1}: non-finite factor {name} of layer {i}")
-        curvature = {key: self.gamma * fresh[key] + (1.0 - self.gamma) * vec
-                     for key, vec in old.items()}
+            if np.shape(vec) != old[i, name].shape:
+                raise DimensionError(f"fresh factor {name} of layer {i} has shape "
+                                     f"{np.shape(vec)}, the state's {old[i, name].shape}")
+        flat = np.concatenate([fresh[key] for key in old], dtype=np.float64)
+        if not np.isfinite(flat).all():
+            i, name = next(key for key in old if not np.isfinite(fresh[key]).all())
+            raise NumericError(f"step {self.t + 1}: non-finite factor {name} of layer {i}")
+        flat *= self.gamma  # the EMA, rounded as gamma * fresh + (1 - gamma) * old
+        flat += (1.0 - self.gamma) * np.concatenate(list(old.values()), dtype=np.float64)
+        bounds = [0, *accumulate(map(len, old.values()))]
+        curvature = {key: flat[a:b] for key, a, b in zip(old, bounds, bounds[1:])}
         divisors = self.divisors(model, curvature)
         self.curvature = curvature
         return divisors
@@ -217,23 +225,23 @@ class AdaFisher(Optimizer):
     def divisors(self, model: Model, curvature: dict) -> dict[tuple[int, str], np.ndarray]:
         """{(layer id, parameter name): divisor} of the factor table curvature,
         each shaped like its parameter and in the model's dtype."""
-        out, dtype = {}, model.dtype
-        for i, layer in model.param_layers():
-            if (i, "h") not in curvature or (i, "s") not in curvature:
-                raise StateError(f"the curvature holds no factors of layer {i}")
-            h, s = (minmax_normalize(curvature[i, k]).astype(dtype, copy=False)
-                    for k in ("h", "s"))
+        keys = [(i, name) for i, _ in model.param_layers() for name in ("h", "s")]
+        try:
+            entries = [curvature[key] for key in keys]
+        except KeyError as exc:
+            raise StateError(f"the curvature holds no factors of layer {exc.args[0][0]}") from None
+        bounds = [0, *accumulate(map(len, entries))]  # entry j is flat[bounds[j]:bounds[j + 1]]
+        flat = np.concatenate(entries or [np.empty(0)], dtype=np.float64)
+        normed, out = _minmax(flat, bounds, keys).astype(model.dtype, copy=False), {}
+        for (i, layer), a, b, c in zip(model.param_layers(), *(bounds[k::2] for k in (0, 1, 2))):
             if self.norm_fisher_off and isinstance(layer, Norm):
-                h, s = np.zeros_like(h), np.zeros_like(s)  # identity factors, min-maxed
+                normed[a:c] = 0.0  # identity factors, min-maxed
             try:
-                diags = layer.kronecker_diagonal(h, s)
+                diags = layer.kronecker_diagonal(normed[a:b], normed[b:c])
             except DimensionError as exc:
                 raise DimensionError(f"layer {i}: {exc}") from None
-            for name, diag in diags.items():
-                # new arrays, or s (a norm's shift), which minmax_normalize made
-                # for this call: lambda goes in place, copying nothing
-                diag += self.lam
-                out[i, name] = diag
+            for name, diag in diags.items():  # new arrays, or views of this call's normed
+                out[i, name] = np.add(diag, self.lam, out=diag)
         return out
 
     def _update(self, p, g, m, div) -> None:

@@ -1,11 +1,13 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.random import default_rng
 
-from adafisher.errors import ConfigError, DimensionError, InputError, StateError
+from adafisher.errors import ConfigError, DimensionError, InputError, NumericError, StateError
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
-                          LayerNorm, Model)
+                          LayerNorm, Model, Norm)
 from adafisher.optim import MINMAX_EPS, AdaFisher, minmax_normalize
 
 
@@ -373,6 +375,13 @@ class TestStateLifecycle:
             empty.step(model, zero_grads(model), fresh)
         assert empty.curvature == {}
 
+    def test_model_without_parameters(self):
+        # no factors: the step counts itself, and the curvature stays empty
+        model = Model([Activation("relu")])
+        opt = AdaFisher()
+        opt.step(model, {}, {})
+        assert opt.t == 1 and opt.curvature == {} and opt.divisors(model, {}) == {}
+
     def test_divisors_of_a_layer_without_factors_rejected(self):
         model = self.make_model()
         table = identity(model)
@@ -458,3 +467,138 @@ def test_gamma_one_update_keeps_exactly_the_fresh_factors(old, fresh, steps):
         opt.step(model, zero_grads(model), new)
     for name in ("h", "s"):
         assert np.array_equal(opt.curvature[0, name], new[0, name])
+
+
+def reference_divisors(model, table, lam, norm_fisher_off):
+    """AdaFisher.divisors written per layer: the layout of each factor's own
+    minmax_normalize, cast to the model's dtype, plus lam."""
+    out = {}
+    for i, layer in model.param_layers():
+        h, s = (minmax_normalize(table[i, name]).astype(model.dtype) for name in ("h", "s"))
+        if norm_fisher_off and isinstance(layer, Norm):
+            h, s = np.zeros_like(h), np.zeros_like(s)
+        out.update(((i, name), diag + lam) for name, diag in layer.kronecker_diagonal(h, s).items())
+    return out
+
+
+def assert_divisors_match_reference(model, table, lam, norm_fisher_off):
+    div = AdaFisher(lam=lam, norm_fisher_off=norm_fisher_off).divisors(model, table)
+    ref = reference_divisors(model, table, lam, norm_fisher_off)
+    assert div.keys() == ref.keys()
+    for key, diag in ref.items():
+        assert (div[key].dtype, div[key].shape) == (diag.dtype, diag.shape)
+        assert div[key].tobytes() == diag.tobytes(), key
+
+
+# Layers for the divisor properties; they need not chain, as AdaFisher.divisors
+# reads only their shapes. Dense(3, 1)'s s and LayerNorm(1)'s factors hold one
+# entry.
+DIVISOR_LAYERS = [lambda: Dense(3, 4), lambda: Dense(3, 1), lambda: Dense(2, 3, bias=False),
+                  lambda: Conv2d(2, 3, (2, 2)), lambda: Conv2d(1, 2, (1, 2), bias=False),
+                  lambda: BatchNorm(3), lambda: LayerNorm(1), lambda: LayerNorm(4),
+                  lambda: Activation("relu")]
+F64_MAX = float(np.finfo(np.float64).max)
+
+
+def factor_entries(n):
+    """A factor of n entries: ordinary, constant, spread around MINMAX_EPS, over
+    float64's whole range, or with a range past float64's largest value."""
+    entries = partial(st.lists, min_size=n, max_size=n)
+    return st.one_of(
+        entries(st.floats(0.0, 1e6)),
+        st.floats(-1e300, 1e300).map(lambda c: [c] * n),
+        st.tuples(st.floats(-1e3, 1e3), entries(st.floats(-1e-12, 1e-12))).map(
+            lambda cv: [cv[0] + v for v in cv[1]]),
+        entries(st.floats(-F64_MAX, F64_MAX)),
+        entries(st.floats(-1e6, 1e6)).map(lambda v: [-F64_MAX, *v[2:], 1.2e308] if n > 1 else v),
+    ).map(np.array)
+
+
+@props
+@given(data=st.data(), picks=st.lists(st.integers(0, len(DIVISOR_LAYERS) - 1), min_size=1,
+                                      max_size=5),
+       lam=st.floats(1e-8, 10.0), norm_fisher_off=st.booleans(),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_divisors_match_the_per_factor_reference(data, picks, lam, norm_fisher_off, dtype):
+    # every factor min-maxed at once, in one vector, gives the bits of each
+    # factor min-maxed on its own
+    model = Model([DIVISOR_LAYERS[k]() for k in picks]).astype(dtype)
+    table = {(i, name): data.draw(factor_entries(n)) for i, layer in model.param_layers()
+             for name, n in zip(("h", "s"), layer.factor_sizes)}
+    assert_divisors_match_reference(model, table, lam, norm_fisher_off)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("norm_fisher_off", [False, True])
+def test_divisors_of_a_range_past_float64_max_next_to_ordinary_factors(dtype, norm_fisher_off):
+    model = Model([Dense(3, 1), BatchNorm(2), Conv2d(1, 2, (1, 2)), LayerNorm(3)]).astype(dtype)
+    table = {(0, "h"): np.array([-1.7e308, 3.0, 1.2e308, -5e307]), (0, "s"): np.array([4.0]),
+             (1, "h"): np.array([0.5, 0.25]), (1, "s"): np.array([7.0, 7.0]),
+             (2, "h"): np.array([1e-3, 2.5e-3, 7e5]), (2, "s"): np.array([-F64_MAX, F64_MAX]),
+             (3, "h"): np.array([2.0, 1.0, 3.0]), (3, "s"): np.array([1e300, -1e300, 0.0])}
+    assert_divisors_match_reference(model, table, 0.001, norm_fisher_off)
+
+
+def conv_norm_net():
+    return Model([Conv2d(1, 2, (2, 2)), Activation("relu"), BatchNorm(2), Flatten(),
+                  Dense(8, 4), LayerNorm(4)]).init(default_rng(9))
+
+
+def fresh_factors(model, seed):
+    rng = default_rng(seed)
+    _, _, factors = model.train_batch(rng.standard_normal((4, 1, 3, 3)),
+                                      rng.integers(0, 4, size=4))
+    return factors
+
+
+class TestNoAliasing:
+    """A step writes into no array a caller holds, and one that raises keeps
+    the curvature's arrays and their bytes."""
+
+    def test_step_writes_into_no_held_array(self):
+        model = conv_norm_net()
+        opt = AdaFisher()
+        opt.step(model, zero_grads(model), fresh_factors(model, 1))
+        factors = fresh_factors(model, 2)
+        held = [*opt.curvature.values(), *opt.divisors(model, opt.curvature).values(),
+                *factors.values()]
+        before = [arr.tobytes() for arr in held]
+        opt.step(model, zero_grads(model), factors)
+        assert [arr.tobytes() for arr in held] == before
+        assert not any(np.shares_memory(vec, arr) for vec in opt.curvature.values()
+                       for arr in held)
+        # a table the caller assigns is read, never written
+        rng = default_rng(3)
+        table = {key: rng.random(vec.shape) for key, vec in identity(model).items()}
+        before = {key: vec.tobytes() for key, vec in table.items()}
+        opt.curvature = table
+        opt.step(model, zero_grads(model), fresh_factors(model, 4))
+        assert {key: vec.tobytes() for key, vec in table.items()} == before
+        assert not any(np.shares_memory(vec, arr) for vec in opt.curvature.values()
+                       for arr in table.values())
+
+    def test_curvature_entries_are_views_of_one_vector(self):
+        model = conv_norm_net()
+        opt = AdaFisher()
+        opt.step(model, zero_grads(model), fresh_factors(model, 1))
+        base = opt.curvature[0, "h"].base
+        assert base is not None and base.size == sum(vec.size for vec in opt.curvature.values())
+        assert all(vec.base is base for vec in opt.curvature.values())
+
+    @pytest.mark.parametrize("spoil, error", [
+        (lambda vec: np.where(np.arange(vec.size) == 1, np.nan, vec), NumericError),
+        (lambda vec: np.ones(vec.size + 1), DimensionError),
+    ], ids=["nan-factor", "misshaped-factor"])
+    def test_failing_step_keeps_the_curvature(self, spoil, error):
+        model = conv_norm_net()
+        opt = AdaFisher()
+        opt.step(model, zero_grads(model), fresh_factors(model, 1))
+        held = dict(opt.curvature)
+        before = {key: vec.tobytes() for key, vec in held.items()}
+        factors = fresh_factors(model, 2)
+        factors[5, "s"] = spoil(factors[5, "s"])  # the last factor
+        with pytest.raises(error, match="factor s of layer 5"):
+            opt.step(model, zero_grads(model), factors)
+        assert opt.curvature.keys() == held.keys()
+        assert all(opt.curvature[key] is vec for key, vec in held.items())
+        assert {key: vec.tobytes() for key, vec in opt.curvature.items()} == before

@@ -1142,6 +1142,15 @@ class TestCli:
                 "fim/fim_stats.csv"} <= files(same_root).keys()
 
 
+def divisors_with(entries):
+    """AdaFisher.divisors of Dense(2, 2)-relu-Dense(2, 3) from a table of ones
+    with the given entries in place of its own."""
+    model = Model([Dense(2, 2), Activation("relu"), Dense(2, 3)])
+    table = {(i, name): np.ones(n) for i, layer in model.param_layers()
+             for name, n in zip(("h", "s"), layer.factor_sizes)}
+    return AdaFisher().divisors(model, {**table, **{k: np.array(v) for k, v in entries.items()}})
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: cross_entropy(np.zeros(3), np.zeros(3, dtype=int)), DimensionError, "2-D"),
     (lambda: cross_entropy(np.zeros((2, 3, 1)), np.zeros(2, dtype=int)), DimensionError, "2-D"),
@@ -1194,6 +1203,16 @@ class TestCli:
     (lambda: Model([Dense(2, 2)], loss="hinge").loss_and_grad(np.zeros((3, 2)), np.zeros(3, int)),
      UnsupportedError, "unknown loss 'hinge'"),
     (lambda: minmax_normalize([]), DimensionError, "cannot normalize an empty vector"),
+    # AdaFisher.divisors names the layer and the factor of a bad entry, the
+    # first in layer order (each layer's h, then its s)
+    (lambda: divisors_with({(2, "h"): [1.0, np.nan, 0.0]}), InputError,
+     "^layer 2: factor h: non-finite value in min-max input$"),
+    (lambda: divisors_with({(0, "s"): [np.inf, 1.0], (2, "h"): [np.nan] * 3}), InputError,
+     "^layer 0: factor s: non-finite value in min-max input$"),
+    (lambda: divisors_with({(2, "s"): []}), DimensionError,
+     "^layer 2: factor s: cannot normalize an empty vector$"),
+    (lambda: divisors_with({(0, "h"): [], (2, "s"): [np.nan] * 3}), DimensionError,
+     "^layer 0: factor h: cannot normalize an empty vector$"),
     (lambda: datasets.load_idx("unread.idx", "pixels"), InputError,
      "expect must be 'images' or 'labels'"),
     (lambda: write_idx("unwritten.idx", np.zeros((2, 3)), "images"), InputError,
@@ -1214,6 +1233,7 @@ class TestCli:
         "evaluate-batch-string", "evaluate-batch-none", "evaluate-batch-bool",
         "conv2d-channels", "conv2d-rank", "batchnorm-channels", "layernorm-shape",
         "activation-gelu", "labels-shape", "mse-shape", "loss-hinge", "minmax-empty",
+        "divisors-nan", "divisors-first-bad", "divisors-empty", "divisors-empty-first",
         "load-idx-expect", "write-idx-images", "write-idx-labels", "write-idx-kind"])
 def test_library_calls_raise_typed_errors(call, error, match):
     with pytest.raises(error, match=match):

@@ -6,15 +6,15 @@ and RunConfig's builders map them to constructor keywords. The constructors own
 the values of the optimizer block (AdaFisher's gamma, lambda and
 norm_fisher_off too) and the schedule block: from_dict builds each once, so a
 value they reject is a ConfigError naming the block and the field. The tables
-check layer and dataset values with errors' checkers: the parameter-count guard
-MAX_SYNTH_VALUES (a SizeError) reads layer sizes before anything is allocated,
-and resolve_dataset runs after the out dir exists. An absent optional field is
-left out, so its constructor's default applies."""
+check layer and dataset values with errors' checkers, so a bad one is a
+ConfigError naming its dotted path. The layers own their sizes: each refuses
+its own oversize, and build_model refuses a model of more parameter values
+than MAX_SYNTH_VALUES (a SizeError) before it draws any weight. An absent
+optional field is left out, so its constructor's default applies."""
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -25,7 +25,7 @@ from .datasets import MAX_SYNTH_VALUES, Images, load_csv, load_idx, synth_datase
 from .errors import (ConfigError, DataError, SizeError, check_count, check_flag, check_number,
                      check_pair)
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
-                 MaxPool2d, Model, check_eps, check_momentum)
+                 MaxPool2d, Model, check_eps, check_momentum, check_workers)
 from .optim import Optimizer, Schedule, build_optimizer
 
 
@@ -153,18 +153,6 @@ def _keywords(block: dict) -> dict:
     return {_KEYWORDS.get(key, key): value for key, value in block.items()}
 
 
-def _param_count(spec: dict) -> int:
-    """Parameter values the checked layer spec builds, in Python ints (no
-    overflow): a Kronecker layer's W (out x in x kernel) and bias, a norm's
-    scale and shift."""
-    if spec["kind"] in ("dense", "conv2d"):
-        fan_in = spec["in"] * math.prod(spec.get("kernel", ()))
-        return spec["out"] * (fan_in + spec.get("bias", True))
-    if spec["kind"] in ("batchnorm", "layernorm"):
-        return 2 * spec["dim"]
-    return 0
-
-
 @dataclass
 class RunConfig:
     model: dict
@@ -187,12 +175,7 @@ class RunConfig:
             cfg.build_schedule()
         except ConfigError as exc:
             raise ConfigError(f"schedule.{exc}") from None
-        params = sum(map(_param_count, cfg.model["layers"]))
-        if params > MAX_SYNTH_VALUES:
-            raise SizeError(f"model has {params} parameter values, over the guard "
-                            f"of {MAX_SYNTH_VALUES}")
-        if cfg.batch_size % cfg.workers:
-            raise ConfigError(f"workers {cfg.workers} do not divide batch_size {cfg.batch_size}")
+        check_workers(cfg.workers, cfg.batch_size)
         shard = cfg.batch_size // cfg.workers
         if shard < 2 and any(spec["kind"] == "batchnorm" for spec in cfg.model["layers"]):
             raise ConfigError(f"batchnorm needs >= 2 samples per worker, got batch_size "
@@ -227,6 +210,10 @@ def build_model(model_spec: dict, rng: np.random.Generator) -> Model:
         cls, required, optional = _LAYERS[spec["kind"]]
         layers.append(cls(*(spec[key] for key in required),
                           **{key: spec[key] for key in optional if key in spec}))
+    params = sum(arr.size for layer in layers for arr in layer.params.values())
+    if params > MAX_SYNTH_VALUES:  # each layer refused its own oversize already
+        raise SizeError(f"model has {params} parameter values, over the guard "
+                        f"of {MAX_SYNTH_VALUES}")
     # the block's other fields (loss) are Model keywords
     return Model(layers, **{k: v for k, v in model_spec.items() if k != "layers"}).init(rng)
 

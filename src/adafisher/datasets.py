@@ -9,6 +9,7 @@ forward rounds them. No other module knows the encoding."""
 
 from __future__ import annotations
 
+import math
 import struct
 from functools import partial
 from pathlib import Path
@@ -80,7 +81,7 @@ def load_idx(path, expect: str):
     if len(raw) < header_len:
         raise FormatError(f"{path}: truncated dimension header")
     dims = struct.unpack(f">{ndim}I", raw[4:header_len])
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # a Python int: np.prod would wrap around in int64
     if len(raw) - header_len != count:
         raise FormatError(f"{path}: expected {count} data bytes, "
                           f"found {len(raw) - header_len}")

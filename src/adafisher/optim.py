@@ -28,7 +28,8 @@ AdaFisher holds all its state: t, the moments and opt.curvature, the EMAs of
 the Kronecker-factor diagonals, {(layer id, "h" | "s"): float64 vector} sized
 by each layer's factor_sizes, {} until the first step starts them from ones.
 They are views of one vector, each layer's h then its s in layer order (a
-table a caller assigns is read too). A step checks the fresh factors,
+table a caller assigns is read too, and an entry that is no vector is a
+DimensionError naming its layer and factor). A step checks the fresh factors,
 concatenates them into a new vector, EMAs it in place (rounding as gamma *
 fresh + (1 - gamma) * old), lays out its divisors and only then keeps it: a
 fixed number of numpy calls for the whole model, writing into no array a
@@ -92,6 +93,13 @@ def _minmax(flat: np.ndarray, bounds: list[int], keys: list | None = None) -> np
         lo, span = np.where(wide, lo / 2, lo), np.where(wide, hi / 2 - lo / 2, span)
     span[span < MINMAX_EPS] = np.inf  # (v - lo) / inf is +0.0 on a degenerate segment
     return (flat - np.repeat(lo, sizes)) / np.repeat(span, sizes)
+
+
+def _check_vector(key: tuple[int, str], entry) -> None:
+    """Refuse a curvature entry that is not a vector, naming its layer and factor."""
+    if np.ndim(entry) != 1:
+        raise DimensionError(f"layer {key[0]}: factor {key[1]}: a curvature entry must be a "
+                             f"vector, got shape {np.shape(entry)}")
 
 
 class Schedule:
@@ -207,9 +215,10 @@ class AdaFisher(Optimizer):
         if not old:  # a model without parameters
             return {}
         for (i, name), vec in fresh.items():
-            if np.shape(vec) != old[i, name].shape:
+            _check_vector((i, name), old[i, name])
+            if np.shape(vec) != np.shape(old[i, name]):
                 raise DimensionError(f"fresh factor {name} of layer {i} has shape "
-                                     f"{np.shape(vec)}, the state's {old[i, name].shape}")
+                                     f"{np.shape(vec)}, the state's {np.shape(old[i, name])}")
         flat = np.concatenate([fresh[key] for key in old], dtype=np.float64)
         if not np.isfinite(flat).all():
             i, name = next(key for key in old if not np.isfinite(fresh[key]).all())
@@ -230,6 +239,8 @@ class AdaFisher(Optimizer):
             entries = [curvature[key] for key in keys]
         except KeyError as exc:
             raise StateError(f"the curvature holds no factors of layer {exc.args[0][0]}") from None
+        for key, entry in zip(keys, entries):
+            _check_vector(key, entry)
         bounds = [0, *accumulate(map(len, entries))]  # entry j is flat[bounds[j]:bounds[j + 1]]
         flat = np.concatenate(entries or [np.empty(0)], dtype=np.float64)
         normed, out = _minmax(flat, bounds, keys).astype(model.dtype, copy=False), {}

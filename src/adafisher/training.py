@@ -16,9 +16,11 @@ reads no factors (Adam, SGD) gets a pass that forms none.
 run_training reads a RunConfig that RunConfig.from_dict has checked and builds
 its optimizer and schedule with RunConfig's builders; it checks only
 what needs the data or the model, and calls train_step through the module
-global. It trains in float32 (TRAIN_DTYPE), the default of the PyTorch runs
-behind the paper's results: the model is initialized in float64 from the root
-stream and rounded, so final_params.npz holds float32 arrays. The losses in
+global. It makes the out dir only once all of that set-up has passed, so a
+failed set-up writes nothing. A metrics line's step is the optimizer's step
+count, opt.t. It trains in float32 (TRAIN_DTYPE), the default of the PyTorch
+runs behind the paper's results: the model is initialized in float64 from the
+root stream and rounded, so final_params.npz holds float32 arrays. The losses in
 the metrics are float64, computed from the float32 logits
 (Model.loss_and_grad). Metrics are one JSON object per line. Wall-clock
 timings go to a separate timings file so that the metrics file is
@@ -104,9 +106,6 @@ def run_streams(seed: int) -> list[np.random.Generator]:
 
 def run_training(config: RunConfig, out_dir=None) -> Path:
     """Execute one training run; returns the metrics file path."""
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     root, shuffle, _ = run_streams(config.seed)
     model = build_model(config.model, root).astype(TRAIN_DTYPE)
     if config.track_first_layer:
@@ -123,9 +122,10 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
 
     opt, schedule = config.build_optimizer(), config.build_schedule()
 
+    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # set-up has passed: the run may write
     metrics_path = out / "metrics.jsonl"
     timings_path = out / "timings.jsonl"
-    step = 0
     trajectory = []  # (epoch, w1, w2, loss) rows under track_first_layer
     with open(metrics_path, "w") as mfh, open(timings_path, "w") as tfh:
         for epoch in range(config.epochs):
@@ -138,12 +138,11 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
                 t0 = time.perf_counter()
                 loss = train_step(model, x[batch], y[batch], opt, workers=config.workers)
                 times.append((time.perf_counter() - t0) * 1000.0)
-                step += 1
                 losses.append(loss)
             eval_loss, acc = evaluate(model, x_ev, y_ev, config.batch_size)
             if not math.isfinite(eval_loss):  # the epoch's last update diverged
-                raise NumericError(f"step {step}: non-finite eval loss")
-            emit_metrics({"epoch": epoch, "step": step,
+                raise NumericError(f"step {opt.t}: non-finite eval loss")
+            emit_metrics({"epoch": epoch, "step": opt.t,
                           "train_loss": float(np.mean(losses)),
                           "eval_loss": eval_loss, "accuracy": acc,
                           "optimizer": config.optimizer["name"], "seed": config.seed}, mfh)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -152,22 +153,35 @@ class TestRunConfig:
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("layer, params", [
-        ({"kind": "dense", "in": 9999, "out": 1000}, 10**7),
-        ({"kind": "dense", "in": 10**4, "out": 1000, "bias": False}, 10**7),
-        ({"kind": "dense", "in": 10**4, "out": 1000}, 10**7 + 1000),
-        ({"kind": "conv2d", "in": 1000, "out": 1000, "kernel": [4, 3]}, 12_001_000),
-        ({"kind": "layernorm", "dim": 5 * 10**6 + 1}, 10**7 + 2),
-        ({"kind": "batchnorm", "dim": 2**62}, 2**63),
-    ])
-    def test_parameter_count_guard(self, layer, params):
-        # checked on the spec, before build_model allocates anything
-        raw = base_config(model={"layers": [layer]})
-        if params <= datasets.MAX_SYNTH_VALUES:
-            assert RunConfig.from_dict(raw).model == raw["model"]
+    @pytest.mark.parametrize("layers, error", [
+        ([{"kind": "dense", "in": 9999, "out": 1000}], None),
+        ([{"kind": "dense", "in": 10**4, "out": 1000, "bias": False}], None),
+        # one layer over the guard: refused by its constructor, before it
+        # allocates anything
+        ([{"kind": "dense", "in": 10**4, "out": 1000}], "Dense has 10001000"),
+        ([{"kind": "conv2d", "in": 1000, "out": 1000, "kernel": [4, 3]}], "Conv2d has 12001000"),
+        ([{"kind": "layernorm", "dim": 5 * 10**6 + 1}], "LayerNorm has 10000002"),
+        ([{"kind": "batchnorm", "dim": 2**62}], f"BatchNorm has {2**63}"),
+        # layers each under the guard, over it together: refused by
+        # build_model, before any weight is drawn
+        ([{"kind": "dense", "in": 9999, "out": 1000}, {"kind": "layernorm", "dim": 1}],
+         "model has 10000002"),
+    ], ids=["dense-at-guard", "dense-no-bias-at-guard", "dense", "conv2d", "layernorm",
+            "batchnorm", "two-layers"])
+    def test_parameter_count_guard(self, layers, error, monkeypatch):
+        # the config check reads no layer sizes; the layers and build_model do
+        raw = base_config(model={"layers": layers})
+        cfg = RunConfig.from_dict(raw)
+        assert cfg.model == raw["model"]
+        drawn = []  # models whose weights were drawn; none, to keep the test small
+        monkeypatch.setattr(Model, "init", lambda model, rng: drawn.append(model) or model)
+        if error is None:
+            assert build_model(cfg.model, default_rng(0)) is drawn[0]
         else:
-            with pytest.raises(SizeError, match=f"model has {params} parameter values"):
-                RunConfig.from_dict(raw)
+            with pytest.raises(SizeError, match=f"^{error} parameter values, over the guard "
+                                                f"of 10000000$"):
+                build_model(cfg.model, default_rng(0))
+            assert not drawn
 
     def test_missing_dataset_file(self):
         raw = base_config(dataset={"source": "csv", "path": "/nonexistent/x.csv"})
@@ -388,12 +402,12 @@ class TestRunTraining:
         assert len(lines) == 1 + cfg.epochs
 
     def test_trajectory_needs_two_parameter_first_layer(self, tmp_path):
-        # rejected before training starts: no epoch runs, no metrics line is written
+        # rejected before training starts: no epoch runs, no file is written
         cfg = RunConfig.from_dict(base_config(track_first_layer=True,
                                               optimizer={"name": "adam"}))
         with pytest.raises(ConfigError, match="track_first_layer"):
             run_training(cfg, out_dir=tmp_path / "run")
-        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_norm_fisher_off_ablation_runs(self, tmp_path):
         raw = base_config(optimizer={"name": "adafisher", "norm_fisher_off": True})
@@ -751,15 +765,20 @@ class TestCli:
                        "got batch_size 8 over 8 workers"]
         assert not (tmp_path / "dist").exists()
 
-    @pytest.mark.parametrize("case", ["idx-count-mismatch", "csv-ragged-row",
-                                      "csv-fractional-label"])
+    @pytest.mark.parametrize("case", ["idx-count-mismatch", "idx-header-overflow",
+                                      "csv-ragged-row", "csv-fractional-label"])
     def test_bad_data_file_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, case):
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
-        if case == "idx-count-mismatch":
+        if case.startswith("idx"):
             data = write_images(tmp_path)
-            write_idx(tmp_path / "labels.idx", np.zeros(20, dtype=np.uint8), "labels")
-            layers, expected = [{"kind": "flatten"}, {"kind": "dense", "in": 36, "out": 2}], \
-                "24 inputs but 20 labels"
+            layers = [{"kind": "flatten"}, {"kind": "dense", "in": 36, "out": 2}]
+            if case == "idx-count-mismatch":
+                write_idx(tmp_path / "labels.idx", np.zeros(20, dtype=np.uint8), "labels")
+                expected = "24 inputs but 20 labels"
+            else:  # 2^64 image bytes, which np.prod counts as 0
+                (tmp_path / "images.idx").write_bytes(
+                    struct.pack(">IIII", datasets.IDX_IMAGES_MAGIC, 2**22, 2**21, 2**21))
+                expected = "expected 18446744073709551616 data bytes, found 0"
         else:
             text, expected = {"csv-ragged-row": ("1,2,0\n1,0\n", "row 1 has 2 cells"),
                               "csv-fractional-label": ("1,2,0\n1,0,1.7\n",
@@ -1089,9 +1108,38 @@ class TestCli:
             {"kind": "dense", "in": 1_000_000, "out": 1_000_000}]})
         assert main(["train", "--config", cfg, "--out", "big"]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: model has 1000001000000 parameter values, over the guard "
+        assert err == ["error: Dense has 1000001000000 parameter values, over the guard "
                        "of 10000000"]
         assert not (tmp_path / "big").exists()
+
+    @pytest.mark.parametrize("case", ["track-first-layer", "csv-ragged-row", "batch-over-split",
+                                      "model-over-guard"])
+    def test_failed_set_up_writes_nothing(self, tmp_path, capsys, monkeypatch, case):
+        # run_training makes its out dir only once the model, the data, the
+        # split and the optimizer are set up
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        (tmp_path / "d.csv").write_text("1,2,0\n1,0\n" * 10)
+        overrides, code, line = {
+            "track-first-layer": (
+                {"track_first_layer": True,
+                 "model": {"layers": [{"kind": "dense", "in": 2, "out": 3, "bias": False}]},
+                 "dataset": {"source": "blobs", "n": 120, "classes": 3, "dim": 2}},
+                2, "config error: track_first_layer needs a 2-parameter first layer"),
+            "csv-ragged-row": (
+                {"dataset": {"source": "csv", "path": str(tmp_path / "d.csv")},
+                 "model": {"layers": [{"kind": "dense", "in": 2, "out": 2}]}},
+                3, f"data error: {tmp_path / 'd.csv'}: row 1 has 2 cells, row 0 has 3"),
+            "batch-over-split": (  # 120 rows leave 96 for training
+                {"batch_size": 100}, 2, "config error: batch size exceeds the training split"),
+            "model-over-guard": (  # layers of 5000000 and 5000005 values
+                {"model": {"layers": [{"kind": "dense", "in": 4, "out": 10**6},
+                                      {"kind": "dense", "in": 10**6, "out": 5}]}},
+                2, "error: model has 10000005 parameter values, over the guard of 10000000"),
+        }[case]
+        cfg = self.write_config(tmp_path, **overrides)
+        assert main(["train", "--config", cfg, "--out", "run"]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (tmp_path / "run").exists()
 
     def test_one_process_runs_each_command_as_a_fresh_process_would(self, tmp_path, capsys,
                                                                       monkeypatch):
@@ -1149,6 +1197,16 @@ def divisors_with(entries):
     table = {(i, name): np.ones(n) for i, layer in model.param_layers()
              for name, n in zip(("h", "s"), layer.factor_sizes)}
     return AdaFisher().divisors(model, {**table, **{k: np.array(v) for k, v in entries.items()}})
+
+
+def step_over(entries):
+    """A second AdaFisher step on Dense(2, 2)-relu-Dense(2, 3), over the first
+    step's curvature with the given entries in place of its own."""
+    model = Model([Dense(2, 2), Activation("relu"), Dense(2, 3)]).init(default_rng(0))
+    x, y, opt = default_rng(1).standard_normal((4, 2)), np.array([0, 1, 2, 0]), AdaFisher()
+    opt.step(model, *model.train_batch(x, y, 1)[1:])
+    opt.curvature = {**opt.curvature, **{k: np.array(v) for k, v in entries.items()}}
+    opt.step(model, *model.train_batch(x, y, 1)[1:])
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -1213,6 +1271,15 @@ def divisors_with(entries):
      "^layer 2: factor s: cannot normalize an empty vector$"),
     (lambda: divisors_with({(0, "h"): [], (2, "s"): [np.nan] * 3}), DimensionError,
      "^layer 0: factor h: cannot normalize an empty vector$"),
+    # an entry that is no vector: not len()'s TypeError or np.concatenate's ValueError
+    (lambda: divisors_with({(2, "h"): 1.0}), DimensionError,
+     "^layer 2: factor h: a curvature entry must be a vector, got shape \\(\\)$"),
+    (lambda: divisors_with({(0, "s"): [[1.0]]}), DimensionError,
+     "^layer 0: factor s: a curvature entry must be a vector, got shape \\(1, 1\\)$"),
+    (lambda: step_over({(0, "h"): 1.0}), DimensionError,
+     "^layer 0: factor h: a curvature entry must be a vector, got shape \\(\\)$"),
+    (lambda: step_over({(2, "s"): np.ones((3, 1))}), DimensionError,
+     "^layer 2: factor s: a curvature entry must be a vector, got shape \\(3, 1\\)$"),
     (lambda: datasets.load_idx("unread.idx", "pixels"), InputError,
      "expect must be 'images' or 'labels'"),
     (lambda: write_idx("unwritten.idx", np.zeros((2, 3)), "images"), InputError,
@@ -1234,6 +1301,7 @@ def divisors_with(entries):
         "conv2d-channels", "conv2d-rank", "batchnorm-channels", "layernorm-shape",
         "activation-gelu", "labels-shape", "mse-shape", "loss-hinge", "minmax-empty",
         "divisors-nan", "divisors-first-bad", "divisors-empty", "divisors-empty-first",
+        "divisors-0d", "divisors-2d", "step-curvature-0d", "step-curvature-2d",
         "load-idx-expect", "write-idx-images", "write-idx-labels", "write-idx-kind"])
 def test_library_calls_raise_typed_errors(call, error, match):
     with pytest.raises(error, match=match):

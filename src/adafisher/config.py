@@ -8,9 +8,9 @@ norm_fisher_off too) and the schedule block: from_dict builds each once, so a
 value they reject is a ConfigError naming the block and the field. The tables
 check layer and dataset values with errors' checkers, so a bad one is a
 ConfigError naming its dotted path. The layers own their sizes: each refuses
-its own oversize, and build_model refuses a model of more parameter values
-than MAX_SYNTH_VALUES (a SizeError) before it draws any weight. An absent
-optional field is left out, so its constructor's default applies."""
+its own oversize, and build_model stops at the layer whose running count passes
+MAX_SYNTH_VALUES (a SizeError), before any weight is drawn. An absent optional
+field is left out, so its constructor's default applies."""
 
 from __future__ import annotations
 
@@ -205,15 +205,15 @@ class RunConfig:
 
 def build_model(model_spec: dict, rng: np.random.Generator) -> Model:
     """Build the model of a checked model block, initialized from rng."""
-    layers = []
+    layers, params = [], 0
     for spec in model_spec["layers"]:
         cls, required, optional = _LAYERS[spec["kind"]]
         layers.append(cls(*(spec[key] for key in required),
                           **{key: spec[key] for key in optional if key in spec}))
-    params = sum(arr.size for layer in layers for arr in layer.params.values())
-    if params > MAX_SYNTH_VALUES:  # each layer refused its own oversize already
-        raise SizeError(f"model has {params} parameter values, over the guard "
-                        f"of {MAX_SYNTH_VALUES}")
+        params += sum(arr.size for arr in layers[-1].params.values())
+        if params > MAX_SYNTH_VALUES:  # so one layer at most is built past the guard
+            raise SizeError(f"model has {params} parameter values in its first "
+                            f"{len(layers)} layers, over the guard of {MAX_SYNTH_VALUES}")
     # the block's other fields (loss) are Model keywords
     return Model(layers, **{k: v for k, v in model_spec.items() if k != "layers"}).init(rng)
 

@@ -215,8 +215,8 @@ class AdaFisher(Optimizer):
         if not old:  # a model without parameters
             return {}
         for (i, name), vec in fresh.items():
-            _check_vector((i, name), old[i, name])
             if np.shape(vec) != np.shape(old[i, name]):
+                _check_vector((i, name), old[i, name])  # a held entry that is no vector
                 raise DimensionError(f"fresh factor {name} of layer {i} has shape "
                                      f"{np.shape(vec)}, the state's {np.shape(old[i, name])}")
         flat = np.concatenate([fresh[key] for key in old], dtype=np.float64)

@@ -158,14 +158,16 @@ class TestRunConfig:
         ([{"kind": "dense", "in": 10**4, "out": 1000, "bias": False}], None),
         # one layer over the guard: refused by its constructor, before it
         # allocates anything
-        ([{"kind": "dense", "in": 10**4, "out": 1000}], "Dense has 10001000"),
-        ([{"kind": "conv2d", "in": 1000, "out": 1000, "kernel": [4, 3]}], "Conv2d has 12001000"),
-        ([{"kind": "layernorm", "dim": 5 * 10**6 + 1}], "LayerNorm has 10000002"),
-        ([{"kind": "batchnorm", "dim": 2**62}], f"BatchNorm has {2**63}"),
+        ([{"kind": "dense", "in": 10**4, "out": 1000}], "Dense has 10001000 parameter values"),
+        ([{"kind": "conv2d", "in": 1000, "out": 1000, "kernel": [4, 3]}],
+         "Conv2d has 12001000 parameter values"),
+        ([{"kind": "layernorm", "dim": 5 * 10**6 + 1}],
+         "LayerNorm has 10000002 parameter values"),
+        ([{"kind": "batchnorm", "dim": 2**62}], f"BatchNorm has {2**63} parameter values"),
         # layers each under the guard, over it together: refused by
         # build_model, before any weight is drawn
         ([{"kind": "dense", "in": 9999, "out": 1000}, {"kind": "layernorm", "dim": 1}],
-         "model has 10000002"),
+         "model has 10000002 parameter values in its first 2 layers"),
     ], ids=["dense-at-guard", "dense-no-bias-at-guard", "dense", "conv2d", "layernorm",
             "batchnorm", "two-layers"])
     def test_parameter_count_guard(self, layers, error, monkeypatch):
@@ -178,10 +180,25 @@ class TestRunConfig:
         if error is None:
             assert build_model(cfg.model, default_rng(0)) is drawn[0]
         else:
-            with pytest.raises(SizeError, match=f"^{error} parameter values, over the guard "
-                                                f"of 10000000$"):
+            with pytest.raises(SizeError, match=f"^{error}, over the guard of 10000000$"):
                 build_model(cfg.model, default_rng(0))
             assert not drawn
+
+    def test_model_guard_builds_no_layer_past_the_one_that_passes_it(self):
+        # BatchNorm(4999999) is under the guard alone; each one allocates four
+        # 40 MB arrays and fills two of them (scale, running variance) with
+        # ones. The guard fires at the second layer, so the third is never built
+        layers = [{"kind": "batchnorm", "dim": 4999999}] * 3
+        cfg = RunConfig.from_dict(base_config(model={"layers": layers}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="^model has 19999996 parameter values in its "
+                                                "first 2 layers, over the guard of 10000000$"):
+                build_model(cfg.model, default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 4 * 4999999 * 8
 
     def test_missing_dataset_file(self):
         raw = base_config(dataset={"source": "csv", "path": "/nonexistent/x.csv"})
@@ -1134,7 +1151,8 @@ class TestCli:
             "model-over-guard": (  # layers of 5000000 and 5000005 values
                 {"model": {"layers": [{"kind": "dense", "in": 4, "out": 10**6},
                                       {"kind": "dense", "in": 10**6, "out": 5}]}},
-                2, "error: model has 10000005 parameter values, over the guard of 10000000"),
+                2, "error: model has 10000005 parameter values in its first 2 layers, over "
+                   "the guard of 10000000"),
         }[case]
         cfg = self.write_config(tmp_path, **overrides)
         assert main(["train", "--config", cfg, "--out", "run"]) == code

@@ -34,7 +34,7 @@ from .config import RunConfig, build_model, resolve_dataset
 from .diagnostics import fft2, fim_hist_stats, gershgorin, snr, write_csv
 from .errors import AdaFisherError, ConfigError, DataError, NumericError
 from .fisher import approximation_mae, exact_fisher_diag, mc_fisher_diag
-from .training import run_streams, run_training
+from .training import make_out_dir, run_streams, run_training
 
 
 def _out_dir(arg_out: str | None, default: str) -> Path:
@@ -120,8 +120,7 @@ def cmd_diagnose(args) -> int:
     if not all(np.isfinite(v).all() for v in finite):
         raise NumericError(f"{args.analysis} result is not finite: the snapshot's values "
                            f"overflow float64")
-    out = _out_dir(args.out, "diagnostics")
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(_out_dir(args.out, "diagnostics"))
     write_csv(out / name, header, rows)
     print(f"{prefix}{out / name}")
     return 0
@@ -154,8 +153,7 @@ def cmd_oracle(args) -> int:
             raise NumericError(f"non-finite {args.mode} Fisher MAE of layer {i}: a diagonal "
                                f"overflows float64")
         rows.append((0, i, mae))
-    out = _out_dir(args.out, "oracle")
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(_out_dir(args.out, "oracle"))
     path = out / "fisher_mae.csv"
     write_csv(path, ("epoch", "layer", "mae"), rows)
     print(path)

@@ -27,8 +27,9 @@ optimizers that read no curvature (Adam, SGD), returns an empty factor table.
 For the Fisher oracle's eval-mode walk, where row n of dout is sample n's own
 signal, sample_sq(dout, w) returns sum_n w[n] * (sample n's gradient)**2 from
 the same a and g instead. kronecker_diagonal(h, s) lays the diagonal of
-H (x) S out like the layer's parameters: h[j] * s[k] at weight (k, j) and
-h[-1] * s[k] at bias k; h * s and s at a norm's scale and shift.
+H (x) S out like the layer's parameters, in new arrays or (_diagonal_into) a
+caller's: h[j] * s[k] at weight (k, j), h[-1] * s[k] at bias k; h * s and s
+at a norm's scale and shift.
 
 A training pass can simulate K workers (Model.train_batch(x, y, workers=K)):
 worker k's shard is the k-th block of M/K consecutive rows. With equal shards,
@@ -146,12 +147,17 @@ class Layer:
         return self._sample_sums(dout.reshape(dout.shape[0], dout.shape[1], -1), w)
 
     def kronecker_diagonal(self, h: np.ndarray, s: np.ndarray) -> dict[str, np.ndarray]:
-        """{parameter name: diagonal of H (x) S at its entries}, shaped like params.
-        Each array is new, except a norm's shift, which is s itself."""
+        """{parameter name: diagonal of H (x) S at its entries}, new arrays shaped like params."""
+        return self._diagonal_into(h, s, {name: np.empty(arr.shape, np.result_type(h, s))
+                                          for name, arr in self.params.items()})
+
+    def _diagonal_into(self, h: np.ndarray, s: np.ndarray, out: dict) -> dict:
+        """out, {parameter name: C-contiguous array shaped like it}, holding that diagonal."""
         if (h.size, s.size) != self.factor_sizes:
             raise DimensionError(f"factors h {h.size}, s {s.size} do not fit the parameters "
                                  f"{({n: v.shape for n, v in self.params.items()})}")
-        return self._layout(h, s)
+        self._layout(h, s, out)
+        return out
 
     def astype(self, dtype) -> "Layer":
         """A copy of the layer with its parameters cast to dtype."""
@@ -198,14 +204,12 @@ class Kronecker(Layer):
                 out = {"W": w @ (per_sample**2).reshape(len(w), -1), "b": w @ g.sum(axis=2) ** 2}
         return {name: out[name].reshape(arr.shape) for name, arr in self.params.items()}
 
-    def _layout(self, h, s):
+    def _layout(self, h, s, out):
         """h[j] * s[k] at the weight of output k and flattened input j, and
         h[-1] * s[k] (h's unit bias slot) at the bias of output k."""
-        w = self.params["W"]
-        out = {"W": np.multiply.outer(s, h[:w[0].size]).reshape(w.shape)}
+        np.multiply.outer(s, h[:self.params["W"][0].size], out=out["W"].reshape(len(s), -1))
         if self.bias:
-            out["b"] = s * h[-1]
-        return out
+            np.multiply(s, h[-1], out=out["b"])
 
 
 class Dense(Kronecker):
@@ -286,10 +290,11 @@ class Norm(Layer):
         return {"scale": w @ np.einsum("mft,mft->mf", g, self._a) ** 2,
                 "shift": w @ g.sum(axis=2) ** 2}
 
-    def _layout(self, h, s):
+    def _layout(self, h, s, out):
         """h * s at the scale and s at the shift (Hadamard structure; the
         shift's activation factor is the constant 1)."""
-        return {"scale": h * s, "shift": s}
+        np.multiply(h, s, out=out["scale"])
+        out["shift"][...] = s
 
 
 class BatchNorm(Norm):

@@ -6,50 +6,41 @@ arguments for library callers (each hyperparameter a real number, not a bool,
 in its range; each flag a bool) and raise ConfigError otherwise. They own
 these rules for run configs too: RunConfig.from_dict builds them once.
 
-One walk, Optimizer.step(model, grads, factors=None), serves every optimizer.
-It reads the gradient and factor tables a training pass returns, keyed (layer
-id, name) (Model.train_batch); Adam and SGD ignore the factors. Before it
-changes anything it checks that every gradient is there, shaped like its
-parameter and finite (a NumericError naming the step, the layer and the
-gradient otherwise), that grads holds no key the model has no parameter for,
-and that the moments it holds, if any, are keyed and shaped like the model's
-parameters (a StateError otherwise: the optimizer was stepped on another
-model). AdaFisher then checks its factors (AdaFisher._divisors). So a step
-that raises leaves every parameter, moment, curvature entry and t as it was.
-Then the step counts itself and calls the subclass's _update on each
-parameter, its gradient, its moments and its divisor.
-One table, opt.moments, maps (layer id, parameter name) to the n_moments
-arrays made as zeros like the parameter when first met: AdaFisher's m, Adam's
-m and v, SGD's momentum buffer (none without momentum). With the divisors,
-which AdaFisher.divisors lays out in the parameters' dtype, an update runs in
-the model's dtype alone: float32 in training.
+Each optimizer keeps one flat store, so Optimizer.step(model, grads,
+factors=None), which reads a training pass's tables keyed (layer id, name), is
+a fixed number of numpy calls for any model. The first step lays the
+parameters end to end and keeps the moments (AdaFisher's m, Adam's m and v,
+SGD's momentum buffer, if any) as one (n_moments, N) array in the model's
+dtype; opt.moments maps each key to its views. A step checks the gradients'
+keys and shapes against the model's and the model's against the store's (a
+StateError: it was stepped on another model), joins the gradients in their own
+dtype and checks them with one isfinite (a NumericError naming the step, layer
+and gradient), and AdaFisher checks its factors: a step that raises changes no
+parameter, moment, curvature entry or t. Only then do the parameters become
+views of one vector the optimizer holds, again whenever a layer's array is not
+its view (after Model.copy or astype, Layer.init, an assignment), so an array
+taken before that is no longer the layer's. _update runs once on the flat
+vectors with the textbook formulas' float operations in their order (m *= b1;
+m += (1 - b1) * g rounds as b1 * m + (1 - b1) * g): bit for bit a tensor walk.
 
-AdaFisher holds all its state: t, the moments and opt.curvature, the EMAs of
-the Kronecker-factor diagonals, {(layer id, "h" | "s"): float64 vector} sized
-by each layer's factor_sizes, {} until the first step starts them from ones.
-They are views of one vector, each layer's h then its s in layer order (a
-table a caller assigns is read too, and an entry that is no vector is a
-DimensionError naming its layer and factor). A step checks the fresh factors,
-concatenates them into a new vector, EMAs it in place (rounding as gamma *
-fresh + (1 - gamma) * old), lays out its divisors and only then keeps it: a
-fixed number of numpy calls for the whole model, writing into no array a
-caller holds. A divisor is lambda plus layer.kronecker_diagonal(h, s) of the
-min-max normalized factors (zero for a norm layer under norm_fisher_off), all
-min-maxed at once in float64 (MINMAX_EPS is a float64 threshold), then cast
-once to the model's dtype; the Fisher oracle compares with that map. The update
-is a bias-corrected first moment over its divisor, with no second moment and no
-square root unless sqrt_divisor. AdaFisherW adds decoupled weight decay kappa.
-
-The Adam and SGD baselines read no curvature (needs_factors is False), so
-their training pass forms no factors. Every _update changes its
-moments and parameter in place, with the float operations of the textbook
-formulas in their order (m *= b1; m += (1 - b1) * g rounds as
-b1 * m + (1 - b1) * g), so an Adam step allocates only its update and one
-scratch array per parameter (plus the decayed gradient under coupled decay).
+AdaFisher's opt.curvature holds the float64 EMAs of the Kronecker-factor
+diagonals, {(layer id, "h" | "s"): vector}, views of one vector (each layer's h
+then its s), {} until the first step starts them from ones; a table a caller
+assigns is read too, and an entry that is no vector is a DimensionError. A
+step joins the fresh factors into a new vector, EMAs it in place (rounding as
+gamma * fresh + (1 - gamma) * old), min-maxes every entry at once in float64
+(MINMAX_EPS is a float64 threshold) and casts them once to the model's dtype;
+each layer writes kronecker_diagonal's map of them (of zeros for a norm under
+norm_fisher_off) into its views of one divisor vector, and lambda is added.
+Only then are the EMAs kept. The update divides the bias-corrected first
+moment by the divisor (its square root under sqrt_divisor); AdaFisherW adds
+decoupled weight decay kappa. Adam and SGD read no curvature (needs_factors is
+False), so their training pass forms no factors.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from itertools import accumulate
 
@@ -71,35 +62,61 @@ _below_one = partial(check_number, ok=lambda v: 0.0 <= v < 1.0, what="a finite n
 def minmax_normalize(v: np.ndarray) -> np.ndarray:
     """(v - min) / (max - min); all zeros when the range is degenerate. A range
     past float64's largest value is taken from the halves of v."""
-    return _minmax(np.ravel(np.asarray(v, np.float64)), [0, np.size(v)]).reshape(np.shape(v))
+    flat = np.ravel(np.asarray(v, np.float64))
+    return _minmax(flat, _segments([0, flat.size])).reshape(np.shape(v))
 
 
-def _minmax(flat: np.ndarray, bounds: list[int], keys: list | None = None) -> np.ndarray:
-    """minmax_normalize of each segment flat[bounds[j]:bounds[j + 1]], in one new
-    vector; an empty or non-finite one raises, prefixed with its key if keys."""
+def _segments(bounds: list[int]) -> tuple:
+    """(bounds, starts, sizes, index) of the segments flat[bounds[j]:bounds[j + 1]]:
+    their first entries and lengths and, for each entry, its segment's number."""
     sizes = np.diff(bounds)
+    return bounds, np.array(bounds[:-1], np.intp), sizes, np.repeat(np.arange(sizes.size), sizes)
+
+
+def _minmax(flat: np.ndarray, segments: tuple, keys: list | None = None) -> np.ndarray:
+    """minmax_normalize of each of the _segments of flat, in one new vector; an
+    empty or non-finite one raises, prefixed with its key if keys."""
+    bounds, starts, sizes, index = segments
     if not (sizes.all() and np.isfinite(flat).all()):
         j = next(j for j, (a, b) in enumerate(zip(bounds, bounds[1:]))
                  if a == b or not np.isfinite(flat[a:b]).all())
         where = f"layer {keys[j][0]}: factor {keys[j][1]}: " if keys else ""
         raise (InputError(f"{where}non-finite value in min-max input") if sizes[j]
                else DimensionError(f"{where}cannot normalize an empty vector"))
-    lo, hi = np.minimum.reduceat(flat, bounds[:-1]), np.maximum.reduceat(flat, bounds[:-1])
+    lo, hi = np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts)
     with np.errstate(over="ignore"):
         span = hi - lo
     wide = span == np.inf
     if wide.any():  # halve the segments whose hi - lo overflowed
-        flat = flat * np.repeat(np.where(wide, 0.5, 1.0), sizes)
+        flat = flat * np.where(wide, 0.5, 1.0)[index]
         lo, span = np.where(wide, lo / 2, lo), np.where(wide, hi / 2 - lo / 2, span)
     span[span < MINMAX_EPS] = np.inf  # (v - lo) / inf is +0.0 on a degenerate segment
-    return (flat - np.repeat(lo, sizes)) / np.repeat(span, sizes)
+    return (flat - lo[index]) / span[index]
 
 
-def _check_vector(key: tuple[int, str], entry) -> None:
-    """Refuse a curvature entry that is not a vector, naming its layer and factor."""
-    if np.ndim(entry) != 1:
-        raise DimensionError(f"layer {key[0]}: factor {key[1]}: a curvature entry must be a "
-                             f"vector, got shape {np.shape(entry)}")
+def _misfit(want: dict, got: dict) -> tuple:
+    """(key, got.get(key)) of the first key, want's then got's, that the two hold otherwise."""
+    key = next(key for key in [*want, *got] if got.get(key) != want.get(key))
+    return key, got.get(key)
+
+
+def _split(vec: np.ndarray, shapes: dict) -> dict:
+    """{key: view of vec}: the arrays of shapes, {key: shape}, laid end to end."""
+    ends = [0, *accumulate(map(math.prod, shapes.values()))]
+    return {key: vec[ends[j]:ends[j + 1]].reshape(shape)
+            for j, (key, shape) in enumerate(shapes.items())}
+
+
+def _entries(model: Model, table: dict) -> tuple[list, list]:
+    """(keys, entries) of the factor table, each layer's h then its s: vectors."""
+    keys = [(i, name) for i, _ in model.param_layers() for name in ("h", "s")]
+    for i, name in keys:
+        if (i, name) not in table:
+            raise StateError(f"the curvature holds no factors of layer {i}")
+        if np.ndim(table[i, name]) != 1:
+            raise DimensionError(f"layer {i}: factor {name}: a curvature entry must be a "
+                                 f"vector, got shape {np.shape(table[i, name])}")
+    return keys, [table[key] for key in keys]
 
 
 class Schedule:
@@ -126,7 +143,7 @@ class Schedule:
 
 
 class Optimizer:
-    """The parameter walk (see the module docstring); subclasses give _update."""
+    """The flat store (see the module docstring); subclasses give _update."""
 
     needs_factors = False
     n_moments = 0
@@ -136,46 +153,48 @@ class Optimizer:
         self.lr_scale = 1.0
         self.t = 0
         self.moments: dict[tuple[int, str], tuple[np.ndarray, ...]] = {}
+        self._shapes: dict = {}  # {(layer id, name): shape}: the store's layout
+        self._views: dict | None = None  # {(layer id, name): the layer's view of _theta}
 
     def step(self, model: Model, grads: dict, factors: dict | None = None) -> None:
-        work = []
-        for i, name, p in model.parameters():
-            g = grads.get((i, name))
-            if g is None:
-                raise StateError(f"layer {i} parameter {name} has no gradient; "
-                                 "run a backward pass first")
-            if g.shape != p.shape:
-                raise DimensionError(f"layer {i} parameter {name}: gradient {g.shape} "
-                                     f"vs parameter {p.shape}")
-            if not np.isfinite(g).all():
-                raise NumericError(f"step {self.t + 1}: non-finite gradient {name} of layer {i}")
-            held = self.moments.get((i, name))
-            if held is None and self.moments:
-                raise StateError(f"layer {i} parameter {name} has no moments; the optimizer "
-                                 f"was stepped on another model")
-            for m in held or ():
-                if m.shape != p.shape:
-                    raise StateError(f"layer {i} parameter {name}: moment {m.shape} vs "
-                                     f"parameter {p.shape}; the optimizer was stepped on "
-                                     f"another model")
-            work.append(((i, name), p, g))
-        if len(grads) > len(work):
-            key = next(key for key in grads if key not in [k for k, *_ in work])
-            raise StateError(f"gradient {key} is unknown: the model has no such parameter")
-        if len(self.moments) > len(work):
-            i, name = next(key for key in self.moments if key not in [k for k, *_ in work])
-            raise StateError(f"the optimizer holds moments of layer {i} parameter {name}, "
-                             f"which the model lacks; it was stepped on another model")
-        divisors = self._divisors(model, factors)
+        params = {(i, name): p for i, name, p in model.parameters()}
+        shapes = {key: p.shape for key, p in params.items()}
+        got = {key: np.shape(g) for key, g in grads.items()}
+        if got != shapes:
+            key, shape = _misfit(shapes, got)
+            if key not in shapes:
+                raise StateError(f"gradient {key} is unknown: the model has no such parameter")
+            where = "layer {} parameter {}".format(*key)
+            if shape is None:
+                raise StateError(f"{where} has no gradient; run a backward pass first")
+            raise DimensionError(f"{where}: gradient {shape} vs parameter {shapes[key]}")
+        if self._shapes and self._shapes != shapes:
+            key, shape = _misfit(shapes, self._shapes)
+            where = "layer {} parameter {}".format(*key)
+            if key not in shapes:
+                raise StateError(f"the optimizer holds moments of {where}, which the model "
+                                 "lacks; it was stepped on another model")
+            what = (" has no moments" if shape is None
+                    else f": moment {shape} vs parameter {shapes[key]}")
+            raise StateError(f"{where}{what}; the optimizer was stepped on another model")
+        layout = self._shapes or shapes
+        g = np.concatenate([grads[key] for key in layout] or [np.empty(0, model.dtype)], axis=None)
+        if not np.isfinite(g).all():
+            i, name = next(key for key in layout if not np.isfinite(grads[key]).all())
+            raise NumericError(f"step {self.t + 1}: non-finite gradient {name} of layer {i}")
+        div = self.needs_factors and self._divisors(model, factors, layout)
+        if not self._shapes:  # every check has passed: the store may change
+            self._shapes, self._m = shapes, np.zeros((self.n_moments, g.size), model.dtype)
+            rows = [_split(m, shapes) for m in self._m]
+            self.moments = {key: tuple(row[key] for row in rows) for key in shapes}
+        if self._views is None or any(params[key] is not v for key, v in self._views.items()):
+            self._theta = np.concatenate([params[key] for key in layout]
+                                         or [np.empty(0, model.dtype)], axis=None)
+            self._views = _split(self._theta, layout)
+            for (i, name), view in self._views.items():
+                model.layers[i].params[name] = view
         self.t += 1
-        for key, p, g in work:
-            if key not in self.moments:
-                self.moments[key] = tuple(np.zeros_like(p) for _ in range(self.n_moments))
-            self._update(p, g, *self.moments[key], div=divisors.get(key))
-
-    def _divisors(self, model: Model, factors: dict | None) -> dict:
-        """{(layer id, parameter name): divisor}; none for a baseline."""
-        return {}
+        self._update(self._theta, g, *self._m, div=div)
 
     @property
     def lr(self) -> float:
@@ -201,66 +220,75 @@ class AdaFisher(Optimizer):
         self.lam = _positive("lambda", lam)
         self.norm_fisher_off = check_flag("norm_fisher_off", norm_fisher_off)
         self.curvature: dict[tuple[int, str], np.ndarray] = {}
+        self._segments: tuple = (None,)  # the curvature vector's min-max _segments
 
-    def _divisors(self, model: Model, factors: dict | None) -> dict:
-        """The divisors of the EMA of the curvature with the checked fresh factors."""
+    def _divisors(self, model: Model, factors: dict | None, layout: dict) -> np.ndarray:
+        """The divisor vector, laid out (_split) as layout, of the EMA of the
+        curvature with the checked fresh factors."""
         old = self.curvature or {(i, name): np.ones(n) for i, layer in model.param_layers()
                                  for name, n in zip(("h", "s"), layer.factor_sizes)}
-        fresh = factors or {}
-        if fresh.keys() != old.keys():
-            i, name = min(fresh.keys() ^ old.keys())
-            why = ("missing; run a capturing pass, Model.train_batch(..., capture=True), first"
-                   if (i, name) in old else "unknown")
-            raise StateError(f"fresh factor {name} of layer {i} is {why}")
-        if not old:  # a model without parameters
-            return {}
-        for (i, name), vec in fresh.items():
-            if np.shape(vec) != np.shape(old[i, name]):
-                _check_vector((i, name), old[i, name])  # a held entry that is no vector
-                raise DimensionError(f"fresh factor {name} of layer {i} has shape "
-                                     f"{np.shape(vec)}, the state's {np.shape(old[i, name])}")
-        flat = np.concatenate([fresh[key] for key in old], dtype=np.float64)
-        if not np.isfinite(flat).all():
-            i, name = next(key for key in old if not np.isfinite(fresh[key]).all())
-            raise NumericError(f"step {self.t + 1}: non-finite factor {name} of layer {i}")
+        keys, held = _entries(model, old)
+        want = {key: np.shape(vec) for key, vec in old.items()}
+        got = {key: np.shape(vec) for key, vec in (factors or {}).items()}
+        if got != want:
+            key, shape = _misfit(want, got)
+            where = "fresh factor {1} of layer {0}".format(*key)
+            if key in want and shape is not None:
+                raise DimensionError(f"{where} has shape {shape}, the state's {want[key]}")
+            raise StateError(f"{where} is unknown" if key not in want else f"{where} is missing; "
+                             "run a capturing pass, Model.train_batch(..., capture=True), first")
+        flat = np.concatenate([factors[key] for key in keys] or [np.empty(0)], dtype=np.float64)
         flat *= self.gamma  # the EMA, rounded as gamma * fresh + (1 - gamma) * old
-        flat += (1.0 - self.gamma) * np.concatenate(list(old.values()), dtype=np.float64)
-        bounds = [0, *accumulate(map(len, old.values()))]
-        curvature = {key: flat[a:b] for key, a, b in zip(old, bounds, bounds[1:])}
-        divisors = self.divisors(model, curvature)
-        self.curvature = curvature
-        return divisors
+        flat += (1.0 - self.gamma) * np.concatenate(held or [np.empty(0)], dtype=np.float64)
+        bounds = [0, *accumulate(map(len, held))]
+        try:
+            div = self._lay_out(model, flat, bounds, keys, layout)
+        except InputError:  # the EMA is not finite: a non-finite fresh factor is a NumericError
+            for i, name in (key for key in keys if not np.isfinite(factors[key]).all()):
+                raise NumericError(f"step {self.t + 1}: non-finite factor {name} of layer "
+                                   f"{i}") from None
+            raise
+        self.curvature = {key: flat[a:b] for key, a, b in zip(keys, bounds, bounds[1:])}
+        return div
 
     def divisors(self, model: Model, curvature: dict) -> dict[tuple[int, str], np.ndarray]:
         """{(layer id, parameter name): divisor} of the factor table curvature,
-        each shaped like its parameter and in the model's dtype."""
-        keys = [(i, name) for i, _ in model.param_layers() for name in ("h", "s")]
-        try:
-            entries = [curvature[key] for key in keys]
-        except KeyError as exc:
-            raise StateError(f"the curvature holds no factors of layer {exc.args[0][0]}") from None
-        for key, entry in zip(keys, entries):
-            _check_vector(key, entry)
-        bounds = [0, *accumulate(map(len, entries))]  # entry j is flat[bounds[j]:bounds[j + 1]]
+        each shaped like its parameter and in the model's dtype: views of one
+        new vector."""
+        keys, entries = _entries(model, curvature)
+        shapes = {(i, name): p.shape for i, name, p in model.parameters()}
         flat = np.concatenate(entries or [np.empty(0)], dtype=np.float64)
-        normed, out = _minmax(flat, bounds, keys).astype(model.dtype, copy=False), {}
+        bounds = [0, *accumulate(map(len, entries))]
+        return _split(self._lay_out(model, flat, bounds, keys, shapes), shapes)
+
+    def _lay_out(self, model: Model, flat: np.ndarray, bounds: list, keys: list,
+                 layout: dict) -> np.ndarray:
+        """The divisors of the curvature vector flat (entry keys[j] at
+        flat[bounds[j]:bounds[j + 1]]) in one vector, laid out (_split) as layout."""
+        if self._segments[0] != bounds:
+            self._segments = _segments(bounds)
+        normed = _minmax(flat, self._segments, keys).astype(model.dtype, copy=False)
+        out = np.empty(sum(map(math.prod, layout.values())), model.dtype)
+        views = _split(out, layout)
         for (i, layer), a, b, c in zip(model.param_layers(), *(bounds[k::2] for k in (0, 1, 2))):
             if self.norm_fisher_off and isinstance(layer, Norm):
                 normed[a:c] = 0.0  # identity factors, min-maxed
             try:
-                diags = layer.kronecker_diagonal(normed[a:b], normed[b:c])
+                layer._diagonal_into(normed[a:b], normed[b:c],
+                                     {name: views[i, name] for name in layer.params})
             except DimensionError as exc:
                 raise DimensionError(f"layer {i}: {exc}") from None
-            for name, diag in diags.items():  # new arrays, or views of this call's normed
-                out[i, name] = np.add(diag, self.lam, out=diag)
+        out += self.lam
         return out
 
     def _update(self, p, g, m, div) -> None:
+        # g is the step's own vector: scratch, where its dtype rounds as m's does
+        own = g if g.dtype == m.dtype else None
         if self.sqrt_divisor:
-            div = np.sqrt(div)
+            div = np.sqrt(div, out=div)
         m *= self.beta
-        m += (1.0 - self.beta) * g
-        delta = m / (1.0 - self.beta**self.t)  # bias correction applied on read
+        m += np.multiply(1.0 - self.beta, g, out=own)
+        delta = np.divide(m, 1.0 - self.beta**self.t, out=own)  # bias correction on read
         delta /= div
         if self.kappa:
             delta += self.kappa * p

@@ -6,24 +6,23 @@ the worker mean of the shards' mean losses, gradients and fresh factor
 diagonals is the full-batch value, so a step runs one pass over the whole
 batch, Model.train_batch(x, y, workers=K). Workers shape only BatchNorm's ghost
 batches (see nn), so a net without BatchNorm gives the one-worker step bit for
-bit at every K. The pass returns its loss and its gradient and factor tables,
-keyed (layer id, name). A non-finite loss raises NumericError; otherwise the
-step hands both tables to Optimizer.step, which holds all the optimizer's
-state (AdaFisher's curvature EMAs too) and raises NumericError on a
-non-finite gradient or factor before any of it changes. An optimizer that
+bit at every K. A non-finite loss raises NumericError; otherwise the step hands
+the pass's gradient and factor tables to Optimizer.step, which holds all the
+optimizer's state and checks them before any of it changes. An optimizer that
 reads no factors (Adam, SGD) gets a pass that forms none.
 
 run_training reads a RunConfig that RunConfig.from_dict has checked and builds
-its optimizer and schedule with RunConfig's builders; it checks only
-what needs the data or the model, and calls train_step through the module
-global. It makes the out dir only once all of that set-up has passed, so a
-failed set-up writes nothing. A metrics line's step is the optimizer's step
-count, opt.t. It trains in float32 (TRAIN_DTYPE), the default of the PyTorch
-runs behind the paper's results: the model is initialized in float64 from the
-root stream and rounded, so final_params.npz holds float32 arrays. The losses in
-the metrics are float64, computed from the float32 logits
-(Model.loss_and_grad). Metrics are one JSON object per line. Wall-clock
-timings go to a separate timings file so that the metrics file is
+its optimizer and schedule with RunConfig's builders; it checks only what needs
+the data or the model, and calls train_step through the module global. Only
+once all of that set-up has passed does it make the out dir, with make_out_dir
+(the CLI's commands make theirs with it too), which turns an OSError into a
+DataError naming the path; so a failed set-up writes nothing. A metrics line's
+step is the optimizer's step count, opt.t. It trains in float32 (TRAIN_DTYPE),
+the default of the PyTorch runs behind the paper's results: the model is
+initialized in float64 from the root stream and rounded, so final_params.npz
+holds float32 arrays. The losses in the metrics are float64, computed from the
+float32 logits (Model.loss_and_grad). Metrics are one JSON object per line.
+Wall-clock timings go to a separate timings file so that the metrics file is
 byte-identical across repeated runs with the same config and seed.
 track_first_layer adds trajectory.csv: per epoch, the 2-parameter first
 layer's weights and mean loss.
@@ -47,7 +46,7 @@ import numpy as np
 from .config import RunConfig, build_model, resolve_dataset
 from .datasets import train_eval_split
 from .diagnostics import write_csv
-from .errors import ConfigError, InputError, NumericError, check_count
+from .errors import ConfigError, DataError, InputError, NumericError, check_count
 from .nn import Model, softmax
 from .optim import Optimizer
 
@@ -104,6 +103,15 @@ def run_streams(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in (seq, *seq.spawn(2))]
 
 
+def make_out_dir(path) -> Path:
+    """path as a Path, made with its parents; an OSError is a DataError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot make the output directory {path}: {exc.strerror}") from None
+    return Path(path)
+
+
 def run_training(config: RunConfig, out_dir=None) -> Path:
     """Execute one training run; returns the metrics file path."""
     root, shuffle, _ = run_streams(config.seed)
@@ -122,8 +130,7 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
 
     opt, schedule = config.build_optimizer(), config.build_schedule()
 
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)  # set-up has passed: the run may write
+    out = make_out_dir(out_dir if out_dir is not None else config.out_dir)  # set-up passed
     metrics_path = out / "metrics.jsonl"
     timings_path = out / "timings.jsonl"
     trajectory = []  # (epoch, w1, w2, loss) rows under track_first_layer

@@ -250,6 +250,132 @@ def test_in_place_baseline_matches_allocating_formulas(name, hyper):
         assert not any(np.shares_memory(buf, g) for buf in kept for g in grads.values())
 
 
+class _AdaFisherWalk:
+    """AdaFisher walked tensor by tensor with allocating formulas: each
+    factor's EMA, min-max and divisor on its own, then each parameter's update."""
+
+    def __init__(self, opt):
+        self.opt, self.t, self.m, self.curvature = opt, 0, {}, {}
+
+    def step(self, model, params, grads, factors):
+        """Update params, {(layer id, name): array} of model's shapes, in place."""
+        o = self.opt
+        self.t += 1
+        for i, layer in model.param_layers():
+            for f in ("h", "s"):
+                old = self.curvature.get((i, f), np.ones(len(factors[i, f])))
+                self.curvature[i, f] = o.gamma * factors[i, f] + (1.0 - o.gamma) * old
+            h, s = (minmax_normalize(self.curvature[i, f]).astype(model.dtype) for f in "hs")
+            for name, diag in layer.kronecker_diagonal(h, s).items():
+                key, p = (i, name), params[i, name]
+                div = np.sqrt(diag + o.lam) if o.sqrt_divisor else diag + o.lam
+                m = o.beta * self.m.get(key, np.zeros_like(p)) + (1.0 - o.beta) * grads[key]
+                self.m[key] = m.astype(p.dtype)  # a float64 gradient rounds into the moment
+                delta = self.m[key] / (1.0 - o.beta**self.t) / div
+                if o.kappa:
+                    delta = delta + o.kappa * p
+                params[key] = p - o.lr * delta
+
+
+def _walk_net(seed):
+    """Dense(bias)-LayerNorm-BatchNorm-Dense(no bias) in float32: both layout
+    families and a Kronecker layer without a bias slot."""
+    return Model([Dense(5, 4), LayerNorm(4), BatchNorm(4),
+                  Dense(4, 3, bias=False)]).init(default_rng(seed)).astype(np.float32)
+
+
+@pytest.mark.parametrize("name, hyper, gdtype", [
+    ("adafisher", {"alpha": 0.01}, np.float32),
+    ("adafisherw", {"alpha": 0.01, "kappa": 0.1}, np.float32),
+    ("adafisher", {"alpha": 0.01, "sqrt_divisor": True}, np.float32),
+    ("adafisher", {"alpha": 0.01}, np.float64),
+], ids=["adafisher", "adafisherw-kappa", "sqrt-divisor", "float64-gradients"])
+def test_flat_adafisher_update_matches_per_tensor_walk(name, hyper, gdtype):
+    # The flat store updates every parameter with the float operations, in
+    # the order, of one walk per tensor, so every value is bit-identical.
+    model = _walk_net(23)
+    opt = build_optimizer(name, hyper)
+    walk = _AdaFisherWalk(build_optimizer(name, hyper))
+    ref = {(i, n): p.copy() for i, n, p in model.parameters()}
+    rng = default_rng(24)
+    for t in range(1, 21):
+        scale = 10.0 ** float(rng.integers(-6, 3))
+        grads = {(i, n): (rng.standard_normal(p.shape) * scale).astype(gdtype)
+                 for i, n, p in model.parameters()}
+        factors = factor_table(model, lambda n: rng.random(n) * 10.0 ** float(rng.integers(-3, 3)))
+        before = {key: g.copy() for key, g in grads.items()}
+        opt.step(model, grads, factors)
+        walk.step(model, ref, before, factors)
+        assert all(np.array_equal(g, before[key]) for key, g in grads.items())  # read only
+        for i, n, p in model.parameters():
+            assert p.dtype == np.float32 and np.array_equal(p, ref[i, n]), (t, i, n)
+        kept = [m for moments in opt.moments.values() for m in moments]
+        assert len(kept) == len(grads) and all(m.dtype == np.float32 for m in kept)
+        assert all(np.array_equal(opt.moments[key][0], walk.m[key]) for key in grads)
+        assert not any(np.shares_memory(m, g) for m in kept for g in grads.values())
+
+
+def _init_first_layer(model):
+    model.layers[0].init(default_rng(7))
+    return model
+
+
+def _assign_last_weights(model):
+    model.layers[3].params["W"] = np.full((3, 4), 0.5, np.float32)
+    return model
+
+
+@pytest.mark.parametrize("name", ["adafisher", "adam"])
+@pytest.mark.parametrize("disrupt", [
+    lambda model: model.copy(), lambda model: model.astype(np.float64).astype(np.float32),
+    _init_first_layer, _assign_last_weights,
+], ids=["copy", "astype-and-back", "layer-init", "assign"])
+def test_step_adopts_parameter_arrays_that_are_not_its_views(name, disrupt):
+    # After the first step the layers hold views of the optimizer's one
+    # parameter vector. Whatever replaces a layer's array (a copied or cast
+    # model, Layer.init, an assignment), the next step reads the new values,
+    # as a walk over the tensors does, and writes no array another model holds.
+    model, hyper = _walk_net(25), {"alpha": 0.01}
+    opt = build_optimizer(name, hyper)
+    walk = _AdaFisherWalk(build_optimizer(name, hyper)) if name == "adafisher" else None
+    states = {(i, n): {} for i, n, _ in model.parameters()}
+    rng = default_rng(26)
+
+    def step_both(model):
+        grads = {(i, n): rng.standard_normal(p.shape).astype(np.float32)
+                 for i, n, p in model.parameters()}
+        factors = factor_table(model, rng.random)
+        ref = {(i, n): p.copy() for i, n, p in model.parameters()}
+        opt.step(model, {key: g.copy() for key, g in grads.items()}, factors)
+        if walk:
+            walk.step(model, ref, grads, factors)
+        else:
+            ref = {key: _allocating_step(name, hyper, opt.t, p, grads[key], states[key])
+                   for key, p in ref.items()}
+        assert all(np.array_equal(p, ref[i, n]) for i, n, p in model.parameters())
+
+    step_both(model)
+    views = [p for _, _, p in model.parameters()]
+    assert all(p.base is views[0].base is not None for p in views)  # one vector
+    held = [p.copy() for p in views]
+    new = disrupt(model)
+    step_both(new)
+    step_both(new)
+    if new is not model:  # the other model's arrays are no longer the optimizer's
+        assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), held))
+
+
+@pytest.mark.parametrize("name", ["adafisher", "adam", "sgd"])
+def test_failing_first_step_rebinds_no_parameter(name):
+    model = _walk_net(27)
+    arrays = [(layer, n, p) for _, layer in model.param_layers() for n, p in layer.params.items()]
+    grads = {(i, n): np.ones_like(p) for i, n, p in model.parameters()}
+    grads[3, "W"][1, 2] = np.nan
+    with pytest.raises(NumericError, match="non-finite gradient W of layer 3"):
+        build_optimizer(name, {}).step(model, grads, factor_table(model, np.ones))
+    assert all(layer.params[n] is p for layer, n, p in arrays)
+
+
 def _drop_grads(grads, factors):
     del grads[2, "W"], grads[2, "b"]
 

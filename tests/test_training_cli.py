@@ -1130,12 +1130,15 @@ class TestCli:
         assert not (tmp_path / "big").exists()
 
     @pytest.mark.parametrize("case", ["track-first-layer", "csv-ragged-row", "batch-over-split",
-                                      "model-over-guard"])
+                                      "model-over-guard", "out-under-a-file"])
     def test_failed_set_up_writes_nothing(self, tmp_path, capsys, monkeypatch, case):
         # run_training makes its out dir only once the model, the data, the
-        # split and the optimizer are set up
+        # split and the optimizer are set up; a dir it cannot make is a
+        # DataError naming it
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
         (tmp_path / "d.csv").write_text("1,2,0\n1,0\n" * 10)
+        (tmp_path / "afile").write_text("")
+        out = "afile/run" if case == "out-under-a-file" else "run"
         overrides, code, line = {
             "track-first-layer": (
                 {"track_first_layer": True,
@@ -1153,11 +1156,14 @@ class TestCli:
                                       {"kind": "dense", "in": 10**6, "out": 5}]}},
                 2, "error: model has 10000005 parameter values in its first 2 layers, over "
                    "the guard of 10000000"),
+            "out-under-a-file": (
+                {}, 3, f"data error: cannot make the output directory {tmp_path / out}: "
+                       "Not a directory"),
         }[case]
         cfg = self.write_config(tmp_path, **overrides)
-        assert main(["train", "--config", cfg, "--out", "run"]) == code
+        assert main(["train", "--config", cfg, "--out", out]) == code
         assert capsys.readouterr().err.splitlines() == [line]
-        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "run").exists() and (tmp_path / "afile").read_text() == ""
 
     def test_one_process_runs_each_command_as_a_fresh_process_would(self, tmp_path, capsys,
                                                                       monkeypatch):

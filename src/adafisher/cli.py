@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 config error (and every other AdaFisherError: a
 config the model or data cannot run, or one over a size guard; and an
-allocation numpy refuses), 3 data error, 4 numeric failure. main is the one
+allocation numpy refuses), 3 data error, 4 numeric failure, 130 interrupted
+(Ctrl-C: one line, "interrupted", and no traceback). main is the one
 place a failure becomes output: each AdaFisherError class carries its exit code
 and stderr label (see errors), and main prints one line, "{label}: {message}".
 It runs every command under np.errstate(all="ignore"), so numpy's overflow
@@ -57,14 +58,9 @@ def _discs(snap):
 
 def _spectra(snap):
     spec = fft2(snap["matrix"])
-    entries = spec.ravel().tolist()  # Python complex numbers, row-major
-    try:  # abs() of a Python complex is the scalar hypot; it raises on overflow
-        mags = [abs(z) for z in entries]
-    except OverflowError:
-        mags = [float("inf")]  # refused by the finite check before any row is written
-    cols = spec.shape[1]
-    rows = ((*divmod(k, cols), z.real, z.imag, mag)
-            for k, (z, mag) in enumerate(zip(entries, mags)))
+    mags = np.hypot(spec.real, spec.imag)  # |F|; inf where it overflows, refused by the caller
+    rows = ((*divmod(k, spec.shape[1]), z.real, z.imag, mag)
+            for k, (z, mag) in enumerate(zip(spec.ravel().tolist(), mags.ravel().tolist())))
     return (spec, mags), rows, ""
 
 
@@ -205,6 +201,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # an allocation numpy refused
         print(f"{AdaFisherError.label}: {exc}", file=sys.stderr)
         return AdaFisherError.exit_code
+    except KeyboardInterrupt:  # a run keeps the lines of the epochs it finished
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

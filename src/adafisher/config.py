@@ -10,7 +10,12 @@ check layer and dataset values with errors' checkers, so a bad one is a
 ConfigError naming its dotted path. The layers own their sizes: each refuses
 its own oversize, and build_model stops at the layer whose running count passes
 MAX_SYNTH_VALUES (a SizeError), before any weight is drawn. An absent optional
-field is left out, so its constructor's default applies."""
+field is left out, so its constructor's default applies. The rules a training
+step applies are the step's alone, and a config that breaks one fails in its
+run's first step, before the run writes anything (see training): workers must
+divide batch_size (nn.check_workers), each BatchNorm shard needs 2 rows
+(BatchNorm.forward), a layer must take its input's shape, and the labels must
+lie within the outputs."""
 
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from .datasets import MAX_SYNTH_VALUES, Images, load_csv, load_idx, synth_datase
 from .errors import (ConfigError, DataError, SizeError, check_count, check_flag, check_number,
                      check_pair)
 from .nn import (Activation, BatchNorm, Conv2d, Dense, Flatten, LayerNorm,
-                 MaxPool2d, Model, check_eps, check_momentum, check_workers)
+                 MaxPool2d, Model, check_eps, check_momentum)
 from .optim import Optimizer, Schedule, build_optimizer
 
 
@@ -175,11 +180,6 @@ class RunConfig:
             cfg.build_schedule()
         except ConfigError as exc:
             raise ConfigError(f"schedule.{exc}") from None
-        check_workers(cfg.workers, cfg.batch_size)
-        shard = cfg.batch_size // cfg.workers
-        if shard < 2 and any(spec["kind"] == "batchnorm" for spec in cfg.model["layers"]):
-            raise ConfigError(f"batchnorm needs >= 2 samples per worker, got batch_size "
-                              f"{cfg.batch_size} over {cfg.workers} workers")
         return cfg
 
     @classmethod

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError, check_number
+from .errors import DimensionError, InputError, check_number, os_errors
 
 
 def _matrix(matrix, square: bool = True) -> np.ndarray:
@@ -158,7 +158,7 @@ def write_csv(path, header, rows) -> None:
     """Write one CSV table: the header, then each row. Every float, numpy's
     included, is written as repr(float(v)), which float() reads back bit for
     bit on any numpy version; other cells are written as csv writes them."""
-    with open(path, "w", newline="") as fh:
+    with os_errors(f"write {path}"), open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]

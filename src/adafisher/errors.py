@@ -2,6 +2,8 @@
 check_count, check_pair and check_flag, the one check of a number, an integer,
 a pair of integers and a bool that constructors, data loaders and the config
 schema share: check(name, value, ..., error) returns value or raises error.
+os_errors(action) is the one place an OSError of the package's own output
+(making a directory, writing a file) becomes a DataError.
 
 Each class carries the CLI's exit code and stderr label for it: cli.main
 prints "{label}: {message}" and exits with exit_code. A class without its
@@ -10,6 +12,7 @@ without one is a plain "error" with exit code 2)."""
 
 import operator
 import sys
+from contextlib import contextmanager
 from numbers import Real
 
 
@@ -102,3 +105,12 @@ def check_flag(name: str, value, error: type = ConfigError) -> bool:
     if not isinstance(value, bool):
         raise error(f"{name} must be True or False, got {value!r}")
     return value
+
+
+@contextmanager
+def os_errors(action: str):
+    """An OSError raised in the block is a DataError, "cannot {action}: {reason}"."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot {action}: {exc.strerror or exc}") from None

@@ -41,8 +41,10 @@ normalization), updates its running statistics once per shard in worker order,
 and couples its input gradient within each shard, through the shard's
 channel sums of its own dout. The shard layout is BatchNorm's alone: only its
 forward and input_grad view the pass as (K, M/K, C, T), and input_grad reads K
-from its (K, C) statistics. A net without BatchNorm gives the one-worker step
-bit for bit at every K.
+from its (K, C) statistics. So is the rule that a training shard holds at
+least 2 rows: the one check of it is BatchNorm.forward's, a ConfigError whose
+text a run config that breaks it reads. A net without BatchNorm gives the
+one-worker step bit for bit at every K.
 
 Conv2d multiplies its weights with im2col patches as a broadcast batched
 matmul, so the products of its forward pass and of both gradients run on BLAS.
@@ -67,7 +69,9 @@ last pass kept, before it allocates new ones, so two generations of them are
 never live at once. A backward call reads that pass and its own dout, never
 what another backward call formed. Their constructors refuse (SizeError) a
 layer of more parameter values than datasets.MAX_SYNTH_VALUES before
-allocating anything.
+allocating anything. Model.forward prefixes a layer's DimensionError with the
+layer's index, its place in a config's model.layers ("layer 2: Dense expects
+(M, 9), got (16, 8)").
 """
 
 from __future__ import annotations
@@ -324,8 +328,9 @@ class BatchNorm(Norm):
         k = check_workers(workers, len(x)) if training else 1
         v = x.reshape(k, len(x) // k, self.dim, math.prod(x.shape[2:]))
         if training:
-            if v.shape[1] < 2:
-                raise InputError("BatchNorm needs batch size >= 2 per worker in training mode")
+            if v.shape[1] < 2:  # the shard rule's one owner: a config that breaks it fails here
+                raise ConfigError(f"batchnorm needs >= 2 samples per worker, got batch_size "
+                                  f"{len(x)} over {k} workers")
             mu = _feature_sum(v) / (v[0].size // self.dim)
             xhat = v - mu[:, None, :, None]
             var = _feature_sum(xhat, xhat) / (v[0].size // self.dim)
@@ -530,8 +535,11 @@ class Model:
     def forward(self, x: np.ndarray, training: bool = True, workers: int = 1) -> np.ndarray:
         self._ran_forward = False  # until the last layer returns: a raised forward leaves no pass
         out = np.asarray(x, dtype=self.dtype)
-        for layer in self.layers:
-            out = layer.forward(out, training, workers)
+        for i, layer in enumerate(self.layers):
+            try:
+                out = layer.forward(out, training, workers)
+            except DimensionError as exc:  # i is the layer's place in the config's model.layers
+                raise DimensionError(f"layer {i}: {exc}") from None
         self._ran_forward = True
         return out
 

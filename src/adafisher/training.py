@@ -13,19 +13,25 @@ reads no factors (Adam, SGD) gets a pass that forms none.
 
 run_training reads a RunConfig that RunConfig.from_dict has checked and builds
 its optimizer and schedule with RunConfig's builders; it checks only what needs
-the data or the model, and calls train_step through the module global. Only
-once all of that set-up has passed does it make the out dir, with make_out_dir
-(the CLI's commands make theirs with it too), which turns an OSError into a
-DataError naming the path; so a failed set-up writes nothing. A metrics line's
-step is the optimizer's step count, opt.t. It trains in float32 (TRAIN_DTYPE),
-the default of the PyTorch runs behind the paper's results: the model is
-initialized in float64 from the root stream and rounded, so final_params.npz
-holds float32 arrays. The losses in the metrics are float64, computed from the
-float32 logits (Model.loss_and_grad). Metrics are one JSON object per line.
-Wall-clock timings go to a separate timings file so that the metrics file is
-byte-identical across repeated runs with the same config and seed.
-track_first_layer adds trajectory.csv: per epoch, the 2-parameter first
-layer's weights and mean loss.
+the data or the model, and calls train_step through the module global. The
+rules the step applies (workers dividing the batch, BatchNorm's two-row shard,
+a Dense's in matching the previous out, labels within the classes) are checked
+by the step alone. So a run writes nothing until its first epoch has passed:
+only then does it make the out dir, with make_out_dir (the CLI's commands make
+theirs with it too), and write the epoch's lines. Each epoch opens
+metrics.jsonl and timings.jsonl anew ("w" at epoch 0, "a" after) and closes
+them with its lines complete, so a run that fails or is interrupted later
+keeps the lines of every epoch it finished. An OSError of making the out dir
+or writing any file in it is a DataError naming the path (errors.os_errors).
+A metrics line's step is the optimizer's step count, opt.t. It trains in
+float32 (TRAIN_DTYPE), the default of the PyTorch runs behind the paper's
+results: the model is initialized in float64 from the root stream and rounded,
+so final_params.npz holds float32 arrays. The losses in the metrics are
+float64, computed from the float32 logits (Model.loss_and_grad). Metrics are
+one JSON object per line. Wall-clock timings go to a separate timings file so
+that the metrics file is byte-identical across repeated runs with the same
+config and seed. track_first_layer adds trajectory.csv: per epoch, the
+2-parameter first layer's weights and mean loss.
 
 A run's random streams come from one np.random.SeedSequence(seed), in
 run_streams. Its root stream initializes the model; its spawned children 0 and
@@ -46,7 +52,7 @@ import numpy as np
 from .config import RunConfig, build_model, resolve_dataset
 from .datasets import train_eval_split
 from .diagnostics import write_csv
-from .errors import ConfigError, DataError, InputError, NumericError, check_count
+from .errors import ConfigError, InputError, NumericError, check_count, os_errors
 from .nn import Model, softmax
 from .optim import Optimizer
 
@@ -105,10 +111,8 @@ def run_streams(seed: int) -> list[np.random.Generator]:
 
 def make_out_dir(path) -> Path:
     """path as a Path, made with its parents; an OSError is a DataError naming it."""
-    try:
+    with os_errors(f"make the output directory {path}"):
         Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot make the output directory {path}: {exc.strerror}") from None
     return Path(path)
 
 
@@ -130,37 +134,40 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
 
     opt, schedule = config.build_optimizer(), config.build_schedule()
 
-    out = make_out_dir(out_dir if out_dir is not None else config.out_dir)  # set-up passed
+    out = Path(out_dir if out_dir is not None else config.out_dir)
     metrics_path = out / "metrics.jsonl"
     timings_path = out / "timings.jsonl"
     trajectory = []  # (epoch, w1, w2, loss) rows under track_first_layer
-    with open(metrics_path, "w") as mfh, open(timings_path, "w") as tfh:
-        for epoch in range(config.epochs):
-            opt.lr_scale = schedule.scale(epoch)
-            perm = shuffle.permutation(rows.shape[0])
-            losses, times = [], []
-            n_batches = rows.shape[0] // config.batch_size
-            for b in range(n_batches):
-                batch = rows[perm[b * config.batch_size:(b + 1) * config.batch_size]]
-                t0 = time.perf_counter()
-                loss = train_step(model, x[batch], y[batch], opt, workers=config.workers)
-                times.append((time.perf_counter() - t0) * 1000.0)
-                losses.append(loss)
-            eval_loss, acc = evaluate(model, x_ev, y_ev, config.batch_size)
-            if not math.isfinite(eval_loss):  # the epoch's last update diverged
-                raise NumericError(f"step {opt.t}: non-finite eval loss")
+    for epoch in range(config.epochs):
+        opt.lr_scale = schedule.scale(epoch)
+        perm = shuffle.permutation(rows.shape[0])
+        losses, times = [], []
+        n_batches = rows.shape[0] // config.batch_size
+        for b in range(n_batches):
+            batch = rows[perm[b * config.batch_size:(b + 1) * config.batch_size]]
+            t0 = time.perf_counter()
+            loss = train_step(model, x[batch], y[batch], opt, workers=config.workers)
+            times.append((time.perf_counter() - t0) * 1000.0)
+            losses.append(loss)
+        eval_loss, acc = evaluate(model, x_ev, y_ev, config.batch_size)
+        if not math.isfinite(eval_loss):  # the epoch's last update diverged
+            raise NumericError(f"step {opt.t}: non-finite eval loss")
+        if epoch == 0:  # the first epoch passed: the run's first write
+            make_out_dir(out)
+        mode = "a" if epoch else "w"
+        with os_errors(f"write {metrics_path}"), open(metrics_path, mode) as fh:
             emit_metrics({"epoch": epoch, "step": opt.t,
                           "train_loss": float(np.mean(losses)),
                           "eval_loss": eval_loss, "accuracy": acc,
-                          "optimizer": config.optimizer["name"], "seed": config.seed}, mfh)
-            tfh.write(json.dumps({"epoch": epoch,
-                                  "mean_step_ms": float(np.mean(times)),
-                                  "total_ms": float(np.sum(times))}) + "\n")
-            if config.track_first_layer:
-                trajectory.append((epoch + 1, *first["W"].ravel().tolist(),
-                                   float(np.mean(losses))))
+                          "optimizer": config.optimizer["name"], "seed": config.seed}, fh)
+        with os_errors(f"write {timings_path}"), open(timings_path, mode) as fh:
+            fh.write(json.dumps({"epoch": epoch, "mean_step_ms": float(np.mean(times)),
+                                 "total_ms": float(np.sum(times))}) + "\n")
+        if config.track_first_layer:
+            trajectory.append((epoch + 1, *first["W"].ravel().tolist(), float(np.mean(losses))))
     if config.track_first_layer:
         write_csv(out / "trajectory.csv", ("epoch", "w1", "w2", "loss"), trajectory)
     final = out / "final_params.npz"
-    np.savez(final, **{f"{i}.{nme}": arr for i, nme, arr in model.parameters()})
+    with os_errors(f"write {final}"):
+        np.savez(final, **{f"{i}.{nme}": arr for i, nme, arr in model.parameters()})
     return metrics_path

@@ -6,7 +6,7 @@ import pytest
 from numpy.random import default_rng
 
 from adafisher import nn, tensor
-from adafisher.errors import DimensionError, InputError, StateError
+from adafisher.errors import ConfigError, DimensionError, InputError, StateError
 from adafisher.fisher import exact_fisher_diag
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, MaxPool2d, Model, cross_entropy,
@@ -110,7 +110,9 @@ class TestForward:
         assert conv.forward(np.zeros((1, 1, 4, 5))).shape == (1, 2, 2, 2)
 
     def test_batchnorm_single_sample_rejected(self):
-        with pytest.raises(InputError):
+        # the shard rule's one text, which a config that breaks it reads too
+        with pytest.raises(ConfigError, match="^batchnorm needs >= 2 samples per worker, "
+                                              "got batch_size 1 over 1 workers$"):
             BatchNorm(2).forward(np.zeros((1, 2)), training=True)
 
     @pytest.mark.parametrize("shape", [(4,), (), (2, 3, 4)], ids=["1d", "0d", "3d"])
@@ -191,7 +193,8 @@ class TestBackward:
                        Dense(4, 2)]).init(default_rng(6))
         rng = default_rng(7)
         model.train_batch(rng.standard_normal((8, 3)), rng.integers(0, 2, size=8))
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError, match="^batchnorm needs >= 2 samples per worker, "
+                                              "got batch_size 1 over 1 workers$"):
             model.forward(rng.standard_normal((1, 3)))
         with pytest.raises(StateError):
             model.backward(np.zeros((1, 2)))

@@ -647,7 +647,7 @@ class TestCli:
                                 dataset={"source": "blobs", "n": 120, "classes": 3, "dim": 50})
         assert main(["train", "--config", bad]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: Dense expects") and "Traceback" not in err
+        assert err.startswith("error: layer 0: Dense expects") and "Traceback" not in err
 
     @pytest.mark.parametrize("alpha, seed, quantity", [
         (1e6, 0, "training loss"),
@@ -1130,15 +1130,22 @@ class TestCli:
         assert not (tmp_path / "big").exists()
 
     @pytest.mark.parametrize("case", ["track-first-layer", "csv-ragged-row", "batch-over-split",
-                                      "model-over-guard", "out-under-a-file"])
+                                      "model-over-guard", "out-under-a-file",
+                                      "dense-in-not-previous-out", "label-past-last-class",
+                                      "batchnorm-shard-of-one", "workers-not-dividing-batch",
+                                      "non-finite-loss"])
     def test_failed_set_up_writes_nothing(self, tmp_path, capsys, monkeypatch, case):
-        # run_training makes its out dir only once the model, the data, the
-        # split and the optimizer are set up; a dir it cannot make is a
-        # DataError naming it
+        # run_training makes its out dir only when it writes the first
+        # epoch's lines, so a failed set-up, a config that fails in the first
+        # step (the rows from dense-in-not-previous-out on; workers run under
+        # distributed) and a run that diverges in the first epoch leave no
+        # directory behind; a dir it cannot make is a DataError naming it
         monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
         (tmp_path / "d.csv").write_text("1,2,0\n1,0\n" * 10)
         (tmp_path / "afile").write_text("")
         out = "afile/run" if case == "out-under-a-file" else "run"
+        dense = [{"kind": "dense", "in": 4, "out": 8}, {"kind": "relu"}]
+        bn = [{"kind": "dense", "in": 4, "out": 8}, {"kind": "batchnorm", "dim": 8}]
         overrides, code, line = {
             "track-first-layer": (
                 {"track_first_layer": True,
@@ -1159,11 +1166,91 @@ class TestCli:
             "out-under-a-file": (
                 {}, 3, f"data error: cannot make the output directory {tmp_path / out}: "
                        "Not a directory"),
+            "dense-in-not-previous-out": (
+                {"model": {"layers": [*dense, {"kind": "dense", "in": 9, "out": 3}]}},
+                2, "error: layer 2: Dense expects (M, 9), got (16, 8)"),
+            "label-past-last-class": (  # 3-class blobs, 2 outputs
+                {"model": {"layers": [*dense, {"kind": "dense", "in": 8, "out": 2}]}},
+                2, "error: labels must lie in [0, 2)"),
+            "batchnorm-shard-of-one": (
+                {"model": {"layers": [*bn, {"kind": "dense", "in": 8, "out": 3}]},
+                 "batch_size": 8, "workers": 8},
+                2, "config error: batchnorm needs >= 2 samples per worker, got batch_size 8 "
+                   "over 8 workers"),
+            "workers-not-dividing-batch": (
+                {"workers": 3}, 2,
+                "config error: workers must divide the batch size; got 3 for M=16"),
+            "non-finite-loss": (  # at step 5 of the first epoch's 6
+                {"optimizer": {"name": "adafisher", "alpha": 1e6}},
+                4, "numeric failure: step 5: non-finite training loss"),
         }[case]
+        command = (["distributed", "--workers", str(overrides.pop("workers"))]
+                   if "workers" in overrides else ["train"])
         cfg = self.write_config(tmp_path, **overrides)
-        assert main(["train", "--config", cfg, "--out", out]) == code
+        assert main([*command, "--config", cfg, "--out", out]) == code
         assert capsys.readouterr().err.splitlines() == [line]
         assert not (tmp_path / "run").exists() and (tmp_path / "afile").read_text() == ""
+
+    @pytest.mark.parametrize("name", ["metrics.jsonl", "timings.jsonl", "trajectory.csv",
+                                      "final_params.npz", "spectra.csv", "fisher_mae.csv"])
+    def test_file_that_cannot_be_written_exits_3(self, tmp_path, capsys, monkeypatch, name):
+        # a directory where an output file goes: a data error naming the file,
+        # not an IsADirectoryError traceback
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        (tmp_path / "out" / name).mkdir(parents=True)
+        if name == "spectra.csv":
+            np.save(tmp_path / "m.npy", np.eye(3))
+            argv = ["diagnose", "--snapshot", str(tmp_path / "m.npy"), "--analysis", "fft"]
+        elif name == "fisher_mae.csv":
+            argv = ["oracle", "--config", self.write_config(tmp_path, batch_size=8),
+                    "--mode", "exact"]
+        else:  # a tracked 2-weight run writes all four of train's files
+            argv = ["train", "--config", self.write_config(
+                tmp_path, track_first_layer=True, optimizer={"name": "sgd"},
+                model={"layers": [{"kind": "dense", "in": 2, "out": 1, "bias": False}],
+                       "loss": "mse"},
+                dataset={"source": "quadratic", "n": 100, "dim": 2, "out_dim": 1})]
+        assert main([*argv, "--out", "out"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: cannot write {tmp_path / 'out' / name}: Is a directory"]
+
+    def test_interrupt_exits_130_and_keeps_finished_epochs(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # Ctrl-C in the third epoch's first step: one stderr line, and the
+        # files hold the complete lines of the two epochs that finished
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        cfg = self.write_config(tmp_path, epochs=3)
+        assert main(["train", "--config", cfg, "--out", "full"]) == 0
+        step, calls = training.train_step, []
+
+        def interrupted_step(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 12:  # 96 training rows: 6 steps an epoch
+                raise KeyboardInterrupt
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_step", interrupted_step)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", "cut"]) == 130
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["interrupted"] and captured.out == ""
+        full = (tmp_path / "full" / "metrics.jsonl").read_text().splitlines(keepends=True)
+        assert (tmp_path / "cut" / "metrics.jsonl").read_text() == "".join(full[:2])
+        assert len((tmp_path / "cut" / "timings.jsonl").read_text().splitlines()) == 2
+        assert not (tmp_path / "cut" / "final_params.npz").exists()
+
+    def test_fft_magnitudes_are_python_abs_at_every_scale(self, tmp_path, monkeypatch):
+        # spectra.csv's mag is np.hypot of each entry's parts, which reads
+        # Python's abs() of the complex entry bit for bit, tiny to huge
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+            m = default_rng(4).normal(size=(8, 6)) * scale / 64
+            np.save(tmp_path / "m.npy", m)
+            assert main(["diagnose", "--snapshot", str(tmp_path / "m.npy"), "--analysis", "fft",
+                         "--out", "fft"]) == 0
+            rows = (tmp_path / "fft" / "spectra.csv").read_text().splitlines()[1:]
+            mags = [float(row.split(",")[4]) for row in rows]
+            assert mags == [abs(z) for z in fft2(m).ravel().tolist()], scale
 
     def test_one_process_runs_each_command_as_a_fresh_process_would(self, tmp_path, capsys,
                                                                       monkeypatch):
@@ -1277,6 +1364,9 @@ def step_over(entries):
     (lambda: BatchNorm(3).forward(np.zeros((4, 2))), DimensionError, "BatchNorm expects 3 channels"),
     (lambda: LayerNorm(3).forward(np.zeros((4, 3, 1))), DimensionError,
      "LayerNorm expects \\(M, 3\\)"),
+    # Model.forward names the layer by its place in model.layers
+    (lambda: Model([Dense(4, 8), Activation("relu"), Dense(9, 3)]).forward(np.zeros((16, 4))),
+     DimensionError, "^layer 2: Dense expects \\(M, 9\\), got \\(16, 8\\)$"),
     (lambda: Activation("gelu"), UnsupportedError, "unsupported activation 'gelu'"),
     (lambda: cross_entropy(np.zeros((3, 2)), np.zeros(2, dtype=int)), DimensionError,
      "labels must have shape \\(3,\\)"),
@@ -1323,6 +1413,7 @@ def step_over(entries):
         "batchnorm-workers-bool", "batchnorm-workers-zero", "evaluate-batch-float",
         "evaluate-batch-string", "evaluate-batch-none", "evaluate-batch-bool",
         "conv2d-channels", "conv2d-rank", "batchnorm-channels", "layernorm-shape",
+        "model-forward-layer-index",
         "activation-gelu", "labels-shape", "mse-shape", "loss-hinge", "minmax-empty",
         "divisors-nan", "divisors-first-bad", "divisors-empty", "divisors-empty-first",
         "divisors-0d", "divisors-2d", "step-curvature-0d", "step-curvature-2d",

@@ -473,7 +473,9 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     Returns (loss, grad) with grad = (softmax - onehot) / M, the gradient of
     the mean loss w.r.t. the logits. Labels must be integers in [0, C). Both
     are float64 whatever the logits' dtype, so the clip of p at 1e-300 does
-    not underflow.
+    not underflow. The clip and the mean are np.maximum(p, 1e-300) and
+    np.add.reduce(-log_p) / M: the ufunc calls inside np.clip(p, 1e-300,
+    None) and np.mean, with their bits and without their Python wrappers.
     """
     if np.ndim(logits) != 2:
         raise DimensionError(f"logits must be 2-D (M, C), got shape {np.shape(logits)}")
@@ -489,10 +491,11 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise InputError(f"labels must lie in [0, {c})")
     p = softmax(logits)
     idx = np.arange(m)
-    log_p = np.log(np.clip(p[idx, labels], 1e-300, None))
+    log_p = np.log(np.maximum(p[idx, labels], 1e-300))
     grad = p.copy()
     grad[idx, labels] -= 1.0
-    return np.mean(-log_p), grad / m  # not -np.mean(log_p): that reads -0.0 at a zero loss
+    # the sum of -log_p, not minus that of log_p: that reads -0.0 at a zero loss
+    return np.add.reduce(-log_p) / m, grad / m
 
 
 def mse(pred: np.ndarray, target: np.ndarray):

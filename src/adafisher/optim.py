@@ -32,10 +32,23 @@ gamma * fresh + (1 - gamma) * old), min-maxes every entry at once in float64
 (MINMAX_EPS is a float64 threshold) and casts them once to the model's dtype;
 each layer writes kronecker_diagonal's map of them (of zeros for a norm under
 norm_fisher_off) into its views of one divisor vector, and lambda is added.
-Only then are the EMAs kept. The update divides the bias-corrected first
-moment by the divisor (its square root under sqrt_divisor); AdaFisherW adds
-decoupled weight decay kappa. Adam and SGD read no curvature (needs_factors is
-False), so their training pass forms no factors.
+Only then are the EMAs kept: opt.curvature becomes views of the new vector, so
+an entry taken before the step keeps its bytes.
+
+The layout of all this is AdaFisher's curvature plan (_Plan), kept beside the
+flat store: the factor keys in layer order, their bounds and min-max
+_segments, the EMA vector whose views opt.curvature holds, and the divisor
+vector, in the model's dtype, with each layer's views of it. A step uses the
+plan while the fresh factors have its shapes, the model its dtype, and
+opt.curvature holds the plan's own views and no other entry (checked by
+identity, since a caller may assign the table or one entry).
+Otherwise (the first step, a caller's table or entry, another model's factors
+or dtype) the step adopts a new plan through every check the first step makes,
+and keeps it only if the step passes. A step that raises, for a non-finite
+factor too, keeps the plan and the curvature as they were. The update divides
+the bias-corrected first moment by the divisor (its square root under
+sqrt_divisor); AdaFisherW adds decoupled weight decay kappa. Adam and SGD read
+no curvature (needs_factors is False), so their training pass forms no factors.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import accumulate
+from operator import is_
 
 import numpy as np
 
@@ -117,6 +131,43 @@ def _entries(model: Model, table: dict) -> tuple[list, list]:
             raise DimensionError(f"layer {i}: factor {name}: a curvature entry must be a "
                                  f"vector, got shape {np.shape(table[i, name])}")
     return keys, [table[key] for key in keys]
+
+
+class _Plan:
+    """AdaFisher's curvature layout for one model (see the module docstring),
+    built from the factor vectors held, one per key of keys, in the
+    parameters' layout, {key: shape}: the EMA vector ema joins held, and
+    divisors holds each parameter's view of the divisor vector div."""
+
+    def __init__(self, model: Model, keys: list, held: list, layout: dict):
+        bounds = [0, *accumulate(map(len, held))]
+        self.keys, self.segments = keys, _segments(bounds)
+        self.shapes = {key: (b - a,) for key, a, b in zip(keys, bounds, bounds[1:])}
+        self.ema = np.concatenate(held or [np.empty(0)], dtype=np.float64)
+        self.views: list = []  # the entries of the opt.curvature it left
+        self.div = np.empty(sum(map(math.prod, layout.values())), model.dtype)
+        self.divisors = _split(self.div, layout)
+        # (layer id, is a norm, start of h, start of s, end, {name: view of div})
+        self.layers = [(i, isinstance(layer, Norm), a, b, c,
+                        {name: self.divisors[i, name] for name in layer.params})
+                       for (i, layer), a, b, c in zip(model.param_layers(),
+                                                      *(bounds[k::2] for k in (0, 1, 2)))]
+
+    def holds(self, table: dict, factors: dict | None, dtype) -> bool:
+        """Whether a step with the fresh factors, on a model of dtype, may use
+        the plan: table holds the plan's own views and nothing else, and the
+        factors have its shapes."""
+        return (len(table) == len(self.keys)
+                and all(map(is_, map(table.get, self.keys), self.views))
+                and self.div.dtype == dtype
+                and {key: np.shape(vec) for key, vec in (factors or {}).items()} == self.shapes)
+
+    def keep(self, flat: np.ndarray) -> dict:
+        """The curvature table of the EMA vector flat, which the plan now holds."""
+        self.ema, bounds = flat, self.segments[0]
+        table = {key: flat[a:b] for key, a, b in zip(self.keys, bounds, bounds[1:])}
+        self.views = list(table.values())
+        return table
 
 
 class Schedule:
@@ -220,11 +271,31 @@ class AdaFisher(Optimizer):
         self.lam = _positive("lambda", lam)
         self.norm_fisher_off = check_flag("norm_fisher_off", norm_fisher_off)
         self.curvature: dict[tuple[int, str], np.ndarray] = {}
-        self._segments: tuple = (None,)  # the curvature vector's min-max _segments
+        self._plan: _Plan | None = None
 
     def _divisors(self, model: Model, factors: dict | None, layout: dict) -> np.ndarray:
         """The divisor vector, laid out (_split) as layout, of the EMA of the
         curvature with the checked fresh factors."""
+        plan = self._plan
+        if plan is None or not plan.holds(self.curvature, factors, model.dtype):
+            plan = self._adopt(model, factors, layout)
+        flat = np.concatenate([factors[key] for key in plan.keys] or [np.empty(0)],
+                              dtype=np.float64)
+        flat *= self.gamma  # the EMA, rounded as gamma * fresh + (1 - gamma) * old
+        flat += (1.0 - self.gamma) * plan.ema
+        try:
+            div = self._lay_out(model, flat, plan)
+        except InputError:  # the EMA is not finite: a non-finite fresh factor is a NumericError
+            for i, name in (key for key in plan.keys if not np.isfinite(factors[key]).all()):
+                raise NumericError(f"step {self.t + 1}: non-finite factor {name} of layer "
+                                   f"{i}") from None
+            raise
+        self._plan, self.curvature = plan, plan.keep(flat)
+        return div
+
+    def _adopt(self, model: Model, factors: dict | None, layout: dict) -> _Plan:
+        """A new plan of the curvature held (ones of each factor size when
+        empty), once the fresh factors fit it."""
         old = self.curvature or {(i, name): np.ones(n) for i, layer in model.param_layers()
                                  for name, n in zip(("h", "s"), layer.factor_sizes)}
         keys, held = _entries(model, old)
@@ -237,49 +308,30 @@ class AdaFisher(Optimizer):
                 raise DimensionError(f"{where} has shape {shape}, the state's {want[key]}")
             raise StateError(f"{where} is unknown" if key not in want else f"{where} is missing; "
                              "run a capturing pass, Model.train_batch(..., capture=True), first")
-        flat = np.concatenate([factors[key] for key in keys] or [np.empty(0)], dtype=np.float64)
-        flat *= self.gamma  # the EMA, rounded as gamma * fresh + (1 - gamma) * old
-        flat += (1.0 - self.gamma) * np.concatenate(held or [np.empty(0)], dtype=np.float64)
-        bounds = [0, *accumulate(map(len, held))]
-        try:
-            div = self._lay_out(model, flat, bounds, keys, layout)
-        except InputError:  # the EMA is not finite: a non-finite fresh factor is a NumericError
-            for i, name in (key for key in keys if not np.isfinite(factors[key]).all()):
-                raise NumericError(f"step {self.t + 1}: non-finite factor {name} of layer "
-                                   f"{i}") from None
-            raise
-        self.curvature = {key: flat[a:b] for key, a, b in zip(keys, bounds, bounds[1:])}
-        return div
+        return _Plan(model, keys, held, layout)
 
     def divisors(self, model: Model, curvature: dict) -> dict[tuple[int, str], np.ndarray]:
         """{(layer id, parameter name): divisor} of the factor table curvature,
         each shaped like its parameter and in the model's dtype: views of one
         new vector."""
-        keys, entries = _entries(model, curvature)
-        shapes = {(i, name): p.shape for i, name, p in model.parameters()}
-        flat = np.concatenate(entries or [np.empty(0)], dtype=np.float64)
-        bounds = [0, *accumulate(map(len, entries))]
-        return _split(self._lay_out(model, flat, bounds, keys, shapes), shapes)
+        plan = _Plan(model, *_entries(model, curvature),
+                     {(i, name): p.shape for i, name, p in model.parameters()})
+        self._lay_out(model, plan.ema, plan)
+        return plan.divisors
 
-    def _lay_out(self, model: Model, flat: np.ndarray, bounds: list, keys: list,
-                 layout: dict) -> np.ndarray:
-        """The divisors of the curvature vector flat (entry keys[j] at
-        flat[bounds[j]:bounds[j + 1]]) in one vector, laid out (_split) as layout."""
-        if self._segments[0] != bounds:
-            self._segments = _segments(bounds)
-        normed = _minmax(flat, self._segments, keys).astype(model.dtype, copy=False)
-        out = np.empty(sum(map(math.prod, layout.values())), model.dtype)
-        views = _split(out, layout)
-        for (i, layer), a, b, c in zip(model.param_layers(), *(bounds[k::2] for k in (0, 1, 2))):
-            if self.norm_fisher_off and isinstance(layer, Norm):
+    def _lay_out(self, model: Model, flat: np.ndarray, plan: _Plan) -> np.ndarray:
+        """plan.div holding the divisors of the curvature vector flat, laid out
+        as plan's."""
+        normed = _minmax(flat, plan.segments, plan.keys).astype(plan.div.dtype, copy=False)
+        for i, norm, a, b, c, out in plan.layers:
+            if norm and self.norm_fisher_off:
                 normed[a:c] = 0.0  # identity factors, min-maxed
             try:
-                layer._diagonal_into(normed[a:b], normed[b:c],
-                                     {name: views[i, name] for name in layer.params})
+                model.layers[i]._diagonal_into(normed[a:b], normed[b:c], out)
             except DimensionError as exc:
                 raise DimensionError(f"layer {i}: {exc}") from None
-        out += self.lam
-        return out
+        plan.div += self.lam
+        return plan.div
 
     def _update(self, p, g, m, div) -> None:
         # g is the step's own vector: scratch, where its dtype rounds as m's does

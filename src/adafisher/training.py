@@ -21,8 +21,11 @@ only then does it make the out dir, with make_out_dir (the CLI's commands make
 theirs with it too), and write the epoch's lines. Each epoch opens
 metrics.jsonl and timings.jsonl anew ("w" at epoch 0, "a" after) and closes
 them with its lines complete, so a run that fails or is interrupted later
-keeps the lines of every epoch it finished. An OSError of making the out dir
-or writing any file in it is a DataError naming the path (errors.os_errors).
+keeps the lines of every epoch it finished. When it makes the out dir, it
+removes the final_params.npz and trajectory.csv files an earlier run left
+there, which it writes only at its end, so no other run's parameters sit
+beside its metrics. An OSError of making the out dir, removing those files or
+writing any file in it is a DataError naming the path (errors.os_errors).
 A metrics line's step is the optimizer's step count, opt.t. It trains in
 float32 (TRAIN_DTYPE), the default of the PyTorch runs behind the paper's
 results: the model is initialized in float64 from the root stream and rounded,
@@ -137,6 +140,7 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
     out = Path(out_dir if out_dir is not None else config.out_dir)
     metrics_path = out / "metrics.jsonl"
     timings_path = out / "timings.jsonl"
+    final, trajectory_path = out / "final_params.npz", out / "trajectory.csv"
     trajectory = []  # (epoch, w1, w2, loss) rows under track_first_layer
     for epoch in range(config.epochs):
         opt.lr_scale = schedule.scale(epoch)
@@ -154,6 +158,10 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
             raise NumericError(f"step {opt.t}: non-finite eval loss")
         if epoch == 0:  # the first epoch passed: the run's first write
             make_out_dir(out)
+            for stale in (final, trajectory_path):
+                if stale.is_file():
+                    with os_errors(f"remove {stale}"):
+                        stale.unlink()
         mode = "a" if epoch else "w"
         with os_errors(f"write {metrics_path}"), open(metrics_path, mode) as fh:
             emit_metrics({"epoch": epoch, "step": opt.t,
@@ -166,8 +174,7 @@ def run_training(config: RunConfig, out_dir=None) -> Path:
         if config.track_first_layer:
             trajectory.append((epoch + 1, *first["W"].ravel().tolist(), float(np.mean(losses))))
     if config.track_first_layer:
-        write_csv(out / "trajectory.csv", ("epoch", "w1", "w2", "loss"), trajectory)
-    final = out / "final_params.npz"
+        write_csv(trajectory_path, ("epoch", "w1", "w2", "loss"), trajectory)
     with os_errors(f"write {final}"):
         np.savez(final, **{f"{i}.{nme}": arr for i, nme, arr in model.parameters()})
     return metrics_path

@@ -10,7 +10,7 @@ from adafisher.errors import ConfigError, DimensionError, InputError, StateError
 from adafisher.fisher import exact_fisher_diag
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, MaxPool2d, Model, cross_entropy,
-                          finite_diff_grad, mse)
+                          finite_diff_grad, mse, softmax)
 from adafisher.tensor import col2im_batch
 
 
@@ -715,6 +715,33 @@ class TestCrossEntropy:
     def test_out_of_range_label(self):
         with pytest.raises(InputError):
             cross_entropy(np.zeros((1, 3)), np.array([3]))
+
+    @pytest.mark.parametrize("case", ["float32", "float64", "underflow", "zero-loss"])
+    def test_bits_of_the_clip_and_mean_formulation(self, case):
+        # The loss calls the ufuncs behind np.clip(p, 1e-300, None) and
+        # np.mean: loss and gradient keep the bits of that formulation, where
+        # a true-class probability underflows to 0 and at a zero loss (+0.0).
+        rng = default_rng(6)
+        labels = rng.integers(0, 5, size=16)
+        logits = rng.standard_normal((16, 5)) * 8.0
+        if case == "float32":
+            logits = logits.astype(np.float32)
+        elif case == "underflow":  # every fourth row's true class 1000 below the rest
+            logits[np.arange(0, 16, 4), labels[::4]] = -1000.0
+        elif case == "zero-loss":  # every other class 1000 below the true one
+            logits = np.where(np.arange(5) == labels[:, None], 0.0, -1000.0)
+        x = np.asarray(logits, dtype=np.float64)
+        p = softmax(x)
+        true_p = p[np.arange(16), labels]
+        assert (true_p == 0.0).any() == (case == "underflow")
+        assert (true_p == 1.0).all() == (case == "zero-loss")
+        want_grad = p.copy()
+        want_grad[np.arange(16), labels] -= 1.0
+        want = np.mean(-np.log(np.clip(true_p, 1e-300, None))), want_grad / 16
+        loss, grad = cross_entropy(logits, labels)
+        assert loss.dtype == np.float64 and loss.tobytes() == want[0].tobytes()
+        assert grad.dtype == np.float64 and grad.tobytes() == want[1].tobytes()
+        assert np.copysign(1.0, loss) == 1.0
 
     # Float labels cannot index, strings cannot be range-checked, and bool
     # labels would select rows as a mask: [True, False] would read log 2.

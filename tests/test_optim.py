@@ -5,7 +5,7 @@ from numpy.random import default_rng
 
 from adafisher.config import RunConfig
 from adafisher.errors import ConfigError, DimensionError, NumericError, StateError
-from adafisher.nn import Activation, BatchNorm, Conv2d, Dense, LayerNorm, Model
+from adafisher.nn import Activation, BatchNorm, Conv2d, Dense, LayerNorm, Model, Norm
 from adafisher.optim import Adam, AdaFisher, SGD, Schedule, build_optimizer, minmax_normalize
 
 # Derandomized and bounded, so the suite stays deterministic and fast.
@@ -266,6 +266,8 @@ class _AdaFisherWalk:
                 old = self.curvature.get((i, f), np.ones(len(factors[i, f])))
                 self.curvature[i, f] = o.gamma * factors[i, f] + (1.0 - o.gamma) * old
             h, s = (minmax_normalize(self.curvature[i, f]).astype(model.dtype) for f in "hs")
+            if o.norm_fisher_off and isinstance(layer, Norm):
+                h, s = np.zeros_like(h), np.zeros_like(s)  # identity factors, min-maxed
             for name, diag in layer.kronecker_diagonal(h, s).items():
                 key, p = (i, name), params[i, name]
                 div = np.sqrt(diag + o.lam) if o.sqrt_divisor else diag + o.lam
@@ -363,6 +365,86 @@ def test_step_adopts_parameter_arrays_that_are_not_its_views(name, disrupt):
     step_both(new)
     if new is not model:  # the other model's arrays are no longer the optimizer's
         assert all(np.array_equal(p, q) for (_, _, p), q in zip(model.parameters(), held))
+
+
+def _assign_table(opt, walk, model):
+    for holder in (opt, walk):
+        holder.curvature = {key: vec * 2.0 for key, vec in holder.curvature.items()}
+    return model
+
+
+def _assign_entry(opt, walk, model):
+    for holder in (opt, walk):
+        holder.curvature[1, "h"] = holder.curvature[1, "h"] + 1.0
+    return model
+
+
+def _refuse_non_finite(opt, walk, model):
+    factors = factor_table(model, np.ones)
+    factors[2, "s"][0] = np.nan
+    with pytest.raises(NumericError, match="non-finite factor s of layer 2"):
+        opt.step(model, {(i, n): np.ones_like(p) for i, n, p in model.parameters()}, factors)
+    return model
+
+
+@pytest.mark.parametrize("hyper", [{"alpha": 0.01},
+                                   {"alpha": 0.01, "sqrt_divisor": True, "norm_fisher_off": True}],
+                         ids=["default", "sqrt-norm-off"])
+@pytest.mark.parametrize("disrupt", [_assign_table, _assign_entry,
+                                     lambda opt, walk, model: model.copy(), _refuse_non_finite],
+                         ids=["table", "entry", "model-copy", "non-finite"])
+def test_kept_curvature_layout_steps_as_the_walk(disrupt, hyper):
+    # AdaFisher reuses the curvature layout it kept only while opt.curvature
+    # holds its own views, and the model and factors fit it.
+    # After a caller assigns the table or one entry (the walk is handed the
+    # same), steps a copied model or has a step refused, every parameter,
+    # moment and curvature entry keeps the walk's bits, and the entries are
+    # views of one vector again.
+    model = _walk_net(28)
+    opt, walk = AdaFisher(**hyper), _AdaFisherWalk(AdaFisher(**hyper))
+    ref = {(i, n): p.copy() for i, n, p in model.parameters()}
+    rng = default_rng(29)
+
+    def step_both(model):
+        grads = {(i, n): rng.standard_normal(p.shape).astype(np.float32)
+                 for i, n, p in model.parameters()}
+        factors = factor_table(model, rng.random)
+        opt.step(model, {key: g.copy() for key, g in grads.items()}, factors)
+        walk.step(model, ref, grads, factors)
+        assert all(p.tobytes() == ref[i, n].tobytes() for i, n, p in model.parameters())
+        assert all(opt.moments[key][0].tobytes() == m.tobytes() for key, m in walk.m.items())
+        assert opt.curvature.keys() == walk.curvature.keys()
+        assert all(vec.tobytes() == walk.curvature[key].tobytes()
+                   for key, vec in opt.curvature.items())
+        base = opt.curvature[0, "h"].base
+        assert base.size == sum(vec.size for vec in opt.curvature.values())
+        assert all(vec.base is base for vec in opt.curvature.values())
+
+    for _ in range(3):
+        step_both(model)
+    model = disrupt(opt, walk, model)
+    for _ in range(3):
+        step_both(model)
+
+
+def test_step_on_a_model_in_another_dtype_lays_out_divisors_in_it():
+    # The kept divisor vector is in the dtype of the model it was laid out
+    # for: after two float32 steps, steps on the model cast to float64 divide
+    # in float64, as those of an optimizer handed a copy of its curvature,
+    # which it lays out anew, before every step.
+    models = [_walk_net(30), _walk_net(30)]
+    opts = [AdaFisher(alpha=0.01), AdaFisher(alpha=0.01)]
+    rng = default_rng(31)
+    for t in range(4):
+        if t == 2:
+            models = [model.astype(np.float64) for model in models]
+        grads = {(i, n): rng.standard_normal(p.shape) for i, n, p in models[0].parameters()}
+        factors = factor_table(models[0], rng.random)
+        opts[1].curvature = {key: vec.copy() for key, vec in opts[1].curvature.items()}
+        for opt, model in zip(opts, models):
+            opt.step(model, {key: g.copy() for key, g in grads.items()}, factors)
+        assert all(p.tobytes() == q.tobytes() for (_, _, p), (_, _, q)
+                   in zip(models[0].parameters(), models[1].parameters()))
 
 
 @pytest.mark.parametrize("name", ["adafisher", "adam", "sgd"])

@@ -769,19 +769,6 @@ class TestCli:
         assert err == ["config error: workers must be an integer >= 1, got 0"]
         assert not (tmp_path / "dist" / "metrics.jsonl").exists()
 
-    def test_batchnorm_shard_of_one_exits_2_before_writing(self, tmp_path, capsys,
-                                                           monkeypatch):
-        # batch 8 over 8 workers leaves each BatchNorm shard one sample
-        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
-        layers = [{"kind": "dense", "in": 4, "out": 8}, {"kind": "batchnorm", "dim": 8},
-                  {"kind": "dense", "in": 8, "out": 3}]
-        cfg = self.write_config(tmp_path, model={"layers": layers}, batch_size=8)
-        assert main(["distributed", "--config", cfg, "--workers", "8", "--out", "dist"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["config error: batchnorm needs >= 2 samples per worker, "
-                       "got batch_size 8 over 8 workers"]
-        assert not (tmp_path / "dist").exists()
-
     @pytest.mark.parametrize("case", ["idx-count-mismatch", "idx-header-overflow",
                                       "csv-ragged-row", "csv-fractional-label"])
     def test_bad_data_file_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, case):
@@ -1238,6 +1225,30 @@ class TestCli:
         assert (tmp_path / "cut" / "metrics.jsonl").read_text() == "".join(full[:2])
         assert len((tmp_path / "cut" / "timings.jsonl").read_text().splitlines()) == 2
         assert not (tmp_path / "cut" / "final_params.npz").exists()
+
+    def test_failed_rerun_leaves_no_earlier_final_params(self, tmp_path, capsys, monkeypatch):
+        # A run into a directory an earlier run finished in removes that
+        # run's final_params.npz when it writes its first epoch's lines: a
+        # failure at step 9, in the second epoch, leaves no parameters of
+        # another run beside its metrics
+        monkeypatch.setenv("ADAFISHER_OUT_ROOT", str(tmp_path))
+        cfg = self.write_config(tmp_path, epochs=3)
+        assert main(["train", "--config", cfg, "--out", "d"]) == 0
+        assert (tmp_path / "d" / "final_params.npz").is_file()
+        step, calls = training.train_step, []
+
+        def failing_step(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 9:  # 96 training rows: 6 steps an epoch
+                raise NumericError("step 9: non-finite training loss")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_step", failing_step)
+        assert main(["train", "--config", cfg, "--out", "d"]) == 4
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "numeric failure: step 9: non-finite training loss")
+        assert len((tmp_path / "d" / "metrics.jsonl").read_text().splitlines()) == 1
+        assert not (tmp_path / "d" / "final_params.npz").exists()
 
     def test_fft_magnitudes_are_python_abs_at_every_scale(self, tmp_path, monkeypatch):
         # spectra.csv's mag is np.hypot of each entry's parts, which reads

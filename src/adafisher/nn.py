@@ -51,7 +51,11 @@ matmul, so the products of its forward pass and of both gradients run on BLAS.
 MaxPool2d works on the kh*kw strided views of its input, one per window
 offset, and so copies no windows and scatters no indices. Its input gradient,
 like Conv2d's (tensor.col2im_batch), assigns at each offset that touches an
-input entry first and adds only where windows overlap.
+input entry first and adds only where windows overlap. When the windows tile
+the input (stride == kernel, and the kernel divides H and W), every entry is
+assigned exactly once, so the gradient starts from an uninitialized image
+rather than a zeroed one. Conv2d's input gradient hands col2im_batch the
+temporary w_mat.T @ g, which col2im_batch may overwrite.
 
 Every kernel computes in the dtype of its input and parameters. A model's
 dtype is its parameters' (Model.dtype), forward casts its input to it, and
@@ -435,8 +439,8 @@ class MaxPool2d(Layer):
         self._x_shape = x.shape
         _, self._offsets = window_slices(x.shape[2:], self.kernel, self.stride, (0, 0))
         views = [x[src] for _, _, _, src, _ in self._offsets]  # strided (M, C, oh, ow) each
-        out = views[0].copy()
-        for view in views[1:]:
+        out = np.maximum(views[0], views[1]) if len(views) > 1 else views[0].copy()
+        for view in views[2:]:
             np.maximum(out, view, out=out)
         # One mask per offset marks the windows whose first maximum sits there;
         # a window with no match (its maximum is NaN) goes to its last element.
@@ -451,8 +455,10 @@ class MaxPool2d(Layer):
 
     def input_grad(self, dout):
         # Assign where an offset touches dx first (every offset unless windows
-        # overlap), add elsewhere; entries in no window stay zero.
-        dx = np.zeros(self._x_shape, dtype=dout.dtype)
+        # overlap), add elsewhere; entries in no window stay zero. Windows
+        # that tile the input assign every entry once, so nothing is zeroed.
+        tiled = self.stride == self.kernel and not any(np.mod(self._x_shape[2:], self.kernel))
+        dx = (np.empty if tiled else np.zeros)(self._x_shape, dtype=dout.dtype)
         for (_, _, _, src, first), mask in zip(self._offsets, self._masks):
             if first:
                 np.multiply(dout, mask, out=dx[src])

@@ -6,9 +6,20 @@ instead of adding. The sweep's geometry depends only on (size, kernel, stride,
 pad), so window_slices works it out once per distinct geometry and hands every
 later call (im2col, col2im and MaxPool2d on each pass) the same tuples.
 
+The two kernels read that sweep through _patch_sweep, cached alike. A
+stride-1 geometry whose output width equals its input width (a "same"
+convolution such as 3x3 pad 1) takes the flat form there: at offset (i, j)
+output entry p reads input entry p + (i - ph) * W + (j - pw) of the flattened
+H * W axis, so each offset moves one contiguous run per (sample, channel)
+rather than one short strip per row. Only the <= pw columns per row that wrap
+round into a neighbouring row must read as padding: im2col writes +0.0 there,
+and col2im first sets them to -0.0 in its cols, which adds nothing. Every
+other geometry keeps the 2-D form.
+
 Each kernel returns arrays in the dtype of its input (float32 in training,
-float64 in the oracles), row-major (C order). Operations are pure and
-single-threaded; determinism is run-to-run on a given platform.
+float64 in the oracles), row-major (C order). Operations are single-threaded
+and pure, except that col2im_batch overwrites padding entries of its cols
+with +-0.0; determinism is run-to-run on a given platform.
 """
 
 from __future__ import annotations
@@ -81,31 +92,83 @@ def _axis_slices(n: int, n_out: int, start: int, step: int) -> tuple[slice, slic
     return slice(lo, hi), slice(first, first + (hi - lo) * step, step)
 
 
+@functools.lru_cache(maxsize=64)
+def _patch_sweep(size, kernel, stride, pad):
+    """The sweep of im2col_batch and col2im_batch: the shapes they view the
+    image's and each offset's spatial axes in, and per kernel offset
+    (out, src, first, wrap, ends). out indexes its run in the columns, viewed
+    (M, C, kh, kw, *block); src the input entries it reads, viewed
+    (M, C, *image); wrap and ends the entries of the offset's column block
+    that read padding, inside and outside the run.
+
+    A stride-(1, 1) geometry whose output width is W, with at most one offset
+    that both reads an entry and is flagged first, takes the flat form: at
+    offset (i, j) output entry p of the flattened out_h * W axis reads input
+    entry p + (i - ph) * W + (j - pw), so each offset's run is one slice, and
+    wrap holds one strided slice per column that wraps round into a
+    neighbouring row. An offset that reads nothing gets an empty run. Every
+    other geometry keeps window_slices' 2-D form, where wrap is empty.
+    """
+    (h, w), ((oh, ow), offsets) = size, _window_slices(size, kernel, stride, pad)
+    reads = [all(s.start < s.stop for s in out[1:]) for _, _, out, _, _ in offsets]
+    flat = stride == (1, 1) and ow == w and sum(r and o[4] for r, o in zip(reads, offsets)) < 2
+    block = np.empty((oh * ow,) if flat else (oh, ow))  # probes which indices are empty
+    sweep = []
+    for (i, j, (_, rows, cols), (_, rows_in, cols_in), first), read in zip(offsets, reads):
+        if not flat:
+            out, src, wrap = (rows, cols), (rows_in, cols_in), []
+            ends = [(slice(rows.start), slice(None)), (slice(rows.stop, None), slice(None)),
+                    (rows, slice(cols.start)), (rows, slice(cols.stop, None))]
+        else:
+            lo = rows.start * w + cols.start
+            hi = (rows.stop - 1) * w + cols.stop if read else lo
+            start = rows_in.start * w + cols_in.start
+            out, src = (slice(lo, hi),), (slice(start, start + hi - lo),)
+            wrap = [(slice(lo + (c - lo) % w, hi, w),) for c in range(cols.stop - w, cols.start)]
+            ends = [(slice(lo),), (slice(hi, None),)]
+        at = (slice(None), slice(None), i, j)
+        wrap, ends = (tuple(at + z for z in zs if block[z].size) for zs in (wrap, ends))
+        sweep.append((at + out, (...,) + src, first, wrap, ends))
+    return ((h * w,) if flat else (h, w)), block.shape, tuple(sweep)
+
+
 def im2col_batch(x: np.ndarray, kernel, stride=(1, 1), pad=(0, 0)) -> np.ndarray:
-    """Batched im2col: (M, C, H, W) -> (M, C*kh*kw, out_h*out_w)."""
+    """Batched im2col: (M, C, H, W) -> (M, C*kh*kw, out_h*out_w).
+
+    Each offset copies its run and writes +0.0 where its column block reads
+    padding, so no entry of the uninitialized result is left unwritten."""
     x = np.asarray(x)
     m, c, h, w = x.shape
     kh, kw = kernel
-    (oh, ow), offsets = window_slices((h, w), kernel, stride, pad)
-    cols = np.zeros((m, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i, j, out, src, _ in offsets:
-        cols[:, :, i, j][out] = x[src]
-    return cols.reshape(m, c * kh * kw, oh * ow)
+    image, block, sweep = _patch_sweep((h, w), (kh, kw), tuple(stride), tuple(pad))
+    cols = np.empty((m, c, kh, kw, *block), dtype=x.dtype)
+    x = x.reshape(m, c, *image)
+    for out, src, _, wrap, ends in sweep:
+        cols[out] = x[src]
+        for z in wrap + ends:
+            cols[z] = 0.0
+    return cols.reshape(m, c * kh * kw, -1)
 
 
 def col2im_batch(cols: np.ndarray, x_shape, kernel, stride=(1, 1), pad=(0, 0)) -> np.ndarray:
     """Adjoint of im2col_batch: scatter-add columns back to a contiguous (M, C, H, W).
 
     Each offset's columns are assigned where it touches the image first and
-    added elsewhere, so no zeros are read back."""
+    added elsewhere, so no zeros are read back. cols is scratch: before an
+    offset's flat run is added, its wrapped columns are set to -0.0, which
+    leaves every sum as it was (x + -0.0 is x, for x = +-0.0 too), or to +0.0
+    for the one offset that assigns. Its only caller, Conv2d.input_grad,
+    passes a temporary."""
     m, c, h, w = x_shape
     kh, kw = kernel
-    (oh, ow), offsets = window_slices((h, w), kernel, stride, pad)
-    cols = cols.reshape(m, c, kh, kw, oh, ow)
-    dx = np.zeros((m, c, h, w), dtype=cols.dtype)
-    for i, j, out, src, first in offsets:
+    image, block, sweep = _patch_sweep((h, w), (kh, kw), tuple(stride), tuple(pad))
+    cols = cols.reshape(m, c, kh, kw, *block)
+    dx = np.zeros((m, c, *image), dtype=cols.dtype)
+    for out, src, first, wrap, _ in sweep:
+        for z in wrap:
+            cols[z] = 0.0 if first else -0.0
         if first:
-            dx[src] = cols[:, :, i, j][out]
+            dx[src] = cols[out]
         else:
-            dx[src] += cols[:, :, i, j][out]
-    return dx
+            dx[src] += cols[out]
+    return dx.reshape(m, c, h, w)

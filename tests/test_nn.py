@@ -11,7 +11,7 @@ from adafisher.fisher import exact_fisher_diag
 from adafisher.nn import (Activation, BatchNorm, Conv2d, Dense, Flatten,
                           LayerNorm, MaxPool2d, Model, cross_entropy,
                           finite_diff_grad, mse, softmax)
-from adafisher.tensor import col2im_batch
+from adafisher.tensor import col2im_batch, window_slices
 
 
 def mixed_net(seed=0):
@@ -585,6 +585,45 @@ def test_maxpool_matches_direct_loop(kernel, stride, in_hw):
     covered_w = (out.shape[3] - 1) * stride[1] + kernel[1]
     assert covered_h < in_hw[0] or covered_w < in_hw[1]
     assert not dx[:, :, covered_h:].any() and not dx[:, :, :, covered_w:].any()
+
+
+def _zero_filled_pool_grad(pool, dout):
+    """MaxPool2d.input_grad into a zeroed image, from the pool's masks."""
+    _, offsets = window_slices(pool._x_shape[2:], pool.kernel, pool.stride, (0, 0))
+    dx = np.zeros(pool._x_shape, dtype=dout.dtype)
+    for (_, _, _, src, first), mask in zip(offsets, pool._masks):
+        if first:
+            np.multiply(dout, mask, out=dx[src])
+        else:
+            dx[src] += dout * mask
+    return dx
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("kernel, stride, in_hw", [
+    ((2, 2), (2, 2), (8, 6)),  # tiled: every entry in exactly one window
+    ((3, 1), (3, 1), (6, 5)),
+    ((1, 1), (1, 1), (3, 4)),
+    ((2, 2), (2, 2), (7, 9)),  # the last row and column in no window
+    ((2, 3), (2, 3), (6, 7)),
+    ((2, 2), (3, 4), (8, 11)),  # gapped: stride > kernel
+    ((3, 3), (2, 2), (7, 7)),  # overlapping
+], ids=["tiled", "tiled-3x1", "tiled-1x1", "odd", "odd-2x3", "gapped", "overlapping"])
+def test_maxpool_input_grad_matches_zero_filled_bytes(dtype, kernel, stride, in_hw):
+    rng = default_rng(29)
+    x = np.round(rng.standard_normal((2, 3) + in_hw), 1).astype(dtype)  # ties
+    dout = rng.standard_normal((2, 3) + tuple((n - k) // s + 1 for n, k, s in
+                                               zip(in_hw, kernel, stride))).astype(dtype)
+    dout[rng.random(dout.shape) < 0.5] = -0.0  # dout * False is -0.0 on these
+    pool = MaxPool2d(kernel, stride)
+    pool.forward(x)
+    ref = _zero_filled_pool_grad(pool, dout)
+    for _ in range(3):
+        # Free a NaN-filled block first, so an entry input_grad leaves
+        # unwritten is likely to read back as garbage rather than zero.
+        junk = np.full(x.shape, np.nan, dtype)
+        del junk
+        assert pool.input_grad(dout).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("name", Activation.SUPPORTED)

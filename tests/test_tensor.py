@@ -4,7 +4,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from numpy.random import default_rng
 
 from adafisher.errors import DimensionError
-from adafisher.tensor import col2im_batch, conv_out_size, im2col_batch, window_slices
+from adafisher.tensor import (_patch_sweep, col2im_batch, conv_out_size, im2col_batch,
+                              window_slices)
 
 
 def direct_conv(x, w, stride, pad):
@@ -168,3 +169,98 @@ def test_window_slices_takes_lists_and_shares_one_immutable_result(size, kernel,
     (oh, ow), offsets = as_tuples
     assert (oh, ow) == tuple(conv_out_size(*a) for a in zip(size, kernel, stride, pad))
     assert type(offsets) is tuple and all(type(o) is tuple for o in offsets)
+
+
+def reference_im2col(x, kernel, stride, pad):
+    """im2col in window_slices' 2-D form: a zeroed result and one block copy
+    per offset."""
+    m, c, h, w = x.shape
+    (oh, ow), offsets = window_slices((h, w), kernel, stride, pad)
+    cols = np.zeros((m, c, *kernel, oh, ow), dtype=x.dtype)
+    for i, j, out, src, _ in offsets:
+        cols[:, :, i, j][out] = x[src]
+    return cols.reshape(m, -1, oh * ow)
+
+
+def reference_col2im(cols, x_shape, kernel, stride, pad):
+    """col2im in window_slices' 2-D form: a zeroed image, each offset's block
+    assigned where it touches the image first and added elsewhere."""
+    m, c, h, w = x_shape
+    (oh, ow), offsets = window_slices((h, w), kernel, stride, pad)
+    cols = cols.reshape(m, c, *kernel, oh, ow)
+    dx = np.zeros(x_shape, dtype=cols.dtype)
+    for i, j, out, src, first in offsets:
+        if first:
+            dx[src] = cols[:, :, i, j][out]
+        else:
+            dx[src] += cols[:, :, i, j][out]
+    return dx
+
+
+def signed_zeros(rng, shape, dtype):
+    """Normal values, a third of them +0.0 and a third -0.0, as relu and
+    max-pool masks leave them."""
+    v = rng.normal(size=shape)
+    u = rng.random(shape)
+    v[u < 1 / 3] = 0.0
+    v[u > 2 / 3] = -0.0
+    return v.astype(dtype)
+
+
+# Stride-1 geometries with kernels 1, 3 and 5 at pad (k - 1) / 2, where the
+# flat form applies, and window_cases with kernels up to 5, where it mostly
+# does not.
+_odd = st.sampled_from([1, 3, 5])
+same_cases = st.tuples(
+    st.integers(1, 2), st.integers(1, 3), st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    st.tuples(_odd, _odd), st.integers(0, 2**16),
+).map(lambda c: (*c[:4], (1, 1), tuple((k - 1) // 2 for k in c[3]), c[4]))
+wide_cases = window_cases.map(
+    lambda c: (*c[:3], (c[3][0] + c[6] % 3, c[3][1] + c[6] // 3 % 3), *c[4:]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=st.one_of(same_cases, wide_cases))
+@example(case=(2, 2, (3, 4), (5, 3), (1, 1), (1, 1), 3))  # three offsets read first
+@example(case=(2, 2, (4, 2), (3, 5), (1, 1), (1, 2), 4))  # kernel wider than the image
+@example(case=(1, 2, (4, 3), (3, 5), (1, 1), (1, 1), 5))  # ... and than the output
+@example(case=(2, 2, (7, 6), (3, 3), (2, 1), (1, 1), 6))  # stride > 1
+@example(case=(1, 3, (5, 6), (3, 3), (1, 1), (2, 1), 7))  # row pad other than (k - 1) / 2
+def test_kernels_match_2d_reference_bytes_with_signed_zeros(dtype, case):
+    m, c, (h, w), kernel, stride, pad, seed = case
+    assume(all(k <= n + 2 * p for k, n, p in zip(kernel, (h, w), pad)))
+    rng = default_rng(seed)
+    x = signed_zeros(rng, (m, c, h, w), dtype)
+    cols = im2col_batch(x, kernel, stride, pad)
+    ref = reference_im2col(x, kernel, stride, pad)
+    assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes()
+    g = signed_zeros(rng, cols.shape, dtype)
+    scratch = g.copy()
+    dx = col2im_batch(scratch, x.shape, kernel, stride, pad)
+    assert dx.tobytes() == reference_col2im(g, x.shape, kernel, stride, pad).tobytes()
+    # col2im may overwrite its cols, but only entries that read padding (0 in
+    # the patches of an all-ones image), and only with +-0.0.
+    changed = scratch.view(f"u{g.itemsize}") != g.view(f"u{g.itemsize}")
+    padding = im2col_batch(np.ones_like(x), kernel, stride, pad) == 0
+    assert not (changed & ~padding).any() and not scratch[changed].any()
+
+
+@pytest.mark.parametrize("size, kernel, stride, pad, flat", [
+    ((28, 28), (3, 3), (1, 1), (1, 1), True),  # the bench cnn's conv1
+    ((14, 14), (5, 5), (1, 1), (2, 2), True),
+    ((6, 5), (1, 1), (1, 1), (0, 0), True),
+    ((5, 6), (3, 3), (1, 1), (2, 1), True),  # any row pad
+    ((4, 2), (3, 5), (1, 1), (1, 2), True),  # kernel wider than the image
+    ((3, 4), (5, 3), (1, 1), (1, 1), False),  # three offsets read first
+    ((4, 3), (3, 5), (1, 1), (1, 1), False),  # output narrower than the image
+    ((7, 6), (3, 3), (2, 1), (1, 1), False),  # stride > 1
+    ((7, 6), (3, 3), (1, 1), (1, 0), False),  # column pad other than (k - 1) / 2
+])
+def test_patch_sweep_takes_flat_form_only_where_it_holds(size, kernel, stride, pad, flat):
+    (oh, ow), _ = window_slices(size, kernel, stride, pad)
+    image, block, _ = _patch_sweep(size, kernel, stride, pad)
+    if flat:
+        assert (image, block) == ((size[0] * size[1],), (oh * ow,))
+    else:
+        assert (image, block) == (size, (oh, ow))
